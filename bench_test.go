@@ -40,7 +40,7 @@ func benchHeteroSolvers() []slade.Solver {
 	return []slade.Solver{slade.NewGreedy(), slade.NewOPQExtended(), slade.NewBaseline(1)}
 }
 
-func benchMenu(b *testing.B, ds experiments.Dataset, maxCard int) core.BinSet {
+func benchMenu(b testing.TB, ds experiments.Dataset, maxCard int) core.BinSet {
 	b.Helper()
 	var menu core.BinSet
 	var err error
@@ -234,6 +234,34 @@ func BenchmarkSolveRuns(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// cachedSolveAllocBudget is the committed allocs/op budget of the serving
+// layer's hot path: 13 measured, 24 allows benign runtime noise while still
+// catching any per-use allocation creep (the per-use form costs ~800).
+const cachedSolveAllocBudget = 24
+
+// TestCachedSolveAllocBudget gates the cached solve plus the lazy []BinUse
+// materialization a caller pays at the JSON edge (Jelly |B|=20, t=0.9,
+// n=10,000) — allocation counts are clock-free, so this holds on any runner.
+func TestCachedSolveAllocBudget(t *testing.T) {
+	q, err := opq.Build(benchMenu(t, experiments.Jelly, 20), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		pr, err := opq.SolveRunsRange(q, 0, 10_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pr.Materialize()) == 0 {
+			t.Fatal("empty plan")
+		}
+	})
+	if allocs > cachedSolveAllocBudget {
+		t.Errorf("cached solve+materialize costs %.0f allocs/op, over the committed budget of %d — the zero-allocation pipeline regressed",
+			allocs, cachedSolveAllocBudget)
 	}
 }
 

@@ -6,41 +6,6 @@
 //	sladebench -fig all            # every figure (6a-6l, 7a-7d, 8a-8b)
 //	sladebench -fig 6a             # one figure
 //	sladebench -fig 6i -csv        # CSV output
-//	sladebench -serve              # smoke-test the decomposition service
-//	sladebench -serve -bench-json BENCH_serve.json  # + machine-readable results
-//	sladebench -solve-bench -solve-json BENCH_solve.json -solve-alloc-budget 24
-//	                               # hot-path solve benchmark + allocs/op gate
-//	sladebench -metrics            # smoke-test the /metrics exposition
-//	sladebench -cluster            # smoke-test the multi-node cluster fan-out
-//
-// -serve boots an in-process sladed service, fires warm- and cold-cache
-// decompose requests plus an async solve job and a "kind":"run" execution
-// job through the HTTP API, and prints the latency gap and the /v1/stats
-// counters — a one-command sanity check that the serving layer works on
-// this machine. -bench-json additionally writes the measurements (cold/warm
-// latency, speedup, job and run round trips, achieved reliability) as JSON,
-// which CI uploads as an artifact to accumulate a perf trajectory.
-//
-// -solve-bench benchmarks the decomposition hot path itself (no HTTP): the
-// cold build+solve, the cached compact-run solve, the lazy materialization,
-// and the pre-PR per-use baseline, each with ns/op and allocs/op.
-// -solve-json writes the measurements (CI uploads BENCH_solve.json), and
-// -solve-alloc-budget fails the run if the cached solve+materialize path
-// allocates more than the committed budget per op — the regression gate for
-// the zero-allocation pipeline.
-//
-// -metrics is the observability gate CI runs: it boots the service, drives
-// one request through every HTTP route (including an executed run job),
-// scrapes GET /metrics, and validates the payload with the in-repo
-// Prometheus exposition linter — every route series and every per-stage
-// metric family must be present. The -serve smoke also scrapes /metrics
-// under warm decompose load and records the scrape latency in its JSON.
-//
-// -cluster boots an in-process 3-node sladed cluster (real HTTP between
-// nodes), fans one large decompose across it, kills a peer, and repeats —
-// asserting both times that the clustered cost exactly equals a
-// single-node solve of the same instance. -cluster-json writes the
-// measurements (healthy vs degraded latency, span and fallback counters).
 //
 // Figure identifiers follow the paper: 6a/6c (Jelly, t vs cost/time),
 // 6b/6d (SMIC), 6e/6g and 6f/6h (|B| sweeps), 6i/6k and 6j/6l (scalability),
@@ -60,53 +25,8 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure id (6a..6l, 7a..7d, 8a, 8b) or 'all'")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	serve := flag.Bool("serve", false, "smoke-test the decomposition service instead of regenerating figures")
-	benchJSON := flag.String("bench-json", "", "with -serve, also write the measurements as JSON to this path")
-	solve := flag.Bool("solve-bench", false, "benchmark the decomposition hot path (cold vs cached, allocs/op) instead of regenerating figures")
-	solveJSON := flag.String("solve-json", "", "with -solve-bench, also write the measurements as JSON to this path")
-	solveBudget := flag.Int64("solve-alloc-budget", 0, "with -solve-bench, fail if cached solve+materialize exceeds this many allocs/op (0 = no gate)")
-	metrics := flag.Bool("metrics", false, "smoke-test the /metrics exposition: drive every route, scrape, and lint")
-	clusterSmoke := flag.Bool("cluster", false, "smoke-test the multi-node cluster: 3-node fan-out, peer kill, cost parity")
-	clusterJSON := flag.String("cluster-json", "", "with -cluster, also write the measurements as JSON to this path")
-	platformSmoke := flag.Bool("platform", false, "smoke-test the remote bin marketplace: chaos spend parity, mid-run death degradation")
-	platformJSON := flag.String("platform-json", "", "with -platform, also write the measurements as JSON to this path")
 	flag.Parse()
 
-	if *platformSmoke {
-		if err := runPlatformSmoke(os.Stdout, *platformJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "sladebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterSmoke {
-		if err := runClusterSmoke(os.Stdout, *clusterJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "sladebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *metrics {
-		if err := runMetricsSmoke(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sladebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serve {
-		if err := runServeSmoke(os.Stdout, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "sladebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *solve {
-		if err := runSolveBench(os.Stdout, *solveJSON, *solveBudget); err != nil {
-			fmt.Fprintln(os.Stderr, "sladebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(os.Stdout, *fig, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "sladebench:", err)
 		os.Exit(1)

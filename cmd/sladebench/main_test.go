@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,40 +34,5 @@ func TestRunUnknownFigure(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, "99z", false); err == nil {
 		t.Error("unknown figure accepted")
-	}
-}
-
-func TestServeSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := runServeSmoke(&buf, jsonPath); err != nil {
-		t.Fatalf("serve smoke failed: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"cold decompose", "warm decompose", "async job", "run job", "OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("smoke output missing %q:\n%s", want, out)
-		}
-	}
-
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("bench json not written: %v", err)
-	}
-	var bench struct {
-		ColdMS         float64 `json:"cold_ms"`
-		WarmAvgMS      float64 `json:"warm_avg_ms"`
-		RunMS          float64 `json:"run_ms"`
-		RunReliability float64 `json:"run_reliability"`
-		RunBinsIssued  int     `json:"run_bins_issued"`
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("bench json unparsable: %v\n%s", err, data)
-	}
-	if bench.ColdMS <= 0 || bench.WarmAvgMS <= 0 || bench.RunMS <= 0 {
-		t.Errorf("bench json missing measurements: %+v", bench)
-	}
-	if bench.RunBinsIssued <= 0 || bench.RunReliability <= 0 {
-		t.Errorf("run measurements empty: %+v", bench)
 	}
 }

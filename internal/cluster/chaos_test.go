@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"repro/internal/binset"
-	"repro/internal/cluster"
 	"repro/internal/cluster/testcluster"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/opq"
 	"repro/internal/scenario"
 	"repro/internal/service"
@@ -61,7 +61,7 @@ func TestClusterChaosShortMatrixParity(t *testing.T) {
 	// The flaky peer stays flaky for the entire run; the kill/revive cycle
 	// happens to a different peer so the two failure modes compose.
 	flaky, victim := tc.Node(2).URL, tc.Node(1).URL
-	tc.Faults.Set(flaky, cluster.Faults{DropProb: 0.25, FailProb: 0.25, TruncateProb: 0.25})
+	tc.Faults.Set(flaky, faultinject.Faults{DropProb: 0.25, FailProb: 0.25, TruncateProb: 0.25})
 
 	entry := tc.Node(0).Service
 	solveAll := func(js []job, tag string) {
@@ -189,8 +189,8 @@ func TestClusterSolveDeterministic(t *testing.T) {
 	// Arrival order: delaying one peer at a time reverses which span
 	// finishes first; the merge must not care.
 	for i := 1; i <= 2; i++ {
-		tc.Faults.Set(tc.Node(i).URL, cluster.Faults{Delay: 30 * time.Millisecond})
+		tc.Faults.Set(tc.Node(i).URL, faultinject.Faults{Delay: 30 * time.Millisecond})
 		check("delayed peer " + tc.Node(i).URL)
-		tc.Faults.Set(tc.Node(i).URL, cluster.Faults{})
+		tc.Faults.Set(tc.Node(i).URL, faultinject.Faults{})
 	}
 }

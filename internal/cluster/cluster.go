@@ -104,8 +104,6 @@ type peer struct {
 	retries   *obs.Counter // attempts after the first, per span
 	fallbacks *obs.Counter // spans this peer lost to the local fallback
 	latency   *obs.Histogram
-
-	opensSeen atomic.Uint64 // breaker opens already forwarded to the cluster counter
 }
 
 // Distributor fans block-aligned spans of homogeneous instances out to
@@ -237,7 +235,10 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 	}
 	digest := opq.FingerprintDigest(bins, threshold)
 	nodes := d.healthySequence(digest)
-	spans := d.spans(in.N(), blockSize, len(nodes))
+	// One span per healthy node at most, cut by the alignment rule the
+	// in-process sharded solver uses — which is what makes the merged
+	// plan's use sequence identical to an unsharded solve.
+	spans := opq.CutSpans(in.N(), blockSize, len(nodes), d.cfg.MinSpanBlocks)
 	if len(spans) == 1 && nodes[0] == d.self {
 		// Whole instance, owned locally: skip the sub-instance round trip
 		// entirely.
@@ -279,42 +280,6 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 	return core.NewRunPlan(core.MergePlanRuns(runs...)), nil
 }
 
-// span is one contiguous block-aligned window of the instance's tasks.
-type span struct{ base, n int }
-
-// spans cuts n tasks into at most nodeCount block-aligned spans, each
-// holding at least MinSpanBlocks full blocks, the remainder riding with
-// the final span — the same alignment rule the in-process sharded solver
-// uses, which is what makes the merged plan's use sequence identical to
-// an unsharded solve.
-func (d *Distributor) spans(n, blockSize, nodeCount int) []span {
-	fullBlocks := n / blockSize
-	count := nodeCount
-	if maxUseful := fullBlocks / d.cfg.MinSpanBlocks; count > maxUseful {
-		count = maxUseful
-	}
-	if count <= 1 {
-		return []span{{0, n}}
-	}
-	blocksPer := fullBlocks / count
-	extra := fullBlocks % count
-	out := make([]span, 0, count)
-	pos := 0
-	for i := 0; i < count; i++ {
-		size := blocksPer * blockSize
-		if i < extra {
-			size += blockSize
-		}
-		end := pos + size
-		if i == count-1 {
-			end = n
-		}
-		out = append(out, span{base: pos, n: end - pos})
-		pos = end
-	}
-	return out
-}
-
 // healthySequence returns the ring walk from the digest restricted to
 // nodes currently accepting traffic. Self is always included (local solve
 // cannot be circuit-broken), so the result is never empty. The check is
@@ -340,7 +305,7 @@ func (d *Distributor) healthySequence(digest uint64) []string {
 // solveSpan solves one span on its assigned node, falling back to a local
 // solve after the peer's retry budget is spent. The returned runs are
 // already offset into the global task space.
-func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp span, node string, body []byte) (*core.PlanRuns, error) {
+func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp opq.Span, node string, body []byte) (*core.PlanRuns, error) {
 	if node != d.self {
 		p := d.peers[node]
 		for attempt := 0; attempt <= d.cfg.Retries; attempt++ {
@@ -379,8 +344,8 @@ func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp span,
 
 // solveLocalSpan solves the span in-process as a sub-instance and rebases
 // it to the span's global offset.
-func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp span) (*core.PlanRuns, error) {
-	sub, err := core.NewHomogeneous(in.Bins(), sp.n, in.Threshold(0))
+func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp opq.Span) (*core.PlanRuns, error) {
+	sub, err := core.NewHomogeneous(in.Bins(), sp.Len, in.Threshold(0))
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +357,7 @@ func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp 
 	if err != nil {
 		return nil, err
 	}
-	pr.OffsetTasks(sp.base)
+	pr.OffsetTasks(sp.Base)
 	return pr, nil
 }
 
@@ -416,7 +381,7 @@ type remoteResponse struct {
 // run form, offset to the span's global base. Every failure mode —
 // transport, status, decode, and an invalid or infeasible plan — counts
 // against the peer's breaker.
-func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instance, sp span, body []byte) (pr *core.PlanRuns, err error) {
+func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instance, sp opq.Span, body []byte) (pr *core.PlanRuns, err error) {
 	p.requests.Inc()
 	defer func() {
 		// A canceled parent context is the caller's signal, not peer
@@ -428,19 +393,18 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 			p.breaker.Release()
 			return
 		}
-		p.breaker.Record(err)
+		if p.breaker.Record(err) {
+			d.breakerOpens.Inc()
+		}
 		if err != nil {
 			p.failures.Inc()
-			if p.breaker.StateName() == "open" {
-				d.noteBreakerOpen(p)
-			}
 		}
 	}()
 
 	// Patch the span's n into the shared request prefix. Cheaper than a
 	// re-marshal per span and keeps the menu encoding identical across
 	// spans.
-	spanBody, err := patchN(body, sp.n)
+	spanBody, err := patchN(body, sp.Len)
 	if err != nil {
 		return nil, err
 	}
@@ -467,8 +431,8 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRemoteBody)).Decode(&rr); err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: decoding response: %w", p.url, err)
 	}
-	if rr.N != sp.n {
-		return nil, fmt.Errorf("cluster: peer %s: solved n=%d, span has %d", p.url, rr.N, sp.n)
+	if rr.N != sp.Len {
+		return nil, fmt.Errorf("cluster: peer %s: solved n=%d, span has %d", p.url, rr.N, sp.Len)
 	}
 	pr, err = usesToRuns(rr.Plan)
 	if err != nil {
@@ -477,7 +441,7 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 	// Trust nothing off the wire: the span's plan must be a feasible
 	// decomposition of the span sub-instance before it may merge into the
 	// caller's plan.
-	sub, err := core.NewHomogeneous(in.Bins(), sp.n, in.Threshold(0))
+	sub, err := core.NewHomogeneous(in.Bins(), sp.Len, in.Threshold(0))
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +449,7 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 		return nil, fmt.Errorf("cluster: peer %s: invalid plan: %w", p.url, err)
 	}
 	p.latency.ObserveSince(start)
-	pr.OffsetTasks(sp.base)
+	pr.OffsetTasks(sp.Base)
 	return pr, nil
 }
 
@@ -562,22 +526,4 @@ func usesToRuns(uses []core.BinUse) (*core.PlanRuns, error) {
 		i++
 	}
 	return out, nil
-}
-
-// noteBreakerOpen bumps the cluster-wide open counter; called only on the
-// failure path, at most once per open transition window (the counter is
-// informational — exact once-per-transition accounting lives in the
-// breaker's own opens count).
-func (d *Distributor) noteBreakerOpen(p *peer) {
-	_, _, opens, _ := p.breaker.Snapshot()
-	for {
-		seen := p.opensSeen.Load()
-		if opens <= seen {
-			return
-		}
-		if p.opensSeen.CompareAndSwap(seen, opens) {
-			d.breakerOpens.Add(opens - seen)
-			return
-		}
-	}
 }

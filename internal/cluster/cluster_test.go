@@ -480,36 +480,6 @@ func TestDistributorNoPeersSolvesLocally(t *testing.T) {
 	}
 }
 
-func TestSpansBlockAligned(t *testing.T) {
-	d, _ := newTestDistributor(t, []string{"http://a", "http://b"}, func(c *Config) { c.MinSpanBlocks = 2 })
-	for _, tc := range []struct{ n, block, nodes int }{
-		{100, 7, 3}, {100, 7, 1}, {6, 7, 4}, {7, 7, 4}, {56, 7, 4}, {57, 7, 2}, {1000, 12, 5},
-	} {
-		spans := d.spans(tc.n, tc.block, tc.nodes)
-		if len(spans) == 0 || len(spans) > tc.nodes && tc.nodes > 0 {
-			t.Fatalf("%+v: %d spans", tc, len(spans))
-		}
-		pos := 0
-		for i, sp := range spans {
-			if sp.base != pos {
-				t.Fatalf("%+v: span %d base %d, want %d (contiguity)", tc, i, sp.base, pos)
-			}
-			if i < len(spans)-1 {
-				if sp.n%tc.block != 0 {
-					t.Fatalf("%+v: span %d length %d not block-aligned", tc, i, sp.n)
-				}
-				if sp.n/tc.block < 2 {
-					t.Fatalf("%+v: span %d has %d blocks, floor is 2", tc, i, sp.n/tc.block)
-				}
-			}
-			pos += sp.n
-		}
-		if pos != tc.n {
-			t.Fatalf("%+v: spans cover %d of %d tasks", tc, pos, tc.n)
-		}
-	}
-}
-
 func TestUsesToRunsRoundTrip(t *testing.T) {
 	uses := []core.BinUse{
 		{Cardinality: 3, Tasks: []int{0, 1, 2}},

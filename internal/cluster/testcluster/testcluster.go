@@ -1,8 +1,9 @@
 // Package testcluster boots an in-process multi-node sladed cluster for
 // chaos and parity testing: N real services behind real HTTP listeners,
 // fully peer-meshed through one shared fault-injecting transport. It
-// deliberately takes no *testing.T — cmd/sladebench reuses it to
-// benchmark clustered solves from a plain binary.
+// deliberately takes no *testing.T — the benchmark module reuses it to
+// measure clustered solves (the cluster-fanout workload) from a plain
+// binary.
 package testcluster
 
 import (
@@ -13,7 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/faultinject"
 	"repro/internal/service"
 )
 
@@ -63,7 +64,7 @@ type Cluster struct {
 	// Faults is the shared outbound transport of every node: killing a
 	// peer here makes it unreachable from all of them at once. The peer's
 	// own listener stays up — a "killed" peer can still be revived.
-	Faults *cluster.FaultInjector
+	Faults *faultinject.Injector
 }
 
 // Start boots the cluster: listeners first (so every node knows every
@@ -91,7 +92,7 @@ func Start(opts Options) (*Cluster, error) {
 		cooldown = 100 * time.Millisecond
 	}
 
-	c := &Cluster{Faults: cluster.NewFaultInjector(opts.Seed, nil)}
+	c := &Cluster{Faults: faultinject.New(opts.Seed, nil)}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		node := &Node{}

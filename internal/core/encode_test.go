@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -19,15 +21,22 @@ func encodeViaStream(t testing.TB, p *Plan) []byte {
 	return buf.Bytes()
 }
 
+// assertEncodeMatchesMarshal pins the streaming encoder (and MarshalJSON,
+// which delegates to it) to the reference: encoding/json over the
+// materialized uses.
 func assertEncodeMatchesMarshal(t testing.TB, p *Plan) {
 	t.Helper()
-	want, err := json.Marshal(p)
+	want, err := json.Marshal(struct {
+		Uses []BinUse `json:"uses"`
+	}{p.Materialized()})
 	if err != nil {
-		t.Fatalf("MarshalJSON: %v", err)
+		t.Fatalf("reference marshal: %v", err)
 	}
-	got := encodeViaStream(t, p)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("EncodeJSON differs from MarshalJSON:\n got %s\nwant %s", got, want)
+	if got := encodeViaStream(t, p); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeJSON differs from encoding/json:\n got %s\nwant %s", got, want)
+	}
+	if got, err := json.Marshal(p); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("MarshalJSON differs from encoding/json (err %v):\n got %s\nwant %s", err, got, want)
 	}
 }
 
@@ -174,5 +183,40 @@ func BenchmarkEncodeJSONStream(b *testing.B) {
 		if err := plan.EncodeJSON(&buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// encodeAllocBudget fails the gate if streaming a million-task plan
+// allocates more than this. The bufio chunk plus number scratch measure
+// ~33 KiB; 512 KiB allows GC bookkeeping noise while still catching any
+// O(assignments) materialization sneaking back into the encoder (the
+// materialized form of this plan is tens of MiB).
+const encodeAllocBudget = 512 << 10
+
+// TestEncodeJSONMillionTaskAllocBudget is the O(runs) plan-encoding gate:
+// bytes out grow with the task count, allocations must not.
+func TestEncodeJSONMillionTaskAllocBudget(t *testing.T) {
+	const n = 1_000_000
+	comb := &RunComb{Parts: []RunPart{{Cardinality: 4, Count: 2}, {Cardinality: 12, Count: 1}}, BlockLen: 12}
+	blocks := n / comb.BlockLen
+	pr := &PlanRuns{Arena: make([]int, n), Runs: []BlockRun{
+		{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen},
+		{Comb: comb, Blocks: 0, Off: blocks * comb.BlockLen, Len: n - blocks*comb.BlockLen},
+	}}
+	for i := range pr.Arena {
+		pr.Arena[i] = i
+	}
+	plan := NewRunPlan(pr)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := plan.EncodeJSON(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > encodeAllocBudget {
+		t.Errorf("encoding a %d-task plan allocated %d KiB; budget is %d KiB — the encoder is materializing instead of streaming",
+			n, got>>10, encodeAllocBudget>>10)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -72,13 +72,15 @@ func (p *Plan) EachUse(fn func(cardinality int, tasks []int) error) error {
 	return nil
 }
 
-// MarshalJSON renders the plan in its legacy wire form {"uses": [...]},
-// materializing a run-backed plan first — stored job records and HTTP
-// responses are byte-compatible across both backings.
+// MarshalJSON renders the plan in its wire form {"uses": [...]} through
+// the streaming encoder, so stored job records and HTTP responses share
+// one encoder and are byte-compatible across both backings.
 func (p *Plan) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Uses []BinUse `json:"uses"`
-	}{Uses: p.Materialized()})
+	var buf bytes.Buffer
+	if err := p.EncodeJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Cost returns the total incentive cost of the plan under the given menu:

@@ -1,4 +1,11 @@
-package cluster
+// Package faultinject is the repo's one seeded network-fault injector: an
+// http.RoundTripper that wraps a real transport and, per destination host,
+// refuses, stalls, drops, 500s or truncates traffic. It sits on the
+// client side of any outbound HTTP seam (service.Config.ClusterTransport,
+// platform.Config.Transport), so the same injector drives the cluster
+// chaos tests (via testcluster) and the marketplace chaos tests. It is
+// test tooling, kept out of the product packages it breaks.
+package faultinject
 
 import (
 	"bytes"
@@ -13,7 +20,9 @@ import (
 )
 
 // Faults is the failure profile applied to one peer's traffic. The zero
-// value injects nothing.
+// value injects nothing. Drop and Fail strike before the request is
+// forwarded (the peer never sees it); Truncate and DropAfter strike after
+// the peer has processed it — whatever it committed stays committed.
 type Faults struct {
 	// Down refuses every request with a synthetic connection error — the
 	// killed-peer case. Checked before any probability draw so a down
@@ -32,14 +41,19 @@ type Faults struct {
 	// in half — the partial-body / mid-flight-crash case. The decode on
 	// the caller side fails, which must count as a peer failure.
 	TruncateProb float64
+	// DropAfterProb is the probability a forwarded request's response is
+	// discarded and a connection error returned instead — the
+	// duplicate-delivery trap: the peer did the work, and the caller cannot
+	// tell this from a request that never arrived.
+	DropAfterProb float64
 }
 
-// FaultInjector is an http.RoundTripper that wraps a real transport and
+// Injector is an http.RoundTripper that wraps a real transport and
 // injects per-peer faults. All randomness comes from one seeded source
 // drawn under a mutex, so a fixed seed plus a fixed request order yields
 // the same fault schedule — chaos tests are replayable. Rules are keyed
 // by the peer URL's host, so one injector can front any number of peers.
-type FaultInjector struct {
+type Injector struct {
 	base http.RoundTripper
 
 	mu    sync.Mutex
@@ -47,13 +61,13 @@ type FaultInjector struct {
 	rules map[string]Faults
 }
 
-// NewFaultInjector wraps base (nil selects http.DefaultTransport) with a
-// fault schedule seeded by seed.
-func NewFaultInjector(seed int64, base http.RoundTripper) *FaultInjector {
+// New wraps base (nil selects http.DefaultTransport) with a fault
+// schedule seeded by seed.
+func New(seed int64, base http.RoundTripper) *Injector {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &FaultInjector{
+	return &Injector{
 		base:  base,
 		rng:   rand.New(rand.NewSource(seed)),
 		rules: make(map[string]Faults),
@@ -73,14 +87,14 @@ func hostOf(peerURL string) string {
 
 // Set installs (or replaces) the fault profile for a peer, identified by
 // base URL or host:port.
-func (f *FaultInjector) Set(peerURL string, faults Faults) {
+func (f *Injector) Set(peerURL string, faults Faults) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.rules[hostOf(peerURL)] = faults
 }
 
 // Kill marks the peer down, preserving the rest of its profile.
-func (f *FaultInjector) Kill(peerURL string) {
+func (f *Injector) Kill(peerURL string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	r := f.rules[hostOf(peerURL)]
@@ -89,7 +103,7 @@ func (f *FaultInjector) Kill(peerURL string) {
 }
 
 // Revive clears the peer's down flag, preserving the rest of its profile.
-func (f *FaultInjector) Revive(peerURL string) {
+func (f *Injector) Revive(peerURL string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	r := f.rules[hostOf(peerURL)]
@@ -101,14 +115,15 @@ func (f *FaultInjector) Revive(peerURL string) {
 // section so concurrent requests consume the seeded stream in a serial,
 // countable order.
 type decision struct {
-	down     bool
-	delay    time.Duration
-	drop     bool
-	fail     bool
-	truncate bool
+	down      bool
+	delay     time.Duration
+	drop      bool
+	fail      bool
+	truncate  bool
+	dropAfter bool
 }
 
-func (f *FaultInjector) decide(host string) decision {
+func (f *Injector) decide(host string) decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	r, ok := f.rules[host]
@@ -116,17 +131,18 @@ func (f *FaultInjector) decide(host string) decision {
 		return decision{}
 	}
 	d := decision{down: r.Down, delay: r.Delay}
-	// Always draw all three so the stream position per request is fixed
+	// Always draw all four so the stream position per request is fixed
 	// regardless of which probabilities are set.
-	p1, p2, p3 := f.rng.Float64(), f.rng.Float64(), f.rng.Float64()
+	p1, p2, p3, p4 := f.rng.Float64(), f.rng.Float64(), f.rng.Float64(), f.rng.Float64()
 	d.drop = p1 < r.DropProb
 	d.fail = p2 < r.FailProb
 	d.truncate = p3 < r.TruncateProb
+	d.dropAfter = p4 < r.DropAfterProb
 	return d
 }
 
 // RoundTrip implements http.RoundTripper.
-func (f *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
+func (f *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	d := f.decide(req.URL.Host)
 	if d.down {
 		return nil, fmt.Errorf("faultinjector: peer %s is down: connection refused", req.URL.Host)
@@ -159,8 +175,12 @@ func (f *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 		}, nil
 	}
 	resp, err := f.base.RoundTrip(req)
-	if err != nil || !d.truncate {
+	if err != nil || (!d.truncate && !d.dropAfter) {
 		return resp, err
+	}
+	if d.dropAfter {
+		resp.Body.Close()
+		return nil, fmt.Errorf("faultinjector: response from peer %s dropped: connection reset", req.URL.Host)
 	}
 	// Truncate: deliver only the first half of the body, then EOF — what a
 	// peer crashing mid-response looks like to the JSON decoder.

@@ -143,8 +143,7 @@ type Client struct {
 	latency      *obs.Histogram
 	throttle     *obs.Histogram
 
-	opensSeen atomic.Uint64 // breaker opens already forwarded to the counter
-	runSeq    atomic.Uint64 // fallback run-id sequence for anonymous runners
+	runSeq atomic.Uint64 // fallback run-id sequence for anonymous runners
 }
 
 // NewClient builds a Client for the marketplace at cfg.BaseURL.
@@ -359,8 +358,9 @@ func (c *Client) issue(ctx context.Context, key string, cardinality int, pay flo
 		c.breaker.Release()
 	default:
 		c.failures.Inc()
-		c.breaker.Record(err)
-		c.noteBreakerOpen()
+		if c.breaker.Record(err) {
+			c.breakerOpens.Inc()
+		}
 	}
 	c.gaugeBreaker()
 	return out, retryable, err
@@ -438,22 +438,6 @@ func (c *Client) post(ctx context.Context, key string, cardinality int, pay floa
 		Overtime: wire.Overtime,
 	}
 	return out, resp.Header.Get("X-Idempotent-Replay") == "true", false, nil
-}
-
-// noteBreakerOpen forwards new breaker open transitions to the opens
-// counter (the breaker keeps the authoritative count).
-func (c *Client) noteBreakerOpen() {
-	_, _, opens, _ := c.breaker.Snapshot()
-	for {
-		seen := c.opensSeen.Load()
-		if opens <= seen {
-			return
-		}
-		if c.opensSeen.CompareAndSwap(seen, opens) {
-			c.breakerOpens.Add(opens - seen)
-			return
-		}
-	}
 }
 
 // gaugeBreaker mirrors the breaker state into its gauge.

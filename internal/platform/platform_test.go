@@ -10,6 +10,7 @@ import (
 	"repro/internal/binset"
 	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/opq"
 	"repro/internal/platform/testplatform"
@@ -57,8 +58,16 @@ func hardenedClient(t *testing.T, url string, mutate func(*Config)) *Client {
 	return c
 }
 
+// faulted returns a client transport that applies the given seeded fault
+// profile to traffic bound for the marketplace at url.
+func faulted(url string, seed int64, f faultinject.Faults) *faultinject.Injector {
+	inj := faultinject.New(seed, nil)
+	inj.Set(url, f)
+	return inj
+}
+
 // TestPlatformChaosSpendParity is the chaos acceptance test: with 25% of
-// traffic faulted (delays, pre-commit 500s, truncated bodies, dropped
+// traffic faulted (pre-commit drops and 500s, truncated bodies, dropped
 // post-commit responses), a run job must complete with a report
 // byte-identical to the fault-free run and with marketplace charges
 // exactly equal to the report's spend — zero double-paid bins.
@@ -81,22 +90,21 @@ func TestPlatformChaosSpendParity(t *testing.T) {
 		t.Fatalf("fault-free run degraded: %q", cleanRep.LastError)
 	}
 
-	faulty, err := testplatform.New(testplatform.Options{
-		Seed: seed,
-		Faults: testplatform.FaultSchedule{
-			DelayProb:    0.05,
-			Delay:        time.Millisecond,
-			FailProb:     0.08,
-			TruncateProb: 0.06,
-			DropProb:     0.06,
-		},
-	})
+	faulty, err := testplatform.New(testplatform.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer faulty.Close()
+	chaos := func(cfg *Config) {
+		cfg.Transport = faulted(faulty.URL(), seed+1, faultinject.Faults{
+			DropProb:      0.05,
+			FailProb:      0.08,
+			TruncateProb:  0.06,
+			DropAfterProb: 0.06,
+		})
+	}
 	faultyRep, err := executor.ExecuteContext(context.Background(),
-		hardenedClient(t, faulty.URL(), nil).Runner(), in, plan, truth, opts)
+		hardenedClient(t, faulty.URL(), chaos).Runner(), in, plan, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +255,15 @@ func TestPlatformAuth(t *testing.T) {
 }
 
 func TestPlatformRetryBudgetExhaustion(t *testing.T) {
-	srv, err := testplatform.New(testplatform.Options{Seed: 5, Faults: testplatform.FaultSchedule{FailProb: 1}})
+	srv, err := testplatform.New(testplatform.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := hardenedClient(t, srv.URL(), func(cfg *Config) { cfg.RetryBudget = 3 })
+	c := hardenedClient(t, srv.URL(), func(cfg *Config) {
+		cfg.Transport = faulted(srv.URL(), 6, faultinject.Faults{FailProb: 1})
+		cfg.RetryBudget = 3
+	})
 	r := c.Runner()
 	_, rerr := r.RunBinContext(context.Background(), executor.BinContext{RunID: "budget", Bin: 0, Attempt: 0}, 2, 0.1, 2, []bool{true, false})
 	if rerr == nil || !strings.Contains(rerr.Error(), "retry budget exhausted") {
@@ -269,15 +280,13 @@ func TestPlatformRetryBudgetExhaustion(t *testing.T) {
 func TestPlatformMetricsRegistered(t *testing.T) {
 	in, plan, truth := chaosEnv(t, 60)
 	reg := obs.NewRegistry()
-	srv, err := testplatform.New(testplatform.Options{
-		Seed:   5,
-		Faults: testplatform.FaultSchedule{DropProb: 0.2},
-	})
+	srv, err := testplatform.New(testplatform.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	c := hardenedClient(t, srv.URL(), func(cfg *Config) {
+		cfg.Transport = faulted(srv.URL(), 6, faultinject.Faults{DropAfterProb: 0.2})
 		cfg.Registry = reg
 		cfg.RPS = 50000 // exercise the throttle path without slowing the test
 		cfg.Burst = 1

@@ -1,67 +1,40 @@
 // Package testplatform is an in-process mock crowd marketplace for
 // exercising the platform client: a real-socket HTTP server backed by
-// seeded crowdsim, with a deterministic per-request fault schedule
-// (down, delay, pre-commit 500, truncated body, dropped response). It
-// mirrors cluster/testcluster: no *testing.T in the core API, so
-// sladebench can drive the same harness outside the test binary.
+// seeded crowdsim that commits each idempotency key exactly once, keeps
+// the ledger tests reconcile against, and can be killed outright or
+// mid-run. It mirrors cluster/testcluster: no *testing.T in the core API,
+// so the benchmark module drives the same harness outside a test binary.
+// Per-request network faults (pre-commit 500s, truncated bodies, dropped
+// responses) are injected on the client side with internal/faultinject.
 //
-// Determinism is the point. The crowd simulation draws from its own
-// seeded RNG only when a bin commits — exactly once per idempotency
-// key, in arrival order — while faults draw from a *separate* seeded
-// stream, a fixed number of draws per request. Under the executor's
-// sequential issuing this makes the commit sequence identical to a
-// fault-free server with the same crowd seed: same outcomes, same
-// charges, byte-identical execution reports. That identity is what the
-// chaos acceptance test pins.
+// Determinism is the point. The crowd simulation draws from its seeded
+// RNG only when a bin commits — exactly once per idempotency key, in
+// arrival order. Under the executor's sequential issuing this makes the
+// commit sequence of a faulted run identical to a fault-free run with the
+// same crowd seed: same outcomes, same charges, byte-identical execution
+// reports. That identity is what the chaos acceptance test pins.
 package testplatform
 
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/crowdsim"
 )
 
-// FaultSchedule sets per-request fault probabilities, drawn from the
-// fault RNG in a fixed order (delay, fail, truncate, drop — four draws
-// per request regardless of outcome, so schedules with different
-// probabilities stay stream-aligned).
-type FaultSchedule struct {
-	// DelayProb delays the response by Delay.
-	DelayProb float64
-	Delay     time.Duration
-	// FailProb returns a 500 *before* committing the bin: the retry
-	// re-issues and the first commit wins.
-	FailProb float64
-	// TruncateProb commits the bin, then truncates the response body
-	// mid-JSON (Content-Length promises the full body): the client sees
-	// a decode error after the money moved.
-	TruncateProb float64
-	// DropProb commits the bin, then aborts the connection before
-	// writing anything: the classic duplicate-delivery trap — the
-	// client cannot tell this from a pre-commit crash.
-	DropProb float64
-}
-
 // Options configures a Server.
 type Options struct {
 	// Seed drives the crowd simulation (default 1).
 	Seed int64
-	// FaultSeed drives the fault schedule stream (default Seed+1).
-	FaultSeed int64
 	// Model selects the crowd model: "jelly" (default) or "smic".
 	Model string
 	// Auth, when non-empty, is the exact Authorization header value
 	// required on every request (others get 401).
 	Auth string
-	// Faults is the initial fault schedule (default: none).
-	Faults FaultSchedule
 }
 
 // binRecord is one committed purchase: the response replayed for every
@@ -77,8 +50,6 @@ type Server struct {
 
 	mu        sync.Mutex
 	sim       *crowdsim.Platform
-	faultRNG  *rand.Rand
-	faults    FaultSchedule
 	auth      string
 	committed map[string]binRecord
 	charged   float64
@@ -95,10 +66,6 @@ func New(opts Options) (*Server, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	faultSeed := opts.FaultSeed
-	if faultSeed == 0 {
-		faultSeed = seed + 1
-	}
 	var params crowdsim.Params
 	switch opts.Model {
 	case "", "jelly":
@@ -110,8 +77,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		sim:       crowdsim.New(params, seed),
-		faultRNG:  rand.New(rand.NewSource(faultSeed)),
-		faults:    opts.Faults,
 		auth:      opts.Auth,
 		committed: make(map[string]binRecord),
 	}
@@ -150,13 +115,6 @@ func (s *Server) KillAfter(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.killAfter = n
-}
-
-// SetFaults swaps the fault schedule.
-func (s *Server) SetFaults(f FaultSchedule) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = f
 }
 
 // Charged returns the total pay committed — the marketplace-side ledger
@@ -226,30 +184,12 @@ func (s *Server) handleBin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Fixed draw count per request keeps the fault stream aligned
-	// across replays and schedule changes.
-	delay := s.faultRNG.Float64() < s.faults.DelayProb
-	fail := s.faultRNG.Float64() < s.faults.FailProb
-	truncate := s.faultRNG.Float64() < s.faults.TruncateProb
-	drop := s.faultRNG.Float64() < s.faults.DropProb
-	delayFor := s.faults.Delay
-
-	if fail {
-		// Pre-commit failure: no charge, no crowd draw, no record.
-		s.mu.Unlock()
-		if delay {
-			time.Sleep(delayFor)
-		}
-		http.Error(w, "marketplace unavailable", http.StatusInternalServerError)
-		return
-	}
-
 	rec, replay := s.committed[key]
 	if replay {
 		s.replays++
 	} else {
 		// Commit: the crowd works the bin and the money moves, exactly
-		// once per key — whatever happens to the response below.
+		// once per key — whatever happens to the response on the wire.
 		out := s.sim.RunBin(req.Cardinality, req.Pay, req.Difficulty, req.Truth)
 		body, err := json.Marshal(struct {
 			Answers    []bool  `json:"answers"`
@@ -269,23 +209,9 @@ func (s *Server) handleBin(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	if delay {
-		time.Sleep(delayFor)
-	}
-	if drop {
-		// Committed, then the connection dies before a single byte: the
-		// client must reconcile by re-issuing the same key.
-		panic(http.ErrAbortHandler)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	if replay {
 		w.Header().Set("X-Idempotent-Replay", "true")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(rec.resp)))
-	if truncate {
-		// Committed, full Content-Length promised, half delivered.
-		w.Write(rec.resp[:len(rec.resp)/2]) //nolint:errcheck
-		panic(http.ErrAbortHandler)
 	}
 	w.Write(rec.resp) //nolint:errcheck
 }

@@ -125,15 +125,17 @@ func (b *Breaker) Release() {
 
 // Record settles one attempt's outcome. Any success closes the breaker
 // and clears the failure run; a failure while half-open (the probe
-// failed) or the threshold-th consecutive failure re-opens it.
-func (b *Breaker) Record(err error) {
+// failed) or the threshold-th consecutive failure re-opens it. opened
+// reports whether this call performed that open transition, so callers
+// mirroring opens into a metric count each transition exactly once.
+func (b *Breaker) Record(err error) (opened bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err == nil {
 		b.state = breakerClosed
 		b.failures = 0
 		b.lastErr = ""
-		return
+		return false
 	}
 	b.failures++
 	b.lastErr = err.Error()
@@ -141,7 +143,9 @@ func (b *Breaker) Record(err error) {
 		b.state = breakerOpen
 		b.openedAt = b.now()
 		b.opens++
+		return true
 	}
+	return false
 }
 
 // StateName renders the operator-facing state string.

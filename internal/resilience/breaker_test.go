@@ -93,6 +93,46 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	mustState(t, b, "ok")
 }
 
+// TestBreakerRecordReportsEachOpenOnce pins the accounting contract the
+// cluster and platform breaker-open counters rely on: Record returns true
+// exactly on the call that performs an open transition — the threshold-th
+// consecutive failure, or a failed probe — and never for a success, a
+// below-threshold failure, or a straggler failing against an already-open
+// breaker.
+func TestBreakerRecordReportsEachOpenOnce(t *testing.T) {
+	clk := newFakeClock()
+	b := NewBreaker(2, time.Second, clk.now)
+	boom := errors.New("boom")
+	reported := 0
+	step := func(name string, err error, want bool) {
+		t.Helper()
+		got := b.Record(err)
+		if got != want {
+			t.Fatalf("%s: Record reported opened=%v, want %v", name, got, want)
+		}
+		if got {
+			reported++
+		}
+	}
+	step("first failure", boom, false)
+	step("threshold-th failure", boom, true)
+	step("straggler against the open breaker", boom, false)
+	clk.advance(time.Second)
+	if !b.Allow() {
+		t.Fatal("probe refused")
+	}
+	step("failed probe", boom, true)
+	clk.advance(time.Second)
+	if !b.Allow() {
+		t.Fatal("second probe refused")
+	}
+	step("successful probe", nil, false)
+	step("fresh run, below threshold", boom, false)
+	if _, _, opens, _ := b.Snapshot(); opens != uint64(reported) || reported != 2 {
+		t.Fatalf("Record reported %d opens, breaker counted %d, want 2 each", reported, opens)
+	}
+}
+
 func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 	b := NewBreaker(3, time.Second, newFakeClock().now)
 	boom := errors.New("boom")

@@ -82,10 +82,9 @@ func (c Cell) workload(menu core.BinSet, cellSeed int64) ([]request, error) {
 
 // Instances generates the cell's decompose workload — each request's
 // instance, in arrival order — without the platform-seed plumbing the
-// full lab runner adds. External harnesses (the cluster chaos test,
-// sladebench) use it to replay the exact scenario traffic through an
-// alternative serving stack: the same cellSeed yields the same instances
-// the lab would solve.
+// full lab runner adds. External harnesses (the cluster chaos test) use
+// it to replay the exact scenario traffic through an alternative serving
+// stack: the same cellSeed yields the same instances the lab would solve.
 func (c Cell) Instances(cellSeed int64) ([]*core.Instance, error) {
 	menu, err := c.Menu.Build()
 	if err != nil {

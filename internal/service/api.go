@@ -23,8 +23,7 @@ const MaxRequestBytes = 64 << 20
 //	POST   /v1/decompose            synchronous decomposition (NDJSON plan body via Accept: application/x-ndjson)
 //	POST   /v1/decompose/batch      many instances over one shared menu, coalesced into one batch window
 //	POST   /v1/jobs                 submit an async job (solve, stream or run)
-//	GET    /v1/jobs/{id}            job status (+ result plan with ?include_plan=true;
-//	                                &plan_encoding=stream streams it in O(runs) memory)
+//	GET    /v1/jobs/{id}            job status (+ result plan with ?include_plan=true)
 //	GET    /v1/jobs/{id}/events     live job progress as Server-Sent Events (Last-Event-ID resume)
 //	DELETE /v1/jobs/{id}            cancel a pending or running job (aborts a run mid-flight)
 //	POST   /v1/streams              open an incremental-ingest planning session
@@ -146,7 +145,9 @@ type decomposeRequest struct {
 	IncludePlan bool `json:"include_plan,omitempty"`
 }
 
-// decomposeResponse is the POST /v1/decompose reply.
+// decomposeResponse is the POST /v1/decompose reply. Handlers never set
+// Plan: writePlanStreamed streams it into the trailing field off the
+// plan's runs; the field is the wire shape clients decode.
 type decomposeResponse struct {
 	Solver    string        `json:"solver"`
 	N         int           `json:"n"`
@@ -189,9 +190,8 @@ func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
 			writeDecomposeNDJSON(w, resp, plan)
 			return
 		}
-		// Materialize lazily, only because the caller asked for per-use
-		// task lists; the solve itself stays in compact run form.
-		resp.Plan = plan.Materialized()
+		writePlanStreamed(w, http.StatusOK, resp, plan)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -206,7 +206,6 @@ func wantsNDJSON(r *http.Request) bool {
 // each following line one bin use — O(runs) server memory however large
 // the plan is.
 func writeDecomposeNDJSON(w http.ResponseWriter, resp decomposeResponse, plan *core.Plan) {
-	resp.Plan = nil
 	data, err := json.Marshal(resp)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
@@ -335,11 +334,9 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 
 // jobRequest is the POST /v1/jobs body. Kind selects the payload: "solve"
 // (default) uses the instance fields, "stream" the stream field, "run"
-// the instance fields plus the optional run field. Type is the
-// pre-run-jobs name of the same discriminator, kept for compatibility.
+// the instance fields plus the optional run field.
 type jobRequest struct {
 	Kind string `json:"kind,omitempty"`
-	Type string `json:"type,omitempty"`
 	decomposeRequest
 	Stream *streamRequest `json:"stream,omitempty"`
 	Run    *runRequest    `json:"run,omitempty"`
@@ -421,21 +418,7 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Type != "" {
-		// The pre-run-jobs name of the discriminator still decodes, but
-		// it is deprecated: responses echo only "kind", the reply carries
-		// a Deprecation header, and the first use per boot logs a warning.
-		w.Header().Set("Deprecation", "true")
-		s.warnTypeAlias()
-	}
 	kind := req.Kind
-	switch {
-	case kind == "":
-		kind = req.Type
-	case req.Type != "" && req.Type != kind:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("kind %q and type %q disagree", kind, req.Type))
-		return
-	}
 	// A payload the kind does not consume is a client mistake (likely a
 	// kind typo); executing something other than what the body describes
 	// would be worse than rejecting it.
@@ -501,7 +484,8 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
-// jobStatusResponse augments JobStatus with the optional full plan.
+// jobStatusResponse augments JobStatus with the optional full plan
+// (streamed by writePlanStreamed, like decomposeResponse.Plan).
 type jobStatusResponse struct {
 	JobStatus
 	Plan []core.BinUse `json:"plan,omitempty"`
@@ -521,20 +505,18 @@ func handleJobStatus(s *Service, w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		if r.URL.Query().Get("plan_encoding") == "stream" {
-			writePlanStreamed(w, http.StatusOK, resp, plan)
-			return
-		}
-		resp.Plan = plan.Materialized()
+		writePlanStreamed(w, http.StatusOK, resp, plan)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // writePlanStreamed writes resp — a struct whose final field is an
 // omitted-when-empty "plan" — with the plan's uses streamed straight off
-// its runs into that trailing field. The bytes are identical to setting
-// resp.Plan = plan.Materialized() first (pinned by test), but the server
-// memory stays O(runs) however many assignments the plan has.
+// its runs into that trailing field. The bytes are identical to
+// encoding/json over resp with Plan = plan.Materialized() (pinned by
+// test), but the server memory stays O(runs) however many assignments
+// the plan has.
 func writePlanStreamed(w http.ResponseWriter, code int, resp any, plan *core.Plan) {
 	if plan.NumUses() == 0 {
 		// Materializing would yield nothing and "omitempty" would drop
@@ -645,13 +627,9 @@ type errorDetail struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// errorBody is the error response wire form. LegacyError repeats the
-// message at the top level for clients that read the pre-v1.1 shape
-// ({"error":"<string>"}); it is a one-release shim — see docs/API.md's
-// deprecation policy — and will be removed.
+// errorBody is the error response wire form.
 type errorBody struct {
-	Error       errorDetail `json:"error"`
-	LegacyError string      `json:"error_message"`
+	Error errorDetail `json:"error"`
 }
 
 // errorCode names the machine-readable class of an HTTP error status.
@@ -676,21 +654,9 @@ func errorCode(code int) string {
 
 // writeErr writes the unified JSON error envelope.
 func writeErr(w http.ResponseWriter, code int, err error) {
-	body := errorBody{
-		Error: errorDetail{
-			Code:      errorCode(code),
-			Message:   err.Error(),
-			RequestID: w.Header().Get("X-Request-ID"),
-		},
-		LegacyError: err.Error(),
-	}
-	writeJSON(w, code, body)
-}
-
-// warnTypeAlias logs the legacy job "type" field deprecation warning,
-// once per process.
-func (s *Service) warnTypeAlias() {
-	s.typeAliasWarn.Do(func() {
-		s.slog.Warn(`legacy job field "type" used; send "kind" instead — "type" will be removed in a future release`)
-	})
+	writeJSON(w, code, errorBody{Error: errorDetail{
+		Code:      errorCode(code),
+		Message:   err.Error(),
+		RequestID: w.Header().Get("X-Request-ID"),
+	}})
 }

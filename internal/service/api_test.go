@@ -66,10 +66,7 @@ func TestHTTPDecompose(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var dr decomposeResponse
-	if err := json.Unmarshal(raw, &dr); err != nil {
-		t.Fatal(err)
-	}
+	dr := assertMarshalledPlanReply[decomposeResponse](t, raw)
 	if dr.Solver != DefaultSolverName || dr.N != 100 {
 		t.Fatalf("response header fields: %+v", dr)
 	}
@@ -134,11 +131,6 @@ func TestHTTPDecomposeErrors(t *testing.T) {
 		if e.Error.RequestID == "" || e.Error.RequestID != resp.Header.Get("X-Request-ID") {
 			t.Errorf("%s: envelope request id %q != header %q", tc.name, e.Error.RequestID, resp.Header.Get("X-Request-ID"))
 		}
-		// The pre-v1.1 top-level string survives one release as
-		// "error_message"; it must mirror the envelope's message.
-		if e.LegacyError != e.Error.Message {
-			t.Errorf("%s: legacy shim %q != message %q", tc.name, e.LegacyError, e.Error.Message)
-		}
 	}
 }
 
@@ -179,7 +171,7 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 
 func TestHTTPStreamJob(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := fmt.Sprintf(`{"type":"stream","stream":{"bins":%s,"threshold":0.95,
+	body := fmt.Sprintf(`{"kind":"stream","stream":{"bins":%s,"threshold":0.95,
 		"batches":[[0,1,2,3,4],[5,6,7,8,9,10,11]]}}`, table1JSON)
 	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -267,8 +259,8 @@ func TestHTTPCancelAndUnknownJob(t *testing.T) {
 func TestHTTPStreamJobRejectsSolverAndDuplicates(t *testing.T) {
 	_, ts := newTestServer(t)
 	for name, body := range map[string]string{
-		"solver on stream job": fmt.Sprintf(`{"type":"stream","solver":"greedy","stream":{"bins":%s,"threshold":0.9,"batches":[[0,1]]}}`, table1JSON),
-		"duplicate task ids":   fmt.Sprintf(`{"type":"stream","stream":{"bins":%s,"threshold":0.9,"batches":[[0,0,0]]}}`, table1JSON),
+		"solver on stream job": fmt.Sprintf(`{"kind":"stream","solver":"greedy","stream":{"bins":%s,"threshold":0.9,"batches":[[0,1]]}}`, table1JSON),
+		"duplicate task ids":   fmt.Sprintf(`{"kind":"stream","stream":{"bins":%s,"threshold":0.9,"batches":[[0,0,0]]}}`, table1JSON),
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -328,17 +320,13 @@ func TestHTTPRunJob(t *testing.T) {
 	}
 }
 
-// TestHTTPRunJobKindAliasesAndErrors: "type" still works as the
-// discriminator, disagreement is rejected, and a run payload on a solve
-// job is an error rather than silently dropped.
+// TestHTTPRunJobKindAliasesAndErrors: the retired "type" alias of the
+// discriminator is rejected like any unknown field, and a run payload on
+// a solve job is an error rather than silently dropped.
 func TestHTTPRunJobKindAliasesAndErrors(t *testing.T) {
 	_, ts := newTestServer(t)
-	ok := fmt.Sprintf(`{"type":"run","bins":%s,"n":10,"threshold":0.9}`, table1JSON)
-	if resp, raw := postJSON(t, ts.URL+"/v1/jobs", ok); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("type alias: status %d (%s)", resp.StatusCode, raw)
-	}
 	for name, body := range map[string]string{
-		"kind/type disagree":   fmt.Sprintf(`{"kind":"run","type":"solve","bins":%s,"n":10,"threshold":0.9}`, table1JSON),
+		`"type" is rejected`:   fmt.Sprintf(`{"type":"run","bins":%s,"n":10,"threshold":0.9}`, table1JSON),
 		"unknown kind":         fmt.Sprintf(`{"kind":"warp","bins":%s,"n":10,"threshold":0.9}`, table1JSON),
 		"run payload on solve": fmt.Sprintf(`{"bins":%s,"n":10,"threshold":0.9,"run":{"seed":1}}`, table1JSON),
 		"stream payload on run": fmt.Sprintf(`{"kind":"run","bins":%s,"n":10,"threshold":0.9,
@@ -572,9 +560,9 @@ func TestHTTPDecomposeNDJSON(t *testing.T) {
 	}
 }
 
-// TestHTTPJobPlanEncodingStream: ?plan_encoding=stream returns bytes
-// identical to the default materialized encoding — the splice is
-// invisible on the wire.
+// TestHTTPJobPlanEncodingStream: the job-status plan is streamed off the
+// runs, and the splice is invisible on the wire — the bytes are what
+// encoding/json produces for the materialized reply.
 func TestHTTPJobPlanEncodingStream(t *testing.T) {
 	_, ts := newTestServer(t)
 	body := fmt.Sprintf(`{"bins":%s,"n":500,"threshold":0.95}`, table1JSON)
@@ -600,44 +588,33 @@ func TestHTTPJobPlanEncodingStream(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	base := ts.URL + "/v1/jobs/" + st.ID + "?include_plan=true"
-	plain := httpGetRaw(t, base)
-	streamed := httpGetRaw(t, base+"&plan_encoding=stream")
-	if string(plain) != string(streamed) {
-		t.Fatalf("plan_encoding=stream not byte-identical:\nstream: %.120s\nplain:  %.120s", streamed, plain)
+	got := assertMarshalledPlanReply[jobStatusResponse](t, httpGetRaw(t, ts.URL+"/v1/jobs/"+st.ID+"?include_plan=true"))
+	if len(got.Plan) == 0 {
+		t.Fatal("include_plan returned no plan")
 	}
-	// Without include_plan the encoding knob is inert.
-	noPlan := httpGetRaw(t, ts.URL+"/v1/jobs/"+st.ID+"?plan_encoding=stream")
-	var stNoPlan jobStatusResponse
-	if err := json.Unmarshal(noPlan, &stNoPlan); err != nil || stNoPlan.Plan != nil {
-		t.Fatalf("plan_encoding without include_plan leaked a plan: %s", noPlan)
+	// Without include_plan no plan is sent.
+	var noPlan jobStatusResponse
+	if getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &noPlan); noPlan.Plan != nil {
+		t.Fatalf("status without include_plan leaked a plan: %+v", noPlan.Plan)
 	}
 }
 
-// TestHTTPTypeAliasDeprecation: the legacy "type" discriminator still
-// works but is flagged with a Deprecation header; "kind" is not.
-func TestHTTPTypeAliasDeprecation(t *testing.T) {
-	_, ts := newTestServer(t)
-	legacy := fmt.Sprintf(`{"type":"solve","bins":%s,"n":5,"threshold":0.9}`, table1JSON)
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs", legacy)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy submit status %d: %s", resp.StatusCode, raw)
+// assertMarshalledPlanReply pins a plan-bearing reply (wire struct T, plan
+// streamed into its trailing field) to the reference encoder: decoding it
+// and re-encoding the populated struct with encoding/json must reproduce
+// the served bytes exactly.
+func assertMarshalledPlanReply[T any](t *testing.T, raw []byte) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("decoding reply: %v\n%.200s", err, raw)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy type submission missing Deprecation header")
+	var ref bytes.Buffer
+	if err := json.NewEncoder(&ref).Encode(v); err != nil {
+		t.Fatal(err)
 	}
-	// The response echoes only the canonical discriminator.
-	if bytes.Contains(raw, []byte(`"type"`)) {
-		t.Fatalf("job status echoes deprecated field: %s", raw)
+	if !bytes.Equal(raw, ref.Bytes()) {
+		t.Fatalf("streamed reply differs from encoding/json over the materialized plan:\n got %.200s\nwant %.200s", raw, ref.Bytes())
 	}
-	var st JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil || st.Kind != KindSolve {
-		t.Fatalf("legacy submit kind: %s", raw)
-	}
-
-	modern := fmt.Sprintf(`{"kind":"solve","bins":%s,"n":5,"threshold":0.9}`, table1JSON)
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", modern)
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("canonical submission wrongly flagged deprecated")
-	}
+	return v
 }

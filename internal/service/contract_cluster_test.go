@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/faultinject"
 )
 
 // TestAPIContractCluster pins the cluster-facing slice of the wire
@@ -31,7 +31,7 @@ import (
 // Regenerate with -update-contract, same as TestAPIContract.
 func TestAPIContractCluster(t *testing.T) {
 	peers := []string{"http://peer-a:7001", "http://peer-b:7002"}
-	faults := cluster.NewFaultInjector(11, nil)
+	faults := faultinject.New(11, nil)
 	for _, p := range peers {
 		faults.Kill(p)
 	}

@@ -139,7 +139,7 @@ func scrubBody(t *testing.T, contentType string, body []byte) string {
 }
 
 // contractHeaders are the response headers the contract pins.
-var contractHeaders = []string{"Content-Type", "Deprecation", "X-Accel-Buffering", "Cache-Control", "Retry-After"}
+var contractHeaders = []string{"Content-Type", "X-Accel-Buffering", "Cache-Control", "Retry-After"}
 
 type contractStep struct {
 	name    string
@@ -185,21 +185,20 @@ func contractScript() []contractStep {
 			body: fmt.Sprintf(`{"bins":%s,"instances":[{"n":12,"threshold":0.9},{"thresholds":[0.5,0.86]}]}`, table1JSON)},
 		{name: "batch_bad_member", method: "POST", path: "/v1/decompose/batch",
 			body: fmt.Sprintf(`{"bins":%s,"instances":[{"n":12,"threshold":0.9},{"n":3}]}`, table1JSON)},
-		// job-1: solve job, then status / plan / streamed plan / SSE.
+		// job-1: solve job, then status / plan / SSE.
 		{name: "job_submit_solve", method: "POST", path: "/v1/jobs",
 			body: fmt.Sprintf(`{"kind":"solve","bins":%s,"n":12,"threshold":0.9}`, table1JSON)},
 		{name: "job_status_done", method: "GET", path: "/v1/jobs/job-1",
 			before: waitDone("job-1")},
 		{name: "job_status_plan", method: "GET", path: "/v1/jobs/job-1?include_plan=true"},
-		{name: "job_status_plan_streamed", method: "GET", path: "/v1/jobs/job-1?include_plan=true&plan_encoding=stream"},
 		{name: "job_events_sse", method: "GET", path: "/v1/jobs/job-1/events"},
 		{name: "job_events_sse_resume", method: "GET", path: "/v1/jobs/job-1/events",
 			headers: map[string]string{"Last-Event-ID": "1"}},
 		{name: "job_cancel_terminal_conflict", method: "DELETE", path: "/v1/jobs/job-1"},
 		{name: "job_unknown", method: "GET", path: "/v1/jobs/job-999"},
 		// job-2: run job with a fixed seed; report is deterministic.
-		{name: "job_submit_run_type_alias", method: "POST", path: "/v1/jobs",
-			body: fmt.Sprintf(`{"type":"run","bins":%s,"n":24,"threshold":0.9,"run":{"platform":"jelly","seed":7,"positive_rate":0.5}}`, table1JSON)},
+		{name: "job_submit_run", method: "POST", path: "/v1/jobs",
+			body: fmt.Sprintf(`{"kind":"run","bins":%s,"n":24,"threshold":0.9,"run":{"platform":"jelly","seed":7,"positive_rate":0.5}}`, table1JSON)},
 		{name: "job_status_run_report", method: "GET", path: "/v1/jobs/job-2",
 			before: waitDone("job-2")},
 		// stream-1: full incremental-ingest lifecycle.
@@ -213,7 +212,7 @@ func contractScript() []contractStep {
 		{name: "stream_flush", method: "POST", path: "/v1/streams/stream-1/flush"},
 		{name: "stream_append_after_flush", method: "POST", path: "/v1/streams/stream-1/tasks",
 			body: `{"tasks":[7]}`},
-		{name: "stream_status_plan", method: "GET", path: "/v1/streams/stream-1?include_plan=true&plan_encoding=stream"},
+		{name: "stream_status_plan", method: "GET", path: "/v1/streams/stream-1?include_plan=true"},
 		{name: "stream_delete", method: "DELETE", path: "/v1/streams/stream-1"},
 		{name: "stream_unknown", method: "GET", path: "/v1/streams/stream-1"},
 		{name: "admin_snapshot_storeless", method: "POST", path: "/v1/admin/snapshot"},

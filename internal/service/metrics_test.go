@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,11 +112,40 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("executor bin counter did not move:\n%s", payload)
 	}
 
-	// The scrape itself holds up on a second pass (the /metrics route's
-	// own series now exists and the exposition still lints).
-	payload2, _ := scrapeMetrics(t, ts.URL)
-	if errs := obs.Lint([]byte(payload2)); len(errs) > 0 {
-		t.Fatalf("second scrape fails lint: %v", errs)
+	// The scrape holds up on further passes with warm decompose traffic
+	// running against it (the /metrics route's own series now exists and
+	// every exposition taken mid-update still lints).
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/v1/decompose", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		again, _ := scrapeMetrics(t, ts.URL)
+		if errs := obs.Lint([]byte(again)); len(errs) > 0 {
+			t.Errorf("scrape %d under load fails lint: %v", i, errs)
+		}
 	}
 }
 

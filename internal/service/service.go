@@ -173,10 +173,6 @@ type Service struct {
 	// maxQueueWait is the admission-control threshold; 0 disables.
 	maxQueueWait time.Duration
 
-	// typeAliasWarn rate-limits the legacy job "type" field warning to one
-	// structured log line per process.
-	typeAliasWarn sync.Once
-
 	mu      sync.RWMutex
 	solvers map[string]core.Solver
 

@@ -129,7 +129,7 @@ func (s *ShardedSolver) plan(in *core.Instance) ([]shardJob, error) {
 		}
 		var jobs []shardJob
 		for _, sp := range s.spans(q, in.N()) {
-			jobs = append(jobs, shardJob{queue: q, base: sp[0], n: sp[1]})
+			jobs = append(jobs, shardJob{queue: q, base: sp.Base, n: sp.Len})
 		}
 		return jobs, nil
 	}
@@ -144,48 +144,19 @@ func (s *ShardedSolver) plan(in *core.Instance) ([]shardJob, error) {
 			continue
 		}
 		for _, sp := range s.spans(part.Queue, len(part.Tasks)) {
-			jobs = append(jobs, shardJob{queue: part.Queue, tasks: part.Tasks[sp[0] : sp[0]+sp[1]]})
+			jobs = append(jobs, shardJob{queue: part.Queue, tasks: part.Tasks[sp.Base : sp.Base+sp.Len]})
 		}
 	}
 	return jobs, nil
 }
 
-// spans cuts n tasks into block-aligned (offset, length) shards: every
-// shard but the last is an exact multiple of the queue's optimal block
-// size LCM₁, and the last also carries the remainder, mirroring the
-// unsharded Algorithm-3 control flow exactly.
-func (s *ShardedSolver) spans(q *opq.Queue, n int) [][2]int {
-	blockSize := int(q.Elems[0].LCM)
+// spans cuts n tasks into one block-aligned span per useful shard worker.
+func (s *ShardedSolver) spans(q *opq.Queue, n int) []opq.Span {
 	minBlocks := s.MinShardBlocks
 	if minBlocks <= 0 {
 		minBlocks = DefaultMinShardBlocks
 	}
-	fullBlocks := n / blockSize
-	shards := s.workers()
-	if maxUseful := fullBlocks / minBlocks; shards > maxUseful {
-		shards = maxUseful
-	}
-	if shards <= 1 {
-		return [][2]int{{0, n}}
-	}
-
-	blocksPer := fullBlocks / shards
-	extra := fullBlocks % shards
-	spans := make([][2]int, 0, shards)
-	pos := 0
-	for i := 0; i < shards; i++ {
-		size := blocksPer * blockSize
-		if i < extra {
-			size += blockSize
-		}
-		end := pos + size
-		if i == shards-1 {
-			end = n // remainder rides with the final shard
-		}
-		spans = append(spans, [2]int{pos, end - pos})
-		pos = end
-	}
-	return spans
+	return opq.CutSpans(n, int(q.Elems[0].LCM), s.workers(), minBlocks)
 }
 
 // run executes the shard jobs on a bounded worker pool and merges the

@@ -409,11 +409,8 @@ func handleStreamStatus(s *Service, w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusConflict, fmt.Errorf("service: stream %s not flushed; no merged plan yet", st.ID))
 			return
 		}
-		if r.URL.Query().Get("plan_encoding") == "stream" {
-			writePlanStreamed(w, http.StatusOK, resp, merged)
-			return
-		}
-		resp.Plan = merged.Materialized()
+		writePlanStreamed(w, http.StatusOK, resp, merged)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -95,18 +95,10 @@ func TestHTTPStreamSessionLifecycle(t *testing.T) {
 
 	// The merged plan validates against the equivalent one-shot instance
 	// (sequential ids 0..total-1), and the streamed encoding is
-	// byte-identical to the materialized one.
-	var full streamStatusResponse
-	if resp := getJSON(t, ts.URL+"/v1/streams/"+st.ID+"?include_plan=true", &full); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status with plan: %d", resp.StatusCode)
-	}
+	// byte-identical to encoding/json over the materialized one.
+	full := assertMarshalledPlanReply[streamStatusResponse](t, httpGetRaw(t, ts.URL+"/v1/streams/"+st.ID+"?include_plan=true"))
 	if err := (&core.Plan{Uses: full.Plan}).Validate(in); err != nil {
 		t.Fatalf("merged plan invalid: %v", err)
-	}
-	rawDefault := httpGetRaw(t, ts.URL+"/v1/streams/"+st.ID+"?include_plan=true")
-	rawStream := httpGetRaw(t, ts.URL+"/v1/streams/"+st.ID+"?include_plan=true&plan_encoding=stream")
-	if string(rawDefault) != string(rawStream) {
-		t.Fatalf("plan_encoding=stream not byte-identical:\n%s\nvs\n%s", rawStream, rawDefault)
 	}
 
 	// Stats surface the session counts.

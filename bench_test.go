@@ -73,11 +73,14 @@ func solveLoop(b *testing.B, s slade.Solver, in *core.Instance) {
 // Definition 2 over the Table-1 menu (the inner loop of every solver).
 func BenchmarkTable1Reliability(b *testing.B) {
 	menu := slade.Table1Menu()
-	plan := &core.Plan{Uses: []core.BinUse{
+	plan, err := core.PlanFromUses([]core.BinUse{
 		{Cardinality: 3, Tasks: []int{0, 1, 2}},
 		{Cardinality: 3, Tasks: []int{0, 1, 3}},
 		{Cardinality: 2, Tasks: []int{2, 3}},
-	}}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.Reliability(4, menu); err != nil {
@@ -193,11 +196,9 @@ func BenchmarkFig6Scalability(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveRuns measures the compact block-run solve on a cached
-// queue — the serving layer's hot path — against the legacy-form compat
-// entry that expands every use. The runs variant is the allocation story
-// of the whole PR: a handful of allocations regardless of n, where the
-// per-use representation allocated per bin use.
+// BenchmarkSolveRuns measures the block-run solve on a cached queue — the
+// serving layer's hot path: a handful of allocations regardless of n,
+// where a per-use representation allocates per bin use.
 func BenchmarkSolveRuns(b *testing.B) {
 	menu := benchMenu(b, experiments.Jelly, 20)
 	q, err := opq.Build(menu, 0.9)
@@ -205,7 +206,7 @@ func BenchmarkSolveRuns(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, n := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("n=%d/runs", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pr, err := opq.SolveRunsRange(q, 0, n)
@@ -213,23 +214,6 @@ func BenchmarkSolveRuns(b *testing.B) {
 					b.Fatal(err)
 				}
 				if pr.NumUses() == 0 {
-					b.Fatal("empty plan")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/legacy-expand", n), func(b *testing.B) {
-			tasks := make([]int, n)
-			for i := range tasks {
-				tasks[i] = i
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan, err := opq.SolveWithQueue(q, tasks)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if plan.NumUses() == 0 {
 					b.Fatal("empty plan")
 				}
 			}
@@ -244,28 +228,71 @@ const cachedSolveAllocBudget = 24
 
 // TestCachedSolveAllocBudget gates the cached solve plus the lazy []BinUse
 // materialization a caller pays at the JSON edge (Jelly |B|=20, t=0.9,
-// n=10,000) — allocation counts are clock-free, so this holds on any runner.
+// n=10,000) — allocation counts are clock-free, so this holds on any
+// runner. The library entry points solve on the same path: with a
+// pre-built queue they meet the same budget, and none of them allocates
+// more at ten times the tasks (queue construction is independent of n;
+// OPQ-Extended's partition lists grow by a few append doublings).
 func TestCachedSolveAllocBudget(t *testing.T) {
-	q, err := opq.Build(benchMenu(t, experiments.Jelly, 20), 0.9)
+	menu := benchMenu(t, experiments.Jelly, 20)
+	q, err := opq.Build(menu, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		pr, err := opq.SolveRunsRange(q, 0, 10_000)
-		if err != nil {
-			t.Fatal(err)
+	ids := make([]int, 100_000)
+	ths := make([]float64, len(ids))
+	for i := range ids {
+		ids[i] = i
+		ths[i] = 0.85 + 0.03*float64(i%4)
+	}
+	cases := []struct {
+		name   string
+		budget float64 // allocs/op at n=10,000; 0 = only the growth check
+		growth float64 // extra allocs/op allowed at n=100,000
+		solve  func(n int) (*core.Plan, error)
+	}{
+		{"opq.SolveRunsRange", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
+			pr, err := opq.SolveRunsRange(q, 0, n)
+			return core.NewRunPlan(pr), err
+		}},
+		{"slade.SolveWithOPQ", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
+			return slade.SolveWithOPQ(q, ids[:n])
+		}},
+		{"opq.Solver.Solve", 0, 0, func(n int) (*core.Plan, error) {
+			return opq.Solver{}.Solve(core.MustHomogeneous(menu, n, 0.9))
+		}},
+		{"hetero.Solve", 0, 32, func(n int) (*core.Plan, error) {
+			return hetero.Solve(core.MustHeterogeneous(menu, ths[:n]))
+		}},
+		{"hetero.SolveParallel", 0, 32, func(n int) (*core.Plan, error) {
+			return hetero.SolveParallel(core.MustHeterogeneous(menu, ths[:n]), 2)
+		}},
+	}
+	for _, c := range cases {
+		measure := func(n int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				plan, err := c.solve(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan.Materialized()) == 0 {
+					t.Fatal("empty plan")
+				}
+			})
 		}
-		if len(pr.Materialize()) == 0 {
-			t.Fatal("empty plan")
+		small, large := measure(10_000), measure(100_000)
+		t.Logf("%s: %.0f allocs/op at n=10,000, %.0f at n=100,000", c.name, small, large)
+		if c.budget > 0 && small > c.budget {
+			t.Errorf("%s: solve+materialize costs %.0f allocs/op, over the committed budget of %.0f — the zero-allocation pipeline regressed",
+				c.name, small, c.budget)
 		}
-	})
-	if allocs > cachedSolveAllocBudget {
-		t.Errorf("cached solve+materialize costs %.0f allocs/op, over the committed budget of %d — the zero-allocation pipeline regressed",
-			allocs, cachedSolveAllocBudget)
+		if large > small+c.growth {
+			t.Errorf("%s: %.0f allocs/op at n=100,000 vs %.0f at n=10,000 — allocations grow with n", c.name, large, small)
+		}
 	}
 }
 
-// BenchmarkMaterialize isolates the lazy expansion a run-backed plan pays
+// BenchmarkMaterialize isolates the lazy expansion a plan pays
 // once at the JSON edge: the solve is done, only the []BinUse view is
 // built (full-block task lists alias the arena, so this stays a
 // two-allocation operation however large the plan).

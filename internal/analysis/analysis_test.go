@@ -11,14 +11,24 @@ import (
 	"repro/internal/opq"
 )
 
+// planOf builds a plan from a literal use list; the test's uses are
+// well-formed, so a rejection is a test bug.
+func planOf(uses ...core.BinUse) *core.Plan {
+	p, err := core.PlanFromUses(uses)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func examplePlan() (*core.Instance, *core.Plan) {
 	in := core.MustHomogeneous(binset.Table1(), 4, 0.95)
 	// Plan P2 of Example 4 (the optimum, cost 0.66).
-	plan := &core.Plan{Uses: []core.BinUse{
-		{Cardinality: 3, Tasks: []int{0, 1, 2}},
-		{Cardinality: 3, Tasks: []int{0, 1, 3}},
-		{Cardinality: 2, Tasks: []int{2, 3}},
-	}}
+	plan := planOf(
+		core.BinUse{Cardinality: 3, Tasks: []int{0, 1, 2}},
+		core.BinUse{Cardinality: 3, Tasks: []int{0, 1, 3}},
+		core.BinUse{Cardinality: 2, Tasks: []int{2, 3}},
+	)
 	return in, plan
 }
 
@@ -56,7 +66,7 @@ func TestAnalyzeExample4(t *testing.T) {
 
 func TestAnalyzeDetectsInfeasible(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 2, 0.95)
-	weak := &core.Plan{Uses: []core.BinUse{{Cardinality: 2, Tasks: []int{0, 1}}}}
+	weak := planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}})
 	s, err := Analyze(in, weak)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +81,7 @@ func TestAnalyzeDetectsInfeasible(t *testing.T) {
 
 func TestAnalyzeUnknownBin(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 1, 0.5)
-	bad := &core.Plan{Uses: []core.BinUse{{Cardinality: 9, Tasks: []int{0}}}}
+	bad := planOf(core.BinUse{Cardinality: 9, Tasks: []int{0}})
 	if _, err := Analyze(in, bad); err == nil {
 		t.Error("unknown cardinality accepted")
 	}
@@ -93,7 +103,7 @@ func TestAnalyzeEmptyPlan(t *testing.T) {
 
 func TestPartialFillRate(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 1, 0.5)
-	plan := &core.Plan{Uses: []core.BinUse{{Cardinality: 3, Tasks: []int{0}}}}
+	plan := planOf(core.BinUse{Cardinality: 3, Tasks: []int{0}})
 	s, err := Analyze(in, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +138,7 @@ func TestCompareRendersAllSolvers(t *testing.T) {
 
 func TestCompareBadPlan(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 1, 0.5)
-	bad := &core.Plan{Uses: []core.BinUse{{Cardinality: 9, Tasks: []int{0}}}}
+	bad := planOf(core.BinUse{Cardinality: 9, Tasks: []int{0}})
 	if _, err := Compare(in, map[string]*core.Plan{"bad": bad}); err == nil {
 		t.Error("Compare accepted a plan with unknown bins")
 	}

@@ -75,23 +75,21 @@ func Solve(in *core.Instance, seed int64) (*core.Plan, error) {
 	}
 	sort.Slice(groups, func(a, b int) bool { return groups[a].theta < groups[b].theta })
 
-	plan := &core.Plan{}
+	var uses []core.BinUse
 	for _, g := range groups {
-		if err := solveGroup(in, g, rng, plan); err != nil {
+		var err error
+		if uses, err = solveGroup(in, g, rng, uses); err != nil {
 			return nil, err
 		}
 	}
 
 	// Repair: randomized rounding may round down below feasibility; cover
 	// the residual demand greedily.
-	if err := repair(in, plan); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return repair(in, uses)
 }
 
 // solveGroup solves the aggregated covering LP for one threshold group and
-// appends the rounded, materialized bin uses to the plan.
+// appends the rounded, materialized bin uses to uses.
 //
 // LP (variables y_l = number of l-bins dedicated to the group):
 //
@@ -100,7 +98,7 @@ func Solve(in *core.Instance, seed int64) (*core.Plan, error) {
 //
 // The min(l, |g|) accounts for bins larger than the group: their surplus
 // slots cannot serve the group.
-func solveGroup(in *core.Instance, g group, rng *rand.Rand, plan *core.Plan) error {
+func solveGroup(in *core.Instance, g group, rng *rand.Rand, uses []core.BinUse) ([]core.BinUse, error) {
 	bins := in.Bins().Bins()
 	m := len(bins)
 	ng := len(g.ids)
@@ -122,10 +120,10 @@ func solveGroup(in *core.Instance, g group, rng *rand.Rand, plan *core.Plan) err
 	}
 	sol, err := lp.Solve(prob)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if sol.Status != lp.Optimal {
-		return fmt.Errorf("baseline: group LP status %v", sol.Status)
+		return nil, fmt.Errorf("baseline: group LP status %v", sol.Status)
 	}
 
 	// Randomized rounding: floor plus a Bernoulli trial on the fraction.
@@ -152,20 +150,24 @@ func solveGroup(in *core.Instance, g group, rng *rand.Rand, plan *core.Plan) err
 				use.Tasks = append(use.Tasks, g.ids[(offset+s)%ng])
 			}
 			offset = (offset + take) % ng
-			plan.Uses = append(plan.Uses, use)
+			uses = append(uses, use)
 		}
 	}
-	return nil
+	return uses, nil
 }
 
-// repair covers any residual demand left by rounding: it builds a reduced
-// instance over the still-deficient tasks (with thresholds equivalent to
-// their residual transformed demand) and solves it with the greedy
-// heuristic, then remaps task identifiers.
-func repair(in *core.Instance, plan *core.Plan) error {
+// repair turns the rounded uses into a plan and covers any residual demand
+// left by rounding: it builds a reduced instance over the still-deficient
+// tasks (with thresholds equivalent to their residual transformed demand)
+// and solves it with the greedy heuristic, then remaps task identifiers.
+func repair(in *core.Instance, uses []core.BinUse) (*core.Plan, error) {
+	plan, err := core.PlanFromUses(uses)
+	if err != nil {
+		return nil, err
+	}
 	mass, err := plan.TransformedMass(in.N(), in.Bins())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var ids []int
 	var residual []float64
@@ -176,22 +178,22 @@ func repair(in *core.Instance, plan *core.Plan) error {
 		}
 	}
 	if len(ids) == 0 {
-		return nil
+		return plan, nil
 	}
 	sub, err := core.NewHeterogeneous(in.Bins(), residual)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fix, err := greedy.Solve(sub)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, u := range fix.Uses {
+	for _, u := range fix.Materialized() {
 		mapped := core.BinUse{Cardinality: u.Cardinality}
 		for _, t := range u.Tasks {
 			mapped.Tasks = append(mapped.Tasks, ids[t])
 		}
-		plan.Uses = append(plan.Uses, mapped)
+		uses = append(uses, mapped)
 	}
-	return nil
+	return core.PlanFromUses(uses)
 }

@@ -80,23 +80,17 @@ func SolveFullCIP(in *core.Instance, seed int64) (*core.Plan, error) {
 
 	// Randomized rounding on the fractional column counts.
 	rng := rand.New(rand.NewSource(seed))
-	plan := &core.Plan{}
+	var uses []core.BinUse
 	for j, y := range sol.X {
 		k := int(math.Floor(y + 1e-12))
 		if frac := y - math.Floor(y+1e-12); frac > 1e-12 && rng.Float64() < frac {
 			k++
 		}
 		for u := 0; u < k; u++ {
-			plan.Uses = append(plan.Uses, core.BinUse{
-				Cardinality: cols[j].card,
-				Tasks:       append([]int(nil), cols[j].tasks...),
-			})
+			uses = append(uses, core.BinUse{Cardinality: cols[j].card, Tasks: cols[j].tasks})
 		}
 	}
-	if err := repair(in, plan); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return repair(in, uses)
 }
 
 // LPLowerBound returns the optimal value of the full-CIP linear relaxation,

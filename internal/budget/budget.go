@@ -116,14 +116,11 @@ func MaxReliability(bins core.BinSet, n int, budget float64, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]int, n)
-	for i := range tasks {
-		tasks[i] = i
-	}
-	plan, err := opq.SolveWithQueue(q, tasks)
+	pr, err := opq.SolveRunsRange(q, 0, n)
 	if err != nil {
 		return nil, err
 	}
+	plan := core.NewRunPlan(pr)
 	c, err := plan.Cost(bins)
 	if err != nil {
 		return nil, err

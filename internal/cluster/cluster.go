@@ -259,14 +259,14 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 		return nil, err
 	}
 
-	runs := make([]*core.PlanRuns, len(spans))
+	plans := make([]*core.Plan, len(spans))
 	errs := make([]error, len(spans))
 	var wg sync.WaitGroup
 	for i := range spans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			runs[i], errs[i] = d.solveSpan(ctx, in, spans[i], nodes[i%len(nodes)], body)
+			plans[i], errs[i] = d.solveSpan(ctx, in, spans[i], nodes[i%len(nodes)], body)
 		}(i)
 	}
 	wg.Wait()
@@ -277,7 +277,7 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 	}
 	// Merge in span order: arrival order never reaches the plan, which is
 	// what keeps clustered output deterministic under fault churn.
-	return core.NewRunPlan(core.MergePlanRuns(runs...)), nil
+	return core.MergePlans(plans...), nil
 }
 
 // healthySequence returns the ring walk from the digest restricted to
@@ -303,9 +303,9 @@ func (d *Distributor) healthySequence(digest uint64) []string {
 }
 
 // solveSpan solves one span on its assigned node, falling back to a local
-// solve after the peer's retry budget is spent. The returned runs are
+// solve after the peer's retry budget is spent. The returned plan is
 // already offset into the global task space.
-func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp opq.Span, node string, body []byte) (*core.PlanRuns, error) {
+func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp opq.Span, node string, body []byte) (*core.Plan, error) {
 	if node != d.self {
 		p := d.peers[node]
 		for attempt := 0; attempt <= d.cfg.Retries; attempt++ {
@@ -326,10 +326,10 @@ func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp opq.S
 			if attempt > 0 {
 				p.retries.Inc()
 			}
-			pr, err := d.solveRemote(ctx, p, in, sp, body)
+			plan, err := d.solveRemote(ctx, p, in, sp, body)
 			if err == nil {
 				d.spansRemote.Add(1)
-				return pr, nil
+				return plan, nil
 			}
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -344,7 +344,7 @@ func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp opq.S
 
 // solveLocalSpan solves the span in-process as a sub-instance and rebases
 // it to the span's global offset.
-func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp opq.Span) (*core.PlanRuns, error) {
+func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp opq.Span) (*core.Plan, error) {
 	sub, err := core.NewHomogeneous(in.Bins(), sp.Len, in.Threshold(0))
 	if err != nil {
 		return nil, err
@@ -353,12 +353,8 @@ func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp 
 	if err != nil {
 		return nil, err
 	}
-	pr, err := planRuns(plan)
-	if err != nil {
-		return nil, err
-	}
-	pr.OffsetTasks(sp.Base)
-	return pr, nil
+	plan.OffsetTasks(sp.Base)
+	return plan, nil
 }
 
 // remoteRequest is the POST /v1/decompose body a span ships as (n is
@@ -377,11 +373,11 @@ type remoteResponse struct {
 	Plan []core.BinUse `json:"plan"`
 }
 
-// solveRemote ships one span to the peer and converts the reply back into
-// run form, offset to the span's global base. Every failure mode —
+// solveRemote ships one span to the peer and decodes the reply back into
+// a plan, offset to the span's global base. Every failure mode —
 // transport, status, decode, and an invalid or infeasible plan — counts
 // against the peer's breaker.
-func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instance, sp opq.Span, body []byte) (pr *core.PlanRuns, err error) {
+func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instance, sp opq.Span, body []byte) (plan *core.Plan, err error) {
 	p.requests.Inc()
 	defer func() {
 		// A canceled parent context is the caller's signal, not peer
@@ -434,7 +430,7 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 	if rr.N != sp.Len {
 		return nil, fmt.Errorf("cluster: peer %s: solved n=%d, span has %d", p.url, rr.N, sp.Len)
 	}
-	pr, err = usesToRuns(rr.Plan)
+	plan, err = core.PlanFromUses(rr.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: %w", p.url, err)
 	}
@@ -445,12 +441,12 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 	if err != nil {
 		return nil, err
 	}
-	if err := core.NewRunPlan(pr).Validate(sub); err != nil {
+	if err := plan.Validate(sub); err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: invalid plan: %w", p.url, err)
 	}
 	p.latency.ObserveSince(start)
-	pr.OffsetTasks(sp.Base)
-	return pr, nil
+	plan.OffsetTasks(sp.Base)
+	return plan, nil
 }
 
 // patchN rewrites the "n" field of the shared request prefix. The prefix
@@ -464,66 +460,5 @@ func patchN(body []byte, n int) ([]byte, error) {
 	out = append(out, '{')
 	out = append(out, fmt.Sprintf(`"n":%d,`, n)...)
 	out = append(out, body[1:]...)
-	return out, nil
-}
-
-// planRuns returns the plan's run backing, converting a legacy use list
-// (a custom local solver, or a decoded remote plan) on the fly.
-func planRuns(p *core.Plan) (*core.PlanRuns, error) {
-	if pr := p.Runs(); pr != nil {
-		return pr, nil
-	}
-	return usesToRuns(p.Materialized())
-}
-
-// usesToRuns re-encodes a materialized use list as a PlanRuns whose
-// expansion is byte-identical to the input: maximal runs of consecutive
-// full uses of one cardinality become one multi-block run (Comb BlockLen
-// = cardinality, one use per block), and each partially filled use
-// becomes a padded run over its distinct tasks. This is what lets
-// remotely solved plans — which arrive as JSON use lists — merge through
-// core.MergePlanRuns exactly like locally solved run-form plans.
-func usesToRuns(uses []core.BinUse) (*core.PlanRuns, error) {
-	tasks := 0
-	for i := range uses {
-		tasks += len(uses[i].Tasks)
-	}
-	out := &core.PlanRuns{Arena: make([]int, 0, tasks)}
-	combs := make(map[int]*core.RunComb)
-	comb := func(card int) *core.RunComb {
-		c, ok := combs[card]
-		if !ok {
-			c = &core.RunComb{Parts: []core.RunPart{{Cardinality: card, Count: 1}}, BlockLen: card}
-			combs[card] = c
-		}
-		return c
-	}
-	for i := 0; i < len(uses); {
-		u := &uses[i]
-		card := u.Cardinality
-		if card <= 0 || len(u.Tasks) > card {
-			return nil, fmt.Errorf("cluster: use %d: %d tasks in a cardinality-%d bin", i, len(u.Tasks), card)
-		}
-		if len(u.Tasks) == card {
-			// Extend across every consecutive full use of this cardinality.
-			off := len(out.Arena)
-			blocks := 0
-			for ; i < len(uses) && uses[i].Cardinality == card && len(uses[i].Tasks) == card; i++ {
-				out.Arena = append(out.Arena, uses[i].Tasks...)
-				blocks++
-			}
-			out.Runs = append(out.Runs, core.BlockRun{Comb: comb(card), Blocks: blocks, Off: off, Len: blocks * card})
-			continue
-		}
-		if len(u.Tasks) == 0 {
-			return nil, fmt.Errorf("cluster: use %d: empty bin use", i)
-		}
-		// Padded remainder use: the run's window is the use's distinct
-		// tasks; expansion cycles them back to exactly this task list.
-		off := len(out.Arena)
-		out.Arena = append(out.Arena, u.Tasks...)
-		out.Runs = append(out.Runs, core.BlockRun{Comb: comb(card), Blocks: 0, Off: off, Len: len(u.Tasks)})
-		i++
-	}
 	return out, nil
 }

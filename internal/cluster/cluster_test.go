@@ -480,38 +480,6 @@ func TestDistributorNoPeersSolvesLocally(t *testing.T) {
 	}
 }
 
-func TestUsesToRunsRoundTrip(t *testing.T) {
-	uses := []core.BinUse{
-		{Cardinality: 3, Tasks: []int{0, 1, 2}},
-		{Cardinality: 3, Tasks: []int{3, 4, 5}},
-		{Cardinality: 2, Tasks: []int{6, 7}},
-		{Cardinality: 4, Tasks: []int{8, 9}}, // padded
-		{Cardinality: 1, Tasks: []int{10}},
-	}
-	pr, err := usesToRuns(uses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := core.NewRunPlan(pr).Materialized()
-	if !reflect.DeepEqual(got, uses) {
-		t.Fatalf("round trip diverges:\n got %+v\nwant %+v", got, uses)
-	}
-	// Full-use runs must compact: 2 consecutive card-3 uses are one run.
-	if len(pr.Runs) != 4 {
-		t.Fatalf("got %d runs, want 4 (card-3 pair compacted)", len(pr.Runs))
-	}
-
-	for name, bad := range map[string][]core.BinUse{
-		"empty use":     {{Cardinality: 2, Tasks: nil}},
-		"overfull use":  {{Cardinality: 1, Tasks: []int{0, 1}}},
-		"zero capacity": {{Cardinality: 0, Tasks: nil}},
-	} {
-		if _, err := usesToRuns(bad); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-}
-
 func TestPatchN(t *testing.T) {
 	body, err := patchN([]byte(`{"bins":[],"threshold":0.9}`), 42)
 	if err != nil {

@@ -6,22 +6,21 @@ import (
 	"strconv"
 )
 
-// This file holds the streaming JSON encoders for plans. MarshalJSON
-// materializes a run-backed plan into []BinUse before encoding — fine for
-// small plans, but a million-task plan pays O(assignments) memory for a
-// response body that is written out linearly anyway. The encoders here
-// stream the identical bytes straight off EachUse: full-block uses encode
-// from arena windows, padded uses from the pooled scratch, and the only
-// buffers are one bufio.Writer and one small number scratch — O(runs)
-// server memory regardless of plan size.
+// This file holds the streaming JSON encoders for plans. encoding/json
+// over Materialized() pays O(assignments) memory for a body that is written
+// out linearly anyway; the encoders here stream the identical bytes
+// straight off EachUse: full-block uses encode from arena windows, padded
+// uses from the pooled scratch, and the only buffers are one bufio.Writer
+// and one small number scratch — O(runs) server memory regardless of plan
+// size.
 
 // encodeBufSize is the bufio chunk the streaming encoders write through.
 const encodeBufSize = 32 << 10
 
-// EncodeJSON writes the plan's wire form — exactly the bytes MarshalJSON
-// produces ({"uses":null} for an empty plan, nil task lists as null) —
-// without materializing a run-backed plan. The equivalence is pinned byte
-// for byte by TestEncodeJSONMatchesMarshal.
+// EncodeJSON writes the plan's wire form — exactly the bytes encoding/json
+// produces for {"uses": Materialized()} ({"uses":null} for an empty plan)
+// — without materializing the plan. The equivalence is pinned byte for
+// byte by TestEncodeJSONMatchesMarshal.
 func (p *Plan) EncodeJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, encodeBufSize)
 	bw.WriteString(`{"uses":`) // bufio errors are sticky; Flush reports them
@@ -61,16 +60,10 @@ func (p *Plan) EncodeUsesNDJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// encodeUses writes the value of the "uses" field: null when the
-// materialized view would be nil (legacy plans with a nil Uses slice,
-// run-backed plans with zero uses), otherwise the streamed array.
+// encodeUses writes the value of the "uses" field: null for a plan with
+// zero uses (its materialized view is nil), otherwise the streamed array.
 func (p *Plan) encodeUses(bw *bufio.Writer) error {
-	if p.runs != nil {
-		if p.runs.NumUses() == 0 {
-			_, err := bw.WriteString("null")
-			return err
-		}
-	} else if p.Uses == nil {
+	if p.NumUses() == 0 {
 		_, err := bw.WriteString("null")
 		return err
 	}
@@ -96,18 +89,13 @@ func (p *Plan) encodeUses(bw *bufio.Writer) error {
 }
 
 // encodeUse writes one {"cardinality":N,"tasks":[...]} object and
-// returns the (sticky) writer error. A nil tasks slice encodes as null,
-// matching encoding/json's treatment of the legacy form's nil slices.
+// returns the (sticky) writer error. tasks is never nil: every run covers
+// at least one arena slot.
 func encodeUse(bw *bufio.Writer, scratch *[]byte, card int, tasks []int) error {
 	bw.WriteString(`{"cardinality":`)
 	*scratch = strconv.AppendInt((*scratch)[:0], int64(card), 10)
 	bw.Write(*scratch)
-	bw.WriteString(`,"tasks":`)
-	if tasks == nil {
-		_, err := bw.WriteString(`null}`)
-		return err
-	}
-	bw.WriteByte('[')
+	bw.WriteString(`,"tasks":[`)
 	for i, t := range tasks {
 		if i > 0 {
 			bw.WriteByte(',')

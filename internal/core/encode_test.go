@@ -43,12 +43,12 @@ func assertEncodeMatchesMarshal(t testing.TB, p *Plan) {
 func TestEncodeJSONMatchesMarshal(t *testing.T) {
 	pr := testRuns()
 	cases := map[string]*Plan{
-		"run-backed":        NewRunPlan(pr),
-		"legacy-expanded":   {Uses: pr.Expand()},
-		"empty-run":         NewRunPlan(&PlanRuns{}),
-		"empty-legacy-nil":  {},
-		"legacy-empty-uses": {Uses: []BinUse{}},
-		"legacy-nil-tasks":  {Uses: []BinUse{{Cardinality: 2, Tasks: nil}, {Cardinality: 3, Tasks: []int{}}, {Cardinality: 2, Tasks: []int{7, -3}}}},
+		"run-backed":       NewRunPlan(pr),
+		"from-uses":        planOf(expand(t, pr)...),
+		"negative-tasks":   planOf(BinUse{Cardinality: 2, Tasks: []int{7, -3}}),
+		"empty-run":        NewRunPlan(&PlanRuns{}),
+		"empty-legacy-nil": {}, // the zero Plan, what a use-list solver returns for n = 0
+		"from-no-uses":     planOf(),
 	}
 	for name, p := range cases {
 		t.Run(name, func(t *testing.T) { assertEncodeMatchesMarshal(t, p) })
@@ -60,7 +60,8 @@ func TestEncodeJSONRandomizedEquivalence(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		pr := randomRuns(r)
 		assertEncodeMatchesMarshal(t, NewRunPlan(pr))
-		assertEncodeMatchesMarshal(t, &Plan{Uses: pr.Expand()})
+		uses := expand(t, pr)
+		assertPlanIsUses(t, planOf(uses...), uses)
 	}
 }
 
@@ -169,7 +170,6 @@ func FuzzEncodeJSONEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		pr := randomRuns(rand.New(rand.NewSource(seed)))
 		assertEncodeMatchesMarshal(t, NewRunPlan(pr))
-		assertEncodeMatchesMarshal(t, &Plan{Uses: pr.Expand()})
 	})
 }
 

@@ -67,3 +67,95 @@ func FuzzThetaTransform(f *testing.F) {
 		}
 	})
 }
+
+// planFromUsesSeeds are the shapes PlanFromUses must re-encode exactly.
+func planFromUsesSeeds() map[string][]BinUse {
+	return map[string][]BinUse{
+		"empty": nil,
+		// Consecutive full uses compact, a partial use does not, and a
+		// cardinality change starts a new run.
+		"mixed": {
+			{Cardinality: 3, Tasks: []int{0, 1, 2}},
+			{Cardinality: 3, Tasks: []int{3, 4, 5}},
+			{Cardinality: 2, Tasks: []int{6, 7}},
+			{Cardinality: 4, Tasks: []int{8, 9}},
+			{Cardinality: 1, Tasks: []int{10}},
+		},
+		// What Greedy emits: shrinking, overlapping, irregular.
+		"greedy": {
+			{Cardinality: 3, Tasks: []int{4, 0, 2}},
+			{Cardinality: 3, Tasks: []int{1, 3, 4}},
+			{Cardinality: 3, Tasks: []int{0, 2}},
+			{Cardinality: 1, Tasks: []int{4}},
+			{Cardinality: 1, Tasks: []int{4}},
+		},
+		"padded-opq": NewRunPlan(testRuns()).Materialized(),
+		"all-partial": {
+			{Cardinality: 4, Tasks: []int{8, 9}},
+			{Cardinality: 4, Tasks: []int{3}},
+			{Cardinality: 3, Tasks: []int{1, 0}},
+		},
+	}
+}
+
+func TestPlanFromUses(t *testing.T) {
+	for name, uses := range planFromUsesSeeds() {
+		t.Run(name, func(t *testing.T) { assertPlanIsUses(t, planOf(uses...), uses) })
+	}
+	// Full-use runs compact: the mixed case's card-3 pair is one run.
+	if got := len(planOf(planFromUsesSeeds()["mixed"]...).Runs().Runs); got != 4 {
+		t.Fatalf("got %d runs, want 4 (card-3 pair compacted)", got)
+	}
+	// The plan owns its task storage.
+	uses := []BinUse{{Cardinality: 2, Tasks: []int{0, 1}}}
+	p := planOf(uses...)
+	p.OffsetTasks(5)
+	if uses[0].Tasks[0] != 0 {
+		t.Fatal("PlanFromUses aliases the caller's task lists")
+	}
+	for name, bad := range map[string][]BinUse{
+		"empty use":            {{Cardinality: 2, Tasks: nil}},
+		"overfull use":         {{Cardinality: 1, Tasks: []int{0, 1}}},
+		"zero cardinality":     {{Cardinality: 0, Tasks: nil}},
+		"negative cardinality": {{Cardinality: 2, Tasks: []int{0, 1}}, {Cardinality: -1, Tasks: []int{2}}},
+	} {
+		if _, err := PlanFromUses(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// FuzzPlanFromUses fuzzes the decode edge with a wire-form plan: the use
+// lists rejected are exactly those holding a non-positive cardinality, an
+// empty use or an overfull use, and an accepted list round-trips (see
+// assertPlanIsUses).
+func FuzzPlanFromUses(f *testing.F) {
+	for _, uses := range planFromUsesSeeds() {
+		seed, _ := json.Marshal(map[string][]BinUse{"uses": uses})
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"uses":[{"cardinality":0,"tasks":[1]}]}`))
+	f.Add([]byte(`{"uses":[{"cardinality":2,"tasks":[]}]}`))
+	f.Add([]byte(`{"uses":[{"cardinality":2,"tasks":[1,2,3]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wire struct {
+			Uses []BinUse `json:"uses"`
+		}
+		if err := json.Unmarshal(data, &wire); err != nil {
+			return // not a use list at all
+		}
+		malformed := false
+		for _, u := range wire.Uses {
+			if u.Cardinality <= 0 || len(u.Tasks) == 0 || len(u.Tasks) > u.Cardinality {
+				malformed = true
+			}
+		}
+		var p Plan
+		if err := json.Unmarshal(data, &p); (err != nil) != malformed {
+			t.Fatalf("malformed=%v but decode error is %v", malformed, err)
+		}
+		if !malformed {
+			assertPlanIsUses(t, &p, wire.Uses)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -25,56 +26,97 @@ type BinUse struct {
 }
 
 // Plan is a decomposition plan DP_T: a multiset of bin uses with concrete
-// task placements. A plan is backed either by an explicit use list (Uses,
-// the legacy form every hand-built plan and decoded JSON uses) or by a
-// compact block-run form (see PlanRuns) the hot-path solvers emit; in the
-// run-backed case Uses stays nil and per-use views are produced lazily by
-// Materialized. All read methods work identically on both forms.
+// task placements, held in compact block-run form (see PlanRuns). The zero
+// Plan is the empty plan. []BinUse is only an edge type: Materialized,
+// EachUse and the encoders produce it, PlanFromUses and UnmarshalJSON
+// consume it.
 type Plan struct {
-	Uses []BinUse `json:"uses"`
-
-	// runs is the compact backing of a solver-emitted plan; nil for
-	// legacy plans.
+	// runs is nil only in the zero Plan.
 	runs *PlanRuns
 }
 
-// NewRunPlan wraps a compact run-backed plan. The PlanRuns is owned by
-// the returned plan and must not be mutated by the caller afterwards.
+// NewRunPlan wraps a compact run-form plan. The PlanRuns is owned by the
+// returned plan and must not be mutated by the caller afterwards.
 func NewRunPlan(pr *PlanRuns) *Plan { return &Plan{runs: pr} }
 
-// Runs returns the plan's compact run backing, or nil for a legacy plan.
-func (p *Plan) Runs() *PlanRuns { return p.runs }
-
-// Materialized returns the plan's bin uses: the Uses field for a legacy
-// plan, or the cached lazy expansion of the run form. The returned slice
-// is shared and read-only (run-backed task lists alias the plan's arena).
-// Safe for concurrent use.
-func (p *Plan) Materialized() []BinUse {
-	if p.runs != nil {
-		return p.runs.Materialize()
+// PlanFromUses builds a plan whose expansion is use-for-use identical to
+// uses (task storage is copied): maximal runs of consecutive full uses of
+// one cardinality become one multi-block run (Comb BlockLen = cardinality,
+// one use per block), and each partially filled use becomes a padded run
+// over its tasks. It is the single way a use list — a decoded JSON plan, a
+// peer's reply, the irregular output of the comparison solvers — becomes
+// a Plan, and it fails closed on a use no bin could hold: a non-positive
+// cardinality, no tasks, or more tasks than the cardinality.
+func PlanFromUses(uses []BinUse) (*Plan, error) {
+	tasks := 0
+	for i := range uses {
+		tasks += len(uses[i].Tasks)
 	}
-	return p.Uses
+	out := &PlanRuns{Arena: make([]int, 0, tasks)}
+	combs := make(map[int]*RunComb)
+	comb := func(card int) *RunComb {
+		c, ok := combs[card]
+		if !ok {
+			c = &RunComb{Parts: []RunPart{{Cardinality: card, Count: 1}}, BlockLen: card}
+			combs[card] = c
+		}
+		return c
+	}
+	for i := 0; i < len(uses); {
+		u := &uses[i]
+		card := u.Cardinality
+		if card <= 0 || len(u.Tasks) > card {
+			return nil, fmt.Errorf("core: use %d: %d tasks in a cardinality-%d bin", i, len(u.Tasks), card)
+		}
+		if len(u.Tasks) == card {
+			// Extend across every consecutive full use of this cardinality.
+			off := len(out.Arena)
+			blocks := 0
+			for ; i < len(uses) && uses[i].Cardinality == card && len(uses[i].Tasks) == card; i++ {
+				out.Arena = append(out.Arena, uses[i].Tasks...)
+				blocks++
+			}
+			out.Runs = append(out.Runs, BlockRun{Comb: comb(card), Blocks: blocks, Off: off, Len: blocks * card})
+			continue
+		}
+		if len(u.Tasks) == 0 {
+			return nil, fmt.Errorf("core: use %d: empty bin use", i)
+		}
+		// Padded remainder use: the run's window is the use's distinct
+		// tasks; expansion cycles them back to exactly this task list.
+		off := len(out.Arena)
+		out.Arena = append(out.Arena, u.Tasks...)
+		out.Runs = append(out.Runs, BlockRun{Comb: comb(card), Blocks: 0, Off: off, Len: len(u.Tasks)})
+		i++
+	}
+	return NewRunPlan(out), nil
 }
 
-// EachUse streams the plan's bin uses in order without materializing a
-// run-backed plan: the tasks slice is only valid for the duration of the
-// callback and must not be retained or mutated. Iteration stops at the
-// first non-nil error, which is returned.
+// Runs returns the plan's run form; never nil (the zero Plan yields an
+// empty PlanRuns).
+func (p *Plan) Runs() *PlanRuns {
+	if p.runs == nil {
+		return &PlanRuns{}
+	}
+	return p.runs
+}
+
+// Materialized returns the plan's bin uses, expanded on first call and
+// cached. The returned slice is shared and read-only (task lists alias
+// the plan's arena). Safe for concurrent use.
+func (p *Plan) Materialized() []BinUse { return p.Runs().Materialize() }
+
+// EachUse streams the plan's bin uses in order without materializing
+// them: the tasks slice is only valid for the duration of the callback and
+// must not be retained or mutated. Iteration stops at the first non-nil
+// error, which is returned.
 func (p *Plan) EachUse(fn func(cardinality int, tasks []int) error) error {
-	if p.runs != nil {
-		return p.runs.EachUse(fn)
-	}
-	for i := range p.Uses {
-		if err := fn(p.Uses[i].Cardinality, p.Uses[i].Tasks); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Runs().EachUse(fn)
 }
 
 // MarshalJSON renders the plan in its wire form {"uses": [...]} through
 // the streaming encoder, so stored job records and HTTP responses share
-// one encoder and are byte-compatible across both backings.
+// one encoder.
 func (p *Plan) MarshalJSON() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := p.EncodeJSON(&buf); err != nil {
@@ -83,24 +125,27 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Cost returns the total incentive cost of the plan under the given menu:
-// the sum of c_|β| over all bin uses β. Run-backed plans compute it from
-// run metadata in the same accumulation order the expanded sum would use,
-// so the two forms agree bit for bit.
-func (p *Plan) Cost(bins BinSet) (float64, error) {
-	if p.runs != nil {
-		return p.runs.Cost(bins)
+// UnmarshalJSON decodes the wire form through PlanFromUses, so a stored or
+// received plan with a malformed use is rejected at decode.
+func (p *Plan) UnmarshalJSON(data []byte) error {
+	var wire struct {
+		Uses []BinUse `json:"uses"`
 	}
-	total := 0.0
-	for _, u := range p.Uses {
-		b, ok := bins.ByCardinality(u.Cardinality)
-		if !ok {
-			return 0, fmt.Errorf("core: plan uses unknown bin cardinality %d", u.Cardinality)
-		}
-		total += b.Cost
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return err
 	}
-	return total, nil
+	decoded, err := PlanFromUses(wire.Uses)
+	if err != nil {
+		return err
+	}
+	*p = *decoded
+	return nil
 }
+
+// Cost returns the total incentive cost of the plan under the given menu:
+// the sum of c_|β| over all bin uses β, accumulated from run metadata in
+// the order the per-use sum would add, so the two agree bit for bit.
+func (p *Plan) Cost(bins BinSet) (float64, error) { return p.Runs().Cost(bins) }
 
 // MustCost is Cost that panics on an unknown cardinality; for plans that
 // were already validated against the same menu.
@@ -113,37 +158,14 @@ func (p *Plan) MustCost(bins BinSet) float64 {
 }
 
 // Counts returns the number of uses per bin cardinality — the {τ_l} vector
-// of Definition 3 — arithmetically from run metadata when run-backed.
-func (p *Plan) Counts() map[int]int {
-	if p.runs != nil {
-		return p.runs.Counts()
-	}
-	out := make(map[int]int)
-	for _, u := range p.Uses {
-		out[u.Cardinality]++
-	}
-	return out
-}
+// of Definition 3.
+func (p *Plan) Counts() map[int]int { return p.Runs().Counts() }
 
 // NumUses returns the total number of bin uses (crowd-worker batches).
-func (p *Plan) NumUses() int {
-	if p.runs != nil {
-		return p.runs.NumUses()
-	}
-	return len(p.Uses)
-}
+func (p *Plan) NumUses() int { return p.Runs().NumUses() }
 
 // NumAssignments returns the total number of (task, bin) assignments.
-func (p *Plan) NumAssignments() int {
-	if p.runs != nil {
-		return p.runs.NumAssignments()
-	}
-	n := 0
-	for _, u := range p.Uses {
-		n += len(u.Tasks)
-	}
-	return n
-}
+func (p *Plan) NumAssignments() int { return p.Runs().NumAssignments() }
 
 // TransformedMass returns, for each task index in [0, n), the accumulated
 // transformed reliability Σ -ln(1 - r_|β|) over the bins the task is
@@ -185,20 +207,17 @@ func (p *Plan) Reliability(n int, bins BinSet) ([]float64, error) {
 }
 
 // Validate checks that the plan is a feasible decomposition of the instance:
-// every bin use refers to a menu bin, holds at most Cardinality distinct
-// tasks with in-range indices, and every task's reliability meets its
+// every bin use refers to a menu bin and holds distinct tasks with in-range
+// indices (never more than Cardinality of them — the run form cannot
+// express an overfull use), and every task's reliability meets its
 // threshold within RelTol.
 func (p *Plan) Validate(in *Instance) error {
 	n := in.N()
 	ui := 0
 	err := p.EachUse(func(card int, tasks []int) error {
 		defer func() { ui++ }()
-		b, ok := in.Bins().ByCardinality(card)
-		if !ok {
+		if _, ok := in.Bins().ByCardinality(card); !ok {
 			return fmt.Errorf("core: use %d refers to unknown bin cardinality %d", ui, card)
-		}
-		if len(tasks) > b.Cardinality {
-			return fmt.Errorf("core: use %d holds %d tasks > cardinality %d", ui, len(tasks), b.Cardinality)
 		}
 		seen := make(map[int]struct{}, len(tasks))
 		for _, t := range tasks {
@@ -228,104 +247,30 @@ func (p *Plan) Validate(in *Instance) error {
 	return nil
 }
 
-// Merge appends the uses of other to p. It is used to combine per-partition
-// plans in the heterogeneous solver. Merging demotes a run-backed receiver
-// to the legacy form (other's runs are expanded with fresh storage); the
-// run-native combiner is MergePlans / MergePlanRuns.
-func (p *Plan) Merge(other *Plan) {
-	if p.runs != nil {
-		p.Uses = p.runs.Expand()
-		p.runs = nil
-	}
-	if other.runs != nil {
-		p.Uses = append(p.Uses, other.runs.Expand()...)
-		return
-	}
-	p.Uses = append(p.Uses, other.Uses...)
-}
-
-// empty reports whether the plan holds no uses in either backing.
-func (p *Plan) empty() bool {
-	return p == nil || (len(p.Uses) == 0 && (p.runs == nil || len(p.runs.Runs) == 0))
-}
-
 // MergePlans combines plans (nil entries skipped) into one new plan, in
 // order. Cost is additive: the merged plan's cost is the sum of the parts'
 // costs, and when the parts cover disjoint task sets against a shared menu
-// the merged plan is feasible iff every part is. Task storage is copied, so
-// mutating the merged plan (e.g. OffsetTasks) never touches the inputs —
-// which also makes MergePlans(p) the canonical deep copy. When every
-// non-empty input is run-backed the merge stays in run form (arenas
-// concatenated, run offsets rebased — no expansion); any legacy input
-// demotes the whole merge to the legacy copying path. The service layer
-// uses it to reassemble per-shard and per-partition plans.
+// the merged plan is feasible iff every part is. Task storage is copied
+// (see MergePlanRuns), so mutating the merged plan (e.g. OffsetTasks) never
+// touches the inputs — which also makes MergePlans(p) the canonical deep
+// copy.
 func MergePlans(plans ...*Plan) *Plan {
-	runsOnly := false
-	for _, p := range plans {
-		if p.empty() {
-			continue
-		}
-		if p.runs == nil {
-			runsOnly = false
-			break
-		}
-		runsOnly = true
-	}
-	if runsOnly {
-		prs := make([]*PlanRuns, 0, len(plans))
-		for _, p := range plans {
-			if !p.empty() {
-				prs = append(prs, p.runs)
-			}
-		}
-		return NewRunPlan(MergePlanRuns(prs...))
-	}
-	total := 0
+	prs := make([]*PlanRuns, 0, len(plans))
 	for _, p := range plans {
 		if p != nil {
-			total += p.NumUses()
+			prs = append(prs, p.runs)
 		}
 	}
-	out := &Plan{Uses: make([]BinUse, 0, total)}
-	for _, p := range plans {
-		if p == nil {
-			continue
-		}
-		if p.runs != nil {
-			out.Uses = append(out.Uses, p.runs.Expand()...)
-			continue
-		}
-		for _, u := range p.Uses {
-			out.Uses = append(out.Uses, BinUse{
-				Cardinality: u.Cardinality,
-				Tasks:       append([]int(nil), u.Tasks...),
-			})
-		}
-	}
-	return out
+	return NewRunPlan(MergePlanRuns(prs...))
 }
 
 // OffsetTasks shifts every task identifier in the plan by delta. A caller
 // that solves a sub-problem in its own local index space 0..n-1 (the service
 // shards instead pass global ids through the solver, so they never need
 // this) offsets the resulting plan to its base index before merging, so the
-// combined plan addresses the global task space. A run-backed plan offsets
-// its arena in one pass. The caller must own the plan exclusively.
-func (p *Plan) OffsetTasks(delta int) {
-	if p.runs != nil {
-		p.runs.OffsetTasks(delta)
-		return
-	}
-	if delta == 0 {
-		return
-	}
-	for ui := range p.Uses {
-		tasks := p.Uses[ui].Tasks
-		for ti := range tasks {
-			tasks[ti] += delta
-		}
-	}
-}
+// combined plan addresses the global task space. The caller must own the
+// plan exclusively.
+func (p *Plan) OffsetTasks(delta int) { p.Runs().OffsetTasks(delta) }
 
 // Summary is a compact, printable description of a plan: uses per
 // cardinality plus the total cost, as in the paper's worked examples.

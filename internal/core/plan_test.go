@@ -7,25 +7,35 @@ import (
 	"testing"
 )
 
+// planOf builds a plan from a literal use list; the test's uses are
+// well-formed, so a rejection is a test bug.
+func planOf(uses ...BinUse) *Plan {
+	p, err := PlanFromUses(uses)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // examplePlanP1 is plan P1 of Example 4: four 2-cardinality bins
 // {a1,a2} ×2 and {a3,a4} ×2, total cost 0.72, reliability 0.9775 each.
 func examplePlanP1() *Plan {
-	return &Plan{Uses: []BinUse{
-		{Cardinality: 2, Tasks: []int{0, 1}},
-		{Cardinality: 2, Tasks: []int{0, 1}},
-		{Cardinality: 2, Tasks: []int{2, 3}},
-		{Cardinality: 2, Tasks: []int{2, 3}},
-	}}
+	return planOf(
+		BinUse{Cardinality: 2, Tasks: []int{0, 1}},
+		BinUse{Cardinality: 2, Tasks: []int{0, 1}},
+		BinUse{Cardinality: 2, Tasks: []int{2, 3}},
+		BinUse{Cardinality: 2, Tasks: []int{2, 3}},
+	)
 }
 
 // examplePlanP2 is plan P2 of Example 4: {a1,a2,a3}, {a1,a2,a4}, {a3,a4},
 // total cost 0.66 — the optimal plan for t = 0.95.
 func examplePlanP2() *Plan {
-	return &Plan{Uses: []BinUse{
-		{Cardinality: 3, Tasks: []int{0, 1, 2}},
-		{Cardinality: 3, Tasks: []int{0, 1, 3}},
-		{Cardinality: 2, Tasks: []int{2, 3}},
-	}}
+	return planOf(
+		BinUse{Cardinality: 3, Tasks: []int{0, 1, 2}},
+		BinUse{Cardinality: 3, Tasks: []int{0, 1, 3}},
+		BinUse{Cardinality: 2, Tasks: []int{2, 3}},
+	)
 }
 
 func TestExample4PlanP1(t *testing.T) {
@@ -66,20 +76,24 @@ func TestPlanValidateCatchesViolations(t *testing.T) {
 	in := MustHomogeneous(table1(), 4, 0.95)
 	cases := []struct {
 		name string
-		plan *Plan
+		uses []BinUse
 	}{
-		{"unknown bin", &Plan{Uses: []BinUse{{Cardinality: 7, Tasks: []int{0}}}}},
-		{"overfull bin", &Plan{Uses: []BinUse{{Cardinality: 1, Tasks: []int{0, 1}}}}},
-		{"duplicate task in bin", &Plan{Uses: []BinUse{{Cardinality: 2, Tasks: []int{0, 0}}}}},
-		{"out of range task", &Plan{Uses: []BinUse{{Cardinality: 1, Tasks: []int{4}}}}},
-		{"negative task", &Plan{Uses: []BinUse{{Cardinality: 1, Tasks: []int{-1}}}}},
-		{"below threshold", examplePlanUnder()},
-		{"empty plan", &Plan{}},
+		{"unknown bin", []BinUse{{Cardinality: 7, Tasks: []int{0}}}},
+		{"overfull bin", []BinUse{{Cardinality: 1, Tasks: []int{0, 1}}}}, // caught before Validate: no plan can hold it
+		{"duplicate task in bin", []BinUse{{Cardinality: 2, Tasks: []int{0, 0}}}},
+		{"out of range task", []BinUse{{Cardinality: 1, Tasks: []int{4}}}},
+		{"negative task", []BinUse{{Cardinality: 1, Tasks: []int{-1}}}},
+		{"below threshold", examplePlanUnder().Materialized()},
+		{"empty plan", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.plan.Validate(in); err == nil {
-				t.Errorf("Validate accepted infeasible plan %q", c.name)
+			p, err := PlanFromUses(c.uses)
+			if err == nil {
+				err = p.Validate(in)
+			}
+			if err == nil {
+				t.Errorf("infeasible plan %q accepted", c.name)
 			}
 		})
 	}
@@ -87,10 +101,10 @@ func TestPlanValidateCatchesViolations(t *testing.T) {
 
 // examplePlanUnder covers each task once with b2 (rel 0.85 < 0.95).
 func examplePlanUnder() *Plan {
-	return &Plan{Uses: []BinUse{
-		{Cardinality: 2, Tasks: []int{0, 1}},
-		{Cardinality: 2, Tasks: []int{2, 3}},
-	}}
+	return planOf(
+		BinUse{Cardinality: 2, Tasks: []int{0, 1}},
+		BinUse{Cardinality: 2, Tasks: []int{2, 3}},
+	)
 }
 
 func TestPlanCountsAndAssignments(t *testing.T) {
@@ -108,7 +122,7 @@ func TestPlanCountsAndAssignments(t *testing.T) {
 }
 
 func TestPlanCostUnknownBin(t *testing.T) {
-	p := &Plan{Uses: []BinUse{{Cardinality: 9, Tasks: []int{0}}}}
+	p := planOf(BinUse{Cardinality: 9, Tasks: []int{0}})
 	if _, err := p.Cost(table1()); err == nil {
 		t.Error("Cost accepted unknown cardinality")
 	}
@@ -116,10 +130,10 @@ func TestPlanCostUnknownBin(t *testing.T) {
 
 func TestTransformedMassAdds(t *testing.T) {
 	bs := table1()
-	p := &Plan{Uses: []BinUse{
-		{Cardinality: 1, Tasks: []int{0}},
-		{Cardinality: 3, Tasks: []int{0, 1, 2}},
-	}}
+	p := planOf(
+		BinUse{Cardinality: 1, Tasks: []int{0}},
+		BinUse{Cardinality: 3, Tasks: []int{0, 1, 2}},
+	)
 	mass, err := p.TransformedMass(3, bs)
 	if err != nil {
 		t.Fatal(err)
@@ -134,18 +148,9 @@ func TestTransformedMassAdds(t *testing.T) {
 	}
 }
 
-func TestPlanMerge(t *testing.T) {
-	a := &Plan{Uses: []BinUse{{Cardinality: 1, Tasks: []int{0}}}}
-	b := &Plan{Uses: []BinUse{{Cardinality: 2, Tasks: []int{1, 2}}}}
-	a.Merge(b)
-	if a.NumUses() != 2 {
-		t.Fatalf("merged NumUses = %d, want 2", a.NumUses())
-	}
-}
-
 func TestMergePlans(t *testing.T) {
-	a := &Plan{Uses: []BinUse{{Cardinality: 1, Tasks: []int{0}}}}
-	b := &Plan{Uses: []BinUse{{Cardinality: 2, Tasks: []int{1, 2}}}}
+	a := planOf(BinUse{Cardinality: 1, Tasks: []int{0}})
+	b := planOf(BinUse{Cardinality: 2, Tasks: []int{1, 2}})
 	merged := MergePlans(a, nil, b, &Plan{})
 	if merged.NumUses() != 2 || merged.NumAssignments() != 3 {
 		t.Fatalf("merged = %d uses / %d assignments, want 2/3", merged.NumUses(), merged.NumAssignments())
@@ -157,7 +162,7 @@ func TestMergePlans(t *testing.T) {
 	// Task slices are copied: offsetting the merged plan must leave the
 	// inputs untouched.
 	merged.OffsetTasks(100)
-	if a.Uses[0].Tasks[0] != 0 || b.Uses[0].Tasks[0] != 1 {
+	if a.Materialized()[0].Tasks[0] != 0 || b.Materialized()[0].Tasks[0] != 1 {
 		t.Fatal("merged plan aliases input task slices")
 	}
 	merged.OffsetTasks(-100)
@@ -174,21 +179,23 @@ func TestMergePlans(t *testing.T) {
 }
 
 func TestOffsetTasks(t *testing.T) {
-	p := &Plan{Uses: []BinUse{
-		{Cardinality: 2, Tasks: []int{0, 1}},
-		{Cardinality: 1, Tasks: []int{2}},
-	}}
+	p := planOf(
+		BinUse{Cardinality: 2, Tasks: []int{0, 1}},
+		BinUse{Cardinality: 1, Tasks: []int{2}},
+	)
 	p.OffsetTasks(10)
-	if got := p.Uses[0].Tasks[0]; got != 10 {
+	uses := p.Materialized()
+	if got := uses[0].Tasks[0]; got != 10 {
 		t.Fatalf("offset task = %d, want 10", got)
 	}
-	if got := p.Uses[1].Tasks[0]; got != 12 {
+	if got := uses[1].Tasks[0]; got != 12 {
 		t.Fatalf("offset task = %d, want 12", got)
 	}
 	p.OffsetTasks(-10)
-	if p.Uses[0].Tasks[0] != 0 || p.Uses[1].Tasks[0] != 2 {
+	if uses[0].Tasks[0] != 0 || uses[1].Tasks[0] != 2 {
 		t.Fatal("negative offset must invert")
 	}
+	(&Plan{}).OffsetTasks(3) // the zero plan has nothing to shift
 }
 
 func TestSummaryString(t *testing.T) {
@@ -276,7 +283,5 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumUses() != 3 || back.NumAssignments() != 8 {
-		t.Errorf("round-trip lost uses: %d/%d", back.NumUses(), back.NumAssignments())
-	}
+	assertPlanIsUses(t, &back, p.Materialized())
 }

@@ -14,15 +14,14 @@ func TestReliabilityMonotoneInUses(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
 		const n = 6
-		plan := randomPlan(rng, n)
-		before, err := plan.Reliability(n, bs)
+		uses := randomUses(rng, n)
+		before, err := planOf(uses...).Reliability(n, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Append one random extra use.
-		extra := randomUse(rng, n)
-		plan.Uses = append(plan.Uses, extra)
-		after, err := plan.Reliability(n, bs)
+		uses = append(uses, randomUse(rng, n))
+		after, err := planOf(uses...).Reliability(n, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,12 +44,12 @@ func randomUse(rng *rand.Rand, n int) BinUse {
 	return use
 }
 
-func randomPlan(rng *rand.Rand, n int) *Plan {
-	p := &Plan{}
+func randomUses(rng *rand.Rand, n int) []BinUse {
+	var uses []BinUse
 	for i := 0; i < rng.Intn(6); i++ {
-		p.Uses = append(p.Uses, randomUse(rng, n))
+		uses = append(uses, randomUse(rng, n))
 	}
-	return p
+	return uses
 }
 
 // TestTransformedMassLinear: the transformed mass of a merged plan is the
@@ -60,8 +59,8 @@ func TestTransformedMassLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 200; trial++ {
 		const n = 5
-		a := randomPlan(rng, n)
-		b := randomPlan(rng, n)
+		a := planOf(randomUses(rng, n)...)
+		b := planOf(randomUses(rng, n)...)
 		ma, err := a.TransformedMass(n, bs)
 		if err != nil {
 			t.Fatal(err)
@@ -70,9 +69,7 @@ func TestTransformedMassLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged := &Plan{}
-		merged.Merge(a)
-		merged.Merge(b)
+		merged := MergePlans(a, b)
 		mm, err := merged.TransformedMass(n, bs)
 		if err != nil {
 			t.Fatal(err)
@@ -125,15 +122,16 @@ func TestLowerBoundBelowAnyFeasiblePlan(t *testing.T) {
 			th[i] = rng.Float64() * 0.97
 		}
 		in := MustHeterogeneous(bs, th)
-		plan := &Plan{}
+		var uses []BinUse
 		b1, _ := bs.ByCardinality(1)
 		for i := 0; i < n; i++ {
 			need := in.Theta(i)
 			for need > 0 {
-				plan.Uses = append(plan.Uses, BinUse{Cardinality: 1, Tasks: []int{i}})
+				uses = append(uses, BinUse{Cardinality: 1, Tasks: []int{i}})
 				need -= b1.Weight()
 			}
 		}
+		plan := planOf(uses...)
 		if err := plan.Validate(in); err != nil {
 			t.Fatalf("trial %d: saturation plan infeasible: %v", trial, err)
 		}

@@ -7,13 +7,11 @@ import (
 
 // This file holds the compact block-run plan representation. Algorithm 3's
 // output is extremely regular — a handful of segments, each k identical full
-// blocks of one combination, plus at most one padded block — yet the legacy
-// Plan form stores it as thousands of independently allocated BinUse slices.
-// PlanRuns stores the same plan as run metadata over a single task-id arena:
-// cost, use counts and summaries are computed arithmetically from the runs,
-// iteration streams uses without materializing them, and the legacy []BinUse
-// form is produced once, lazily, only where a caller truly needs per-use
-// task lists (JSON encoding, mostly).
+// blocks of one combination, plus at most one padded block — so a plan is
+// stored as run metadata over a single task-id arena: cost, use counts and
+// summaries are computed arithmetically from the runs, iteration streams
+// uses without materializing them, and the []BinUse view is produced once,
+// lazily, only where a caller truly needs per-use task lists.
 
 // RunPart is one (cardinality, per-task multiplicity) component of a
 // RunComb: within one block, every task is assigned Count times to bins of
@@ -141,10 +139,10 @@ func (r *BlockRun) assignments() int {
 }
 
 // PlanRuns is a decomposition plan in compact block-run form: run metadata
-// over one shared task-id arena. It expands to exactly the same bin-use
-// sequence the legacy solver emitted — same uses, same order, same task
-// ids — which is what keeps every cost computed from it bit-identical to
-// the legacy accumulation.
+// over one shared task-id arena. It expands to exactly the bin-use
+// sequence Algorithm 3's per-use expansion emits — same uses, same order,
+// same task ids — which is what keeps every cost computed from it
+// bit-identical to the per-use accumulation.
 //
 // A PlanRuns is read-only after construction except for OffsetTasks, which
 // requires exclusive ownership. Materialize is safe for concurrent use.
@@ -161,7 +159,7 @@ type PlanRuns struct {
 	// Runs is the plan's run sequence, in emission order.
 	Runs []BlockRun
 
-	// mat caches the lazily materialized legacy view. Full-block uses
+	// mat caches the lazily materialized []BinUse view. Full-block uses
 	// alias Arena windows (zero copy); padded uses live in mat.pad so
 	// OffsetTasks can keep a done materialization coherent.
 	mat struct {
@@ -213,9 +211,9 @@ func (pr *PlanRuns) Counts() map[int]int {
 
 // Cost returns the plan's total incentive cost under the menu. The
 // accumulation replicates the expanded plan's use order add for add, so
-// the result is bit-identical to the legacy per-use sum — the exact
-// cost-parity invariants (sharded == unsharded, batched == solo) compare
-// floats with ==, so run-backed plans must not round differently. The
+// the result is bit-identical to the per-use sum — the exact cost-parity
+// invariants (sharded == unsharded, batched == solo) compare floats with
+// ==, so the arithmetic must not round differently. The
 // loop touches only run metadata: no uses are materialized and the menu
 // is consulted once per run part, not once per use.
 func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
@@ -306,9 +304,9 @@ func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
 // positions [start, start+card) keeps the first occurrence of each
 // distinct task: positions are consecutive integers modulo rem, so the
 // distinct tasks are exactly rem[(start+j) % len(rem)] for
-// j < min(card, rem) — index arithmetic replaces the per-use dedup map
-// the legacy expansion allocated, with byte-identical output (the map
-// version also appended tasks in first-occurrence position order).
+// j < min(card, rem) — index arithmetic in place of a per-use dedup map,
+// with the same output (a map would also keep tasks in first-occurrence
+// position order).
 func (r *BlockRun) eachPaddedUse(arena []int, scratchp *[]int, fn func(cardinality int, tasks []int) error) error {
 	rem := arena[r.Off : r.Off+r.Len]
 	n := len(rem)
@@ -351,12 +349,12 @@ func appendPaddedTasks(dst []int, rem []int, start, card int) []int {
 	return dst
 }
 
-// Materialize returns the plan's legacy []BinUse view, built on first call
-// and cached: one []BinUse for every use, full-block task lists aliasing
-// the arena (zero copy) and padded lists in one shared backing array. The
+// Materialize returns the plan's []BinUse view, built on first call and
+// cached: one []BinUse for every use, full-block task lists aliasing the
+// arena (zero copy) and padded lists in one shared backing array. The
 // result is read-only — it shares storage with the arena — and safe for
-// concurrent use. Returns nil for an empty plan, matching the legacy
-// solver's empty-plan JSON ("uses":null).
+// concurrent use. Returns nil for an empty plan, whose JSON is
+// "uses":null.
 func (pr *PlanRuns) Materialize() []BinUse {
 	pr.mat.once.Do(func() {
 		for i := range pr.Runs {
@@ -414,30 +412,8 @@ func (pr *PlanRuns) Materialize() []BinUse {
 	return pr.mat.uses
 }
 
-// Expand returns a freshly allocated legacy []BinUse with fully copied
-// task lists — one backing array, no aliasing of the arena — for callers
-// that need a mutable legacy plan (Plan.Merge, the compat solver entry).
-func (pr *PlanRuns) Expand() []BinUse {
-	total := pr.NumUses()
-	if total == 0 {
-		return nil
-	}
-	uses := make([]BinUse, 0, total)
-	backing := make([]int, 0, pr.NumAssignments())
-	err := pr.EachUse(func(card int, tasks []int) error {
-		from := len(backing)
-		backing = append(backing, tasks...)
-		uses = append(uses, BinUse{Cardinality: card, Tasks: backing[from:len(backing):len(backing)]})
-		return nil
-	})
-	if err != nil {
-		panic(err) // unreachable: the callback never fails
-	}
-	return uses
-}
-
-// OffsetTasks shifts every task id in the plan by delta — one pass over
-// the arena instead of the legacy per-use loop. The caller must own the
+// OffsetTasks shifts every task id in the plan by delta in one pass over
+// the arena. The caller must own the
 // plan exclusively: the arena may be shared with a cached materialization
 // (kept coherent here) but must not be shared with other live plans.
 func (pr *PlanRuns) OffsetTasks(delta int) {
@@ -464,12 +440,12 @@ func (pr *PlanRuns) Clone() *PlanRuns {
 	return out
 }
 
-// MergePlanRuns concatenates run-backed plans (nil and empty entries
+// MergePlanRuns concatenates plans in run form (nil and empty entries
 // skipped) into one independent plan: arenas are copied into a single new
 // arena and run offsets rebased, so mutating the merged plan (e.g.
 // OffsetTasks) never touches the inputs. Cost is additive, and the merged
-// expansion order is the inputs' expansion orders in sequence — exactly
-// the legacy MergePlans contract, without expanding anything.
+// expansion order is the inputs' expansion orders in sequence, without
+// expanding anything.
 func MergePlanRuns(prs ...*PlanRuns) *PlanRuns {
 	tasks, runs := 0, 0
 	for _, pr := range prs {

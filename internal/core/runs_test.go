@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"sync"
@@ -39,35 +40,77 @@ func testRuns() *PlanRuns {
 	}
 }
 
+// menuFor returns a menu holding every cardinality the uses name, with
+// costs irregular enough that a reordered float sum would show.
+func menuFor(uses []BinUse) BinSet {
+	seen := make(map[int]bool)
+	var bins []TaskBin
+	for _, u := range uses {
+		if !seen[u.Cardinality] {
+			seen[u.Cardinality] = true
+			bins = append(bins, TaskBin{Cardinality: u.Cardinality, Confidence: 0.8, Cost: 0.1 * float64(u.Cardinality%97+1) / 3})
+		}
+	}
+	return MustBinSet(bins)
+}
+
+// assertPlanIsUses is the one property every plan constructor answers to:
+// the plan expands to exactly uses, and every figure computed from run
+// metadata equals the direct count over that list — the cost bit for bit,
+// as the left-to-right per-use sum — and the streamed JSON is what
+// encoding/json writes for the list.
+func assertPlanIsUses(t testing.TB, p *Plan, uses []BinUse) {
+	t.Helper()
+	if len(uses) == 0 {
+		uses = nil // an empty plan materializes as nil and encodes as null
+	}
+	if got := p.Materialized(); !reflect.DeepEqual(got, uses) {
+		t.Fatalf("expansion diverges:\n got %+v\nwant %+v", got, uses)
+	}
+	menu := menuFor(uses)
+	counts, assigns, cost := make(map[int]int), 0, 0.0
+	for _, u := range uses {
+		counts[u.Cardinality]++
+		assigns += len(u.Tasks)
+		b, _ := menu.ByCardinality(u.Cardinality)
+		cost += b.Cost
+	}
+	if p.NumUses() != len(uses) || p.NumAssignments() != assigns || !reflect.DeepEqual(p.Counts(), counts) {
+		t.Fatalf("run arithmetic %d uses / %d assignments / %v, direct count %d / %d / %v",
+			p.NumUses(), p.NumAssignments(), p.Counts(), len(uses), assigns, counts)
+	}
+	if got := p.MustCost(menu); got != cost {
+		t.Fatalf("Cost %v != per-use sum %v", got, cost)
+	}
+	want, err := json.Marshal(struct {
+		Uses []BinUse `json:"uses"`
+	}{uses})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeViaStream(t, p); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeJSON differs from encoding/json:\n got %s\nwant %s", got, want)
+	}
+}
+
+// expand copies the plan's uses off EachUse, the streaming twin of
+// Materialize, so each expansion checks the other.
+func expand(t testing.TB, pr *PlanRuns) []BinUse {
+	t.Helper()
+	var uses []BinUse
+	err := pr.EachUse(func(card int, tasks []int) error {
+		uses = append(uses, BinUse{Cardinality: card, Tasks: append([]int(nil), tasks...)})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uses
+}
+
 func TestPlanRunsArithmeticMatchesExpansion(t *testing.T) {
 	pr := testRuns()
-	plan := NewRunPlan(pr)
-	legacy := &Plan{Uses: pr.Expand()}
-
-	if got, want := plan.NumUses(), legacy.NumUses(); got != want {
-		t.Fatalf("NumUses %d != expanded %d", got, want)
-	}
-	if got, want := plan.NumAssignments(), legacy.NumAssignments(); got != want {
-		t.Fatalf("NumAssignments %d != expanded %d", got, want)
-	}
-	if !reflect.DeepEqual(plan.Counts(), legacy.Counts()) {
-		t.Fatalf("Counts %v != expanded %v", plan.Counts(), legacy.Counts())
-	}
-	menu := testMenu()
-	if got, want := plan.MustCost(menu), legacy.MustCost(menu); got != want {
-		t.Fatalf("Cost %v != expanded %v", got, want)
-	}
-	gotSum, err := plan.Summarize(menu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSum, err := legacy.Summarize(menu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotSum, wantSum) {
-		t.Fatalf("Summary %+v != expanded %+v", gotSum, wantSum)
-	}
+	assertPlanIsUses(t, NewRunPlan(pr), expand(t, pr))
 }
 
 func TestPlanRunsCostUnknownCardinality(t *testing.T) {
@@ -78,38 +121,29 @@ func TestPlanRunsCostUnknownCardinality(t *testing.T) {
 	}
 }
 
+// TestPlanRunsJSONMatchesLegacy: a plan's JSON is the {"uses":[...]} wire
+// form older versions stored — encoding/json over the use list — and it
+// decodes back to the same plan.
 func TestPlanRunsJSONMatchesLegacy(t *testing.T) {
-	pr := testRuns()
-	runJSON, err := json.Marshal(NewRunPlan(pr))
+	plan := NewRunPlan(testRuns())
+	assertEncodeMatchesMarshal(t, plan)
+	data, err := json.Marshal(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyJSON, err := json.Marshal(&Plan{Uses: pr.Expand()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(runJSON) != string(legacyJSON) {
-		t.Fatalf("run-backed JSON differs from legacy:\n%s\n%s", runJSON, legacyJSON)
-	}
-	// Empty plans must keep the historical "uses":null form.
-	emptyRun, err := json.Marshal(NewRunPlan(&PlanRuns{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	emptyLegacy, err := json.Marshal(&Plan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(emptyRun) != string(emptyLegacy) {
-		t.Fatalf("empty run-backed JSON %s != legacy %s", emptyRun, emptyLegacy)
-	}
-	// And decode back into a servable legacy plan.
 	var back Plan
-	if err := json.Unmarshal(runJSON, &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumUses() != NewRunPlan(pr).NumUses() {
-		t.Fatalf("round-tripped plan has %d uses, want %d", back.NumUses(), NewRunPlan(pr).NumUses())
+	assertPlanIsUses(t, &back, plan.Materialized())
+	// Empty plans keep the "uses":null form, whichever way they were made.
+	for _, empty := range []*Plan{{}, NewRunPlan(&PlanRuns{}), planOf()} {
+		if got, err := json.Marshal(empty); err != nil || string(got) != `{"uses":null}` {
+			t.Fatalf("empty plan JSON %s (err %v)", got, err)
+		}
+	}
+	if err := json.Unmarshal([]byte(`{"uses":[]}`), &back); err != nil || back.NumUses() != 0 {
+		t.Fatalf("decoding an empty use list: %d uses, err %v", back.NumUses(), err)
 	}
 }
 
@@ -119,9 +153,8 @@ func TestMergePlanRunsIndependence(t *testing.T) {
 	if got, want := len(merged.Arena), len(a.Arena)+len(b.Arena); got != want {
 		t.Fatalf("merged arena %d, want %d", got, want)
 	}
-	wantUses := append(a.Expand(), b.Expand()...)
-	gotUses := merged.Expand()
-	if !reflect.DeepEqual(gotUses, wantUses) {
+	wantUses := append(expand(t, a), expand(t, b)...)
+	if !reflect.DeepEqual(expand(t, merged), wantUses) {
 		t.Fatal("merged expansion is not the concatenation of the parts")
 	}
 	// Mutating the merge must not touch the inputs.
@@ -129,7 +162,7 @@ func TestMergePlanRunsIndependence(t *testing.T) {
 	if a.Arena[0] != 0 || b.Arena[0] != 0 {
 		t.Fatal("OffsetTasks on the merge leaked into an input arena")
 	}
-	for _, u := range merged.Expand() {
+	for _, u := range expand(t, merged) {
 		for _, task := range u.Tasks {
 			if task < 100 {
 				t.Fatalf("task %d missed the offset", task)
@@ -143,45 +176,17 @@ func TestOffsetTasksKeepsMaterializationCoherent(t *testing.T) {
 	before := NewRunPlan(pr)
 	mat := before.Materialized() // materialize BEFORE offsetting
 	pr.OffsetTasks(10)
+	after := expand(t, pr)
 	for i, u := range mat {
 		for j, task := range u.Tasks {
-			if task != pr.Expand()[i].Tasks[j] {
+			if task != after[i].Tasks[j] {
 				t.Fatalf("use %d task %d: cached materialization %d != post-offset expansion %d",
-					i, j, task, pr.Expand()[i].Tasks[j])
+					i, j, task, after[i].Tasks[j])
 			}
 			if task < 10 {
 				t.Fatalf("use %d: cached materialization missed the offset (task %d)", i, task)
 			}
 		}
-	}
-}
-
-func TestRunPlanMergeDemotesToLegacy(t *testing.T) {
-	run := NewRunPlan(testRuns())
-	legacy := &Plan{Uses: []BinUse{{Cardinality: 2, Tasks: []int{100, 101}}}}
-	wantUses := run.NumUses() + 1
-
-	merged := MergePlans(run, legacy)
-	if merged.Runs() != nil {
-		t.Fatal("mixed merge should demote to the legacy form")
-	}
-	if merged.NumUses() != wantUses {
-		t.Fatalf("mixed merge has %d uses, want %d", merged.NumUses(), wantUses)
-	}
-
-	runOnly := MergePlans(NewRunPlan(testRuns()), &Plan{}, NewRunPlan(testRuns()))
-	if runOnly.Runs() == nil {
-		t.Fatal("run-only merge (empty legacy plans skipped) should stay run-backed")
-	}
-	if got, want := runOnly.NumUses(), 2*run.NumUses(); got != want {
-		t.Fatalf("run-only merge has %d uses, want %d", got, want)
-	}
-
-	// Merge (the in-place combiner) demotes a run-backed receiver.
-	p := NewRunPlan(testRuns())
-	p.Merge(legacy)
-	if p.Runs() != nil || p.NumUses() != wantUses {
-		t.Fatalf("in-place merge: runs=%v uses=%d, want legacy with %d", p.Runs(), p.NumUses(), wantUses)
 	}
 }
 
@@ -192,7 +197,7 @@ func TestPlanRunsCloneIsDeep(t *testing.T) {
 	if pr.Arena[0] != 0 {
 		t.Fatal("clone shares the arena with its source")
 	}
-	if !reflect.DeepEqual(pr.Clone().Expand(), pr.Expand()) {
+	if !reflect.DeepEqual(expand(t, pr.Clone()), expand(t, pr)) {
 		t.Fatal("clone expands differently from its source")
 	}
 }
@@ -244,27 +249,27 @@ func TestMalformedRunsRejected(t *testing.T) {
 func TestRunBackedValidateAndMass(t *testing.T) {
 	pr := testRuns()
 	menu := testMenu()
-	in := MustHomogeneous(menu, 16, 0.95)
 	plan := NewRunPlan(pr)
-	legacy := &Plan{Uses: pr.Expand()}
 	gotMass, err := plan.TransformedMass(16, menu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMass, err := legacy.TransformedMass(16, menu)
-	if err != nil {
-		t.Fatal(err)
+	wantMass := make([]float64, 16)
+	for _, u := range expand(t, pr) {
+		b, _ := menu.ByCardinality(u.Cardinality)
+		for _, task := range u.Tasks {
+			wantMass[task] += b.Weight()
+		}
 	}
 	if !reflect.DeepEqual(gotMass, wantMass) {
-		t.Fatal("run-backed TransformedMass differs from expanded")
+		t.Fatal("TransformedMass differs from the per-use accumulation")
 	}
-	if err := plan.Validate(in); err != nil {
-		// The hand-built test runs may or may not meet the threshold; the
-		// check that matters is agreement with the legacy path.
-		if lerr := legacy.Validate(in); lerr == nil {
-			t.Fatalf("run-backed Validate failed where legacy passed: %v", err)
-		}
-	} else if lerr := legacy.Validate(in); lerr != nil {
-		t.Fatalf("legacy Validate failed where run-backed passed: %v", lerr)
+	// Each full-block task sits in two 2-bins and one 3-bin (mass ≈ 5.40);
+	// the padded block's cycling gives its tasks at least that.
+	if err := plan.Validate(MustHomogeneous(menu, 16, 0.99)); err != nil {
+		t.Fatalf("Validate at 0.99: %v", err)
+	}
+	if err := plan.Validate(MustHomogeneous(menu, 16, 0.9999)); err == nil {
+		t.Fatal("Validate accepted a plan below the threshold")
 	}
 }

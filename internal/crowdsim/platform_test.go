@@ -9,6 +9,16 @@ import (
 	"repro/internal/core"
 )
 
+// planOf builds a plan from a literal use list; the test's uses are
+// well-formed, so a rejection is a test bug.
+func planOf(uses ...core.BinUse) *core.Plan {
+	p, err := core.PlanFromUses(uses)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestConfidenceDeclinesWithCardinality(t *testing.T) {
 	for _, params := range []Params{Jelly(), SMIC()} {
 		pl := New(params, 1)
@@ -162,7 +172,7 @@ func TestRunPlanReliabilityMeetsThreshold(t *testing.T) {
 	})
 	n := 40
 	in := core.MustHomogeneous(bins, n, 0.95)
-	plan := &core.Plan{}
+	var uses []core.BinUse
 	for rep := 0; rep < 2; rep++ { // each task in 2 bins: rel = 1-(1-.967)² ≈ .9989
 		for s := 0; s < n; s += 4 {
 			end := s + 4
@@ -173,9 +183,10 @@ func TestRunPlanReliabilityMeetsThreshold(t *testing.T) {
 			for i := s; i < end; i++ {
 				use.Tasks = append(use.Tasks, i)
 			}
-			plan.Uses = append(plan.Uses, use)
+			uses = append(uses, use)
 		}
 	}
+	plan := planOf(uses...)
 	truth := make([]bool, n)
 	for i := range truth {
 		truth[i] = i%2 == 0
@@ -197,11 +208,11 @@ func TestRunPlanValidatesInput(t *testing.T) {
 	pl := New(Jelly(), 1)
 	bins := core.MustBinSet([]core.TaskBin{{Cardinality: 2, Confidence: 0.9, Cost: 0.1}})
 	in := core.MustHomogeneous(bins, 4, 0.5)
-	plan := &core.Plan{Uses: []core.BinUse{{Cardinality: 2, Tasks: []int{0, 1}}}}
+	plan := planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}})
 	if _, err := pl.RunPlan(in, plan, []bool{true}, DefaultDifficulty); err == nil {
 		t.Error("RunPlan accepted mismatched truth length")
 	}
-	bad := &core.Plan{Uses: []core.BinUse{{Cardinality: 9, Tasks: []int{0}}}}
+	bad := planOf(core.BinUse{Cardinality: 9, Tasks: []int{0}})
 	if _, err := pl.RunPlan(in, bad, []bool{true, false, true, false}, DefaultDifficulty); err == nil {
 		t.Error("RunPlan accepted unknown cardinality")
 	}
@@ -211,7 +222,7 @@ func TestRunPlanNoPositives(t *testing.T) {
 	pl := New(Jelly(), 1)
 	bins := core.MustBinSet([]core.TaskBin{{Cardinality: 2, Confidence: 0.9, Cost: 0.1}})
 	in := core.MustHomogeneous(bins, 2, 0.5)
-	plan := &core.Plan{Uses: []core.BinUse{{Cardinality: 2, Tasks: []int{0, 1}}}}
+	plan := planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}})
 	out, err := pl.RunPlan(in, plan, []bool{false, false}, DefaultDifficulty)
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func RodCutting(in *core.Instance) (*core.Plan, error) {
 		}
 	}
 
-	plan := &core.Plan{}
+	var uses []core.BinUse
 	for i := k; i > 0; {
 		b := bins[choice[i]]
 		take := b.Cardinality
@@ -76,10 +76,10 @@ func RodCutting(in *core.Instance) (*core.Plan, error) {
 		}
 		use := core.BinUse{Cardinality: b.Cardinality}
 		use.Tasks = append(use.Tasks, need[i-take:i]...)
-		plan.Uses = append(plan.Uses, use)
+		uses = append(uses, use)
 		i -= take
 	}
-	return plan, nil
+	return core.PlanFromUses(uses)
 }
 
 // RodCuttingCost returns only the optimal cost of the relaxed variant for a

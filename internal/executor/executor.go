@@ -306,10 +306,11 @@ func ExecuteContext(ctx context.Context, r BinRunner, in *core.Instance, plan *c
 // runPlan issues each bin use (with retries on overtime) and accumulates
 // detections, delivered mass and spend into the report. The context is
 // checked before every issue so a cancel never pays for another bin.
-// Uses are streamed straight off the plan — a run-backed plan is never
-// expanded into per-use slices — and the per-bin truth vector is one
-// reusable buffer sized to the menu's largest bin (BinRunner's contract
-// is synchronous: implementations must not retain the slice past RunBin).
+// Uses are streamed straight off the plan — never expanded into per-use
+// slices — and the per-bin truth vector is one reusable buffer sized to
+// the menu's largest bin, which bounds every use of a menu cardinality
+// (BinRunner's contract is synchronous: implementations must not retain
+// the slice past RunBin).
 func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Plan, truth []bool, o Options, rep *Report) error {
 	scratch := make([]bool, in.Bins().MaxCardinality())
 	prog, _ := o.Observer.(ProgressObserver)
@@ -318,9 +319,6 @@ func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Pla
 		bin, ok := in.Bins().ByCardinality(cardinality)
 		if !ok {
 			return fmt.Errorf("executor: unknown bin cardinality %d", cardinality)
-		}
-		if len(tasks) > len(scratch) { // defensive: an invalid overfull use
-			scratch = make([]bool, len(tasks))
 		}
 		binTruth := scratch[:len(tasks)]
 		for i, t := range tasks {
@@ -419,13 +417,13 @@ func topUpPlan(in *core.Instance, delivered []float64) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &core.Plan{}
-	for _, u := range fix.Uses {
+	var uses []core.BinUse
+	for _, u := range fix.Materialized() {
 		mapped := core.BinUse{Cardinality: u.Cardinality}
 		for _, t := range u.Tasks {
 			mapped.Tasks = append(mapped.Tasks, ids[t])
 		}
-		out.Uses = append(out.Uses, mapped)
+		uses = append(uses, mapped)
 	}
-	return out, nil
+	return core.PlanFromUses(uses)
 }

@@ -14,6 +14,16 @@ import (
 	"repro/internal/opq"
 )
 
+// planOf builds a plan from a literal use list; the test's uses are
+// well-formed, so a rejection is a test bug.
+func planOf(uses ...core.BinUse) *core.Plan {
+	p, err := core.PlanFromUses(uses)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // scriptedRunner is a deterministic BinRunner for unit tests: every bin
 // completes in one second with all-correct answers (or goes overtime when
 // overtime is set), and onCall observes each issue.
@@ -85,12 +95,12 @@ func TestExecuteRejectsBadInput(t *testing.T) {
 	if _, err := Execute(pl, in, plan, []bool{true}, Options{}); err == nil {
 		t.Error("mismatched truth length accepted")
 	}
-	bad := &core.Plan{Uses: []core.BinUse{{Cardinality: 99, Tasks: []int{0}}}}
+	bad := planOf(core.BinUse{Cardinality: 99, Tasks: []int{0}})
 	truth := make([]bool, in.N())
 	if _, err := Execute(pl, in, bad, truth, Options{}); err == nil {
 		t.Error("unknown cardinality accepted")
 	}
-	oob := &core.Plan{Uses: []core.BinUse{{Cardinality: 1, Tasks: []int{55}}}}
+	oob := planOf(core.BinUse{Cardinality: 1, Tasks: []int{55}})
 	if _, err := Execute(pl, in, oob, truth, Options{}); err == nil {
 		t.Error("out-of-range task accepted")
 	}
@@ -134,7 +144,7 @@ func TestExecuteTopUpImprovesCoverage(t *testing.T) {
 	// Remove half the plan so delivered mass is short, then let top-up
 	// repair it.
 	pl, in, plan, truth := jellyEnv(t, 1000, 0.95, 11)
-	half := &core.Plan{Uses: plan.Uses[:len(plan.Uses)/2]}
+	half := planOf(plan.Materialized()[:plan.NumUses()/2]...)
 	rep, err := Execute(pl, in, half, truth, Options{TopUp: true})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +165,7 @@ func TestExecuteTopUpImprovesCoverage(t *testing.T) {
 
 func TestExecuteNoTopUpLeavesGap(t *testing.T) {
 	pl, in, plan, truth := jellyEnv(t, 1000, 0.95, 11)
-	half := &core.Plan{Uses: plan.Uses[:len(plan.Uses)/2]}
+	half := planOf(plan.Materialized()[:plan.NumUses()/2]...)
 	rep, err := Execute(pl, in, half, truth, Options{TopUp: false})
 	if err != nil {
 		t.Fatal(err)

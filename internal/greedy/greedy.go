@@ -94,7 +94,7 @@ func Solve(in *core.Instance) (*core.Plan, error) {
 	minW := in.Bins().MinWeight()
 	maxIters := n*int(math.Ceil(core.Theta(in.MaxThreshold())/minW)+1) + 1
 
-	plan := &core.Plan{}
+	var uses []core.BinUse
 	popped := make([]group, 0, maxCard+1)
 	for iter := 0; ; iter++ {
 		if h.Len() == 0 {
@@ -161,9 +161,9 @@ func Solve(in *core.Instance) (*core.Plan, error) {
 				heap.Push(&h, group{val: g.val, ids: g.ids[take:]})
 			}
 		}
-		plan.Uses = append(plan.Uses, use)
+		uses = append(uses, use)
 	}
-	return plan, nil
+	return core.PlanFromUses(uses)
 }
 
 // prefixSum returns the sum of the top-l residuals exposed by the popped

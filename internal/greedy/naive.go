@@ -36,7 +36,7 @@ func SolveNaive(in *core.Instance) (*core.Plan, error) {
 	minW := in.Bins().MinWeight()
 	maxIters := n*int(math.Ceil(core.Theta(in.MaxThreshold())/minW)+1) + 1
 
-	plan := &core.Plan{}
+	var uses []core.BinUse
 	for iter := 0; ; iter++ {
 		if iter > maxIters {
 			return nil, fmt.Errorf("greedy: exceeded iteration bound %d", maxIters)
@@ -84,7 +84,7 @@ func SolveNaive(in *core.Instance) (*core.Plan, error) {
 				theta[id] = 0
 			}
 		}
-		plan.Uses = append(plan.Uses, use)
+		uses = append(uses, use)
 	}
-	return plan, nil
+	return core.PlanFromUses(uses)
 }

@@ -133,18 +133,18 @@ func Solve(in *core.Instance) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &core.Plan{}
+	var parts []*core.PlanRuns
 	for _, part := range set.Partitions {
 		if len(part.Tasks) == 0 {
 			continue
 		}
-		sub, err := opq.SolveWithQueue(part.Queue, part.Tasks)
+		sub, err := opq.SolveRuns(part.Queue, part.Tasks)
 		if err != nil {
 			return nil, fmt.Errorf("hetero: partition τ=%v: %w", part.Tau, err)
 		}
-		plan.Merge(sub)
+		parts = append(parts, sub)
 	}
-	return plan, nil
+	return core.NewRunPlan(core.MergePlanRuns(parts...)), nil
 }
 
 // ApproxRatioBound returns the Theorem-3 guarantee

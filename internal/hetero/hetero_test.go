@@ -124,7 +124,7 @@ func TestZeroThresholdTasksSkipped(t *testing.T) {
 		t.Fatalf("infeasible: %v", err)
 	}
 	// Tasks 0 and 2 need no coverage; ensure no bin contains them.
-	for _, u := range p.Uses {
+	for _, u := range p.Materialized() {
 		for _, task := range u.Tasks {
 			if task == 0 || task == 2 {
 				t.Errorf("zero-threshold task %d was assigned", task)

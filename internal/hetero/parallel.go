@@ -11,9 +11,8 @@ import (
 
 // SolveParallel is Solve with the per-partition Algorithm-3 runs executed
 // concurrently. Partitions of Algorithm 5 are independent — they share no
-// tasks and no queue state — so the plans compose exactly as in the serial
-// version; only the order of Uses in the merged plan differs (partition
-// order is preserved to keep output deterministic). workers ≤ 0 selects
+// tasks and no queue state — and the merge is in partition order, so the
+// plan is identical to the serial version's. workers ≤ 0 selects
 // GOMAXPROCS.
 func SolveParallel(in *core.Instance, workers int) (*core.Plan, error) {
 	set, err := BuildSet(in)
@@ -24,11 +23,8 @@ func SolveParallel(in *core.Instance, workers int) (*core.Plan, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	type result struct {
-		plan *core.Plan
-		err  error
-	}
-	results := make([]result, len(set.Partitions))
+	parts := make([]*core.PlanRuns, len(set.Partitions))
+	errs := make([]error, len(set.Partitions))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range set.Partitions {
@@ -41,25 +37,21 @@ func SolveParallel(in *core.Instance, workers int) (*core.Plan, error) {
 		go func(i int, part Partition) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			plan, err := opq.SolveWithQueue(part.Queue, part.Tasks)
-			if err != nil {
-				err = fmt.Errorf("hetero: partition τ=%v: %w", part.Tau, err)
+			var err error
+			if parts[i], err = opq.SolveRuns(part.Queue, part.Tasks); err != nil {
+				errs[i] = fmt.Errorf("hetero: partition τ=%v: %w", part.Tau, err)
 			}
-			results[i] = result{plan: plan, err: err}
 		}(i, part)
 	}
 	wg.Wait()
 
-	merged := &core.Plan{}
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		if results[i].plan != nil {
-			merged.Merge(results[i].plan)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return merged, nil
+	// Empty partitions left a nil entry, which the merge skips.
+	return core.NewRunPlan(core.MergePlanRuns(parts...)), nil
 }
 
 // ParallelSolver adapts SolveParallel to the core.Solver interface.

@@ -14,14 +14,14 @@ import (
 // kept verbatim as the oracle: per-use allocation, map-based padded-block
 // dedup and all. The equivalence tests pin the compact run form (and its
 // materialization) byte-identical to what this emitted, use for use.
-func legacySolve(q *Queue, tasks []int) (*core.Plan, error) {
+func legacySolve(q *Queue, tasks []int) ([]core.BinUse, error) {
 	if len(q.Elems) == 0 {
 		return nil, fmt.Errorf("opq: empty queue")
 	}
 	if core.Theta(q.Threshold) == 0 {
-		return &core.Plan{}, nil
+		return nil, nil
 	}
-	plan := &core.Plan{}
+	plan := new([]core.BinUse)
 	elems := q.Elems
 	prev := (*Comb)(nil)
 	fallback := cheapestBlock(q)
@@ -55,10 +55,10 @@ func legacySolve(q *Queue, tasks []int) (*core.Plan, error) {
 		n -= k * int(e.LCM)
 		prev = &e
 	}
-	return plan, nil
+	return *plan, nil
 }
 
-func legacyFullBlock(plan *core.Plan, c *Comb, block []int) {
+func legacyFullBlock(plan *[]core.BinUse, c *Comb, block []int) {
 	for bi, nk := range c.counts {
 		if nk == 0 {
 			continue
@@ -68,7 +68,7 @@ func legacyFullBlock(plan *core.Plan, c *Comb, block []int) {
 			for start := 0; start < len(block); start += card {
 				use := core.BinUse{Cardinality: card}
 				use.Tasks = append(use.Tasks, block[start:start+card]...)
-				plan.Uses = append(plan.Uses, use)
+				*plan = append(*plan, use)
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func legacyFullBlock(plan *core.Plan, c *Comb, block []int) {
 // expansion now derives the same first-occurrence order with pure index
 // arithmetic (consecutive positions modulo the remainder length), and
 // these tests prove the two byte-identical.
-func legacyPaddedBlock(plan *core.Plan, c *Comb, rem []int) {
+func legacyPaddedBlock(plan *[]core.BinUse, c *Comb, rem []int) {
 	if len(rem) == 0 {
 		return
 	}
@@ -103,7 +103,7 @@ func legacyPaddedBlock(plan *core.Plan, c *Comb, rem []int) {
 					seen[t] = struct{}{}
 					use.Tasks = append(use.Tasks, t)
 				}
-				plan.Uses = append(plan.Uses, use)
+				*plan = append(*plan, use)
 			}
 		}
 	}
@@ -132,12 +132,12 @@ func sameUses(t *testing.T, label string, got, want []core.BinUse) {
 	}
 }
 
-// TestRunsEquivalenceRandom is the refactor's master equivalence test:
-// for randomized menus, thresholds and sizes, the compact run form —
-// streamed (EachUse), materialized (Materialize) and copied (Expand) —
-// reproduces the legacy expansion use for use, and every arithmetic
-// aggregate (cost bit-for-bit, uses, assignments, per-cardinality counts)
-// agrees with the legacy plan's.
+// TestRunsEquivalenceRandom is the master equivalence test: for
+// randomized menus, thresholds and sizes, the compact run form — streamed
+// (EachUse) and materialized (Materialize) — reproduces the historical
+// expansion use for use, and every arithmetic aggregate (cost bit-for-bit,
+// uses, assignments, per-cardinality counts) agrees with a direct count
+// over it.
 func TestRunsEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
@@ -165,8 +165,7 @@ func TestRunsEquivalenceRandom(t *testing.T) {
 		}
 		plan := core.NewRunPlan(pr)
 
-		sameUses(t, "Materialize", plan.Materialized(), want.Uses)
-		sameUses(t, "Expand", pr.Expand(), want.Uses)
+		sameUses(t, "Materialize", plan.Materialized(), want)
 		var streamed []core.BinUse
 		if err := plan.EachUse(func(card int, ts []int) error {
 			streamed = append(streamed, core.BinUse{Cardinality: card, Tasks: append([]int(nil), ts...)})
@@ -174,30 +173,33 @@ func TestRunsEquivalenceRandom(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("trial %d: EachUse: %v", trial, err)
 		}
-		sameUses(t, "EachUse", streamed, want.Uses)
+		sameUses(t, "EachUse", streamed, want)
 
-		if got, wantC := plan.MustCost(bins), want.MustCost(bins); got != wantC {
-			t.Fatalf("trial %d: run cost %v != legacy cost %v (not bit-identical)", trial, got, wantC)
+		wantCost, wantAssigns, wantCounts := 0.0, 0, make(map[int]int)
+		for _, u := range want {
+			b, _ := bins.ByCardinality(u.Cardinality)
+			wantCost += b.Cost
+			wantAssigns += len(u.Tasks)
+			wantCounts[u.Cardinality]++
 		}
-		if plan.NumUses() != want.NumUses() {
-			t.Fatalf("trial %d: NumUses %d != %d", trial, plan.NumUses(), want.NumUses())
+		if got := plan.MustCost(bins); got != wantCost {
+			t.Fatalf("trial %d: run cost %v != per-use sum %v (not bit-identical)", trial, got, wantCost)
 		}
-		if plan.NumAssignments() != want.NumAssignments() {
-			t.Fatalf("trial %d: NumAssignments %d != %d", trial, plan.NumAssignments(), want.NumAssignments())
+		if plan.NumUses() != len(want) {
+			t.Fatalf("trial %d: NumUses %d != %d", trial, plan.NumUses(), len(want))
 		}
-		if !reflect.DeepEqual(plan.Counts(), want.Counts()) {
-			t.Fatalf("trial %d: Counts %v != %v", trial, plan.Counts(), want.Counts())
+		if plan.NumAssignments() != wantAssigns {
+			t.Fatalf("trial %d: NumAssignments %d != %d", trial, plan.NumAssignments(), wantAssigns)
+		}
+		if !reflect.DeepEqual(plan.Counts(), wantCounts) {
+			t.Fatalf("trial %d: Counts %v != %v", trial, plan.Counts(), wantCounts)
 		}
 
-		// The compat entry must emit the legacy form outright.
-		compat, err := SolveWithQueue(q, tasks)
+		viaPlan, err := SolveWithQueue(q, tasks)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if compat.Runs() != nil {
-			t.Fatalf("trial %d: SolveWithQueue returned a run-backed plan", trial)
-		}
-		sameUses(t, "SolveWithQueue", compat.Uses, want.Uses)
+		sameUses(t, "SolveWithQueue", viaPlan.Materialized(), want)
 	}
 }
 
@@ -224,9 +226,14 @@ func TestPaddedBlockByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("t=%v n=%d: %v", th, n, err)
 			}
-			sameUses(t, "padded", pr.Expand(), want.Uses)
-			if got := core.NewRunPlan(pr).NumAssignments(); got != want.NumAssignments() {
-				t.Fatalf("t=%v n=%d: padded assignment arithmetic %d != %d", th, n, got, want.NumAssignments())
+			plan := core.NewRunPlan(pr)
+			sameUses(t, "padded", plan.Materialized(), want)
+			wantAssigns := 0
+			for _, u := range want {
+				wantAssigns += len(u.Tasks)
+			}
+			if got := plan.NumAssignments(); got != wantAssigns {
+				t.Fatalf("t=%v n=%d: padded assignment arithmetic %d != %d", th, n, got, wantAssigns)
 			}
 		}
 	}
@@ -296,7 +303,7 @@ func TestBatchPlannerMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d n=%d: %v", trial, n, err)
 			}
-			sameUses(t, "batch-planner", shared.Expand(), direct.Expand())
+			sameUses(t, "batch-planner", shared.Materialize(), direct.Materialize())
 			sc, err := core.NewRunPlan(shared).Cost(bins)
 			if err != nil {
 				t.Fatal(err)

@@ -29,11 +29,11 @@ func (Solver) Solve(in *core.Instance) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	tasks := make([]int, in.N())
-	for i := range tasks {
-		tasks[i] = i
+	pr, err := SolveRunsRange(q, 0, in.N())
+	if err != nil {
+		return nil, err
 	}
-	return SolveWithQueue(q, tasks)
+	return core.NewRunPlan(pr), nil
 }
 
 // planSteps runs Algorithm 3's decision loop for n tasks, emitting each
@@ -192,17 +192,15 @@ func solveSized(q *Queue, n int) (*core.PlanRuns, error) {
 	return pr, nil
 }
 
-// SolveWithQueue is the legacy-form entry: Algorithm 3 on the given task
-// identifiers, returning a fully materialized Plan whose use list is
-// byte-identical to what the historical per-use expansion emitted (the
-// equivalence test pins this against the old expansion, use for use).
-// Callers on the hot path should prefer SolveRuns and defer expansion.
+// SolveWithQueue is SolveRuns behind the *core.Plan type. The plan's
+// expansion is use for use what Algorithm 3's per-use expansion emits (the
+// equivalence test pins this against a reference expansion).
 func SolveWithQueue(q *Queue, tasks []int) (*core.Plan, error) {
 	pr, err := SolveRuns(q, tasks)
 	if err != nil {
 		return nil, err
 	}
-	return &core.Plan{Uses: pr.Expand()}, nil
+	return core.NewRunPlan(pr), nil
 }
 
 // cheapestBlock returns the queue element with the smallest one-shot block

@@ -369,7 +369,8 @@ func TestNewClientValidation(t *testing.T) {
 }
 
 func TestPlatformCancellation(t *testing.T) {
-	in, plan, truth := chaosEnv(t, 200)
+	// Enough bins that the run cannot finish before the cancel lands.
+	in, plan, truth := chaosEnv(t, 20000)
 	srv, err := testplatform.New(testplatform.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)

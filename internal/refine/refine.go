@@ -44,27 +44,26 @@ func Refine(in *core.Instance, plan *core.Plan) (*Result, error) {
 	if err := plan.Validate(in); err != nil {
 		return nil, fmt.Errorf("refine: input plan must be feasible: %w", err)
 	}
-	src := plan.Materialized() // run-backed input plans refine like legacy ones
-	work := &core.Plan{Uses: make([]core.BinUse, len(src))}
-	for i, u := range src {
-		work.Uses[i] = core.BinUse{Cardinality: u.Cardinality, Tasks: append([]int(nil), u.Tasks...)}
-	}
-	costBefore, err := work.Cost(in.Bins())
+	// The moves drop uses and change cardinalities but never touch a task
+	// list, so a shallow copy of the (shared, read-only) use list is enough.
+	uses := append([]core.BinUse(nil), plan.Materialized()...)
+	costBefore, err := plan.Cost(in.Bins())
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Plan: work, CostBefore: costBefore}
+	res := &Result{CostBefore: costBefore}
 
-	mass, err := work.TransformedMass(in.N(), in.Bins())
+	mass, err := plan.TransformedMass(in.N(), in.Bins())
 	if err != nil {
 		return nil, err
 	}
 	for {
-		changed, err := prunePass(in, work, mass, res)
+		var changed bool
+		uses, changed, err = prunePass(in, uses, mass, res)
 		if err != nil {
 			return nil, err
 		}
-		down, err := downgradePass(in, work, mass, res)
+		down, err := downgradePass(in, uses, mass, res)
 		if err != nil {
 			return nil, err
 		}
@@ -72,11 +71,14 @@ func Refine(in *core.Instance, plan *core.Plan) (*Result, error) {
 			break
 		}
 	}
-	res.CostAfter, err = work.Cost(in.Bins())
+	if res.Plan, err = core.PlanFromUses(uses); err != nil {
+		return nil, err
+	}
+	res.CostAfter, err = res.Plan.Cost(in.Bins())
 	if err != nil {
 		return nil, err
 	}
-	if err := work.Validate(in); err != nil {
+	if err := res.Plan.Validate(in); err != nil {
 		return nil, fmt.Errorf("refine: internal error, produced infeasible plan: %w", err)
 	}
 	return res, nil
@@ -84,17 +86,17 @@ func Refine(in *core.Instance, plan *core.Plan) (*Result, error) {
 
 // prunePass removes every use whose removal keeps all served tasks
 // feasible, visiting the most expensive uses first. It updates mass in
-// place and returns whether anything was removed.
-func prunePass(in *core.Instance, plan *core.Plan, mass []float64, res *Result) (bool, error) {
-	order := make([]int, len(plan.Uses))
+// place and returns the kept uses and whether anything was removed.
+func prunePass(in *core.Instance, uses []core.BinUse, mass []float64, res *Result) ([]core.BinUse, bool, error) {
+	order := make([]int, len(uses))
 	for i := range order {
 		order[i] = i
 	}
-	costs := make([]float64, len(plan.Uses))
-	for i, u := range plan.Uses {
+	costs := make([]float64, len(uses))
+	for i, u := range uses {
 		b, ok := in.Bins().ByCardinality(u.Cardinality)
 		if !ok {
-			return false, fmt.Errorf("refine: unknown bin cardinality %d", u.Cardinality)
+			return nil, false, fmt.Errorf("refine: unknown bin cardinality %d", u.Cardinality)
 		}
 		costs[i] = b.Cost
 	}
@@ -102,7 +104,7 @@ func prunePass(in *core.Instance, plan *core.Plan, mass []float64, res *Result) 
 
 	removed := make(map[int]bool)
 	for _, idx := range order {
-		u := plan.Uses[idx]
+		u := uses[idx]
 		b, _ := in.Bins().ByCardinality(u.Cardinality)
 		w := b.Weight()
 		ok := true
@@ -122,26 +124,25 @@ func prunePass(in *core.Instance, plan *core.Plan, mass []float64, res *Result) 
 		res.Pruned++
 	}
 	if len(removed) == 0 {
-		return false, nil
+		return uses, false, nil
 	}
-	kept := plan.Uses[:0]
-	for i, u := range plan.Uses {
+	kept := uses[:0]
+	for i, u := range uses {
 		if !removed[i] {
 			kept = append(kept, u)
 		}
 	}
-	plan.Uses = kept
-	return true, nil
+	return kept, true, nil
 }
 
 // downgradePass replaces each use with the cheapest bin that still holds
 // its tasks and keeps them feasible at the new confidence. Returns whether
 // anything changed.
-func downgradePass(in *core.Instance, plan *core.Plan, mass []float64, res *Result) (bool, error) {
+func downgradePass(in *core.Instance, uses []core.BinUse, mass []float64, res *Result) (bool, error) {
 	menu := in.Bins().Bins()
 	changed := false
-	for i := range plan.Uses {
-		u := &plan.Uses[i]
+	for i := range uses {
+		u := &uses[i]
 		cur, ok := in.Bins().ByCardinality(u.Cardinality)
 		if !ok {
 			return false, fmt.Errorf("refine: unknown bin cardinality %d", u.Cardinality)

@@ -13,14 +13,24 @@ import (
 	"repro/internal/opq"
 )
 
+// planOf builds a plan from a literal use list; the test's uses are
+// well-formed, so a rejection is a test bug.
+func planOf(uses ...core.BinUse) *core.Plan {
+	p, err := core.PlanFromUses(uses)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestRefineRemovesRedundantUse(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 2, 0.85)
 	// One b1 per task suffices (r1 = 0.9 ≥ 0.85); a third use is waste.
-	plan := &core.Plan{Uses: []core.BinUse{
-		{Cardinality: 1, Tasks: []int{0}},
-		{Cardinality: 1, Tasks: []int{1}},
-		{Cardinality: 2, Tasks: []int{0, 1}},
-	}}
+	plan := planOf(
+		core.BinUse{Cardinality: 1, Tasks: []int{0}},
+		core.BinUse{Cardinality: 1, Tasks: []int{1}},
+		core.BinUse{Cardinality: 2, Tasks: []int{0, 1}},
+	)
 	res, err := Refine(in, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +51,7 @@ func TestRefineDowngradesOversizedBins(t *testing.T) {
 	// One task covered by a 3-cardinality bin: b1 is cheaper, holds the
 	// task, and its higher confidence keeps feasibility.
 	in := core.MustHomogeneous(binset.Table1(), 1, 0.75)
-	plan := &core.Plan{Uses: []core.BinUse{{Cardinality: 3, Tasks: []int{0}}}}
+	plan := planOf(core.BinUse{Cardinality: 3, Tasks: []int{0}})
 	res, err := Refine(in, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +66,7 @@ func TestRefineDowngradesOversizedBins(t *testing.T) {
 
 func TestRefineRejectsInfeasibleInput(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 2, 0.95)
-	weak := &core.Plan{Uses: []core.BinUse{{Cardinality: 2, Tasks: []int{0, 1}}}}
+	weak := planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}})
 	if _, err := Refine(in, weak); err == nil {
 		t.Error("infeasible input accepted")
 	}
@@ -64,11 +74,11 @@ func TestRefineRejectsInfeasibleInput(t *testing.T) {
 
 func TestRefineDoesNotModifyInput(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 2, 0.85)
-	plan := &core.Plan{Uses: []core.BinUse{
-		{Cardinality: 1, Tasks: []int{0}},
-		{Cardinality: 1, Tasks: []int{1}},
-		{Cardinality: 2, Tasks: []int{0, 1}},
-	}}
+	plan := planOf(
+		core.BinUse{Cardinality: 1, Tasks: []int{0}},
+		core.BinUse{Cardinality: 1, Tasks: []int{1}},
+		core.BinUse{Cardinality: 2, Tasks: []int{0, 1}},
+	)
 	if _, err := Refine(in, plan); err != nil {
 		t.Fatal(err)
 	}

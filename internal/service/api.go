@@ -185,7 +185,7 @@ func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
 	if req.IncludePlan {
 		// Content negotiation: an Accept of application/x-ndjson streams
 		// the plan body one use per line (the summary header first), never
-		// materializing the run-backed plan.
+		// materializing the plan.
 		if wantsNDJSON(r) {
 			writeDecomposeNDJSON(w, resp, plan)
 			return

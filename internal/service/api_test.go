@@ -80,10 +80,18 @@ func TestHTTPDecompose(t *testing.T) {
 	if want := ref.MustCost(menu); dr.Summary.Cost != want {
 		t.Fatalf("served cost %v != library cost %v", dr.Summary.Cost, want)
 	}
-	plan := &core.Plan{Uses: dr.Plan}
-	if err := plan.Validate(in); err != nil {
+	if err := validateUses(dr.Plan, in); err != nil {
 		t.Fatalf("served plan invalid: %v", err)
 	}
+}
+
+// validateUses checks a use list decoded off the wire as a plan for in.
+func validateUses(uses []core.BinUse, in *core.Instance) error {
+	plan, err := core.PlanFromUses(uses)
+	if err != nil {
+		return err
+	}
+	return plan.Validate(in)
 }
 
 func TestHTTPDecomposeHeterogeneousAndSolverSelection(t *testing.T) {
@@ -164,7 +172,7 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 		t.Fatalf("final status: %+v", final)
 	}
 	in := core.MustHomogeneous(binset.Table1(), 600, 0.9)
-	if err := (&core.Plan{Uses: final.Plan}).Validate(in); err != nil {
+	if err := validateUses(final.Plan, in); err != nil {
 		t.Fatalf("served job plan invalid: %v", err)
 	}
 }

@@ -204,9 +204,11 @@ func TestReplaySkipsExpiredRecords(t *testing.T) {
 	}
 }
 
-// TestReplaySkipsCorruptRecordWithWarning: a torn record file on disk is
-// skipped with a logged warning at Service construction, never a crash,
-// and the good records still recover.
+// TestReplaySkipsCorruptRecordWithWarning: a record that cannot be read —
+// a torn file, or an intact envelope whose plan holds a use no bin could
+// hold — is skipped with one logged warning at Service construction, never
+// a crash and never a job that fails later at serve time, and the good
+// records still recover.
 func TestReplaySkipsCorruptRecordWithWarning(t *testing.T) {
 	dir := t.TempDir()
 	svc := New(Config{CacheSize: 8, Workers: 2, Store: openFS(t, dir), Logger: quietLogger()})
@@ -216,6 +218,30 @@ func TestReplaySkipsCorruptRecordWithWarning(t *testing.T) {
 	torn := filepath.Join(dir, "jobs", "job-999.json")
 	if err := os.WriteFile(torn, []byte(`{"version":1,"id":"job-999","state":"do`), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed := map[string]string{
+		"job-901": `{"uses":[{"cardinality":0,"tasks":[1]}]}`,     // non-positive cardinality
+		"job-902": `{"uses":[{"cardinality":2,"tasks":[]}]}`,      // empty use
+		"job-903": `{"uses":[{"cardinality":2,"tasks":[0,1,2]}]}`, // more tasks than the bin holds
+	}
+	for badID, plan := range malformed {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(good, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec["id"] = json.RawMessage(`"` + badID + `"`)
+		rec["plan"] = json.RawMessage(plan)
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", badID+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -227,10 +253,24 @@ func TestReplaySkipsCorruptRecordWithWarning(t *testing.T) {
 	svc2 := New(Config{CacheSize: 8, Workers: 2, Store: st, Logger: logger})
 	defer svc2.Close()
 	if _, err := svc2.Jobs().Status(id); err != nil {
-		t.Fatalf("good record lost alongside corrupt one: %v", err)
+		t.Fatalf("good record lost alongside corrupt ones: %v", err)
 	}
 	if !strings.Contains(buf.String(), "job-999") {
 		t.Fatalf("no warning logged for corrupt record; log:\n%s", buf.String())
+	}
+	for badID := range malformed {
+		if _, err := svc2.Jobs().Status(badID); err == nil {
+			t.Errorf("%s: a record with a malformed plan was recovered", badID)
+		}
+		warnings := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "skipping unreadable job record") && strings.Contains(line, badID) {
+				warnings++
+			}
+		}
+		if warnings != 1 {
+			t.Errorf("%s: %d skip warnings, want 1; log:\n%s", badID, warnings, buf.String())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -175,6 +176,51 @@ func TestShardedCostEqualsUnshardedHeterogeneous(t *testing.T) {
 		refCost, gotCost := ref.MustCost(menu), got.MustCost(menu)
 		if refCost != gotCost {
 			t.Fatalf("workers=%d: sharded cost %v != unsharded %v", workers, gotCost, refCost)
+		}
+	}
+}
+
+// TestLibraryEqualsServiceHeterogeneous: OPQ-Extended is one code path
+// whether called as a library or through the service's sharded solver —
+// the same bytes on the wire, the same cost to the last bit, and the same
+// handful of runs in memory.
+func TestLibraryEqualsServiceHeterogeneous(t *testing.T) {
+	menu := binset.Table1()
+	th, err := distgen.Normal(3000, 0.88, 0.04, distgen.DefaultBounds, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.MustHeterogeneous(menu, th)
+	encode := func(p *core.Plan) []byte {
+		var buf bytes.Buffer
+		if err := p.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want, err := (&ShardedSolver{Cache: NewOPQCache(8), Workers: 1}).Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	for name, solve := range map[string]func() (*core.Plan, error){
+		"hetero.Solve":         func() (*core.Plan, error) { return hetero.Solve(in) },
+		"hetero.SolveParallel": func() (*core.Plan, error) { return hetero.SolveParallel(in, 4) },
+	} {
+		got, err := solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(encode(got), encode(want)) {
+			t.Errorf("%s: EncodeJSON differs from the sharded solver's", name)
+		}
+		if gc, wc := got.MustCost(menu), want.MustCost(menu); gc != wc {
+			t.Errorf("%s: cost %v != sharded %v", name, gc, wc)
+		}
+		if gr, wr := len(got.Runs().Runs), len(want.Runs().Runs); gr != wr {
+			t.Errorf("%s: %d runs in memory, sharded solver holds %d", name, gr, wr)
 		}
 	}
 }

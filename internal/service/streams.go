@@ -148,8 +148,7 @@ func (ss *streamSession) flushLocked() error {
 	if tail.NumUses() > 0 {
 		ss.plans = append(ss.plans, tail)
 	}
-	// MergePlans keeps run-backed inputs in compact run form, so the
-	// merged plan stays O(runs) and streams through EncodeUses.
+	// The merged plan stays O(runs) and streams through EncodeUses.
 	ss.merged = core.MergePlans(ss.plans...)
 	ss.plans = nil
 	sum, err := ss.merged.Summarize(ss.bins)

@@ -97,7 +97,7 @@ func TestHTTPStreamSessionLifecycle(t *testing.T) {
 	// (sequential ids 0..total-1), and the streamed encoding is
 	// byte-identical to encoding/json over the materialized one.
 	full := assertMarshalledPlanReply[streamStatusResponse](t, httpGetRaw(t, ts.URL+"/v1/streams/"+st.ID+"?include_plan=true"))
-	if err := (&core.Plan{Uses: full.Plan}).Validate(in); err != nil {
+	if err := validateUses(full.Plan, in); err != nil {
 		t.Fatalf("merged plan invalid: %v", err)
 	}
 

@@ -18,10 +18,10 @@ func splitMenu() core.BinSet {
 }
 
 // roundTripRunSplit is the shared body of the test and the fuzz target:
-// solve every caller in run form over its local id space, offset each
-// part to its global range, merge (staying run-backed), split back, and
-// require the split to reproduce every caller's original plan — same
-// uses, bit-identical cost, local ids only.
+// solve every caller over its local id space, offset each part to its
+// global range, merge, split back, and require the split to reproduce
+// every caller's original plan — same uses, bit-identical cost, local ids
+// only.
 func roundTripRunSplit(t *testing.T, sizes []int) {
 	t.Helper()
 	menu := splitMenu()
@@ -38,15 +38,12 @@ func roundTripRunSplit(t *testing.T, sizes []int) {
 			t.Fatal(err)
 		}
 		originals[i] = core.NewRunPlan(pr)
-		shifted := core.MergePlans(originals[i]) // deep copy, stays run-backed
+		shifted := core.MergePlans(originals[i]) // deep copy
 		shifted.OffsetTasks(offset)
 		parts[i] = shifted
 		offset += n
 	}
 	merged := core.MergePlans(parts...)
-	if merged.Runs() == nil && anyUses(originals) {
-		t.Fatal("merge of run-backed parts fell back to the legacy form")
-	}
 	split, err := SplitPlan(merged, sizes)
 	if err != nil {
 		t.Fatalf("SplitPlan: %v", err)
@@ -83,15 +80,6 @@ func roundTripRunSplit(t *testing.T, sizes []int) {
 	}
 }
 
-func anyUses(plans []*core.Plan) bool {
-	for _, p := range plans {
-		if p.NumUses() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // TestRunSplitRoundTrip covers the deterministic shapes: mixed sizes,
 // single caller, empty callers between full ones, and all-padded tails.
 func TestRunSplitRoundTrip(t *testing.T) {
@@ -106,11 +94,9 @@ func TestRunSplitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSplitIsolatesSiblings pins the storage-isolation contract: on
-// the legacy path each split output owned disjoint use windows, so
-// OffsetTasks on one output never touched another — the run path must
-// give the same guarantee even though parts come out of one merged
-// arena.
+// TestRunSplitIsolatesSiblings pins the storage-isolation contract:
+// OffsetTasks on one split output never touches another, even though the
+// parts come out of one merged arena.
 func TestRunSplitIsolatesSiblings(t *testing.T) {
 	menu := splitMenu()
 	q, err := opq.Build(menu, 0.95)
@@ -140,8 +126,8 @@ func TestRunSplitIsolatesSiblings(t *testing.T) {
 			t.Fatalf("offsetting caller 0 corrupted caller %d: %v", i, err)
 		}
 	}
-	if rp := split[1].Runs(); rp != nil && rp.NumTasks() != sizes[1] {
-		t.Fatalf("caller 1 arena holds %d tasks, want its own %d", rp.NumTasks(), sizes[1])
+	if got := split[1].Runs().NumTasks(); got != sizes[1] {
+		t.Fatalf("caller 1 arena holds %d tasks, want its own %d", got, sizes[1])
 	}
 	if err := split[0].EachUse(func(_ int, tasks []int) error {
 		for _, task := range tasks {
@@ -156,7 +142,7 @@ func TestRunSplitIsolatesSiblings(t *testing.T) {
 }
 
 // TestRunSplitRejectsLeakage: a run whose window crosses a caller
-// boundary must fail the whole split, mirroring the legacy per-use check.
+// boundary must fail the whole split.
 func TestRunSplitRejectsLeakage(t *testing.T) {
 	menu := splitMenu()
 	q, err := opq.Build(menu, 0.95)
@@ -180,9 +166,9 @@ func TestRunSplitRejectsLeakage(t *testing.T) {
 	}
 }
 
-// FuzzRunSplitRoundTrip fuzzes the MergePlans/SplitPlan inverse over
-// run-backed plans: arbitrary caller counts and sizes (including zeros
-// and sub-block remainders) must round-trip exactly.
+// FuzzRunSplitRoundTrip fuzzes the MergePlans/SplitPlan inverse: arbitrary
+// caller counts and sizes (including zeros and sub-block remainders) must
+// round-trip exactly.
 func FuzzRunSplitRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(3))
 	f.Add(int64(42), uint8(1))

@@ -11,28 +11,28 @@ import (
 // serving layer uses to batch several callers into one block-aligned solve:
 // given a merged plan over the concatenated task-id space of len(sizes)
 // callers — caller i owns the contiguous global ids
-// [sizes[0]+…+sizes[i-1], sizes[0]+…+sizes[i]) — it partitions the uses
+// [sizes[0]+…+sizes[i-1], sizes[0]+…+sizes[i]) — it partitions the runs
 // back into one plan per caller, rebased to each caller's local id space
-// 0..sizes[i]-1.
+// 0..sizes[i]-1, without expanding a single use.
 //
-// Every use must fall entirely inside one caller's range; a use that spans
-// two callers (or addresses an id outside the concatenated space) is
+// Every run must fall entirely inside one caller's range, which holds for
+// any plan merged caller by caller (core.MergePlans never joins runs
+// across its inputs; core.PlanFromUses over one flat list of all callers'
+// uses may, and such a plan does not split); a run that spans two callers (or addresses an id outside the concatenated space) is
 // cross-request task leakage and fails the whole split — the batcher keeps
 // each caller's tasks in caller-aligned blocks precisely so this never
 // happens, and the error is the structural guarantee of that invariant.
-// Cost splits exactly: because uses partition without overlap, the per-
+// Cost splits exactly: because runs partition without overlap, the per-
 // caller costs sum to the merged plan's cost.
 //
-// SplitPlan takes ownership of merged: task storage is rebased in place
-// and reused by the returned plans (no copying), so the merged plan must
-// not be read or reused after the call. Callers that need the merged plan
-// intact should pass a deep copy (core.MergePlans(merged) makes one).
-//
-// A run-backed merged plan (the form core.MergePlans produces from
-// run-backed parts) splits in run form: runs are attributed to owners and
-// the shared arena is rebased in one pass, without expanding a single
-// use. The returned plans then share the merged arena — the same
-// storage-reuse contract the legacy path has always had.
+// SplitPlan takes ownership of merged: the arena is rebased in place and
+// reused by the returned plans, so the merged plan must not be read or
+// reused after the call. Callers that need the merged plan intact should
+// pass a deep copy (core.MergePlans(merged) makes one). Every output plan
+// gets an arena covering only its own windows — a disjoint subslice of the
+// merged arena when the owner's runs are contiguous (the shape
+// core.MergePlans produces; zero copy), a fresh copy otherwise — so
+// mutating one output (OffsetTasks) can never corrupt a sibling.
 func SplitPlan(merged *core.Plan, sizes []int) ([]*core.Plan, error) {
 	if merged == nil {
 		return nil, fmt.Errorf("stream: split of a nil plan")
@@ -41,74 +41,7 @@ func SplitPlan(merged *core.Plan, sizes []int) ([]*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pr := merged.Runs(); pr != nil {
-		return splitRuns(pr, sizes, offsets, total)
-	}
-
-	out := make([]*core.Plan, len(sizes))
-	for i := range out {
-		out[i] = &core.Plan{}
-	}
-	// Owner lookup keeps a cursor: merged plans built caller-by-caller (the
-	// batcher's, and any MergePlans of per-caller parts) visit owners in
-	// non-decreasing order, making the common case O(1) per use; uses in
-	// arbitrary order fall back to binary search.
-	owner := 0
-	for ui := range merged.Uses {
-		u := &merged.Uses[ui]
-		if len(u.Tasks) == 0 {
-			return nil, fmt.Errorf("stream: use %d has no tasks to attribute an owner by", ui)
-		}
-		first := u.Tasks[0]
-		if first < 0 || first >= total {
-			return nil, fmt.Errorf("stream: use %d task %d outside the merged space [0,%d)", ui, first, total)
-		}
-		// The owner is the caller whose range holds the first task; every
-		// other task must agree.
-		for first >= offsets[owner+1] {
-			owner++
-		}
-		if first < offsets[owner] {
-			owner = sort.Search(len(sizes), func(i int) bool { return offsets[i+1] > first })
-		}
-		lo, hi := offsets[owner], offsets[owner+1]
-		for ti, t := range u.Tasks {
-			if t < lo || t >= hi {
-				return nil, fmt.Errorf("stream: use %d leaks across callers: task %d outside owner %d's range [%d,%d)", ui, t, owner, lo, hi)
-			}
-			u.Tasks[ti] = t - lo // rebase in place; we own the slice
-		}
-		out[owner].Uses = append(out[owner].Uses, *u)
-	}
-	return out, nil
-}
-
-// splitOffsets validates the caller sizes and returns the prefix-sum
-// offsets (offsets[i] is caller i's first global id) and the total.
-func splitOffsets(sizes []int) ([]int, int, error) {
-	if len(sizes) == 0 {
-		return nil, 0, fmt.Errorf("stream: split needs at least one caller size")
-	}
-	offsets := make([]int, len(sizes)+1)
-	for i, n := range sizes {
-		if n < 0 {
-			return nil, 0, fmt.Errorf("stream: negative caller size %d at index %d", n, i)
-		}
-		offsets[i+1] = offsets[i] + n
-	}
-	return offsets, offsets[len(sizes)], nil
-}
-
-// splitRuns is the run-form split: each run's arena window is attributed
-// to the caller owning its first task (a run that spans two callers is
-// cross-request leakage and fails, exactly like a spanning use on the
-// legacy path) and rebased in place. Every output plan then gets an
-// arena covering only its own windows — a disjoint subslice of the
-// merged arena when the owner's runs are contiguous (the shape
-// core.MergePlans produces; zero copy), a fresh copy otherwise — so
-// mutating one output (OffsetTasks) can never corrupt a sibling, the
-// same isolation the legacy path's disjoint use windows provided.
-func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.Plan, error) {
+	pr := merged.Runs()
 	type ownerAcc struct {
 		runs []core.BlockRun
 		// minOff/nextOff track the owner's windows; contiguous stays true
@@ -121,21 +54,22 @@ func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.
 		parts[i].contiguous = true
 	}
 	owner := 0
-	for ri := range merged.Runs {
-		r := &merged.Runs[ri]
+	for ri := range pr.Runs {
+		r := &pr.Runs[ri]
 		if r.Len == 0 {
 			return nil, fmt.Errorf("stream: run %d has no tasks to attribute an owner by", ri)
 		}
-		if r.Off < 0 || r.Off+r.Len > len(merged.Arena) {
+		if r.Off < 0 || r.Off+r.Len > len(pr.Arena) {
 			return nil, fmt.Errorf("stream: run %d window [%d,%d) outside the arena", ri, r.Off, r.Off+r.Len)
 		}
-		window := merged.Arena[r.Off : r.Off+r.Len]
+		window := pr.Arena[r.Off : r.Off+r.Len]
 		first := window[0]
 		if first < 0 || first >= total {
 			return nil, fmt.Errorf("stream: run %d task %d outside the merged space [0,%d)", ri, first, total)
 		}
-		// Cursor walk for the common caller-by-caller order, binary search
-		// for arbitrary orders — same strategy as the legacy path.
+		// Owner lookup keeps a cursor: merged plans built caller-by-caller
+		// visit owners in non-decreasing order, making the common case O(1)
+		// per run; runs in arbitrary order fall back to binary search.
 		for first >= offsets[owner+1] {
 			owner++
 		}
@@ -164,27 +98,43 @@ func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.
 	out := make([]*core.Plan, len(sizes))
 	for i := range parts {
 		acc := &parts[i]
-		pr := &core.PlanRuns{Runs: acc.runs}
+		part := &core.PlanRuns{Runs: acc.runs}
 		switch {
 		case len(acc.runs) == 0:
-			// No uses for this caller; empty run-backed plan.
+			// No uses for this caller.
 		case acc.contiguous:
-			pr.Arena = merged.Arena[acc.minOff : acc.minOff+acc.total]
-			for ri := range pr.Runs {
-				pr.Runs[ri].Off -= acc.minOff
+			part.Arena = pr.Arena[acc.minOff : acc.minOff+acc.total]
+			for ri := range part.Runs {
+				part.Runs[ri].Off -= acc.minOff
 			}
 		default:
 			// Scattered windows: copy them into an owner-private arena.
 			arena := make([]int, 0, acc.total)
-			for ri := range pr.Runs {
-				r := &pr.Runs[ri]
+			for ri := range part.Runs {
+				r := &part.Runs[ri]
 				off := len(arena)
-				arena = append(arena, merged.Arena[r.Off:r.Off+r.Len]...)
+				arena = append(arena, pr.Arena[r.Off:r.Off+r.Len]...)
 				r.Off = off
 			}
-			pr.Arena = arena
+			part.Arena = arena
 		}
-		out[i] = core.NewRunPlan(pr)
+		out[i] = core.NewRunPlan(part)
 	}
 	return out, nil
+}
+
+// splitOffsets validates the caller sizes and returns the prefix-sum
+// offsets (offsets[i] is caller i's first global id) and the total.
+func splitOffsets(sizes []int) ([]int, int, error) {
+	if len(sizes) == 0 {
+		return nil, 0, fmt.Errorf("stream: split needs at least one caller size")
+	}
+	offsets := make([]int, len(sizes)+1)
+	for i, n := range sizes {
+		if n < 0 {
+			return nil, 0, fmt.Errorf("stream: negative caller size %d at index %d", n, i)
+		}
+		offsets[i+1] = offsets[i] + n
+	}
+	return offsets, offsets[len(sizes)], nil
 }

@@ -10,6 +10,16 @@ import (
 	"repro/internal/opq"
 )
 
+// planOf builds a plan from a literal use list; the test's uses are
+// well-formed, so a rejection is a test bug.
+func planOf(uses ...core.BinUse) *core.Plan {
+	p, err := core.PlanFromUses(uses)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // solveLocal runs the OPQ-Based solve for n tasks in local id space.
 func solveLocal(t *testing.T, menu core.BinSet, thr float64, n int) *core.Plan {
 	t.Helper()
@@ -77,9 +87,9 @@ func TestSplitPlanRoundTrip(t *testing.T) {
 func TestSplitPlanRejectsLeakage(t *testing.T) {
 	// A use holding tasks 2 and 3 spans the boundary between caller 0
 	// ([0,3)) and caller 1 ([3,6)).
-	merged := &core.Plan{Uses: []core.BinUse{
-		{Cardinality: 3, Tasks: []int{2, 3}},
-	}}
+	merged := planOf(
+		core.BinUse{Cardinality: 3, Tasks: []int{2, 3}},
+	)
 	if _, err := SplitPlan(merged, []int{3, 3}); err == nil {
 		t.Fatal("cross-caller use not rejected")
 	} else if !strings.Contains(err.Error(), "leaks") {
@@ -88,16 +98,17 @@ func TestSplitPlanRejectsLeakage(t *testing.T) {
 }
 
 func TestSplitPlanRejectsMalformedInput(t *testing.T) {
-	good := &core.Plan{Uses: []core.BinUse{{Cardinality: 1, Tasks: []int{0}}}}
+	good := planOf(core.BinUse{Cardinality: 1, Tasks: []int{0}})
 	cases := map[string]func() (*core.Plan, []int){
 		"nil plan":      func() (*core.Plan, []int) { return nil, []int{1} },
 		"no sizes":      func() (*core.Plan, []int) { return good, nil },
 		"negative size": func() (*core.Plan, []int) { return good, []int{2, -1} },
 		"task out of range": func() (*core.Plan, []int) {
-			return &core.Plan{Uses: []core.BinUse{{Cardinality: 1, Tasks: []int{5}}}}, []int{2}
+			return planOf(core.BinUse{Cardinality: 1, Tasks: []int{5}}), []int{2}
 		},
-		"empty use": func() (*core.Plan, []int) {
-			return &core.Plan{Uses: []core.BinUse{{Cardinality: 1}}}, []int{2}
+		"empty run": func() (*core.Plan, []int) {
+			comb := &core.RunComb{Parts: []core.RunPart{{Cardinality: 1, Count: 1}}, BlockLen: 1}
+			return core.NewRunPlan(&core.PlanRuns{Runs: []core.BlockRun{{Comb: comb}}}), []int{2}
 		},
 	}
 	for name, mk := range cases {
@@ -111,10 +122,12 @@ func TestSplitPlanRejectsMalformedInput(t *testing.T) {
 // TestSplitPlanZeroSizeCaller covers a caller that contributed no tasks:
 // it gets an empty plan and its neighbors' ids still rebase correctly.
 func TestSplitPlanZeroSizeCaller(t *testing.T) {
-	merged := &core.Plan{Uses: []core.BinUse{
-		{Cardinality: 2, Tasks: []int{0, 1}},
-		{Cardinality: 2, Tasks: []int{2, 3}},
-	}}
+	// Merged caller by caller, as the contract requires: one flat use list
+	// would compact the two full 2-bins into a single cross-caller run.
+	merged := core.MergePlans(
+		planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}}),
+		planOf(core.BinUse{Cardinality: 2, Tasks: []int{2, 3}}),
+	)
 	plans, err := SplitPlan(merged, []int{2, 0, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +135,7 @@ func TestSplitPlanZeroSizeCaller(t *testing.T) {
 	if plans[1].NumUses() != 0 {
 		t.Errorf("zero-size caller got %d uses", plans[1].NumUses())
 	}
-	if got := plans[2].Uses[0].Tasks; got[0] != 0 || got[1] != 1 {
+	if got := plans[2].Materialized()[0].Tasks; got[0] != 0 || got[1] != 1 {
 		t.Errorf("caller 2 tasks not rebased: %v", got)
 	}
 }

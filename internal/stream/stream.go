@@ -106,17 +106,14 @@ func (p *Planner) Add(taskIDs ...int) (*core.Plan, error) {
 	if emit == 0 {
 		return &core.Plan{}, nil
 	}
-	// One compact run-backed solve covers every complete block at once:
-	// on an exact multiple of the block size, Algorithm 3 emits the same
-	// full-block sequence the old block-by-block solve-and-merge loop
-	// produced, without the per-use expansion or the merge copies. The
-	// emitted plan owns a copy of the ids, so compacting the buffer below
-	// never disturbs it.
-	pr, err := opq.SolveRuns(p.queue, p.buffer[:emit])
+	// One solve covers every complete block at once: on an exact multiple
+	// of the block size, Algorithm 3 emits the same full-block sequence a
+	// block-by-block solve-and-merge loop would. The emitted plan owns a
+	// copy of the ids, so compacting the buffer below never disturbs it.
+	out, err := opq.SolveWithQueue(p.queue, p.buffer[:emit])
 	if err != nil {
 		return nil, err
 	}
-	out := core.NewRunPlan(pr)
 	p.buffer = append(p.buffer[:0], p.buffer[emit:]...)
 	p.emittedTasks += emit
 	c, err := out.Cost(p.bins)
@@ -138,11 +135,10 @@ func (p *Planner) Flush() (*core.Plan, error) {
 	if len(p.buffer) == 0 {
 		return &core.Plan{}, nil
 	}
-	pr, err := opq.SolveRuns(p.queue, p.buffer)
+	out, err := opq.SolveWithQueue(p.queue, p.buffer)
 	if err != nil {
 		return nil, err
 	}
-	out := core.NewRunPlan(pr)
 	c, err := out.Cost(p.bins)
 	if err != nil {
 		return nil, err

@@ -153,19 +153,19 @@ func TestStreamedPlansAreFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := &core.Plan{}
+	var parts []*core.Plan
 	for i := 0; i < n; i++ {
 		sub, err := p.Add(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total.Merge(sub)
+		parts = append(parts, sub)
 	}
 	last, err := p.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
-	total.Merge(last)
+	total := core.MergePlans(append(parts, last)...)
 	if err := total.Validate(in); err != nil {
 		t.Fatalf("streamed plan infeasible: %v", err)
 	}

@@ -71,14 +71,15 @@ type (
 	BinSet = core.BinSet
 	// Instance is a SLADE problem: a menu plus per-task thresholds.
 	Instance = core.Instance
-	// Plan is a decomposition plan: bin uses with task placements. Plans
-	// from the hot-path solvers are backed by the compact PlanRuns form
-	// and materialize per-use views lazily (Plan.Materialized).
+	// Plan is a decomposition plan: bin uses with task placements, held
+	// in the compact PlanRuns form. Per-use views are produced lazily
+	// (Plan.Materialized, Plan.EachUse); PlanFromUses builds a plan from
+	// a use list.
 	Plan = core.Plan
-	// PlanRuns is the compact block-run plan form: run metadata over one
-	// task-id arena, expanded only where per-use lists are truly needed.
+	// PlanRuns is the block-run form every Plan holds: run metadata over
+	// one task-id arena, expanded only where per-use lists are needed.
 	PlanRuns = core.PlanRuns
-	// BinUse is one bin use within a plan.
+	// BinUse is one bin use within a plan — the wire and edge form.
 	BinUse = core.BinUse
 	// Summary is a compact plan description (uses per cardinality, cost).
 	Summary = core.Summary
@@ -144,17 +145,21 @@ func NewBaseline(seed int64) Solver { return baseline.Solver{Seed: seed} }
 func BuildOPQ(bins BinSet, t float64) (*OPQ, error) { return opq.Build(bins, t) }
 
 // SolveWithOPQ runs Algorithm 3 over the given task identifiers with a
-// pre-built queue, returning the fully expanded legacy plan form.
+// pre-built queue: a constant number of allocations regardless of task
+// count, no per-use expansion until Materialized is called.
 func SolveWithOPQ(q *OPQ, tasks []int) (*Plan, error) { return opq.SolveWithQueue(q, tasks) }
 
-// SolveRunsWithOPQ is SolveWithOPQ in compact block-run form: no per-use
-// allocation, constant allocations regardless of task count. Wrap the
-// result with NewRunPlan for the full Plan API; expansion happens lazily
-// on first Materialized call.
+// SolveRunsWithOPQ is SolveWithOPQ returning the bare run form, for
+// callers that merge or clone runs themselves; NewRunPlan wraps it.
 func SolveRunsWithOPQ(q *OPQ, tasks []int) (*PlanRuns, error) { return opq.SolveRuns(q, tasks) }
 
-// NewRunPlan wraps a compact run-backed plan in the Plan API.
+// NewRunPlan wraps a PlanRuns in the Plan API; the plan owns it.
 func NewRunPlan(pr *PlanRuns) *Plan { return core.NewRunPlan(pr) }
+
+// PlanFromUses builds a plan that expands to exactly the given use list,
+// rejecting a use with a non-positive cardinality, no tasks, or more
+// tasks than its cardinality.
+func PlanFromUses(uses []BinUse) (*Plan, error) { return core.PlanFromUses(uses) }
 
 // Decompose solves the instance with the paper's recommended algorithm for
 // its shape: OPQ-Based for homogeneous thresholds, OPQ-Extended otherwise.

@@ -20,6 +20,7 @@ package slade_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	slade "repro"
@@ -232,7 +233,8 @@ const cachedSolveAllocBudget = 24
 // runner. The library entry points solve on the same path: with a
 // pre-built queue they meet the same budget, and none of them allocates
 // more at ten times the tasks (queue construction is independent of n;
-// OPQ-Extended's partition lists grow by a few append doublings).
+// OPQ-Extended's partition lists grow by a few append doublings). The last
+// block also bounds the service solver's bytes/op.
 func TestCachedSolveAllocBudget(t *testing.T) {
 	menu := benchMenu(t, experiments.Jelly, 20)
 	q, err := opq.Build(menu, 0.9)
@@ -264,9 +266,6 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 		{"hetero.Solve", 0, 32, func(n int) (*core.Plan, error) {
 			return hetero.Solve(core.MustHeterogeneous(menu, ths[:n]))
 		}},
-		{"hetero.SolveParallel", 0, 32, func(n int) (*core.Plan, error) {
-			return hetero.SolveParallel(core.MustHeterogeneous(menu, ths[:n]), 2)
-		}},
 	}
 	for _, c := range cases {
 		measure := func(n int) float64 {
@@ -289,6 +288,36 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 		if large > small+c.growth {
 			t.Errorf("%s: %.0f allocs/op at n=100,000 vs %.0f at n=10,000 — allocations grow with n", c.name, large, small)
 		}
+	}
+
+	// The service's solve alone — instance built outside the measurement,
+	// plan not materialized — at n=100,000 with Workers: 4: inside the same
+	// alloc budget, and one id arena (8·n bytes) plus small change, not a
+	// second merged copy of it.
+	const n = 100_000
+	s := &slade.ShardedSolver{Cache: slade.NewOPQCache(4), Workers: 4}
+	in := core.MustHomogeneous(menu, n, 0.9)
+	solve := func() {
+		if plan, err := s.Solve(in); err != nil || plan.NumUses() == 0 {
+			t.Fatalf("ShardedSolver.Solve: plan=%v err=%v", plan, err)
+		}
+	}
+	solve() // build and cache the queue
+	allocs := testing.AllocsPerRun(10, solve)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("ShardedSolver.Solve: %.0f allocs/op, %d bytes/op at n=100,000", allocs, bytesPerOp)
+	if allocs > cachedSolveAllocBudget {
+		t.Errorf("ShardedSolver.Solve: %.0f allocs/op, over the committed budget of %d", allocs, cachedSolveAllocBudget)
+	}
+	if budget := uint64(8*n + 16<<10); bytesPerOp > budget {
+		t.Errorf("ShardedSolver.Solve: %d bytes/op, over 8·n + 16 KiB = %d — the plan's arena is being copied", bytesPerOp, budget)
 	}
 }
 

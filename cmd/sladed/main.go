@@ -1,7 +1,7 @@
 // Command sladed is the SLADE decomposition daemon: a long-running HTTP
 // service that decomposes large-scale crowdsourcing tasks on demand,
 // amortizing Optimal Priority Queue construction across requests,
-// sharding big instances over all CPU cores, executing plans end to end
+// bounding concurrent solves to the CPU cores, executing plans end to end
 // against a simulated crowd platform ("kind":"run" jobs, reported with
 // achieved reliability and itemized spend), and (with -data-dir)
 // persisting completed jobs — execution reports included — and the OPQ
@@ -12,7 +12,7 @@
 //	sladed                        # listen on :8080, in-memory only
 //	sladed -addr :9090            # custom listen address
 //	sladed -cache 256             # queue-cache capacity
-//	sladed -workers 8             # shard worker-pool size
+//	sladed -workers 8             # concurrent solve slots (and default job concurrency)
 //	sladed -data-dir /var/slade   # durable job + cache state
 //	sladed -result-ttl 24h        # evict terminal jobs after 24 hours
 //	sladed -snapshot-interval 5m  # snapshot the OPQ cache every 5 minutes
@@ -22,7 +22,7 @@
 //	sladed -sse-heartbeat 15s     # SSE keep-alive comment interval for /v1/jobs/{id}/events
 //	sladed -log-json              # structured request logs as JSON lines
 //	sladed -peers http://b:8080,http://c:8080 -advertise http://a:8080
-//	                              # clustered: fan shards out to peers b and c
+//	                              # clustered: fan spans out to peers b and c
 //	sladed -cluster-timeout 10s   # per-attempt remote span solve deadline
 //	sladed -peer-retries 1        # re-send a failed span once before local fallback
 //	sladed -platform-url http://market:9000 -platform-auth "Bearer t"
@@ -55,10 +55,10 @@
 //
 // Every pipeline stage is instrumented: GET /metrics exposes Prometheus
 // text-format counters and histograms for the HTTP layer, OPQ cache,
-// batcher, solver pool, executor, and store, and every request is logged
+// batcher, solve slots, executor, and store, and every request is logged
 // with a propagated X-Request-ID. With -max-queue-wait set, the daemon
-// sheds solve-submitting traffic (429 + Retry-After) once the solver
-// pool's queue-wait p95 crosses the limit.
+// sheds solve-submitting traffic (429 + Retry-After) once the p95 wait
+// for a solve slot crosses the limit.
 //
 // Endpoints (JSON): POST /v1/decompose, POST /v1/decompose/batch,
 // POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events (SSE),
@@ -91,17 +91,17 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", 0, "queue-cache capacity (0 = default)")
-	workers := flag.Int("workers", 0, "shard worker-pool size (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "concurrent solve slots, shared by all requests; also the default -max-jobs (0 = all CPUs)")
 	maxJobs := flag.Int("max-jobs", 0, "concurrently running async jobs (0 = workers)")
 	dataDir := flag.String("data-dir", "", "durable state directory; empty keeps all state in memory")
 	resultTTL := flag.Duration("result-ttl", 0, "evict terminal jobs this long after they finish (0 = keep until deleted)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "periodically persist the OPQ cache (0 = only at shutdown and on POST /v1/admin/snapshot)")
 	batchWindow := flag.Duration("batch-window", slade.DefaultBatchWindow, "coalesce concurrent same-menu requests for up to this long into one shared solve (0 = disable batching)")
 	batchMax := flag.Int("batch-max", 0, "flush a batch once this many requests joined (0 = default 256)")
-	maxQueueWait := flag.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when solver queue-wait p95 exceeds this (0 = never shed)")
+	maxQueueWait := flag.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")
 	sseHeartbeat := flag.Duration("sse-heartbeat", 0, "keep-alive comment interval on SSE event streams (0 = 15s default)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
-	peers := flag.String("peers", "", "comma-separated peer base URLs; non-empty enables clustered shard fan-out")
+	peers := flag.String("peers", "", "comma-separated peer base URLs; non-empty enables clustered span fan-out")
 	advertise := flag.String("advertise", "", "this node's own base URL on the cluster ring (required with -peers when peers list this node back)")
 	clusterTimeout := flag.Duration("cluster-timeout", 0, "per-attempt deadline for one remote span solve (0 = 10s default)")
 	peerRetries := flag.Int("peer-retries", 1, "re-send a failed span to its peer this many times before local fallback")

@@ -157,9 +157,7 @@ func solveGroup(in *core.Instance, g group, rng *rand.Rand, uses []core.BinUse) 
 }
 
 // repair turns the rounded uses into a plan and covers any residual demand
-// left by rounding: it builds a reduced instance over the still-deficient
-// tasks (with thresholds equivalent to their residual transformed demand)
-// and solves it with the greedy heuristic, then remaps task identifiers.
+// left by rounding with greedy.SolveResidual.
 func repair(in *core.Instance, uses []core.BinUse) (*core.Plan, error) {
 	plan, err := core.PlanFromUses(uses)
 	if err != nil {
@@ -169,31 +167,12 @@ func repair(in *core.Instance, uses []core.BinUse) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ids []int
-	var residual []float64
-	for i := 0; i < in.N(); i++ {
-		if need := in.Theta(i) - mass[i]; need > core.RelTol {
-			ids = append(ids, i)
-			residual = append(residual, core.ThresholdFromTheta(need))
-		}
+	fix, err := greedy.SolveResidual(in, mass)
+	if err != nil {
+		return nil, err
 	}
-	if len(ids) == 0 {
+	if fix == nil {
 		return plan, nil
 	}
-	sub, err := core.NewHeterogeneous(in.Bins(), residual)
-	if err != nil {
-		return nil, err
-	}
-	fix, err := greedy.Solve(sub)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range fix.Materialized() {
-		mapped := core.BinUse{Cardinality: u.Cardinality}
-		for _, t := range u.Tasks {
-			mapped.Tasks = append(mapped.Tasks, ids[t])
-		}
-		uses = append(uses, mapped)
-	}
-	return core.PlanFromUses(uses)
+	return core.MergePlans(plan, fix), nil
 }

@@ -34,9 +34,9 @@ const DefaultTimeout = 10 * time.Second
 
 // DefaultMinSpanBlocks is the minimum number of full OPQ1 blocks a span
 // must hold to be worth shipping to a peer when Config.MinSpanBlocks is
-// zero. It is deliberately higher than the solver pool's per-goroutine
-// floor: a remote span pays JSON encode/decode and a network round trip,
-// not just a goroutine handoff.
+// zero. It is set by what a remote span pays — JSON encode/decode and a
+// network round trip — against a local solve that is O(runs) decisions
+// plus one arena fill.
 const DefaultMinSpanBlocks = 16
 
 // maxRemoteBody bounds a decoded peer response (matches the API layer's
@@ -44,8 +44,8 @@ const DefaultMinSpanBlocks = 16
 // it).
 const maxRemoteBody = 64 << 20
 
-// LocalSolver is the local fallback path — the service's cached, sharded
-// solver. It must be safe for concurrent use.
+// LocalSolver is the local fallback path — the service's cached solver
+// (service.ShardedSolver). It must be safe for concurrent use.
 type LocalSolver interface {
 	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
 }
@@ -214,16 +214,15 @@ func (d *Distributor) Solve(in *core.Instance) (*core.Plan, error) {
 // SolveContext distributes the instance: homogeneous instances split into
 // block-aligned spans fanned out across the ring (the menu digest's owner
 // first), everything else solves locally. The returned plan is owned by
-// the caller and byte-identical to what the local sharded solver would
-// have produced alone.
+// the caller and byte-identical to what the local solver would have
+// produced alone.
 func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error) {
 	if in == nil {
 		return nil, fmt.Errorf("cluster: nil instance")
 	}
 	// Heterogeneous instances partition per threshold class; distributing
 	// them would need per-task threshold shipping. They stay on the local
-	// sharded path (which shards them across cores) — the cluster's value
-	// is the homogeneous bulk traffic.
+	// path — the cluster's value is the homogeneous bulk traffic.
 	if in.N() == 0 || !in.Homogeneous() || len(d.peers) == 0 {
 		return d.local.SolveContext(ctx, in)
 	}
@@ -235,9 +234,9 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 	}
 	digest := opq.FingerprintDigest(bins, threshold)
 	nodes := d.healthySequence(digest)
-	// One span per healthy node at most, cut by the alignment rule the
-	// in-process sharded solver uses — which is what makes the merged
-	// plan's use sequence identical to an unsharded solve.
+	// One span per healthy node at most, cut block-aligned — which is
+	// what makes the merged plan's use sequence identical to an uncut
+	// solve.
 	spans := opq.CutSpans(in.N(), blockSize, len(nodes), d.cfg.MinSpanBlocks)
 	if len(spans) == 1 && nodes[0] == d.self {
 		// Whole instance, owned locally: skip the sub-instance round trip

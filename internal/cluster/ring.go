@@ -1,4 +1,4 @@
-// Package cluster distributes block-aligned shard solves across a set of
+// Package cluster distributes block-aligned span solves across a set of
 // peer sladed nodes over the existing JSON HTTP API, merging the remotely
 // solved run-plans back into one plan that is byte-identical to a
 // single-node solve. Peers are selected by a consistent hash of the

@@ -39,7 +39,7 @@ type Options struct {
 	FailureThreshold int
 	// Cooldown before an open breaker probes; <= 0 selects 100ms.
 	Cooldown time.Duration
-	// Workers per node's local shard pool; <= 0 selects the CPU count.
+	// Workers is each node's solve-slot count; <= 0 selects the CPU count.
 	Workers int
 	// Configure, when non-nil, edits each node's assembled service config
 	// last — the hook for batching, persistence, or logger overrides.

@@ -265,11 +265,10 @@ func MergePlans(plans ...*Plan) *Plan {
 }
 
 // OffsetTasks shifts every task identifier in the plan by delta. A caller
-// that solves a sub-problem in its own local index space 0..n-1 (the service
-// shards instead pass global ids through the solver, so they never need
-// this) offsets the resulting plan to its base index before merging, so the
-// combined plan addresses the global task space. The caller must own the
-// plan exclusively.
+// that solves a sub-problem in its own local index space 0..n-1 (a cluster
+// span) offsets the resulting plan to its base index before merging, so
+// the combined plan addresses the global task space. The caller must own
+// the plan exclusively.
 func (p *Plan) OffsetTasks(delta int) { p.Runs().OffsetTasks(delta) }
 
 // Summary is a compact, printable description of a plan: uses per

@@ -212,7 +212,7 @@ func (pr *PlanRuns) Counts() map[int]int {
 // Cost returns the plan's total incentive cost under the menu. The
 // accumulation replicates the expanded plan's use order add for add, so
 // the result is bit-identical to the per-use sum — the exact cost-parity
-// invariants (sharded == unsharded, batched == solo) compare floats with
+// invariants (clustered == single-node, batched == solo) compare floats with
 // ==, so the arithmetic must not round differently. The
 // loop touches only run metadata: no uses are materialized and the menu
 // is consulted once per run part, not once per use.

@@ -270,7 +270,9 @@ func ExecuteContext(ctx context.Context, r BinRunner, in *core.Instance, plan *c
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fix, err := topUpPlan(in, rep.DeliveredMass)
+		// Greedy plan over the gap between each task's demand and the
+		// mass actually delivered; nil once every task is covered.
+		fix, err := greedy.SolveResidual(in, rep.DeliveredMass)
 		if err != nil {
 			return nil, err
 		}
@@ -392,38 +394,4 @@ func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Pla
 		}
 		return nil
 	})
-}
-
-// topUpPlan builds a greedy plan covering the gap between each task's
-// demand and the mass actually delivered; it returns nil when every task is
-// already covered.
-func topUpPlan(in *core.Instance, delivered []float64) (*core.Plan, error) {
-	var ids []int
-	var residual []float64
-	for i := 0; i < in.N(); i++ {
-		if gap := in.Theta(i) - delivered[i]; gap > core.RelTol {
-			ids = append(ids, i)
-			residual = append(residual, core.ThresholdFromTheta(gap))
-		}
-	}
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	sub, err := core.NewHeterogeneous(in.Bins(), residual)
-	if err != nil {
-		return nil, err
-	}
-	fix, err := greedy.Solve(sub)
-	if err != nil {
-		return nil, err
-	}
-	var uses []core.BinUse
-	for _, u := range fix.Materialized() {
-		mapped := core.BinUse{Cardinality: u.Cardinality}
-		for _, t := range u.Tasks {
-			mapped.Tasks = append(mapped.Tasks, ids[t])
-		}
-		uses = append(uses, mapped)
-	}
-	return core.PlanFromUses(uses)
 }

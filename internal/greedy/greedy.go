@@ -166,6 +166,40 @@ func Solve(in *core.Instance) (*core.Plan, error) {
 	return core.PlanFromUses(uses)
 }
 
+// SolveResidual covers what delivered leaves open: it re-decomposes the
+// tasks whose transformed demand exceeds delivered[i] (a per-task mass, in
+// in's task order) as a reduced instance at their residual thresholds and
+// returns the greedy plan over in's task ids. It returns nil when every
+// task is already covered.
+func SolveResidual(in *core.Instance, delivered []float64) (*core.Plan, error) {
+	var ids []int
+	var residual []float64
+	for i := 0; i < in.N(); i++ {
+		if gap := in.Theta(i) - delivered[i]; gap > core.RelTol {
+			ids = append(ids, i)
+			residual = append(residual, core.ThresholdFromTheta(gap))
+		}
+	}
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	sub, err := core.NewHeterogeneous(in.Bins(), residual)
+	if err != nil {
+		return nil, err
+	}
+	fix, err := Solve(sub)
+	if err != nil {
+		return nil, err
+	}
+	// Rename the reduced instance's ids back to in's. fix is ours alone
+	// and not yet materialized, so its arena is the only copy of them.
+	arena := fix.Runs().Arena
+	for i, t := range arena {
+		arena[i] = ids[t]
+	}
+	return fix, nil
+}
+
 // prefixSum returns the sum of the top-l residuals exposed by the popped
 // groups (which are in non-ascending value order), counting only positive
 // values.

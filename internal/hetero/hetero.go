@@ -128,8 +128,13 @@ func (Solver) Solve(in *core.Instance) (*core.Plan, error) { return Solve(in) }
 
 // Solve runs OPQ-Extended: build the queue set, solve each non-empty
 // partition homogeneously with Algorithm 3, and merge the plans.
-func Solve(in *core.Instance) (*core.Plan, error) {
-	set, err := BuildSet(in)
+func Solve(in *core.Instance) (*core.Plan, error) { return SolveWith(in, opq.Build) }
+
+// SolveWith is Solve with the per-interval queues supplied by build — how
+// a serving layer runs the same OPQ-Extended over a shared queue cache. The
+// plan depends only on the queues' contents, not their provenance.
+func SolveWith(in *core.Instance, build QueueBuilder) (*core.Plan, error) {
+	set, err := BuildSetWith(in, build)
 	if err != nil {
 		return nil, err
 	}

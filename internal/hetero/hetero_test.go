@@ -134,13 +134,14 @@ func TestZeroThresholdTasksSkipped(t *testing.T) {
 }
 
 func TestAllZeroThresholds(t *testing.T) {
-	in := core.MustHeterogeneous(table1(), []float64{0, 0, 0})
-	p, err := Solve(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumUses() != 0 {
-		t.Errorf("all-zero instance needs no bins, got %d uses", p.NumUses())
+	for name, ths := range map[string][]float64{"all-zero": {0, 0, 0}, "empty": nil} {
+		p, err := Solve(core.MustHeterogeneous(table1(), ths))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.NumUses() != 0 {
+			t.Errorf("%s instance needs no bins, got %d uses", name, p.NumUses())
+		}
 	}
 }
 

@@ -157,8 +157,7 @@ func SolveRuns(q *Queue, tasks []int) (*core.PlanRuns, error) {
 
 // SolveRunsRange is SolveRuns for the contiguous task ids
 // base..base+n-1, filling the arena directly instead of copying a
-// caller-built slice — the shape the service's homogeneous shard path
-// uses.
+// caller-built slice — the shape the service's homogeneous path uses.
 func SolveRunsRange(q *Queue, base, n int) (*core.PlanRuns, error) {
 	pr, err := solveSized(q, n)
 	if err != nil {

@@ -10,9 +10,8 @@ type Span struct{ Base, Len int }
 // go one each to the first spans, and the last span also carries the
 // sub-block remainder. Solving the spans independently and concatenating
 // the plans in span order therefore mirrors the unsplit Algorithm-3
-// control flow exactly — the alignment rule behind both the in-process
-// sharded solver and the cluster fan-out. blockSize and minBlocks must be
-// positive; fewer than two useful parts yield the single span {0, n}.
+// control flow exactly — the alignment rule behind the cluster fan-out.
+// blockSize and minBlocks must be positive; fewer than two useful parts yield the single span {0, n}.
 func CutSpans(n, blockSize, parts, minBlocks int) []Span {
 	fullBlocks := n / blockSize
 	if maxUseful := fullBlocks / minBlocks; parts > maxUseful {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"log/slog"
@@ -21,8 +22,9 @@ import (
 // menus, thresholds and arrival-size mixes come from the lab's generators
 // (GenMenu / GenThreshold / GenArrivalSizes), and for every drawn workload
 //
-//   - the sharded solve must cost exactly (==) what the unsharded
-//     reference costs, homogeneous and heterogeneous alike, and
+//   - the service's cached solve must encode to exactly the bytes of the
+//     library reference (opq.Solver / hetero.Solve), homogeneous and
+//     heterogeneous alike, and
 //   - plans delivered through the request batcher must cost exactly what
 //     a solo solve of the same instance costs.
 //
@@ -36,14 +38,20 @@ func FuzzScenarioCostParity(f *testing.F) {
 		menu := GenMenu(rng)
 		thr := GenThreshold(rng)
 		sizes := GenArrivalSizes(rng, 1+rng.Intn(5), 1+rng.Intn(200))
-		workers := 1 + rng.Intn(4)
 
-		// Sharded == unsharded on every homogeneous request of the mix.
-		sharded := &service.ShardedSolver{
-			Cache:          service.NewOPQCache(8),
-			Workers:        workers,
-			MinShardBlocks: 1,
+		sameBytes := func(got, ref *core.Plan) bool {
+			var g, r bytes.Buffer
+			if err := got.EncodeJSON(&g); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.EncodeJSON(&r); err != nil {
+				t.Fatal(err)
+			}
+			return bytes.Equal(g.Bytes(), r.Bytes())
 		}
+
+		// Service == library on every homogeneous request of the mix.
+		sharded := &service.ShardedSolver{Cache: service.NewOPQCache(8)}
 		for _, n := range sizes {
 			in, err := core.NewHomogeneous(menu, n, thr)
 			if err != nil {
@@ -58,14 +66,14 @@ func FuzzScenarioCostParity(f *testing.F) {
 				t.Fatal(err)
 			}
 			if err := got.Validate(in); err != nil {
-				t.Fatalf("n=%d workers=%d: invalid sharded plan: %v", n, workers, err)
+				t.Fatalf("n=%d: invalid service plan: %v", n, err)
 			}
-			if gc, rc := got.MustCost(menu), ref.MustCost(menu); gc != rc {
-				t.Fatalf("n=%d workers=%d: sharded cost %v != unsharded %v", n, workers, gc, rc)
+			if !sameBytes(got, ref) {
+				t.Fatalf("n=%d: service plan bytes differ from opq.Solver's", n)
 			}
 		}
 
-		// Sharded == unsharded on a heterogeneous instance with the lab's
+		// Service == library on a heterogeneous instance with the lab's
 		// heavy-tailed demand shape (the Algorithm-4 partition path).
 		hi := thr
 		if hi <= 0.5 {
@@ -90,10 +98,10 @@ func FuzzScenarioCostParity(f *testing.F) {
 			t.Fatal(err)
 		}
 		if err := hgot.Validate(hin); err != nil {
-			t.Fatalf("heterogeneous n=%d: invalid sharded plan: %v", hn, err)
+			t.Fatalf("heterogeneous n=%d: invalid service plan: %v", hn, err)
 		}
-		if gc, rc := hgot.MustCost(menu), href.MustCost(menu); gc != rc {
-			t.Fatalf("heterogeneous n=%d: sharded cost %v != unsharded %v", hn, gc, rc)
+		if !sameBytes(hgot, href) {
+			t.Fatalf("heterogeneous n=%d: service plan bytes differ from hetero.Solve's", hn)
 		}
 
 		// Batched == solo: the whole mix coalesced into one shared solve,

@@ -79,7 +79,7 @@ type CellTiming struct {
 	SolveP50MS float64 `json:"solve_p50_ms"`
 	SolveP95MS float64 `json:"solve_p95_ms"`
 	SolveP99MS float64 `json:"solve_p99_ms"`
-	// QueueWaitP95MS is the shard-pool queue-wait p95 — the admission-
+	// QueueWaitP95MS is the solve slots' queue-wait p95 — the admission-
 	// control signal, observed under scenario load.
 	QueueWaitP95MS float64 `json:"queue_wait_p95_ms"`
 }

@@ -13,9 +13,9 @@ import (
 
 // Options configures a matrix run.
 type Options struct {
-	// Workers is the service's shard-pool size; <= 0 selects 4. The
-	// worker count never changes a result (sharding preserves cost
-	// exactly); it only bounds concurrency.
+	// Workers is the service's solve-slot count (and job concurrency);
+	// <= 0 selects 4. It never changes a result, only how many solves
+	// and jobs run at once.
 	Workers int
 	// Timing includes wall-clock timing blocks (solve and queue-wait
 	// quantiles from the service's obs histograms) in each cell result.
@@ -35,7 +35,7 @@ const jobPollInterval = 500 * time.Microsecond
 const jobTimeout = 5 * time.Minute
 
 // Run executes every cell of the matrix through a real service pipeline
-// — cache, batcher, sharded solver pool, executor — and aggregates each
+// — cache, batcher, gated solver, executor — and aggregates each
 // cell's run reports into a frontier record. Cells run in order and their
 // requests are folded in submission order, so the report is a pure
 // function of the matrix (plus wall-clock timing only when requested).

@@ -2,7 +2,7 @@
 // seeded scenario matrix that composes the simulation assets — distgen
 // threshold workloads, crowdsim platforms and worker pools, budget caps,
 // and the binset menus — into end-to-end runs through the real serving
-// pipeline (cache → batcher → sharded solver → executor), one cell per
+// pipeline (cache → batcher → cached solver → executor), one cell per
 // combination of axes.
 //
 // Every cell is derived-seed deterministic: the matrix seed fixes each

@@ -37,8 +37,7 @@ const DefaultBatchMaxRequests = 256
 // solver never idles waiting for a window to expire, and the window is
 // what it claims to be — an upper bound on added latency, paid in full
 // only by sparse traffic. A flush runs one representative block-aligned
-// solve per
-// distinct request size through the existing cached + sharded path and
+// solve per distinct request size over the key's cached queue and
 // replicates ("stamps") each member's copy — full blocks are
 // structurally identical under task renaming (Corollary 1), which is
 // what makes replication sound. The split-back of the summed instance's

@@ -1,7 +1,7 @@
 // Package service is the serving layer of the SLADE reproduction: a
 // long-running decomposition service that amortizes Optimal Priority Queue
-// construction across requests (OPQCache), splits large instances into
-// block-aligned shards solved concurrently on a bounded worker pool
+// construction across requests (OPQCache), solves each request once over
+// a cached queue behind a service-wide bound on concurrent solves
 // (ShardedSolver), and runs asynchronous decomposition jobs
 // (JobManager) — the seam the cmd/sladed HTTP daemon exposes.
 package service

@@ -76,7 +76,7 @@ func newJobFeed() *jobFeed {
 // publish appends one frame, assigning its sequence number. Frames after
 // the terminal frame are dropped (the terminal frame is final by
 // contract), which also makes terminal publication idempotent across the
-// settle path, the pending-cancel path, and the synthesized-resume path.
+// settle path and the synthesized-resume path.
 func (f *jobFeed) publish(ev JobEvent) bool {
 	f.mu.Lock()
 	if f.terminal {

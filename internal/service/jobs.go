@@ -54,7 +54,7 @@ type JobRequest struct {
 	// Instance is a one-shot problem solved with the named Solver.
 	Instance *core.Instance
 	// Solver names a registered solver; empty selects the service default
-	// (the cached, sharded OPQ path). For run jobs it names the planner.
+	// (the cached OPQ path). For run jobs it names the planner.
 	Solver string
 	// Stream routes batched arrivals through a stream.Planner: each batch
 	// is planned incrementally at optimal block granularity and the
@@ -683,9 +683,15 @@ func (m *JobManager) runStream(ctx context.Context, sj *StreamJob) (*core.Plan, 
 
 // settle records a job's terminal state and, with a store configured,
 // spills the record to it (outside the lock; a slow disk never blocks
-// Status calls).
+// Status calls). It is the only terminal transition a job has.
 func (m *JobManager) settle(j *job, plan *core.Plan, report *ExecutionReport, err error) {
 	m.mu.Lock()
+	m.settleLocked(j, plan, report, err)
+}
+
+// settleLocked is settle for a caller that already holds m.mu — which it
+// releases before publishing and persisting.
+func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionReport, err error) {
 	if j.state.Terminal() {
 		m.mu.Unlock()
 		return
@@ -851,7 +857,8 @@ func (m *JobManager) Result(id string) (*core.Plan, error) {
 
 // Cancel stops a pending or running job. Canceling a terminal job is an
 // error; canceling a running job is cooperative (the solver observes the
-// context between shards) and the job settles as Canceled once it stops.
+// context while it waits for a solve slot, the executor between bins) and
+// the job settles as Canceled once it stops.
 // Safe for concurrent use, including concurrent Cancels of the same job.
 func (m *JobManager) Cancel(id string) error {
 	m.mu.Lock()
@@ -865,16 +872,9 @@ func (m *JobManager) Cancel(id string) error {
 		return fmt.Errorf("service: job %s already %s", id, j.state)
 	}
 	if j.state == JobPending {
-		j.state = JobCanceled
-		j.finished = time.Now()
-		j.runner = nil
-		m.counts.canceled++
-		ev := terminalEventLocked(j)
-		m.mu.Unlock()
-		// This path settles the job without going through settle, so it
-		// publishes the terminal frame itself.
-		m.svc.events.publish(id, ev)
-		j.cancel()
+		// Settled here, under the same lock hold that saw it pending, so
+		// it can never start; its run goroutine finds it terminal.
+		m.settleLocked(j, nil, nil, context.Canceled)
 		return nil
 	}
 	m.mu.Unlock()

@@ -61,7 +61,7 @@ type serviceMetrics struct {
 	// Decompose path.
 	solveLatency *obs.Histogram
 
-	// Sharded solver pool.
+	// Sharded solver: solves and their wait for a slot.
 	shardObs ShardPoolObs
 
 	// Batcher.
@@ -143,9 +143,9 @@ func newServiceMetrics() *serviceMetrics {
 		solveLatency: reg.Histogram("slade_solve_duration_seconds", "End-to-end decompose latency (sync and job-driven), including batching windows.", obs.HistogramOpts{}),
 
 		shardObs: ShardPoolObs{
-			SolveDuration: reg.Histogram("slade_shard_solve_duration_seconds", "Per-shard solve latency inside the worker pool.", obs.HistogramOpts{}),
-			QueueWait:     reg.Histogram("slade_shard_queue_wait_seconds", "Time shard jobs waited for a worker-pool slot.", obs.HistogramOpts{}),
-			ShardJobs:     reg.Counter("slade_shard_jobs_total", "Shard jobs executed by the solver pool."),
+			SolveDuration: reg.Histogram("slade_shard_solve_duration_seconds", "Solve latency of the sharded solver, slot held.", obs.HistogramOpts{}),
+			QueueWait:     reg.Histogram("slade_shard_queue_wait_seconds", "Time solves waited for one of the service-wide solve slots.", obs.HistogramOpts{}),
+			ShardJobs:     reg.Counter("slade_shard_jobs_total", "Solves executed by the sharded solver."),
 		},
 
 		batchFlushes: map[string]*obs.Counter{
@@ -399,7 +399,7 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// queueWaitP95 returns the solver pool's queue-wait p95 in seconds over
+// queueWaitP95 returns the solve slots' queue-wait p95 in seconds over
 // the last one-to-two admissionWindow intervals, recomputed from a
 // histogram snapshot at most every admissionRecomputeInterval; between
 // recomputes it is two atomic loads.

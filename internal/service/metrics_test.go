@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binset"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -150,19 +153,14 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestAdmissionControlSheds pins the acceptance criterion: with
-// MaxQueueWait configured and the solver pool's queue-wait p95 over it,
-// solve-submitting routes shed with 429 + Retry-After while read routes
-// keep serving; without the limit nothing sheds.
+// MaxQueueWait configured and the solve slots' queue-wait p95 over it —
+// from real queued solves, see saturateSolveSlots — solve-submitting
+// routes shed with 429 + Retry-After while read routes keep serving;
+// without the limit nothing sheds.
 func TestAdmissionControlSheds(t *testing.T) {
-	svc, ts := newMetricsServer(t, Config{CacheSize: 8, Workers: 2, MaxQueueWait: 100 * time.Millisecond})
-
-	// Saturate synthetically: inject queue-wait observations well past the
-	// limit straight into the pool's histogram (driving a real 1-worker
-	// pool into queuing is timing-dependent; the admission check reads
-	// only this histogram either way).
-	for i := 0; i < 100; i++ {
-		svc.metrics.shardObs.QueueWait.Observe(2.0)
-	}
+	const limit = 10 * time.Millisecond
+	svc, ts := newMetricsServer(t, Config{CacheSize: 8, Workers: 1, MaxQueueWait: limit})
+	saturateSolveSlots(t, svc, 5*limit)
 
 	body := fmt.Sprintf(`{"bins":%s,"n":10,"threshold":0.9}`, table1JSON)
 	resp, raw := postJSON(t, ts.URL+"/v1/decompose", body)
@@ -189,12 +187,36 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 
 	// Unconfigured limit: the same saturation sheds nothing.
-	svc2, ts2 := newMetricsServer(t, Config{CacheSize: 8, Workers: 2})
-	for i := 0; i < 100; i++ {
-		svc2.metrics.shardObs.QueueWait.Observe(2.0)
-	}
+	svc2, ts2 := newMetricsServer(t, Config{CacheSize: 8, Workers: 1})
+	saturateSolveSlots(t, svc2, 5*limit)
 	if resp, raw := postJSON(t, ts2.URL+"/v1/decompose", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompose without admission limit: %d (%s)", resp.StatusCode, raw)
+	}
+}
+
+// saturateSolveSlots produces real queue wait on a Workers: 1 service: the
+// test holds the only solve slot while four Decompose calls queue behind
+// it, keeps holding for hold, then lets them drain. Every wait is at least
+// hold by construction — nothing depends on load or scheduling luck.
+func saturateSolveSlots(t *testing.T, svc *Service, hold time.Duration) {
+	t.Helper()
+	if err := svc.sharded.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	in := core.MustHomogeneous(binset.Table1(), 10, 0.9)
+	var queued []<-chan error
+	for i := 0; i < 4; i++ {
+		queued = append(queued, queueSolve(context.Background(), func(ctx context.Context) error {
+			_, err := svc.Decompose(ctx, in)
+			return err
+		}))
+	}
+	time.Sleep(hold)
+	svc.sharded.release()
+	for _, done := range queued {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

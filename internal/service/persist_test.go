@@ -92,52 +92,102 @@ func TestJobsSpillAndReplay(t *testing.T) {
 }
 
 // TestFailedAndCanceledJobsPersist checks the non-Done terminal states
-// survive a restart with their error / state intact.
+// survive a restart with their error / state intact: a failed job, a job
+// canceled while running and a job canceled while still pending each
+// settle through exactly one terminal frame, are spilled, and keep their
+// ids reserved — a fresh submission after the restart gets a new one.
 func TestFailedAndCanceledJobsPersist(t *testing.T) {
 	dir := t.TempDir()
-	svc := New(Config{CacheSize: 8, Workers: 2, Store: openFS(t, dir), Logger: quietLogger()})
-	// An unsolvable instance: bin confidence below the threshold forever.
-	in, err := core.NewHomogeneous(core.MustBinSet([]core.TaskBin{
-		{Cardinality: 1, Confidence: 0.5, Cost: 0.1},
-	}), 10, 0.999999999)
+	svc := New(Config{CacheSize: 8, Workers: 2, MaxJobs: 1, Store: openFS(t, dir), Logger: quietLogger()})
+	ok := core.MustHomogeneous(binset.Table1(), 10, 0.9)
+	if err := svc.RegisterSolver("broken", core.SolverFunc{
+		SolverName: "broken",
+		Fn:         func(*core.Instance) (*core.Plan, error) { return nil, errors.New("no plan today") },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	failed, err := svc.Jobs().Submit(JobRequest{Instance: ok, Solver: "broken"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Jobs().Submit(JobRequest{Instance: in})
+	if st := waitTerminal(t, svc, failed); st.State != JobFailed {
+		t.Fatalf("job on the broken solver settled %s", st.State)
+	}
+
+	// MaxJobs=1: the slow job occupies the slot, the next one stays pending.
+	started, block := make(chan struct{}), make(chan struct{})
+	if err := svc.RegisterSolver("slow", core.SolverFunc{
+		SolverName: "slow",
+		Fn: func(in *core.Instance) (*core.Plan, error) {
+			close(started)
+			<-block
+			return &core.Plan{}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	running, err := svc.Jobs().Submit(JobRequest{Instance: ok, Solver: "slow"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := svc.Jobs().Status(id)
-		if err != nil {
+	<-started
+	pending, err := svc.Jobs().Submit(JobRequest{Instance: ok})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := svc.Jobs().Status(pending); err != nil || st.State != JobPending {
+		t.Fatalf("job behind the full slot: %+v, %v", st, err)
+	}
+	for _, id := range []string{pending, running} {
+		if err := svc.Jobs().Cancel(id); err != nil {
 			t.Fatal(err)
 		}
-		if st.State.Terminal() {
-			if st.State != JobFailed {
-				t.Skipf("instance solvable after all (settled %s); failure-path covered elsewhere", st.State)
+	}
+	close(block)
+	for _, id := range []string{failed, running, pending} {
+		waitTerminal(t, svc, id)
+		evs, _, _ := svc.events.feed(id).since(0)
+		terminal := 0
+		for _, ev := range evs {
+			if ev.State.Terminal() {
+				terminal++
 			}
-			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never settled")
+		if terminal != 1 {
+			t.Errorf("%s: %d terminal frames in %+v, want exactly 1", id, terminal, evs)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	svc.Close()
 
 	svc2 := New(Config{CacheSize: 8, Workers: 2, Store: openFS(t, dir), Logger: quietLogger()})
 	defer svc2.Close()
-	st, err := svc2.Jobs().Status(id)
+	st, err := svc2.Jobs().Status(failed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != JobFailed || st.Error == "" {
+	if st.State != JobFailed || !strings.Contains(st.Error, "no plan today") {
 		t.Fatalf("recovered failed job: %+v", st)
 	}
-	if _, err := svc2.Jobs().Result(id); err == nil {
+	if _, err := svc2.Jobs().Result(failed); err == nil {
 		t.Fatal("Result on recovered failed job: want error")
 	}
+	for name, id := range map[string]string{"running": running, "pending": pending} {
+		st, err := svc2.Jobs().Status(id)
+		if err != nil {
+			t.Fatalf("job canceled while %s is gone after the restart: %v", name, err)
+		}
+		if st.State != JobCanceled {
+			t.Errorf("job canceled while %s recovered as %s", name, st.State)
+		}
+	}
+	fresh, err := svc2.Jobs().Submit(JobRequest{Instance: ok})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == failed || fresh == running || fresh == pending {
+		t.Fatalf("fresh submission reuses recovered id %s", fresh)
+	}
+	waitTerminal(t, svc2, fresh) // its spill must land before the temp dir goes
 }
 
 // TestResultTTLExpiry checks both eviction paths: the lazy check on
@@ -154,6 +204,7 @@ func TestResultTTLExpiry(t *testing.T) {
 	if _, err := svc.Jobs().Status(id); err != nil {
 		t.Fatalf("fresh result must be visible: %v", err)
 	}
+	svc.Jobs().persistWG.Wait() // the spill runs after the state turns terminal
 	if _, err := fsStore.GetJob(id); err != nil {
 		t.Fatalf("fresh result must be durable: %v", err)
 	}

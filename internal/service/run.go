@@ -119,7 +119,7 @@ func deriveSeed(seed, tag int64) int64 {
 const DefaultPositiveRate = 0.3
 
 // RunJob is the run-job payload: plan the instance (through the same
-// cached + sharded path as a solve job), then execute the plan against a
+// cached solve path as a solve job), then execute the plan against a
 // simulated platform and report the delivered reliability and spend.
 type RunJob struct {
 	// Instance is the problem to plan and execute.
@@ -316,10 +316,10 @@ func newExecutionReport(rj *RunJob, rep *executor.Report, truth []bool) *Executi
 	return out
 }
 
-// runRun drives a run job: plan with the job's solver (cache + shards,
-// exactly like a solve job), then execute the plan on the job's runner.
-// Both phases observe ctx, so DELETE aborts a run mid-flight — between
-// shards while planning, between bin issues while executing.
+// runRun drives a run job: plan with the job's solver (exactly like a
+// solve job), then execute the plan on the job's runner. Both phases
+// observe ctx, so DELETE aborts a run mid-flight — while the plan waits
+// for a solve slot or its batch, between bin issues while executing.
 func (m *JobManager) runRun(ctx context.Context, j *job) (*core.Plan, *ExecutionReport, error) {
 	rj := j.req.Run
 	plan, err := m.svc.DecomposeWith(ctx, j.solver, rj.Instance)

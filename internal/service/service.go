@@ -24,8 +24,8 @@ import (
 	"repro/internal/store"
 )
 
-// DefaultSolverName selects the cached, sharded OPQ path — the service's
-// recommended solver for every instance shape.
+// DefaultSolverName selects the cached OPQ path (ShardedSolver) — the
+// service's recommended solver for every instance shape.
 const DefaultSolverName = "sharded"
 
 // ClusterSolverName selects the clustered distributor — registered (and
@@ -36,7 +36,9 @@ const ClusterSolverName = "cluster"
 type Config struct {
 	// CacheSize bounds the queue cache; <= 0 selects DefaultCacheSize.
 	CacheSize int
-	// Workers bounds the shard worker pool; <= 0 selects runtime.NumCPU().
+	// Workers is the number of solve slots: at most this many solves by
+	// the default ("sharded") solver run at once across all requests, the
+	// rest queue. <= 0 selects runtime.NumCPU().
 	Workers int
 	// MaxJobs bounds concurrently running async jobs; <= 0 selects Workers.
 	MaxJobs int
@@ -58,8 +60,8 @@ type Config struct {
 	// the HTTP middleware and persistence warnings. Nil falls back to
 	// wrapping Logger, then to slog.Default().
 	Slog *slog.Logger
-	// MaxQueueWait enables admission control: when the solver pool's
-	// queue-wait p95 exceeds it, shed-eligible routes (POST /v1/decompose
+	// MaxQueueWait enables admission control: when the p95 wait for a
+	// solve slot exceeds it, shed-eligible routes (POST /v1/decompose
 	// and POST /v1/jobs) reply 429 with a Retry-After header instead of
 	// queueing deeper. Zero (the default) disables shedding.
 	MaxQueueWait time.Duration
@@ -146,8 +148,8 @@ var ErrNoStore = errors.New("service: no durable store configured")
 var errSummarize = errors.New("service: summarizing solved plan")
 
 // Service is the long-running decomposition service: a queue cache, a
-// sharded solver, a registry of named solvers, an async job manager, and
-// an optional durable store. All methods are safe for concurrent use.
+// gated cached solver, a registry of named solvers, an async job manager,
+// and an optional durable store. All methods are safe for concurrent use.
 type Service struct {
 	cache   *OPQCache
 	sharded *ShardedSolver
@@ -445,7 +447,7 @@ func (s *Service) solverNamesLocked() []string {
 	return names
 }
 
-// Decompose solves the instance on the default path: the cached + sharded
+// Decompose solves the instance on the default path: the cached
 // solver, distributed across the peer ring on a clustered service. Safe
 // for concurrent use.
 func (s *Service) Decompose(ctx context.Context, in *core.Instance) (*core.Plan, error) {
@@ -599,8 +601,8 @@ type Stats struct {
 	// summaries, ordered by route then method. Empty until a handler
 	// (NewHandler) has been built for the service.
 	Endpoints []EndpointStats `json:"endpoints,omitempty"`
-	// QueueWait summarizes time shard jobs spent waiting for a solver-
-	// pool slot — the signal admission control sheds on.
+	// QueueWait summarizes time solves spent waiting for one of the
+	// Workers solve slots — the signal admission control sheds on.
 	QueueWait LatencySummary `json:"queue_wait"`
 	// Cache reports queue-cache effectiveness.
 	Cache CacheStats `json:"cache"`
@@ -620,7 +622,7 @@ type Stats struct {
 	Platform *platform.Stats `json:"platform,omitempty"`
 	// Solvers lists the registered solver names.
 	Solvers []string `json:"solvers"`
-	// Workers is the shard pool size.
+	// Workers is the number of solve slots.
 	Workers int `json:"workers"`
 }
 

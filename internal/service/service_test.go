@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distgen"
 	"repro/internal/hetero"
+	"repro/internal/obs"
 	"repro/internal/opq"
 	"repro/internal/stream"
 )
@@ -125,30 +127,38 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	}
 }
 
-// TestShardedCostEqualsUnshardedHomogeneous is the tentpole invariant: for
-// any shard count, the sharded plan costs exactly the unsharded OPQ-Based
-// plan cost, and stays feasible.
+// encodePlan renders the plan's wire bytes, the strictest equality two
+// plans can be held to.
+func encodePlan(t *testing.T, p *core.Plan) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestShardedCostEqualsUnshardedHomogeneous: the service's cached solve is
+// the library's OPQ-Based solve — the same bytes on the wire, hence the
+// same cost, for whole-block and remainder sizes alike.
 func TestShardedCostEqualsUnshardedHomogeneous(t *testing.T) {
 	menu := binset.Table1()
+	s := &ShardedSolver{Cache: NewOPQCache(8)}
 	for _, n := range []int{1, 5, 36, 100, 1000, 4097} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			in := core.MustHomogeneous(menu, n, 0.95)
-			ref, err := opq.Solver{}.Solve(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := &ShardedSolver{Cache: NewOPQCache(8), Workers: workers, MinShardBlocks: 1}
-			got, err := s.Solve(in)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			if err := got.Validate(in); err != nil {
-				t.Fatalf("n=%d workers=%d: invalid plan: %v", n, workers, err)
-			}
-			refCost, gotCost := ref.MustCost(menu), got.MustCost(menu)
-			if refCost != gotCost {
-				t.Fatalf("n=%d workers=%d: sharded cost %v != unsharded %v", n, workers, gotCost, refCost)
-			}
+		in := core.MustHomogeneous(menu, n, 0.95)
+		ref, err := opq.Solver{}.Solve(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Solve(in)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := got.Validate(in); err != nil {
+			t.Fatalf("n=%d: invalid plan: %v", n, err)
+		}
+		if !bytes.Equal(encodePlan(t, got), encodePlan(t, ref)) {
+			t.Fatalf("n=%d: EncodeJSON differs from opq.Solver's", n)
 		}
 	}
 }
@@ -164,24 +174,20 @@ func TestShardedCostEqualsUnshardedHeterogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		s := &ShardedSolver{Cache: NewOPQCache(8), Workers: workers, MinShardBlocks: 1}
-		got, err := s.Solve(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := got.Validate(in); err != nil {
-			t.Fatalf("workers=%d: invalid plan: %v", workers, err)
-		}
-		refCost, gotCost := ref.MustCost(menu), got.MustCost(menu)
-		if refCost != gotCost {
-			t.Fatalf("workers=%d: sharded cost %v != unsharded %v", workers, gotCost, refCost)
-		}
+	got, err := (&ShardedSolver{Cache: NewOPQCache(8)}).Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(in); err != nil {
+		t.Fatalf("invalid plan: %v", err)
+	}
+	if !bytes.Equal(encodePlan(t, got), encodePlan(t, ref)) {
+		t.Fatal("EncodeJSON differs from hetero.Solve's")
 	}
 }
 
 // TestLibraryEqualsServiceHeterogeneous: OPQ-Extended is one code path
-// whether called as a library or through the service's sharded solver —
+// whether called as a library or through the service's cached solver —
 // the same bytes on the wire, the same cost to the last bit, and the same
 // handful of runs in memory.
 func TestLibraryEqualsServiceHeterogeneous(t *testing.T) {
@@ -191,13 +197,6 @@ func TestLibraryEqualsServiceHeterogeneous(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := core.MustHeterogeneous(menu, th)
-	encode := func(p *core.Plan) []byte {
-		var buf bytes.Buffer
-		if err := p.EncodeJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	want, err := (&ShardedSolver{Cache: NewOPQCache(8), Workers: 1}).Solve(in)
 	if err != nil {
 		t.Fatal(err)
@@ -205,23 +204,18 @@ func TestLibraryEqualsServiceHeterogeneous(t *testing.T) {
 	if err := want.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	for name, solve := range map[string]func() (*core.Plan, error){
-		"hetero.Solve":         func() (*core.Plan, error) { return hetero.Solve(in) },
-		"hetero.SolveParallel": func() (*core.Plan, error) { return hetero.SolveParallel(in, 4) },
-	} {
-		got, err := solve()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(encode(got), encode(want)) {
-			t.Errorf("%s: EncodeJSON differs from the sharded solver's", name)
-		}
-		if gc, wc := got.MustCost(menu), want.MustCost(menu); gc != wc {
-			t.Errorf("%s: cost %v != sharded %v", name, gc, wc)
-		}
-		if gr, wr := len(got.Runs().Runs), len(want.Runs().Runs); gr != wr {
-			t.Errorf("%s: %d runs in memory, sharded solver holds %d", name, gr, wr)
-		}
+	got, err := hetero.Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodePlan(t, got), encodePlan(t, want)) {
+		t.Error("hetero.Solve: EncodeJSON differs from the service solver's")
+	}
+	if gc, wc := got.MustCost(menu), want.MustCost(menu); gc != wc {
+		t.Errorf("hetero.Solve: cost %v != service %v", gc, wc)
+	}
+	if gr, wr := len(got.Runs().Runs), len(want.Runs().Runs); gr != wr {
+		t.Errorf("hetero.Solve: %d runs in memory, service solver holds %d", gr, wr)
 	}
 }
 
@@ -242,10 +236,96 @@ func TestShardedSolverEdgeCases(t *testing.T) {
 func TestShardedSolveContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := &ShardedSolver{Cache: NewOPQCache(4), Workers: 4, MinShardBlocks: 1}
+	s := &ShardedSolver{Cache: NewOPQCache(4), Workers: 4}
 	in := core.MustHomogeneous(binset.Table1(), 10_000, 0.95)
 	if _, err := s.SolveContext(ctx, in); err == nil {
 		t.Fatal("canceled context must abort the solve")
+	}
+}
+
+// queuedCtx closes queued the first time its Done channel is asked for. In
+// ShardedSolver.acquire that happens inside the slot select, after the
+// wait clock has started — so a closed queued means "this solve is
+// waiting", without a sleep.
+type queuedCtx struct {
+	context.Context
+	once   sync.Once
+	queued chan struct{}
+}
+
+func (c *queuedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.queued) })
+	return c.Context.Done()
+}
+
+// queueSolve starts solve on its own goroutine under a queuedCtx and
+// returns once it is waiting for a slot; its result arrives on the
+// returned channel. The caller holds every slot.
+func queueSolve(parent context.Context, solve func(context.Context) error) <-chan error {
+	ctx := &queuedCtx{Context: parent, queued: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- solve(ctx) }()
+	<-ctx.queued
+	return done
+}
+
+// TestShardedSolverGatesAcrossRequests: Workers is one service-wide bound.
+// With the single slot held by the test a second solve queues, a canceled
+// one leaves without ever taking a slot, and after release the queued
+// solve's wait — created by the hold, not by load — is in QueueWait.
+func TestShardedSolverGatesAcrossRequests(t *testing.T) {
+	reg := obs.NewRegistry()
+	o := &ShardPoolObs{
+		SolveDuration: reg.Histogram("solve_seconds", "", obs.HistogramOpts{}),
+		QueueWait:     reg.Histogram("wait_seconds", "", obs.HistogramOpts{}),
+		ShardJobs:     reg.Counter("solves_total", ""),
+	}
+	s := &ShardedSolver{Cache: NewOPQCache(4), Workers: 1, Obs: o}
+	in := core.MustHomogeneous(binset.Table1(), 1000, 0.95)
+	solve := func(ctx context.Context) error {
+		_, err := s.SolveContext(ctx, in)
+		return err
+	}
+
+	if err := s.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	second := queueSolve(context.Background(), solve)
+
+	// A third solve queues behind it and gives up on cancellation; one
+	// canceled before it asks is refused outright.
+	cctx, cancel := context.WithCancel(context.Background())
+	third := queueSolve(cctx, solve)
+	cancel()
+	if err := <-third; !errors.Is(err, context.Canceled) {
+		t.Fatalf("solve canceled while queued: err=%v, want context.Canceled", err)
+	}
+	if err := solve(cctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("solve with a canceled context: err=%v, want context.Canceled", err)
+	}
+	if got, held := o.ShardJobs.Value(), len(s.slots); got != 0 || held != 1 {
+		t.Fatalf("with the only slot held: %d solves ran, %d slots taken (want 0 and 1)", got, held)
+	}
+
+	// Everything the second solve waits from here on is the hold.
+	waited := o.QueueWait.Sum()
+	held := time.Now()
+	time.Sleep(20 * time.Millisecond)
+	hold := time.Since(held)
+	s.release()
+	if err := <-second; err != nil {
+		t.Fatalf("queued solve after release: %v", err)
+	}
+	if got, held := o.ShardJobs.Value(), len(s.slots); got != 1 || held != 0 {
+		t.Fatalf("after release: %d solves ran, %d slots taken (want 1 and 0)", got, held)
+	}
+	// Observed waits: the test's own acquire, the abandoned third, the
+	// queued second. The pre-canceled solve never waited.
+	if n := o.QueueWait.Count(); n != 3 {
+		t.Fatalf("QueueWait observed %d waits, want 3", n)
+	}
+	if got := o.QueueWait.Sum() - waited; got < hold.Seconds() {
+		t.Fatalf("QueueWait grew by %.4fs across a %.4fs hold", got, hold.Seconds())
 	}
 }
 

@@ -131,11 +131,6 @@ func NewOPQ() Solver { return opq.Solver{} }
 // both homogeneous and heterogeneous instances.
 func NewOPQExtended() Solver { return hetero.Solver{} }
 
-// NewOPQExtendedParallel returns OPQ-Extended with the independent
-// θ-partitions solved concurrently (workers ≤ 0 selects GOMAXPROCS); plans
-// and costs are identical to the serial solver's.
-func NewOPQExtendedParallel(workers int) Solver { return hetero.ParallelSolver{Workers: workers} }
-
 // NewBaseline returns the CIP baseline solver of Section 4.3 with the given
 // rounding seed.
 func NewBaseline(seed int64) Solver { return baseline.Solver{Seed: seed} }
@@ -285,8 +280,8 @@ func ComparePlans(in *Instance, plans map[string]*Plan) (string, error) {
 // Serving layer: the long-running decomposition service behind cmd/sladed.
 
 type (
-	// Service is the concurrent decomposition service: OPQ cache, sharded
-	// solver pool, solver registry, and async job manager.
+	// Service is the concurrent decomposition service: OPQ cache, gated
+	// cached solver, solver registry, and async job manager.
 	Service = service.Service
 	// ServiceConfig parameterizes NewService.
 	ServiceConfig = service.Config
@@ -298,7 +293,8 @@ type (
 	CacheStats = service.CacheStats
 	// BatchStats reports the request batcher's coalescing effectiveness.
 	BatchStats = service.BatchStats
-	// ShardedSolver solves instances in concurrent block-aligned shards.
+	// ShardedSolver is the cached solve path behind the "sharded" route:
+	// one solve per request, at most Workers at once.
 	ShardedSolver = service.ShardedSolver
 	// JobManager runs asynchronous decomposition jobs.
 	JobManager = service.JobManager

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	slade "repro"
 	"repro/internal/core"
@@ -234,7 +235,7 @@ const cachedSolveAllocBudget = 24
 // pre-built queue they meet the same budget, and none of them allocates
 // more at ten times the tasks (queue construction is independent of n;
 // OPQ-Extended's partition lists grow by a few append doublings). The last
-// block also bounds the service solver's bytes/op.
+// block also bounds the bytes/op of the service's solver and batched route.
 func TestCachedSolveAllocBudget(t *testing.T) {
 	menu := benchMenu(t, experiments.Jelly, 20)
 	q, err := opq.Build(menu, 0.9)
@@ -290,34 +291,47 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 		}
 	}
 
-	// The service's solve alone — instance built outside the measurement,
-	// plan not materialized — at n=100,000 with Workers: 4: inside the same
-	// alloc budget, and one id arena (8·n bytes) plus small change, not a
-	// second merged copy of it.
+	// The service's two homogeneous routes alone — instance built outside
+	// the measurement, plan not materialized — at n=100,000: the solver
+	// with Workers: 4 inside the same alloc budget, the batched route (a
+	// flush of one: join, timer, flush goroutine, then the same solve) a
+	// few allocations over it, and either way one id arena (8·n bytes)
+	// plus small change, not a second copy of it.
 	const n = 100_000
-	s := &slade.ShardedSolver{Cache: slade.NewOPQCache(4), Workers: 4}
 	in := core.MustHomogeneous(menu, n, 0.9)
-	solve := func() {
-		if plan, err := s.Solve(in); err != nil || plan.NumUses() == 0 {
-			t.Fatalf("ShardedSolver.Solve: plan=%v err=%v", plan, err)
+	sharded := &slade.ShardedSolver{Cache: slade.NewOPQCache(4), Workers: 4}
+	svc := slade.NewService(slade.ServiceConfig{BatchWindow: time.Minute, BatchMaxRequests: 1})
+	defer svc.Close()
+	for _, r := range []struct {
+		name   string
+		budget float64
+		solve  func() (*core.Plan, error)
+	}{
+		{"ShardedSolver.Solve", cachedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
+		{"batched Service.Decompose", 28, func() (*core.Plan, error) { return svc.Decompose(context.Background(), in) }},
+	} {
+		solve := func() {
+			if plan, err := r.solve(); err != nil || plan.NumUses() == 0 {
+				t.Fatalf("%s: plan=%v err=%v", r.name, plan, err)
+			}
 		}
-	}
-	solve() // build and cache the queue
-	allocs := testing.AllocsPerRun(10, solve)
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		solve()
-	}
-	runtime.ReadMemStats(&after)
-	bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("ShardedSolver.Solve: %.0f allocs/op, %d bytes/op at n=100,000", allocs, bytesPerOp)
-	if allocs > cachedSolveAllocBudget {
-		t.Errorf("ShardedSolver.Solve: %.0f allocs/op, over the committed budget of %d", allocs, cachedSolveAllocBudget)
-	}
-	if budget := uint64(8*n + 16<<10); bytesPerOp > budget {
-		t.Errorf("ShardedSolver.Solve: %d bytes/op, over 8·n + 16 KiB = %d — the plan's arena is being copied", bytesPerOp, budget)
+		solve() // build and cache the queue
+		allocs := testing.AllocsPerRun(10, solve)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			solve()
+		}
+		runtime.ReadMemStats(&after)
+		bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %.0f allocs/op, %d bytes/op at n=100,000", r.name, allocs, bytesPerOp)
+		if allocs > r.budget {
+			t.Errorf("%s: %.0f allocs/op, over the committed budget of %.0f", r.name, allocs, r.budget)
+		}
+		if budget := uint64(8*n + 16<<10); bytesPerOp > budget {
+			t.Errorf("%s: %d bytes/op, over 8·n + 16 KiB = %d — the plan's arena is being copied", r.name, bytesPerOp, budget)
+		}
 	}
 }
 

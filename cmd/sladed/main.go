@@ -49,9 +49,9 @@
 // breaker state.
 //
 // By default the daemon coalesces concurrent same-menu decompose traffic
-// into shared block-aligned solves (-batch-window 2ms): requests sharing
-// a menu fingerprint accumulate briefly and are served by one solve, each
-// caller's plan costing exactly what its unbatched solve would.
+// (-batch-window 2ms): requests sharing a menu fingerprint accumulate
+// briefly and are solved in one flush over one cached queue, each caller
+// getting exactly the plan its unbatched solve would.
 //
 // Every pipeline stage is instrumented: GET /metrics exposes Prometheus
 // text-format counters and histograms for the HTTP layer, OPQ cache,
@@ -96,7 +96,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable state directory; empty keeps all state in memory")
 	resultTTL := flag.Duration("result-ttl", 0, "evict terminal jobs this long after they finish (0 = keep until deleted)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "periodically persist the OPQ cache (0 = only at shutdown and on POST /v1/admin/snapshot)")
-	batchWindow := flag.Duration("batch-window", slade.DefaultBatchWindow, "coalesce concurrent same-menu requests for up to this long into one shared solve (0 = disable batching)")
+	batchWindow := flag.Duration("batch-window", slade.DefaultBatchWindow, "coalesce concurrent same-menu requests for up to this long into one flush (0 = disable batching)")
 	batchMax := flag.Int("batch-max", 0, "flush a batch once this many requests joined (0 = default 256)")
 	maxQueueWait := flag.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")
 	sseHeartbeat := flag.Duration("sse-heartbeat", 0, "keep-alive comment interval on SSE event streams (0 = 15s default)")

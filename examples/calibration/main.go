@@ -75,12 +75,12 @@ func main() {
 	const runs = 5
 	sumRel, sumCost := 0.0, 0.0
 	for r := 0; r < runs; r++ {
-		out, err := platform.RunPlan(in, plan, truth, 2)
+		out, err := slade.Execute(platform, in, plan, truth, slade.ExecutionOptions{MaxRetries: -1, Difficulty: 2})
 		if err != nil {
 			log.Fatal(err)
 		}
 		sumRel += out.EmpiricalReliability
-		sumCost += out.TotalCost
+		sumCost += out.Spent
 	}
 	fmt.Printf("delivered reliability over %d runs: %.4f (target %.2f)\n",
 		runs, sumRel/runs, target)

@@ -79,7 +79,7 @@ func main() {
 			positives++
 		}
 	}
-	out, err := platform.RunPlan(in, plan, truth, 2)
+	out, err := slade.Execute(platform, in, plan, truth, slade.ExecutionOptions{MaxRetries: -1, Difficulty: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,9 +89,9 @@ func main() {
 	fmt.Printf("measured reliability:   %.4f (planned ≥ %.2f)\n",
 		out.EmpiricalReliability, reliability)
 	fmt.Printf("missed lines:           %d\n",
-		out.Positives-int(out.EmpiricalReliability*float64(out.Positives)+0.5))
+		positives-int(out.EmpiricalReliability*float64(positives)+0.5))
 	fmt.Printf("overtime bins:          %d of %d\n", out.OvertimeBins, plan.NumUses())
-	fmt.Printf("total incentive cost:   $%.2f\n", out.TotalCost)
+	fmt.Printf("total incentive cost:   $%.2f\n", out.Spent)
 
 	// Individual dispatch comparison: one task per bin, repeated until the
 	// single-bin reliability compounds past the target.

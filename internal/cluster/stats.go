@@ -1,29 +1,20 @@
 package cluster
 
-// LatencySummary is the JSON shape of a peer's round-trip latency
-// distribution, mirroring the service's endpoint latency summaries so
-// operators read one vocabulary across /v1/stats.
-type LatencySummary struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
+import "repro/internal/obs"
 
 // PeerStats is one peer's health and traffic counters as reported in the
 // /v1/stats cluster block.
 type PeerStats struct {
-	URL                 string         `json:"url"`
-	State               string         `json:"state"` // "ok" | "open" | "probing"
-	Requests            uint64         `json:"requests"`
-	Failures            uint64         `json:"failures"`
-	Retries             uint64         `json:"retries"`
-	Fallbacks           uint64         `json:"fallbacks"`
-	BreakerOpens        uint64         `json:"breaker_opens"`
-	ConsecutiveFailures int            `json:"consecutive_failures"`
-	LastError           string         `json:"last_error,omitempty"`
-	Latency             LatencySummary `json:"latency"`
+	URL                 string             `json:"url"`
+	State               string             `json:"state"` // "ok" | "open" | "probing"
+	Requests            uint64             `json:"requests"`
+	Failures            uint64             `json:"failures"`
+	Retries             uint64             `json:"retries"`
+	Fallbacks           uint64             `json:"fallbacks"`
+	BreakerOpens        uint64             `json:"breaker_opens"`
+	ConsecutiveFailures int                `json:"consecutive_failures"`
+	LastError           string             `json:"last_error,omitempty"`
+	Latency             obs.LatencySummary `json:"latency"`
 }
 
 // Stats is the /v1/stats cluster block.
@@ -49,7 +40,6 @@ func (d *Distributor) Stats() Stats {
 	for _, u := range d.order {
 		p := d.peers[u]
 		state, consecutive, opens, lastErr := p.breaker.Snapshot()
-		snap := p.latency.Snapshot()
 		s.Peers = append(s.Peers, PeerStats{
 			URL:                 u,
 			State:               state,
@@ -60,13 +50,7 @@ func (d *Distributor) Stats() Stats {
 			BreakerOpens:        opens,
 			ConsecutiveFailures: consecutive,
 			LastError:           lastErr,
-			Latency: LatencySummary{
-				Count:  snap.Count,
-				MeanMS: snap.Mean() * 1e3,
-				P50MS:  snap.Quantile(0.50) * 1e3,
-				P95MS:  snap.Quantile(0.95) * 1e3,
-				P99MS:  snap.Quantile(0.99) * 1e3,
-			},
+			Latency:             p.latency.Snapshot().Summary(),
 		})
 	}
 	return s

@@ -428,18 +428,6 @@ func (pr *PlanRuns) OffsetTasks(delta int) {
 	}
 }
 
-// Clone returns an independent deep copy: fresh arena and run slice, the
-// (immutable) combs shared. The batcher's stamp path uses it to hand each
-// same-shape member its own plan in three allocations regardless of use
-// count.
-func (pr *PlanRuns) Clone() *PlanRuns {
-	out := &PlanRuns{
-		Arena: append([]int(nil), pr.Arena...),
-		Runs:  append([]BlockRun(nil), pr.Runs...),
-	}
-	return out
-}
-
 // MergePlanRuns concatenates plans in run form (nil and empty entries
 // skipped) into one independent plan: arenas are copied into a single new
 // arena and run offsets rebased, so mutating the merged plan (e.g.

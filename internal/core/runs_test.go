@@ -190,18 +190,6 @@ func TestOffsetTasksKeepsMaterializationCoherent(t *testing.T) {
 	}
 }
 
-func TestPlanRunsCloneIsDeep(t *testing.T) {
-	pr := testRuns()
-	cl := pr.Clone()
-	cl.OffsetTasks(50)
-	if pr.Arena[0] != 0 {
-		t.Fatal("clone shares the arena with its source")
-	}
-	if !reflect.DeepEqual(expand(t, pr.Clone()), expand(t, pr)) {
-		t.Fatal("clone expands differently from its source")
-	}
-}
-
 func TestMaterializeConcurrent(t *testing.T) {
 	pr := testRuns()
 	plan := NewRunPlan(pr)

@@ -1,13 +1,10 @@
 package crowdsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Platform simulates one crowdsourcing marketplace for a given task model.
@@ -127,79 +124,6 @@ func (pl *Platform) RunBin(cardinality int, pay float64, difficulty int, truth [
 	out.Duration = time.Duration(float64(pl.ExpectedDuration(cardinality, pay)) * jitter)
 	out.Overtime = out.Duration > pl.params.Deadline
 	return out
-}
-
-// PlanOutcome summarizes a full simulated execution of a decomposition plan.
-type PlanOutcome struct {
-	// Detected marks, per task, whether at least one in-time bin answered
-	// "yes" — the no-false-negative event the reliability definition
-	// protects.
-	Detected []bool
-	// EmpiricalReliability is the fraction of ground-truth-positive tasks
-	// that were detected.
-	EmpiricalReliability float64
-	// Positives is the number of ground-truth-positive tasks.
-	Positives int
-	// TotalCost is the incentive cost of all bins (paid on assignment).
-	TotalCost float64
-	// OvertimeBins counts bins disqualified by the deadline.
-	OvertimeBins int
-	// MakeSpan is the longest single-bin duration observed.
-	MakeSpan time.Duration
-}
-
-// RunPlan simulates the execution of a decomposition plan against a
-// ground-truth vector: every bin use is answered by an independent simulated
-// worker, overtime bins are disqualified, and a positive task counts as
-// detected if any surviving bin answers "yes" for it.
-func (pl *Platform) RunPlan(in *core.Instance, plan *core.Plan, truth []bool, difficulty int) (*PlanOutcome, error) {
-	if len(truth) != in.N() {
-		return nil, fmt.Errorf("crowdsim: truth has %d entries for %d tasks", len(truth), in.N())
-	}
-	out := &PlanOutcome{Detected: make([]bool, in.N())}
-	err := plan.EachUse(func(cardinality int, tasks []int) error {
-		b, ok := in.Bins().ByCardinality(cardinality)
-		if !ok {
-			return fmt.Errorf("crowdsim: plan uses unknown bin cardinality %d", cardinality)
-		}
-		out.TotalCost += b.Cost
-		binTruth := make([]bool, len(tasks))
-		for i, t := range tasks {
-			binTruth[i] = truth[t]
-		}
-		res := pl.RunBin(b.Cardinality, b.Cost, difficulty, binTruth)
-		if res.Duration > out.MakeSpan {
-			out.MakeSpan = res.Duration
-		}
-		if res.Overtime {
-			out.OvertimeBins++
-			return nil
-		}
-		for i, t := range tasks {
-			if res.Answers[i] {
-				out.Detected[t] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	detected := 0
-	for i, tv := range truth {
-		if tv {
-			out.Positives++
-			if out.Detected[i] {
-				detected++
-			}
-		}
-	}
-	if out.Positives > 0 {
-		out.EmpiricalReliability = float64(detected) / float64(out.Positives)
-	} else {
-		out.EmpiricalReliability = 1
-	}
-	return out, nil
 }
 
 // ProbeResult aggregates repeated probe-bin executions at one design point —

@@ -5,19 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
-
-// planOf builds a plan from a literal use list; the test's uses are
-// well-formed, so a rejection is a test bug.
-func planOf(uses ...core.BinUse) *core.Plan {
-	p, err := core.PlanFromUses(uses)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
 
 func TestConfidenceDeclinesWithCardinality(t *testing.T) {
 	for _, params := range []Params{Jelly(), SMIC()} {
@@ -159,76 +147,6 @@ func TestRunBinTruncatesOversizedTruth(t *testing.T) {
 	out := pl.RunBin(2, 0.10, DefaultDifficulty, []bool{true, false, true, true})
 	if len(out.Answers) != 2 {
 		t.Errorf("answers = %d, want 2 (cardinality)", len(out.Answers))
-	}
-}
-
-func TestRunPlanReliabilityMeetsThreshold(t *testing.T) {
-	// Execute a feasible plan many times: empirical reliability should be
-	// near or above the planned threshold. We build the plan directly from
-	// the menu the platform itself implies, with generous double coverage.
-	pl := New(Jelly(), 99)
-	bins := core.MustBinSet([]core.TaskBin{
-		{Cardinality: 4, Confidence: pl.TrueConfidence(4, 0.10, DefaultDifficulty), Cost: 0.10},
-	})
-	n := 40
-	in := core.MustHomogeneous(bins, n, 0.95)
-	var uses []core.BinUse
-	for rep := 0; rep < 2; rep++ { // each task in 2 bins: rel = 1-(1-.967)² ≈ .9989
-		for s := 0; s < n; s += 4 {
-			end := s + 4
-			if end > n {
-				end = n
-			}
-			use := core.BinUse{Cardinality: 4}
-			for i := s; i < end; i++ {
-				use.Tasks = append(use.Tasks, i)
-			}
-			uses = append(uses, use)
-		}
-	}
-	plan := planOf(uses...)
-	truth := make([]bool, n)
-	for i := range truth {
-		truth[i] = i%2 == 0
-	}
-	sumRel, runs := 0.0, 200
-	for r := 0; r < runs; r++ {
-		out, err := pl.RunPlan(in, plan, truth, DefaultDifficulty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumRel += out.EmpiricalReliability
-	}
-	if mean := sumRel / float64(runs); mean < 0.95 {
-		t.Errorf("mean empirical reliability %v below planned 0.95", mean)
-	}
-}
-
-func TestRunPlanValidatesInput(t *testing.T) {
-	pl := New(Jelly(), 1)
-	bins := core.MustBinSet([]core.TaskBin{{Cardinality: 2, Confidence: 0.9, Cost: 0.1}})
-	in := core.MustHomogeneous(bins, 4, 0.5)
-	plan := planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}})
-	if _, err := pl.RunPlan(in, plan, []bool{true}, DefaultDifficulty); err == nil {
-		t.Error("RunPlan accepted mismatched truth length")
-	}
-	bad := planOf(core.BinUse{Cardinality: 9, Tasks: []int{0}})
-	if _, err := pl.RunPlan(in, bad, []bool{true, false, true, false}, DefaultDifficulty); err == nil {
-		t.Error("RunPlan accepted unknown cardinality")
-	}
-}
-
-func TestRunPlanNoPositives(t *testing.T) {
-	pl := New(Jelly(), 1)
-	bins := core.MustBinSet([]core.TaskBin{{Cardinality: 2, Confidence: 0.9, Cost: 0.1}})
-	in := core.MustHomogeneous(bins, 2, 0.5)
-	plan := planOf(core.BinUse{Cardinality: 2, Tasks: []int{0, 1}})
-	out, err := pl.RunPlan(in, plan, []bool{false, false}, DefaultDifficulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Positives != 0 || out.EmpiricalReliability != 1 {
-		t.Errorf("no-positive run: positives=%d rel=%v", out.Positives, out.EmpiricalReliability)
 	}
 }
 

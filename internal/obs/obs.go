@@ -344,3 +344,28 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return s.Bounds[len(s.Bounds)-1]
 }
+
+// LatencySummary condenses a latency histogram of seconds into the one
+// JSON shape /v1/stats uses for every latency it reports.
+type LatencySummary struct {
+	// Count is the number of observations behind the summary.
+	Count uint64 `json:"count"`
+	// MeanMS is the arithmetic mean; P50/P95/P99 are interpolated
+	// quantile estimates (error bounded by the histogram's 2x bucket
+	// growth). All in milliseconds.
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P95MS  float64 `json:"p95_ms"`
+	P99MS  float64 `json:"p99_ms"`
+}
+
+// Summary converts a snapshot of seconds to its millisecond summary.
+func (s HistogramSnapshot) Summary() LatencySummary {
+	return LatencySummary{
+		Count:  s.Count,
+		MeanMS: s.Mean() * 1e3,
+		P50MS:  s.Quantile(0.50) * 1e3,
+		P95MS:  s.Quantile(0.95) * 1e3,
+		P99MS:  s.Quantile(0.99) * 1e3,
+	}
+}

@@ -98,6 +98,11 @@ func TestHistogramBucketing(t *testing.T) {
 	if (HistogramSnapshot{}).Mean() != 0 {
 		t.Fatalf("empty mean should be 0")
 	}
+	want := LatencySummary{Count: 3, MeanMS: s.Mean() * 1e3, P50MS: s.Quantile(0.5) * 1e3,
+		P95MS: s.Quantile(0.95) * 1e3, P99MS: s.Quantile(0.99) * 1e3}
+	if got := s.Summary(); got != want {
+		t.Fatalf("summary = %+v, want the snapshot's seconds in ms %+v", got, want)
+	}
 }
 
 // TestHistogramExactPowerBoundaries pins the (lower, upper] bucket

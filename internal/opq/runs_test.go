@@ -271,50 +271,3 @@ func TestPlanCostMatchesSolveRandom(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchPlannerMatchesDirect pins the cross-shape sharing sound: for
-// every size — below the block, exact multiples, shared remainders across
-// different full-block counts — the BatchPlanner's plan is bit-identical
-// to a direct solve: same runs expanded, same cost to the last bit.
-func TestBatchPlannerMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 40; trial++ {
-		bins := randomMenu(rng)
-		th := 0.5 + 0.49*rng.Float64()
-		q, err := Build(bins, th)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		bp, err := NewBatchPlanner(q)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		L := int(q.Elems[0].LCM)
-		sizes := []int{1, 2, L - 1, L, L + 1, 2*L + 1, 2*L + 1, 5*L + 1, 3 * L, 7, 7 + L, 7 + 4*L}
-		for _, n := range sizes {
-			if n <= 0 {
-				continue
-			}
-			shared, err := bp.Solve(n)
-			if err != nil {
-				t.Fatalf("trial %d n=%d: %v", trial, n, err)
-			}
-			direct, err := SolveRunsRange(q, 0, n)
-			if err != nil {
-				t.Fatalf("trial %d n=%d: %v", trial, n, err)
-			}
-			sameUses(t, "batch-planner", shared.Materialize(), direct.Materialize())
-			sc, err := core.NewRunPlan(shared).Cost(bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dc, err := core.NewRunPlan(direct).Cost(bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc != dc {
-				t.Fatalf("trial %d n=%d: shared cost %v != direct %v (not bit-identical)", trial, n, sc, dc)
-			}
-		}
-	}
-}

@@ -40,12 +40,9 @@ func (Solver) Solve(in *core.Instance) (*core.Plan, error) {
 // decision instead of materializing assignments: emit(c, blocks, 0) for
 // blocks consecutive full blocks of combination c, emit(c, 0, rem) for one
 // final padded application of c over rem < c.LCM remainder tasks. It is
-// the single control-flow core shared by SolveWithQueue, SolveRuns,
-// PlanCost and the BatchPlanner — the mirrored copies those paths used to
-// carry have been collapsed into it. prev seeds the "previous combination"
-// state, letting the BatchPlanner replay the remainder continuation that
-// follows the initial OPQ1 full-block segment; top-level callers pass nil.
-func planSteps(q *Queue, prev *Comb, n int, emit func(c *Comb, blocks, rem int)) error {
+// the single control-flow core shared by SolveWithQueue, SolveRuns and
+// PlanCost.
+func planSteps(q *Queue, n int, emit func(c *Comb, blocks, rem int)) error {
 	if len(q.Elems) == 0 {
 		return fmt.Errorf("opq: empty queue")
 	}
@@ -55,6 +52,7 @@ func planSteps(q *Queue, prev *Comb, n int, emit func(c *Comb, blocks, rem int))
 	// Work on a shrinking view of the queue, as Algorithm 3 removes
 	// elements whose block size exceeds the remaining task count.
 	elems := q.Elems
+	var prev *Comb
 	for n > 0 {
 		// Lines 4-5: drop combinations with blocks larger than what's left.
 		for len(elems) > 0 && elems[0].LCM > int64(n) {
@@ -90,9 +88,8 @@ func planSteps(q *Queue, prev *Comb, n int, emit func(c *Comb, blocks, rem int))
 }
 
 // specCache memoizes the core.RunComb built per distinct combination of
-// one solve (or one BatchPlanner lifetime). Plans from the same queue
-// share comb specs, so a solve allocates at most one spec per queue
-// element it actually applies.
+// one solve, so a solve allocates at most one spec per queue element it
+// actually applies.
 type specCache struct {
 	srcs  []*Comb
 	specs []*core.RunComb
@@ -116,21 +113,6 @@ func (sc *specCache) spec(c *Comb) *core.RunComb {
 	sc.srcs = append(sc.srcs, c)
 	sc.specs = append(sc.specs, rc)
 	return rc
-}
-
-// appendRuns appends the run sequence for n tasks (arena offsets starting
-// at off) to runs, threading comb specs through the cache.
-func appendRuns(runs []core.BlockRun, sc *specCache, q *Queue, prev *Comb, off, n int) ([]core.BlockRun, error) {
-	pos := off
-	err := planSteps(q, prev, n, func(c *Comb, blocks, rem int) {
-		ln := blocks * int(c.LCM)
-		if blocks == 0 {
-			ln = rem
-		}
-		runs = append(runs, core.BlockRun{Comb: sc.spec(c), Blocks: blocks, Off: pos, Len: ln})
-		pos += ln
-	})
-	return runs, err
 }
 
 // SolveRuns runs Algorithm 3 on the given task identifiers using a
@@ -180,12 +162,19 @@ func solveSized(q *Queue, n int) (*core.PlanRuns, error) {
 		return pr, nil
 	}
 	var sc specCache
-	runs, err := appendRuns(nil, &sc, q, nil, 0, n)
+	pos := 0
+	err := planSteps(q, n, func(c *Comb, blocks, rem int) {
+		ln := blocks * int(c.LCM)
+		if blocks == 0 {
+			ln = rem
+		}
+		pr.Runs = append(pr.Runs, core.BlockRun{Comb: sc.spec(c), Blocks: blocks, Off: pos, Len: ln})
+		pos += ln
+	})
 	if err != nil {
 		return nil, err
 	}
-	pr.Runs = runs
-	if len(runs) > 0 {
+	if len(pr.Runs) > 0 {
 		pr.Arena = make([]int, n)
 	}
 	return pr, nil
@@ -220,7 +209,7 @@ func cheapestBlock(q *Queue) *Comb {
 // the solver's control flow.
 func PlanCost(q *Queue, n int) (float64, error) {
 	cost := 0.0
-	err := planSteps(q, nil, n, func(c *Comb, blocks, rem int) {
+	err := planSteps(q, n, func(c *Comb, blocks, rem int) {
 		if blocks == 0 {
 			cost += c.BlockCost()
 			return
@@ -231,75 +220,6 @@ func PlanCost(q *Queue, n int) (float64, error) {
 		return 0, err
 	}
 	return cost, nil
-}
-
-// BatchPlanner amortizes same-queue solves across many instance sizes —
-// the cross-shape sharing behind the serving layer's request batcher. Any
-// size n ≥ L (L = OPQ1.LCM) decomposes as k = ⌊n/L⌋ full OPQ1 blocks
-// followed by a remainder continuation that depends only on n mod L: once
-// at least one OPQ1 block is taken, Algorithm 3 enters the remainder with
-// prev = OPQ1 regardless of k, so members whose sizes differ only in the
-// full-block count reuse one representative's remainder run sequence, and
-// members that share a remainder share it outright — each solve reduces
-// to one full-block run plus a memoized suffix. Emitted plans are
-// bit-identical to direct SolveRuns output (pinned by test).
-//
-// Not safe for concurrent use; the batcher builds one per flush.
-type BatchPlanner struct {
-	q  *Queue
-	sc specCache
-	// remRuns memoizes the remainder continuation per n mod L, with
-	// arena offsets relative to the remainder's start.
-	remRuns map[int][]core.BlockRun
-}
-
-// NewBatchPlanner builds a planner over a shared read-only queue.
-func NewBatchPlanner(q *Queue) (*BatchPlanner, error) {
-	if len(q.Elems) == 0 {
-		return nil, fmt.Errorf("opq: empty queue")
-	}
-	return &BatchPlanner{q: q, remRuns: make(map[int][]core.BlockRun)}, nil
-}
-
-// Solve plans n tasks with local ids 0..n-1 (the id space every batched
-// request lives in) in compact run form.
-func (bp *BatchPlanner) Solve(n int) (*core.PlanRuns, error) {
-	pr := &core.PlanRuns{}
-	if n == 0 || core.Theta(bp.q.Threshold) == 0 {
-		return pr, nil
-	}
-	L := int(bp.q.Elems[0].LCM)
-	if n < L {
-		// Smaller than the optimal block: no full-block prefix to share.
-		runs, err := appendRuns(nil, &bp.sc, bp.q, nil, 0, n)
-		if err != nil {
-			return nil, err
-		}
-		pr.Runs = runs
-	} else {
-		k, rem := n/L, n%L
-		suffix, ok := bp.remRuns[rem]
-		if !ok {
-			var err error
-			suffix, err = appendRuns(nil, &bp.sc, bp.q, &bp.q.Elems[0], 0, rem)
-			if err != nil {
-				return nil, err
-			}
-			bp.remRuns[rem] = suffix
-		}
-		runs := make([]core.BlockRun, 0, 1+len(suffix))
-		runs = append(runs, core.BlockRun{Comb: bp.sc.spec(&bp.q.Elems[0]), Blocks: k, Off: 0, Len: k * L})
-		for _, r := range suffix {
-			r.Off += k * L
-			runs = append(runs, r)
-		}
-		pr.Runs = runs
-	}
-	pr.Arena = make([]int, n)
-	for i := range pr.Arena {
-		pr.Arena[i] = i
-	}
-	return pr, nil
 }
 
 // ApproxRatioBound returns the Theorem-2 approximation guarantee log2(n)

@@ -1,35 +1,25 @@
 package platform
 
-// LatencySummary is the JSON shape of the issue-latency distribution,
-// matching the cluster's peer latency summaries so /v1/stats speaks one
-// vocabulary.
-type LatencySummary struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
+import "repro/internal/obs"
 
 // Stats is the /v1/stats platform block.
 type Stats struct {
-	URL                 string         `json:"url"`
-	State               string         `json:"state"` // "ok" | "open" | "probing"
-	Attempts            uint64         `json:"attempts"`
-	Retries             uint64         `json:"retries"`
-	Failures            uint64         `json:"failures"`
-	Replays             uint64         `json:"replays"`
-	BreakerOpens        uint64         `json:"breaker_opens"`
-	ConsecutiveFailures int            `json:"consecutive_failures"`
-	DegradedRuns        uint64         `json:"degraded_runs"`
-	LastError           string         `json:"last_error,omitempty"`
-	Latency             LatencySummary `json:"latency"`
+	URL                 string             `json:"url"`
+	State               string             `json:"state"` // "ok" | "open" | "probing"
+	Attempts            uint64             `json:"attempts"`
+	Retries             uint64             `json:"retries"`
+	Failures            uint64             `json:"failures"`
+	Replays             uint64             `json:"replays"`
+	BreakerOpens        uint64             `json:"breaker_opens"`
+	ConsecutiveFailures int                `json:"consecutive_failures"`
+	DegradedRuns        uint64             `json:"degraded_runs"`
+	LastError           string             `json:"last_error,omitempty"`
+	Latency             obs.LatencySummary `json:"latency"`
 }
 
 // Stats snapshots the client's counters and breaker state.
 func (c *Client) Stats() Stats {
 	state, consecutive, opens, lastErr := c.breaker.Snapshot()
-	snap := c.latency.Snapshot()
 	return Stats{
 		URL:                 c.base,
 		State:               state,
@@ -41,13 +31,7 @@ func (c *Client) Stats() Stats {
 		ConsecutiveFailures: consecutive,
 		DegradedRuns:        c.degradedRuns.Value(),
 		LastError:           lastErr,
-		Latency: LatencySummary{
-			Count:  snap.Count,
-			MeanMS: snap.Mean() * 1e3,
-			P50MS:  snap.Quantile(0.50) * 1e3,
-			P95MS:  snap.Quantile(0.95) * 1e3,
-			P99MS:  snap.Quantile(0.99) * 1e3,
-		},
+		Latency:             c.latency.Snapshot().Summary(),
 	}
 }
 

@@ -104,7 +104,7 @@ func FuzzScenarioCostParity(f *testing.F) {
 			t.Fatalf("heterogeneous n=%d: service plan bytes differ from hetero.Solve's", hn)
 		}
 
-		// Batched == solo: the whole mix coalesced into one shared solve,
+		// Batched == solo: the whole mix coalesced into one flush,
 		// each caller's delivered plan priced exactly like its solo solve.
 		// The cap (not the window) flushes, keeping the batch composition
 		// deterministic.

@@ -81,8 +81,8 @@ func runCell(cell Cell, cellSeed int64, opts Options) (CellResult, error) {
 		CacheSize: 64,
 		Workers:   opts.Workers,
 		// The batcher is part of the pipeline under test: bursty cells
-		// coalesce into shared solves, and batching is provably
-		// cost-neutral, so it stays on for every cell.
+		// coalesce into shared flushes, and a batched plan is its solo
+		// plan, so it stays on for every cell.
 		BatchWindow: 2 * time.Millisecond,
 		Slog:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

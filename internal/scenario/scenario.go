@@ -50,7 +50,7 @@ const (
 	ArrivalSkewed ArrivalPattern = "skewed"
 	// ArrivalBursty submits equal-sized homogeneous requests in
 	// concurrent bursts, so the service's request batcher coalesces them
-	// into shared solves.
+	// into shared flushes.
 	ArrivalBursty ArrivalPattern = "bursty"
 )
 

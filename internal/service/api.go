@@ -108,13 +108,45 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
-// instanceRequest is the wire form of a problem instance: a menu plus
+// MaxTasks bounds the tasks one call may ask to decompose — n,
+// len(thresholds), or their sum over a batch call. An instance holds a
+// threshold per task and a plan an id per task, so without a bound a
+// hundred-byte body could demand terabytes; 2^24 is above every workload
+// the ledger, the figures and the alloc budgets run.
+const MaxTasks = 1 << 24
+
+// instanceShape is the wire form of an instance over a known menu:
 // either a homogeneous (n, threshold) pair or per-task thresholds.
+type instanceShape struct {
+	N          int       `json:"n,omitempty"`
+	Threshold  *float64  `json:"threshold,omitempty"`
+	Thresholds []float64 `json:"thresholds,omitempty"`
+}
+
+// build validates the shape and builds its core.Instance over bins,
+// refusing more than room tasks: MaxTasks on the single-instance routes,
+// what earlier members left of it on a batch call.
+func (sh *instanceShape) build(bins core.BinSet, room int) (*core.Instance, error) {
+	if sh.N > room || len(sh.Thresholds) > room {
+		return nil, fmt.Errorf("too many tasks: a call may carry at most %d", MaxTasks)
+	}
+	if len(sh.Thresholds) > 0 {
+		if sh.Threshold != nil || sh.N != 0 {
+			return nil, fmt.Errorf("give either thresholds or (n, threshold), not both")
+		}
+		return core.NewHeterogeneous(bins, sh.Thresholds)
+	}
+	if sh.Threshold == nil {
+		return nil, fmt.Errorf("missing threshold(s)")
+	}
+	return core.NewHomogeneous(bins, sh.N, *sh.Threshold)
+}
+
+// instanceRequest is the wire form of a problem instance: a menu plus
+// its shape.
 type instanceRequest struct {
-	Bins       []core.TaskBin `json:"bins"`
-	N          int            `json:"n,omitempty"`
-	Threshold  *float64       `json:"threshold,omitempty"`
-	Thresholds []float64      `json:"thresholds,omitempty"`
+	Bins []core.TaskBin `json:"bins"`
+	instanceShape
 }
 
 // instance validates and builds the core.Instance.
@@ -123,16 +155,7 @@ func (ir *instanceRequest) instance() (*core.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(ir.Thresholds) > 0 {
-		if ir.Threshold != nil || ir.N != 0 {
-			return nil, fmt.Errorf("give either thresholds or (n, threshold), not both")
-		}
-		return core.NewHeterogeneous(bins, ir.Thresholds)
-	}
-	if ir.Threshold == nil {
-		return nil, fmt.Errorf("missing threshold(s)")
-	}
-	return core.NewHomogeneous(bins, ir.N, *ir.Threshold)
+	return ir.build(bins, MaxTasks)
 }
 
 // decomposeRequest is the POST /v1/decompose body.
@@ -221,36 +244,12 @@ func writeDecomposeNDJSON(w http.ResponseWriter, resp decomposeResponse, plan *c
 
 // batchDecomposeRequest is the POST /v1/decompose/batch body: one shared
 // menu solved for many instances. With batching enabled the concurrent
-// member solves coalesce into a single batch window, so the whole request
-// is served by (at most) one shared block-aligned solve per shape — at
-// exactly the same per-instance cost as solo solves.
+// member solves coalesce into a single batch window, so same-threshold
+// members share one cache lookup — and each gets exactly its solo plan.
 type batchDecomposeRequest struct {
 	Bins      []core.TaskBin  `json:"bins"`
 	Solver    string          `json:"solver,omitempty"`
-	Instances []batchInstance `json:"instances"`
-}
-
-// batchInstance is one member's shape: (n, threshold) or per-task
-// thresholds, over the shared menu.
-type batchInstance struct {
-	N          int       `json:"n,omitempty"`
-	Threshold  *float64  `json:"threshold,omitempty"`
-	Thresholds []float64 `json:"thresholds,omitempty"`
-}
-
-// instance builds the member's core.Instance over the shared menu,
-// mirroring instanceRequest.instance's validation.
-func (bi *batchInstance) instance(bins core.BinSet) (*core.Instance, error) {
-	if len(bi.Thresholds) > 0 {
-		if bi.Threshold != nil || bi.N != 0 {
-			return nil, fmt.Errorf("give either thresholds or (n, threshold), not both")
-		}
-		return core.NewHeterogeneous(bins, bi.Thresholds)
-	}
-	if bi.Threshold == nil {
-		return nil, fmt.Errorf("missing threshold(s)")
-	}
-	return core.NewHomogeneous(bins, bi.N, *bi.Threshold)
+	Instances []instanceShape `json:"instances"`
 }
 
 // batchResult is one member's reply, in request order.
@@ -285,13 +284,15 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	// whole or rejects whole, so a typo in member 7 cannot waste the
 	// first six solves.
 	ins := make([]*core.Instance, len(req.Instances))
+	room := MaxTasks
 	for i := range req.Instances {
-		in, err := req.Instances[i].instance(bins)
+		in, err := req.Instances[i].build(bins, room)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("instance %d: %w", i, err))
 			return
 		}
 		ins[i] = in
+		room -= in.N()
 	}
 	name := req.Solver
 	if name == "" {
@@ -471,14 +472,9 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown job kind %q", kind))
 		return
 	}
-	id, err := s.Jobs().Submit(jr)
+	st, err := s.Jobs().submit(jr)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.Jobs().Status(id)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)

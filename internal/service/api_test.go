@@ -497,6 +497,50 @@ func TestHTTPDecomposeBatchErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPTaskLimit: a hundred-byte body may not demand terabytes. Asking
+// for more than MaxTasks is a 400 naming the limit on every route that
+// builds an instance — before anything is allocated — and the next
+// request is served.
+func TestHTTPTaskLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct{ name, path, body string }{
+		{"decompose n", "/v1/decompose", `{"bins":%s,"n":1000000000000,"threshold":0.9}`},
+		{"solve job n", "/v1/jobs", `{"bins":%s,"n":1000000000000,"threshold":0.9}`},
+		{"run job n", "/v1/jobs", `{"kind":"run","bins":%s,"n":1000000000000,"threshold":0.9}`},
+		{"batch sum", "/v1/decompose/batch", `{"bins":%s,"instances":[{"n":1,"threshold":0.9},{"n":16777216,"threshold":0.9}]}`},
+	} {
+		resp, raw := postJSON(t, ts.URL+tc.path, fmt.Sprintf(tc.body, table1JSON))
+		var e errorBody
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("%s: no error envelope in %s", tc.name, raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_request" ||
+			!strings.Contains(e.Error.Message, fmt.Sprint(MaxTasks)) {
+			t.Errorf("%s: status %d, envelope %+v; want 400 invalid_request naming %d", tc.name, resp.StatusCode, e.Error, MaxTasks)
+		}
+	}
+	// len(thresholds) over the limit is a 34 MB body, so the shared helper
+	// is held to a small room instead; the room itself is admitted.
+	thr := 0.9
+	for _, tc := range []struct {
+		sh instanceShape
+		ok bool
+	}{
+		{instanceShape{Thresholds: []float64{0.5, 0.6}}, true},
+		{instanceShape{Thresholds: []float64{0.5, 0.6, 0.7}}, false},
+		{instanceShape{N: 2, Threshold: &thr}, true},
+		{instanceShape{N: 3, Threshold: &thr}, false},
+	} {
+		if _, err := tc.sh.build(binset.Table1(), 2); (err == nil) != tc.ok {
+			t.Errorf("build(%+v, room 2): err %v, want ok=%v", tc.sh, err, tc.ok)
+		}
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/decompose", fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9}`, table1JSON))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the rejections: status %d: %s", resp.StatusCode, raw)
+	}
+}
+
 // TestHTTPDecomposeNDJSON: Accept: application/x-ndjson streams the plan
 // one use per line after a plan-less summary line.
 func TestHTTPDecomposeNDJSON(t *testing.T) {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -22,11 +21,10 @@ const DefaultBatchWindow = 2 * time.Millisecond
 const DefaultBatchMaxRequests = 256
 
 // batcher coalesces concurrent default-solver decompose traffic that
-// shares a (menu, threshold) cache key into one shared block-aligned
-// solve per accumulation window — the serving-layer application of the
-// paper's cost-neutrality result: accumulated mass decomposes into the
-// same per-request use multisets it would alone, so batching changes
-// per-request cost by exactly nothing while amortizing the solve.
+// shares a (menu, threshold) cache key: one accumulation window, one
+// cache lookup, then each member is solved over the shared cached queue
+// by the same opq.SolveRunsRange call an unbatched request makes — so a
+// batched plan is its solo plan by construction.
 //
 // Mechanics: the first request for a key opens a pending batch and arms
 // the window timer; followers sharing the key append themselves. The
@@ -36,23 +34,14 @@ const DefaultBatchMaxRequests = 256
 // solver was busy are solved the moment it frees up, so a saturated
 // solver never idles waiting for a window to expire, and the window is
 // what it claims to be — an upper bound on added latency, paid in full
-// only by sparse traffic. A flush runs one representative block-aligned
-// solve per distinct request size over the key's cached queue and
-// replicates ("stamps") each member's copy — full blocks are
-// structurally identical under task renaming (Corollary 1), which is
-// what makes replication sound. The split-back of the summed instance's
-// merged plan is fused into the stamp (stream.SplitPlan is its explicit
-// inverse form; the batch tests assert the equivalence), and each
-// member's plan addresses only its own ids 0..n-1 by construction — no
-// cross-request task leakage. Members of one shape also share a single
-// summary computation.
+// only by sparse traffic. Each member's plan addresses only its own ids
+// 0..n-1 — no cross-request task leakage.
 //
 // Concurrency contract: join is safe for any number of goroutines. A
 // member whose context is canceled while the batch is still pending
 // leaves it without disturbing siblings (the DELETE-one-member semantics
-// of batched jobs); once a flush has started, the shared solve runs to
-// completion for the remaining members and the canceled caller simply
-// abandons its result.
+// of batched jobs); once a flush has started, it solves every member it
+// collected and the canceled caller simply abandons its result.
 type batcher struct {
 	svc *Service
 	// window is the maximum accumulation time before a flush.
@@ -108,16 +97,15 @@ type pendingBatch struct {
 }
 
 // batchMember is one caller parked in a pending batch. The flush
-// goroutine writes plan/summary (or the batch-level err) before closing
-// the batch's done channel.
+// goroutine writes plan (or the batch-level err) before closing the
+// batch's done channel.
 type batchMember struct {
 	n int
 	// gone marks a member whose caller gave up (context canceled) before
 	// the flush collected it; flushes skip gone members.
 	gone bool
 
-	plan    *core.Plan
-	summary *PlanSummary
+	plan *core.Plan
 }
 
 // newBatcher wires a batcher to its owning service.
@@ -135,10 +123,10 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 }
 
 // join enters the caller's instance into the pending batch for its cache
-// key (opening one if needed) and blocks until the batch solve delivers
-// this member's plan and shared summary, or ctx is canceled. The instance
-// must be homogeneous with at least one task.
-func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, *PlanSummary, error) {
+// key (opening one if needed) and blocks until the flush delivers this
+// member's plan, or ctx is canceled. The instance must be homogeneous
+// with at least one task.
+func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, error) {
 	bins, threshold := in.Bins(), in.Threshold(0)
 	key := batchKey{
 		digest:    opq.FingerprintDigest(bins, threshold),
@@ -153,8 +141,7 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, *Pla
 		// Digest collision (distinct key material, equal digest): solve
 		// alone, mirroring the cache's collision bypass.
 		b.mu.Unlock()
-		plan, err := b.svc.sharded.SolveContext(ctx, in)
-		return plan, nil, err
+		return b.svc.sharded.SolveContext(ctx, in)
 	}
 	if !ok {
 		pb = &pendingBatch{key: key, bins: bins, threshold: threshold, done: make(chan struct{})}
@@ -177,7 +164,7 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, *Pla
 
 	select {
 	case <-pb.done:
-		return m.plan, m.summary, pb.err
+		return m.plan, pb.err
 	case <-ctx.Done():
 		// Leave the batch; siblings are untouched. If the flush already
 		// collected this member its result is simply dropped — the cancel
@@ -185,7 +172,7 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, *Pla
 		b.mu.Lock()
 		m.gone = true
 		b.mu.Unlock()
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -211,11 +198,11 @@ func (b *batcher) flushExpired(key batchKey, pb *pendingBatch) {
 	b.flush(pb, flushReasonWindow)
 }
 
-// flush runs the batch's shared solve, delivers every live member's
-// result, and — when it was the key's last in-flight flush — hands any
-// batch that accumulated meanwhile straight to the next flush. Exactly
-// one flush runs per batch: every trigger detaches the batch from the
-// pending map under the lock before calling it.
+// flush solves and delivers every live member's plan, and — when it was
+// the key's last in-flight flush — hands any batch that accumulated
+// meanwhile straight to the next flush. Exactly one flush runs per batch:
+// every trigger detaches the batch from the pending map under the lock
+// before calling it.
 func (b *batcher) flush(pb *pendingBatch, reason string) {
 	b.mu.Lock()
 	members := make([]*batchMember, 0, len(pb.members))
@@ -244,14 +231,7 @@ func (b *batcher) flush(pb *pendingBatch, reason string) {
 	}
 
 	if len(members) > 0 { // otherwise every caller canceled while pending
-		plans, sums, err := b.solve(pb, members)
-		if err != nil {
-			pb.err = err
-		} else {
-			for i, m := range members {
-				m.plan, m.summary = plans[i], sums[i]
-			}
-		}
+		pb.err = b.solve(pb, members)
 		close(pb.done) // one close publishes every member's slot
 	}
 
@@ -275,78 +255,22 @@ func (b *batcher) flush(pb *pendingBatch, reason string) {
 	go b.flush(succ, flushReasonDrain)
 }
 
-// repSolve is the shared solve of one distinct request size: the
-// block-aligned run-form plan for tasks 0..n-1 plus its summary, which
-// every same-size member's stamped copy shares verbatim.
-type repSolve struct {
-	runs    *core.PlanRuns
-	plan    *core.Plan
-	summary *PlanSummary
-}
-
-// solve performs the batch's shared work: one opq.BatchPlanner solve per
-// distinct member size over the key's cached queue (the batch solve is
-// deliberately detached from any single member's context, since its
-// result serves every sibling), then one stamped run-form copy per
-// additional same-size member. The planner adds cross-shape sharing on
-// top of same-shape stamping: members whose sizes differ only in the
-// remainder reuse the representative's full-block run and memoized
-// remainder continuation, solving nothing but their own suffix — and the
-// planner's output is pinned bit-identical to a direct solve, so cost
-// parity stays structural: a member's plan carries exactly the use
-// multiset its unbatched solve would.
-func (b *batcher) solve(pb *pendingBatch, members []*batchMember) ([]*core.Plan, []*PlanSummary, error) {
+// solve fetches the key's cached queue once and writes each member's
+// plan. It is deliberately detached from any single member's context,
+// since the flush serves every sibling.
+func (b *batcher) solve(pb *pendingBatch, members []*batchMember) error {
 	q, err := b.svc.cache.Get(pb.bins, pb.threshold)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	bp, err := opq.NewBatchPlanner(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	reps := make(map[int]*repSolve)
 	for _, m := range members {
-		if _, ok := reps[m.n]; ok {
-			continue
-		}
-		pr, err := bp.Solve(m.n)
+		pr, err := opq.SolveRunsRange(q, 0, m.n)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		plan := core.NewRunPlan(pr)
-		sum, err := plan.Summarize(pb.bins)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", errSummarize, err)
-		}
-		ps := NewPlanSummary(sum)
-		reps[m.n] = &repSolve{runs: pr, plan: plan, summary: &ps}
+		m.plan = core.NewRunPlan(pr)
 	}
-
-	// Deliver per-member plans. Conceptually this is the MergePlans/
-	// OffsetTasks bookkeeping of the summed instance followed by the
-	// stream.SplitPlan split-back; because member i's slice of the merged
-	// plan is exactly its representative shifted by its offset, shifting
-	// there and back cancels, so the two steps fuse into emitting each
-	// member's copy directly in local id space — a run-form clone (arena +
-	// run metadata, three allocations regardless of use count), no
-	// expansion anywhere on the hot path. (The batch tests re-materialize
-	// the merged plan from these results and assert stream.SplitPlan
-	// inverts it, pinning the equivalence.)
-	plans := make([]*core.Plan, len(members))
-	sums := make([]*PlanSummary, len(members))
-	repUsed := make(map[int]bool, len(reps))
-	for i, m := range members {
-		rep := reps[m.n]
-		sums[i] = rep.summary
-		if !repUsed[m.n] {
-			// First member of a size owns the representative itself.
-			repUsed[m.n] = true
-			plans[i] = rep.plan
-			continue
-		}
-		plans[i] = core.NewRunPlan(rep.runs.Clone())
-	}
-	return plans, sums, nil
+	return nil
 }
 
 // BatchStats reports the request batcher's effectiveness; served inside

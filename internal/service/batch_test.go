@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/opq"
 	"repro/internal/store"
-	"repro/internal/stream"
 )
 
 // unbatchedCost is the reference every batched request must match: the
@@ -26,11 +26,11 @@ func unbatchedCost(t *testing.T, in *core.Instance) float64 {
 }
 
 // TestBatchCostParityInvariant is the batcher's acceptance invariant:
-// requests of mixed sizes coalesced into one shared block-aligned solve
-// each receive a feasible plan whose cost equals the unbatched solve of
-// the same instance exactly — not within tolerance, exactly. The batch
-// is made deterministic by sizing the cap to the request count, so the
-// final join flushes it without waiting out the (long) window.
+// requests of mixed sizes coalesced into one flush each receive a
+// feasible plan that encodes byte for byte as the unbatched solve of the
+// same instance does. The batch is made deterministic by sizing the cap
+// to the request count, so the final join flushes it without waiting out
+// the (long) window.
 func TestBatchCostParityInvariant(t *testing.T) {
 	menu := binset.Table1()
 	const thr = 0.95
@@ -70,39 +70,16 @@ func TestBatchCostParityInvariant(t *testing.T) {
 		if err := r.plan.Validate(in); err != nil {
 			t.Fatalf("request %d: invalid plan: %v", i, err)
 		}
-		want := unbatchedCost(t, in)
-		if got := r.plan.MustCost(menu); got != want {
-			t.Errorf("request %d (n=%d): batched cost %v != unbatched %v", i, n, got, want)
+		solo, err := (opq.Solver{}).Solve(in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.sum.Cost != want || r.sum.NumUses != r.plan.NumUses() {
-			t.Errorf("request %d: shared summary %+v disagrees with plan (cost %v, uses %d)",
+		if !bytes.Equal(encodePlan(t, r.plan), encodePlan(t, solo)) {
+			t.Errorf("request %d (n=%d): batched plan is not byte-identical to the solo solve", i, n)
+		}
+		if want := solo.MustCost(menu); r.sum.Cost != want || r.sum.NumUses != r.plan.NumUses() {
+			t.Errorf("request %d: summary %+v disagrees with plan (cost %v, uses %d)",
 				i, r.sum, want, r.plan.NumUses())
-		}
-	}
-
-	// The batcher emits per-caller plans directly (the fused form of the
-	// merged-plan bookkeeping); pin the equivalence by re-materializing
-	// the merged plan of the summed instance and asserting
-	// stream.SplitPlan inverts it back to plans with identical costs.
-	offset := 0
-	var parts []*core.Plan
-	for i, n := range sizes {
-		part := core.MergePlans(results[i].plan) // deep copy
-		part.OffsetTasks(offset)
-		parts = append(parts, part)
-		offset += n
-	}
-	merged := core.MergePlans(parts...)
-	split, err := stream.SplitPlan(merged, sizes)
-	if err != nil {
-		t.Fatalf("SplitPlan on the re-materialized merged plan: %v", err)
-	}
-	for i := range sizes {
-		if got, want := split[i].MustCost(menu), results[i].plan.MustCost(menu); got != want {
-			t.Errorf("request %d: SplitPlan cost %v != delivered %v", i, got, want)
-		}
-		if split[i].NumUses() != results[i].plan.NumUses() {
-			t.Errorf("request %d: SplitPlan uses %d != delivered %d", i, split[i].NumUses(), results[i].plan.NumUses())
 		}
 	}
 
@@ -198,7 +175,7 @@ func TestBatchDrainHandoffFlushesWithoutWindow(t *testing.T) {
 // TestBatchMemberCancelLeavesSiblings pins the DELETE-one-member
 // semantics at the batcher level: a caller canceled while the batch is
 // pending gets ctx.Err() promptly, and its siblings still receive exact
-// plans from the shared solve.
+// plans from the flush.
 func TestBatchMemberCancelLeavesSiblings(t *testing.T) {
 	menu := binset.Table1()
 	svc := New(Config{Workers: 2, BatchWindow: 250 * time.Millisecond, BatchMaxRequests: 64})
@@ -306,7 +283,7 @@ func TestBatchStatsDisabled(t *testing.T) {
 }
 
 // TestBatchedJobsPersistAndReplayIndividually: solve jobs that were
-// coalesced into one shared solve still settle, spill to the store, and
+// coalesced into one flush still settle, spill to the store, and
 // replay after a restart as individual jobs with their own plans.
 func TestBatchedJobsPersistAndReplayIndividually(t *testing.T) {
 	menu := binset.Table1()

@@ -179,6 +179,8 @@ func contractScript() []contractStep {
 			headers: map[string]string{"Accept": "application/x-ndjson"}},
 		{name: "decompose_invalid", method: "POST", path: "/v1/decompose",
 			body: `{"bins":[],"n":5,"threshold":0.9}`},
+		{name: "decompose_over_limit", method: "POST", path: "/v1/decompose",
+			body: fmt.Sprintf(`{"bins":%s,"n":1000000000000,"threshold":0.9}`, table1JSON)},
 		{name: "decompose_unknown_solver", method: "POST", path: "/v1/decompose",
 			body: fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9,"solver":"nope"}`, table1JSON)},
 		{name: "batch_ok", method: "POST", path: "/v1/decompose/batch",

@@ -499,6 +499,14 @@ func (m *JobManager) close() {
 // instance, stream and run payloads) must not be mutated after Submit
 // returns.
 func (m *JobManager) Submit(req JobRequest) (string, error) {
+	st, err := m.submit(req)
+	return st.ID, err
+}
+
+// submit is Submit returning the job's snapshot taken under the lock hold
+// that registered it — always pending, however fast the job then runs —
+// which is what the 202 reply carries.
+func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 	payloads := 0
 	for _, set := range []bool{req.Instance != nil, req.Stream != nil, req.Run != nil} {
 		if set {
@@ -506,7 +514,7 @@ func (m *JobManager) Submit(req JobRequest) (string, error) {
 		}
 	}
 	if payloads != 1 {
-		return "", fmt.Errorf("service: job needs exactly one of instance, stream or run")
+		return JobStatus{}, fmt.Errorf("service: job needs exactly one of instance, stream or run")
 	}
 	kind := KindSolve
 	solver := req.Solver
@@ -517,35 +525,35 @@ func (m *JobManager) Submit(req JobRequest) (string, error) {
 			solver = m.svc.DefaultSolver()
 		}
 		if _, err := m.svc.solver(solver); err != nil {
-			return "", err
+			return JobStatus{}, err
 		}
 	}
 	if req.Run != nil {
 		kind = KindRun
 		if err := req.Run.validate(); err != nil {
-			return "", err
+			return JobStatus{}, err
 		}
 		// Build the platform now so an unknown model or a bad pool config
 		// rejects the submission instead of failing the job later.
 		var err error
 		if runner, err = m.platform(req.Run.Platform); err != nil {
-			return "", err
+			return JobStatus{}, err
 		}
 	}
 	if req.Stream != nil {
 		kind = KindStream
 		if solver != "" {
-			return "", fmt.Errorf("service: stream jobs use the stream planner; solver %q not applicable", solver)
+			return JobStatus{}, fmt.Errorf("service: stream jobs use the stream planner; solver %q not applicable", solver)
 		}
 		solver = "stream"
 		if err := req.Stream.Bins.Validate(); err != nil {
-			return "", err
+			return JobStatus{}, err
 		}
 		if req.Stream.Bins.Len() == 0 {
-			return "", fmt.Errorf("service: stream job with empty menu")
+			return JobStatus{}, fmt.Errorf("service: stream job with empty menu")
 		}
 		if !(req.Stream.Threshold >= 0 && req.Stream.Threshold < 1) {
-			return "", fmt.Errorf("service: stream threshold %v outside [0,1)", req.Stream.Threshold)
+			return JobStatus{}, fmt.Errorf("service: stream threshold %v outside [0,1)", req.Stream.Threshold)
 		}
 		// The block expansion of Algorithm 3 assumes distinct task ids; a
 		// duplicate would land in one bin twice and make the plan invalid,
@@ -554,7 +562,7 @@ func (m *JobManager) Submit(req JobRequest) (string, error) {
 		for _, batch := range req.Stream.Batches {
 			for _, id := range batch {
 				if _, dup := seen[id]; dup {
-					return "", fmt.Errorf("service: duplicate task id %d in stream batches", id)
+					return JobStatus{}, fmt.Errorf("service: duplicate task id %d in stream batches", id)
 				}
 				seen[id] = struct{}{}
 			}
@@ -576,10 +584,11 @@ func (m *JobManager) Submit(req JobRequest) (string, error) {
 	}
 	m.jobs[j.id] = j
 	m.counts.submitted++
+	st := j.statusLocked()
 	m.mu.Unlock()
 
 	go m.run(ctx, j)
-	return j.id, nil
+	return st, nil
 }
 
 // run drives one job through its lifecycle.
@@ -816,6 +825,11 @@ func (m *JobManager) Status(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
+	return j.statusLocked(), nil
+}
+
+// statusLocked snapshots the job; the caller holds the manager's mu.
+func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		Kind:      j.kind,
@@ -830,7 +844,7 @@ func (m *JobManager) Status(id string) (JobStatus, error) {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	return st, nil
+	return st
 }
 
 // Result returns the plan of a JobDone job. Safe for concurrent use; the

@@ -474,30 +474,6 @@ func (o execObserver) BinIssued(d time.Duration) {
 func (o execObserver) BinRetried() { o.m.execRetries.Inc() }
 func (o execObserver) TopUpRound() { o.m.execTopUpRounds.Inc() }
 
-// LatencySummary condenses one latency histogram for /v1/stats.
-type LatencySummary struct {
-	// Count is the number of observations behind the summary.
-	Count uint64 `json:"count"`
-	// MeanMS is the arithmetic mean; P50/P95/P99 are interpolated
-	// quantile estimates (error bounded by the histogram's 2x bucket
-	// growth). All in milliseconds.
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-// newLatencySummary converts a histogram snapshot of seconds.
-func newLatencySummary(s obs.HistogramSnapshot) LatencySummary {
-	return LatencySummary{
-		Count:  s.Count,
-		MeanMS: s.Mean() * 1e3,
-		P50MS:  s.Quantile(0.50) * 1e3,
-		P95MS:  s.Quantile(0.95) * 1e3,
-		P99MS:  s.Quantile(0.99) * 1e3,
-	}
-}
-
 // EndpointStats is one endpoint's row in /v1/stats: request counts by
 // status class plus the latency distribution.
 type EndpointStats struct {
@@ -505,9 +481,9 @@ type EndpointStats struct {
 	Route  string `json:"route"`
 	// Requests is the total across all status classes; Status breaks it
 	// down ("2xx", "4xx", ...), omitting zero classes.
-	Requests uint64            `json:"requests"`
-	Status   map[string]uint64 `json:"status,omitempty"`
-	Latency  LatencySummary    `json:"latency"`
+	Requests uint64             `json:"requests"`
+	Status   map[string]uint64  `json:"status,omitempty"`
+	Latency  obs.LatencySummary `json:"latency"`
 }
 
 // endpointStats snapshots every route's instruments.
@@ -518,7 +494,7 @@ func (m *serviceMetrics) endpointStats() []EndpointStats {
 		es := EndpointStats{
 			Method:  rm.method,
 			Route:   rm.route,
-			Latency: newLatencySummary(rm.duration.Snapshot()),
+			Latency: rm.duration.Snapshot().Summary(),
 		}
 		for i, c := range rm.classes {
 			if v := c.Value(); v > 0 {

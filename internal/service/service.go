@@ -19,6 +19,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/greedy"
 	"repro/internal/hetero"
+	"repro/internal/obs"
 	"repro/internal/opq"
 	"repro/internal/platform"
 	"repro/internal/store"
@@ -73,9 +74,9 @@ type Config struct {
 	// default-solver requests (synchronous decomposes and the planning
 	// phase of solve/run jobs) that share a menu fingerprint accumulate
 	// for up to this long — DefaultBatchWindow (~2ms) in cmd/sladed —
-	// and are served by one shared block-aligned solve, each caller
-	// receiving a plan that costs exactly what its unbatched solve
-	// would. Zero keeps batching off (the library default), preserving
+	// and are then solved in one flush over one cache lookup, each
+	// caller receiving exactly the plan its unbatched solve would.
+	// Zero keeps batching off (the library default), preserving
 	// per-request latency for embedders that never see bursts.
 	BatchWindow time.Duration
 	// BatchMaxRequests flushes a batch early once this many requests
@@ -462,43 +463,21 @@ func (s *Service) Decompose(ctx context.Context, in *core.Instance) (*core.Plan,
 // latency then includes the accumulation window). Safe for concurrent
 // use; the instance is only read.
 func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Instance) (*core.Plan, error) {
-	plan, _, err := s.decomposeTimed(ctx, name, in)
-	return plan, err
+	return s.decompose(ctx, name, in)
 }
 
 // DecomposeSummarized is DecomposeWith returning the plan's summary as
-// well — the shape the HTTP layer serves. Batched requests of one shape
-// share a single summary computation; unbatched requests compute their
-// own. Safe for concurrent use.
+// well — the shape the HTTP layer serves. Safe for concurrent use.
 func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core.Instance) (*core.Plan, PlanSummary, error) {
-	plan, sum, err := s.decomposeTimed(ctx, name, in)
+	plan, err := s.decompose(ctx, name, in)
 	if err != nil {
 		return nil, PlanSummary{}, err
 	}
-	if sum == nil {
-		sm, err := plan.Summarize(in.Bins())
-		if err != nil {
-			return nil, PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
-		}
-		ps := NewPlanSummary(sm)
-		sum = &ps
-	}
-	return plan, *sum, nil
-}
-
-// decomposeTimed wraps the solve with the request counters and latency
-// histogram shared by both public entry points.
-func (s *Service) decomposeTimed(ctx context.Context, name string, in *core.Instance) (*core.Plan, *PlanSummary, error) {
-	start := time.Now()
-	plan, sum, err := s.decomposeWith(ctx, name, in)
-	s.requests.Add(1)
-	s.metrics.solveLatency.ObserveSince(start)
+	sm, err := plan.Summarize(in.Bins())
 	if err != nil {
-		s.errors.Add(1)
-	} else if in != nil {
-		s.tasks.Add(uint64(in.N()))
+		return nil, PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
 	}
-	return plan, sum, err
+	return plan, NewPlanSummary(sm), nil
 }
 
 // ctxSolver is the optional context-aware extension of core.Solver.
@@ -506,22 +485,31 @@ type ctxSolver interface {
 	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
 }
 
-// decomposeWith routes one request: through the batcher when it is
-// eligible (batching on, the resolved solver is the built-in sharded
-// path, homogeneous, non-empty — the shapes whose shared solve is
-// provably cost-neutral), otherwise straight to the named solver. Only
-// the batched path returns a (shared) summary; nil means the caller
-// computes its own on demand.
-func (s *Service) decomposeWith(ctx context.Context, name string, in *core.Instance) (*core.Plan, *PlanSummary, error) {
+// decompose routes one request — through the batcher when it is eligible
+// (batching on, the resolved solver is the built-in sharded path,
+// homogeneous, non-empty), otherwise straight to the named solver — and
+// records the request counters and latency histogram shared by both
+// public entry points.
+func (s *Service) decompose(ctx context.Context, name string, in *core.Instance) (plan *core.Plan, err error) {
+	start := time.Now()
+	defer func() {
+		s.requests.Add(1)
+		s.metrics.solveLatency.ObserveSince(start)
+		if err != nil {
+			s.errors.Add(1)
+		} else {
+			s.tasks.Add(uint64(in.N()))
+		}
+	}()
 	if in == nil {
-		return nil, nil, fmt.Errorf("service: nil instance")
+		return nil, fmt.Errorf("service: nil instance")
 	}
 	sv, err := s.solver(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.batcher != nil && in.N() > 0 && in.Homogeneous() {
 		// Batch only the built-in sharded solver: a re-registered
@@ -531,11 +519,9 @@ func (s *Service) decomposeWith(ctx context.Context, name string, in *core.Insta
 		}
 	}
 	if cs, ok := sv.(ctxSolver); ok {
-		plan, err := cs.SolveContext(ctx, in)
-		return plan, nil, err
+		return cs.SolveContext(ctx, in)
 	}
-	plan, err := sv.Solve(in)
-	return plan, nil, err
+	return sv.Solve(in)
 }
 
 // Jobs returns the async job manager. Safe for concurrent use; the
@@ -596,14 +582,14 @@ type Stats struct {
 	Tasks uint64 `json:"tasks"`
 	// Latency summarizes the decompose-path latency distribution
 	// (mean and p50/p95/p99, replacing the former lone mean).
-	Latency LatencySummary `json:"latency"`
+	Latency obs.LatencySummary `json:"latency"`
 	// Endpoints reports per-endpoint HTTP request counts and latency
 	// summaries, ordered by route then method. Empty until a handler
 	// (NewHandler) has been built for the service.
 	Endpoints []EndpointStats `json:"endpoints,omitempty"`
 	// QueueWait summarizes time solves spent waiting for one of the
 	// Workers solve slots — the signal admission control sheds on.
-	QueueWait LatencySummary `json:"queue_wait"`
+	QueueWait obs.LatencySummary `json:"queue_wait"`
 	// Cache reports queue-cache effectiveness.
 	Cache CacheStats `json:"cache"`
 	// Batch reports the request batcher's coalescing effectiveness.
@@ -648,9 +634,9 @@ func (s *Service) Stats() Stats {
 		Requests:      s.requests.Load(),
 		Errors:        s.errors.Load(),
 		Tasks:         s.tasks.Load(),
-		Latency:       newLatencySummary(s.metrics.solveLatency.Snapshot()),
+		Latency:       s.metrics.solveLatency.Snapshot().Summary(),
 		Endpoints:     s.metrics.endpointStats(),
-		QueueWait:     newLatencySummary(s.metrics.shardObs.QueueWait.Snapshot()),
+		QueueWait:     s.metrics.shardObs.QueueWait.Snapshot().Summary(),
 		Cache:         s.cache.Stats(),
 		Jobs:          s.jobs.Stats(),
 		Streams:       s.streams.stats(),

@@ -108,15 +108,13 @@ func TestStressConcurrentDecompose(t *testing.T) {
 // goroutines fire mixed same-key and different-key requests at a batching
 // service and the test asserts the batcher's three invariants at once:
 //
-//  1. one shared solve per key per window — every key's requests coalesce
+//  1. one flush per key per window — every key's requests coalesce
 //     into exactly one batch (the cap equals the per-key request count, so
 //     the final join flushes deterministically, never the timer);
 //  2. exact cost parity — every batched plan costs precisely what the
 //     unbatched OPQ-Based solve of its instance costs;
 //  3. no cross-request task leakage — every plan validates against its own
-//     instance, i.e. only addresses task ids 0..n-1 of its own request
-//     (the flush-side stream.SplitPlan range check enforces the same
-//     invariant structurally on the shared side).
+//     instance, i.e. only addresses task ids 0..n-1 of its own request.
 //
 // Run under -race (CI does) to certify the batcher race-clean.
 func TestStressBatchedDecompose(t *testing.T) {
@@ -188,7 +186,7 @@ func TestStressBatchedDecompose(t *testing.T) {
 
 	bs := svc.Stats().Batch
 	if int(bs.Batches) != distinctKeys {
-		t.Fatalf("want one shared solve (batch) per key, got %d batches for %d keys (%+v)",
+		t.Fatalf("want one batch per key, got %d batches for %d keys (%+v)",
 			bs.Batches, distinctKeys, bs)
 	}
 	if got := int(bs.BatchedRequests); got != len(workloads) {

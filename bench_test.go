@@ -224,9 +224,14 @@ func BenchmarkSolveRuns(b *testing.B) {
 }
 
 // cachedSolveAllocBudget is the committed allocs/op budget of the serving
-// layer's hot path: 13 measured, 24 allows benign runtime noise while still
+// layer's hot path: 13 measured (14 with the materialization, which writes
+// the identity arena out), 24 allows benign runtime noise while still
 // catching any per-use allocation creep (the per-use form costs ~800).
 const cachedSolveAllocBudget = 24
+
+// cachedSolveByteBudget is the committed bytes/op budget of the service's
+// homogeneous routes at any n: ~1 KiB and ~1.5 KiB measured.
+const cachedSolveByteBudget = 16 << 10
 
 // TestCachedSolveAllocBudget gates the cached solve plus the lazy []BinUse
 // materialization a caller pays at the JSON edge (Jelly |B|=20, t=0.9,
@@ -235,7 +240,8 @@ const cachedSolveAllocBudget = 24
 // pre-built queue they meet the same budget, and none of them allocates
 // more at ten times the tasks (queue construction is independent of n;
 // OPQ-Extended's partition lists grow by a few append doublings). The last
-// block also bounds the bytes/op of the service's solver and batched route.
+// block holds the service's solver and batched route, and the homogeneous
+// instance itself, to a constant number of bytes/op at any n.
 func TestCachedSolveAllocBudget(t *testing.T) {
 	menu := benchMenu(t, experiments.Jelly, 20)
 	q, err := opq.Build(menu, 0.9)
@@ -292,53 +298,64 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 	}
 
 	// The service's two homogeneous routes alone — instance built outside
-	// the measurement, plan not materialized — at n=100,000: the solver
-	// with Workers: 4 inside the same alloc budget, the batched route (a
-	// flush of one: join, timer, flush goroutine, then the same solve) a
-	// few allocations over it, and either way one id arena (8·n bytes)
-	// plus small change, not a second copy of it.
-	const n = 100_000
-	in := core.MustHomogeneous(menu, n, 0.9)
+	// the measurement, plan not materialized — at n=100,000 and n=10,000,000:
+	// the solver with Workers: 4 inside the same alloc budget, the batched
+	// route (a flush of one: join, timer, flush goroutine, then the same
+	// solve) a few allocations over it, and either way a constant number of
+	// bytes: the instance is (n, t) and the plan's arena an identity one, so
+	// nothing on the route is n-sized.
 	sharded := &slade.ShardedSolver{Cache: slade.NewOPQCache(4), Workers: 4}
 	svc := slade.NewService(slade.ServiceConfig{BatchWindow: time.Minute, BatchMaxRequests: 1})
 	defer svc.Close()
-	for _, r := range []struct {
-		name   string
-		budget float64
-		solve  func() (*core.Plan, error)
-	}{
-		{"ShardedSolver.Solve", cachedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
-		{"batched Service.Decompose", 28, func() (*core.Plan, error) { return svc.Decompose(context.Background(), in) }},
-	} {
-		solve := func() {
-			if plan, err := r.solve(); err != nil || plan.NumUses() == 0 {
-				t.Fatalf("%s: plan=%v err=%v", r.name, plan, err)
+	for _, n := range []int{100_000, 10_000_000} {
+		if allocs, bytesPerOp := allocsAndBytes(func() { core.MustHomogeneous(menu, n, 0.9) }); bytesPerOp >= 1<<10 {
+			t.Errorf("core.MustHomogeneous at n=%d: %.0f allocs/op, %d bytes/op, want under 1 KiB — the instance holds an n-sized slice", n, allocs, bytesPerOp)
+		}
+		in := core.MustHomogeneous(menu, n, 0.9)
+		for _, r := range []struct {
+			name   string
+			budget float64
+			solve  func() (*core.Plan, error)
+		}{
+			{"ShardedSolver.Solve", cachedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
+			{"batched Service.Decompose", 28, func() (*core.Plan, error) { return svc.Decompose(context.Background(), in) }},
+		} {
+			solve := func() {
+				if plan, err := r.solve(); err != nil || plan.NumUses() == 0 {
+					t.Fatalf("%s: plan=%v err=%v", r.name, plan, err)
+				}
 			}
-		}
-		solve() // build and cache the queue
-		allocs := testing.AllocsPerRun(10, solve)
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			solve()
-		}
-		runtime.ReadMemStats(&after)
-		bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
-		t.Logf("%s: %.0f allocs/op, %d bytes/op at n=100,000", r.name, allocs, bytesPerOp)
-		if allocs > r.budget {
-			t.Errorf("%s: %.0f allocs/op, over the committed budget of %.0f", r.name, allocs, r.budget)
-		}
-		if budget := uint64(8*n + 16<<10); bytesPerOp > budget {
-			t.Errorf("%s: %d bytes/op, over 8·n + 16 KiB = %d — the plan's arena is being copied", r.name, bytesPerOp, budget)
+			solve() // build and cache the queue
+			allocs, bytesPerOp := allocsAndBytes(solve)
+			t.Logf("%s: %.0f allocs/op, %d bytes/op at n=%d", r.name, allocs, bytesPerOp, n)
+			if allocs > r.budget {
+				t.Errorf("%s: %.0f allocs/op at n=%d, over the committed budget of %.0f", r.name, allocs, n, r.budget)
+			}
+			if bytesPerOp > cachedSolveByteBudget {
+				t.Errorf("%s: %d bytes/op at n=%d, over %d — something n-sized is being written", r.name, bytesPerOp, n, cachedSolveByteBudget)
+			}
 		}
 	}
 }
 
+// allocsAndBytes measures f's allocations and allocated bytes per call.
+func allocsAndBytes(f func()) (allocs float64, bytesPerOp uint64) {
+	allocs = testing.AllocsPerRun(10, f)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
 // BenchmarkMaterialize isolates the lazy expansion a plan pays
 // once at the JSON edge: the solve is done, only the []BinUse view is
-// built (full-block task lists alias the arena, so this stays a
-// two-allocation operation however large the plan).
+// built (full-block task lists alias the arena — an identity arena written
+// out once for them to alias — so this stays a three-allocation operation
+// however large the plan).
 func BenchmarkMaterialize(b *testing.B) {
 	menu := benchMenu(b, experiments.Jelly, 20)
 	q, err := opq.Build(menu, 0.9)
@@ -354,8 +371,8 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				// A fresh shell per iteration defeats the once-cache while
-				// sharing the (read-only) runs and arena.
-				shell := &core.PlanRuns{Arena: pr.Arena, Runs: pr.Runs}
+				// sharing the (read-only) runs and arena description.
+				shell := &core.PlanRuns{Arena: pr.Arena, Base: pr.Base, N: pr.N, Runs: pr.Runs}
 				if uses := shell.Materialize(); len(uses) == 0 {
 					b.Fatal("empty materialization")
 				}

@@ -36,7 +36,7 @@ const DefaultTimeout = 10 * time.Second
 // must hold to be worth shipping to a peer when Config.MinSpanBlocks is
 // zero. It is set by what a remote span pays — JSON encode/decode and a
 // network round trip — against a local solve that is O(runs) decisions
-// plus one arena fill.
+// over an identity id arena, whatever the span's length.
 const DefaultMinSpanBlocks = 16
 
 // maxRemoteBody bounds a decoded peer response (matches the API layer's

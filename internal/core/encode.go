@@ -9,10 +9,10 @@ import (
 // This file holds the streaming JSON encoders for plans. encoding/json
 // over Materialized() pays O(assignments) memory for a body that is written
 // out linearly anyway; the encoders here stream the identical bytes
-// straight off EachUse: full-block uses encode from arena windows, padded
-// uses from the pooled scratch, and the only buffers are one bufio.Writer
-// and one small number scratch — O(runs) server memory regardless of plan
-// size.
+// straight off EachUse: full-block uses encode from arena windows (an
+// identity arena's from one block-sized buffer), padded uses from the
+// pooled scratch, and the only other buffers are one bufio.Writer and one
+// small number scratch — O(runs) server memory regardless of plan size.
 
 // encodeBufSize is the bufio chunk the streaming encoders write through.
 const encodeBufSize = 32 << 10

@@ -163,13 +163,21 @@ func randomRuns(r *rand.Rand) *PlanRuns {
 	return pr
 }
 
+// fuzzIDRange keeps fuzzed bases and offsets far from integer overflow.
+const fuzzIDRange = 1 << 40
+
+// FuzzEncodeJSONEquivalence: a random run plan streams the bytes
+// encoding/json writes, and — the arena axis — the same runs over the ids
+// base..base+n-1 behave identically whether that arena is explicit or
+// identity, offset by delta or not (see assertArenaParity).
 func FuzzEncodeJSONEquivalence(f *testing.F) {
-	f.Add(int64(1))
-	f.Add(int64(42))
-	f.Add(int64(-7))
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Add(int64(1), 0, 0)
+	f.Add(int64(42), 1000, -1000)
+	f.Add(int64(-7), -3, 5)
+	f.Fuzz(func(t *testing.T, seed int64, base, delta int) {
 		pr := randomRuns(rand.New(rand.NewSource(seed)))
 		assertEncodeMatchesMarshal(t, NewRunPlan(pr))
+		assertArenaParity(t, pr.Runs, len(pr.Arena), base%fuzzIDRange, delta%fuzzIDRange)
 	})
 }
 

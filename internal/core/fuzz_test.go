@@ -128,16 +128,18 @@ func TestPlanFromUses(t *testing.T) {
 // FuzzPlanFromUses fuzzes the decode edge with a wire-form plan: the use
 // lists rejected are exactly those holding a non-positive cardinality, an
 // empty use or an overfull use, and an accepted list round-trips (see
-// assertPlanIsUses).
+// assertPlanIsUses). The runs it decoded to then serve the arena axis:
+// re-read over the ids base..base+n-1, they behave the same over an
+// identity arena as over an explicit one (see assertArenaParity).
 func FuzzPlanFromUses(f *testing.F) {
 	for _, uses := range planFromUsesSeeds() {
 		seed, _ := json.Marshal(map[string][]BinUse{"uses": uses})
-		f.Add(seed)
+		f.Add(seed, 0, 9)
 	}
-	f.Add([]byte(`{"uses":[{"cardinality":0,"tasks":[1]}]}`))
-	f.Add([]byte(`{"uses":[{"cardinality":2,"tasks":[]}]}`))
-	f.Add([]byte(`{"uses":[{"cardinality":2,"tasks":[1,2,3]}]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte(`{"uses":[{"cardinality":0,"tasks":[1]}]}`), 0, 0)
+	f.Add([]byte(`{"uses":[{"cardinality":2,"tasks":[]}]}`), 0, 0)
+	f.Add([]byte(`{"uses":[{"cardinality":2,"tasks":[1,2,3]}]}`), 0, 0)
+	f.Fuzz(func(t *testing.T, data []byte, base, delta int) {
 		var wire struct {
 			Uses []BinUse `json:"uses"`
 		}
@@ -156,6 +158,7 @@ func FuzzPlanFromUses(f *testing.F) {
 		}
 		if !malformed {
 			assertPlanIsUses(t, &p, wire.Uses)
+			assertArenaParity(t, p.Runs().Runs, p.Runs().NumTasks(), base%fuzzIDRange, delta%fuzzIDRange)
 		}
 	})
 }

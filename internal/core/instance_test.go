@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +39,86 @@ func TestNewHomogeneousRejects(t *testing.T) {
 	}
 	if _, err := NewHomogeneous(BinSet{}, 3, 0.9); err == nil {
 		t.Error("accepted empty menu with tasks")
+	}
+}
+
+// TestInstanceImplicitEqualsSlice: NewHomogeneous stores (n, t) and no
+// slice, and nothing an instance exposes can tell it from the instance
+// NewHeterogeneous builds over n copies of t — every accessor, the JSON
+// form and its round trip, the out-of-range panic, each constructor error.
+func TestInstanceImplicitEqualsSlice(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		th float64
+	}{{0, 0.9}, {0, 7}, {1, 0}, {5, 0.9}, {4, 0.75}, {1000, 0.999}} {
+		implicit := MustHomogeneous(table1(), c.n, c.th)
+		ths := make([]float64, c.n)
+		for i := range ths {
+			ths[i] = c.th
+		}
+		slice := MustHeterogeneous(table1(), ths)
+		if implicit.thresholds != nil {
+			t.Fatalf("n=%d: NewHomogeneous built a threshold slice", c.n)
+		}
+		if implicit.N() != slice.N() || implicit.Homogeneous() != slice.Homogeneous() ||
+			implicit.MinThreshold() != slice.MinThreshold() || implicit.MaxThreshold() != slice.MaxThreshold() ||
+			implicit.Relaxed() != slice.Relaxed() || !reflect.DeepEqual(implicit.Thresholds(), slice.Thresholds()) {
+			t.Fatalf("n=%d t=%v: implicit and slice instances disagree", c.n, c.th)
+		}
+		for i := 0; i < c.n; i++ {
+			if implicit.Threshold(i) != slice.Threshold(i) || implicit.Theta(i) != slice.Theta(i) {
+				t.Fatalf("task %d: implicit (%v, %v), slice (%v, %v)", i,
+					implicit.Threshold(i), implicit.Theta(i), slice.Threshold(i), slice.Theta(i))
+			}
+		}
+		for _, i := range []int{-1, c.n} {
+			for name, in := range map[string]*Instance{"implicit": implicit, "slice": slice} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: Threshold(%d) of %d tasks did not panic", name, i, c.n)
+						}
+					}()
+					in.Threshold(i)
+				}()
+			}
+		}
+		a, errA := json.Marshal(implicit)
+		b, errB := json.Marshal(slice)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("JSON differs (%v, %v):\n%s\n%s", errA, errB, a, b)
+		}
+		var back Instance
+		if err := json.Unmarshal(a, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.N() != c.n || !back.Homogeneous() || !reflect.DeepEqual(back.Thresholds(), implicit.Thresholds()) {
+			t.Fatalf("round trip changed the instance: %d tasks at %v", back.N(), back.Thresholds())
+		}
+	}
+
+	badMenu := BinSet{bins: []TaskBin{{Cardinality: 0, Confidence: 0.9, Cost: 0.1}}}
+	for name, c := range map[string]struct {
+		bins BinSet
+		n    int
+		th   float64
+	}{
+		"t = 1":            {table1(), 3, 1},
+		"t < 0":            {table1(), 3, -0.1},
+		"t NaN":            {table1(), 3, math.NaN()},
+		"empty menu":       {BinSet{}, 3, 0.9},
+		"invalid menu":     {badMenu, 3, 0.9},
+		"invalid menu n=0": {badMenu, 0, 0.9},
+	} {
+		ths := make([]float64, c.n)
+		for i := range ths {
+			ths[i] = c.th
+		}
+		_, errH := NewHomogeneous(c.bins, c.n, c.th)
+		_, errS := NewHeterogeneous(c.bins, ths)
+		if errH == nil || errS == nil || errH.Error() != errS.Error() {
+			t.Errorf("%s: NewHomogeneous says %v, NewHeterogeneous says %v", name, errH, errS)
+		}
 	}
 }
 

@@ -214,20 +214,23 @@ func (p *Plan) Reliability(n int, bins BinSet) ([]float64, error) {
 func (p *Plan) Validate(in *Instance) error {
 	n := in.N()
 	ui := 0
+	// lastUse[t] is one more than the index of the last use seen holding
+	// task t, so a task met twice within use ui reads ui+1: one n-sized
+	// stamp for the whole plan in place of a set per use.
+	lastUse := make([]int, n)
 	err := p.EachUse(func(card int, tasks []int) error {
 		defer func() { ui++ }()
 		if _, ok := in.Bins().ByCardinality(card); !ok {
 			return fmt.Errorf("core: use %d refers to unknown bin cardinality %d", ui, card)
 		}
-		seen := make(map[int]struct{}, len(tasks))
 		for _, t := range tasks {
 			if t < 0 || t >= n {
 				return fmt.Errorf("core: use %d assigns out-of-range task %d (n=%d)", ui, t, n)
 			}
-			if _, dup := seen[t]; dup {
+			if lastUse[t] == ui+1 {
 				return fmt.Errorf("core: use %d assigns task %d twice", ui, t)
 			}
-			seen[t] = struct{}{}
+			lastUse[t] = ui + 1
 		}
 		return nil
 	})
@@ -250,10 +253,10 @@ func (p *Plan) Validate(in *Instance) error {
 // MergePlans combines plans (nil entries skipped) into one new plan, in
 // order. Cost is additive: the merged plan's cost is the sum of the parts'
 // costs, and when the parts cover disjoint task sets against a shared menu
-// the merged plan is feasible iff every part is. Task storage is copied
-// (see MergePlanRuns), so mutating the merged plan (e.g. OffsetTasks) never
-// touches the inputs — which also makes MergePlans(p) the canonical deep
-// copy.
+// the merged plan is feasible iff every part is. The merged plan shares no
+// task storage with the inputs (see MergePlanRuns), so mutating it (e.g.
+// OffsetTasks) never touches them — which also makes MergePlans(p) the
+// canonical deep copy.
 func MergePlans(plans ...*Plan) *Plan {
 	prs := make([]*PlanRuns, 0, len(plans))
 	for _, p := range plans {
@@ -267,8 +270,9 @@ func MergePlans(plans ...*Plan) *Plan {
 // OffsetTasks shifts every task identifier in the plan by delta. A caller
 // that solves a sub-problem in its own local index space 0..n-1 (a cluster
 // span) offsets the resulting plan to its base index before merging, so
-// the combined plan addresses the global task space. The caller must own
-// the plan exclusively.
+// the combined plan addresses the global task space — in O(1) when the
+// plan's arena is an identity one (see PlanRuns). The caller must own the
+// plan exclusively.
 func (p *Plan) OffsetTasks(delta int) { p.Runs().OffsetTasks(delta) }
 
 // Summary is a compact, printable description of a plan: uses per

@@ -81,6 +81,7 @@ func TestPlanValidateCatchesViolations(t *testing.T) {
 		{"unknown bin", []BinUse{{Cardinality: 7, Tasks: []int{0}}}},
 		{"overfull bin", []BinUse{{Cardinality: 1, Tasks: []int{0, 1}}}}, // caught before Validate: no plan can hold it
 		{"duplicate task in bin", []BinUse{{Cardinality: 2, Tasks: []int{0, 0}}}},
+		{"duplicate apart in bin", []BinUse{{Cardinality: 3, Tasks: []int{0, 1, 0}}}},
 		{"out of range task", []BinUse{{Cardinality: 1, Tasks: []int{4}}}},
 		{"negative task", []BinUse{{Cardinality: 1, Tasks: []int{-1}}}},
 		{"below threshold", examplePlanUnder().Materialized()},
@@ -96,6 +97,61 @@ func TestPlanValidateCatchesViolations(t *testing.T) {
 				t.Errorf("infeasible plan %q accepted", c.name)
 			}
 		})
+	}
+}
+
+// spanMenu and spanPlan give the shape of one solved span of n tasks: full
+// blocks of a two-bin combination over the identity arena 0..n-1 plus a
+// padded remainder, every task three times at confidence 0.9 — feasible at
+// t = 0.99. The bins are wide (12 and 24) because a per-use set of eight or
+// fewer tasks never left the stack, which hid what the sets cost on real
+// menus.
+func spanMenu() BinSet {
+	return MustBinSet([]TaskBin{
+		{Cardinality: 12, Confidence: 0.9, Cost: 0.5},
+		{Cardinality: 24, Confidence: 0.9, Cost: 0.9},
+	})
+}
+
+func spanPlan(n int) *Plan {
+	comb := &RunComb{Parts: []RunPart{{Cardinality: 12, Count: 2}, {Cardinality: 24, Count: 1}}, BlockLen: 24}
+	blocks := n / comb.BlockLen
+	pr := &PlanRuns{N: n, Runs: []BlockRun{{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen}}}
+	if rem := n - blocks*comb.BlockLen; rem > 0 {
+		pr.Runs = append(pr.Runs, BlockRun{Comb: comb, Blocks: 0, Off: n - rem, Len: rem})
+	}
+	return NewRunPlan(pr)
+}
+
+// TestValidateAllocs: Validate's allocations do not grow with the number
+// of uses — two n-sized slices (the duplicate stamp and the mass) and small
+// change, where a set per use cost up to three allocations per use.
+func TestValidateAllocs(t *testing.T) {
+	for _, n := range []int{100, 33_334, 400_000} {
+		plan, in := spanPlan(n), MustHomogeneous(spanMenu(), n, 0.99)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := plan.Validate(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("n=%d, %d uses: %.0f allocs", n, plan.NumUses(), allocs)
+		if allocs > 16 {
+			t.Errorf("n=%d (%d uses): Validate made %.0f allocations, want at most 16", n, plan.NumUses(), allocs)
+		}
+	}
+}
+
+// BenchmarkValidate measures the check a cluster node runs on every peer
+// reply, on the plan as it comes off the wire: one 33,334-task span, a
+// third of cluster-fanout's n = 100,000.
+func BenchmarkValidate(b *testing.B) {
+	const n = 33_334
+	plan, in := planOf(spanPlan(n).Materialized()...), MustHomogeneous(spanMenu(), n, 0.99)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := plan.Validate(in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -11,7 +11,10 @@ import (
 // stored as run metadata over a single task-id arena: cost, use counts and
 // summaries are computed arithmetically from the runs, iteration streams
 // uses without materializing them, and the []BinUse view is produced once,
-// lazily, only where a caller truly needs per-use task lists.
+// lazily, only where a caller truly needs per-use task lists. When the ids
+// are a contiguous range — every solve over tasks base..base+n-1 — the
+// arena itself is implicit (an identity arena: slot i holds id Base+i), so
+// such a plan is O(runs) memory at any n.
 
 // RunPart is one (cardinality, per-task multiplicity) component of a
 // RunComb: within one block, every task is assigned Count times to bins of
@@ -69,7 +72,8 @@ type BlockRun struct {
 	Comb *RunComb
 	// Blocks counts full block applications; 0 marks a padded run.
 	Blocks int
-	// Off and Len locate the run's task ids in the owning plan's arena.
+	// Off and Len locate the run's task ids in the owning plan's arena
+	// (explicit or identity).
 	Off, Len int
 }
 
@@ -144,6 +148,11 @@ func (r *BlockRun) assignments() int {
 // same task ids — which is what keeps every cost computed from it
 // bit-identical to the per-use accumulation.
 //
+// The arena is either explicit (Arena non-nil: slot i holds Arena[i]) or an
+// identity arena (Arena nil: N slots, slot i holds id Base+i), which costs
+// nothing to build, offset or merge with an abutting one. Both expand to
+// the same bytes for the same ids.
+//
 // A PlanRuns is read-only after construction except for OffsetTasks, which
 // requires exclusive ownership. Materialize is safe for concurrent use.
 // Arena ids must be distinct (the solvers' precondition, enforced at the
@@ -154,23 +163,62 @@ func (r *BlockRun) assignments() int {
 // EachUse/Cost (and Plan.Validate); solver-emitted runs always pass.
 type PlanRuns struct {
 	// Arena holds every task id the plan addresses; runs reference
-	// contiguous windows of it.
+	// contiguous windows of it. Nil selects the identity arena below.
 	Arena []int
+	// Base and N describe the identity arena, read only while Arena is
+	// nil: N slots, slot i holding task id Base+i.
+	Base, N int
 	// Runs is the plan's run sequence, in emission order.
 	Runs []BlockRun
 
 	// mat caches the lazily materialized []BinUse view. Full-block uses
-	// alias Arena windows (zero copy); padded uses live in mat.pad so
-	// OffsetTasks can keep a done materialization coherent.
+	// alias windows of Arena — or of mat.ids, the identity arena written
+	// out — with no copy; padded uses live in mat.pad. OffsetTasks keeps
+	// a done materialization coherent through both.
 	mat struct {
 		once sync.Once
 		uses []BinUse
+		ids  []int
 		pad  []int
 	}
 }
 
-// NumTasks returns the number of task ids the plan covers.
-func (pr *PlanRuns) NumTasks() int { return len(pr.Arena) }
+// NumTasks returns the number of task ids the plan covers: the arena's
+// length, explicit or identity.
+func (pr *PlanRuns) NumTasks() int {
+	if pr.Arena != nil {
+		return len(pr.Arena)
+	}
+	return pr.N
+}
+
+// appendIDs appends the arena's ids to dst, writing an identity arena out.
+func (pr *PlanRuns) appendIDs(dst []int) []int {
+	if pr.Arena != nil {
+		return append(dst, pr.Arena...)
+	}
+	for i := 0; i < pr.N; i++ {
+		dst = append(dst, pr.Base+i)
+	}
+	return dst
+}
+
+// window returns arena slots [off, off+n): a view of the explicit arena,
+// or the identity ids written into *buf (grown as needed). Either way the
+// result must not be mutated or outlive the next call with the same buf.
+func (pr *PlanRuns) window(off, n int, buf *[]int) []int {
+	if pr.Arena != nil {
+		return pr.Arena[off : off+n]
+	}
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	w := (*buf)[:n]
+	for i := range w {
+		w[i] = pr.Base + off + i
+	}
+	return w
+}
 
 // NumUses returns the total number of bin uses, computed from run
 // metadata without expansion.
@@ -221,7 +269,7 @@ func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
 	var costs []float64 // per-part bin costs, resolved once per run
 	for i := range pr.Runs {
 		r := &pr.Runs[i]
-		if err := r.check(len(pr.Arena)); err != nil {
+		if err := r.check(pr.NumTasks()); err != nil {
 			return 0, err
 		}
 		blocks := r.Blocks
@@ -250,40 +298,43 @@ func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
 	return total, nil
 }
 
-// padScratch pools the per-use task buffers EachUse hands out for padded
-// runs, so streaming over a plan allocates nothing per use.
-var padScratch = sync.Pool{
-	New: func() any {
-		s := make([]int, 0, 64)
-		return &s
-	},
+// useScratch is the working memory of one EachUse pass: block holds the
+// ids of the current block (or padded remainder) of an identity arena,
+// tasks the task list of the current padded use.
+type useScratch struct {
+	block, tasks []int
 }
+
+// scratchPool pools EachUse's buffers, so streaming over a plan allocates
+// nothing per use.
+var scratchPool = sync.Pool{New: func() any { return new(useScratch) }}
 
 // EachUse streams the plan's bin uses in expansion order without
 // materializing them: full-block uses pass windows of the arena (zero
-// copy) and padded uses a pooled scratch slice. The tasks slice is only
-// valid for the duration of the callback and must not be retained or
-// mutated. Iteration stops at the first non-nil error, which is
-// returned; a structurally malformed run (hand-built plans only) is
+// copy) — for an identity arena, windows of one reused buffer the block's
+// ids are written into — and padded uses a pooled scratch slice. The tasks
+// slice is only valid for the duration of the callback and must not be
+// retained or mutated. Iteration stops at the first non-nil error, which
+// is returned; a structurally malformed run (hand-built plans only) is
 // reported as an error rather than iterated, which is what lets
 // Plan.Validate reject such plans cleanly.
 func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
-	scratchp := padScratch.Get().(*[]int)
-	defer padScratch.Put(scratchp)
+	sc := scratchPool.Get().(*useScratch)
+	defer scratchPool.Put(sc)
 	for i := range pr.Runs {
 		r := &pr.Runs[i]
-		if err := r.check(len(pr.Arena)); err != nil {
+		if err := r.check(pr.NumTasks()); err != nil {
 			return err
 		}
 		if r.Padded() {
-			if err := r.eachPaddedUse(pr.Arena, scratchp, fn); err != nil {
+			if err := r.eachPaddedUse(pr.window(r.Off, r.Len, &sc.block), &sc.tasks, fn); err != nil {
 				return err
 			}
 			continue
 		}
 		L := r.Comb.BlockLen
 		for b := 0; b < r.Blocks; b++ {
-			block := pr.Arena[r.Off+b*L : r.Off+(b+1)*L]
+			block := pr.window(r.Off+b*L, L, &sc.block)
 			for _, p := range r.Comb.Parts {
 				card := p.Cardinality
 				for rep := 0; rep < p.Count; rep++ {
@@ -299,16 +350,15 @@ func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
 	return nil
 }
 
-// eachPaddedUse streams one padded application over rem = Len remainder
-// tasks. Block position i holds task rem[i%len(rem)], and a use over
+// eachPaddedUse streams one padded application over the run's remainder
+// tasks rem. Block position i holds task rem[i%len(rem)], and a use over
 // positions [start, start+card) keeps the first occurrence of each
 // distinct task: positions are consecutive integers modulo rem, so the
 // distinct tasks are exactly rem[(start+j) % len(rem)] for
 // j < min(card, rem) — index arithmetic in place of a per-use dedup map,
 // with the same output (a map would also keep tasks in first-occurrence
 // position order).
-func (r *BlockRun) eachPaddedUse(arena []int, scratchp *[]int, fn func(cardinality int, tasks []int) error) error {
-	rem := arena[r.Off : r.Off+r.Len]
+func (r *BlockRun) eachPaddedUse(rem []int, scratchp *[]int, fn func(cardinality int, tasks []int) error) error {
 	n := len(rem)
 	L := r.Comb.BlockLen
 	for _, p := range r.Comb.Parts {
@@ -351,14 +401,15 @@ func appendPaddedTasks(dst []int, rem []int, start, card int) []int {
 
 // Materialize returns the plan's []BinUse view, built on first call and
 // cached: one []BinUse for every use, full-block task lists aliasing the
-// arena (zero copy) and padded lists in one shared backing array. The
+// arena (zero copy; an identity arena is written out once, into the cache,
+// to be aliased) and padded lists in one shared backing array. The
 // result is read-only — it shares storage with the arena — and safe for
 // concurrent use. Returns nil for an empty plan, whose JSON is
 // "uses":null.
 func (pr *PlanRuns) Materialize() []BinUse {
 	pr.mat.once.Do(func() {
 		for i := range pr.Runs {
-			if err := pr.Runs[i].check(len(pr.Arena)); err != nil {
+			if err := pr.Runs[i].check(pr.NumTasks()); err != nil {
 				// No error return here; a malformed hand-built plan is a
 				// programmer error — fail loudly instead of dividing by
 				// zero deep in the expansion. Plan.Validate / EachUse are
@@ -376,13 +427,15 @@ func (pr *PlanRuns) Materialize() []BinUse {
 				padLen += pr.Runs[i].assignments()
 			}
 		}
+		// An identity arena is written out here, once, into the cache.
+		arena := pr.window(0, pr.NumTasks(), &pr.mat.ids)
 		uses := make([]BinUse, 0, total)
 		pad := make([]int, 0, padLen)
 		for i := range pr.Runs {
 			r := &pr.Runs[i]
 			L := r.Comb.BlockLen
 			if r.Padded() {
-				rem := pr.Arena[r.Off : r.Off+r.Len]
+				rem := arena[r.Off : r.Off+r.Len]
 				for _, p := range r.Comb.Parts {
 					for rep := 0; rep < p.Count; rep++ {
 						for start := 0; start < L; start += p.Cardinality {
@@ -400,7 +453,7 @@ func (pr *PlanRuns) Materialize() []BinUse {
 					card := p.Cardinality
 					for rep := 0; rep < p.Count; rep++ {
 						for start := 0; start < L; start += card {
-							uses = append(uses, BinUse{Cardinality: card, Tasks: pr.Arena[base+start : base+start+card : base+start+card]})
+							uses = append(uses, BinUse{Cardinality: card, Tasks: arena[base+start : base+start+card : base+start+card]})
 						}
 					}
 				}
@@ -412,49 +465,70 @@ func (pr *PlanRuns) Materialize() []BinUse {
 	return pr.mat.uses
 }
 
-// OffsetTasks shifts every task id in the plan by delta in one pass over
-// the arena. The caller must own the
-// plan exclusively: the arena may be shared with a cached materialization
-// (kept coherent here) but must not be shared with other live plans.
+// OffsetTasks shifts every task id in the plan by delta: O(1) for an
+// identity arena (the base moves), one pass over an explicit one. The
+// caller must own the plan exclusively: the arena may be shared with a
+// cached materialization (kept coherent here) but must not be shared with
+// other live plans.
 func (pr *PlanRuns) OffsetTasks(delta int) {
 	if delta == 0 {
 		return
 	}
-	for i := range pr.Arena {
-		pr.Arena[i] += delta
+	if pr.Arena == nil {
+		pr.Base += delta
 	}
-	for i := range pr.mat.pad {
-		pr.mat.pad[i] += delta
+	for _, ids := range [][]int{pr.Arena, pr.mat.ids, pr.mat.pad} {
+		for i := range ids {
+			ids[i] += delta
+		}
 	}
 }
 
 // MergePlanRuns concatenates plans in run form (nil and empty entries
-// skipped) into one independent plan: arenas are copied into a single new
-// arena and run offsets rebased, so mutating the merged plan (e.g.
-// OffsetTasks) never touches the inputs. Cost is additive, and the merged
-// expansion order is the inputs' expansion orders in sequence, without
-// expanding anything.
+// skipped) into one independent plan with run offsets rebased, so mutating
+// the merged plan (e.g. OffsetTasks) never touches the inputs. When every
+// part is an identity arena starting where the previous one ended — the
+// spans of one homogeneous solve — so is the result, at the first part's
+// base and with nothing copied; otherwise the ids are written into a single
+// new explicit arena. Cost is additive, and the merged expansion order is
+// the inputs' expansion orders in sequence, without expanding anything.
 func MergePlanRuns(prs ...*PlanRuns) *PlanRuns {
 	tasks, runs := 0, 0
-	for _, pr := range prs {
-		if pr != nil {
-			tasks += len(pr.Arena)
-			runs += len(pr.Runs)
-		}
-	}
-	out := &PlanRuns{
-		Arena: make([]int, 0, tasks),
-		Runs:  make([]BlockRun, 0, runs),
-	}
+	identity, base := true, 0
 	for _, pr := range prs {
 		if pr == nil {
 			continue
 		}
-		base := len(out.Arena)
-		out.Arena = append(out.Arena, pr.Arena...)
+		runs += len(pr.Runs)
+		if pr.NumTasks() == 0 {
+			continue
+		}
+		if tasks == 0 {
+			base = pr.Base // the first non-empty part's only
+		}
+		if pr.Arena != nil || pr.Base != base+tasks {
+			identity = false
+		}
+		tasks += pr.NumTasks()
+	}
+	out := &PlanRuns{Runs: make([]BlockRun, 0, runs)}
+	if identity {
+		out.Base, out.N = base, tasks
+	} else {
+		out.Arena = make([]int, 0, tasks)
+	}
+	off := 0
+	for _, pr := range prs {
+		if pr == nil {
+			continue
+		}
 		for _, r := range pr.Runs {
-			r.Off += base
+			r.Off += off
 			out.Runs = append(out.Runs, r)
+		}
+		off += pr.NumTasks()
+		if !identity {
+			out.Arena = pr.appendIDs(out.Arena)
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -108,6 +109,99 @@ func expand(t testing.TB, pr *PlanRuns) []BinUse {
 	return uses
 }
 
+// explicitOf returns pr's twin over an explicit arena: the same runs, the
+// same ids, written out.
+func explicitOf(pr *PlanRuns) *PlanRuns {
+	return &PlanRuns{Arena: pr.appendIDs([]int{}), Runs: pr.Runs}
+}
+
+// encodings returns every wire form of the plan, in a fixed order.
+func encodings(t testing.TB, p *Plan) [][]byte {
+	t.Helper()
+	var js, uses, nd bytes.Buffer
+	for _, e := range []struct {
+		enc func(io.Writer) error
+		buf *bytes.Buffer
+	}{{p.EncodeJSON, &js}, {p.EncodeUses, &uses}, {p.EncodeUsesNDJSON, &nd}} {
+		if err := e.enc(e.buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	marshalled, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]byte{js.Bytes(), uses.Bytes(), nd.Bytes(), marshalled}
+}
+
+// assertSamePlan requires two plans to agree byte for byte on every
+// encoding and exactly on every figure computed from run metadata.
+func assertSamePlan(t testing.TB, stage string, a, b *Plan, menu BinSet) {
+	t.Helper()
+	ea, eb := encodings(t, a), encodings(t, b)
+	for i := range ea {
+		if !bytes.Equal(ea[i], eb[i]) {
+			t.Fatalf("%s: encoding %d differs:\n%s\n%s", stage, i, ea[i], eb[i])
+		}
+	}
+	ca, errA := a.Cost(menu)
+	cb, errB := b.Cost(menu)
+	if ca != cb || (errA == nil) != (errB == nil) {
+		t.Fatalf("%s: cost %v (%v) vs %v (%v)", stage, ca, errA, cb, errB)
+	}
+	if a.NumUses() != b.NumUses() || a.NumAssignments() != b.NumAssignments() ||
+		a.Runs().NumTasks() != b.Runs().NumTasks() || !reflect.DeepEqual(a.Counts(), b.Counts()) {
+		t.Fatalf("%s: run arithmetic differs", stage)
+	}
+}
+
+// assertArenaParity is the identity-vs-explicit property: for the same
+// runs over ids base..base+n-1 the two arenas are indistinguishable —
+// before and after OffsetTasks(delta), and through a []BinUse view taken
+// before the offset, which must follow it (the coherence rule).
+func assertArenaParity(t testing.TB, runs []BlockRun, n, base, delta int) {
+	t.Helper()
+	pair := func() (*Plan, *Plan) {
+		ident := &PlanRuns{Base: base, N: n, Runs: runs}
+		return NewRunPlan(ident), NewRunPlan(explicitOf(ident))
+	}
+	ident, expl := pair()
+	menu := menuFor(expand(t, expl.Runs()))
+	assertSamePlan(t, "fresh", ident, expl, menu)
+	ident.OffsetTasks(delta)
+	expl.OffsetTasks(delta)
+	if ident.Runs().Arena != nil {
+		t.Fatal("OffsetTasks wrote an identity arena out")
+	}
+	assertSamePlan(t, "offset", ident, expl, menu)
+	if !reflect.DeepEqual(ident.Materialized(), expl.Materialized()) {
+		t.Fatal("materialized views differ after the offset")
+	}
+
+	ident, expl = pair()
+	viewI, viewE := ident.Materialized(), expl.Materialized()
+	if !reflect.DeepEqual(viewI, viewE) {
+		t.Fatal("materialized views differ")
+	}
+	ident.OffsetTasks(delta)
+	expl.OffsetTasks(delta)
+	if want := expand(t, ident.Runs()); !reflect.DeepEqual(viewI, want) {
+		t.Fatalf("view taken before the offset did not follow it:\n got %+v\nwant %+v", viewI, want)
+	}
+	if !reflect.DeepEqual(viewI, viewE) {
+		t.Fatal("materialized views differ after a later offset")
+	}
+	assertSamePlan(t, "materialized, then offset", ident, expl, menu)
+}
+
+func TestIdentityArenaParity(t *testing.T) {
+	runs := testRuns().Runs
+	for _, c := range []struct{ base, delta int }{{0, 0}, {0, 10}, {7, -7}, {-5, 3}, {1 << 40, -(1 << 39)}} {
+		assertArenaParity(t, runs, 16, c.base, c.delta)
+	}
+	assertArenaParity(t, nil, 0, 3, 4) // zero runs: the empty plan either way
+}
+
 func TestPlanRunsArithmeticMatchesExpansion(t *testing.T) {
 	pr := testRuns()
 	assertPlanIsUses(t, NewRunPlan(pr), expand(t, pr))
@@ -168,6 +262,76 @@ func TestMergePlanRunsIndependence(t *testing.T) {
 				t.Fatalf("task %d missed the offset", task)
 			}
 		}
+	}
+}
+
+// TestMergePlanRunsIdentity: identity parts that each start where the
+// previous one ended merge to one identity arena at the first part's base;
+// anything else — a gap, a swapped pair, one explicit part — is written
+// into an explicit arena. Either way the merge expands to what the
+// all-explicit merge does, and stays independent of its inputs.
+func TestMergePlanRunsIdentity(t *testing.T) {
+	span := func(base int) *PlanRuns { return &PlanRuns{Base: base, N: 16, Runs: testRuns().Runs} }
+	empty := func(base int) *PlanRuns { return &PlanRuns{Base: base} } // θ = 0: no runs, no tasks
+	for name, c := range map[string]struct {
+		parts    []*PlanRuns
+		identity bool
+	}{
+		"abutting":          {[]*PlanRuns{span(0), span(16), span(32)}, true},
+		"non-zero base":     {[]*PlanRuns{span(100), span(116)}, true},
+		"nil and empty":     {[]*PlanRuns{nil, empty(999), span(100), nil, empty(5), span(116), {}}, true},
+		"single":            {[]*PlanRuns{span(40)}, true},
+		"nothing":           {[]*PlanRuns{nil, empty(3)}, true},
+		"gap":               {[]*PlanRuns{span(0), span(17)}, false},
+		"overlap":           {[]*PlanRuns{span(0), span(15)}, false},
+		"out of order":      {[]*PlanRuns{span(16), span(0)}, false},
+		"one explicit part": {[]*PlanRuns{span(0), explicitOf(span(16)), span(32)}, false},
+		"explicit first":    {[]*PlanRuns{explicitOf(span(0)), span(16)}, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			merged := MergePlanRuns(c.parts...)
+			var twins []*PlanRuns
+			first, tasks := 0, 0
+			for _, pr := range c.parts {
+				if pr == nil {
+					continue
+				}
+				if tasks == 0 {
+					first = pr.Base
+				}
+				tasks += pr.NumTasks()
+				twins = append(twins, explicitOf(pr))
+			}
+			if got := merged.Arena == nil; got != c.identity {
+				t.Fatalf("identity arena = %v, want %v", got, c.identity)
+			}
+			if c.identity && tasks > 0 && (merged.Base != first || merged.N != tasks) {
+				t.Fatalf("merged identity arena (base %d, n %d), want (%d, %d)", merged.Base, merged.N, first, tasks)
+			}
+			if merged.NumTasks() != tasks {
+				t.Fatalf("merged %d tasks, want %d", merged.NumTasks(), tasks)
+			}
+			want := MergePlanRuns(twins...)
+			if tasks > 0 && want.Arena == nil {
+				t.Fatal("the all-explicit merge lost its arena")
+			}
+			assertSamePlan(t, "merged", NewRunPlan(merged), NewRunPlan(want), testMenu())
+			// Independence: moving the merge moves no input.
+			before := make([][]BinUse, len(c.parts))
+			for i, pr := range c.parts {
+				if pr != nil {
+					before[i] = expand(t, pr)
+				}
+			}
+			merged.OffsetTasks(1000)
+			want.OffsetTasks(1000)
+			assertSamePlan(t, "merged, then offset", NewRunPlan(merged), NewRunPlan(want), testMenu())
+			for i, pr := range c.parts {
+				if pr != nil && !reflect.DeepEqual(expand(t, pr), before[i]) {
+					t.Fatalf("OffsetTasks on the merge leaked into part %d", i)
+				}
+			}
+		})
 	}
 }
 

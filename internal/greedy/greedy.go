@@ -192,7 +192,10 @@ func SolveResidual(in *core.Instance, delivered []float64) (*core.Plan, error) {
 		return nil, err
 	}
 	// Rename the reduced instance's ids back to in's. fix is ours alone
-	// and not yet materialized, so its arena is the only copy of them.
+	// and not yet materialized, so its arena is the only copy of them —
+	// and an explicit one, because Solve builds its plan with
+	// core.PlanFromUses; an identity arena (opq.SolveRunsRange) has no
+	// slots to write through.
 	arena := fix.Runs().Arena
 	for i, t := range arena {
 		arena[i] = ids[t]

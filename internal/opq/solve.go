@@ -133,26 +133,28 @@ func SolveRuns(q *Queue, tasks []int) (*core.PlanRuns, error) {
 	if err != nil {
 		return nil, err
 	}
-	copy(pr.Arena, tasks)
+	if pr.N > 0 { // caller ids replace the identity arena
+		pr.Arena, pr.N = make([]int, len(tasks)), 0
+		copy(pr.Arena, tasks)
+	}
 	return pr, nil
 }
 
-// SolveRunsRange is SolveRuns for the contiguous task ids
-// base..base+n-1, filling the arena directly instead of copying a
-// caller-built slice — the shape the service's homogeneous path uses.
+// SolveRunsRange is SolveRuns for the contiguous task ids base..base+n-1:
+// the plan keeps solveSized's identity arena, moved to base, so the solve
+// is O(runs) time and memory at any n — the shape the service's
+// homogeneous path uses.
 func SolveRunsRange(q *Queue, base, n int) (*core.PlanRuns, error) {
 	pr, err := solveSized(q, n)
 	if err != nil {
 		return nil, err
 	}
-	for i := range pr.Arena {
-		pr.Arena[i] = base + i
-	}
+	pr.Base = base
 	return pr, nil
 }
 
-// solveSized plans the runs for n tasks and allocates the (unfilled)
-// arena.
+// solveSized plans the runs for n tasks over the identity arena 0..n-1
+// (empty when θ = 0 leaves the plan without runs): no id is written.
 func solveSized(q *Queue, n int) (*core.PlanRuns, error) {
 	pr := &core.PlanRuns{}
 	if n == 0 {
@@ -175,7 +177,7 @@ func solveSized(q *Queue, n int) (*core.PlanRuns, error) {
 		return nil, err
 	}
 	if len(pr.Runs) > 0 {
-		pr.Arena = make([]int, n)
+		pr.N = n
 	}
 	return pr, nil
 }

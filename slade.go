@@ -77,7 +77,8 @@ type (
 	// a use list.
 	Plan = core.Plan
 	// PlanRuns is the block-run form every Plan holds: run metadata over
-	// one task-id arena, expanded only where per-use lists are needed.
+	// one task-id arena (implicit when the ids are a contiguous range),
+	// expanded only where per-use lists are needed.
 	PlanRuns = core.PlanRuns
 	// BinUse is one bin use within a plan — the wire and edge form.
 	BinUse = core.BinUse

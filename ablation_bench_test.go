@@ -1,8 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - Lemma-1 pruning in the OPQ construction (Algorithm 2): disabling the
-//     mid-enumeration domination cut yields the same queue at a much larger
-//     node count.
+//   - The Lemma-1 and cost-bound cuts in the OPQ construction (Algorithm 2):
+//     disabling them yields the same queue at a much larger node count.
 //   - Group-compressed Greedy vs the literal O(n² log n) Algorithm 1.
 //   - Queue reuse in OPQ-Based: rebuilding the queue per solve vs sharing
 //     one queue across solves (how the evaluation amortizes Figure 6).
@@ -19,13 +18,11 @@ import (
 	"repro/internal/opq"
 )
 
-// BenchmarkAblationOPQPruning compares Algorithm 2 with and without the
-// Lemma-1 domination pruning on the SMIC menu at a demanding threshold
-// (0.999 → transformed demand ≈ 6.9, enumeration depth 6-7). Pruning is a
-// worst-case guard: it trims ~13% of nodes here and grows in effect with
-// the enumeration depth, while at everyday thresholds (0.9-0.95, depth ≤ 3)
-// partial combinations rarely reach the frontier's unit costs and the cut
-// almost never fires.
+// BenchmarkAblationOPQPruning compares Algorithm 2 with and without its two
+// mid-enumeration cuts on the SMIC menu at a demanding threshold (0.999 →
+// transformed demand ≈ 6.9, enumeration depth 6-7), reporting how many
+// subtrees each rule skipped beside the node count. The rows it prints are
+// the measurement; docs/BENCHMARKS.md § Findings records them per PR.
 func BenchmarkAblationOPQPruning(b *testing.B) {
 	menu, err := slade.SMICMenu(20)
 	if err != nil {
@@ -34,18 +31,19 @@ func BenchmarkAblationOPQPruning(b *testing.B) {
 	for _, cfg := range []struct {
 		name  string
 		prune bool
-	}{{"lemma1-on", true}, {"lemma1-off", false}} {
+	}{{"cuts-on", true}, {"cuts-off", false}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			nodes := 0
+			var stats opq.BuildStats
 			for i := 0; i < b.N; i++ {
-				_, stats, err := opq.BuildInstrumented(menu, 0.999, opq.DefaultNodeBudget, cfg.prune)
+				_, stats, err = opq.BuildInstrumented(menu, 0.999, opq.DefaultNodeBudget, cfg.prune)
 				if err != nil {
 					b.Fatal(err)
 				}
-				nodes = stats.NodesVisited
 			}
-			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(stats.NodesVisited), "nodes")
+			b.ReportMetric(float64(stats.Lemma1Cuts), "lemma1-cuts")
+			b.ReportMetric(float64(stats.BoundCuts), "bound-cuts")
 		})
 	}
 }

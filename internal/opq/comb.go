@@ -1,13 +1,23 @@
 // Package opq implements the Optimal Priority Queue machinery of Section 5.2
 // of the SLADE paper: combinations of task bins (Definition of Comb, LCM and
-// unit cost UC), the depth-first construction of the optimal priority queue
-// with Lemma-1 pruning (Algorithm 2), and the OPQ-Based approximation solver
-// with its block assignment expansion (Algorithm 3).
+// unit cost UC), the construction of the optimal priority queue (Algorithm 2)
+// and the OPQ-Based approximation solver with its block assignment expansion
+// (Algorithm 3).
+//
+// Algorithm 2 runs as a backtracking depth-first search over bin multisets:
+// one shared counts buffer, the partial (LCM, UC, mass) passed down as
+// scalars, and a Comb allocated only for a combination that enters the
+// frontier. Two cuts keep it small. Lemma 1 skips a partial combination the
+// frontier already dominates on (LCM, UC). The cost bound skips one whose
+// cheapest conceivable feasible completion — its UC plus the missing mass
+// bought at the best unit-cost-per-mass ratio among the bins still allowed —
+// is dominated. Either way every skipped combination would have been rejected
+// when it reached the frontier, so Definition 4's queue is unchanged.
 package opq
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -68,13 +78,6 @@ func (c *Comb) String() string {
 	return "{" + strings.Join(parts, " + ") + "}"
 }
 
-// clone returns a deep copy of the combination.
-func (c *Comb) clone() Comb {
-	cc := *c
-	cc.counts = append([]int(nil), c.counts...)
-	return cc
-}
-
 // gcd returns the greatest common divisor of a and b.
 func gcd(a, b int64) int64 {
 	for b != 0 {
@@ -83,15 +86,22 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
+// The enumeration calls lcm at every node and only asks whether it failed, so
+// its errors are fixed values rather than formatted per call.
+var (
+	errLCMZero     = errors.New("opq: lcm of zero")
+	errLCMOverflow = fmt.Errorf("opq: lcm exceeds %d", maxLCM)
+)
+
 // lcm returns the least common multiple of a and b, or an error past maxLCM.
 func lcm(a, b int64) (int64, error) {
 	if a == 0 || b == 0 {
-		return 0, fmt.Errorf("opq: lcm of zero")
+		return 0, errLCMZero
 	}
 	g := gcd(a, b)
 	l := a / g * b
 	if l > maxLCM || l < 0 {
-		return 0, fmt.Errorf("opq: lcm overflow (%d, %d)", a, b)
+		return 0, errLCMOverflow
 	}
 	return l, nil
 }
@@ -117,28 +127,15 @@ func (q *Queue) Len() int { return len(q.Elems) }
 // dominated reports whether a combination with the given (lcm, uc) is
 // dominated by an existing element: some element has LCM ≤ lcm and UC ≤ uc
 // (Definition 4 condition (2) / the pruning test of Algorithm 2 line 7).
+// Elems is descending in LCM and ascending in UC, so the first element with
+// LCM ≤ lcm is the cheapest of those that qualify and decides alone.
 func (q *Queue) dominated(l int64, uc float64) bool {
-	for _, e := range q.Elems {
-		if e.LCM <= l && e.UC <= uc {
-			return true
+	for i := range q.Elems {
+		if e := &q.Elems[i]; e.LCM <= l {
+			return e.UC <= uc
 		}
 	}
 	return false
-}
-
-// insert adds a feasible combination to the frontier, evicting any elements
-// it dominates, and keeps the descending-LCM order. The caller must have
-// checked the combination is not itself dominated.
-func (q *Queue) insert(c Comb) {
-	kept := q.Elems[:0]
-	for _, e := range q.Elems {
-		if c.LCM <= e.LCM && c.UC <= e.UC {
-			continue // evicted by the newcomer
-		}
-		kept = append(kept, e)
-	}
-	q.Elems = append(kept, c)
-	sort.SliceStable(q.Elems, func(i, j int) bool { return q.Elems[i].LCM > q.Elems[j].LCM })
 }
 
 // Validate checks the Definition-4 invariants: descending LCM, strictly

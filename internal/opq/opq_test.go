@@ -1,10 +1,17 @@
 package opq
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/binset"
 	"repro/internal/core"
 )
 
@@ -325,35 +332,196 @@ func TestCombString(t *testing.T) {
 	}
 }
 
+// checkCutsPreserveQueue builds the queue with the two cuts on and with the
+// exhaustive reference enumeration and requires them to agree exactly: same
+// elements, same counts, same bits of UC and Mass, same wire form. Inputs
+// whose reference enumeration does not fit refBudget are skipped.
+func checkCutsPreserveQueue(t *testing.T, bins core.BinSet, th float64, refBudget int) {
+	t.Helper()
+	qOff, statsOff, errOff := BuildInstrumented(bins, th, refBudget, false)
+	if errOff != nil && statsOff.NodesVisited > refBudget {
+		t.Skipf("reference enumeration exceeds %d nodes", refBudget)
+	}
+	qOn, statsOn, errOn := BuildInstrumented(bins, th, refBudget, true)
+	if errOn != nil || errOff != nil {
+		if errOn == nil || errOff == nil {
+			t.Fatalf("cuts on: %v; cuts off: %v", errOn, errOff)
+		}
+		return
+	}
+	if err := qOn.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if statsOff.NodesVisited < statsOn.NodesVisited {
+		t.Errorf("cuts visited more nodes (%d) than no cuts (%d)", statsOn.NodesVisited, statsOff.NodesVisited)
+	}
+	if statsOff.Lemma1Cuts != 0 || statsOff.BoundCuts != 0 {
+		t.Errorf("reference enumeration cut: %+v", statsOff)
+	}
+	if qOn.Len() != qOff.Len() {
+		t.Fatalf("frontier sizes differ: %d vs %d", qOn.Len(), qOff.Len())
+	}
+	for i := range qOn.Elems {
+		a, b := qOn.Elems[i], qOff.Elems[i]
+		if a.LCM != b.LCM || !slices.Equal(a.counts, b.counts) ||
+			math.Float64bits(a.UC) != math.Float64bits(b.UC) ||
+			math.Float64bits(a.Mass) != math.Float64bits(b.Mass) {
+			t.Errorf("element %d differs: %v vs %v", i, a, b)
+		}
+	}
+	jOn, err := json.Marshal(qOn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jOff, err := json.Marshal(qOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jOn, jOff) {
+		t.Errorf("wire forms differ:\n%s\n%s", jOn, jOff)
+	}
+}
+
+// cutSeeds are tieMenu inputs (three bytes per bin, then the threshold as a
+// fraction of [0.5, 0.9999]) that TestPruningPreservesQueue checks and
+// FuzzBuildCutsPreserveQueue starts from: exact UC ties between single bins,
+// between sums, a lone bin, a deep threshold over weak bins.
+var cutSeeds = []struct {
+	data []byte
+	t    uint16
+}{
+	{[]byte{0, 200, 3, 1, 180, 3, 2, 160, 3}, 58000},
+	{[]byte{0, 255, 7, 1, 230, 5, 3, 200, 3, 5, 170, 2, 11, 140, 1, 23, 100, 0}, 65535},
+	{[]byte{4, 90, 1}, 40000},
+	{[]byte{1, 10, 0, 2, 10, 0, 5, 10, 0, 7, 10, 0}, 65000},
+	{[]byte{0, 128, 1, 1, 128, 1, 2, 128, 1, 3, 128, 1, 4, 128, 1, 5, 128, 1, 6, 128, 1, 7, 128, 1, 8, 128, 1, 9, 128, 1}, 62000},
+}
+
+func cutSeedThreshold(raw uint16) float64 { return 0.5 + 0.4999*float64(raw)/65535 }
+
 // TestPruningPreservesQueue verifies the ablation switch: disabling the
-// Lemma-1 mid-enumeration cut must produce exactly the same frontier, only
-// visiting more nodes.
+// mid-enumeration cuts must produce exactly the same frontier, only visiting
+// more nodes.
 func TestPruningPreservesQueue(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
 		bins := randomMenu(rng)
 		th := 0.5 + 0.49*rng.Float64()
-		qOn, statsOn, err := BuildInstrumented(bins, th, DefaultNodeBudget, true)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		t.Run(fmt.Sprintf("random%d", trial), func(t *testing.T) {
+			checkCutsPreserveQueue(t, bins, th, DefaultNodeBudget)
+		})
+	}
+	for i, s := range cutSeeds {
+		bins, ok := tieMenu(s.data)
+		if !ok {
+			t.Fatalf("seed %d decodes to no menu", i)
 		}
-		qOff, statsOff, err := BuildInstrumented(bins, th, DefaultNodeBudget, false)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
+			checkCutsPreserveQueue(t, bins, cutSeedThreshold(s.t), DefaultNodeBudget)
+		})
+	}
+}
+
+// FuzzBuildCutsPreserveQueue is TestPruningPreservesQueue over fuzzed menus
+// of 1-10 bins with cardinalities ≤ 24, costs that force UC ties and
+// thresholds in [0.5, 0.9999].
+func FuzzBuildCutsPreserveQueue(f *testing.F) {
+	for _, s := range cutSeeds {
+		f.Add(s.data, s.t)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rawT uint16) {
+		bins, ok := tieMenu(data)
+		if !ok {
+			t.Skip("no bins")
 		}
-		if statsOff.NodesVisited < statsOn.NodesVisited {
-			t.Errorf("trial %d: pruning visited more nodes (%d) than no pruning (%d)",
-				trial, statsOn.NodesVisited, statsOff.NodesVisited)
+		checkCutsPreserveQueue(t, bins, cutSeedThreshold(rawT), 2_000_000)
+	})
+}
+
+// TestBuildDeepThreshold pins a build that used to run out of budget: SMIC-30
+// at t = 0.9999 needed 9,455,928 nodes with Lemma 1 alone and failed at
+// DefaultNodeBudget; with the cost bound it fits, and equals the exhaustive
+// enumeration's queue.
+func TestBuildDeepThreshold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the exhaustive reference enumeration takes seconds")
+	}
+	checkCutsPreserveQueue(t, binset.MustSMIC(30), 0.9999, 100_000_000)
+	if _, stats, err := BuildInstrumented(binset.MustSMIC(30), 0.9999, DefaultNodeBudget, true); err != nil {
+		t.Fatalf("does not fit DefaultNodeBudget: %v (%+v)", err, stats)
+	}
+}
+
+// TestBuildRejectsUnreachableDepth: a menu whose weakest bin needs more than
+// maxAssignments uses to meet the threshold would recurse one frame per use
+// (23 million here — a fatal stack overflow, not a recoverable panic); Build
+// refuses it up front.
+func TestBuildRejectsUnreachableDepth(t *testing.T) {
+	weak := core.MustBinSet([]core.TaskBin{{Cardinality: 1, Confidence: 1e-7, Cost: 0.01}})
+	_, stats, err := BuildInstrumented(weak, 0.9, DefaultNodeBudget, true)
+	if err == nil {
+		t.Fatal("Build accepted a threshold 23 million assignments away")
+	}
+	if stats.NodesVisited != 0 {
+		t.Errorf("enumerated %d nodes before refusing", stats.NodesVisited)
+	}
+	for _, want := range []string{"0.9", "1e-07", "4096"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
-		if qOn.Len() != qOff.Len() {
-			t.Fatalf("trial %d: frontier sizes differ: %d vs %d", trial, qOn.Len(), qOff.Len())
+	}
+	// One strong bin beside the weak one does not lift the bound: the
+	// enumeration would still descend the weak bin's branch first.
+	mixed := core.MustBinSet([]core.TaskBin{
+		{Cardinality: 1, Confidence: 1e-7, Cost: 0.01},
+		{Cardinality: 2, Confidence: 0.9, Cost: 0.1},
+	})
+	if _, err := Build(mixed, 0.9); err == nil {
+		t.Error("Build accepted a menu with an unreachably weak bin")
+	}
+	// Just inside the bound builds: 4,000 uses of a 0.001-weight bin.
+	edge := core.MustBinSet([]core.TaskBin{{Cardinality: 1, Confidence: -math.Expm1(-0.001), Cost: 0.01}})
+	q, err := Build(edge, -math.Expm1(-4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := q.Elems[0].Count(0); n < 3999 || n > 4001 {
+		t.Errorf("edge menu uses its bin %d times, want ~4000", n)
+	}
+}
+
+// TestBuildAllocBudget is the clock-free gate on Algorithm 2: over the 320
+// cold-menu thresholds a SMIC-20 build averages ≤ 128 allocations and
+// ≤ 32 KiB (32 and 9.1 KiB measured; the clone-per-node enumeration this
+// replaced made 18,298 and 2,733 KiB), and a build that dies on its node
+// budget has allocated next to nothing on the way.
+func TestBuildAllocBudget(t *testing.T) {
+	smic20 := binset.MustSMIC(20)
+	ts := coldMenuThresholds()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, th := range ts {
+		if _, err := Build(smic20, th); err != nil {
+			t.Fatal(err)
 		}
-		for i := range qOn.Elems {
-			a, b := qOn.Elems[i], qOff.Elems[i]
-			if a.LCM != b.LCM || math.Abs(a.UC-b.UC) > 1e-12 {
-				t.Errorf("trial %d: element %d differs: %v vs %v", trial, i, a, b)
-			}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(ts))
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ts)) / 1024
+	t.Logf("SMIC-20 over %d cold-menu thresholds: %.0f allocs, %.1f KiB per build", len(ts), allocs, kib)
+	if allocs > 128 || kib > 32 {
+		t.Errorf("build averages %.0f allocs and %.1f KiB, budget 128 and 32", allocs, kib)
+	}
+
+	smic30 := binset.MustSMIC(30)
+	died := testing.AllocsPerRun(5, func() {
+		if _, err := BuildBudget(smic30, 0.9999, 10_000); err == nil {
+			t.Fatal("10,000 nodes sufficed for SMIC-30 at 0.9999")
 		}
+	})
+	if died > 64 {
+		t.Errorf("a build that exceeds its budget made %.0f allocations, budget 64", died)
 	}
 }
 

@@ -123,6 +123,9 @@ func TestHTTPDecomposeErrors(t *testing.T) {
 		{"both threshold forms", fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9,"thresholds":[0.9]}`, table1JSON), http.StatusBadRequest, "invalid_request"},
 		{"bad menu", `{"bins":[{"cardinality":0,"confidence":0.9,"cost":0.1}],"n":5,"threshold":0.9}`, http.StatusBadRequest, "invalid_request"},
 		{"unknown solver", fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9,"solver":"nope"}`, table1JSON), http.StatusUnprocessableEntity, "unprocessable"},
+		// 23 million assignments of this bin meet the threshold; the
+		// enumeration used to recurse that deep and kill the process.
+		{"unreachable depth", `{"bins":[{"cardinality":1,"confidence":1e-7,"cost":0.01}],"n":1,"threshold":0.9}`, http.StatusUnprocessableEntity, "unprocessable"},
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/decompose", tc.body)
 		if resp.StatusCode != tc.status {
@@ -139,6 +142,11 @@ func TestHTTPDecomposeErrors(t *testing.T) {
 		if e.Error.RequestID == "" || e.Error.RequestID != resp.Header.Get("X-Request-ID") {
 			t.Errorf("%s: envelope request id %q != header %q", tc.name, e.Error.RequestID, resp.Header.Get("X-Request-ID"))
 		}
+	}
+	// The daemon is still serving after every refusal above.
+	resp, raw := postJSON(t, ts.URL+"/v1/decompose", fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9}`, table1JSON))
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("request after the refusals: status %d (%s)", resp.StatusCode, raw)
 	}
 }
 

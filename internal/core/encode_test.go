@@ -7,7 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"strings"
+	"strconv"
 	"testing"
 )
 
@@ -65,28 +65,32 @@ func TestEncodeJSONRandomizedEquivalence(t *testing.T) {
 	}
 }
 
-func TestEncodeUsesNDJSON(t *testing.T) {
-	plan := NewRunPlan(testRuns())
-	var buf bytes.Buffer
-	if err := plan.EncodeUsesNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	uses := plan.Materialized()
-	if len(lines) != len(uses) {
-		t.Fatalf("NDJSON has %d lines, plan has %d uses", len(lines), len(uses))
-	}
-	for i, u := range uses {
-		want, err := json.Marshal(u)
+// assertNDJSONMatchesMarshal pins EncodeUsesNDJSON to the reference: one
+// line per materialized use, each the standalone json.Marshal of that use.
+func assertNDJSONMatchesMarshal(t testing.TB, p *Plan) {
+	t.Helper()
+	var want bytes.Buffer
+	for _, u := range p.Materialized() {
+		line, err := json.Marshal(u)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("reference marshal: %v", err)
 		}
-		if lines[i] != string(want) {
-			t.Fatalf("line %d: %s != %s", i, lines[i], want)
-		}
+		want.Write(line)
+		want.WriteByte('\n')
 	}
+	var got bytes.Buffer
+	if err := p.EncodeUsesNDJSON(&got); err != nil {
+		t.Fatalf("EncodeUsesNDJSON: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("EncodeUsesNDJSON differs from encoding/json per line:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+}
+
+func TestEncodeUsesNDJSON(t *testing.T) {
+	assertNDJSONMatchesMarshal(t, NewRunPlan(testRuns()))
 	// An empty plan writes nothing at all.
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := NewRunPlan(&PlanRuns{}).EncodeUsesNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +99,46 @@ func TestEncodeUsesNDJSON(t *testing.T) {
 	}
 }
 
-// failAfter errors once n bytes have been written, simulating a client
-// that disconnects mid-stream.
+// TestEncodeSequentialIDsAcrossDigitBoundaries drives the decimal counter
+// (identity arena, any use over consecutive ids of a hundred and up) over
+// every carry it has: ids gaining a digit, the two-digit low part wrapping
+// inside a use — twice in the 250-wide one — and past everything it must
+// leave to the slot loop: ids below a hundred or below zero, a use too
+// wide for the chunk, and a padded run whose last use wraps (its other
+// uses are consecutive and counted).
+func TestEncodeSequentialIDsAcrossDigitBoundaries(t *testing.T) {
+	runs, n := layOut(
+		BlockRun{Comb: oneBin(13), Blocks: 9},
+		BlockRun{Comb: oneBin(250), Blocks: 2},
+		BlockRun{Comb: oneBin(5000), Blocks: 1},
+		BlockRun{Comb: testComb(), Blocks: 3},
+		BlockRun{Comb: testComb(), Blocks: 0, Len: 4},
+	)
+	for _, base := range []int{0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000} {
+		t.Run(strconv.Itoa(base), func(t *testing.T) {
+			p := NewRunPlan(&PlanRuns{Base: base, N: n, Runs: runs})
+			assertEncodeMatchesMarshal(t, p)
+			assertNDJSONMatchesMarshal(t, p)
+		})
+	}
+}
+
+// failAfter fails the Write that takes it past n bytes, simulating a client
+// that disconnects mid-stream, and counts the Writes that arrive after.
 type failAfter struct {
-	n       int
-	written int
+	n, written int
+	failed     bool
+	late       int
 }
 
 func (f *failAfter) Write(p []byte) (int, error) {
+	if f.failed {
+		f.late++
+		return 0, errShortWrite
+	}
 	f.written += len(p)
 	if f.written > f.n {
+		f.failed = true
 		return 0, errShortWrite
 	}
 	return len(p), nil
@@ -112,20 +146,72 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 var errShortWrite = errors.New("writer failed")
 
+// TestEncodeJSONPropagatesWriterError: the chunk's error is sticky. On
+// either arena form and through every entry point, whichever Write of a
+// plan several chunks long fails — between two uses or inside one too wide
+// for the chunk — the encoder reports the writer's error and sends nothing
+// after it: a disconnected client must not have the rest of the plan
+// rendered at it.
 func TestEncodeJSONPropagatesWriterError(t *testing.T) {
-	pr := randomRuns(rand.New(rand.NewSource(99)))
-	if err := NewRunPlan(pr).EncodeJSON(&failAfter{n: 64}); err == nil {
-		t.Fatal("EncodeJSON swallowed the writer error")
+	runs, n := layOut(BlockRun{Comb: oneBin(13), Blocks: 2000}, BlockRun{Comb: oneBin(20_000), Blocks: 1})
+	ident := &PlanRuns{Base: 1_000_000, N: n, Runs: runs}
+	for arena, pr := range map[string]*PlanRuns{"identity": ident, "explicit": explicitOf(ident)} {
+		p := NewRunPlan(pr)
+		for name, enc := range map[string]func(io.Writer) error{
+			"EncodeJSON": p.EncodeJSON, "EncodeUses": p.EncodeUses, "EncodeUsesNDJSON": p.EncodeUsesNDJSON,
+		} {
+			var whole bytes.Buffer
+			if err := enc(&whole); err != nil || whole.Len() < 8*encodeBufSize {
+				t.Fatalf("%s/%s: %d bytes, err %v; want several chunks", arena, name, whole.Len(), err)
+			}
+			// Every Write in turn is the one that fails, the last included.
+			for limit := 0; limit < whole.Len(); limit += encodeBufSize / 2 {
+				w := &failAfter{n: limit}
+				if err := enc(w); !errors.Is(err, errShortWrite) {
+					t.Errorf("%s/%s failing after %d bytes: err %v, want the writer's", arena, name, limit, err)
+				}
+				if w.late != 0 {
+					t.Errorf("%s/%s failing after %d bytes: %d Writes arrived after the failed one", arena, name, limit, w.late)
+				}
+			}
+		}
 	}
-	if err := NewRunPlan(pr).EncodeUsesNDJSON(&failAfter{n: 64}); err == nil {
-		t.Fatal("EncodeUsesNDJSON swallowed the writer error")
+}
+
+// oneBin is the combination that puts each task in one bin of the given
+// cardinality.
+func oneBin(card int) *RunComb {
+	return &RunComb{Parts: []RunPart{{Cardinality: card, Count: 1}}, BlockLen: card}
+}
+
+// layOut places runs one after another over an arena from slot 0, filling
+// in Off (and Len, for full runs), and returns them with the slot count.
+func layOut(runs ...BlockRun) ([]BlockRun, int) {
+	n := 0
+	for i := range runs {
+		r := &runs[i]
+		r.Off = n
+		if !r.Padded() {
+			r.Len = r.Blocks * r.Comb.BlockLen
+		}
+		n += r.Len
 	}
+	return runs, n
+}
+
+// bigPlanRuns is the shape of the ledger's big-plan workload: a homogeneous
+// solve's identity-arena plan, 13-wide full blocks over tasks 0..n-1 and a
+// padded run over the remainder.
+func bigPlanRuns(n int) *PlanRuns {
+	runs, _ := layOut(BlockRun{Comb: oneBin(13), Blocks: n / 13}, BlockRun{Comb: oneBin(13), Blocks: 0, Len: n % 13})
+	return &PlanRuns{N: n, Runs: runs}
 }
 
 // randomRuns builds a structurally valid random run plan: several runs of
 // random combinations, full and padded, over one sequential arena.
 func randomRuns(r *rand.Rand) *PlanRuns {
-	blockLens := []int{2, 3, 4, 6, 12}
+	// 120: one use can span a hundreds boundary of the ids.
+	blockLens := []int{2, 3, 4, 6, 12, 120}
 	nRuns := r.Intn(5)
 	pr := &PlanRuns{}
 	next := 0
@@ -174,6 +260,9 @@ func FuzzEncodeJSONEquivalence(f *testing.F) {
 	f.Add(int64(1), 0, 0)
 	f.Add(int64(42), 1000, -1000)
 	f.Add(int64(-7), -3, 5)
+	for i, base := range []int{0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000} {
+		f.Add(int64(i), base, 100-base)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, base, delta int) {
 		pr := randomRuns(rand.New(rand.NewSource(seed)))
 		assertEncodeMatchesMarshal(t, NewRunPlan(pr))
@@ -194,37 +283,67 @@ func BenchmarkEncodeJSONStream(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeJSONBigPlan is the per-layer number behind the ledger's
+// big-plan workload: its plan (n = 300,000, 13-wide blocks) encoded to
+// io.Discard from an identity arena, from an explicit one, and as NDJSON.
+func BenchmarkEncodeJSONBigPlan(b *testing.B) {
+	ident := bigPlanRuns(300_000)
+	for _, c := range []struct {
+		name string
+		enc  func(io.Writer) error
+	}{
+		{"identity", NewRunPlan(ident).EncodeJSON},
+		{"explicit", NewRunPlan(explicitOf(ident)).EncodeJSON},
+		{"ndjson", NewRunPlan(ident).EncodeUsesNDJSON},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var body bytes.Buffer
+			if err := c.enc(&body); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.enc(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // encodeAllocBudget fails the gate if streaming a million-task plan
-// allocates more than this. The bufio chunk plus number scratch measure
-// ~33 KiB; 512 KiB allows GC bookkeeping noise while still catching any
-// O(assignments) materialization sneaking back into the encoder (the
-// materialized form of this plan is tens of MiB).
+// allocates more than this. The chunk measures 32 KiB; 512 KiB allows GC
+// bookkeeping noise while still catching any O(assignments)
+// materialization sneaking back into the encoder (the materialized form of
+// this plan is tens of MiB).
 const encodeAllocBudget = 512 << 10
 
 // TestEncodeJSONMillionTaskAllocBudget is the O(runs) plan-encoding gate:
-// bytes out grow with the task count, allocations must not.
+// bytes out grow with the task count, allocations must not — on an
+// explicit arena and on the identity arena every homogeneous request
+// encodes from.
 func TestEncodeJSONMillionTaskAllocBudget(t *testing.T) {
 	const n = 1_000_000
 	comb := &RunComb{Parts: []RunPart{{Cardinality: 4, Count: 2}, {Cardinality: 12, Count: 1}}, BlockLen: 12}
 	blocks := n / comb.BlockLen
-	pr := &PlanRuns{Arena: make([]int, n), Runs: []BlockRun{
+	ident := &PlanRuns{N: n, Runs: []BlockRun{
 		{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen},
 		{Comb: comb, Blocks: 0, Off: blocks * comb.BlockLen, Len: n - blocks*comb.BlockLen},
 	}}
-	for i := range pr.Arena {
-		pr.Arena[i] = i
-	}
-	plan := NewRunPlan(pr)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if err := plan.EncodeJSON(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > encodeAllocBudget {
-		t.Errorf("encoding a %d-task plan allocated %d KiB; budget is %d KiB — the encoder is materializing instead of streaming",
-			n, got>>10, encodeAllocBudget>>10)
+	for arena, pr := range map[string]*PlanRuns{"explicit": explicitOf(ident), "identity": ident} {
+		plan := NewRunPlan(pr)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := plan.EncodeJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > encodeAllocBudget {
+			t.Errorf("encoding a %d-task plan (%s arena) allocated %d KiB; budget is %d KiB — the encoder is materializing instead of streaming",
+				n, arena, got>>10, encodeAllocBudget>>10)
+		}
 	}
 }

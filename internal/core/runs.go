@@ -171,10 +171,10 @@ type PlanRuns struct {
 	// Runs is the plan's run sequence, in emission order.
 	Runs []BlockRun
 
-	// mat caches the lazily materialized []BinUse view. Full-block uses
-	// alias windows of Arena — or of mat.ids, the identity arena written
-	// out — with no copy; padded uses live in mat.pad. OffsetTasks keeps
-	// a done materialization coherent through both.
+	// mat caches the lazily materialized []BinUse view. Uses alias
+	// windows of Arena — or of mat.ids, the identity arena written out —
+	// with no copy; padded uses whose cycle wraps live in mat.pad.
+	// OffsetTasks keeps a done materialization coherent through both.
 	mat struct {
 		once sync.Once
 		uses []BinUse
@@ -192,32 +192,17 @@ func (pr *PlanRuns) NumTasks() int {
 	return pr.N
 }
 
-// appendIDs appends the arena's ids to dst, writing an identity arena out.
-func (pr *PlanRuns) appendIDs(dst []int) []int {
+// appendSlots appends the ids held by arena slots [off, off+n) to dst,
+// writing an identity arena's out.
+func (pr *PlanRuns) appendSlots(dst []int, off, n int) []int {
 	if pr.Arena != nil {
-		return append(dst, pr.Arena...)
+		return append(dst, pr.Arena[off:off+n]...)
 	}
-	for i := 0; i < pr.N; i++ {
-		dst = append(dst, pr.Base+i)
+	for id := pr.Base + off; n > 0; n-- {
+		dst = append(dst, id)
+		id++
 	}
 	return dst
-}
-
-// window returns arena slots [off, off+n): a view of the explicit arena,
-// or the identity ids written into *buf (grown as needed). Either way the
-// result must not be mutated or outlive the next call with the same buf.
-func (pr *PlanRuns) window(off, n int, buf *[]int) []int {
-	if pr.Arena != nil {
-		return pr.Arena[off : off+n]
-	}
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	w := (*buf)[:n]
-	for i := range w {
-		w[i] = pr.Base + off + i
-	}
-	return w
 }
 
 // NumUses returns the total number of bin uses, computed from run
@@ -298,48 +283,52 @@ func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
 	return total, nil
 }
 
-// useScratch is the working memory of one EachUse pass: block holds the
-// ids of the current block (or padded remainder) of an identity arena,
-// tasks the task list of the current padded use.
-type useScratch struct {
-	block, tasks []int
+// useSpan locates one bin use in the arena: the use holds the n slots from
+// off and then — only where a padded use's cycle over its run's window
+// passes the window's end — the wrapped slots from wrapOff. A full-block
+// use never wraps.
+type useSpan struct {
+	card             int
+	off, n           int
+	wrapOff, wrapped int
 }
 
-// scratchPool pools EachUse's buffers, so streaming over a plan allocates
-// nothing per use.
-var scratchPool = sync.Pool{New: func() any { return new(useScratch) }}
-
-// EachUse streams the plan's bin uses in expansion order without
-// materializing them: full-block uses pass windows of the arena (zero
-// copy) — for an identity arena, windows of one reused buffer the block's
-// ids are written into — and padded uses a pooled scratch slice. The tasks
-// slice is only valid for the duration of the callback and must not be
-// retained or mutated. Iteration stops at the first non-nil error, which
-// is returned; a structurally malformed run (hand-built plans only) is
-// reported as an error rather than iterated, which is what lets
-// Plan.Validate reject such plans cleanly.
-func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
-	sc := scratchPool.Get().(*useScratch)
-	defer scratchPool.Put(sc)
+// eachSpan visits the plan's bin uses in expansion order — run by run,
+// block-major, then part order — as arena spans; it is the one walk under
+// EachUse, Materialize and the encoders. It stops at the first non-nil
+// error, and reports a structurally malformed run (hand-built plans only)
+// as an error rather than walking it.
+//
+// In a padded run over the remainder window rem, block position i holds
+// task rem[i%len(rem)] and a use over positions [start, start+card) keeps
+// the first occurrence of each distinct task: positions are consecutive
+// integers modulo len(rem), so those are the min(card, len(rem)) slots
+// cycling from start%len(rem) — index arithmetic in place of a per-use
+// dedup map, with the same output (a map would also keep tasks in
+// first-occurrence position order).
+func (pr *PlanRuns) eachSpan(visit func(useSpan) error) error {
 	for i := range pr.Runs {
 		r := &pr.Runs[i]
 		if err := r.check(pr.NumTasks()); err != nil {
 			return err
 		}
+		L, blocks := r.Comb.BlockLen, r.Blocks
 		if r.Padded() {
-			if err := r.eachPaddedUse(pr.window(r.Off, r.Len, &sc.block), &sc.tasks, fn); err != nil {
-				return err
-			}
-			continue
+			blocks = 1
 		}
-		L := r.Comb.BlockLen
-		for b := 0; b < r.Blocks; b++ {
-			block := pr.window(r.Off+b*L, L, &sc.block)
+		for b := 0; b < blocks; b++ {
 			for _, p := range r.Comb.Parts {
 				card := p.Cardinality
 				for rep := 0; rep < p.Count; rep++ {
 					for start := 0; start < L; start += card {
-						if err := fn(card, block[start:start+card]); err != nil {
+						s := useSpan{card: card, off: r.Off + b*L + start, n: card}
+						if r.Padded() {
+							first, m := start%r.Len, min(card, r.Len)
+							s.off, s.wrapOff = r.Off+first, r.Off
+							s.wrapped = max(0, first+m-r.Len)
+							s.n = m - s.wrapped
+						}
+						if err := visit(s); err != nil {
 							return err
 						}
 					}
@@ -350,115 +339,75 @@ func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
 	return nil
 }
 
-// eachPaddedUse streams one padded application over the run's remainder
-// tasks rem. Block position i holds task rem[i%len(rem)], and a use over
-// positions [start, start+card) keeps the first occurrence of each
-// distinct task: positions are consecutive integers modulo rem, so the
-// distinct tasks are exactly rem[(start+j) % len(rem)] for
-// j < min(card, rem) — index arithmetic in place of a per-use dedup map,
-// with the same output (a map would also keep tasks in first-occurrence
-// position order).
-func (r *BlockRun) eachPaddedUse(rem []int, scratchp *[]int, fn func(cardinality int, tasks []int) error) error {
-	n := len(rem)
-	L := r.Comb.BlockLen
-	for _, p := range r.Comb.Parts {
-		card := p.Cardinality
-		m := card
-		if m > n {
-			m = n
-		}
-		if cap(*scratchp) < m {
-			*scratchp = make([]int, 0, m)
-		}
-		tasks := (*scratchp)[:m]
-		for rep := 0; rep < p.Count; rep++ {
-			for start := 0; start < L; start += card {
-				for j := 0; j < m; j++ {
-					tasks[j] = rem[(start+j)%n]
-				}
-				if err := fn(card, tasks); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
+// scratchPool pools the task-list buffer of an EachUse pass, so streaming
+// over a plan allocates nothing per use.
+var scratchPool = sync.Pool{New: func() any { return new([]int) }}
 
-// appendPaddedTasks appends the padded use's distinct tasks to dst (the
-// copying twin of eachPaddedUse's scratch fill).
-func appendPaddedTasks(dst []int, rem []int, start, card int) []int {
-	n := len(rem)
-	m := card
-	if m > n {
-		m = n
-	}
-	for j := 0; j < m; j++ {
-		dst = append(dst, rem[(start+j)%n])
-	}
-	return dst
+// EachUse streams the plan's bin uses in expansion order without
+// materializing them: a use that is one window of an explicit arena passes
+// that window (zero copy), any other — identity arena, wrapped padded use —
+// its ids written into one pooled buffer. The tasks slice is only valid for
+// the duration of the callback and must not be retained or mutated.
+// Iteration stops at the first non-nil error, which is returned; a
+// structurally malformed run (hand-built plans only) is reported as an
+// error rather than iterated, which is what lets Plan.Validate reject such
+// plans cleanly.
+func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
+	buf := scratchPool.Get().(*[]int)
+	defer scratchPool.Put(buf)
+	return pr.eachSpan(func(s useSpan) error {
+		if pr.Arena != nil && s.wrapped == 0 {
+			return fn(s.card, pr.Arena[s.off:s.off+s.n])
+		}
+		*buf = pr.appendSlots(pr.appendSlots((*buf)[:0], s.off, s.n), s.wrapOff, s.wrapped)
+		return fn(s.card, *buf)
+	})
 }
 
 // Materialize returns the plan's []BinUse view, built on first call and
-// cached: one []BinUse for every use, full-block task lists aliasing the
-// arena (zero copy; an identity arena is written out once, into the cache,
-// to be aliased) and padded lists in one shared backing array. The
-// result is read-only — it shares storage with the arena — and safe for
-// concurrent use. Returns nil for an empty plan, whose JSON is
+// cached: one []BinUse for every use, task lists aliasing the arena (zero
+// copy; an identity arena is written out once, into the cache, to be
+// aliased) except those of wrapped padded uses, which share one backing
+// array. The result is read-only — it shares storage with the arena — and
+// safe for concurrent use. Returns nil for an empty plan, whose JSON is
 // "uses":null.
 func (pr *PlanRuns) Materialize() []BinUse {
 	pr.mat.once.Do(func() {
+		padLen := 0 // an upper bound: pad must not move once aliased
 		for i := range pr.Runs {
-			if err := pr.Runs[i].check(pr.NumTasks()); err != nil {
+			r := &pr.Runs[i]
+			if err := r.check(pr.NumTasks()); err != nil {
 				// No error return here; a malformed hand-built plan is a
 				// programmer error — fail loudly instead of dividing by
 				// zero deep in the expansion. Plan.Validate / EachUse are
 				// the error-returning rejection paths.
 				panic(err)
 			}
+			if r.Padded() {
+				padLen += r.assignments()
+			}
 		}
 		total := pr.NumUses()
 		if total == 0 {
 			return
 		}
-		padLen := 0
-		for i := range pr.Runs {
-			if pr.Runs[i].Padded() {
-				padLen += pr.Runs[i].assignments()
-			}
+		arena := pr.Arena
+		if arena == nil {
+			pr.mat.ids = pr.appendSlots(make([]int, 0, pr.N), 0, pr.N)
+			arena = pr.mat.ids
 		}
-		// An identity arena is written out here, once, into the cache.
-		arena := pr.window(0, pr.NumTasks(), &pr.mat.ids)
 		uses := make([]BinUse, 0, total)
 		pad := make([]int, 0, padLen)
-		for i := range pr.Runs {
-			r := &pr.Runs[i]
-			L := r.Comb.BlockLen
-			if r.Padded() {
-				rem := arena[r.Off : r.Off+r.Len]
-				for _, p := range r.Comb.Parts {
-					for rep := 0; rep < p.Count; rep++ {
-						for start := 0; start < L; start += p.Cardinality {
-							from := len(pad)
-							pad = appendPaddedTasks(pad, rem, start, p.Cardinality)
-							uses = append(uses, BinUse{Cardinality: p.Cardinality, Tasks: pad[from:len(pad):len(pad)]})
-						}
-					}
-				}
-				continue
+		_ = pr.eachSpan(func(s useSpan) error { // every run passed check above
+			tasks := arena[s.off : s.off+s.n : s.off+s.n]
+			if s.wrapped > 0 {
+				from := len(pad)
+				pad = append(append(pad, tasks...), arena[s.wrapOff:s.wrapOff+s.wrapped]...)
+				tasks = pad[from:len(pad):len(pad)]
 			}
-			for b := 0; b < r.Blocks; b++ {
-				base := r.Off + b*L
-				for _, p := range r.Comb.Parts {
-					card := p.Cardinality
-					for rep := 0; rep < p.Count; rep++ {
-						for start := 0; start < L; start += card {
-							uses = append(uses, BinUse{Cardinality: card, Tasks: arena[base+start : base+start+card : base+start+card]})
-						}
-					}
-				}
-			}
-		}
+			uses = append(uses, BinUse{Cardinality: s.card, Tasks: tasks})
+			return nil
+		})
 		pr.mat.uses = uses
 		pr.mat.pad = pad
 	})
@@ -528,7 +477,7 @@ func MergePlanRuns(prs ...*PlanRuns) *PlanRuns {
 		}
 		off += pr.NumTasks()
 		if !identity {
-			out.Arena = pr.appendIDs(out.Arena)
+			out.Arena = pr.appendSlots(out.Arena, 0, pr.NumTasks())
 		}
 	}
 	return out

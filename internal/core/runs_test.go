@@ -112,7 +112,7 @@ func expand(t testing.TB, pr *PlanRuns) []BinUse {
 // explicitOf returns pr's twin over an explicit arena: the same runs, the
 // same ids, written out.
 func explicitOf(pr *PlanRuns) *PlanRuns {
-	return &PlanRuns{Arena: pr.appendIDs([]int{}), Runs: pr.Runs}
+	return &PlanRuns{Arena: pr.appendSlots([]int{}, 0, pr.NumTasks()), Runs: pr.Runs}
 }
 
 // encodings returns every wire form of the plan, in a fixed order.
@@ -376,7 +376,8 @@ func TestMaterializeConcurrent(t *testing.T) {
 
 // TestMalformedRunsRejected: hand-built run plans with impossible shapes
 // must come back as errors from the designated rejection paths (Validate
-// via EachUse, and Cost), never as panics deep in the expansion.
+// via EachUse, Cost, and the encoders), never as panics deep in the
+// expansion.
 func TestMalformedRunsRejected(t *testing.T) {
 	menu := testMenu()
 	in := MustHomogeneous(menu, 16, 0.95)
@@ -394,6 +395,9 @@ func TestMalformedRunsRejected(t *testing.T) {
 		}
 		if _, err := NewRunPlan(pr).Cost(menu); err == nil {
 			t.Errorf("malformed plan %d passed Cost", i)
+		}
+		if _, err := NewRunPlan(pr).MarshalJSON(); err == nil {
+			t.Errorf("malformed plan %d was marshalled", i)
 		}
 	}
 }

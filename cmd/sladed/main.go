@@ -22,9 +22,7 @@
 //	sladed -sse-heartbeat 15s     # SSE keep-alive comment interval for /v1/jobs/{id}/events
 //	sladed -log-json              # structured request logs as JSON lines
 //	sladed -peers http://b:8080,http://c:8080 -advertise http://a:8080
-//	                              # clustered: fan spans out to peers b and c
-//	sladed -cluster-timeout 10s   # per-attempt remote span solve deadline
-//	sladed -peer-retries 1        # re-send a failed span once before local fallback
+//	                              # deprecated: b and c are listed in stats, never dialled
 //	sladed -platform-url http://market:9000 -platform-auth "Bearer t"
 //	                              # remote marketplace for "platform_kind":"remote" runs
 //	sladed -platform-timeout 10s -platform-retries 64 -platform-rps 50
@@ -39,14 +37,13 @@
 // "platform" block, and /v1/healthz reports marketplace reachability
 // without ever failing the probe.
 //
-// With -peers set, homogeneous solves are split into block-aligned spans
-// and fanned out across the peer ring (consistent hash of the menu
-// fingerprint, so each node's OPQ cache stays hot for the menus it owns).
-// Peer failures fall back to local solves — the merged plan is
-// byte-identical to a single-node solve either way — and persistent
-// failures circuit-break the peer until a cooldown probe succeeds.
-// /v1/stats grows a "cluster" block and /v1/healthz reports per-peer
-// breaker state.
+// A cluster is N independent sladed nodes behind a load balancer: every
+// node answers every request from its own OPQ cache, and no node talks
+// to another. -peers, -advertise, -cluster-timeout and -peer-retries are
+// deprecated and still parse so existing unit files boot: a peer list is
+// reported ("cluster" blocks in /v1/stats and /v1/healthz, each peer
+// "unused"; "solver":"cluster" stays an accepted name for the default
+// route) and never dialled; the other two are ignored.
 //
 // By default the daemon coalesces concurrent same-menu decompose traffic
 // (-batch-window 2ms): requests sharing a menu fingerprint accumulate
@@ -101,10 +98,10 @@ func main() {
 	maxQueueWait := flag.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")
 	sseHeartbeat := flag.Duration("sse-heartbeat", 0, "keep-alive comment interval on SSE event streams (0 = 15s default)")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
-	peers := flag.String("peers", "", "comma-separated peer base URLs; non-empty enables clustered span fan-out")
-	advertise := flag.String("advertise", "", "this node's own base URL on the cluster ring (required with -peers when peers list this node back)")
-	clusterTimeout := flag.Duration("cluster-timeout", 0, "per-attempt deadline for one remote span solve (0 = 10s default)")
-	peerRetries := flag.Int("peer-retries", 1, "re-send a failed span to its peer this many times before local fallback")
+	peers := flag.String("peers", "", "deprecated: comma-separated peer base URLs, listed in /v1/stats and /v1/healthz and never dialled — run N independent nodes behind a balancer")
+	advertise := flag.String("advertise", "", "deprecated: this node's own base URL, reported as \"self\" beside -peers")
+	flag.Duration("cluster-timeout", 0, "deprecated: ignored (no peer is dialled)")
+	flag.Int("peer-retries", 1, "deprecated: ignored (no peer is dialled)")
 	platformURL := flag.String("platform-url", "", "remote crowd-marketplace base URL; non-empty lets run jobs execute with \"platform_kind\":\"remote\"")
 	platformAuth := flag.String("platform-auth", "", "Authorization header sent verbatim on every marketplace request")
 	platformTimeout := flag.Duration("platform-timeout", 0, "per-attempt deadline for one remote bin issue (0 = 10s default)")
@@ -127,8 +124,6 @@ func main() {
 			SSEHeartbeat:     *sseHeartbeat,
 			Peers:            splitPeers(*peers),
 			ClusterSelf:      *advertise,
-			ClusterTimeout:   *clusterTimeout,
-			PeerRetries:      *peerRetries,
 			PlatformURL:      *platformURL,
 			PlatformAuth:     *platformAuth,
 			PlatformTimeout:  *platformTimeout,
@@ -218,8 +213,11 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 		Handler:           slade.NewServiceHandler(svc),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	logger.Printf("sladed listening on %s (workers=%d, durable=%v, batch-window=%v, peers=%d)",
-		ln.Addr(), svc.Stats().Workers, cfg.dataDir != "", cfg.service.BatchWindow, len(cfg.service.Peers))
+	logger.Printf("sladed listening on %s (workers=%d, durable=%v, batch-window=%v)",
+		ln.Addr(), svc.Stats().Workers, cfg.dataDir != "", cfg.service.BatchWindow)
+	if n := len(cfg.service.Peers); n > 0 {
+		logger.Printf("sladed: -peers is deprecated: %d peers accepted for compatibility and not dialled; this node serves every request itself", n)
+	}
 
 	// The snapshot loop runs on a child context so it also stops when
 	// Serve fails on its own (fatal accept error) rather than only on a

@@ -383,6 +383,56 @@ func waitHealthy(t *testing.T, base string) {
 	t.Fatal("daemon never became healthy")
 }
 
+// TestPeersAcceptedNotDialled: a daemon given -peers says once at start
+// that they are not dialled, serves a decompose with both peers
+// unreachable, and reports them "unused" — not healthy — in /v1/healthz.
+func TestPeersAcceptedNotDialled(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	var logs bytes.Buffer // read only after serve has returned
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	cfg := daemonConfig{service: slade.ServiceConfig{Peers: splitPeers("http://b.invalid:8080, http://c.invalid:8080"), ClusterSelf: "http://a.invalid:8080"}}
+	go func() { done <- serve(ctx, ln, cfg, log.New(&logs, "", 0)) }()
+	waitHealthy(t, base)
+
+	body := `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1}],"n":500,"threshold":0.9}`
+	resp, err := http.Post(base+"/v1/decompose", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("decompose with unreachable peers: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(base + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		Cluster struct {
+			Peers []struct{ URL, State string }
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(h.Cluster.Peers) != 2 || h.Cluster.Peers[0].State != "unused" || h.Cluster.Peers[1].State != "unused" {
+		t.Fatalf("healthz peers: %+v", h.Cluster.Peers)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v", err)
+	}
+	if n := bytes.Count(logs.Bytes(), []byte("2 peers accepted for compatibility and not dialled")); n != 1 {
+		t.Fatalf("compatibility notice logged %d times, want once:\n%s", n, logs.Bytes())
+	}
+}
+
 // TestRunBadAddr covers the listener-error path.
 func TestRunBadAddr(t *testing.T) {
 	err := run(context.Background(), "256.0.0.1:-1", daemonConfig{}, log.New(io.Discard, "", 0))

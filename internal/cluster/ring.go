@@ -1,21 +1,15 @@
-// Package cluster distributes block-aligned span solves across a set of
-// peer sladed nodes over the existing JSON HTTP API, merging the remotely
-// solved run-plans back into one plan that is byte-identical to a
-// single-node solve. Peers are selected by a consistent hash of the
-// instance's menu fingerprint (opq.FingerprintDigest), so each node owns a
-// slice of the menu space and its OPQ cache stays hot for the menus it
-// owns. Every remote failure — timeout, transport error, non-200 status,
-// or an undecodable/invalid plan — falls back to a local solve of the same
-// span after a per-peer retry budget, so a degraded cluster degrades to
-// single-node latency, never to wrong answers. Persistent failures open a
-// per-peer circuit breaker that keeps dead peers out of the fan-out until
-// a cooldown probe succeeds.
 package cluster
+
+// The consistent-hash ring no longer routes anything: the span fan-out
+// that walked it is gone. It stays, with its property tests, as the one
+// piece ROADMAP item 2 names a non-deletion exit for (whole-request cache
+// affinity, parked); item 2(c) either uses it or deletes it with the rest
+// of the package.
 
 import "sort"
 
 // DefaultVirtualNodes is the ring points each member contributes when
-// Config.VirtualNodes is zero: enough for the ownership split across a
+// NewRing is given none: enough for the ownership split across a
 // handful of nodes to stay within a small factor of uniform.
 const DefaultVirtualNodes = 64
 

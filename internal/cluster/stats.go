@@ -2,11 +2,14 @@ package cluster
 
 import "repro/internal/obs"
 
-// PeerStats is one peer's health and traffic counters as reported in the
-// /v1/stats cluster block.
+// PeerStats is one configured peer in the /v1/stats cluster block.
+//
+// Deprecated: only URL and State carry information (State is always
+// "unused": configured, never contacted); the counters are zero and stay for the field names the
+// ledger reads until ROADMAP item 1(c).
 type PeerStats struct {
 	URL                 string             `json:"url"`
-	State               string             `json:"state"` // "ok" | "open" | "probing"
+	State               string             `json:"state"`
 	Requests            uint64             `json:"requests"`
 	Failures            uint64             `json:"failures"`
 	Retries             uint64             `json:"retries"`
@@ -18,6 +21,9 @@ type PeerStats struct {
 }
 
 // Stats is the /v1/stats cluster block.
+//
+// Deprecated: the span counters are always zero — no span is cut — and
+// stay for the field names the ledger reads until ROADMAP item 1(c).
 type Stats struct {
 	Self        string      `json:"self"`
 	Peers       []PeerStats `json:"peers"`
@@ -26,47 +32,12 @@ type Stats struct {
 	Fallbacks   uint64      `json:"fallbacks"`
 }
 
-// Stats snapshots the distributor's per-peer counters and breaker states.
-// Peers report in sorted-URL order so the output is stable for contract
-// replay.
+// Stats reports this node's name and its configured peers, in sorted-URL
+// order, each marked unused.
 func (d *Distributor) Stats() Stats {
-	s := Stats{
-		Self:        d.self,
-		Peers:       make([]PeerStats, 0, len(d.order)),
-		SpansRemote: d.spansRemote.Load(),
-		SpansLocal:  d.spansLocal.Load(),
-		Fallbacks:   d.fallbacks.Load(),
-	}
-	for _, u := range d.order {
-		p := d.peers[u]
-		state, consecutive, opens, lastErr := p.breaker.Snapshot()
-		s.Peers = append(s.Peers, PeerStats{
-			URL:                 u,
-			State:               state,
-			Requests:            p.requests.Value(),
-			Failures:            p.failures.Value(),
-			Retries:             p.retries.Value(),
-			Fallbacks:           p.fallbacks.Value(),
-			BreakerOpens:        opens,
-			ConsecutiveFailures: consecutive,
-			LastError:           lastErr,
-			Latency:             p.latency.Snapshot().Summary(),
-		})
+	s := Stats{Self: d.self, Peers: make([]PeerStats, 0, len(d.peers))}
+	for _, u := range d.peers {
+		s.Peers = append(s.Peers, PeerStats{URL: u, State: "unused"})
 	}
 	return s
 }
-
-// Degraded reports whether any peer's breaker is currently not "ok" —
-// the signal /v1/healthz uses to flip the cluster block to degraded
-// without failing the health check (the fallback keeps serving).
-func (d *Distributor) Degraded() bool {
-	for _, p := range d.peers {
-		if state, _, _, _ := p.breaker.Snapshot(); state != "ok" {
-			return true
-		}
-	}
-	return false
-}
-
-// PeerCount returns the number of configured remote peers.
-func (d *Distributor) PeerCount() int { return len(d.peers) }

@@ -1,9 +1,11 @@
-// Package testcluster boots an in-process multi-node sladed cluster for
-// chaos and parity testing: N real services behind real HTTP listeners,
-// fully peer-meshed through one shared fault-injecting transport. It
-// deliberately takes no *testing.T — the benchmark module reuses it to
-// measure clustered solves (the cluster-fanout workload) from a plain
-// binary.
+// Package testcluster boots an in-process multi-node sladed cluster: N
+// real services behind real HTTP listeners, each configured with the
+// others as peers. Peers are never dialled, so the nodes are independent;
+// what the package pins is that a peer list changes no answer. It
+// deliberately takes no *testing.T — the benchmark module reuses it (the
+// cluster-fanout workload) from a plain binary.
+//
+// Deprecated: goes with service.Config.Peers (ROADMAP item 2(c)).
 package testcluster
 
 import (
@@ -12,33 +14,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/service"
 )
 
-// Options shapes a test cluster. The zero value is a 3-node cluster with
-// test-friendly tuning: tiny spans so small instances still distribute, a
-// short attempt timeout, and a short breaker cooldown.
+// Options shapes a test cluster. The zero value is a 3-node cluster.
 type Options struct {
 	// Nodes is the cluster size; <= 0 selects 3.
 	Nodes int
-	// Seed seeds the shared fault injector; the same seed and request
-	// order replay the same fault schedule.
+	// Seed seeded the shared fault injector.
+	//
+	// Deprecated: inert — no transport is left to inject faults into;
+	// kept because benchmark/stack.go sets it.
 	Seed int64
-	// MinSpanBlocks per distributed span; <= 0 selects 1 (distribute
-	// everything — tests want traffic on the wire, not realism).
-	MinSpanBlocks int
-	// Timeout bounds one remote attempt; <= 0 selects 2s.
-	Timeout time.Duration
-	// Retries per span before local fallback; < 0 selects 0.
-	Retries int
-	// FailureThreshold consecutive failures open a peer breaker; <= 0
-	// selects the cluster default (3).
-	FailureThreshold int
-	// Cooldown before an open breaker probes; <= 0 selects 100ms.
-	Cooldown time.Duration
 	// Workers is each node's solve-slot count; <= 0 selects the CPU count.
 	Workers int
 	// Configure, when non-nil, edits each node's assembled service config
@@ -48,7 +36,7 @@ type Options struct {
 
 // Node is one cluster member: a real Service behind a real listener.
 type Node struct {
-	// URL is the node's base URL — its identity on every ring.
+	// URL is the node's base URL, the name its peers list it by.
 	URL     string
 	Service *service.Service
 	Server  *httptest.Server
@@ -61,38 +49,16 @@ type Node struct {
 // Cluster is a running test cluster. Close it when done.
 type Cluster struct {
 	Nodes []*Node
-	// Faults is the shared outbound transport of every node: killing a
-	// peer here makes it unreachable from all of them at once. The peer's
-	// own listener stays up — a "killed" peer can still be revived.
-	Faults *faultinject.Injector
 }
 
 // Start boots the cluster: listeners first (so every node knows every
-// URL), then the services, each configured with the other nodes as peers
-// and the shared fault injector as transport.
+// URL), then the services, each configured with the other nodes as peers.
 func Start(opts Options) (*Cluster, error) {
 	n := opts.Nodes
 	if n <= 0 {
 		n = 3
 	}
-	minSpan := opts.MinSpanBlocks
-	if minSpan <= 0 {
-		minSpan = 1
-	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	retries := opts.Retries
-	if retries < 0 {
-		retries = 0
-	}
-	cooldown := opts.Cooldown
-	if cooldown <= 0 {
-		cooldown = 100 * time.Millisecond
-	}
-
-	c := &Cluster{Faults: faultinject.New(opts.Seed, nil)}
+	c := &Cluster{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		node := &Node{}
@@ -117,16 +83,10 @@ func Start(opts Options) (*Cluster, error) {
 			}
 		}
 		cfg := service.Config{
-			Workers:                 opts.Workers,
-			Peers:                   peers,
-			ClusterSelf:             node.URL,
-			ClusterTimeout:          timeout,
-			PeerRetries:             retries,
-			ClusterTransport:        c.Faults,
-			ClusterMinSpanBlocks:    minSpan,
-			ClusterFailureThreshold: opts.FailureThreshold,
-			ClusterCooldown:         cooldown,
-			Logger:                  log.New(discard{}, "", 0),
+			Workers:     opts.Workers,
+			Peers:       peers,
+			ClusterSelf: node.URL,
+			Logger:      log.New(discard{}, "", 0),
 		}
 		if opts.Configure != nil {
 			opts.Configure(i, &cfg)

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,75 +67,109 @@ func faulted(url string, seed int64, f faultinject.Faults) *faultinject.Injector
 	return inj
 }
 
-// TestPlatformChaosSpendParity is the chaos acceptance test: with 25% of
-// traffic faulted (pre-commit drops and 500s, truncated bodies, dropped
-// post-commit responses), a run job must complete with a report
-// byte-identical to the fault-free run and with marketplace charges
-// exactly equal to the report's spend — zero double-paid bins.
-func TestPlatformChaosSpendParity(t *testing.T) {
-	const seed = 7
-	in, plan, truth := chaosEnv(t, 1200)
+// spendParity runs one plan twice against seeded marketplaces — once
+// clean, once through the given fault profile — and checks the money
+// invariant: the chaos run's report is byte-identical to the fault-free
+// one, and the marketplace charged exactly what the report says was
+// spent, which is exactly what the clean run spent. Zero double-paid
+// bins. It returns the faulted marketplace for schedule assertions.
+func spendParity(t *testing.T, seed int64, n int, faults faultinject.Faults) *testplatform.Server {
+	t.Helper()
+	in, plan, truth := chaosEnv(t, n)
 	opts := executor.Options{RunID: "chaos-1", TopUp: true}
 
 	clean, err := testplatform.New(testplatform.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clean.Close()
+	t.Cleanup(clean.Close)
 	cleanRep, err := executor.ExecuteContext(context.Background(),
 		hardenedClient(t, clean.URL(), nil).Runner(), in, plan, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cleanRep.Degraded {
-		t.Fatalf("fault-free run degraded: %q", cleanRep.LastError)
+		t.Fatalf("seed %d: fault-free run degraded: %q", seed, cleanRep.LastError)
 	}
 
 	faulty, err := testplatform.New(testplatform.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer faulty.Close()
-	chaos := func(cfg *Config) {
-		cfg.Transport = faulted(faulty.URL(), seed+1, faultinject.Faults{
-			DropProb:      0.05,
-			FailProb:      0.08,
-			TruncateProb:  0.06,
-			DropAfterProb: 0.06,
-		})
-	}
+	t.Cleanup(faulty.Close)
+	chaos := func(cfg *Config) { cfg.Transport = faulted(faulty.URL(), seed+1, faults) }
 	faultyRep, err := executor.ExecuteContext(context.Background(),
 		hardenedClient(t, faulty.URL(), chaos).Runner(), in, plan, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if faultyRep.Degraded {
-		t.Fatalf("chaos run degraded: %q", faultyRep.LastError)
+		t.Fatalf("seed %d: chaos run degraded: %q", seed, faultyRep.LastError)
 	}
 
 	// Byte-identical reports: the fault schedule must be invisible in
 	// the execution's accounting.
 	if !reflect.DeepEqual(cleanRep, faultyRep) {
-		t.Fatalf("chaos report diverged from fault-free run:\nclean:  %+v\nfaulty: %+v", cleanRep, faultyRep)
+		t.Fatalf("seed %d %+v: chaos report diverged from fault-free run:\nclean:  %+v\nfaulty: %+v", seed, faults, cleanRep, faultyRep)
 	}
 	// Exact spend parity, reconciled against the marketplace ledger on
 	// both sides: every bin paid exactly once.
 	if got, want := faulty.Charged(), faultyRep.Spent; !floatEq(got, want) {
-		t.Fatalf("marketplace charged %v, report spent %v — double-paid bins", got, want)
+		t.Fatalf("seed %d %+v: marketplace charged %v, report spent %v — double-paid bins", seed, faults, got, want)
 	}
 	if got, want := faulty.Charged(), clean.Charged(); !floatEq(got, want) {
-		t.Fatalf("chaos charges %v != fault-free charges %v", got, want)
+		t.Fatalf("seed %d %+v: chaos charges %v != fault-free charges %v", seed, faults, got, want)
 	}
 	if got, want := faulty.Commits(), clean.Commits(); got != want {
-		t.Fatalf("chaos commits %d != fault-free commits %d", got, want)
+		t.Fatalf("seed %d %+v: chaos commits %d != fault-free commits %d", seed, faults, got, want)
 	}
-	// The schedule must actually have bitten: retries happened and at
-	// least one ambiguous post-commit failure reconciled via replay.
+	return faulty
+}
+
+// TestPlatformChaosSpendParity is the chaos acceptance test: with 25% of
+// traffic faulted (pre-commit drops and 500s, truncated bodies, dropped
+// post-commit responses), a run job must complete with its accounting
+// untouched (see spendParity) — and the schedule must actually have
+// bitten.
+func TestPlatformChaosSpendParity(t *testing.T) {
+	faulty := spendParity(t, 7, 1200, faultinject.Faults{
+		DropProb:      0.05,
+		FailProb:      0.08,
+		TruncateProb:  0.06,
+		DropAfterProb: 0.06,
+	})
 	if faulty.Requests() <= faulty.Commits() {
 		t.Fatalf("no faulted requests (requests=%d commits=%d) — schedule too tame to prove anything", faulty.Requests(), faulty.Commits())
 	}
 	if faulty.Replays() == 0 {
 		t.Fatal("no idempotent replays — the double-spend path was never exercised")
+	}
+}
+
+// TestPlatformSpendParityProperty is the money invariant as a property:
+// spendParity over 24 seeds, each drawing its own mix of pre-commit 500s,
+// truncated bodies and dropped post-commit responses (the ambiguous
+// failure only an idempotent replay resolves), from none of a class to
+// one request in six. Whatever the mix, Charged() == Report.Spent ==
+// the clean run's spend.
+func TestPlatformSpendParityProperty(t *testing.T) {
+	var requests, commits, replays uint64
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// A class is absent from about a quarter of the mixes, so the
+		// others are also seen alone.
+		draw := func() float64 { return max(0, rng.Float64()*0.22-0.05) }
+		faulty := spendParity(t, seed, 240, faultinject.Faults{
+			FailProb:      draw(),
+			TruncateProb:  draw(),
+			DropAfterProb: draw(),
+		})
+		requests += faulty.Requests()
+		commits += faulty.Commits()
+		replays += faulty.Replays()
+	}
+	if requests <= commits || replays == 0 {
+		t.Fatalf("schedules too tame to prove anything: %d requests, %d commits, %d replays", requests, commits, replays)
 	}
 }
 

@@ -3,58 +3,42 @@ package service
 import (
 	"fmt"
 	"log/slog"
+	"net/http"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"repro/internal/faultinject"
 )
+
+// failingTransport is a peer transport that must never be used.
+type failingTransport struct{ t *testing.T }
+
+func (f failingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	f.t.Errorf("peer dialled: %s %s", req.Method, req.URL)
+	return nil, fmt.Errorf("peers are not dialled")
+}
 
 // TestAPIContractCluster pins the cluster-facing slice of the wire
 // contract with its own golden script under testdata/contract/cluster:
-// the /v1/stats cluster block and the peer-degraded /v1/healthz output.
-// The service is configured with two fake peers that a seeded fault
-// injector holds down for the whole script, so every value in the
-// goldens — breaker states, failure counters, fallback counts, even the
-// last_error strings — is synthetic and deterministic:
-//
-//   - step 1 fans one decompose out across both peers; every remote
-//     attempt is refused, the per-peer retry budget (2) plus the first
-//     attempt lands exactly on the breaker threshold (3), and both
-//     breakers open while the request still succeeds via local fallback.
-//   - step 2 repeats the decompose against the now-degraded cluster: both
-//     breakers are open (cooldown is an hour, so no probe fires
-//     mid-script) and the whole instance solves locally.
-//   - steps 3 and 4 pin the resulting /v1/stats cluster block and the
-//     degraded-but-200 /v1/healthz body.
+// what a service configured with two peers — which it never dials —
+// answers to an unnamed decompose (reported under "cluster"), a decompose
+// naming "cluster", and in the cluster blocks of /v1/stats and
+// /v1/healthz: the peers listed as "unused", every counter zero.
 //
 // Regenerate with -update-contract, same as TestAPIContract.
 func TestAPIContractCluster(t *testing.T) {
-	peers := []string{"http://peer-a:7001", "http://peer-b:7002"}
-	faults := faultinject.New(11, nil)
-	for _, p := range peers {
-		faults.Kill(p)
-	}
 	svc := New(Config{
-		CacheSize:            8,
-		Workers:              2,
-		Slog:                 slog.New(slog.DiscardHandler),
-		Peers:                peers,
-		ClusterSelf:          "http://self:7000",
-		ClusterTransport:     faults,
-		ClusterTimeout:       time.Second,
-		PeerRetries:          2,
-		ClusterMinSpanBlocks: 1,
-		ClusterCooldown:      time.Hour,
+		CacheSize:        8,
+		Workers:          2,
+		Slog:             slog.New(slog.DiscardHandler),
+		Peers:            []string{"http://peer-b:7002", "http://peer-a:7001/"},
+		ClusterSelf:      "http://self:7000",
+		ClusterTransport: failingTransport{t},
 	})
 	t.Cleanup(func() { svc.Close() })
 
-	// n=12 at threshold 0.9 is 12 full blocks (L=1): enough to split one
-	// span per node, so both peers see traffic on the first request.
-	body := fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9}`, table1JSON)
+	body := fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9`, table1JSON)
 	steps := []contractStep{
-		{name: "cluster_decompose_fallback", method: "POST", path: "/v1/decompose", body: body},
-		{name: "cluster_decompose_degraded", method: "POST", path: "/v1/decompose", body: body},
+		{name: "cluster_decompose_default", method: "POST", path: "/v1/decompose", body: body + "}"},
+		{name: "cluster_decompose_named", method: "POST", path: "/v1/decompose", body: body + `,"solver":"cluster"}`},
 		{name: "cluster_stats", method: "GET", path: "/v1/stats"},
 		{name: "cluster_healthz", method: "GET", path: "/v1/healthz"},
 	}

@@ -29,8 +29,12 @@ import (
 // service's recommended solver for every instance shape.
 const DefaultSolverName = "sharded"
 
-// ClusterSolverName selects the clustered distributor — registered (and
-// made the default route) only on a service configured with Peers.
+// ClusterSolverName is the name the default route goes by on a service
+// configured with Peers — registered only there, and the same route as
+// DefaultSolverName.
+//
+// Deprecated: kept as a wire name for clients and stored jobs that carry
+// it; ROADMAP item 2(c) removes it with Config.Peers.
 const ClusterSolverName = "cluster"
 
 // Config parameterizes a Service.
@@ -87,35 +91,32 @@ type Config struct {
 	// streams, keeping idle connections alive through proxies; <= 0 selects
 	// DefaultSSEHeartbeat (15s).
 	SSEHeartbeat time.Duration
-	// Peers lists the other sladed nodes' base URLs. Non-empty enables the
-	// clustered distributor: homogeneous solves split into block-aligned
-	// spans fanned out across the peer ring (merged output stays byte-
-	// identical to a single-node solve), "cluster" becomes the default
-	// solver route, and /v1/stats and /v1/healthz grow cluster blocks.
+	// Peers lists other sladed nodes' base URLs. They are accepted,
+	// reported and never dialled: a node with peers serves every request
+	// from its own cache by the route a single node uses, so a cluster is
+	// N independent nodes behind a balancer. Non-empty still makes
+	// "cluster" a registered solver name and the one unnamed requests are
+	// reported under, and still adds the cluster blocks to /v1/stats and
+	// /v1/healthz.
+	//
+	// Deprecated: kept for existing deployments and the ledger; ROADMAP
+	// item 2(c) removes it with the fields below.
 	Peers []string
-	// ClusterSelf is this node's own advertised URL — its identity on the
-	// consistent-hash ring. Every node in the cluster must use the same
-	// URL for a given node. Empty selects the opaque name "local", which
-	// is only safe when peers don't list this node back.
+	// ClusterSelf is this node's own advertised URL, reported as the
+	// cluster blocks' "self" and dropped from Peers if listed there.
+	//
+	// Deprecated: goes with Peers.
 	ClusterSelf string
-	// ClusterTimeout bounds one remote span solve attempt; <= 0 selects
-	// cluster.DefaultTimeout.
-	ClusterTimeout time.Duration
-	// PeerRetries is how many times a failed span is re-sent to its peer
-	// before falling back to a local solve; 0 means one attempt.
-	PeerRetries int
-	// ClusterTransport overrides the peer HTTP transport — the fault-
-	// injection seam in tests; nil selects http.DefaultTransport.
-	ClusterTransport http.RoundTripper
-	// ClusterMinSpanBlocks is the minimum full OPQ1 blocks per distributed
-	// span; <= 0 selects cluster.DefaultMinSpanBlocks.
-	ClusterMinSpanBlocks int
-	// ClusterFailureThreshold consecutive peer failures open that peer's
-	// circuit breaker; <= 0 selects cluster.DefaultFailureThreshold.
+	// ClusterTimeout, PeerRetries, ClusterTransport, ClusterMinSpanBlocks,
+	// ClusterFailureThreshold and ClusterCooldown tuned the span fan-out.
+	//
+	// Deprecated: inert — nothing reads them; they go with Peers.
+	ClusterTimeout          time.Duration
+	PeerRetries             int
+	ClusterTransport        http.RoundTripper
+	ClusterMinSpanBlocks    int
 	ClusterFailureThreshold int
-	// ClusterCooldown is the open-breaker shut-out before a probe; <= 0
-	// selects cluster.DefaultCooldown.
-	ClusterCooldown time.Duration
+	ClusterCooldown         time.Duration
 	// PlatformURL, when non-empty, connects the daemon to a remote crowd
 	// marketplace: run jobs with platform kind "remote" execute against
 	// it through the fault-tolerant platform client (retry budgets,
@@ -154,8 +155,8 @@ var errSummarize = errors.New("service: summarizing solved plan")
 type Service struct {
 	cache   *OPQCache
 	sharded *ShardedSolver
-	// cluster is the peer-fan-out distributor; nil on a single-node
-	// service (no Peers configured).
+	// cluster holds the configured peer list and serves the "cluster"
+	// solver name by the local route; nil without Peers.
 	cluster *cluster.Distributor
 	// platform is the remote marketplace client; nil unless PlatformURL
 	// is configured.
@@ -265,17 +266,7 @@ func New(cfg Config) *Service {
 	s.mustRegister("opq-extended", hetero.Solver{})
 	s.mustRegister("baseline", baseline.Solver{Seed: 1})
 	if len(cfg.Peers) > 0 {
-		s.cluster = cluster.New(cluster.Config{
-			Self:             cfg.ClusterSelf,
-			Peers:            cfg.Peers,
-			Timeout:          cfg.ClusterTimeout,
-			Retries:          cfg.PeerRetries,
-			MinSpanBlocks:    cfg.ClusterMinSpanBlocks,
-			FailureThreshold: cfg.ClusterFailureThreshold,
-			Cooldown:         cfg.ClusterCooldown,
-			Transport:        cfg.ClusterTransport,
-			Registry:         s.metrics.reg,
-		}, s.sharded, s.blockSize)
+		s.cluster = cluster.New(cluster.Config{Self: cfg.ClusterSelf, Peers: cfg.Peers}, localRoute{s})
 		s.mustRegister(ClusterSolverName, s.cluster)
 	}
 	return s
@@ -310,18 +301,11 @@ func (s *Service) defaultPlatform(spec PlatformSpec) (executor.BinRunner, error)
 	return c.Runner(), nil
 }
 
-// blockSize resolves the menu's optimal block size LCM₁ through the
-// shared queue cache — the alignment unit the distributor cuts spans on.
-func (s *Service) blockSize(bins core.BinSet, t float64) (int, error) {
-	q, err := s.cache.Get(bins, t)
-	if err != nil {
-		return 0, err
-	}
-	return int(q.Elems[0].LCM), nil
-}
-
 // DefaultSolver returns the routing key unnamed requests resolve to:
 // "cluster" on a peer-configured service, DefaultSolverName otherwise.
+// Both name the same route.
+//
+// Deprecated: always DefaultSolverName once ROADMAP item 2(c) lands.
 func (s *Service) DefaultSolver() string {
 	if s.cluster != nil {
 		return ClusterSolverName
@@ -448,9 +432,8 @@ func (s *Service) solverNamesLocked() []string {
 	return names
 }
 
-// Decompose solves the instance on the default path: the cached
-// solver, distributed across the peer ring on a clustered service. Safe
-// for concurrent use.
+// Decompose solves the instance on the default path, the cached solver.
+// Safe for concurrent use.
 func (s *Service) Decompose(ctx context.Context, in *core.Instance) (*core.Plan, error) {
 	return s.DecomposeWith(ctx, s.DefaultSolver(), in)
 }
@@ -485,11 +468,23 @@ type ctxSolver interface {
 	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
 }
 
-// decompose routes one request — through the batcher when it is eligible
-// (batching on, the resolved solver is the built-in sharded path,
-// homogeneous, non-empty), otherwise straight to the named solver — and
-// records the request counters and latency histogram shared by both
-// public entry points.
+// localRoute is the route a node serves its default solver by: through
+// the batcher when the request is eligible (batching on, homogeneous,
+// non-empty), otherwise straight to the cached solver. "sharded" and, on
+// a peer-configured service, "cluster" both resolve to it.
+type localRoute struct{ s *Service }
+
+func (r localRoute) SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error) {
+	if r.s.batcher != nil && in.N() > 0 && in.Homogeneous() {
+		return r.s.batcher.join(ctx, in)
+	}
+	return r.s.sharded.SolveContext(ctx, in)
+}
+
+// decompose routes one request — by the local route when the resolved
+// solver is the built-in sharded path, otherwise straight to the named
+// solver — and records the request counters and latency histogram shared
+// by both public entry points.
 func (s *Service) decompose(ctx context.Context, name string, in *core.Instance) (plan *core.Plan, err error) {
 	start := time.Now()
 	defer func() {
@@ -511,12 +506,10 @@ func (s *Service) decompose(ctx context.Context, name string, in *core.Instance)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.batcher != nil && in.N() > 0 && in.Homogeneous() {
-		// Batch only the built-in sharded solver: a re-registered
-		// "sharded" must keep routing to the replacement.
-		if ss, ok := sv.(*ShardedSolver); ok && ss == s.sharded {
-			return s.batcher.join(ctx, in)
-		}
+	// Only the built-in sharded solver: a re-registered "sharded" must
+	// keep routing to the replacement.
+	if ss, ok := sv.(*ShardedSolver); ok && ss == s.sharded {
+		return localRoute{s}.SolveContext(ctx, in)
 	}
 	if cs, ok := sv.(ctxSolver); ok {
 		return cs.SolveContext(ctx, in)
@@ -600,8 +593,10 @@ type Stats struct {
 	Streams StreamStats `json:"streams"`
 	// Persistence reports the durable state layer's status.
 	Persistence PersistenceStats `json:"persistence"`
-	// Cluster reports per-peer distribution counters and breaker states;
-	// omitted on a single-node service.
+	// Cluster lists the configured peers, each "unused", with zeroed
+	// counters; omitted without Peers.
+	//
+	// Deprecated: goes with Config.Peers.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 	// Platform reports the remote marketplace client's counters and
 	// breaker state; omitted unless PlatformURL is configured.
@@ -682,14 +677,14 @@ type Health struct {
 	Revision  string `json:"revision,omitempty"`
 	// Persistence reports the durable store's availability.
 	Persistence HealthPersistence `json:"persistence"`
-	// Cluster reports peer reachability; omitted on a single-node service.
-	// Degraded peers do NOT fail the health check (local fallback keeps
-	// every request serviceable) — they flip Cluster.Degraded so operators
-	// and load balancers can see reduced capacity without losing the node.
+	// Cluster lists the configured peers; omitted without Peers. Peers
+	// are never contacted, so the block says nothing about their health
+	// and cannot fail or degrade this node's.
+	//
+	// Deprecated: goes with Config.Peers.
 	Cluster *HealthCluster `json:"cluster,omitempty"`
 	// Platform reports the remote marketplace's reachability; omitted
-	// unless PlatformURL is configured. Like the cluster block, a
-	// degraded platform NEVER fails the health check: the daemon keeps
+	// unless PlatformURL is configured. A degraded platform NEVER fails the health check: the daemon keeps
 	// serving (solve jobs are unaffected, remote runs finish with
 	// explicit degraded partial reports), so taking the node out of
 	// rotation would only lose capacity.
@@ -709,22 +704,19 @@ type HealthPlatform struct {
 
 // HealthCluster is the cluster block of a health report.
 type HealthCluster struct {
-	// Self is this node's ring identity.
+	// Self is this node's advertised name.
 	Self string `json:"self"`
-	// Degraded reports whether any peer's breaker is not "ok".
+	// Degraded is always false: no peer is probed.
 	Degraded bool `json:"degraded"`
-	// Peers lists each peer's breaker state, sorted by URL.
+	// Peers lists the configured peers, sorted by URL.
 	Peers []HealthPeer `json:"peers"`
 }
 
-// HealthPeer is one peer's reachability in a health report.
+// HealthPeer is one configured peer in a health report.
 type HealthPeer struct {
 	URL string `json:"url"`
-	// State is "ok", "open" (shut out after consecutive failures), or
-	// "probing" (cooldown elapsed, one trial request in flight).
+	// State is always "unused": configured, never contacted.
 	State string `json:"state"`
-	// Error is the most recent failure, while not "ok".
-	Error string `json:"error,omitempty"`
 }
 
 // HealthPersistence is the store block of a health report.
@@ -763,10 +755,7 @@ func (s *Service) Health() Health {
 		cs := s.cluster.Stats()
 		hc := &HealthCluster{Self: cs.Self, Peers: make([]HealthPeer, 0, len(cs.Peers))}
 		for _, p := range cs.Peers {
-			if p.State != "ok" {
-				hc.Degraded = true
-			}
-			hc.Peers = append(hc.Peers, HealthPeer{URL: p.URL, State: p.State, Error: p.LastError})
+			hc.Peers = append(hc.Peers, HealthPeer{URL: p.URL, State: p.State})
 		}
 		h.Cluster = hc
 	}

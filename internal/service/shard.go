@@ -40,9 +40,9 @@ type ShardPoolObs struct {
 // The name, the wire name "sharded" and the slade_shard_* metrics date from
 // when a request was cut into block-aligned spans solved on a pool; in run
 // form a solve is O(runs) decisions over an identity id arena — nothing
-// n-sized is written — and the split only added work. Contract goldens, alert rules and benchmark/ spell
-// the old names, so the rename waits for a [benchmark] PR. Span cutting
-// survives in internal/cluster, where spans cross machines.
+// n-sized is written — and the split only added work, in process and
+// across machines alike. Contract goldens, alert rules and benchmark/
+// spell the old names, so the rename waits for a [benchmark] PR.
 //
 // Concurrency contract: Solve and SolveContext are safe for concurrent use
 // from any number of goroutines (the cache coalesces duplicate builds and

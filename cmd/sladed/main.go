@@ -4,8 +4,8 @@
 // bounding concurrent solves to the CPU cores, executing plans end to end
 // against a simulated crowd platform ("kind":"run" jobs, reported with
 // achieved reliability and itemized spend), and (with -data-dir)
-// persisting completed jobs — execution reports included — and the OPQ
-// cache so a restart loses nothing.
+// persisting completed jobs — execution reports included — so a restart
+// loses none of them.
 //
 // Usage:
 //
@@ -13,9 +13,8 @@
 //	sladed -addr :9090            # custom listen address
 //	sladed -cache 256             # queue-cache capacity
 //	sladed -workers 8             # concurrent solve slots (and default job concurrency)
-//	sladed -data-dir /var/slade   # durable job + cache state
+//	sladed -data-dir /var/slade   # durable job results
 //	sladed -result-ttl 24h        # evict terminal jobs after 24 hours
-//	sladed -snapshot-interval 5m  # snapshot the OPQ cache every 5 minutes
 //	sladed -batch-window 0        # disable same-menu request batching
 //	sladed -batch-max 64          # flush a batch after 64 requests
 //	sladed -max-queue-wait 250ms  # shed solve traffic when queue-wait p95 exceeds 250ms
@@ -61,10 +60,10 @@
 // POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/events (SSE),
 // DELETE /v1/jobs/{id}, POST /v1/streams, POST /v1/streams/{id}/tasks,
 // POST /v1/streams/{id}/flush, GET /v1/streams/{id},
-// DELETE /v1/streams/{id}, POST /v1/admin/snapshot, GET /v1/healthz,
-// GET /v1/stats, GET /metrics (Prometheus text). See docs/OPERATIONS.md
-// for the full flag reference, curl examples and the restart-recovery
-// runbook; docs/API.md is the wire reference.
+// DELETE /v1/streams/{id}, GET /v1/healthz, GET /v1/stats, GET /metrics
+// (Prometheus text). See docs/OPERATIONS.md for the full flag reference,
+// curl examples and the restart-recovery runbook; docs/API.md is the wire
+// reference.
 package main
 
 import (
@@ -86,32 +85,45 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	cache := flag.Int("cache", 0, "queue-cache capacity (0 = default)")
-	workers := flag.Int("workers", 0, "concurrent solve slots, shared by all requests; also the default -max-jobs (0 = all CPUs)")
-	maxJobs := flag.Int("max-jobs", 0, "concurrently running async jobs (0 = workers)")
-	dataDir := flag.String("data-dir", "", "durable state directory; empty keeps all state in memory")
-	resultTTL := flag.Duration("result-ttl", 0, "evict terminal jobs this long after they finish (0 = keep until deleted)")
-	snapInterval := flag.Duration("snapshot-interval", 0, "periodically persist the OPQ cache (0 = only at shutdown and on POST /v1/admin/snapshot)")
-	batchWindow := flag.Duration("batch-window", slade.DefaultBatchWindow, "coalesce concurrent same-menu requests for up to this long into one flush (0 = disable batching)")
-	batchMax := flag.Int("batch-max", 0, "flush a batch once this many requests joined (0 = default 256)")
-	maxQueueWait := flag.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")
-	sseHeartbeat := flag.Duration("sse-heartbeat", 0, "keep-alive comment interval on SSE event streams (0 = 15s default)")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
-	peers := flag.String("peers", "", "deprecated: comma-separated peer base URLs, listed in /v1/stats and /v1/healthz and never dialled — run N independent nodes behind a balancer")
-	advertise := flag.String("advertise", "", "deprecated: this node's own base URL, reported as \"self\" beside -peers")
-	flag.Duration("cluster-timeout", 0, "deprecated: ignored (no peer is dialled)")
-	flag.Int("peer-retries", 1, "deprecated: ignored (no peer is dialled)")
-	platformURL := flag.String("platform-url", "", "remote crowd-marketplace base URL; non-empty lets run jobs execute with \"platform_kind\":\"remote\"")
-	platformAuth := flag.String("platform-auth", "", "Authorization header sent verbatim on every marketplace request")
-	platformTimeout := flag.Duration("platform-timeout", 0, "per-attempt deadline for one remote bin issue (0 = 10s default)")
-	platformRetries := flag.Int("platform-retries", 0, "per-job wire-retry budget for marketplace calls (0 = 64 default, -1 = no retries)")
-	platformRPS := flag.Float64("platform-rps", 0, "marketplace issue-rate cap in requests/second (0 = unlimited)")
-	flag.Parse()
+	// flag.CommandLine is ExitOnError: a bad flag has already printed the
+	// usage and exited 2, so the error is always nil here.
+	addr, cfg, _ := parseFlags(flag.CommandLine, os.Args[1:])
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if err := run(ctx, addr, cfg, log.Default()); err != nil {
+		fmt.Fprintln(os.Stderr, "sladed:", err)
+		os.Exit(1)
+	}
+}
 
+// parseFlags declares every sladed flag on fs, parses args and returns the
+// listen address and the daemon configuration. docs/OPERATIONS.md
+// documents exactly the flags declared here (TestDocsMatchBinary).
+func parseFlags(fs *flag.FlagSet, args []string) (string, daemonConfig, error) {
+	addr := fs.String("addr", ":8080", "listen address")
+	cache := fs.Int("cache", 0, "queue-cache capacity (0 = default)")
+	workers := fs.Int("workers", 0, "concurrent solve slots, shared by all requests; also the default -max-jobs (0 = all CPUs)")
+	maxJobs := fs.Int("max-jobs", 0, "concurrently running async jobs (0 = workers)")
+	dataDir := fs.String("data-dir", "", "durable state directory; empty keeps all state in memory")
+	resultTTL := fs.Duration("result-ttl", 0, "evict terminal jobs this long after they finish (0 = keep until deleted)")
+	batchWindow := fs.Duration("batch-window", slade.DefaultBatchWindow, "coalesce concurrent same-menu requests for up to this long into one flush (0 = disable batching)")
+	batchMax := fs.Int("batch-max", 0, "flush a batch once this many requests joined (0 = default 256)")
+	maxQueueWait := fs.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")
+	sseHeartbeat := fs.Duration("sse-heartbeat", 0, "keep-alive comment interval on SSE event streams (0 = 15s default)")
+	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
+	peers := fs.String("peers", "", "deprecated: comma-separated peer base URLs, listed in /v1/stats and /v1/healthz and never dialled — run N independent nodes behind a balancer")
+	advertise := fs.String("advertise", "", "deprecated: this node's own base URL, reported as \"self\" beside -peers")
+	fs.Duration("cluster-timeout", 0, "deprecated: ignored (no peer is dialled)")
+	fs.Int("peer-retries", 1, "deprecated: ignored (no peer is dialled)")
+	platformURL := fs.String("platform-url", "", "remote crowd-marketplace base URL; non-empty lets run jobs execute with \"platform_kind\":\"remote\"")
+	platformAuth := fs.String("platform-auth", "", "Authorization header sent verbatim on every marketplace request")
+	platformTimeout := fs.Duration("platform-timeout", 0, "per-attempt deadline for one remote bin issue (0 = 10s default)")
+	platformRetries := fs.Int("platform-retries", 0, "per-job wire-retry budget for marketplace calls (0 = 64 default, -1 = no retries)")
+	platformRPS := fs.Float64("platform-rps", 0, "marketplace issue-rate cap in requests/second (0 = unlimited)")
+	if err := fs.Parse(args); err != nil {
+		return "", daemonConfig{}, err
+	}
 	cfg := daemonConfig{
 		service: slade.ServiceConfig{
 			CacheSize:        *cache,
@@ -130,16 +142,12 @@ func main() {
 			PlatformRetries:  *platformRetries,
 			PlatformRPS:      *platformRPS,
 		},
-		dataDir:          *dataDir,
-		snapshotInterval: *snapInterval,
+		dataDir: *dataDir,
 	}
 	if *logJSON {
 		cfg.service.Slog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
-	if err := run(ctx, *addr, cfg, log.Default()); err != nil {
-		fmt.Fprintln(os.Stderr, "sladed:", err)
-		os.Exit(1)
-	}
+	return *addr, cfg, nil
 }
 
 // splitPeers parses the -peers flag: comma-separated URLs, blanks dropped.
@@ -153,15 +161,11 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// daemonConfig bundles the service configuration with the daemon-level
-// durability knobs.
+// daemonConfig bundles the service configuration with the data directory.
 type daemonConfig struct {
 	service slade.ServiceConfig
 	// dataDir roots the filesystem store; empty disables persistence.
 	dataDir string
-	// snapshotInterval spaces periodic OPQ cache snapshots; <= 0 snapshots
-	// only at shutdown and on explicit admin requests.
-	snapshotInterval time.Duration
 }
 
 // run serves the decomposition API on addr until ctx is canceled, then
@@ -175,9 +179,8 @@ func run(ctx context.Context, addr string, cfg daemonConfig, logger *log.Logger)
 }
 
 // serve runs the daemon on an existing listener; the testable core of
-// main. With a data dir configured it opens the filesystem store, replays
-// persisted jobs, warm-loads the OPQ cache from the last snapshot, and
-// snapshots the cache periodically and at shutdown.
+// main. With a data dir configured it opens the filesystem store and
+// replays persisted jobs.
 func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.Logger) error {
 	svcCfg := cfg.service
 	svcCfg.Logger = logger
@@ -197,16 +200,8 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 	svc := slade.NewService(svcCfg)
 	defer svc.Close()
 
-	if cfg.dataDir != "" {
-		loaded, err := svc.LoadCacheSnapshot()
-		if err != nil {
-			logger.Printf("sladed: warning: loading cache snapshot: %v", err)
-		} else if loaded > 0 {
-			logger.Printf("sladed: warm boot: %d cached queues restored", loaded)
-		}
-		if rec := svc.Stats().Jobs.Recovered; rec > 0 {
-			logger.Printf("sladed: warm boot: %d persisted jobs recovered", rec)
-		}
+	if rec := svc.Stats().Jobs.Recovered; rec > 0 {
+		logger.Printf("sladed: warm boot: %d persisted jobs recovered", rec)
 	}
 
 	srv := &http.Server{
@@ -219,20 +214,11 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 		logger.Printf("sladed: -peers is deprecated: %d peers accepted for compatibility and not dialled; this node serves every request itself", n)
 	}
 
-	// The snapshot loop runs on a child context so it also stops when
-	// Serve fails on its own (fatal accept error) rather than only on a
-	// signal — otherwise waiting on snapDone below would deadlock.
-	loopCtx, loopCancel := context.WithCancel(ctx)
-	defer loopCancel()
-	snapDone := startSnapshotLoop(loopCtx, svc, cfg, logger)
-
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:
-		loopCancel()
-		<-snapDone
 		return err
 	case <-ctx.Done():
 	}
@@ -245,45 +231,5 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	<-snapDone
-	if cfg.dataDir != "" {
-		// Final snapshot so the next boot starts as warm as this process
-		// ended. Failures are logged, not fatal: job records were already
-		// durable the moment each job settled.
-		if info, err := svc.SaveCacheSnapshot(); err != nil {
-			logger.Printf("sladed: warning: shutdown snapshot: %v", err)
-		} else {
-			logger.Printf("sladed: shutdown snapshot: %d queues, %d bytes", info.Entries, info.Bytes)
-		}
-	}
 	return nil
-}
-
-// startSnapshotLoop persists the OPQ cache on the configured interval
-// until ctx is canceled; the returned channel closes when the loop exits.
-// Without a store or an interval it is a no-op.
-func startSnapshotLoop(ctx context.Context, svc *slade.Service, cfg daemonConfig, logger *log.Logger) <-chan struct{} {
-	done := make(chan struct{})
-	if cfg.dataDir == "" || cfg.snapshotInterval <= 0 {
-		close(done)
-		return done
-	}
-	go func() {
-		defer close(done)
-		t := time.NewTicker(cfg.snapshotInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if info, err := svc.SaveCacheSnapshot(); err != nil {
-					logger.Printf("sladed: warning: periodic snapshot: %v", err)
-				} else {
-					logger.Printf("sladed: snapshot: %d queues, %d bytes", info.Entries, info.Bytes)
-				}
-			}
-		}
-	}()
-	return done
 }

@@ -4,11 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,14 +79,11 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("persistence reported enabled without -data-dir: %+v", st.Persistence)
 	}
 
-	// Snapshot without a store must 409, not crash.
-	snapResp, err := http.Post(base+"/v1/admin/snapshot", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapResp.Body.Close()
-	if snapResp.StatusCode != http.StatusConflict {
-		t.Fatalf("admin snapshot without store: want 409, got %d", snapResp.StatusCode)
+	// The removed snapshot route answers exactly what a path that never
+	// existed answers: the mux's 404.
+	gone, never := postEmpty(t, base+"/v1/admin/snapshot"), postEmpty(t, base+"/v1/admin/never-existed")
+	if gone.status != http.StatusNotFound || gone != never {
+		t.Fatalf("POST /v1/admin/snapshot: got %+v, an unregistered path gets %+v", gone, never)
 	}
 
 	cancel()
@@ -95,8 +99,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 // TestRestartRecovery is the durability acceptance test: a daemon started
 // with -data-dir, killed after N completed jobs, and restarted must serve
-// all N results from GET /v1/jobs/{id} and report a warm (non-empty) OPQ
-// cache in /v1/stats without rebuilding a single queue.
+// all N results from GET /v1/jobs/{id} without solving anything again.
 func TestRestartRecovery(t *testing.T) {
 	dataDir := t.TempDir()
 	cfg := daemonConfig{
@@ -105,8 +108,7 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	const numJobs = 3
 
-	// First life: complete numJobs jobs, snapshot via the admin endpoint,
-	// then shut down (which also snapshots).
+	// First life: complete numJobs jobs, then shut down.
 	base, shutdown := startDaemon(t, cfg)
 	jobIDs := make([]string, 0, numJobs)
 	for i := 0; i < numJobs; i++ {
@@ -131,22 +133,6 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	for _, id := range jobIDs {
 		waitJobDone(t, base, id)
-	}
-
-	snapResp, err := http.Post(base+"/v1/admin/snapshot", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Entries int `json:"entries"`
-		Bytes   int `json:"bytes"`
-	}
-	if err := json.NewDecoder(snapResp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snapResp.Body.Close()
-	if snapResp.StatusCode != http.StatusOK || snap.Entries == 0 || snap.Bytes == 0 {
-		t.Fatalf("admin snapshot: %d %+v", snapResp.StatusCode, snap)
 	}
 
 	shutdown()
@@ -195,11 +181,8 @@ func TestRestartRecovery(t *testing.T) {
 	if !st.Persistence.Enabled {
 		t.Fatalf("persistence not enabled: %+v", st.Persistence)
 	}
-	if st.Cache.Entries == 0 {
-		t.Fatalf("cache cold after restart: %+v", st.Cache)
-	}
-	if st.Cache.Builds != 0 {
-		t.Fatalf("restart rebuilt %d queues instead of warm-loading: %+v", st.Cache.Builds, st.Cache)
+	if st.Cache.Builds != 0 || st.Requests != 0 {
+		t.Fatalf("serving stored results solved again: %+v", st)
 	}
 	if st.Jobs.Recovered != numJobs {
 		t.Fatalf("want %d recovered jobs, got %d", numJobs, st.Jobs.Recovered)
@@ -367,6 +350,27 @@ func waitJobDone(t *testing.T, base, id string) {
 	t.Fatalf("job %s never finished", id)
 }
 
+// reply is what a client can tell two responses apart by.
+type reply struct {
+	status            int
+	contentType, body string
+}
+
+// postEmpty POSTs an empty body and returns the reply.
+func postEmpty(t *testing.T, url string) reply {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply{resp.StatusCode, resp.Header.Get("Content-Type"), string(body)}
+}
+
 func waitHealthy(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -438,5 +442,116 @@ func TestRunBadAddr(t *testing.T) {
 	err := run(context.Background(), "256.0.0.1:-1", daemonConfig{}, log.New(io.Discard, "", 0))
 	if err == nil {
 		t.Fatal("want listen error")
+	}
+}
+
+// TestRemovedSnapshotFlagIsAUsageError: an old unit file that still passes
+// -snapshot-interval does not start — the built binary prints the flag
+// package's usage error and exits 2, as for any flag it never had.
+func TestRemovedSnapshotFlagIsAUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "sladed")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, name := range []string{"-snapshot-interval", "-never-existed"} {
+		out, err := exec.Command(bin, name, "5m").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("sladed %s 5m: %v, want exit status 2\n%s", name, err, out)
+		}
+		if want := "flag provided but not defined: " + name; !strings.Contains(string(out), want) || !strings.Contains(string(out), "Usage of") {
+			t.Fatalf("sladed %s 5m printed no usage error:\n%s", name, out)
+		}
+	}
+}
+
+// lockedBuffer is a log sink a test may read while the daemon writes it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRunLeaksNoGoroutine: run with a data dir, having served one
+// decompose and one run job, returns nil when its context is cancelled
+// and leaves no goroutine behind — listener, connections, job workers,
+// batcher timers and the TTL janitor all stop.
+func TestRunLeaksNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var logs lockedBuffer
+	cfg := daemonConfig{
+		service: slade.ServiceConfig{CacheSize: 16, Workers: 2, ResultTTL: time.Hour, BatchWindow: slade.DefaultBatchWindow},
+		dataDir: t.TempDir(),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, "127.0.0.1:0", cfg, log.New(&logs, "", 0)) }()
+
+	listening := regexp.MustCompile(`sladed listening on (\S+)`)
+	var base string
+	for deadline := time.Now().Add(10 * time.Second); base == ""; time.Sleep(5 * time.Millisecond) {
+		if m := listening.FindStringSubmatch(logs.String()); m != nil {
+			base = "http://" + m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("daemon never logged its address:\n%s", logs.String())
+		}
+	}
+	// A client of the test's own, so its connections can be dropped
+	// before goroutines are counted.
+	client := &http.Client{Transport: &http.Transport{}}
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode >= 300 {
+			t.Fatalf("POST %s: status %d, %v: %s", path, resp.StatusCode, err, raw)
+		}
+		return raw
+	}
+	const menu = `[{"cardinality":1,"confidence":0.9,"cost":0.1},{"cardinality":2,"confidence":0.85,"cost":0.18}]`
+	post("/v1/decompose", `{"bins":`+menu+`,"n":120,"threshold":0.95}`)
+	var job struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(post("/v1/jobs", `{"kind":"run","bins":`+menu+`,"n":40,"threshold":0.9,"run":{"platform":"jelly","seed":7}}`), &job); err != nil {
+		t.Fatal(err)
+	}
+	waitJobDone(t, base, job.ID)
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run did not return")
+	}
+	client.CloseIdleConnections()
+	http.DefaultClient.CloseIdleConnections() // waitJobDone polls through it
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after run returned, %d before it started:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -26,9 +26,9 @@ const (
 // Fingerprint sits on the per-request hot path of the serving layer (every
 // cache lookup and every batch join keys by it), so it renders the key with
 // direct strconv appends instead of fmt. The format "%016x:m%d:t%.6f" is
-// load-bearing: persisted cache snapshots store fingerprints on disk and
-// restore compares recomputed against stored, so any change to the rendered
-// form invalidates existing snapshots (see TestFingerprintFormat).
+// pinned by TestFingerprintFormat: the string is the service's cache key
+// and its 16-hex-digit prefix, up to the first ':', is the `key` label on
+// /metrics. It is not written to disk.
 func Fingerprint(bins core.BinSet, t float64) string {
 	const hexdigits = "0123456789abcdef"
 	sum := FingerprintDigest(bins, t)

@@ -66,11 +66,11 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 }
 
-// TestFingerprintFormat pins the rendered key to the original
-// "%016x:m%d:t%.6f" layout. Persisted cache snapshots compare stored
-// fingerprints against recomputed ones at restore, so the hand-rolled
-// append path must stay byte-identical to the fmt form it replaced — a
-// drift here silently invalidates every snapshot on disk.
+// TestFingerprintFormat pins the rendered key to the "%016x:m%d:t%.6f"
+// layout: the hand-rolled append path must stay byte-identical to the fmt
+// form, because the service splits the cache key at the first ':' to get
+// the `key` label on /metrics, and dashboards keyed by that label would
+// silently lose their series on a drift.
 func TestFingerprintFormat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {

@@ -98,12 +98,21 @@ func goldenCorpus() []buildCase {
 	return cases
 }
 
-// queueDigest hashes everything a consumer can read off a queue: its JSON
-// form plus each element's LCM and the exact bits of UC and Mass (which the
-// wire form leaves out and decode recomputes).
+// queueDigest hashes everything a consumer can read off a queue: the
+// threshold, the menu and each element's cardinality → multiplicity map,
+// as the JSON Queue.MarshalJSON rendered when the golden was written, plus
+// each element's LCM and the exact bits of UC and Mass.
 func queueDigest(t testing.TB, q *Queue) string {
 	t.Helper()
-	data, err := json.Marshal(q)
+	form := struct {
+		Threshold float64        `json:"threshold"`
+		Bins      []core.TaskBin `json:"bins"`
+		Combs     []map[int]int  `json:"combs"`
+	}{Threshold: q.Threshold, Bins: q.bins.Bins()}
+	for _, e := range q.Elems {
+		form.Combs = append(form.Combs, e.Uses())
+	}
+	data, err := json.Marshal(form)
 	if err != nil {
 		t.Fatal(err)
 	}

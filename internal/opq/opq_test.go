@@ -1,8 +1,6 @@
 package opq
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -368,17 +366,6 @@ func checkCutsPreserveQueue(t *testing.T, bins core.BinSet, th float64, refBudge
 			math.Float64bits(a.Mass) != math.Float64bits(b.Mass) {
 			t.Errorf("element %d differs: %v vs %v", i, a, b)
 		}
-	}
-	jOn, err := json.Marshal(qOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jOff, err := json.Marshal(qOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jOn, jOff) {
-		t.Errorf("wire forms differ:\n%s\n%s", jOn, jOff)
 	}
 }
 

@@ -31,7 +31,6 @@ const MaxRequestBytes = 64 << 20
 //	POST   /v1/streams/{id}/flush   plan the remainder and seal the merged plan
 //	GET    /v1/streams/{id}         session status (+ merged plan after flush)
 //	DELETE /v1/streams/{id}         drop a session
-//	POST   /v1/admin/snapshot       persist the OPQ cache to the durable store
 //	GET    /v1/healthz              readiness probe (uptime, build info, store writability)
 //	GET    /v1/stats                request / latency / cache / job / persistence counters
 //	GET    /metrics                 Prometheus text exposition of every pipeline metric
@@ -86,9 +85,6 @@ func NewHandler(s *Service) http.Handler {
 	})
 	handle("DELETE", "/v1/streams/{id}", false, func(w http.ResponseWriter, r *http.Request) {
 		handleStreamDelete(s, w, r)
-	})
-	handle("POST", "/v1/admin/snapshot", false, func(w http.ResponseWriter, r *http.Request) {
-		handleSnapshot(s, w, r)
 	})
 	handle("GET", "/v1/healthz", false, func(w http.ResponseWriter, r *http.Request) {
 		h := s.Health()
@@ -557,23 +553,6 @@ func handleCancelJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleSnapshot persists the OPQ cache into the durable store on demand
-// (deployments also snapshot on a timer and at shutdown; this endpoint
-// lets an operator force one before a planned restart). 409 on a service
-// configured without a store.
-func handleSnapshot(s *Service, w http.ResponseWriter, _ *http.Request) {
-	info, err := s.SaveCacheSnapshot()
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrNoStore) {
-			code = http.StatusConflict
-		}
-		writeErr(w, code, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
 }
 
 // decodeBody decodes a JSON request body into dst, writing the error

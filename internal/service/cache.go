@@ -8,8 +8,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -336,92 +334,4 @@ func shortKey(key string) string {
 		return key[:i]
 	}
 	return key
-}
-
-// CacheSnapshotVersion is the version stamped into serialized cache
-// snapshots; Restore accepts versions in [1, CacheSnapshotVersion].
-const CacheSnapshotVersion = 1
-
-// cacheSnapshotJSON is the wire envelope of a serialized cache; see
-// docs/FORMATS.md.
-type cacheSnapshotJSON struct {
-	Version int                  `json:"version"`
-	Entries []cacheSnapshotEntry `json:"entries"`
-}
-
-// cacheSnapshotEntry is one serialized queue. The fingerprint is stored
-// redundantly — Restore recomputes it from the decoded queue and skips
-// entries that disagree, so a snapshot edited or torn on disk cannot seed
-// the cache under the wrong key.
-type cacheSnapshotEntry struct {
-	Fingerprint string          `json:"fingerprint"`
-	Queue       json.RawMessage `json:"queue"`
-}
-
-// Snapshot serializes every resident queue, most recently used first, into
-// a versioned JSON blob that Restore (typically in a later process) can
-// reload, returning the blob and the number of queues it holds (counted
-// from the blob itself, so it cannot drift from concurrent cache churn).
-// In-flight builds are not captured — only landed entries. Safe for
-// concurrent use; the snapshot is a consistent point-in-time view.
-func (c *OPQCache) Snapshot() ([]byte, int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	snap := cacheSnapshotJSON{Version: CacheSnapshotVersion}
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		qj, err := json.Marshal(e.queue)
-		if err != nil {
-			return nil, 0, fmt.Errorf("service: serializing cached queue %s: %w", e.key, err)
-		}
-		snap.Entries = append(snap.Entries, cacheSnapshotEntry{Fingerprint: e.key, Queue: qj})
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, len(snap.Entries), nil
-}
-
-// Restore loads a Snapshot blob into the cache, returning how many queues
-// were restored and how many entries were skipped. Each queue is fully
-// re-validated on decode (opq.Queue.UnmarshalJSON recomputes all derived
-// values and re-checks the frontier invariants) and its fingerprint is
-// recomputed from the decoded key material; an entry that fails either
-// check is skipped, never trusted — a corrupt snapshot degrades to a
-// colder cache, not to wrong answers. Entries are inserted least recently
-// used first so the restored cache preserves the snapshot's LRU order, and
-// the usual capacity eviction applies. Restoring does not count as misses
-// or builds. Safe for concurrent use with Gets; keys already resident (or
-// landing concurrently) keep the resident copy.
-func (c *OPQCache) Restore(data []byte) (restored, skipped int, err error) {
-	var snap cacheSnapshotJSON
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return 0, 0, fmt.Errorf("service: decoding cache snapshot: %w", err)
-	}
-	if snap.Version < 1 || snap.Version > CacheSnapshotVersion {
-		return 0, 0, fmt.Errorf("service: unsupported cache snapshot version %d", snap.Version)
-	}
-	for i := len(snap.Entries) - 1; i >= 0; i-- {
-		ent := snap.Entries[i]
-		var q opq.Queue
-		if err := json.Unmarshal(ent.Queue, &q); err != nil {
-			skipped++
-			continue
-		}
-		key := opq.Fingerprint(q.Bins(), q.Threshold)
-		if ent.Fingerprint != key {
-			skipped++
-			continue
-		}
-		c.mu.Lock()
-		if _, resident := c.byKey[key]; !resident {
-			c.insertLocked(key, q.Bins(), q.Threshold, &q)
-			restored++
-		} else {
-			skipped++
-		}
-		c.mu.Unlock()
-	}
-	return restored, skipped, nil
 }

@@ -217,7 +217,6 @@ func contractScript() []contractStep {
 		{name: "stream_status_plan", method: "GET", path: "/v1/streams/stream-1?include_plan=true"},
 		{name: "stream_delete", method: "DELETE", path: "/v1/streams/stream-1"},
 		{name: "stream_unknown", method: "GET", path: "/v1/streams/stream-1"},
-		{name: "admin_snapshot_storeless", method: "POST", path: "/v1/admin/snapshot"},
 		{name: "healthz", method: "GET", path: "/v1/healthz"},
 		{name: "stats", method: "GET", path: "/v1/stats"},
 	}

@@ -8,12 +8,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/binset"
 	"repro/internal/core"
 )
 
@@ -348,4 +350,71 @@ func TestSSEPendingCancelAndShutdown(t *testing.T) {
 		}
 	}
 	close(block)
+}
+
+// waitGoroutines polls until the process is back to at most want
+// goroutines, failing with a full dump after two seconds.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCloseWithSubscriberLeaksNoGoroutine: Service.Close with one SSE
+// subscriber still parked on a job that has not finished releases the
+// subscriber's handler, and once the listener is gone and the job's
+// solver returns, nothing the service started is left running.
+func TestCloseWithSubscriberLeaksNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Config{CacheSize: 8, Workers: 1, ResultTTL: time.Hour,
+		SSEHeartbeat: 5 * time.Millisecond, Slog: slog.New(slog.DiscardHandler)})
+	ts := httptest.NewServer(NewHandler(svc))
+	block := make(chan struct{})
+	if err := svc.RegisterSolver("slow", core.SolverFunc{
+		SolverName: "slow",
+		Fn: func(in *core.Instance) (*core.Plan, error) {
+			<-block
+			return &core.Plan{}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	in, err := core.NewHomogeneous(binset.Table1(), 5, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// The first heartbeat comment proves the handler is parked in its
+	// select, subscribed, before Close runs.
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended before a heartbeat: %v", err)
+		}
+		if strings.HasPrefix(line, ":") {
+			break
+		}
+	}
+	svc.Close()
+	if _, err := io.Copy(io.Discard, br); err != nil { // EOF: the handler returned
+		t.Fatalf("stream did not end cleanly after Close: %v", err)
+	}
+	close(block)
+	ts.Close()
+	waitGoroutines(t, before)
 }

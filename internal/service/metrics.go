@@ -126,7 +126,7 @@ type routeMetrics struct {
 // storeOps enumerates the operation labels of the store instrument
 // families; pre-registering them keeps the wrapper allocation-free and
 // makes the store series visible on /metrics even before traffic.
-var storeOps = []string{"put_job", "get_job", "list_jobs", "delete_job", "put_snapshot", "get_snapshot"}
+var storeOps = []string{"put_job", "get_job", "list_jobs", "delete_job"}
 
 // batchFlushReasons enumerates the flush-trigger labels.
 var batchFlushReasons = []string{flushReasonWindow, flushReasonCap, flushReasonDrain}

@@ -21,8 +21,8 @@ import (
 )
 
 // newMetricsServer builds a full-featured test service: a store (so the
-// store and snapshot series see traffic) and batching left off so counts
-// stay deterministic.
+// store series see traffic) and batching left off so counts stay
+// deterministic.
 func newMetricsServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	if cfg.Slog == nil {
@@ -60,9 +60,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp := doDelete(t, ts.URL+"/v1/jobs/"+st.ID); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("delete terminal job: %d", resp.StatusCode)
 	}
-	if resp, raw := postJSON(t, ts.URL+"/v1/admin/snapshot", `{}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: %d (%s)", resp.StatusCode, raw)
-	}
 	getJSON(t, ts.URL+"/v1/healthz", nil)
 	getJSON(t, ts.URL+"/v1/stats", nil)
 
@@ -76,8 +73,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Every route is covered, including /metrics itself on the rescrape.
 	for _, route := range []string{
-		"/v1/decompose", "/v1/jobs", "/v1/jobs/{id}", "/v1/admin/snapshot",
-		"/v1/healthz", "/v1/stats", "/metrics",
+		"/v1/decompose", "/v1/jobs", "/v1/jobs/{id}", "/v1/healthz", "/v1/stats", "/metrics",
 	} {
 		if !strings.Contains(payload, fmt.Sprintf("route=%q", route)) {
 			t.Errorf("no per-route series for %s", route)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -325,133 +327,51 @@ func TestReplaySkipsCorruptRecordWithWarning(t *testing.T) {
 	}
 }
 
-// TestCacheSnapshotRestore round-trips the OPQ cache through its
-// serialized form: the restored cache serves hits without a single
-// build, preserves LRU order, and skips corrupted entries.
-func TestCacheSnapshotRestore(t *testing.T) {
-	c := NewOPQCache(8)
-	m1, m2 := binset.Table1(), menuB()
-	if _, err := c.Get(m1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(m2, 0.95); err != nil {
-		t.Fatal(err)
-	}
-	data, entries, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries != 2 {
-		t.Fatalf("snapshot entries: %d", entries)
-	}
-
-	re := NewOPQCache(8)
-	restored, skipped, err := re.Restore(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 2 || skipped != 0 {
-		t.Fatalf("restore: %d restored, %d skipped", restored, skipped)
-	}
-	if !re.Contains(m1, 0.9) || !re.Contains(m2, 0.95) {
-		t.Fatal("restored cache missing keys")
-	}
-	if _, err := re.Get(m1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	st := re.Stats()
-	if st.Builds != 0 || st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("restored cache rebuilt instead of serving: %+v", st)
-	}
-
-	// Corrupt one entry: the rest must still restore.
-	var snap struct {
-		Version int `json:"version"`
-		Entries []struct {
-			Fingerprint string          `json:"fingerprint"`
-			Queue       json.RawMessage `json:"queue"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Entries[0].Queue = json.RawMessage(`{"threshold":2,"bins":[]}`)
-	tampered, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re2 := NewOPQCache(8)
-	restored, skipped, err = re2.Restore(tampered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 1 || skipped != 1 {
-		t.Fatalf("tampered restore: %d restored, %d skipped", restored, skipped)
-	}
-
-	// A fingerprint that disagrees with its queue is equally untrusted.
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Entries[0].Fingerprint = "deadbeef"
-	tampered, err = json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re3 := NewOPQCache(8)
-	restored, skipped, err = re3.Restore(tampered)
-	if err != nil || restored != 1 || skipped != 1 {
-		t.Fatalf("mismatched fingerprint: restored=%d skipped=%d err=%v", restored, skipped, err)
-	}
-
-	// Garbage and future versions fail loudly.
-	if _, _, err := re3.Restore([]byte("not json")); err == nil {
-		t.Fatal("want decode error")
-	}
-	if _, _, err := re3.Restore([]byte(`{"version":99,"entries":[]}`)); err == nil {
-		t.Fatal("want version error")
-	}
-}
-
-// TestServiceSnapshotRoundTrip drives the Service-level save/load pair,
-// including the no-store and no-snapshot edges.
-func TestServiceSnapshotRoundTrip(t *testing.T) {
-	noStore := New(Config{CacheSize: 8, Workers: 2, Logger: quietLogger()})
-	defer noStore.Close()
-	if _, err := noStore.SaveCacheSnapshot(); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("save without store: want ErrNoStore, got %v", err)
-	}
-	if _, err := noStore.LoadCacheSnapshot(); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("load without store: want ErrNoStore, got %v", err)
-	}
-
+// TestParentDataDirBoots: a data dir written by the last release that
+// persisted the OPQ cache (testdata/parent_datadir: two terminal job
+// records and snapshots/opqcache.bin) boots, and boots again, serving both
+// jobs byte-identically to what that release served for them, with the
+// snapshots file never touched.
+func TestParentDataDirBoots(t *testing.T) {
+	src := filepath.Join("testdata", "parent_datadir")
 	dir := t.TempDir()
-	svc := New(Config{CacheSize: 8, Workers: 2, Store: openFS(t, dir), Logger: quietLogger()})
-	// Empty store: loading is a clean no-op, not an error.
-	if n, err := svc.LoadCacheSnapshot(); err != nil || n != 0 {
-		t.Fatalf("load from empty store: n=%d err=%v", n, err)
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
 	}
-	submitAndWait(t, svc, 100) // builds one queue through the sharded path
-	info, err := svc.SaveCacheSnapshot()
+	snapPath := filepath.Join("snapshots", "opqcache.bin")
+	snapshot, err := os.ReadFile(filepath.Join(src, snapPath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Entries != 1 || info.Bytes == 0 || info.At.IsZero() {
-		t.Fatalf("snapshot info: %+v", info)
-	}
-	if got := svc.Stats().Persistence.LastSnapshot.Entries; got != 1 {
-		t.Fatalf("stats last snapshot: %d", got)
-	}
-	svc.Close()
-
-	svc2 := New(Config{CacheSize: 8, Workers: 2, Store: openFS(t, dir), Logger: quietLogger()})
-	defer svc2.Close()
-	n, err := svc2.LoadCacheSnapshot()
-	if err != nil || n != 1 {
-		t.Fatalf("warm load: n=%d err=%v", n, err)
-	}
-	if st := svc2.Cache().Stats(); st.Entries != 1 || st.Builds != 0 {
-		t.Fatalf("warm cache: %+v", st)
+	for _, boot := range []string{"first boot", "second boot"} {
+		svc := New(Config{Store: openFS(t, dir), Logger: quietLogger()})
+		ts := httptest.NewServer(NewHandler(svc))
+		for _, id := range []string{"job-1", "job-2"} {
+			want, err := os.ReadFile(filepath.Join("testdata", "parent_"+id+".response.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "?include_plan=true")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s: status %d, body differs from the parent's:\n%s", boot, id, resp.StatusCode, got)
+			}
+		}
+		if rec := svc.Stats().Jobs.Recovered; rec != 2 {
+			t.Errorf("%s: %d jobs recovered, want 2", boot, rec)
+		}
+		ts.Close()
+		svc.Close()
+		if got, err := os.ReadFile(filepath.Join(dir, snapPath)); err != nil || !bytes.Equal(got, snapshot) {
+			t.Errorf("%s: snapshots/opqcache.bin touched: err %v, %d bytes", boot, err, len(got))
+		}
 	}
 }
 

@@ -48,9 +48,8 @@ type Config struct {
 	// MaxJobs bounds concurrently running async jobs; <= 0 selects Workers.
 	MaxJobs int
 	// Store, when non-nil, makes terminal jobs durable: every completed
-	// job spills to it, the store is replayed at construction, and the
-	// OPQ cache can be snapshotted into it (SaveCacheSnapshot) and warm-
-	// loaded from it (LoadCacheSnapshot). Nil keeps everything in memory.
+	// job spills to it and the store is replayed at construction. Nil
+	// keeps everything in memory.
 	Store store.Store
 	// ResultTTL evicts terminal jobs — memory and store — this long after
 	// they finish; 0 keeps results until EvictJob.
@@ -140,10 +139,6 @@ type Config struct {
 	PlatformTransport http.RoundTripper
 }
 
-// ErrNoStore tags operations that need a durable store on a service
-// configured without one; the HTTP layer maps it to 409.
-var ErrNoStore = errors.New("service: no durable store configured")
-
 // errSummarize tags a failure to summarize a plan our own solver just
 // produced — a server-side invariant break, not a client mistake. The
 // HTTP layer maps it to 500 where ordinary solve errors map to 422.
@@ -181,10 +176,6 @@ type Service struct {
 	solvers map[string]core.Solver
 
 	started time.Time
-
-	// snapMu guards the last-snapshot info reported by Stats.
-	snapMu   sync.Mutex
-	lastSnap SnapshotInfo
 
 	// Request counters; the latency distribution lives in
 	// metrics.solveLatency.
@@ -224,8 +215,8 @@ func New(cfg Config) *Service {
 	s.cache = NewOPQCache(cfg.CacheSize)
 	s.store = cfg.Store
 	if cfg.Store != nil {
-		// Every store access — job spills, replay, snapshots — flows
-		// through the instrumented wrapper.
+		// Every store access — job spills and replay — flows through the
+		// instrumented wrapper.
 		s.store = store.Observed(cfg.Store, s.storeObserver)
 	}
 	s.sharded = &ShardedSolver{Cache: s.cache, Workers: workers, Obs: &s.metrics.shardObs}
@@ -320,63 +311,6 @@ func (s *Service) Close() error {
 	s.jobs.close()
 	s.events.close() // wake every SSE subscriber so handlers return
 	return nil
-}
-
-// SnapshotInfo describes one persisted OPQ cache snapshot.
-type SnapshotInfo struct {
-	// Entries is the number of queues the snapshot holds.
-	Entries int `json:"entries"`
-	// Bytes is the serialized size.
-	Bytes int `json:"bytes"`
-	// At is when the snapshot was taken.
-	At time.Time `json:"at"`
-}
-
-// SaveCacheSnapshot serializes the current OPQ cache into the durable
-// store (under store.SnapshotOPQCache), so a later process can boot warm.
-// It returns ErrNoStore on a store-less service. Safe for concurrent use;
-// concurrent saves last-write-win atomically.
-func (s *Service) SaveCacheSnapshot() (SnapshotInfo, error) {
-	if s.store == nil {
-		return SnapshotInfo{}, ErrNoStore
-	}
-	data, entries, err := s.cache.Snapshot()
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	if err := s.store.PutSnapshot(store.SnapshotOPQCache, data); err != nil {
-		return SnapshotInfo{}, err
-	}
-	info := SnapshotInfo{Entries: entries, Bytes: len(data), At: time.Now()}
-	s.snapMu.Lock()
-	s.lastSnap = info
-	s.snapMu.Unlock()
-	return info, nil
-}
-
-// LoadCacheSnapshot restores the OPQ cache from the store's snapshot,
-// returning how many queues were loaded. A missing snapshot is not an
-// error (the cache just starts cold); corrupt entries are skipped with a
-// logged warning. Safe for concurrent use.
-func (s *Service) LoadCacheSnapshot() (int, error) {
-	if s.store == nil {
-		return 0, ErrNoStore
-	}
-	data, err := s.store.GetSnapshot(store.SnapshotOPQCache)
-	if errors.Is(err, store.ErrNotFound) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	restored, skipped, err := s.cache.Restore(data)
-	if err != nil {
-		return 0, err
-	}
-	if skipped > 0 {
-		s.slog.Warn("cache snapshot partially restored", "skipped", skipped)
-	}
-	return restored, nil
 }
 
 // Store returns the configured durable store (nil without persistence).
@@ -607,23 +541,16 @@ type Stats struct {
 	Workers int `json:"workers"`
 }
 
-// PersistenceStats describes the durable store's configuration and the
-// last OPQ cache snapshot taken by this process.
+// PersistenceStats describes the durable store's configuration.
 type PersistenceStats struct {
 	// Enabled reports whether a durable store is configured.
 	Enabled bool `json:"enabled"`
 	// ResultTTLSeconds is the terminal-job eviction TTL (0 = keep).
 	ResultTTLSeconds float64 `json:"result_ttl_seconds"`
-	// LastSnapshot is the most recent cache snapshot saved by this
-	// process; zero-valued until the first SaveCacheSnapshot.
-	LastSnapshot SnapshotInfo `json:"last_snapshot"`
 }
 
 // Stats returns the current counters. Safe for concurrent use.
 func (s *Service) Stats() Stats {
-	s.snapMu.Lock()
-	lastSnap := s.lastSnap
-	s.snapMu.Unlock()
 	st := Stats{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Requests:      s.requests.Load(),
@@ -638,7 +565,6 @@ func (s *Service) Stats() Stats {
 		Persistence: PersistenceStats{
 			Enabled:          s.store != nil,
 			ResultTTLSeconds: s.jobs.ttl.Seconds(),
-			LastSnapshot:     lastSnap,
 		},
 		Solvers: s.SolverNames(),
 		Workers: s.sharded.workers(),

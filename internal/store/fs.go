@@ -15,8 +15,10 @@ import (
 
 // FS is the crash-safe filesystem Store. Layout under the root directory:
 //
-//	<dir>/jobs/<id>.json        one versioned JSON record per terminal job
-//	<dir>/snapshots/<name>.bin  named blobs (the OPQ cache snapshot)
+//	<dir>/jobs/<id>.json  one versioned JSON record per terminal job
+//
+// Nothing else under the root is ever opened, so the snapshots/ directory
+// an older release left there is harmless.
 //
 // Every write lands via write-to-temp + fsync + rename + directory fsync,
 // so a crash at any point leaves either the old or the new content, never
@@ -56,36 +58,30 @@ func OpenFS(dir string, logger *log.Logger) (*FS, error) {
 	if logger == nil {
 		logger = log.Default()
 	}
-	for _, sub := range []string{jobsDir, snapshotsDir} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: creating %s: %w", sub, err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, jobsDir), 0o755); err != nil {
+		return nil, fmt.Errorf("store: creating %s: %w", jobsDir, err)
 	}
 	s := &FS{dir: dir, logger: logger}
 	s.removeLeftoverTemps()
 	return s, nil
 }
 
-const (
-	jobsDir      = "jobs"
-	snapshotsDir = "snapshots"
-)
+const jobsDir = "jobs"
 
 // Dir returns the store's root directory.
 func (s *FS) Dir() string { return s.dir }
 
 // removeLeftoverTemps deletes *.tmp files abandoned by a crash mid-write.
 func (s *FS) removeLeftoverTemps() {
-	for _, sub := range []string{jobsDir, snapshotsDir} {
-		entries, err := os.ReadDir(filepath.Join(s.dir, sub))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.Contains(e.Name(), tmpSuffix) {
-				if err := os.Remove(filepath.Join(s.dir, sub, e.Name())); err != nil {
-					s.logger.Printf("store: warning: removing leftover temp %s: %v", e.Name(), err)
-				}
+	dir := filepath.Join(s.dir, jobsDir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.Contains(e.Name(), tmpSuffix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				s.logger.Printf("store: warning: removing leftover temp %s: %v", e.Name(), err)
 			}
 		}
 	}
@@ -250,33 +246,6 @@ func (s *FS) DeleteJob(id string) error {
 		return err
 	}
 	return syncDir(filepath.Join(s.dir, jobsDir))
-}
-
-// snapshotPath maps a snapshot name to its blob file.
-func (s *FS) snapshotPath(name string) string {
-	return filepath.Join(s.dir, snapshotsDir, name+".bin")
-}
-
-// PutSnapshot implements Store.
-func (s *FS) PutSnapshot(name string, data []byte) error {
-	if err := checkName(name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeAtomic(s.snapshotPath(name), data)
-}
-
-// GetSnapshot implements Store.
-func (s *FS) GetSnapshot(name string) ([]byte, error) {
-	if err := checkName(name); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(s.snapshotPath(name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: snapshot %q", ErrNotFound, name)
-	}
-	return data, err
 }
 
 // CheckWritable implements Checker: it probes the data directory with a

@@ -10,17 +10,13 @@ import (
 // All methods are safe for concurrent use; records are deep-copied on the
 // way in and out so callers cannot alias the store's internal state.
 type Mem struct {
-	mu        sync.Mutex
-	jobs      map[string]JobRecord
-	snapshots map[string][]byte
+	mu   sync.Mutex
+	jobs map[string]JobRecord
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{
-		jobs:      make(map[string]JobRecord),
-		snapshots: make(map[string][]byte),
-	}
+	return &Mem{jobs: make(map[string]JobRecord)}
 }
 
 // copyRecord clones rec including its raw JSON payloads.
@@ -82,33 +78,10 @@ func (m *Mem) DeleteJob(id string) error {
 	return nil
 }
 
-// PutSnapshot implements Store.
-func (m *Mem) PutSnapshot(name string, data []byte) error {
-	if name == "" {
-		return fmt.Errorf("store: empty snapshot name")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snapshots[name] = append([]byte(nil), data...)
-	return nil
-}
-
-// GetSnapshot implements Store.
-func (m *Mem) GetSnapshot(name string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.snapshots[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: snapshot %q", ErrNotFound, name)
-	}
-	return append([]byte(nil), data...), nil
-}
-
 // Close implements Store; it drops all state.
 func (m *Mem) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.jobs = make(map[string]JobRecord)
-	m.snapshots = make(map[string][]byte)
 	return nil
 }

@@ -3,10 +3,9 @@ package store
 import "time"
 
 // Observer receives one callback per store operation: the operation name
-// ("put_job", "get_job", "list_jobs", "delete_job", "put_snapshot",
-// "get_snapshot"), its wall-clock duration, and its error (nil on
-// success). Observers must be safe for concurrent use and cheap — they
-// run inline on the calling goroutine.
+// ("put_job", "get_job", "list_jobs", "delete_job"), its wall-clock
+// duration, and its error (nil on success). Observers must be safe for
+// concurrent use and cheap — they run inline on the calling goroutine.
 type Observer func(op string, d time.Duration, err error)
 
 // Checker is the optional health-probe facet of a Store. FS implements
@@ -74,20 +73,6 @@ func (o *observed) DeleteJob(id string) error {
 	err := o.s.DeleteJob(id)
 	o.observe("delete_job", start, err)
 	return err
-}
-
-func (o *observed) PutSnapshot(name string, data []byte) error {
-	start := time.Now()
-	err := o.s.PutSnapshot(name, data)
-	o.observe("put_snapshot", start, err)
-	return err
-}
-
-func (o *observed) GetSnapshot(name string) ([]byte, error) {
-	start := time.Now()
-	data, err := o.s.GetSnapshot(name)
-	o.observe("get_snapshot", start, err)
-	return data, err
 }
 
 // Close is deliberately unobserved: it runs once at shutdown and its

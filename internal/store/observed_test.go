@@ -34,12 +34,6 @@ func TestObservedForwardsAndObserves(t *testing.T) {
 	if _, err := s.ListJobs(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutSnapshot("snap", []byte("blob")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.GetSnapshot("snap"); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.DeleteJob("job-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +41,7 @@ func TestObservedForwardsAndObserves(t *testing.T) {
 		t.Fatalf("get missing through wrapper: %v", err)
 	}
 
-	wantOps := []string{"put_job", "get_job", "list_jobs", "put_snapshot", "get_snapshot", "delete_job", "get_job"}
+	wantOps := []string{"put_job", "get_job", "list_jobs", "delete_job", "get_job"}
 	if len(calls) != len(wantOps) {
 		t.Fatalf("got %d observations, want %d: %+v", len(calls), len(wantOps), calls)
 	}

@@ -1,16 +1,14 @@
 // Package store is the durable state layer behind the decomposition
 // service: a small pluggable Store interface over versioned JSON records
-// (terminal job results and named binary snapshots such as the serialized
-// OPQ cache), with an in-memory implementation for tests and ephemeral
-// deployments and a crash-safe filesystem implementation for production.
+// of terminal job results, with an in-memory implementation for tests and
+// ephemeral deployments and a crash-safe filesystem implementation for
+// production.
 //
 // The service spills every terminal job here and replays the store at
 // construction, so a sladed restart serves previously completed plans
-// without re-solving; the OPQ cache snapshot rides in the same store as a
-// named blob, so a restart also boots with a warm cache. The interface is
-// deliberately narrow (put/get/list/delete plus snapshot blobs) so a later
-// multi-node distribution layer can drop in a replicated implementation
-// without touching the service.
+// without re-solving. The interface is deliberately narrow
+// (put/get/list/delete) so a later multi-node distribution layer can drop
+// in a replicated implementation without touching the service.
 package store
 
 import (
@@ -94,17 +92,7 @@ type Store interface {
 	// DeleteJob removes the record for id, or returns ErrNotFound.
 	DeleteJob(id string) error
 
-	// PutSnapshot inserts or replaces the named blob (e.g. the serialized
-	// OPQ cache under SnapshotOPQCache).
-	PutSnapshot(name string, data []byte) error
-	// GetSnapshot returns the named blob, or an error wrapping ErrNotFound.
-	GetSnapshot(name string) ([]byte, error)
-
 	// Close releases the store's resources. The store must not be used
 	// after Close.
 	Close() error
 }
-
-// SnapshotOPQCache is the snapshot name under which the service persists
-// its serialized OPQ cache.
-const SnapshotOPQCache = "opqcache"

@@ -39,7 +39,7 @@ func testRecord(id string) JobRecord {
 	}
 }
 
-// TestStoreRoundTrip exercises the full CRUD + snapshot surface on every
+// TestStoreRoundTrip exercises the full CRUD surface on every
 // implementation.
 func TestStoreRoundTrip(t *testing.T) {
 	for name, s := range impls(t) {
@@ -100,22 +100,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			}
 			if _, err := s.GetJob("job-1"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("get after delete: want ErrNotFound, got %v", err)
-			}
-
-			// Snapshots.
-			if _, err := s.GetSnapshot("opqcache"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("missing snapshot: want ErrNotFound, got %v", err)
-			}
-			blob := []byte(`{"version":1,"entries":[]}`)
-			if err := s.PutSnapshot("opqcache", blob); err != nil {
-				t.Fatal(err)
-			}
-			got2, err := s.GetSnapshot("opqcache")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got2, blob) {
-				t.Fatalf("snapshot mismatch: %s", got2)
 			}
 
 			if err := s.Close(); err != nil {
@@ -197,9 +181,6 @@ func TestFSSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutSnapshot("opqcache", []byte("blob")); err != nil {
-		t.Fatal(err)
-	}
 	// No Close: each Put is already durable.
 
 	re, err := OpenFS(dir, nil)
@@ -215,10 +196,6 @@ func TestFSSurvivesReopen(t *testing.T) {
 	}
 	if _, err := re.GetJob("job-3"); err != nil {
 		t.Fatal(err)
-	}
-	blob, err := re.GetSnapshot("opqcache")
-	if err != nil || string(blob) != "blob" {
-		t.Fatalf("snapshot after reopen: %q, %v", blob, err)
 	}
 }
 
@@ -283,8 +260,7 @@ func TestFSSkipsCorruptRecords(t *testing.T) {
 	}
 }
 
-// TestFSRejectsTraversalNames keeps ids and snapshot names inside the
-// store directory.
+// TestFSRejectsTraversalNames keeps ids inside the store directory.
 func TestFSRejectsTraversalNames(t *testing.T) {
 	s, err := OpenFS(t.TempDir(), nil)
 	if err != nil {
@@ -298,9 +274,6 @@ func TestFSRejectsTraversalNames(t *testing.T) {
 		}
 		if _, err := s.GetJob(bad); err == nil || errors.Is(err, ErrNotFound) {
 			t.Errorf("GetJob(%q): want name error, got %v", bad, err)
-		}
-		if err := s.PutSnapshot(bad, nil); err == nil {
-			t.Errorf("PutSnapshot accepted name %q", bad)
 		}
 	}
 }

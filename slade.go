@@ -339,10 +339,10 @@ func NewServiceHandler(s *Service) http.Handler { return service.NewHandler(s) }
 func NewOPQCache(capacity int) *OPQCache { return service.NewOPQCache(capacity) }
 
 // Durable state layer: the pluggable store behind ServiceConfig.Store.
-// See docs/FORMATS.md for the on-disk record and snapshot formats.
+// See docs/FORMATS.md for the on-disk record format.
 type (
 	// JobStore is the pluggable durable state interface the service
-	// spills terminal jobs and cache snapshots into.
+	// spills terminal jobs into.
 	JobStore = store.Store
 	// JobRecord is the durable (versioned JSON) form of a terminal job.
 	JobRecord = store.JobRecord
@@ -350,8 +350,6 @@ type (
 	FSStore = store.FS
 	// MemStore is the in-memory JobStore (state dies with the process).
 	MemStore = store.Mem
-	// SnapshotInfo describes one persisted OPQ cache snapshot.
-	SnapshotInfo = service.SnapshotInfo
 )
 
 // OpenFSStore opens (creating if needed) a crash-safe filesystem store

@@ -9,7 +9,7 @@ import (
 
 func TestRunFig3a(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "3a", 20, 1); err != nil {
+	if err := run(&sb, figOpts{fig: "3a", assignments: 20, seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -27,14 +27,20 @@ func TestRunFig3a(t *testing.T) {
 	}
 }
 
+// figureIDs is every figure sladesim renders.
+var figureIDs = []string{
+	"3a", "3b", "3c", "6a", "6b", "6c", "6d", "6e", "6f", "6g", "6h", "6i", "6j", "6k", "6l",
+	"7a", "7b", "7c", "7d", "7x", "7y", "8a", "8b",
+}
+
 func TestRunAll(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "all", 5, 2); err != nil {
+	if err := run(&sb, figOpts{fig: "all", assignments: 5, seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, id := range []string{"3a", "3b", "3c"} {
-		if !strings.Contains(out, "Figure "+id) {
+	for _, id := range figureIDs {
+		if !strings.Contains(out, "Figure "+id+" ") {
 			t.Errorf("missing figure %s", id)
 		}
 	}
@@ -45,18 +51,58 @@ func TestRunAll(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	var sb strings.Builder
-	err := run(&sb, "3z", 10, 1)
+	err := run(&sb, figOpts{fig: "3z", assignments: 10, seed: 1})
 	if err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 	// The error must teach the valid values, not just reject.
-	for _, want := range []string{"3z", "3a", "3b", "3c", "all"} {
+	for _, want := range append([]string{"3z", "all"}, figureIDs...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("unknown-figure error should mention %q: %v", want, err)
 		}
 	}
-	if err := run(&sb, "3a", 0, 1); err == nil {
+	if err := run(&sb, figOpts{fig: "3a", assignments: 0, seed: 1}); err == nil {
 		t.Error("zero assignments accepted")
+	}
+}
+
+func TestRunSingleFigure(t *testing.T) {
+	var sb strings.Builder
+	if err := run(&sb, figOpts{fig: "7a", assignments: 10, seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "Figure 7a") || !strings.Contains(out, "Figure 7b") {
+		t.Errorf("expected the 7a/7b pair, got:\n%s", out)
+	}
+	if !strings.Contains(out, "OPQ-Extended") {
+		t.Error("heterogeneous figures must include OPQ-Extended")
+	}
+}
+
+func TestRunCSV(t *testing.T) {
+	var sb strings.Builder
+	if err := run(&sb, figOpts{fig: "7x", assignments: 10, seed: 1, csv: true}); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "dist,Greedy,OPQ-Extended,Baseline") {
+		t.Errorf("CSV header missing:\n%s", out)
+	}
+	// -csv applies to Figure 3 too.
+	sb.Reset()
+	if err := run(&sb, figOpts{fig: "3c", assignments: 5, seed: 1, csv: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(sb.String(), "# Figure 3c — ") || !strings.Contains(sb.String(), ",Diff. 3\n") {
+		t.Errorf("Figure 3 CSV:\n%s", sb.String())
+	}
+}
+
+func TestRunUnknownFigure(t *testing.T) {
+	var sb strings.Builder
+	if err := run(&sb, figOpts{fig: "99z", assignments: 10, seed: 1}); err == nil {
+		t.Error("unknown figure accepted")
 	}
 }
 

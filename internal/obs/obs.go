@@ -1,8 +1,7 @@
 // Package obs is the zero-dependency observability substrate of the
 // serving stack: atomic counters and gauges, lock-free log-scale latency
 // histograms with quantile estimates, and a small registry that renders
-// everything as Prometheus text exposition format (see registry.go) and
-// validates it (lint.go).
+// everything as Prometheus text exposition format (see registry.go).
 //
 // Design constraints, in order:
 //
@@ -15,8 +14,10 @@
 //     histograms can therefore be combined into cluster views later
 //     without resampling.
 //   - No dependencies. The package hand-rolls the exposition format
-//     instead of importing a Prometheus client; the in-repo linter keeps
-//     the hand-rolled output honest in CI.
+//     instead of importing a Prometheus client. The renderer keeps the
+//     output valid by construction: one HELP and TYPE per family, unique
+//     series, checked names, escaped label values, cumulative buckets —
+//     and registration panics on any name two families would share.
 package obs
 
 import (

@@ -59,8 +59,9 @@ func NewRegistry() *Registry {
 
 // Counter returns the counter series for (name, labels), creating the
 // family and series on first use. Panics if name is already registered
-// with a different type — metric names are static program structure, and
-// a type clash is a bug worth failing loudly on.
+// with a different type, or shares a sample name with a histogram family
+// (see shadows) — metric names are static program structure, and a clash
+// is a bug worth failing loudly on.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.lookup(name, help, TypeCounter, HistogramOpts{}, labels).counter
 }
@@ -100,6 +101,9 @@ func (r *Registry) lookup(name, help string, typ MetricType, opts HistogramOpts,
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
+		if other, ok := shadows(name, typ, r.typeOf); ok {
+			panic(fmt.Sprintf("obs: metric %q shares a sample name with %q", name, other))
+		}
 		f = &family{name: name, typ: typ, help: help, series: make(map[string]*series)}
 		r.families[name] = f
 	} else if f.typ != typ {
@@ -125,10 +129,43 @@ func (r *Registry) lookup(name, help string, typ MetricType, opts HistogramOpts,
 	return s
 }
 
+// typeOf reports a registered family's type. Caller holds r.mu.
+func (r *Registry) typeOf(name string) (MetricType, bool) {
+	if f := r.families[name]; f != nil {
+		return f.typ, true
+	}
+	return "", false
+}
+
+// histogramSuffixes end the names of the samples a histogram family
+// renders.
+var histogramSuffixes = [...]string{"_bucket", "_sum", "_count"}
+
+// shadows reports the family a new family (name, typ) would share a sample
+// name with, looking families up with typeOf: a histogram one of whose
+// _bucket/_sum/_count samples is called name, or, for a new histogram, a
+// family called like one of its own.
+func shadows(name string, typ MetricType, typeOf func(string) (MetricType, bool)) (string, bool) {
+	for _, suffix := range histogramSuffixes {
+		if base, ok := strings.CutSuffix(name, suffix); ok {
+			if t, ok := typeOf(base); ok && t == TypeHistogram {
+				return base, true
+			}
+		}
+		if typ == TypeHistogram {
+			if _, ok := typeOf(name + suffix); ok {
+				return name + suffix, true
+			}
+		}
+	}
+	return "", false
+}
+
 // RegisterCollector adds a callback invoked at render time to emit
 // dynamic series (values computed on scrape, e.g. per-key cache stats or
-// uptime). Emitted families must not collide with statically registered
-// ones; the linter catches violations in tests and the CI smoke.
+// uptime). An emitted family may not be a registered one, share a sample
+// name with one, or change type within a scrape; the Emitter panics at the
+// offending call, as lookup does on a type clash.
 func (r *Registry) RegisterCollector(fn func(*Emitter)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -140,6 +177,8 @@ func (r *Registry) RegisterCollector(fn func(*Emitter)) {
 // the samples by addition (counters/gauges) or histogram merge, so
 // collectors exporting hashed keys cannot produce duplicate series.
 type Emitter struct {
+	// static holds the registered families' types at render time.
+	static   map[string]MetricType
 	families map[string]*emitFamily
 	order    []string
 }
@@ -205,7 +244,16 @@ func (e *Emitter) series(name, help string, typ MetricType, labels []Label) *emi
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	f := e.families[name]
-	if f == nil {
+	switch {
+	case f != nil && f.typ != typ:
+		panic(fmt.Sprintf("obs: collector metric %q emitted as %s (was %s)", name, typ, f.typ))
+	case f == nil:
+		if _, ok := e.static[name]; ok {
+			panic(fmt.Sprintf("obs: collector metric %q is a registered family", name))
+		}
+		if other, ok := shadows(name, typ, e.typeOf); ok {
+			panic(fmt.Sprintf("obs: collector metric %q shares a sample name with %q", name, other))
+		}
 		f = &emitFamily{typ: typ, help: help, series: make(map[string]*emitSeries)}
 		e.families[name] = f
 		e.order = append(e.order, name)
@@ -220,14 +268,27 @@ func (e *Emitter) series(name, help string, typ MetricType, labels []Label) *emi
 	return s
 }
 
+// typeOf reports the type of a registered or already emitted family.
+func (e *Emitter) typeOf(name string) (MetricType, bool) {
+	if t, ok := e.static[name]; ok {
+		return t, true
+	}
+	if f := e.families[name]; f != nil {
+		return f.typ, true
+	}
+	return "", false
+}
+
 // WriteTo renders every registered family plus all collector output in
 // Prometheus text exposition format (version 0.0.4), families and series
 // in sorted order so scrapes are deterministic and diffable.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
-	for name := range r.families {
+	static := make(map[string]MetricType, len(r.families))
+	for name, f := range r.families {
 		names = append(names, name)
+		static[name] = f.typ
 	}
 	sort.Strings(names)
 	statics := make([]*family, 0, len(names))
@@ -238,7 +299,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	copy(collectors, r.collectors)
 	r.mu.Unlock()
 
-	em := &Emitter{families: make(map[string]*emitFamily)}
+	em := &Emitter{static: static, families: make(map[string]*emitFamily)}
 	for _, fn := range collectors {
 		fn(em)
 	}
@@ -277,7 +338,8 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 				renderHistogram(&b, name, s.labels, s.hist)
 			case TypeCounter:
 				// Collector counters come from uint64 sources; render
-				// without an exponent so the linter can parse them as ints.
+				// them as integers without an exponent, like registered
+				// counters.
 				fmt.Fprintf(&b, "%s%s %d\n", name, s.labels, uint64(s.value))
 			default:
 				fmt.Fprintf(&b, "%s%s %s\n", name, s.labels, formatFloat(s.value))

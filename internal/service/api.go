@@ -22,7 +22,7 @@ const MaxRequestBytes = 64 << 20
 //
 //	POST   /v1/decompose            synchronous decomposition (NDJSON plan body via Accept: application/x-ndjson)
 //	POST   /v1/decompose/batch      many instances over one shared menu, coalesced into one batch window
-//	POST   /v1/jobs                 submit an async job (solve, stream or run)
+//	POST   /v1/jobs                 submit an async job (solve or run)
 //	GET    /v1/jobs/{id}            job status (+ result plan with ?include_plan=true)
 //	GET    /v1/jobs/{id}/events     live job progress as Server-Sent Events (Last-Event-ID resume)
 //	DELETE /v1/jobs/{id}            cancel a pending or running job (aborts a run mid-flight)
@@ -330,20 +330,12 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 // jobRequest is the POST /v1/jobs body. Kind selects the payload: "solve"
-// (default) uses the instance fields, "stream" the stream field, "run"
-// the instance fields plus the optional run field.
+// (default) uses the instance fields, "run" the instance fields plus the
+// optional run field.
 type jobRequest struct {
 	Kind string `json:"kind,omitempty"`
 	decomposeRequest
-	Stream *streamRequest `json:"stream,omitempty"`
-	Run    *runRequest    `json:"run,omitempty"`
-}
-
-// streamRequest is the wire form of a streaming-arrival job.
-type streamRequest struct {
-	Bins      []core.TaskBin `json:"bins"`
-	Threshold float64        `json:"threshold"`
-	Batches   [][]int        `json:"batches"`
+	Run *runRequest `json:"run,omitempty"`
 }
 
 // runRequest is the wire form of a run job's execution spec. Every field
@@ -416,34 +408,15 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	kind := req.Kind
-	// A payload the kind does not consume is a client mistake (likely a
-	// kind typo); executing something other than what the body describes
-	// would be worse than rejecting it.
-	if req.Stream != nil && kind != KindStream {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("stream payload needs kind %q", KindStream))
-		return
-	}
+	// A run payload on another kind is a client mistake (likely a kind
+	// typo); executing something other than what the body describes would
+	// be worse than rejecting it.
 	if req.Run != nil && kind != KindRun {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("run payload needs kind %q", KindRun))
 		return
 	}
-	var jr JobRequest
+	jr := JobRequest{Solver: req.Solver}
 	switch kind {
-	case KindStream:
-		if req.Stream == nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("stream job missing stream payload"))
-			return
-		}
-		bins, err := core.NewBinSet(req.Stream.Bins)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		jr.Stream = &StreamJob{Bins: bins, Threshold: req.Stream.Threshold, Batches: req.Stream.Batches}
-		// Pass the solver field through so Submit can reject it: stream
-		// jobs always plan with the stream planner, and silently ignoring
-		// a requested solver would misattribute the results.
-		jr.Solver = req.Solver
 	case KindRun:
 		in, err := req.instance()
 		if err != nil {
@@ -455,7 +428,6 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 			rr = &runRequest{} // a bare run job: all defaults
 		}
 		jr.Run = rr.runJob(in)
-		jr.Solver = req.Solver
 	case "", KindSolve:
 		in, err := req.instance()
 		if err != nil {
@@ -463,7 +435,6 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		jr.Instance = in
-		jr.Solver = req.Solver
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown job kind %q", kind))
 		return

@@ -185,35 +185,6 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHTTPStreamJob(t *testing.T) {
-	_, ts := newTestServer(t)
-	body := fmt.Sprintf(`{"kind":"stream","stream":{"bins":%s,"threshold":0.95,
-		"batches":[[0,1,2,3,4],[5,6,7,8,9,10,11]]}}`, table1JSON)
-	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d: %s", resp.StatusCode, raw)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var cur jobStatusResponse
-		getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &cur)
-		if cur.State.Terminal() {
-			if cur.State != JobDone {
-				t.Fatalf("stream job: %+v", cur)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stream job stuck")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 func TestHTTPCancelAndUnknownJob(t *testing.T) {
 	svc, ts := newTestServer(t)
 	// A slow solver parks the job Running so DELETE exercises live cancel.
@@ -272,19 +243,6 @@ func TestHTTPCancelAndUnknownJob(t *testing.T) {
 	}
 }
 
-func TestHTTPStreamJobRejectsSolverAndDuplicates(t *testing.T) {
-	_, ts := newTestServer(t)
-	for name, body := range map[string]string{
-		"solver on stream job": fmt.Sprintf(`{"kind":"stream","solver":"greedy","stream":{"bins":%s,"threshold":0.9,"batches":[[0,1]]}}`, table1JSON),
-		"duplicate task ids":   fmt.Sprintf(`{"kind":"stream","stream":{"bins":%s,"threshold":0.9,"batches":[[0,0,0]]}}`, table1JSON),
-	} {
-		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d want 400 (%s)", name, resp.StatusCode, raw)
-		}
-	}
-}
-
 // TestHTTPRunJob drives the "kind":"run" wire path end to end: submit,
 // poll to done, and read the execution report (and plan) back.
 func TestHTTPRunJob(t *testing.T) {
@@ -337,13 +295,15 @@ func TestHTTPRunJob(t *testing.T) {
 }
 
 // TestHTTPRunJobKindAliasesAndErrors: the retired "type" alias of the
-// discriminator is rejected like any unknown field, and a run payload on
-// a solve job is an error rather than silently dropped.
+// discriminator and the retired stream payload are rejected like any
+// unknown field, the retired "stream" kind like any unknown kind, and a
+// run payload on a solve job is an error rather than silently dropped.
 func TestHTTPRunJobKindAliasesAndErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	for name, body := range map[string]string{
 		`"type" is rejected`:   fmt.Sprintf(`{"type":"run","bins":%s,"n":10,"threshold":0.9}`, table1JSON),
 		"unknown kind":         fmt.Sprintf(`{"kind":"warp","bins":%s,"n":10,"threshold":0.9}`, table1JSON),
+		"retired stream kind":  `{"kind":"stream"}`,
 		"run payload on solve": fmt.Sprintf(`{"bins":%s,"n":10,"threshold":0.9,"run":{"seed":1}}`, table1JSON),
 		"stream payload on run": fmt.Sprintf(`{"kind":"run","bins":%s,"n":10,"threshold":0.9,
 			"stream":{"bins":%s,"threshold":0.9,"batches":[[0]]}}`, table1JSON, table1JSON),

@@ -219,6 +219,9 @@ func contractScript() []contractStep {
 		{name: "stream_unknown", method: "GET", path: "/v1/streams/stream-1"},
 		{name: "healthz", method: "GET", path: "/v1/healthz"},
 		{name: "stats", method: "GET", path: "/v1/stats"},
+		// Stream jobs are retired: their payload is an unknown field.
+		{name: "job_submit_stream_removed", method: "POST", path: "/v1/jobs",
+			body: fmt.Sprintf(`{"kind":"stream","stream":{"bins":%s,"threshold":0.9,"batches":[[0,1,2]]}}`, table1JSON)},
 	}
 }
 

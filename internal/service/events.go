@@ -45,7 +45,7 @@ type JobEvent struct {
 	// State is the job state at the time of the frame; a terminal state
 	// marks the stream's final frame.
 	State JobState `json:"state"`
-	// Running totals at frame time (run jobs; zero for solve/stream jobs
+	// Running totals at frame time (run jobs; zero for solve jobs
 	// until the terminal frame fills what it can from the report).
 	BinsIssued    int     `json:"bins_issued"`
 	TopUpRounds   int     `json:"top_up_rounds"`

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/store"
-	"repro/internal/stream"
 )
 
 // ErrUnknownJob tags lookups of job ids that were never submitted or have
@@ -40,39 +39,28 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// Job kinds: a solve job plans, a stream job plans batched arrivals, a
-// run job plans and then executes the plan on a simulated platform.
+// Job kinds: a solve job plans, a run job plans and then executes the
+// plan on a simulated platform.
 const (
-	KindSolve  = "solve"
-	KindStream = "stream"
-	KindRun    = "run"
+	KindSolve = "solve"
+	KindRun   = "run"
 )
 
-// JobRequest describes one asynchronous job. Exactly one of Instance,
-// Stream or Run must be set.
+// kindStream is the kind of the stream jobs earlier releases ran, whose
+// stored records still replay; streamed planning is a /v1/streams session.
+const kindStream = "stream"
+
+// JobRequest describes one asynchronous job. Exactly one of Instance or
+// Run must be set.
 type JobRequest struct {
 	// Instance is a one-shot problem solved with the named Solver.
 	Instance *core.Instance
 	// Solver names a registered solver; empty selects the service default
 	// (the cached OPQ path). For run jobs it names the planner.
 	Solver string
-	// Stream routes batched arrivals through a stream.Planner: each batch
-	// is planned incrementally at optimal block granularity and the
-	// remainder is flushed once at the end.
-	Stream *StreamJob
 	// Run plans an instance and executes the plan against a simulated
 	// platform, producing an ExecutionReport.
 	Run *RunJob
-}
-
-// StreamJob is the streaming-arrival job payload.
-type StreamJob struct {
-	// Bins is the menu shared by every arrival.
-	Bins core.BinSet
-	// Threshold is the homogeneous reliability threshold.
-	Threshold float64
-	// Batches are the arriving task-id batches, planned in order.
-	Batches [][]int
 }
 
 // JobStatus is an externally visible job snapshot.
@@ -304,7 +292,7 @@ func jobFromRecord(rec store.JobRecord, now time.Time) (j *job, interrupted bool
 		// Version-1 records carry no kind; stream jobs are recognizable
 		// from their reserved solver name, everything else was a solve.
 		if j.solver == "stream" {
-			j.kind = KindStream
+			j.kind = kindStream
 		} else {
 			j.kind = KindSolve
 		}
@@ -496,8 +484,7 @@ func (m *JobManager) close() {
 
 // Submit registers the request and starts it asynchronously, returning the
 // job id immediately. Safe for concurrent use; the request (including the
-// instance, stream and run payloads) must not be mutated after Submit
-// returns.
+// instance and run payloads) must not be mutated after Submit returns.
 func (m *JobManager) Submit(req JobRequest) (string, error) {
 	st, err := m.submit(req)
 	return st.ID, err
@@ -507,27 +494,18 @@ func (m *JobManager) Submit(req JobRequest) (string, error) {
 // that registered it — always pending, however fast the job then runs —
 // which is what the 202 reply carries.
 func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
-	payloads := 0
-	for _, set := range []bool{req.Instance != nil, req.Stream != nil, req.Run != nil} {
-		if set {
-			payloads++
-		}
-	}
-	if payloads != 1 {
-		return JobStatus{}, fmt.Errorf("service: job needs exactly one of instance, stream or run")
+	if (req.Instance == nil) == (req.Run == nil) {
+		return JobStatus{}, fmt.Errorf("service: job needs exactly one of instance or run")
 	}
 	kind := KindSolve
 	solver := req.Solver
-	var runner executor.BinRunner
-	// Solve and run jobs plan with a registered solver; resolve it once.
-	if req.Instance != nil || req.Run != nil {
-		if solver == "" {
-			solver = m.svc.DefaultSolver()
-		}
-		if _, err := m.svc.solver(solver); err != nil {
-			return JobStatus{}, err
-		}
+	if solver == "" {
+		solver = m.svc.DefaultSolver()
 	}
+	if _, err := m.svc.solver(solver); err != nil {
+		return JobStatus{}, err
+	}
+	var runner executor.BinRunner
 	if req.Run != nil {
 		kind = KindRun
 		if err := req.Run.validate(); err != nil {
@@ -538,34 +516,6 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 		var err error
 		if runner, err = m.platform(req.Run.Platform); err != nil {
 			return JobStatus{}, err
-		}
-	}
-	if req.Stream != nil {
-		kind = KindStream
-		if solver != "" {
-			return JobStatus{}, fmt.Errorf("service: stream jobs use the stream planner; solver %q not applicable", solver)
-		}
-		solver = "stream"
-		if err := req.Stream.Bins.Validate(); err != nil {
-			return JobStatus{}, err
-		}
-		if req.Stream.Bins.Len() == 0 {
-			return JobStatus{}, fmt.Errorf("service: stream job with empty menu")
-		}
-		if !(req.Stream.Threshold >= 0 && req.Stream.Threshold < 1) {
-			return JobStatus{}, fmt.Errorf("service: stream threshold %v outside [0,1)", req.Stream.Threshold)
-		}
-		// The block expansion of Algorithm 3 assumes distinct task ids; a
-		// duplicate would land in one bin twice and make the plan invalid,
-		// so reject it up front rather than serving a corrupt plan.
-		seen := make(map[int]struct{})
-		for _, batch := range req.Stream.Batches {
-			for _, id := range batch {
-				if _, dup := seen[id]; dup {
-					return JobStatus{}, fmt.Errorf("service: duplicate task id %d in stream batches", id)
-				}
-				seen[id] = struct{}{}
-			}
 		}
 	}
 
@@ -646,48 +596,11 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 
 // execute performs the job's work; only run jobs produce a report.
 func (m *JobManager) execute(ctx context.Context, j *job) (*core.Plan, *ExecutionReport, error) {
-	switch {
-	case j.req.Stream != nil:
-		plan, err := m.runStream(ctx, j.req.Stream)
-		return plan, nil, err
-	case j.req.Run != nil:
+	if j.req.Run != nil {
 		return m.runRun(ctx, j)
-	default:
-		plan, err := m.svc.DecomposeWith(ctx, j.solver, j.req.Instance)
-		return plan, nil, err
 	}
-}
-
-// runStream plans the batches through a fresh planner built on the cached
-// queue. The planner is single-use here: it is created per job and flushed
-// exactly once, so a flushed planner is never reused (stream.Planner.Reset
-// exists for pools that do want reuse).
-func (m *JobManager) runStream(ctx context.Context, sj *StreamJob) (*core.Plan, error) {
-	q, err := m.svc.cache.Get(sj.Bins, sj.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	planner, err := stream.NewPlannerWithQueue(q)
-	if err != nil {
-		return nil, err
-	}
-	plans := make([]*core.Plan, 0, len(sj.Batches)+1)
-	for _, batch := range sj.Batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := planner.Add(batch...)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
-	}
-	tail, err := planner.Flush()
-	if err != nil {
-		return nil, err
-	}
-	plans = append(plans, tail)
-	return core.MergePlans(plans...), nil
+	plan, err := m.svc.DecomposeWith(ctx, j.solver, j.req.Instance)
+	return plan, nil, err
 }
 
 // settle records a job's terminal state and, with a store configured,
@@ -780,16 +693,11 @@ func terminalEventLocked(j *job) JobEvent {
 
 // summarize computes the result summary against the job's menu.
 func summarize(plan *core.Plan, req JobRequest) (*PlanSummary, error) {
-	var bins core.BinSet
-	switch {
-	case req.Stream != nil:
-		bins = req.Stream.Bins
-	case req.Run != nil:
-		bins = req.Run.Instance.Bins()
-	default:
-		bins = req.Instance.Bins()
+	in := req.Instance
+	if req.Run != nil {
+		in = req.Run.Instance
 	}
-	sum, err := plan.Summarize(bins)
+	sum, err := plan.Summarize(in.Bins())
 	if err != nil {
 		return nil, err
 	}

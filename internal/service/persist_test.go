@@ -327,10 +327,12 @@ func TestReplaySkipsCorruptRecordWithWarning(t *testing.T) {
 	}
 }
 
-// TestParentDataDirBoots: a data dir written by the last release that
-// persisted the OPQ cache (testdata/parent_datadir: two terminal job
-// records and snapshots/opqcache.bin) boots, and boots again, serving both
-// jobs byte-identically to what that release served for them, with the
+// TestParentDataDirBoots: a data dir written by earlier releases
+// (testdata/parent_datadir: a solve and a run record and
+// snapshots/opqcache.bin from the last release that persisted the OPQ
+// cache, and a "kind":"stream" record from the last release that ran
+// stream jobs) boots, and boots again, serving all three jobs
+// byte-identically to what those releases served for them, with the
 // snapshots file never touched.
 func TestParentDataDirBoots(t *testing.T) {
 	src := filepath.Join("testdata", "parent_datadir")
@@ -346,7 +348,7 @@ func TestParentDataDirBoots(t *testing.T) {
 	for _, boot := range []string{"first boot", "second boot"} {
 		svc := New(Config{Store: openFS(t, dir), Logger: quietLogger()})
 		ts := httptest.NewServer(NewHandler(svc))
-		for _, id := range []string{"job-1", "job-2"} {
+		for _, id := range []string{"job-1", "job-2", "job-3"} {
 			want, err := os.ReadFile(filepath.Join("testdata", "parent_"+id+".response.json"))
 			if err != nil {
 				t.Fatal(err)
@@ -364,14 +366,29 @@ func TestParentDataDirBoots(t *testing.T) {
 				t.Errorf("%s: %s: status %d, body differs from the parent's:\n%s", boot, id, resp.StatusCode, got)
 			}
 		}
-		if rec := svc.Stats().Jobs.Recovered; rec != 2 {
-			t.Errorf("%s: %d jobs recovered, want 2", boot, rec)
+		if rec := svc.Stats().Jobs.Recovered; rec != 3 {
+			t.Errorf("%s: %d jobs recovered, want 3", boot, rec)
 		}
 		ts.Close()
 		svc.Close()
 		if got, err := os.ReadFile(filepath.Join(dir, snapPath)); err != nil || !bytes.Equal(got, snapshot) {
 			t.Errorf("%s: snapshots/opqcache.bin touched: err %v, %d bytes", boot, err, len(got))
 		}
+	}
+}
+
+// TestVersion1StreamRecordReplays: a version-1 record has no kind, and one
+// whose solver is "stream" still replays as a stream job.
+func TestVersion1StreamRecordReplays(t *testing.T) {
+	j, interrupted, err := jobFromRecord(store.JobRecord{
+		Version: 1, ID: "job-4", State: string(JobDone), Solver: "stream",
+		Plan: []byte(`{"uses":[{"cardinality":1,"tasks":[0]}]}`),
+	}, time.Now())
+	if err != nil || interrupted {
+		t.Fatalf("err %v, interrupted %v", err, interrupted)
+	}
+	if st := j.statusLocked(); st.Kind != "stream" || st.State != JobDone {
+		t.Fatalf("replayed as %+v", st)
 	}
 }
 

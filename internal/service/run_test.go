@@ -180,8 +180,6 @@ func TestRunJobValidation(t *testing.T) {
 		{Run: &RunJob{Instance: in}, Solver: "nope"},                     // unknown planner
 		{Run: &RunJob{Instance: in, // a pool big enough to OOM the daemon
 			Platform: PlatformSpec{PoolSize: MaxPoolSize + 1}}},
-		{Run: &RunJob{Instance: in, Platform: PlatformSpec{PoolSize: -1}},
-			Stream: &StreamJob{}}, // run + stream
 	}
 	for i, req := range bad {
 		if _, err := svc.Jobs().Submit(req); err == nil {

@@ -395,45 +395,6 @@ func TestJobLifecycleSolve(t *testing.T) {
 	}
 }
 
-func TestJobLifecycleStream(t *testing.T) {
-	svc := New(Config{CacheSize: 8, Workers: 2})
-	menu := binset.Table1()
-
-	// Batches slicing must not affect total cost (stream planner invariant):
-	// compare against the one-shot OPQ-Based solve of the same 100 tasks.
-	ids := make([]int, 100)
-	for i := range ids {
-		ids[i] = i
-	}
-	id, err := svc.Jobs().Submit(JobRequest{Stream: &StreamJob{
-		Bins:      menu,
-		Threshold: 0.95,
-		Batches:   [][]int{ids[:7], ids[7:40], ids[40:41], ids[41:]},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, svc, id)
-	if st.State != JobDone {
-		t.Fatalf("stream job state %s (err %q)", st.State, st.Error)
-	}
-	plan, err := svc.Jobs().Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := core.MustHomogeneous(menu, 100, 0.95)
-	ref, err := opq.Solver{}.Solve(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := plan.MustCost(menu), ref.MustCost(menu); got != want {
-		t.Fatalf("streamed cost %v != one-shot cost %v", got, want)
-	}
-	if err := plan.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJobSubmitValidation(t *testing.T) {
 	svc := New(Config{CacheSize: 8})
 	if _, err := svc.Jobs().Submit(JobRequest{}); err == nil {
@@ -442,22 +403,6 @@ func TestJobSubmitValidation(t *testing.T) {
 	in := core.MustHomogeneous(binset.Table1(), 10, 0.9)
 	if _, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: "nope"}); err == nil {
 		t.Fatal("unknown solver must be rejected at submit")
-	}
-	if _, err := svc.Jobs().Submit(JobRequest{
-		Instance: in,
-		Stream:   &StreamJob{Bins: binset.Table1(), Threshold: 0.9},
-	}); err == nil {
-		t.Fatal("instance+stream must error")
-	}
-	if _, err := svc.Jobs().Submit(JobRequest{
-		Stream: &StreamJob{Bins: binset.Table1(), Threshold: 1.5},
-	}); err == nil {
-		t.Fatal("out-of-range stream threshold must error")
-	}
-	if _, err := svc.Jobs().Submit(JobRequest{
-		Stream: &StreamJob{Bins: binset.Table1(), Threshold: 0.9, Batches: [][]int{{0, 1}, {1, 2}}},
-	}); err == nil {
-		t.Fatal("duplicate stream task ids must be rejected (they would corrupt block expansion)")
 	}
 }
 
@@ -561,8 +506,8 @@ func waitTerminal(t *testing.T, svc *Service, id string) JobStatus {
 }
 
 func TestStreamPlannerReuseViaReset(t *testing.T) {
-	// The service never reuses a flushed planner (one per job); Reset is
-	// the sanctioned path for pools that do. Verify it yields a fresh
+	// The service never reuses a flushed planner (one per session); Reset
+	// is the sanctioned path for a caller that does. Verify it yields a fresh
 	// stream with identical behavior on the shared queue.
 	q, err := opq.Build(binset.Table1(), 0.95)
 	if err != nil {

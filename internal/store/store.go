@@ -40,9 +40,10 @@ type JobRecord struct {
 	Version int `json:"version"`
 	// ID is the job id ("job-N"); it doubles as the storage key.
 	ID string `json:"id"`
-	// Kind is the job kind ("solve", "stream" or "run"); empty in
-	// version-1 records, where "stream" is recoverable from Solver and
-	// everything else is a solve job.
+	// Kind is the job kind ("solve" or "run"; "stream" in records written
+	// by releases that still ran stream jobs); empty in version-1 records,
+	// where "stream" is recoverable from Solver and everything else is a
+	// solve job.
 	Kind string `json:"kind,omitempty"`
 	// State is the terminal job state ("done", "failed" or "canceled").
 	State string `json:"state"`

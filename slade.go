@@ -299,12 +299,11 @@ type (
 	ShardedSolver = service.ShardedSolver
 	// JobManager runs asynchronous decomposition jobs.
 	JobManager = service.JobManager
-	// JobRequest describes one async job (solve, streaming, or run).
+	// JobRequest describes one async job (solve or run); streamed
+	// arrivals are planned by a /v1/streams session or a StreamPlanner.
 	JobRequest = service.JobRequest
 	// JobStatus is an async job snapshot.
 	JobStatus = service.JobStatus
-	// StreamJob is the streaming-arrival job payload.
-	StreamJob = service.StreamJob
 	// RunJob is the run-job payload: plan an instance, then execute the
 	// plan against a simulated platform and report delivered reliability.
 	RunJob = service.RunJob

@@ -1,7 +1,9 @@
 package slade
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,6 +38,15 @@ func TestExecuteFacade(t *testing.T) {
 	}
 	if rep.EmpiricalReliability < 0.9 {
 		t.Errorf("empirical reliability %v too low for a 0.95 plan", rep.EmpiricalReliability)
+	}
+	// ExecuteContext takes a Platform through RunnerFunc and replays the
+	// same execution on the same seed.
+	again, err := ExecuteContext(context.Background(), RunnerFunc(NewJellyPlatform(12).RunBin), in, plan, truth, ExecutionOptions{TopUp: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, again) {
+		t.Errorf("ExecuteContext over RunnerFunc diverged from Execute:\n%+v\n%+v", rep, again)
 	}
 }
 

@@ -48,7 +48,8 @@
 //     seeded Platform (the run-job PlatformFactory does exactly this).
 //
 // Pool is not safe for concurrent use; wrap it (or confine it to one
-// goroutine) before sharing. PoolRunner inherits that contract.
+// goroutine) before sharing. PoolRunner inherits that contract, and so
+// does the executor.RunnerFunc built from its RunBin.
 package crowdsim
 
 import "time"

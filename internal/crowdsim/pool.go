@@ -222,12 +222,12 @@ func (p *Pool) EmpiricalConfidence(cardinality int, pay float64, difficulty, bin
 }
 
 // PoolRunner adapts a Pool to the single-outcome RunBin signature shared
-// with Platform (the shape internal/executor consumes): the worker id is
-// dropped, the outcome kept. Bins are still routed through the pool's
-// persistent population, so skill spread, spammers and qualification bans
-// all shape the execution. PoolRunner inherits the Pool's concurrency
-// contract — not safe for concurrent use — which satisfies the
-// executor's BinRunner requirements (bins are issued sequentially).
+// with Platform, the shape executor.RunnerFunc wraps into the executor's
+// BinRunner: the worker id is dropped, the outcome kept. Bins are still
+// routed through the pool's persistent population, so skill spread,
+// spammers and qualification bans all shape the execution. PoolRunner
+// inherits the Pool's concurrency contract — not safe for concurrent use
+// — which the executor's sequential bin issue satisfies.
 type PoolRunner struct{ Pool *Pool }
 
 // RunBin hands the bin to a random active worker and returns its outcome.

@@ -9,10 +9,9 @@ import (
 	"repro/internal/crowdsim"
 )
 
-// scriptedCtxRunner wraps scriptedRunner with the ContextBinRunner
-// extension: it records every BinContext and can be scripted to fail a
-// given set of (bin, attempt) coordinates or to fail everything after a
-// number of commits.
+// scriptedCtxRunner is a BinRunner over scriptedRunner that can fail: it
+// records every BinContext, fails every issue after a number of commits,
+// and can send a given bin's first attempt overtime.
 type scriptedCtxRunner struct {
 	scriptedRunner
 	contexts   []BinContext
@@ -159,22 +158,29 @@ func TestContextRunnerTopUpContinuesBinSequence(t *testing.T) {
 	}
 }
 
-func TestLegacyRunnerPathUnchanged(t *testing.T) {
-	// A plain BinRunner (no context extension) must keep byte-identical
-	// accounting: pay-on-issue including overtime issues.
+// TestRunnerFuncPaysEveryIssue: an in-process runner adapted by
+// RunnerFunc never fails, so every issue commits — overtime issues
+// included — and the accounting is pay-on-issue.
+func TestRunnerFuncPaysEveryIssue(t *testing.T) {
 	_, in, plan, truth := jellyEnv(t, 40, 0.9, 3)
 	r := &scriptedRunner{overtime: true}
-	rep, err := ExecuteContext(context.Background(), r, in, plan, truth, Options{MaxRetries: 1, MaxTopUps: -1})
+	rep, err := ExecuteContext(context.Background(), RunnerFunc(r.RunBin), in, plan, truth, Options{MaxRetries: 1, MaxTopUps: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Degraded {
-		t.Fatal("legacy runner produced a degraded report")
+		t.Fatal("RunnerFunc produced a degraded report")
 	}
 	wantIssues := plan.NumUses() * 2 // every bin + one retry, all overtime
 	if rep.BinsIssued != wantIssues || rep.AbandonedBins != plan.NumUses() {
 		t.Fatalf("issued=%d abandoned=%d, want issued=%d abandoned=%d",
 			rep.BinsIssued, rep.AbandonedBins, wantIssues, plan.NumUses())
+	}
+	if rep.BinsIssued != r.calls {
+		t.Fatalf("issued=%d for %d runner calls", rep.BinsIssued, r.calls)
+	}
+	if d := rep.Spent - 2*rep.PlannedCost; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("spent %v, want twice the planned %v", rep.Spent, rep.PlannedCost)
 	}
 	if rep.MakeSpan != time.Second {
 		t.Fatalf("MakeSpan = %v", rep.MakeSpan)

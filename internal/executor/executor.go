@@ -12,22 +12,29 @@
 // # The BinRunner contract
 //
 // The executor's only view of a marketplace is the BinRunner interface:
-// one synchronous call per bin issue, returning that bin's outcome. The
-// contract, stated once here and relied on everywhere:
+// one synchronous call per bin issue, returning that bin's outcome or an
+// error. The contract, stated once here and relied on everywhere:
 //
 //   - Sequential use: the executor issues bins one at a time from a
 //     single goroutine, so a BinRunner need not be safe for concurrent
 //     use within one execution. Sharing one runner across concurrent
 //     executions is the caller's problem — the serving layer builds one
 //     runner per run job (service.PlatformFactory) instead of sharing.
-//   - Money is spent on issue: the executor pays the bin's cost the
-//     moment RunBin is called, whether or not the outcome is overtime.
-//     Implementations must not retry internally; the executor owns the
-//     retry budget and its accounting.
+//   - Money is spent on commit: a bin is counted and paid iff
+//     RunBinContext returns nil, overtime outcomes included. A failed
+//     issue charged nothing (idempotent reconciliation is the runner's
+//     job); a non-cancellation error degrades the execution — the
+//     executor stops issuing and returns the partial report with
+//     Report.Degraded set. Implementations must not re-issue an overtime
+//     bin themselves; the executor owns that retry budget and its
+//     accounting.
 //   - Determinism is the implementation's promise, not the executor's:
 //     crowdsim.Platform replays identically for a fixed seed (see that
 //     package's RNG rules), which is what makes executions reproducible
 //     and persisted reports re-servable without re-execution.
+//
+// The in-process simulators never fail; RunnerFunc adapts their
+// RunBin method to the contract.
 //
 // # Cancellation points
 //
@@ -36,8 +43,8 @@
 // retry attempt) and before each adaptive top-up round. A cancel
 // therefore stops the run at the next bin boundary — bins already issued
 // stay paid, no partial report is returned (the caller gets ctx.Err()).
-// RunBin itself is not interruptible; the guarantee is "never pays for
-// another bin after the cancel", not "returns mid-bin".
+// The guarantee is "never pays for a bin issued after the cancel"; a
+// runner that observes ctx may also return mid-bin.
 package executor
 
 import (
@@ -51,27 +58,35 @@ import (
 	"repro/internal/greedy"
 )
 
-// errDegraded is the internal signal that a ContextBinRunner failed
+// errDegraded is the internal signal that a BinRunner failed
 // terminally mid-plan: runPlan returns it after stamping the report, and
 // ExecuteContext converts it into a successful return of the partial
 // (Degraded) report.
 var errDegraded = errors.New("executor: execution degraded")
 
 // BinRunner executes one bin against a crowd and is the executor's only
-// view of the marketplace: crowdsim.Platform satisfies it directly
-// (anonymous per-bin workers) and crowdsim.PoolRunner routes bins through
-// a persistent worker population; a deployment fronting a real
-// marketplace plugs its client in here (via service.PlatformFactory).
-// A BinRunner need not be safe for concurrent use — the executor issues
-// bins sequentially within one execution — and must not retry
-// internally; see the package comment for the full contract.
+// view of the marketplace: platform.Runner issues over the wire, and the
+// in-process simulators (crowdsim.Platform, crowdsim.PoolRunner) plug in
+// through RunnerFunc. A BinRunner need not be safe for concurrent use —
+// the executor issues bins sequentially within one execution; see the
+// package comment for the full contract.
 type BinRunner interface {
-	// RunBin hands one bin of the given cardinality, pay and difficulty
-	// to a worker and returns the outcome. truth carries the ground-truth
-	// label per task slot (len(truth) ≤ cardinality) so the outcome can
-	// report answer correctness; the call blocks until the (simulated)
-	// worker finishes.
-	RunBin(cardinality int, pay float64, difficulty int, truth []bool) crowdsim.BinOutcome
+	// RunBinContext hands one bin of the given cardinality, pay and
+	// difficulty to a worker and returns the outcome. bc carries the
+	// issue's coordinates for idempotent purchase; truth carries the
+	// ground-truth label per task slot (len(truth) ≤ cardinality) so the
+	// outcome can report answer correctness, and must not be retained
+	// past the call. A nil error commits the bin: it is counted and paid.
+	RunBinContext(ctx context.Context, bc BinContext, cardinality int, pay float64, difficulty int, truth []bool) (crowdsim.BinOutcome, error)
+}
+
+// RunnerFunc adapts a runner that cannot fail — crowdsim.Platform.RunBin,
+// crowdsim.PoolRunner.RunBin — to BinRunner: every issue commits.
+type RunnerFunc func(cardinality int, pay float64, difficulty int, truth []bool) crowdsim.BinOutcome
+
+// RunBinContext calls f and commits its outcome.
+func (f RunnerFunc) RunBinContext(_ context.Context, _ BinContext, cardinality int, pay float64, difficulty int, truth []bool) (crowdsim.BinOutcome, error) {
+	return f(cardinality, pay, difficulty, truth), nil
 }
 
 // BinContext identifies one bin issue within an execution — the
@@ -88,47 +103,22 @@ type BinContext struct {
 	Attempt int
 }
 
-// ContextBinRunner is the remote-platform extension of BinRunner: a
-// runner that can fail. RunBinContext reports wire-level failure as an
-// error instead of inventing an outcome, observes ctx for cancellation,
-// and receives the BinContext coordinates for idempotent issue. The
-// executor type-asserts for this interface and prefers it when present;
-// money accounting shifts accordingly — a bin is counted and paid only
-// when the issue commits (err == nil), because a failed remote issue
-// charges nothing. A non-cancellation error degrades the execution: the
-// executor stops issuing and returns the partial report with
-// Report.Degraded set rather than discarding delivered work.
-type ContextBinRunner interface {
-	BinRunner
-	RunBinContext(ctx context.Context, bc BinContext, cardinality int, pay float64, difficulty int, truth []bool) (crowdsim.BinOutcome, error)
-}
-
 // Observer receives execution progress callbacks, the seam the serving
-// layer's metrics hang off. Callbacks run inline on the executing
-// goroutine and must be cheap; a nil Options.Observer disables them.
+// layer's metrics and SSE event feed hang off. Callbacks run inline on
+// the executing goroutine and must be cheap; a nil Options.Observer
+// disables them.
 type Observer interface {
-	// BinIssued fires once per bin handed to a worker — retries and
-	// top-up bins included — with the bin's wall-clock duration.
+	// BinIssued fires once per committed bin — retries and top-up bins
+	// included — with the bin's wall-clock duration.
 	BinIssued(d time.Duration)
 	// BinRetried fires before each re-issue of an overtime bin.
 	BinRetried()
 	// TopUpRound fires at the start of each adaptive top-up round.
 	TopUpRound()
-}
-
-// ProgressObserver is an optional extension of Observer: an observer that
-// also implements it receives a cumulative progress callback after every
-// bin issue, carrying the execution's running totals. The serving layer's
-// SSE event hub hangs off this seam; plain metrics observers keep
-// implementing only Observer.
-type ProgressObserver interface {
-	Observer
-	// Progress fires after each bin issue (retries and top-up bins
+	// Progress fires after each committed bin (retries and top-up bins
 	// included) with the total spend so far, the total transformed
 	// reliability mass delivered by in-time bins so far (summed over
-	// tasks), and the number of bins issued so far. Like the other
-	// callbacks it runs inline on the executing goroutine and must be
-	// cheap.
+	// tasks), and the number of bins issued so far.
 	Progress(spent, deliveredMass float64, binsIssued int)
 }
 
@@ -153,9 +143,9 @@ type Options struct {
 	// Observer, when non-nil, receives per-bin and per-round progress
 	// callbacks. It does not alter the execution in any way.
 	Observer Observer
-	// RunID names this execution for ContextBinRunner implementations
-	// (the job id, in the serving layer) — the first coordinate of every
-	// idempotency key. Plain BinRunners never see it.
+	// RunID names this execution (the job id, in the serving layer) —
+	// the first coordinate of every BinContext, hence of every remote
+	// idempotency key.
 	RunID string
 }
 
@@ -208,7 +198,7 @@ type Report struct {
 	DeliveredMass []float64
 	// MakeSpan is the longest single-bin duration observed.
 	MakeSpan time.Duration
-	// Degraded marks a partial report: a ContextBinRunner failed
+	// Degraded marks a partial report: the BinRunner failed
 	// terminally (breaker open, retry budget exhausted, permanent
 	// rejection) and the execution stopped issuing. Everything delivered
 	// up to that point is accounted; top-up rounds are skipped.
@@ -218,7 +208,7 @@ type Report struct {
 	LastError string
 
 	// deliveredTotal is the running sum of DeliveredMass, maintained
-	// incrementally so ProgressObserver callbacks don't rescan the
+	// incrementally so Progress callbacks don't rescan the
 	// per-task vector on every bin issue.
 	deliveredTotal float64
 	// binSeq numbers bin uses across the whole execution (top-ups
@@ -228,14 +218,14 @@ type Report struct {
 
 // DeliveredMassTotal returns the total transformed reliability mass
 // delivered by in-time bins, summed over tasks (the running value
-// ProgressObserver callbacks report).
+// Progress callbacks report).
 func (r *Report) DeliveredMassTotal() float64 { return r.deliveredTotal }
 
 // Execute runs the plan for the instance on the platform. truth carries the
 // ground-truth label per task (used to measure empirical reliability, as
 // the paper's testing bins do).
 func Execute(pl *crowdsim.Platform, in *core.Instance, plan *core.Plan, truth []bool, opts Options) (*Report, error) {
-	return ExecuteContext(context.Background(), pl, in, plan, truth, opts)
+	return ExecuteContext(context.Background(), RunnerFunc(pl.RunBin), in, plan, truth, opts)
 }
 
 // ExecuteContext is Execute against any BinRunner, with cooperative
@@ -312,11 +302,9 @@ func ExecuteContext(ctx context.Context, r BinRunner, in *core.Instance, plan *c
 // slices — and the per-bin truth vector is one reusable buffer sized to
 // the menu's largest bin, which bounds every use of a menu cardinality
 // (BinRunner's contract is synchronous: implementations must not retain
-// the slice past RunBin).
+// the slice past RunBinContext).
 func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Plan, truth []bool, o Options, rep *Report) error {
 	scratch := make([]bool, in.Bins().MaxCardinality())
-	prog, _ := o.Observer.(ProgressObserver)
-	cr, remote := r.(ContextBinRunner)
 	return plan.EachUse(func(cardinality int, tasks []int) error {
 		bin, ok := in.Bins().ByCardinality(cardinality)
 		if !ok {
@@ -339,26 +327,15 @@ func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Pla
 			if attempt > 0 && o.Observer != nil {
 				o.Observer.BinRetried()
 			}
-			var out crowdsim.BinOutcome
-			if remote {
-				// Remote issue: the bin is counted and paid only when the
-				// platform commits it — a failed issue charged nothing
-				// (idempotent reconciliation is the runner's job), and a
-				// terminal failure degrades the execution in place of
-				// discarding what was already delivered.
-				var err error
-				out, err = cr.RunBinContext(ctx, BinContext{RunID: o.RunID, Bin: binIdx, Attempt: attempt},
-					bin.Cardinality, bin.Cost, o.Difficulty, binTruth)
-				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					rep.Degraded = true
-					rep.LastError = err.Error()
-					return errDegraded
+			out, err := r.RunBinContext(ctx, BinContext{RunID: o.RunID, Bin: binIdx, Attempt: attempt},
+				bin.Cardinality, bin.Cost, o.Difficulty, binTruth)
+			if err != nil {
+				if ctx.Err() != nil {
+					return ctx.Err()
 				}
-			} else {
-				out = r.RunBin(bin.Cardinality, bin.Cost, o.Difficulty, binTruth)
+				rep.Degraded = true
+				rep.LastError = err.Error()
+				return errDegraded
 			}
 			rep.BinsIssued++
 			rep.Spent += bin.Cost
@@ -370,24 +347,23 @@ func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Pla
 			}
 			if out.Overtime {
 				rep.OvertimeBins++
-				if prog != nil {
-					prog.Progress(rep.Spent, rep.deliveredTotal, rep.BinsIssued)
+			} else {
+				completed = true
+				w := bin.Weight()
+				for i, t := range tasks {
+					rep.DeliveredMass[t] += w
+					if out.Answers[i] {
+						rep.Detected[t] = true
+					}
 				}
-				continue
+				rep.deliveredTotal += w * float64(len(tasks))
 			}
-			completed = true
-			w := bin.Weight()
-			for i, t := range tasks {
-				rep.DeliveredMass[t] += w
-				if out.Answers[i] {
-					rep.Detected[t] = true
-				}
+			if o.Observer != nil {
+				o.Observer.Progress(rep.Spent, rep.deliveredTotal, rep.BinsIssued)
 			}
-			rep.deliveredTotal += w * float64(len(tasks))
-			if prog != nil {
-				prog.Progress(rep.Spent, rep.deliveredTotal, rep.BinsIssued)
+			if completed {
+				break
 			}
-			break
 		}
 		if !completed {
 			rep.AbandonedBins++

@@ -24,9 +24,10 @@ func planOf(uses ...core.BinUse) *core.Plan {
 	return p
 }
 
-// scriptedRunner is a deterministic BinRunner for unit tests: every bin
-// completes in one second with all-correct answers (or goes overtime when
-// overtime is set), and onCall observes each issue.
+// scriptedRunner is a deterministic in-process runner for unit tests
+// (wrap its RunBin in RunnerFunc): every bin completes in one second with
+// all-correct answers (or goes overtime when overtime is set), and onCall
+// observes each issue.
 type scriptedRunner struct {
 	calls    int
 	overtime bool
@@ -225,7 +226,7 @@ func TestExecuteContextCancelBetweenRetries(t *testing.T) {
 			cancel() // cancel while this bin's retries still have budget
 		}
 	}}
-	_, err := ExecuteContext(ctx, r, in, plan, truth, Options{MaxRetries: 5})
+	_, err := ExecuteContext(ctx, RunnerFunc(r.RunBin), in, plan, truth, Options{MaxRetries: 5})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -244,7 +245,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &scriptedRunner{}
-	if _, err := ExecuteContext(ctx, r, in, plan, truth, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := ExecuteContext(ctx, RunnerFunc(r.RunBin), in, plan, truth, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if r.calls != 0 {
@@ -258,7 +259,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 func TestOptionsExplicitZeroBudgets(t *testing.T) {
 	_, in, plan, truth := jellyEnv(t, 100, 0.9, 4)
 	r := &scriptedRunner{overtime: true}
-	rep, err := ExecuteContext(context.Background(), r, in, plan, truth,
+	rep, err := ExecuteContext(context.Background(), RunnerFunc(r.RunBin), in, plan, truth,
 		Options{MaxRetries: -1, TopUp: true, MaxTopUps: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestOptionsExplicitZeroBudgets(t *testing.T) {
 	}
 }
 
-// progressRecorder implements ProgressObserver and keeps every frame.
+// progressRecorder is an Observer that keeps every Progress frame.
 type progressRecorder struct {
 	issued, retried, topUps int
 	frames                  []progressFrame
@@ -298,10 +299,10 @@ func (p *progressRecorder) Progress(spent, mass float64, bins int) {
 	p.frames = append(p.frames, progressFrame{spent: spent, mass: mass, bins: bins})
 }
 
-// TestProgressObserverMonotoneTotals pins the ProgressObserver contract:
-// one frame per bin issue, totals non-decreasing, and the final frame
-// agreeing exactly with the report.
-func TestProgressObserverMonotoneTotals(t *testing.T) {
+// TestObserverProgressMonotoneTotals pins the Observer's Progress
+// contract: one frame per bin issue, totals non-decreasing, and the final
+// frame agreeing exactly with the report.
+func TestObserverProgressMonotoneTotals(t *testing.T) {
 	pl, in, plan, truth := jellyEnv(t, 500, 0.95, 7)
 	rec := &progressRecorder{}
 	rep, err := Execute(pl, in, plan, truth, Options{Observer: rec, TopUp: true})
@@ -329,7 +330,6 @@ func TestProgressObserverMonotoneTotals(t *testing.T) {
 	if diff := sum - rep.DeliveredMassTotal(); diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("DeliveredMassTotal %v != per-task sum %v", rep.DeliveredMassTotal(), sum)
 	}
-	// A plain Observer (no Progress method) still works unchanged.
 	if rec.issued != rep.BinsIssued {
 		t.Fatalf("BinIssued fired %d times for %d issues", rec.issued, rep.BinsIssued)
 	}

@@ -1,10 +1,9 @@
 // Package faultinject is the repo's one seeded network-fault injector: an
 // http.RoundTripper that wraps a real transport and, per destination host,
-// refuses, stalls, drops, 500s or truncates traffic. It sits on the
-// client side of any outbound HTTP seam (service.Config.ClusterTransport,
-// platform.Config.Transport), so the same injector drives the cluster
-// chaos tests (via testcluster) and the marketplace chaos tests. It is
-// test tooling, kept out of the product packages it breaks.
+// stalls, drops, 500s or truncates traffic. It sits on the client side of
+// an outbound HTTP seam (platform.Config.Transport) and drives the
+// marketplace chaos tests. It is test tooling, kept out of the product
+// packages it breaks.
 package faultinject
 
 import (
@@ -19,40 +18,36 @@ import (
 	"time"
 )
 
-// Faults is the failure profile applied to one peer's traffic. The zero
+// Faults is the failure profile applied to one host's traffic. The zero
 // value injects nothing. Drop and Fail strike before the request is
-// forwarded (the peer never sees it); Truncate and DropAfter strike after
-// the peer has processed it — whatever it committed stays committed.
+// forwarded (the host never sees it); Truncate and DropAfter strike after
+// the host has processed it — whatever it committed stays committed.
 type Faults struct {
-	// Down refuses every request with a synthetic connection error — the
-	// killed-peer case. Checked before any probability draw so a down
-	// peer stays down deterministically.
-	Down bool
 	// Delay stalls each request before it is forwarded (or failed). The
 	// stall respects the request context, so attempt timeouts still fire.
 	Delay time.Duration
 	// DropProb is the probability a request vanishes: the stall runs,
-	// then a connection error returns without the peer ever seeing it.
+	// then a connection error returns without the host ever seeing it.
 	DropProb float64
-	// FailProb is the probability the peer answers with a synthetic
+	// FailProb is the probability the host answers with a synthetic
 	// 500 instead of forwarding.
 	FailProb float64
 	// TruncateProb is the probability a forwarded response's body is cut
 	// in half — the partial-body / mid-flight-crash case. The decode on
-	// the caller side fails, which must count as a peer failure.
+	// the caller side fails, which must count as a host failure.
 	TruncateProb float64
 	// DropAfterProb is the probability a forwarded request's response is
 	// discarded and a connection error returned instead — the
-	// duplicate-delivery trap: the peer did the work, and the caller cannot
+	// duplicate-delivery trap: the host did the work, and the caller cannot
 	// tell this from a request that never arrived.
 	DropAfterProb float64
 }
 
 // Injector is an http.RoundTripper that wraps a real transport and
-// injects per-peer faults. All randomness comes from one seeded source
+// injects per-host faults. All randomness comes from one seeded source
 // drawn under a mutex, so a fixed seed plus a fixed request order yields
 // the same fault schedule — chaos tests are replayable. Rules are keyed
-// by the peer URL's host, so one injector can front any number of peers.
+// by URL host, so one injector can front any number of hosts.
 type Injector struct {
 	base http.RoundTripper
 
@@ -74,48 +69,29 @@ func New(seed int64, base http.RoundTripper) *Injector {
 	}
 }
 
-// hostOf normalizes a peer identifier — a bare host:port or a full URL —
+// hostOf normalizes a host identifier — a bare host:port or a full URL —
 // to the host key requests are matched on.
-func hostOf(peerURL string) string {
-	if strings.Contains(peerURL, "://") {
-		if u, err := url.Parse(peerURL); err == nil && u.Host != "" {
+func hostOf(hostURL string) string {
+	if strings.Contains(hostURL, "://") {
+		if u, err := url.Parse(hostURL); err == nil && u.Host != "" {
 			return u.Host
 		}
 	}
-	return strings.TrimSuffix(peerURL, "/")
+	return strings.TrimSuffix(hostURL, "/")
 }
 
-// Set installs (or replaces) the fault profile for a peer, identified by
+// Set installs (or replaces) the fault profile for a host, identified by
 // base URL or host:port.
-func (f *Injector) Set(peerURL string, faults Faults) {
+func (f *Injector) Set(hostURL string, faults Faults) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.rules[hostOf(peerURL)] = faults
-}
-
-// Kill marks the peer down, preserving the rest of its profile.
-func (f *Injector) Kill(peerURL string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rules[hostOf(peerURL)]
-	r.Down = true
-	f.rules[hostOf(peerURL)] = r
-}
-
-// Revive clears the peer's down flag, preserving the rest of its profile.
-func (f *Injector) Revive(peerURL string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rules[hostOf(peerURL)]
-	r.Down = false
-	f.rules[hostOf(peerURL)] = r
+	f.rules[hostOf(hostURL)] = faults
 }
 
 // decision is one request's precomputed fate, drawn in a single critical
 // section so concurrent requests consume the seeded stream in a serial,
 // countable order.
 type decision struct {
-	down      bool
 	delay     time.Duration
 	drop      bool
 	fail      bool
@@ -130,7 +106,7 @@ func (f *Injector) decide(host string) decision {
 	if !ok {
 		return decision{}
 	}
-	d := decision{down: r.Down, delay: r.Delay}
+	d := decision{delay: r.Delay}
 	// Always draw all four so the stream position per request is fixed
 	// regardless of which probabilities are set.
 	p1, p2, p3, p4 := f.rng.Float64(), f.rng.Float64(), f.rng.Float64(), f.rng.Float64()
@@ -144,9 +120,6 @@ func (f *Injector) decide(host string) decision {
 // RoundTrip implements http.RoundTripper.
 func (f *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	d := f.decide(req.URL.Host)
-	if d.down {
-		return nil, fmt.Errorf("faultinjector: peer %s is down: connection refused", req.URL.Host)
-	}
 	if d.delay > 0 {
 		t := time.NewTimer(d.delay)
 		select {
@@ -157,7 +130,7 @@ func (f *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	if d.drop {
-		return nil, fmt.Errorf("faultinjector: peer %s dropped the request", req.URL.Host)
+		return nil, fmt.Errorf("faultinjector: host %s dropped the request", req.URL.Host)
 	}
 	if d.fail {
 		if req.Body != nil {
@@ -180,10 +153,10 @@ func (f *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	if d.dropAfter {
 		resp.Body.Close()
-		return nil, fmt.Errorf("faultinjector: response from peer %s dropped: connection reset", req.URL.Host)
+		return nil, fmt.Errorf("faultinjector: response from host %s dropped: connection reset", req.URL.Host)
 	}
 	// Truncate: deliver only the first half of the body, then EOF — what a
-	// peer crashing mid-response looks like to the JSON decoder.
+	// host crashing mid-response looks like to the JSON decoder.
 	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil {

@@ -22,11 +22,10 @@
 // a budget distinct from executor.Options.MaxRetries, which governs
 // overtime re-issues, not wire retries. A token bucket caps the issue
 // rate and a bounded in-flight semaphore propagates backpressure into
-// the executor instead of piling goroutines. The shared
-// resilience.Breaker (the same one guarding cluster peers) opens after
-// consecutive failures; a breaker-open refusal and an exhausted budget
-// are terminal — the executor converts them into a partial, explicitly
-// degraded ExecutionReport rather than losing delivered work.
+// the executor instead of piling goroutines. A circuit breaker opens
+// after consecutive failures; a breaker-open refusal and an exhausted
+// budget are terminal — the executor converts them into a partial,
+// explicitly degraded ExecutionReport rather than losing delivered work.
 package platform
 
 import (
@@ -46,7 +45,6 @@ import (
 	"repro/internal/crowdsim"
 	"repro/internal/executor"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Defaults for Config's zero values.
@@ -55,12 +53,24 @@ const (
 	DefaultTimeout = 10 * time.Second
 	// DefaultRetryBudget is the per-job wire-retry allowance.
 	DefaultRetryBudget = 64
-	// DefaultMaxInFlight bounds concurrent issues per client.
-	DefaultMaxInFlight = 16
+	// DefaultFailureThreshold is the consecutive-failure count that opens
+	// the breaker.
+	DefaultFailureThreshold = 3
 	// DefaultBackoffBase seeds the exponential backoff window.
 	DefaultBackoffBase = 50 * time.Millisecond
 	// DefaultBackoffCap caps the backoff window.
 	DefaultBackoffCap = 2 * time.Second
+)
+
+// Fixed resilience parameters.
+const (
+	// maxInFlight bounds concurrent issues per client.
+	maxInFlight = 16
+	// breakerCooldown is how long an open breaker shuts the marketplace
+	// out before the next probe.
+	breakerCooldown = 15 * time.Second
+	// rateBurst is the token-bucket burst when Config.RPS is set.
+	rateBurst = 1
 )
 
 // maxBinBody bounds a decoded bin response — a bin outcome is a few
@@ -84,17 +94,9 @@ type Config struct {
 	// RPS caps the steady-state issue rate in requests per second;
 	// <= 0 is unlimited.
 	RPS float64
-	// Burst is the token-bucket burst for RPS; <= 0 selects 1.
-	Burst int
-	// MaxInFlight bounds concurrent issues; <= 0 selects
-	// DefaultMaxInFlight.
-	MaxInFlight int
 	// FailureThreshold consecutive failures open the breaker; <= 0
-	// selects resilience.DefaultFailureThreshold.
+	// selects DefaultFailureThreshold.
 	FailureThreshold int
-	// Cooldown is the open-breaker cooldown; <= 0 selects
-	// resilience.DefaultCooldown.
-	Cooldown time.Duration
 	// BackoffBase/BackoffCap shape the retry backoff window; zero
 	// selects the defaults above.
 	BackoffBase time.Duration
@@ -108,9 +110,6 @@ type Config struct {
 	// Registry receives the slade_platform_* instruments; nil creates a
 	// private registry (metrics still work, nothing is exported).
 	Registry *obs.Registry
-	// Clock overrides time.Now for breaker cooldowns and rate limiting
-	// in tests.
-	Clock func() time.Time
 }
 
 // Client issues bins to one remote marketplace. It is safe for
@@ -124,10 +123,9 @@ type Client struct {
 	backoffBase time.Duration
 	backoffCap  time.Duration
 	http        *http.Client
-	breaker     *resilience.Breaker
-	bucket      *resilience.TokenBucket
+	breaker     *breaker
+	bucket      *tokenBucket
 	inflight    chan struct{}
-	sleep       func(ctx context.Context, d time.Duration) error
 
 	rndMu sync.Mutex
 	rnd   *rand.Rand
@@ -164,8 +162,8 @@ func NewClient(cfg Config) (*Client, error) {
 	case cfg.RetryBudget < 0:
 		cfg.RetryBudget = 0
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultMaxInFlight
+	if cfg.FailureThreshold <= 0 {
+		cfg.FailureThreshold = DefaultFailureThreshold
 	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = DefaultBackoffBase
@@ -189,10 +187,9 @@ func NewClient(cfg Config) (*Client, error) {
 		backoffBase: cfg.BackoffBase,
 		backoffCap:  cfg.BackoffCap,
 		http:        &http.Client{Transport: cfg.Transport},
-		breaker:     resilience.NewBreaker(cfg.FailureThreshold, cfg.Cooldown, cfg.Clock),
-		bucket:      resilience.NewTokenBucket(cfg.RPS, cfg.Burst, cfg.Clock),
-		inflight:    make(chan struct{}, cfg.MaxInFlight),
-		sleep:       ctxSleep,
+		breaker:     newBreaker(cfg.FailureThreshold, breakerCooldown, time.Now),
+		bucket:      newTokenBucket(cfg.RPS, rateBurst, time.Now),
+		inflight:    make(chan struct{}, maxInFlight),
 		rnd:         rand.New(rand.NewSource(seed)),
 
 		attempts:     reg.Counter("slade_platform_attempts_total", "Bin issue HTTP attempts, including retries."),
@@ -243,7 +240,6 @@ type Runner struct {
 	c        *Client
 	budget   int
 	fallback string // run id when BinContext carries none
-	binSeq   int    // synthetic bin index for the legacy RunBin path
 }
 
 // RunBinContext issues one bin with full failure handling. A returned
@@ -264,8 +260,8 @@ func (r *Runner) RunBinContext(ctx context.Context, bc executor.BinContext, card
 			}
 			r.budget--
 			r.c.retries.Inc()
-			delay := resilience.Backoff(r.c.backoffBase, r.c.backoffCap, attempt-1, r.c.jitter)
-			if err := r.c.sleep(ctx, delay); err != nil {
+			delay := backoff(r.c.backoffBase, r.c.backoffCap, attempt-1, r.c.jitter)
+			if err := ctxSleep(ctx, delay); err != nil {
 				return crowdsim.BinOutcome{}, err
 			}
 		}
@@ -283,25 +279,6 @@ func (r *Runner) RunBinContext(ctx context.Context, bc executor.BinContext, card
 	}
 }
 
-// RunBin is the legacy BinRunner path: issue with a background context
-// and synthetic coordinates. A terminal issue failure is reported as an
-// overtime outcome — the executor's overtime accounting absorbs it —
-// because this signature has no error channel; serving-layer executions
-// use RunBinContext and get real degradation instead.
-func (r *Runner) RunBin(cardinality int, pay float64, difficulty int, truth []bool) crowdsim.BinOutcome {
-	bin := r.binSeq
-	r.binSeq++
-	out, err := r.RunBinContext(context.Background(), executor.BinContext{Bin: bin}, cardinality, pay, difficulty, truth)
-	if err != nil {
-		return crowdsim.BinOutcome{
-			Answers:  make([]bool, len(truth)),
-			Correct:  make([]bool, len(truth)),
-			Overtime: true,
-		}
-	}
-	return out
-}
-
 // jitter draws one uniform float in [0, 1) from the client's seeded
 // jitter stream.
 func (c *Client) jitter() float64 {
@@ -315,7 +292,7 @@ func (c *Client) jitter() float64 {
 // another attempt under the same idempotency key.
 func (c *Client) issue(ctx context.Context, key string, cardinality int, pay float64, difficulty int, truth []bool) (out crowdsim.BinOutcome, retryable bool, err error) {
 	if !c.breaker.Allow() {
-		state, _, _, last := c.breaker.Snapshot()
+		state, _, last := c.breaker.Snapshot()
 		msg := fmt.Sprintf("platform: circuit breaker %s", state)
 		if last != "" {
 			msg += ": last error: " + last
@@ -337,7 +314,7 @@ func (c *Client) issue(ctx context.Context, key string, cardinality int, pay flo
 
 	if wait := c.bucket.Reserve(); wait > 0 {
 		c.throttle.Observe(wait.Seconds())
-		if serr := c.sleep(ctx, wait); serr != nil {
+		if serr := ctxSleep(ctx, wait); serr != nil {
 			c.breaker.Release()
 			c.gaugeBreaker()
 			return out, false, serr
@@ -442,14 +419,8 @@ func (c *Client) post(ctx context.Context, key string, cardinality int, pay floa
 
 // gaugeBreaker mirrors the breaker state into its gauge.
 func (c *Client) gaugeBreaker() {
-	switch state, _, _, _ := c.breaker.Snapshot(); state {
-	case "open":
-		c.breakerState.Set(2)
-	case "probing":
-		c.breakerState.Set(1)
-	default:
-		c.breakerState.Set(0)
-	}
+	state, _, _ := c.breaker.Snapshot()
+	c.breakerState.Set(int64(state))
 }
 
 // ctxSleep sleeps for d or until ctx is done, whichever comes first.

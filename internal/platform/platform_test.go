@@ -2,9 +2,13 @@ package platform
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,9 +194,11 @@ func TestPlatformDownMidRunDegrades(t *testing.T) {
 	defer srv.Close()
 	srv.KillAfter(5)
 
+	reg := obs.NewRegistry()
 	c := hardenedClient(t, srv.URL(), func(cfg *Config) {
 		cfg.RetryBudget = 4
 		cfg.FailureThreshold = 3
+		cfg.Registry = reg
 	})
 	rep, err := executor.ExecuteContext(context.Background(), c.Runner(), in, plan, truth, executor.Options{RunID: "dying"})
 	if err != nil {
@@ -217,6 +223,11 @@ func TestPlatformDownMidRunDegrades(t *testing.T) {
 	}
 	if st.State != "open" || st.BreakerOpens == 0 {
 		t.Fatalf("breaker after platform death: state=%q opens=%d", st.State, st.BreakerOpens)
+	}
+	// Opens are counted once: the stats block and the exported counter
+	// agree.
+	if line := fmt.Sprintf("slade_platform_breaker_opens_total %d\n", st.BreakerOpens); !strings.Contains(string(reg.Expose()), line) {
+		t.Fatalf("stats report %d breaker opens; /metrics does not carry %q", st.BreakerOpens, line)
 	}
 	if !c.Degraded() {
 		t.Fatal("client not degraded with the breaker open")
@@ -324,7 +335,6 @@ func TestPlatformMetricsRegistered(t *testing.T) {
 		cfg.Transport = faulted(srv.URL(), 6, faultinject.Faults{DropAfterProb: 0.2})
 		cfg.Registry = reg
 		cfg.RPS = 50000 // exercise the throttle path without slowing the test
-		cfg.Burst = 1
 	})
 	if _, err := executor.ExecuteContext(context.Background(), c.Runner(), in, plan, truth, executor.Options{RunID: "metrics"}); err != nil {
 		t.Fatal(err)
@@ -355,32 +365,6 @@ func TestPlatformMetricsRegistered(t *testing.T) {
 	}
 }
 
-func TestRunBinLegacyPath(t *testing.T) {
-	srv, err := testplatform.New(testplatform.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := hardenedClient(t, srv.URL(), nil)
-	r := c.Runner()
-	out := r.RunBin(3, 0.1, 2, []bool{true, false, true})
-	if out.Overtime && len(out.Answers) != 3 {
-		t.Fatalf("legacy issue failed: %+v", out)
-	}
-	if len(out.Answers) != 3 {
-		t.Fatalf("answers = %d", len(out.Answers))
-	}
-
-	// Against a dead platform the legacy path reports overtime — the
-	// only failure signal its signature allows.
-	srv.Kill()
-	fast := hardenedClient(t, srv.URL(), func(cfg *Config) { cfg.RetryBudget = 1; cfg.FailureThreshold = 1 })
-	out = fast.Runner().RunBin(2, 0.1, 2, []bool{true, false})
-	if !out.Overtime {
-		t.Fatal("dead platform did not surface as overtime on the legacy path")
-	}
-}
-
 func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient(Config{}); err == nil {
 		t.Fatal("empty BaseURL accepted")
@@ -403,28 +387,55 @@ func TestNewClientValidation(t *testing.T) {
 	}
 }
 
+// cancelOnRequest is a client transport that cancels the run as it
+// forwards request n, so the cancel lands at a fixed point of the issue
+// schedule rather than wherever a polling loop happens to observe it.
+type cancelOnRequest struct {
+	n      int64
+	cancel context.CancelFunc
+	seen   atomic.Int64
+}
+
+func (c *cancelOnRequest) RoundTrip(req *http.Request) (*http.Response, error) {
+	if c.seen.Add(1) == c.n {
+		c.cancel()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestPlatformCancellation pins "never pays for a bin issued after
+// cancel": the run is canceled as its second request is forwarded, so
+// the marketplace must have committed exactly the one bin issued before
+// the cancel, and the executor must issue nothing after it.
 func TestPlatformCancellation(t *testing.T) {
-	// Enough bins that the run cannot finish before the cancel lands.
-	in, plan, truth := chaosEnv(t, 20000)
+	in, plan, truth := chaosEnv(t, 600)
 	srv, err := testplatform.New(testplatform.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := hardenedClient(t, srv.URL(), nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var execErr error
-	go func() {
-		defer close(done)
-		_, execErr = executor.ExecuteContext(ctx, c.Runner(), in, plan, truth, executor.Options{RunID: "cancel"})
-	}()
-	for srv.Requests() < 2 {
-		time.Sleep(time.Millisecond)
+	defer cancel()
+	rt := &cancelOnRequest{n: 2, cancel: cancel}
+	c := hardenedClient(t, srv.URL(), func(cfg *Config) { cfg.Transport = rt })
+	_, err = executor.ExecuteContext(ctx, c.Runner(), in, plan, truth, executor.Options{RunID: "cancel"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
 	}
-	cancel()
-	<-done
-	if execErr != context.Canceled {
-		t.Fatalf("canceled run returned %v", execErr)
+	if got := rt.seen.Load(); got != 2 {
+		t.Fatalf("%d requests sent, want 2 — the executor issued past the cancel", got)
+	}
+	// Request 2 carried the canceled context and never reached the
+	// marketplace; only the first bin was bought.
+	var first float64
+	stop := errors.New("stop")
+	plan.EachUse(func(cardinality int, _ []int) error { //nolint:errcheck
+		b, _ := in.Bins().ByCardinality(cardinality)
+		first = b.Cost
+		return stop
+	})
+	if srv.Requests() != 1 || srv.Commits() != 1 || !floatEq(srv.Charged(), first) {
+		t.Fatalf("marketplace saw %d requests, committed %d bins, charged %v; want 1, 1, %v",
+			srv.Requests(), srv.Commits(), srv.Charged(), first)
 	}
 }

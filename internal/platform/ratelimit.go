@@ -1,17 +1,17 @@
-package resilience
+package platform
 
 import (
 	"sync"
 	"time"
 )
 
-// TokenBucket is a classic token-bucket rate limiter: tokens accrue at
+// tokenBucket is a classic token-bucket rate limiter: tokens accrue at
 // rate per second up to burst, and each Reserve takes one, returning how
 // long the caller must sleep before acting on it. Reservations may drive
 // the balance negative — callers queue rather than spin — which keeps the
 // long-run issue rate at exactly rate regardless of arrival pattern. Safe
 // for concurrent use.
-type TokenBucket struct {
+type tokenBucket struct {
 	rate  float64 // tokens per second; <= 0 means unlimited
 	burst float64
 	now   func() time.Time
@@ -21,19 +21,8 @@ type TokenBucket struct {
 	last   time.Time
 }
 
-// NewTokenBucket builds a bucket refilling at rate tokens per second with
-// the given burst capacity (<= 0 selects a burst of 1). A rate <= 0
-// disables limiting entirely: Reserve always returns zero. A nil clock
-// selects time.Now.
-func NewTokenBucket(rate float64, burst int, now func() time.Time) *TokenBucket {
-	if now == nil {
-		now = time.Now
-	}
-	b := float64(burst)
-	if b <= 0 {
-		b = 1
-	}
-	return &TokenBucket{rate: rate, burst: b, now: now, tokens: b}
+func newTokenBucket(rate float64, burst int, now func() time.Time) *tokenBucket {
+	return &tokenBucket{rate: rate, burst: float64(burst), now: now, tokens: float64(burst)}
 }
 
 // Reserve takes one token and returns how long the caller must wait
@@ -41,7 +30,7 @@ func NewTokenBucket(rate float64, burst int, now func() time.Time) *TokenBucket 
 // reservation is unconditional — there is no cancel — so callers that
 // abandon the wait simply leave their slot to drain, which is the
 // behaviour a per-job issue loop wants.
-func (b *TokenBucket) Reserve() time.Duration {
+func (b *tokenBucket) Reserve() time.Duration {
 	if b.rate <= 0 {
 		return 0
 	}
@@ -62,13 +51,13 @@ func (b *TokenBucket) Reserve() time.Duration {
 	return time.Duration(-b.tokens / b.rate * float64(time.Second))
 }
 
-// Backoff returns the capped-exponential-with-full-jitter delay for the
+// backoff returns the capped-exponential-with-full-jitter delay for the
 // given retry attempt (attempt 0 is the first retry): a uniform draw from
-// [0, min(cap, base·2^attempt)) using rnd, a uniform source in [0, 1). A
+// [0, min(max, base·2^attempt)) using rnd, a uniform source in [0, 1). A
 // nil rnd skips the jitter and returns the full window, which keeps tests
 // deterministic. Full jitter decorrelates retry herds after a shared
 // failure — the spread matters more than the exact curve.
-func Backoff(base, max time.Duration, attempt int, rnd func() float64) time.Duration {
+func backoff(base, max time.Duration, attempt int, rnd func() float64) time.Duration {
 	if base <= 0 {
 		return 0
 	}

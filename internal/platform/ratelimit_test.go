@@ -1,4 +1,4 @@
-package resilience
+package platform
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 
 func TestTokenBucketBurstThenThrottle(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(10, 3, clk.now) // 10/s, burst 3
+	b := newTokenBucket(10, 3, clk.now) // 10/s, burst 3
 	for i := 0; i < 3; i++ {
 		if wait := b.Reserve(); wait != 0 {
 			t.Fatalf("burst reserve %d: wait %v, want 0", i, wait)
@@ -29,7 +29,7 @@ func TestTokenBucketBurstThenThrottle(t *testing.T) {
 
 func TestTokenBucketRefillCapsAtBurst(t *testing.T) {
 	clk := newFakeClock()
-	b := NewTokenBucket(100, 2, clk.now)
+	b := newTokenBucket(100, 2, clk.now)
 	b.Reserve()
 	b.Reserve()
 	clk.advance(time.Hour) // refill far beyond burst
@@ -44,7 +44,7 @@ func TestTokenBucketRefillCapsAtBurst(t *testing.T) {
 }
 
 func TestTokenBucketUnlimited(t *testing.T) {
-	b := NewTokenBucket(0, 1, newFakeClock().now)
+	b := newTokenBucket(0, 1, newFakeClock().now)
 	for i := 0; i < 100; i++ {
 		if wait := b.Reserve(); wait != 0 {
 			t.Fatalf("unlimited bucket imposed wait %v", wait)
@@ -52,9 +52,16 @@ func TestTokenBucketUnlimited(t *testing.T) {
 	}
 }
 
+// TestTokenBucketDefaultBurst: a client's limiter has a burst of one
+// token — the first issue is free, the next waits a full 1/RPS.
 func TestTokenBucketDefaultBurst(t *testing.T) {
+	c, err := NewClient(Config{BaseURL: "http://market.example.com", RPS: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	clk := newFakeClock()
-	b := NewTokenBucket(1, 0, clk.now)
+	b := c.bucket
+	b.now = clk.now
 	if wait := b.Reserve(); wait != 0 {
 		t.Fatalf("default-burst first reserve: wait %v, want 0", wait)
 	}
@@ -77,31 +84,31 @@ func TestBackoffWindowDoubling(t *testing.T) {
 		2 * time.Second,
 	}
 	for attempt, want := range wants {
-		if got := Backoff(base, cap, attempt, nil); got != want {
+		if got := backoff(base, cap, attempt, nil); got != want {
 			t.Fatalf("attempt %d: got %v, want %v", attempt, got, want)
 		}
 	}
 	// Huge attempt counts stay capped (no overflow).
-	if got := Backoff(base, cap, 100000, nil); got != cap {
+	if got := backoff(base, cap, 100000, nil); got != cap {
 		t.Fatalf("attempt 100000: got %v, want %v", got, cap)
 	}
 }
 
 func TestBackoffFullJitter(t *testing.T) {
-	if got := Backoff(time.Second, time.Second, 0, func() float64 { return 0 }); got != 0 {
+	if got := backoff(time.Second, time.Second, 0, func() float64 { return 0 }); got != 0 {
 		t.Fatalf("rnd=0: got %v, want 0", got)
 	}
-	if got := Backoff(time.Second, time.Second, 0, func() float64 { return 0.5 }); got != 500*time.Millisecond {
+	if got := backoff(time.Second, time.Second, 0, func() float64 { return 0.5 }); got != 500*time.Millisecond {
 		t.Fatalf("rnd=0.5: got %v, want 500ms", got)
 	}
 }
 
 func TestBackoffDegenerateInputs(t *testing.T) {
-	if got := Backoff(0, time.Second, 3, nil); got != 0 {
+	if got := backoff(0, time.Second, 3, nil); got != 0 {
 		t.Fatalf("zero base: got %v, want 0", got)
 	}
 	// max below base is raised to base.
-	if got := Backoff(time.Second, time.Millisecond, 0, nil); got != time.Second {
+	if got := backoff(time.Second, time.Millisecond, 0, nil); got != time.Second {
 		t.Fatalf("max<base: got %v, want 1s", got)
 	}
 }

@@ -19,15 +19,15 @@ type Stats struct {
 
 // Stats snapshots the client's counters and breaker state.
 func (c *Client) Stats() Stats {
-	state, consecutive, opens, lastErr := c.breaker.Snapshot()
+	state, consecutive, lastErr := c.breaker.Snapshot()
 	return Stats{
 		URL:                 c.base,
-		State:               state,
+		State:               state.String(),
 		Attempts:            c.attempts.Value(),
 		Retries:             c.retries.Value(),
 		Failures:            c.failures.Value(),
 		Replays:             c.replays.Value(),
-		BreakerOpens:        opens,
+		BreakerOpens:        c.breakerOpens.Value(),
 		ConsecutiveFailures: consecutive,
 		DegradedRuns:        c.degradedRuns.Value(),
 		LastError:           lastErr,
@@ -40,6 +40,6 @@ func (c *Client) Stats() Stats {
 // without failing the health check (runs degrade to partial reports,
 // the daemon keeps serving).
 func (c *Client) Degraded() bool {
-	state, _, _, _ := c.breaker.Snapshot()
-	return state != "ok"
+	state, _, _ := c.breaker.Snapshot()
+	return state != breakerClosed
 }

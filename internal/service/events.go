@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the live job-event surface: a per-job broadcast hub fed
-// from the executor's ProgressObserver seam and the job manager's state
+// from the executor's Observer seam and the job manager's state
 // transitions, served as Server-Sent Events by GET /v1/jobs/{id}/events.
 // Every frame carries the running totals (bins issued, spend, delivered
 // mass, top-up rounds) plus the job state; the final frame is the job's
@@ -196,11 +196,12 @@ func (h *eventHub) close() {
 	h.closeOnce.Do(func() { close(h.closed) })
 }
 
-// jobEventObserver feeds a run job's executor callbacks into both the
-// metric bundle and the event hub. Executor callbacks run inline on the
-// single executing goroutine, so plain fields need no synchronization.
+// jobEventObserver is the executor.Observer of every run job: it feeds
+// the executor's callbacks into both the metric bundle and the event hub.
+// Executor callbacks run inline on the single executing goroutine, so
+// plain fields need no synchronization.
 type jobEventObserver struct {
-	metrics execObserver
+	metrics *serviceMetrics
 	hub     *eventHub
 	jobID   string
 
@@ -211,16 +212,20 @@ type jobEventObserver struct {
 	lastEmit    time.Time
 }
 
-func (o *jobEventObserver) BinIssued(d time.Duration) { o.metrics.BinIssued(d) }
-func (o *jobEventObserver) BinRetried()               { o.metrics.BinRetried() }
+func (o *jobEventObserver) BinIssued(d time.Duration) {
+	o.metrics.execBinsIssued.Inc()
+	o.metrics.execBinDuration.ObserveDuration(d)
+}
+
+func (o *jobEventObserver) BinRetried() { o.metrics.execRetries.Inc() }
 
 func (o *jobEventObserver) TopUpRound() {
-	o.metrics.TopUpRound()
+	o.metrics.execTopUpRounds.Inc()
 	o.topUps++
 	o.emit(true) // round boundaries always publish
 }
 
-// Progress implements executor.ProgressObserver: the first frame of a
+// Progress publishes a running-totals frame: the first frame of a
 // run publishes unconditionally (so even the fastest job yields at least
 // one progress frame), later frames at most every progressEventInterval.
 func (o *jobEventObserver) Progress(spent, mass float64, bins int) {

@@ -464,16 +464,6 @@ func (s *Service) storeObserver(op string, d time.Duration, err error) {
 	}
 }
 
-// execObserver satisfies executor.Observer over the metric bundle.
-type execObserver struct{ m *serviceMetrics }
-
-func (o execObserver) BinIssued(d time.Duration) {
-	o.m.execBinsIssued.Inc()
-	o.m.execBinDuration.ObserveDuration(d)
-}
-func (o execObserver) BinRetried() { o.m.execRetries.Inc() }
-func (o execObserver) TopUpRound() { o.m.execTopUpRounds.Inc() }
-
 // EndpointStats is one endpoint's row in /v1/stats: request counts by
 // status class plus the latency distribution.
 type EndpointStats struct {

@@ -78,7 +78,7 @@ func defaultPlatformFactory(spec PlatformSpec) (executor.BinRunner, error) {
 	}
 	pl := crowdsim.New(params, spec.Seed)
 	if spec.PoolSize <= 0 {
-		return pl, nil
+		return executor.RunnerFunc(pl.RunBin), nil
 	}
 	cfg := crowdsim.DefaultPoolConfig
 	cfg.Size = spec.PoolSize
@@ -91,7 +91,7 @@ func defaultPlatformFactory(spec PlatformSpec) (executor.BinRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return crowdsim.PoolRunner{Pool: pool}, nil
+	return executor.RunnerFunc(crowdsim.PoolRunner{Pool: pool}.RunBin), nil
 }
 
 // overrideRate applies the zero-keeps-default / negative-means-zero
@@ -331,11 +331,9 @@ func (m *JobManager) runRun(ctx context.Context, j *job) (*core.Plan, *Execution
 	// The job id is the run id a remote platform derives idempotency
 	// keys from: stable across wire retries, unique across jobs.
 	opts.RunID = j.id
-	if bm := m.svc.metrics; bm != nil {
-		// One observer feeds both sinks: the metric bundle and the job's
-		// SSE event feed (executor.ProgressObserver).
-		opts.Observer = &jobEventObserver{metrics: execObserver{m: bm}, hub: m.svc.events, jobID: j.id}
-	}
+	// One observer feeds both sinks: the metric bundle and the job's SSE
+	// event feed.
+	opts.Observer = &jobEventObserver{metrics: m.svc.metrics, hub: m.svc.events, jobID: j.id}
 	rep, err := executor.ExecuteContext(ctx, j.runner, rj.Instance, plan, truth, opts)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -188,7 +189,7 @@ func TestRunJobValidation(t *testing.T) {
 	}
 }
 
-// blockingRunner parks the first RunBin until released, so a test can
+// blockingRunner parks the first issue until released, so a test can
 // deterministically cancel a run mid-flight.
 type blockingRunner struct {
 	started chan struct{}
@@ -196,7 +197,7 @@ type blockingRunner struct {
 	calls   atomic.Int64
 }
 
-func (r *blockingRunner) RunBin(cardinality int, pay float64, difficulty int, truth []bool) crowdsim.BinOutcome {
+func (r *blockingRunner) RunBinContext(_ context.Context, _ executor.BinContext, cardinality int, pay float64, difficulty int, truth []bool) (crowdsim.BinOutcome, error) {
 	if r.calls.Add(1) == 1 {
 		close(r.started)
 		<-r.release
@@ -205,7 +206,7 @@ func (r *blockingRunner) RunBin(cardinality int, pay float64, difficulty int, tr
 		Answers:  make([]bool, len(truth)),
 		Correct:  make([]bool, len(truth)),
 		Duration: time.Second,
-	}
+	}, nil
 }
 
 // TestRunJobCancelMidFlight is the DELETE contract: canceling a running

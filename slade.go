@@ -212,9 +212,12 @@ type (
 	ExecutionOptions = executor.Options
 	// ExecutionReport is the outcome of an Execute run.
 	ExecutionReport = executor.Report
-	// BinRunner is the executor's view of a marketplace: Platform
-	// satisfies it, and crowdsim.PoolRunner adapts a worker pool.
+	// BinRunner is the executor's view of a marketplace. A Platform is
+	// passed as RunnerFunc(pl.RunBin); Execute does that for you.
 	BinRunner = executor.BinRunner
+	// RunnerFunc adapts an in-process runner that cannot fail, such as
+	// Platform.RunBin, to BinRunner.
+	RunnerFunc = executor.RunnerFunc
 	// BudgetOptions configures MaxReliability.
 	BudgetOptions = budget.Options
 	// BudgetResult is the outcome of a budget search.

@@ -75,6 +75,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -186,9 +187,11 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 	svcCfg.Logger = logger
 	// Catch a typo'd -platform-url here with a flag-shaped error; the
 	// service constructor treats an invalid URL as a programming error.
-	if u := svcCfg.PlatformURL; u != "" &&
-		!strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-		return fmt.Errorf("-platform-url %q is not an http(s) URL", u)
+	if u := svcCfg.PlatformURL; u != "" {
+		if _, err := url.Parse(u); err != nil ||
+			!strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
+			return fmt.Errorf("-platform-url %q is not an http(s) URL", u)
+		}
 	}
 	if cfg.dataDir != "" {
 		st, err := slade.OpenFSStore(cfg.dataDir, logger)

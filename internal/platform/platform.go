@@ -31,12 +31,16 @@ package platform
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,6 +81,18 @@ const (
 // booleans per task, so anything past this is garbage, not data.
 const maxBinBody = 1 << 20
 
+// binTransport is the transport of every Client without a
+// Config.Transport, shared the way http.DefaultTransport is. A bin body
+// is under 1 KiB, so gzip is not negotiated; and one idle connection per
+// issue a client may have in flight is kept, so concurrent run jobs reuse
+// their connections instead of re-dialing (net/http's default keeps 2).
+var binTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DisableCompression = true
+	t.MaxIdleConnsPerHost = maxInFlight
+	return t
+}()
+
 // Config parameterizes a Client.
 type Config struct {
 	// BaseURL is the marketplace root, e.g. "https://market.example.com";
@@ -104,8 +120,10 @@ type Config struct {
 	// JitterSeed seeds the backoff jitter RNG; zero selects 1. The
 	// jitter stream is the client's only randomness.
 	JitterSeed int64
-	// Transport overrides the HTTP transport (tests); nil selects
-	// http.DefaultTransport.
+	// Transport overrides the HTTP transport (tests); nil selects a
+	// transport shared by every Client. It is called directly, not
+	// through an http.Client: redirects are not followed — a 3xx is a
+	// permanent rejection like any other non-2xx, non-5xx, non-429.
 	Transport http.RoundTripper
 	// Registry receives the slade_platform_* instruments; nil creates a
 	// private registry (metrics still work, nothing is exported).
@@ -122,7 +140,9 @@ type Client struct {
 	retryBudget int
 	backoffBase time.Duration
 	backoffCap  time.Duration
-	http        *http.Client
+	rt          http.RoundTripper
+	tmpl        *http.Request // POST BaseURL+"/v1/bins"; each attempt copies it
+	binsURL     string        // tmpl's URL, password redacted, for errors
 	breaker     *breaker
 	bucket      *tokenBucket
 	inflight    chan struct{}
@@ -152,6 +172,19 @@ func NewClient(cfg Config) (*Client, error) {
 	}
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 		return nil, fmt.Errorf("platform: BaseURL %q is not an http(s) URL", cfg.BaseURL)
+	}
+	u, err := url.Parse(base + "/v1/bins")
+	if err != nil {
+		return nil, fmt.Errorf("platform: BaseURL %q: %w", cfg.BaseURL, err)
+	}
+	if cfg.Auth == "" && u.User != nil {
+		// Credentials in the URL go out as Basic auth, as http.Client
+		// sends them.
+		pass, _ := u.User.Password()
+		cfg.Auth = "Basic " + base64.StdEncoding.EncodeToString([]byte(u.User.Username()+":"+pass))
+	}
+	if cfg.Transport == nil {
+		cfg.Transport = binTransport
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
@@ -186,7 +219,9 @@ func NewClient(cfg Config) (*Client, error) {
 		retryBudget: cfg.RetryBudget,
 		backoffBase: cfg.BackoffBase,
 		backoffCap:  cfg.BackoffCap,
-		http:        &http.Client{Transport: cfg.Transport},
+		rt:          cfg.Transport,
+		tmpl:        &http.Request{Method: http.MethodPost, URL: u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1},
+		binsURL:     u.Redacted(),
 		breaker:     newBreaker(cfg.FailureThreshold, breakerCooldown, time.Now),
 		bucket:      newTokenBucket(cfg.RPS, rateBurst, time.Now),
 		inflight:    make(chan struct{}, maxInFlight),
@@ -214,7 +249,13 @@ func (c *Client) BaseURL() string { return c.base }
 // same purchase, across client restarts — which is what lets a retry
 // after an ambiguous failure reconcile instead of double-spend.
 func IdempotencyKey(runID string, bin, attempt int) string {
-	return fmt.Sprintf("%s:%d:%d", runID, bin, attempt)
+	var scratch [64]byte
+	b := append(scratch[:0], runID...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(bin), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(attempt), 10)
+	return string(b)
 }
 
 // Runner returns a per-job bin runner carrying a fresh retry budget.
@@ -240,18 +281,26 @@ type Runner struct {
 	c        *Client
 	budget   int
 	fallback string // run id when BinContext carries none
+	resp     []byte // response body scratch, reused from bin to bin
 }
 
 // RunBinContext issues one bin with full failure handling. A returned
 // error is terminal for the execution: the context was canceled, the
-// breaker refused the issue, the retry budget ran dry, or the platform
-// rejected the bin permanently.
+// breaker refused the issue, the retry budget ran dry, the platform
+// rejected the bin permanently, or pay is not a finite number.
 func (r *Runner) RunBinContext(ctx context.Context, bc executor.BinContext, cardinality int, pay float64, difficulty int, truth []bool) (crowdsim.BinOutcome, error) {
 	runID := bc.RunID
 	if runID == "" {
 		runID = r.fallback
 	}
 	key := IdempotencyKey(runID, bc.Bin, bc.Attempt)
+	if math.IsInf(pay, 0) || math.IsNaN(pay) {
+		return crowdsim.BinOutcome{}, fmt.Errorf("platform: encode bin: unsupported pay %v", pay)
+	}
+	// Every attempt sends these bytes. They are never rewritten: the
+	// transport may still read a failed attempt's body after RoundTrip
+	// has returned.
+	body := appendBinRequest(make([]byte, 0, binRequestSize(len(truth))), cardinality, pay, difficulty, truth)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -265,7 +314,7 @@ func (r *Runner) RunBinContext(ctx context.Context, bc executor.BinContext, card
 				return crowdsim.BinOutcome{}, err
 			}
 		}
-		out, retryable, err := r.c.issue(ctx, key, cardinality, pay, difficulty, truth)
+		out, retryable, err := r.issue(ctx, key, body, len(truth))
 		if err == nil {
 			return out, nil
 		}
@@ -290,7 +339,8 @@ func (c *Client) jitter() float64 {
 // issue runs one gated attempt: breaker admission, in-flight slot, rate
 // limit, then the POST. retryable reports whether the failure is worth
 // another attempt under the same idempotency key.
-func (c *Client) issue(ctx context.Context, key string, cardinality int, pay float64, difficulty int, truth []bool) (out crowdsim.BinOutcome, retryable bool, err error) {
+func (r *Runner) issue(ctx context.Context, key string, body []byte, tasks int) (out crowdsim.BinOutcome, retryable bool, err error) {
+	c := r.c
 	if !c.breaker.Allow() {
 		state, _, last := c.breaker.Snapshot()
 		msg := fmt.Sprintf("platform: circuit breaker %s", state)
@@ -322,7 +372,7 @@ func (c *Client) issue(ctx context.Context, key string, cardinality int, pay flo
 	}
 
 	c.attempts.Inc()
-	out, replay, retryable, err := c.post(ctx, key, cardinality, pay, difficulty, truth)
+	out, replay, retryable, err := r.post(ctx, key, body, tasks)
 	switch {
 	case err == nil:
 		c.breaker.Record(nil)
@@ -343,12 +393,45 @@ func (c *Client) issue(ctx context.Context, key string, cardinality int, pay flo
 	return out, retryable, err
 }
 
-// binRequest is the wire shape of one bin issue.
-type binRequest struct {
-	Cardinality int     `json:"cardinality"`
-	Pay         float64 `json:"pay"`
-	Difficulty  int     `json:"difficulty"`
-	Truth       []bool  `json:"truth"`
+// binRequestSize bounds the encoding of a bin issue with the given
+// number of tasks: 46 bytes of punctuation and field names, two int64s
+// of 20, a float of at most 25, and "null" or "false," per task.
+func binRequestSize(tasks int) int { return 116 + 6*tasks }
+
+// appendBinRequest appends the wire form of one bin issue to b — for a
+// finite pay, byte for byte what json.Marshal writes for the struct
+// {cardinality int, pay float64, difficulty int, truth []bool}.
+func appendBinRequest(b []byte, cardinality int, pay float64, difficulty int, truth []bool) []byte {
+	b = append(b, `{"cardinality":`...)
+	b = strconv.AppendInt(b, int64(cardinality), 10)
+	b = append(b, `,"pay":`...)
+	// encoding/json's float64 form: %f, except exponent notation below
+	// 1e-6 and from 1e21 on, with the exponent unpadded (e-7, not e-07).
+	f := byte('f')
+	if abs := math.Abs(pay); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		f = 'e'
+	}
+	b = strconv.AppendFloat(b, pay, f, -1, 64)
+	if n := len(b); f == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	b = append(b, `,"difficulty":`...)
+	b = strconv.AppendInt(b, int64(difficulty), 10)
+	b = append(b, `,"truth":`...)
+	if truth == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, t := range truth {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, t)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
 // binResponse is the wire shape of one bin outcome.
@@ -362,26 +445,25 @@ type binResponse struct {
 // post performs the HTTP round trip for one attempt. replay reports the
 // platform served a previously committed result (idempotent
 // reconciliation); retryable classifies the failure.
-func (c *Client) post(ctx context.Context, key string, cardinality int, pay float64, difficulty int, truth []bool) (out crowdsim.BinOutcome, replay, retryable bool, err error) {
-	body, err := json.Marshal(binRequest{Cardinality: cardinality, Pay: pay, Difficulty: difficulty, Truth: truth})
-	if err != nil {
-		return out, false, false, fmt.Errorf("platform: encode bin: %w", err)
-	}
+func (r *Runner) post(ctx context.Context, key string, body []byte, tasks int) (out crowdsim.BinOutcome, replay, retryable bool, err error) {
+	c := r.c
 	actx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+"/v1/bins", bytes.NewReader(body))
-	if err != nil {
-		return out, false, false, fmt.Errorf("platform: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Idempotency-Key", key)
+	req := c.tmpl.WithContext(actx)
+	vals := &[3]string{"application/json", key, c.auth} // one allocation backs every header value
+	req.Header = http.Header{"Content-Type": vals[0:1:1], "Idempotency-Key": vals[1:2:2]}
 	if c.auth != "" {
-		req.Header.Set("Authorization", c.auth)
+		req.Header["Authorization"] = vals[2:3:3]
 	}
+	// A body net/http knows is in memory goes out in the same write as
+	// the headers.
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	req.ContentLength = int64(len(body))
 	start := time.Now()
-	resp, err := c.http.Do(req)
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
-		return out, false, true, fmt.Errorf("platform: issue %s: %w", key, err)
+		return out, false, true, fmt.Errorf("platform: issue %s: %w", key, &url.Error{Op: "Post", URL: c.binsURL, Err: err})
 	}
 	defer resp.Body.Close()
 	switch {
@@ -398,14 +480,24 @@ func (c *Client) post(ctx context.Context, key string, cardinality int, pay floa
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return out, false, false, fmt.Errorf("platform: issue %s rejected: HTTP %d: %s", key, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
+	// A truncated, oversized or mangled body after a 200 is retryable:
+	// the commit already happened — re-read it under the same key.
+	raw, rerr := r.readResponse(resp.Body)
+	if rerr != nil {
+		return out, false, true, fmt.Errorf("platform: issue %s: reading response: %w", key, rerr)
+	}
 	var wire binResponse
-	if derr := json.NewDecoder(io.LimitReader(resp.Body, maxBinBody)).Decode(&wire); derr != nil {
-		// Truncated or mangled body after a 200: the commit already
-		// happened — re-read it under the same key.
+	if tasks > 0 {
+		// Sized to the bin, the answers decode in place; both slices
+		// share one allocation.
+		both := make([]bool, 2*tasks)
+		wire.Answers, wire.Correct = both[:0:tasks], both[tasks:tasks:2*tasks]
+	}
+	if derr := json.Unmarshal(raw, &wire); derr != nil {
 		return out, false, true, fmt.Errorf("platform: issue %s: reading response: %w", key, derr)
 	}
-	if len(wire.Answers) != len(truth) || len(wire.Correct) != len(truth) {
-		return out, false, true, fmt.Errorf("platform: issue %s: response has %d answers for %d tasks", key, len(wire.Answers), len(truth))
+	if len(wire.Answers) != tasks || len(wire.Correct) != tasks {
+		return out, false, true, fmt.Errorf("platform: issue %s: response has %d answers for %d tasks", key, len(wire.Answers), tasks)
 	}
 	c.latency.ObserveSince(start)
 	out = crowdsim.BinOutcome{
@@ -415,6 +507,33 @@ func (c *Client) post(ctx context.Context, key string, cardinality int, pay floa
 		Overtime: wire.Overtime,
 	}
 	return out, resp.Header.Get("X-Idempotent-Replay") == "true", false, nil
+}
+
+// errBodyTooLarge reports a bin response past maxBinBody.
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBinBody)
+
+// readResponse reads a whole response body into the Runner's scratch,
+// which the next bin reuses: nothing of it may outlive the decode.
+func (r *Runner) readResponse(body io.Reader) ([]byte, error) {
+	b := r.resp[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, make([]byte, max(512, len(b)))...)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):min(cap(b), maxBinBody+1)])
+		b = b[:len(b)+n]
+		if len(b) > maxBinBody {
+			r.resp = nil // garbage does not pin a megabyte to the job
+			return nil, errBodyTooLarge
+		}
+		r.resp = b
+		switch {
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 // gaugeBreaker mirrors the breaker state into its gauge.

@@ -300,6 +300,22 @@ func TestPlatformAuth(t *testing.T) {
 	}
 }
 
+// TestPlatformURLCredentials: credentials in the base URL go out as
+// Basic auth, as they did when requests went through http.Client.
+func TestPlatformURLCredentials(t *testing.T) {
+	in, plan, truth := chaosEnv(t, 60)
+	srv, err := testplatform.New(testplatform.Options{Seed: 5, Auth: "Basic dTpw"}) // u:p
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := hardenedClient(t, strings.Replace(srv.URL(), "http://", "http://u:p@", 1), nil)
+	rep, err := executor.ExecuteContext(context.Background(), c.Runner(), in, plan, truth, executor.Options{RunID: "userinfo"})
+	if err != nil || rep.Degraded {
+		t.Fatalf("run with URL credentials: err=%v degraded=%v last error %q", err, rep.Degraded, rep.LastError)
+	}
+}
+
 func TestPlatformRetryBudgetExhaustion(t *testing.T) {
 	srv, err := testplatform.New(testplatform.Options{Seed: 5})
 	if err != nil {
@@ -371,6 +387,9 @@ func TestNewClientValidation(t *testing.T) {
 	}
 	if _, err := NewClient(Config{BaseURL: "ftp://market"}); err == nil {
 		t.Fatal("non-http URL accepted")
+	}
+	if _, err := NewClient(Config{BaseURL: "http://market example.com"}); err == nil {
+		t.Fatal("unparseable URL accepted")
 	}
 	c, err := NewClient(Config{BaseURL: "http://market.example.com/"})
 	if err != nil {

@@ -10,7 +10,9 @@ import (
 // out linearly anyway; the encoders here render the identical bytes
 // straight off the run walk (eachSpan) into one fixed chunk that is handed
 // to the io.Writer whenever it fills — O(1) server memory regardless of
-// plan size. Ids are rendered two ways. Explicit arena slots go through
+// plan size. The chunk comes from a small free list and goes back to it
+// when the encode returns, so a steady stream of encodes allocates
+// nothing. Ids are rendered two ways. Explicit arena slots go through
 // strconv.AppendInt, appended in place. A use over consecutive ids of a
 // hundred and up on an identity arena — full-block or an unwrapped padded
 // one, which is nearly every use of a homogeneous solve — is
@@ -22,6 +24,12 @@ import (
 
 // encodeBufSize is the chunk the streaming encoders fill and write out.
 const encodeBufSize = 32 << 10
+
+// freeChunks is the encoders' free list, Effective Go's leaky buffer: at
+// most cap(freeChunks) idle chunks (256 KiB) stay resident. Taking one
+// never blocks — an empty list means a fresh chunk — and a chunk given
+// back to a full list is left to the garbage collector.
+var freeChunks = make(chan []byte, 8)
 
 const (
 	// maxIntLen bounds the rendered length of an int: sign and 19 digits.
@@ -46,6 +54,10 @@ const digitPairs = "" +
 // produces for {"uses": Materialized()} ({"uses":null} for an empty plan)
 // — without materializing the plan. The equivalence is pinned byte for
 // byte by TestEncodeJSONMatchesMarshal.
+//
+// The encoders write through a chunk that later encodes reuse, so w's
+// Write must not retain the slice it is given after it returns — the
+// io.Writer rule; every writer in this module copies or discards.
 func (p *Plan) EncodeJSON(w io.Writer) error {
 	return p.encode(w, `{"uses":[`, `,`, `]}`, `{"uses":null}`)
 }
@@ -53,7 +65,8 @@ func (p *Plan) EncodeJSON(w io.Writer) error {
 // EncodeUses writes the bare uses array — the bytes json.Marshal produces
 // for Materialized() (null for a plan whose materialized view is nil) —
 // for callers that splice the plan into a larger JSON document without
-// the {"uses":...} wrapper.
+// the {"uses":...} wrapper. Like EncodeJSON, it needs a w that does not
+// retain what it is given.
 func (p *Plan) EncodeUses(w io.Writer) error {
 	return p.encode(w, `[`, `,`, `]`, `null`)
 }
@@ -61,15 +74,34 @@ func (p *Plan) EncodeUses(w io.Writer) error {
 // EncodeUsesNDJSON writes one bin use per line, each line byte-identical
 // to the standalone json.Marshal of that BinUse, with no surrounding
 // array. An empty plan writes nothing. This is the content-negotiated
-// application/x-ndjson form of the plan body.
+// application/x-ndjson form of the plan body. Like EncodeJSON, it needs a w
+// that does not retain what it is given.
 func (p *Plan) EncodeUsesNDJSON(w io.Writer) error {
 	return p.encode(w, ``, "\n", "\n", ``)
 }
 
 // encode streams the plan's uses between open and end with sep between
-// two uses, or writes empty for a plan with no use.
+// two uses, or writes empty for a plan with no use. The chunk is taken
+// from the free list and goes back to it on every return, a failed Write
+// included.
 func (p *Plan) encode(w io.Writer, open, sep, end, empty string) error {
-	c := chunk{w: w, buf: make([]byte, 0, encodeBufSize)}
+	var buf []byte
+	select {
+	case buf = <-freeChunks:
+	default:
+		buf = make([]byte, 0, encodeBufSize)
+	}
+	c := chunk{w: w, buf: buf}
+	err := c.plan(p, open, sep, end, empty)
+	select {
+	case freeChunks <- c.buf[:0]:
+	default:
+	}
+	return err
+}
+
+// plan renders the whole plan through the chunk and flushes it.
+func (c *chunk) plan(p *Plan, open, sep, end, empty string) error {
 	pr, lead := p.Runs(), open
 	err := pr.eachSpan(func(s useSpan) error {
 		c.use(pr, s, lead)

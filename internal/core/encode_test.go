@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -313,37 +314,180 @@ func BenchmarkEncodeJSONBigPlan(b *testing.B) {
 	}
 }
 
-// encodeAllocBudget fails the gate if streaming a million-task plan
-// allocates more than this. The chunk measures 32 KiB; 512 KiB allows GC
-// bookkeeping noise while still catching any O(assignments)
-// materialization sneaking back into the encoder (the materialized form of
-// this plan is tens of MiB).
-const encodeAllocBudget = 512 << 10
-
-// TestEncodeJSONMillionTaskAllocBudget is the O(runs) plan-encoding gate:
-// bytes out grow with the task count, allocations must not — on an
-// explicit arena and on the identity arena every homogeneous request
-// encodes from.
+// TestEncodeJSONMillionTaskAllocBudget is the O(1) plan-encoding gate:
+// bytes out grow with the task count, allocations must not. Once one
+// encode has left its chunk on the free list, every entry point streams a
+// million-task plan and the ledger's big-plan body, each from an identity
+// arena and from an explicit one, to io.Discard with no allocation at all.
+// At commit a08cf0b, whose encoders made their chunk per call, every row
+// read 1 allocation and 32,768 B per encode; any O(assignments)
+// materialization (tens of MiB for the million-task plan) trips it too.
 func TestEncodeJSONMillionTaskAllocBudget(t *testing.T) {
 	const n = 1_000_000
 	comb := &RunComb{Parts: []RunPart{{Cardinality: 4, Count: 2}, {Cardinality: 12, Count: 1}}, BlockLen: 12}
 	blocks := n / comb.BlockLen
-	ident := &PlanRuns{N: n, Runs: []BlockRun{
+	million := &PlanRuns{N: n, Runs: []BlockRun{
 		{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen},
 		{Comb: comb, Blocks: 0, Off: blocks * comb.BlockLen, Len: n - blocks*comb.BlockLen},
 	}}
-	for arena, pr := range map[string]*PlanRuns{"explicit": explicitOf(ident), "identity": ident} {
-		plan := NewRunPlan(pr)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if err := plan.EncodeJSON(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > encodeAllocBudget {
-			t.Errorf("encoding a %d-task plan (%s arena) allocated %d KiB; budget is %d KiB — the encoder is materializing instead of streaming",
-				n, arena, got>>10, encodeAllocBudget>>10)
+	bigPlan := bigPlanRuns(300_000)
+	for _, c := range []struct {
+		name string
+		pr   *PlanRuns
+	}{
+		{"million/identity", million}, {"million/explicit", explicitOf(million)},
+		{"big-plan/identity", bigPlan}, {"big-plan/explicit", explicitOf(bigPlan)},
+	} {
+		p := NewRunPlan(c.pr)
+		for _, e := range []struct {
+			name string
+			enc  func(io.Writer) error
+		}{{"EncodeJSON", p.EncodeJSON}, {"EncodeUses", p.EncodeUses}, {"EncodeUsesNDJSON", p.EncodeUsesNDJSON}} {
+			allocs, allocBytes := encodeAllocs(t, e.enc)
+			t.Logf("%s %s: %d allocs/op, %d B/op", c.name, e.name, allocs, allocBytes)
+			if allocs != 0 || allocBytes != 0 {
+				t.Errorf("%s %s: %d allocs and %d B per warm encode; budget is 0 and 0", c.name, e.name, allocs, allocBytes)
+			}
 		}
 	}
+}
+
+// encodeAllocs counts the allocations and bytes of one encode to
+// io.Discard after a warm-up encode, at GOMAXPROCS 1 as
+// testing.AllocsPerRun counts: the encoders are deterministic, so one
+// encode reads what any would.
+func encodeAllocs(t *testing.T, enc func(io.Writer) error) (allocs, allocBytes uint64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	if err := enc(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	err := enc(io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// prefixWriter keeps what it is written up to limit bytes and fails the
+// Write that would pass it, and every Write after: a client that
+// disconnects mid-plan, keeping what it read.
+type prefixWriter struct {
+	got    bytes.Buffer
+	limit  int
+	failed bool
+}
+
+func (w *prefixWriter) Write(p []byte) (int, error) {
+	if w.failed || w.got.Len()+len(p) > w.limit {
+		w.failed = true
+		return 0, errShortWrite
+	}
+	return w.got.Write(p)
+}
+
+// wantEncodings is every entry point's reference bytes, from encoding/json
+// over the materialized uses.
+func wantEncodings(t testing.TB, p *Plan) map[string][]byte {
+	t.Helper()
+	uses := p.Materialized()
+	js, err := json.Marshal(struct {
+		Uses []BinUse `json:"uses"`
+	}{uses})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := json.Marshal(uses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nd bytes.Buffer
+	for _, u := range uses {
+		line, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Write(line)
+		nd.WriteByte('\n')
+	}
+	return map[string][]byte{"EncodeJSON": js, "MarshalJSON": js, "EncodeUses": arr, "EncodeUsesNDJSON": nd.Bytes()}
+}
+
+// chunkyRuns is a random plan several chunks long: wide full runs, the
+// occasional use too wide for the chunk and a padded tail, over ids from
+// a random base, on an identity or an explicit arena.
+func chunkyRuns(r *rand.Rand) *PlanRuns {
+	runs := []BlockRun{
+		{Comb: oneBin(1 + r.Intn(20)), Blocks: r.Intn(800)},
+		{Comb: testComb(), Blocks: r.Intn(300)},
+	}
+	if r.Intn(4) == 0 {
+		runs = append(runs, BlockRun{Comb: oneBin(5000), Blocks: 1})
+	}
+	runs = append(runs, BlockRun{Comb: testComb(), Blocks: 0, Len: 1 + r.Intn(5)})
+	runs, n := layOut(runs...)
+	pr := &PlanRuns{Base: r.Intn(2_000_000) - 1000, N: n, Runs: runs}
+	if r.Intn(2) == 0 {
+		return explicitOf(pr)
+	}
+	return pr
+}
+
+// TestEncodeChunkReuseConcurrent: chunks pass between encodes on four
+// times as many goroutines as the free list holds, through every entry
+// point, and between encodes whose writer fails mid-plan and encodes that
+// finish. Every finished encode writes exactly encoding/json's bytes and
+// every failed one a prefix of them, so a chunk given back — after an
+// error too — carries nothing into the encode that takes it next.
+func TestEncodeChunkReuseConcurrent(t *testing.T) {
+	goroutines, rounds := 4*cap(freeChunks), 8
+	if testing.Short() {
+		rounds = 3
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for range rounds {
+				var pr *PlanRuns
+				if r.Intn(3) == 0 {
+					pr = randomRuns(r)
+				} else {
+					pr = chunkyRuns(r)
+				}
+				p := NewRunPlan(pr)
+				for entry, want := range wantEncodings(t, p) {
+					if entry == "MarshalJSON" {
+						if got, err := p.MarshalJSON(); err != nil || !bytes.Equal(got, want) {
+							t.Errorf("goroutine %d: MarshalJSON differs from encoding/json (err %v)", g, err)
+						}
+						continue
+					}
+					enc := map[string]func(io.Writer) error{
+						"EncodeJSON": p.EncodeJSON, "EncodeUses": p.EncodeUses, "EncodeUsesNDJSON": p.EncodeUsesNDJSON,
+					}[entry]
+					// Half the encodes fail somewhere inside the plan.
+					w := &prefixWriter{limit: len(want)}
+					if r.Intn(2) == 0 {
+						w.limit = r.Intn(len(want) + 1)
+					}
+					err := enc(w)
+					switch {
+					case w.limit == len(want) && (err != nil || !bytes.Equal(w.got.Bytes(), want)):
+						t.Errorf("goroutine %d: %s differs from encoding/json (err %v)", g, entry, err)
+					case w.limit < len(want) && !errors.Is(err, errShortWrite):
+						t.Errorf("goroutine %d: %s failing after %d of %d bytes: err %v, want the writer's", g, entry, w.limit, len(want), err)
+					case !bytes.HasPrefix(want, w.got.Bytes()):
+						t.Errorf("goroutine %d: %s wrote bytes that are not a prefix of encoding/json's", g, entry)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -526,12 +526,19 @@ func handleCancelJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// decodeBody decodes a JSON request body into dst, writing the error
-// response itself on failure.
+// decodeBody decodes a JSON request body — one JSON value, optionally
+// followed by whitespace — into dst, writing the error response itself on
+// failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}

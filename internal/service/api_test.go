@@ -638,3 +638,36 @@ func assertMarshalledPlanReply[T any](t *testing.T, raw []byte) T {
 	}
 	return v
 }
+
+// TestTrailingDataRejected: a request body is one JSON value. Anything but
+// whitespace after it — garbage, a second value, a stray closing brace —
+// is a 400 invalid_request on every route that decodes a body, while
+// trailing whitespace (json.Encoder ends its output with a newline) stays
+// legal.
+func TestTrailingDataRejected(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
+	defer svc.Close()
+	h := NewHandler(svc)
+	routes := []struct{ path, body string }{
+		{"/v1/decompose", fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9}`, table1JSON)},
+		{"/v1/decompose/batch", fmt.Sprintf(`{"bins":%s,"instances":[{"n":12,"threshold":0.9}]}`, table1JSON)},
+		{"/v1/jobs", fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9}`, table1JSON)},
+		{"/v1/streams", fmt.Sprintf(`{"bins":%s,"threshold":0.9}`, table1JSON)},
+	}
+	for _, rt := range routes {
+		for _, tail := range []string{"garbage", `{"n":7}`, "}", " []", "\n1"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", rt.path, strings.NewReader(rt.body+tail)))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"code":"invalid_request"`) {
+				t.Errorf("POST %s with %q after the body: status %d, %s; want 400 invalid_request", rt.path, tail, rec.Code, rec.Body)
+			}
+		}
+		for _, tail := range []string{"", "\n", " \r\n\t "} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", rt.path, strings.NewReader(rt.body+tail)))
+			if rec.Code/100 != 2 {
+				t.Errorf("POST %s with %q after the body: status %d, %s; want success", rt.path, tail, rec.Code, rec.Body)
+			}
+		}
+	}
+}

@@ -183,6 +183,8 @@ func contractScript() []contractStep {
 			body: fmt.Sprintf(`{"bins":%s,"n":1000000000000,"threshold":0.9}`, table1JSON)},
 		{name: "decompose_unknown_solver", method: "POST", path: "/v1/decompose",
 			body: fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9,"solver":"nope"}`, table1JSON)},
+		{name: "decompose_trailing_data", method: "POST", path: "/v1/decompose",
+			body: fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9}{"n":7}`, table1JSON)},
 		{name: "batch_ok", method: "POST", path: "/v1/decompose/batch",
 			body: fmt.Sprintf(`{"bins":%s,"instances":[{"n":12,"threshold":0.9},{"thresholds":[0.5,0.86]}]}`, table1JSON)},
 		{name: "batch_bad_member", method: "POST", path: "/v1/decompose/batch",

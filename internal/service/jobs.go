@@ -355,7 +355,9 @@ func recordFromJob(j *job) (store.JobRecord, error) {
 		rec.Error = j.err.Error()
 	}
 	if j.plan != nil {
-		data, err := json.Marshal(j.plan)
+		// The plan's own encoder, not json.Marshal: its bytes are already
+		// compact, and json.Marshal would scan and copy them twice more.
+		data, err := j.plan.MarshalJSON()
 		if err != nil {
 			return store.JobRecord{}, err
 		}

@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/binset"
 	"repro/internal/core"
+	"repro/internal/hetero"
 	"repro/internal/store"
 )
 
@@ -405,5 +408,96 @@ func TestEvictJobRemovesStoredRecord(t *testing.T) {
 	}
 	if _, err := fsStore.GetJob(id); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("evicted job still on disk: %v", err)
+	}
+}
+
+// TestRecordPlanBytesUnchanged: a job record stores the plan's own
+// encoding, which must be json.Marshal's bytes for the plan byte for byte
+// — on an identity and an explicit arena, for a PlanFromUses plan, an
+// OPQ-Extended one and the empty plan — so every stored record reads as it
+// did when records went through json.Marshal.
+func TestRecordPlanBytesUnchanged(t *testing.T) {
+	jelly := binset.MustJelly(20)
+	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
+	defer svc.Close()
+	ident, err := svc.Decompose(context.Background(), core.MustHomogeneous(jelly, 30_000, 0.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ident.Runs().Arena != nil {
+		t.Fatal("the homogeneous solve's plan has an explicit arena; the identity case tests nothing")
+	}
+	// The same runs over the ids in reverse: an explicit arena.
+	arena := make([]int, ident.Runs().NumTasks())
+	for i := range arena {
+		arena[i] = len(arena) - 1 - i
+	}
+	explicit := core.NewRunPlan(&core.PlanRuns{Arena: arena, Runs: ident.Runs().Runs})
+	fromUses, err := core.PlanFromUses([]core.BinUse{
+		{Cardinality: 3, Tasks: []int{0, 1, 2}}, {Cardinality: 1, Tasks: []int{6}}, {Cardinality: 3, Tasks: []int{6, 7}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ths := make([]float64, 500)
+	for i := range ths {
+		ths[i] = 0.85 + 0.03*float64(i%4)
+	}
+	ext, err := hetero.Solve(core.MustHeterogeneous(jelly, ths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		plan *core.Plan
+	}{
+		{"identity", ident}, {"explicit", explicit}, {"PlanFromUses", fromUses},
+		{"OPQ-Extended", ext}, {"empty", &core.Plan{}}, {"empty runs", core.NewRunPlan(&core.PlanRuns{})},
+	} {
+		rec, err := recordFromJob(&job{id: "job-1", kind: KindSolve, state: JobDone, plan: c.plan})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := json.Marshal(c.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(rec.Plan, want) {
+			t.Errorf("%s: record plan differs from json.Marshal's:\n got %.200s\nwant %.200s", c.name, rec.Plan, want)
+		}
+		if c.plan.NumUses() == 0 && string(rec.Plan) != `{"uses":null}` {
+			t.Errorf("%s: record plan %s, want {\"uses\":null}", c.name, rec.Plan)
+		}
+	}
+}
+
+// TestPlanMarshalAllocBudget is the clock-free gate on the plan encode
+// every durable record pays: MarshalJSON of a jobs-durable plan (Jelly-20,
+// t = 0.9, n = 2,000) allocates exactly its bytes.Buffer and the one
+// 13,568 B slice the buffer sizes for the body's single Write — 2
+// allocations and 13,616 B; 3 and 27,184 B under -race, whose
+// instrumentation makes that slice twice. Commit a08cf0b, whose encoder
+// also made a 32 KiB chunk per call, reads 3 and 46,384 B on the same
+// loop.
+func TestPlanMarshalAllocBudget(t *testing.T) {
+	allocsBudget, bytesBudget := 2.0, 13_616.0
+	if raceBuild {
+		allocsBudget, bytesBudget = 3, 27_184
+	}
+	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
+	plan, err := svc.Decompose(context.Background(), core.MustHomogeneous(binset.MustJelly(20), 2000, 0.9))
+	svc.Close() // nothing of the service's may allocate during the count
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, perOp := allocsAndBytesPerRun(50, func() {
+		if _, err := plan.MarshalJSON(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("MarshalJSON of a jobs-durable plan: %.0f allocs/op, %.0f B/op", allocs, perOp)
+	if allocs > allocsBudget || perOp > bytesBudget {
+		t.Errorf("MarshalJSON of a jobs-durable plan: %.0f allocs and %.0f B per call, over the committed budget of %.0f and %.0f",
+			allocs, perOp, allocsBudget, bytesBudget)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -226,4 +227,71 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 	if allocs > decomposeHandlerAllocBudget {
 		t.Errorf("warm POST /v1/decompose: %.0f allocs/op, over the committed budget of %d", allocs, decomposeHandlerAllocBudget)
 	}
+
+	// The plan-bearing rows: the same menu at big-plan's n with the whole
+	// plan, as JSON and as NDJSON, into a writer that drops the body.
+	planBody := fmt.Sprintf(`{"bins":%s,"n":300000,"threshold":0.9,"include_plan":true}`, bins)
+	const planRuns = 10
+	for _, accept := range []string{"application/json", "application/x-ndjson"} {
+		reqs := make([]*http.Request, planRuns+1)
+		ws := make([]*discardResponse, len(reqs))
+		for i := range reqs {
+			reqs[i] = httptest.NewRequest("POST", "/v1/decompose", strings.NewReader(planBody))
+			reqs[i].Header.Set("Accept", accept)
+			ws[i] = &discardResponse{header: http.Header{}}
+		}
+		next := 0
+		allocs, perOp := allocsAndBytesPerRun(planRuns, func() {
+			h.ServeHTTP(ws[next], reqs[next])
+			if ws[next].code != http.StatusOK || ws[next].written < 2<<20 {
+				t.Fatalf("%s: status %d, %d bytes of body", accept, ws[next].code, ws[next].written)
+			}
+			next++
+		})
+		t.Logf("warm POST /v1/decompose include_plan %s: %.0f allocs/op, %.0f B/op", accept, allocs, perOp)
+		if perOp > planHandlerBytesBudget {
+			t.Errorf("warm POST /v1/decompose include_plan %s: %.0f B/op, over the committed budget of %d", accept, perOp, planHandlerBytesBudget)
+		}
+	}
+}
+
+// planHandlerBytesBudget is the committed bytes/op budget of a warm
+// include_plan POST /v1/decompose at n = 300,000 (2.6 MB of plan, the
+// ledger's big-plan body) as JSON and as NDJSON: 6.0 KB measured (6.8 KB
+// under -race), none of it the encoder's. Commit a08cf0b, whose encoders
+// made a 32 KiB chunk per call, reads 38.8 KB on the same loop.
+const planHandlerBytesBudget = 8 << 10
+
+// discardResponse is a ResponseWriter that keeps the status and counts the
+// body without holding it.
+type discardResponse struct {
+	header  http.Header
+	code    int
+	written int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+
+func (d *discardResponse) WriteHeader(code int) { d.code = code }
+
+func (d *discardResponse) Write(p []byte) (int, error) {
+	if d.code == 0 {
+		d.code = http.StatusOK
+	}
+	d.written += len(p)
+	return len(p), nil
+}
+
+// allocsAndBytesPerRun is testing.AllocsPerRun that also reports the bytes
+// allocated: f runs once to warm up, then runs times, at GOMAXPROCS 1.
+func allocsAndBytesPerRun(runs int, f func()) (allocs, bytesPerOp float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -300,15 +300,20 @@ func ExecuteContext(ctx context.Context, r BinRunner, in *core.Instance, plan *c
 // checked before every issue so a cancel never pays for another bin.
 // Uses are streamed straight off the plan — never expanded into per-use
 // slices — and the per-bin truth vector is one reusable buffer sized to
-// the menu's largest bin, which bounds every use of a menu cardinality
+// the menu's largest bin or the instance, whichever is smaller: a use
+// holds at most its cardinality's tasks, and at most N distinct ones, so
+// a menu bin far larger than the instance allocates nothing extra
 // (BinRunner's contract is synchronous: implementations must not retain
 // the slice past RunBinContext).
 func runPlan(ctx context.Context, r BinRunner, in *core.Instance, plan *core.Plan, truth []bool, o Options, rep *Report) error {
-	scratch := make([]bool, in.Bins().MaxCardinality())
+	scratch := make([]bool, min(in.Bins().MaxCardinality(), in.N()))
 	return plan.EachUse(func(cardinality int, tasks []int) error {
 		bin, ok := in.Bins().ByCardinality(cardinality)
 		if !ok {
 			return fmt.Errorf("executor: unknown bin cardinality %d", cardinality)
+		}
+		if len(tasks) > len(scratch) {
+			return fmt.Errorf("executor: a use lists %d tasks for a %d-task instance", len(tasks), in.N())
 		}
 		binTruth := scratch[:len(tasks)]
 		for i, t := range tasks {

@@ -105,6 +105,34 @@ func TestExecuteRejectsBadInput(t *testing.T) {
 	if _, err := Execute(pl, in, oob, truth, Options{}); err == nil {
 		t.Error("out-of-range task accepted")
 	}
+	// Eleven task slots for ten tasks: an error, not a slice panic.
+	crowded := planOf(core.BinUse{Cardinality: 20, Tasks: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0}})
+	if _, err := Execute(pl, in, crowded, truth, Options{}); err == nil {
+		t.Error("use with more tasks than the instance accepted")
+	}
+}
+
+// TestExecuteHugeBinOverSmallInstance: a menu whose one bin holds 2⁴⁰
+// tasks executes a 10-task instance with a truth buffer sized by the
+// instance — sized by the menu, the run died of an out-of-memory fault.
+func TestExecuteHugeBinOverSmallInstance(t *testing.T) {
+	menu := core.MustBinSet([]core.TaskBin{{Cardinality: 1 << 40, Confidence: 0.9, Cost: 0.5}})
+	in, err := core.NewHomogeneous(menu, 10, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (opq.Solver{}).Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &scriptedRunner{}
+	rep, err := ExecuteContext(context.Background(), RunnerFunc(r.RunBin), in, plan, make([]bool, in.N()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BinsIssued != plan.NumUses() || r.calls != plan.NumUses() {
+		t.Errorf("issued %d bins (%d runner calls) for a %d-use plan", rep.BinsIssued, r.calls, plan.NumUses())
+	}
 }
 
 func TestExecuteRetriesOvertime(t *testing.T) {

@@ -15,20 +15,21 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// Fingerprint returns a compact cache key for the queue opq.Build(bins, t)
+// Fingerprint returns a compact key for the queue opq.Build(bins, t)
 // would construct: an FNV-64a digest over the menu's bins (in
 // ascending-cardinality order, the canonical BinSet order) and the exact bit
 // pattern of the threshold. Identical (menu, threshold) pairs always share a
 // fingerprint; distinct pairs collide only with 64-bit-hash probability, so
 // callers using it as a cache key must confirm a hit against the full key
-// material (the service's OPQCache does).
+// material.
 //
-// Fingerprint sits on the per-request hot path of the serving layer (every
-// cache lookup and every batch join keys by it), so it renders the key with
-// direct strconv appends instead of fmt. The format "%016x:m%d:t%.6f" is
-// pinned by TestFingerprintFormat: the string is the service's cache key
-// and its 16-hex-digit prefix, up to the first ':', is the `key` label on
-// /metrics. It is not written to disk.
+// Fingerprint is not the service's cache key: the OPQ cache and the
+// batcher both key by FingerprintDigest plus the menu length and the
+// threshold's bits, and render nothing per request. The string stays the
+// library's canonical form (slade.MenuFingerprint); its 16-hex-digit
+// prefix, up to the first ':', is the digest the service's /metrics
+// `key` label prints. The format "%016x:m%d:t%.6f" is pinned by
+// TestFingerprintFormat. It is not written to disk.
 func Fingerprint(bins core.BinSet, t float64) string {
 	const hexdigits = "0123456789abcdef"
 	sum := FingerprintDigest(bins, t)
@@ -44,10 +45,11 @@ func Fingerprint(bins core.BinSet, t float64) string {
 }
 
 // FingerprintDigest returns Fingerprint's 64-bit digest without rendering
-// the string form — the per-request key the service's batcher groups by,
-// where the string's strconv work would be pure overhead. Like the full
-// fingerprint, equal digests of distinct key material are possible and
-// must be confirmed against the full (menu, threshold) pair.
+// the string form — the per-request key the service's OPQ cache and
+// batcher group by, where the string's strconv work would be pure
+// overhead. Like the full fingerprint, equal digests of distinct key
+// material are possible and must be confirmed against the full (menu,
+// threshold) pair.
 func FingerprintDigest(bins core.BinSet, t float64) uint64 {
 	h := uint64(fnvOffset64)
 	var buf [8]byte

@@ -50,19 +50,14 @@ type batcher struct {
 	maxRequests int
 
 	mu      sync.Mutex
-	pending map[batchKey]*pendingBatch
+	pending map[queueKey]*pendingBatch
 	// inflight counts detached-but-unfinished flushes per key; the last
 	// one to finish hands any successor batch straight to a new flush.
-	inflight map[batchKey]int
-
-	// Counters, guarded by mu and surfaced as BatchStats.
-	batches         uint64
-	batchedRequests uint64
-	windowTimeouts  uint64
+	inflight map[queueKey]int
 }
 
 // Flush reasons, as exported in the slade_batch_flushes_total{reason}
-// metric and threaded through flush for the windowTimeouts counter.
+// metric that BatchStats reads.
 const (
 	// flushReasonWindow: the accumulation window expired.
 	flushReasonWindow = "window"
@@ -73,21 +68,11 @@ const (
 	flushReasonDrain = "drain"
 )
 
-// batchKey groups same-menu traffic: the fingerprint digest plus the
-// exact threshold and menu length. Unlike the cache's string fingerprint
-// it costs no rendering per request; like it, a digest match is only
-// probable identity and is confirmed against the full key material.
-type batchKey struct {
-	digest    uint64
-	menuLen   int
-	threshold float64
-}
-
 // pendingBatch accumulates the members of one cache key until flush.
 // done closes after every member's slot is written, publishing all
 // results with one wakeup sweep.
 type pendingBatch struct {
-	key       batchKey
+	key       queueKey
 	bins      core.BinSet
 	threshold float64
 	members   []*batchMember
@@ -117,8 +102,8 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 		svc:         svc,
 		window:      window,
 		maxRequests: maxRequests,
-		pending:     make(map[batchKey]*pendingBatch),
-		inflight:    make(map[batchKey]int),
+		pending:     make(map[queueKey]*pendingBatch),
+		inflight:    make(map[queueKey]int),
 	}
 }
 
@@ -128,11 +113,7 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 // with at least one task.
 func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, error) {
 	bins, threshold := in.Bins(), in.Threshold(0)
-	key := batchKey{
-		digest:    opq.FingerprintDigest(bins, threshold),
-		menuLen:   bins.Len(),
-		threshold: threshold,
-	}
+	key := keyOf(bins, threshold)
 	m := &batchMember{n: in.N()}
 
 	b.mu.Lock()
@@ -149,9 +130,7 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, erro
 		pb.timer = time.AfterFunc(b.window, func() { b.flushExpired(key, pb) })
 	}
 	pb.members = append(pb.members, m)
-	if bm := b.svc.metrics; bm != nil {
-		bm.batchPending.Inc()
-	}
+	b.svc.metrics.batchPending.Inc()
 	if len(pb.members) >= b.maxRequests {
 		// Cap reached: detach now so the next join opens a fresh batch,
 		// and flush without waiting out the window.
@@ -187,7 +166,7 @@ func (b *batcher) detachLocked(pb *pendingBatch) {
 
 // flushExpired is the window-timer path: it flushes the batch unless the
 // size cap (or a drain handoff) already detached it.
-func (b *batcher) flushExpired(key batchKey, pb *pendingBatch) {
+func (b *batcher) flushExpired(key queueKey, pb *pendingBatch) {
 	b.mu.Lock()
 	if b.pending[key] != pb {
 		b.mu.Unlock()
@@ -211,26 +190,16 @@ func (b *batcher) flush(pb *pendingBatch, reason string) {
 			members = append(members, m)
 		}
 	}
-	if len(members) > 0 {
-		b.batches++
-		b.batchedRequests += uint64(len(members))
-		if reason == flushReasonWindow {
-			b.windowTimeouts++
-		}
-	}
 	joined := len(pb.members)
 	b.mu.Unlock()
-	if bm := b.svc.metrics; bm != nil {
-		// Every joined member (gone ones included) incremented the pending
-		// gauge exactly once; this flush retires them all.
-		bm.batchPending.Add(-int64(joined))
-		if len(members) > 0 {
-			bm.batchFlushes[reason].Inc()
-			bm.batchFlushSize.Observe(float64(len(members)))
-		}
-	}
+	// Every joined member (gone ones included) incremented the pending
+	// gauge exactly once; this flush retires them all.
+	bm := b.svc.metrics
+	bm.batchPending.Add(-int64(joined))
 
 	if len(members) > 0 { // otherwise every caller canceled while pending
+		bm.batchFlushes[reason].Inc()
+		bm.batchFlushSize.Observe(float64(len(members)))
 		pb.err = b.solve(pb, members)
 		close(pb.done) // one close publishes every member's slot
 	}
@@ -295,17 +264,20 @@ type BatchStats struct {
 	WindowTimeouts uint64 `json:"batch_window_timeouts"`
 }
 
-// stats snapshots the batcher's counters. Safe for concurrent use.
+// stats reads the batcher's counts off its /metrics instruments: a
+// flush with a live member counts once under its reason and observes its
+// size. Safe for concurrent use.
 func (b *batcher) stats() BatchStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	bm := b.svc.metrics
 	s := BatchStats{
 		Enabled:         true,
 		WindowMS:        float64(b.window) / float64(time.Millisecond),
 		MaxRequests:     b.maxRequests,
-		Batches:         b.batches,
-		BatchedRequests: b.batchedRequests,
-		WindowTimeouts:  b.windowTimeouts,
+		BatchedRequests: uint64(bm.batchFlushSize.Sum()),
+		WindowTimeouts:  bm.batchFlushes[flushReasonWindow].Value(),
+	}
+	for _, c := range bm.batchFlushes {
+		s.Batches += c.Value()
 	}
 	if s.Batches > 0 {
 		s.MeanSize = float64(s.BatchedRequests) / float64(s.Batches)

@@ -8,8 +8,9 @@ package service
 
 import (
 	"container/list"
+	"fmt"
+	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -46,7 +47,7 @@ type CacheStats struct {
 type BuildFunc func(bins core.BinSet, t float64) (*opq.Queue, error)
 
 // OPQCache is a concurrency-safe LRU cache of Optimal Priority Queues keyed
-// by the canonical (menu, threshold) fingerprint. Concurrent Gets for the
+// by the (menu, threshold) pair's queueKey. Concurrent Gets for the
 // same missing key coalesce into a single build: the first caller runs
 // Algorithm 2, the rest block until it finishes and share the result.
 // Queues are read-only after construction, so sharing is safe.
@@ -54,15 +55,32 @@ type OPQCache struct {
 	mu       sync.Mutex
 	capacity int
 	build    BuildFunc
-	ll       *list.List               // front = most recently used
-	byKey    map[string]*list.Element // fingerprint → *cacheEntry element
-	inflight map[string]*inflightBuild
+	ll       *list.List                 // front = most recently used
+	byKey    map[queueKey]*list.Element // → *cacheEntry element
+	inflight map[queueKey]*inflightBuild
 	stats    CacheStats
 	// keyed tracks per-key traffic for resident and in-flight keys; an
 	// evicted (or failed-build) key's counters fold into folded so the
 	// map stays bounded by the cache capacity plus in-flight builds.
-	keyed  map[string]*keyCounters
+	keyed  map[queueKey]*keyCounters
 	folded KeyCacheStats
+}
+
+// queueKey identifies the queue opq.Build(bins, t) would construct, for
+// the cache and the batcher alike: the menu's fingerprint digest, its
+// length and the threshold's bit pattern (bits, not the float, so a NaN
+// key still finds itself in a map). It costs no rendering per request;
+// a digest match is only probable identity, so both users confirm it
+// against the full key material (sameKey).
+type queueKey struct {
+	digest  uint64
+	menuLen int
+	tbits   uint64
+}
+
+// keyOf returns the queueKey of (bins, t).
+func keyOf(bins core.BinSet, t float64) queueKey {
+	return queueKey{digest: opq.FingerprintDigest(bins, t), menuLen: bins.Len(), tbits: math.Float64bits(t)}
 }
 
 // keyCounters is the live per-key traffic record behind KeyMetrics.
@@ -74,8 +92,9 @@ type keyCounters struct {
 }
 
 // KeyCacheStats is one key's slice of cache traffic, as reported by
-// KeyMetrics. Key is the short fingerprint digest (the hex prefix of the
-// full cache key), suitable as a metric label.
+// KeyMetrics. Key is the key's fingerprint digest in hex, suitable as a
+// metric label (the exposition merges series on the rare digest
+// collision).
 type KeyCacheStats struct {
 	// Key is the 16-hex-digit fingerprint digest, or "" for the
 	// aggregated remainder.
@@ -89,10 +108,10 @@ type KeyCacheStats struct {
 }
 
 // cacheEntry is one resident queue. The full (bins, threshold) key is kept
-// alongside the fingerprint so a hash collision is detected on hit instead
+// alongside the digest key so a hash collision is detected on hit instead
 // of silently serving a queue built for a different menu.
 type cacheEntry struct {
-	key       string
+	key       queueKey
 	bins      core.BinSet
 	threshold float64
 	queue     *opq.Queue
@@ -122,15 +141,15 @@ func NewOPQCacheWithBuilder(capacity int, build BuildFunc) *OPQCache {
 		capacity: capacity,
 		build:    build,
 		ll:       list.New(),
-		byKey:    make(map[string]*list.Element),
-		inflight: make(map[string]*inflightBuild),
-		keyed:    make(map[string]*keyCounters),
+		byKey:    make(map[queueKey]*list.Element),
+		inflight: make(map[queueKey]*inflightBuild),
+		keyed:    make(map[queueKey]*keyCounters),
 	}
 }
 
 // keyCountersLocked returns (creating if needed) the traffic record for
 // key. Caller holds c.mu.
-func (c *OPQCache) keyCountersLocked(key string) *keyCounters {
+func (c *OPQCache) keyCountersLocked(key queueKey) *keyCounters {
 	kc, ok := c.keyed[key]
 	if !ok {
 		kc = &keyCounters{}
@@ -141,7 +160,7 @@ func (c *OPQCache) keyCountersLocked(key string) *keyCounters {
 
 // foldKeyLocked folds key's counters into the aggregated remainder and
 // drops the live record. Caller holds c.mu.
-func (c *OPQCache) foldKeyLocked(key string) {
+func (c *OPQCache) foldKeyLocked(key queueKey) {
 	kc, ok := c.keyed[key]
 	if !ok {
 		return
@@ -157,14 +176,14 @@ func (c *OPQCache) foldKeyLocked(key string) {
 
 // Get returns the queue for (bins, t), building it on first use. Errors are
 // not cached: every Get for a failing key re-attempts the build (concurrent
-// callers still share one attempt). A fingerprint collision (distinct key
+// callers still share one attempt). A digest collision (distinct key
 // material, equal digest) is detected against the stored full key and
 // served by an uncached direct build, never by the colliding entry.
 // Safe for concurrent use; builds run outside the cache lock, so Gets for
 // other keys never block behind Algorithm 2. The returned queue is shared
 // and must be treated as read-only.
 func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
-	key := opq.Fingerprint(bins, t)
+	key := keyOf(bins, t)
 
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -227,7 +246,7 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 }
 
 // sameKey reports whether two (menu, threshold) pairs are identical — the
-// collision check behind the fingerprint shortcut.
+// collision check behind the digest key.
 func sameKey(aBins core.BinSet, aT float64, bBins core.BinSet, bT float64) bool {
 	if aT != bT || aBins.Len() != bBins.Len() {
 		return false
@@ -242,7 +261,7 @@ func sameKey(aBins core.BinSet, aT float64, bBins core.BinSet, bT float64) bool 
 
 // insertLocked adds a built queue and evicts the least recently used entry
 // past capacity. Caller holds c.mu.
-func (c *OPQCache) insertLocked(key string, bins core.BinSet, t float64, q *opq.Queue) {
+func (c *OPQCache) insertLocked(key queueKey, bins core.BinSet, t float64, q *opq.Queue) {
 	if _, ok := c.byKey[key]; ok {
 		return // a racing build for the same key already landed
 	}
@@ -262,10 +281,9 @@ func (c *OPQCache) insertLocked(key string, bins core.BinSet, t float64, q *opq.
 // Contains reports whether the key for (bins, t) is resident, without
 // touching recency or counters. Safe for concurrent use.
 func (c *OPQCache) Contains(bins core.BinSet, t float64) bool {
-	key := opq.Fingerprint(bins, t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.byKey[key]
+	_, ok := c.byKey[keyOf(bins, t)]
 	return ok
 }
 
@@ -295,7 +313,7 @@ func (c *OPQCache) KeyMetrics(topK int) (top []KeyCacheStats, rest KeyCacheStats
 	defer c.mu.Unlock()
 	all := make([]KeyCacheStats, 0, len(c.keyed))
 	for key, kc := range c.keyed {
-		ks := KeyCacheStats{Key: shortKey(key), Hits: kc.hits, Misses: kc.misses, Builds: kc.builds}
+		ks := KeyCacheStats{Key: fmt.Sprintf("%016x", key.digest), Hits: kc.hits, Misses: kc.misses, Builds: kc.builds}
 		if kc.build != nil {
 			ks.Build = kc.build.Snapshot()
 		}
@@ -324,14 +342,4 @@ func (c *OPQCache) KeyMetrics(topK int) (top []KeyCacheStats, rest KeyCacheStats
 		rest.Build = rest.Build.Add(ks.Build)
 	}
 	return top, rest
-}
-
-// shortKey reduces a full cache key to its 16-hex-digit fingerprint
-// digest — short enough for a metric label, distinct enough in practice
-// (the exposition layer merges series on the rare digest collision).
-func shortKey(key string) string {
-	if i := strings.IndexByte(key, ':'); i >= 0 {
-		return key[:i]
-	}
-	return key
 }

@@ -227,6 +227,39 @@ func contractScript() []contractStep {
 	}
 }
 
+// doContractStep runs the step's setup, sends its request to base and
+// returns the response with its body read.
+func doContractStep(t *testing.T, svc *Service, base string, step contractStep) (*http.Response, []byte) {
+	t.Helper()
+	if step.before != nil {
+		step.before(t, svc)
+	}
+	var bodyReader io.Reader
+	if step.body != "" {
+		bodyReader = strings.NewReader(step.body)
+	}
+	req, err := http.NewRequest(step.method, base+step.path, bodyReader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step.body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range step.headers {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s: %v", step.name, err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("%s: read body: %v", step.name, err)
+	}
+	return resp, raw
+}
+
 func TestAPIContract(t *testing.T) {
 	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
 	t.Cleanup(func() { svc.Close() })
@@ -249,32 +282,7 @@ func runContractScript(t *testing.T, svc *Service, dir string, steps []contractS
 
 	seen := map[string]bool{}
 	for _, step := range steps {
-		if step.before != nil {
-			step.before(t, svc)
-		}
-		var bodyReader io.Reader
-		if step.body != "" {
-			bodyReader = strings.NewReader(step.body)
-		}
-		req, err := http.NewRequest(step.method, ts.URL+step.path, bodyReader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step.body != "" {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		for k, v := range step.headers {
-			req.Header.Set(k, v)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("%s: %v", step.name, err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: read body: %v", step.name, err)
-		}
+		resp, raw := doContractStep(t, svc, ts.URL, step)
 
 		var rec bytes.Buffer
 		fmt.Fprintf(&rec, "%s %s\n", step.method, step.path)

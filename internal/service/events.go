@@ -155,7 +155,7 @@ func (h *eventHub) feed(id string) *jobFeed {
 // publish appends one frame to the job's feed.
 func (h *eventHub) publish(id string, ev JobEvent) {
 	ev.JobID = id
-	if h.feed(id).publish(ev) && h.metrics != nil {
+	if h.feed(id).publish(ev) {
 		h.metrics.sseEventsPublished.Inc()
 	}
 }

@@ -139,9 +139,9 @@ type JobManager struct {
 		// at construction — they failed mid-run when the process stopped.
 		interrupted uint64
 		// Run-execution aggregates, counted only for runs executed by
-		// this process (recovered reports never re-execute).
-		runs, runBins, runTopUps uint64
-		runSpend                 float64
+		// this process (recovered reports never re-execute); the run count
+		// and spend are metrics.execJobSpend's count and sum.
+		runBins, runTopUps uint64
 	}
 
 	// persistWG tracks in-flight spills to the store so close can wait
@@ -632,13 +632,9 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 		}
 		m.counts.done++
 		if report != nil {
-			m.counts.runs++
 			m.counts.runBins += uint64(report.BinsIssued)
 			m.counts.runTopUps += uint64(report.TopUpRounds)
-			m.counts.runSpend += report.Spent
-			if bm := m.svc.metrics; bm != nil {
-				bm.execJobSpend.Observe(report.Spent)
-			}
+			m.svc.metrics.execJobSpend.Observe(report.Spent)
 		}
 	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
@@ -868,10 +864,10 @@ func (m *JobManager) Stats() JobStats {
 		Recovered:       m.counts.recovered,
 		Expired:         m.counts.expired,
 		RunsInterrupted: m.counts.interrupted,
-		Runs:            m.counts.runs,
+		Runs:            m.svc.metrics.execJobSpend.Count(),
 		RunBinsIssued:   m.counts.runBins,
 		RunTopUpRounds:  m.counts.runTopUps,
-		RunSpend:        m.counts.runSpend,
+		RunSpend:        m.svc.metrics.execJobSpend.Sum(),
 	}
 	for _, j := range m.jobs {
 		switch j.state {

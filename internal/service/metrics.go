@@ -129,9 +129,6 @@ type routeMetrics struct {
 // makes the store series visible on /metrics even before traffic.
 var storeOps = []string{"put_job", "get_job", "list_jobs", "delete_job"}
 
-// batchFlushReasons enumerates the flush-trigger labels.
-var batchFlushReasons = []string{flushReasonWindow, flushReasonCap, flushReasonDrain}
-
 func newServiceMetrics() *serviceMetrics {
 	reg := obs.NewRegistry()
 	m := &serviceMetrics{
@@ -234,15 +231,6 @@ func (rm *routeMetrics) observe(status int, d time.Duration) {
 	rm.duration.ObserveDuration(d)
 }
 
-// requests sums the route's status-class counters.
-func (rm *routeMetrics) requests() uint64 {
-	var n uint64
-	for _, c := range rm.classes {
-		n += c.Value()
-	}
-	return n
-}
-
 // sortedRoutes returns the route instrument sets ordered by route then
 // method — the deterministic order /v1/stats reports endpoints in.
 func (m *serviceMetrics) sortedRoutes() []*routeMetrics {
@@ -277,7 +265,7 @@ func (s *Service) registerCollectors() {
 	m := s.metrics
 	m.reg.RegisterCollector(func(e *obs.Emitter) {
 		e.Gauge("slade_uptime_seconds", "Service age.", time.Since(s.started).Seconds())
-		e.Counter("slade_solve_requests_total", "Decompose requests (sync and job-driven).", s.requests.Load())
+		e.Counter("slade_solve_requests_total", "Decompose requests (sync and job-driven).", m.solveLatency.Count())
 		e.Counter("slade_solve_errors_total", "Failed decompose requests.", s.errors.Load())
 		e.Counter("slade_solve_tasks_total", "Tasks decomposed by successful requests.", s.tasks.Load())
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -314,5 +315,26 @@ func TestRunJobFactoryErrorsSurfaceAtSubmit(t *testing.T) {
 	}
 	if n := svc.Jobs().Stats().Submitted; n != 0 {
 		t.Fatalf("rejected submission counted: %d", n)
+	}
+}
+
+// TestRunJobHugeBinSettlesDone: a run job whose menu holds one bin of
+// cardinality 2⁴⁰, over ten tasks, settles done. The executor used to
+// size its truth buffer by the menu's largest bin, and the process died
+// of an out-of-memory fault.
+func TestRunJobHugeBinSettlesDone(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `{"kind":"run","bins":[{"cardinality":1099511627776,"confidence":0.9,"cost":0.5}],` +
+		`"n":10,"threshold":0.8,"run":{"seed":7,"positive_rate":0.5}}`
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", resp.StatusCode, raw)
+	}
+	var st JobStatus
+	if err := decodeJobID(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st = waitTerminalHTTP(t, ts.URL, st.ID); st.State != JobDone || st.Report == nil || st.Report.BinsIssued == 0 {
+		t.Fatalf("run job settled %s (%s), report %+v", st.State, st.Error, st.Report)
 	}
 }

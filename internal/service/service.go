@@ -177,11 +177,10 @@ type Service struct {
 
 	started time.Time
 
-	// Request counters; the latency distribution lives in
-	// metrics.solveLatency.
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	tasks    atomic.Uint64
+	// Request counters; the request count and latency distribution are
+	// metrics.solveLatency's.
+	errors atomic.Uint64
+	tasks  atomic.Uint64
 }
 
 // New builds a Service with the standard solver line-up registered:
@@ -422,7 +421,6 @@ func (r localRoute) SolveContext(ctx context.Context, in *core.Instance) (*core.
 func (s *Service) decompose(ctx context.Context, name string, in *core.Instance) (plan *core.Plan, err error) {
 	start := time.Now()
 	defer func() {
-		s.requests.Add(1)
 		s.metrics.solveLatency.ObserveSince(start)
 		if err != nil {
 			s.errors.Add(1)
@@ -578,7 +576,7 @@ type PersistenceStats struct {
 func (s *Service) Stats() Stats {
 	st := Stats{
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Requests:      s.requests.Load(),
+		Requests:      s.metrics.solveLatency.Count(),
 		Errors:        s.errors.Load(),
 		Tasks:         s.tasks.Load(),
 		Latency:       s.metrics.solveLatency.Snapshot().Summary(),

@@ -174,9 +174,6 @@ type StreamManager struct {
 	mu       sync.Mutex
 	sessions map[string]*streamSession
 	nextID   int
-	counts   struct {
-		opened, flushed, expired, tasks uint64
-	}
 }
 
 func newStreamManager(svc *Service, ttl time.Duration) *StreamManager {
@@ -209,7 +206,6 @@ func (sm *StreamManager) open(bins core.BinSet, threshold float64) (*streamSessi
 	sm.nextID++
 	ss.id = fmt.Sprintf("stream-%d", sm.nextID)
 	sm.sessions[ss.id] = ss
-	sm.counts.opened++
 	sm.mu.Unlock()
 	sm.svc.metrics.streamSessionsOpened.Inc()
 	sm.svc.metrics.streamSessionsActive.Inc()
@@ -224,7 +220,6 @@ func (sm *StreamManager) lookup(id string) (*streamSession, error) {
 	ss, ok := sm.sessions[id]
 	if ok && sm.expiredLocked(ss, now) {
 		delete(sm.sessions, id)
-		sm.counts.expired++
 		sm.svc.metrics.streamSessionsExpired.Inc()
 		sm.svc.metrics.streamSessionsActive.Dec()
 		ok = false
@@ -265,7 +260,6 @@ func (sm *StreamManager) sweep(now time.Time) {
 	for id, ss := range sm.sessions {
 		if sm.expiredLocked(ss, now) {
 			delete(sm.sessions, id)
-			sm.counts.expired++
 			sm.svc.metrics.streamSessionsExpired.Inc()
 			sm.svc.metrics.streamSessionsActive.Dec()
 		}
@@ -285,16 +279,18 @@ type StreamStats struct {
 	TasksAppended uint64 `json:"tasks_appended"`
 }
 
-// stats snapshots the counters. Safe for concurrent use.
+// stats reads the counts off the slade_stream_* instruments; Active is
+// the resident count. Safe for concurrent use.
 func (sm *StreamManager) stats() StreamStats {
+	m := sm.svc.metrics
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	return StreamStats{
-		Opened:        sm.counts.opened,
+		Opened:        m.streamSessionsOpened.Value(),
 		Active:        len(sm.sessions),
-		Flushed:       sm.counts.flushed,
-		Expired:       sm.counts.expired,
-		TasksAppended: sm.counts.tasks,
+		Flushed:       m.streamFlushes.Value(),
+		Expired:       m.streamSessionsExpired.Value(),
+		TasksAppended: m.streamTasksAppended.Value(),
 	}
 }
 
@@ -363,9 +359,6 @@ func handleStreamAppend(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, streamErrStatus(err), err)
 		return
 	}
-	s.streams.mu.Lock()
-	s.streams.counts.tasks += uint64(len(req.Tasks))
-	s.streams.mu.Unlock()
 	s.metrics.streamTasksAppended.Add(uint64(len(req.Tasks)))
 	writeJSON(w, http.StatusOK, st)
 }
@@ -384,9 +377,6 @@ func handleStreamFlush(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, streamErrStatus(err), err)
 		return
 	}
-	s.streams.mu.Lock()
-	s.streams.counts.flushed++
-	s.streams.mu.Unlock()
 	s.metrics.streamFlushes.Inc()
 	writeJSON(w, http.StatusOK, st)
 }

@@ -365,7 +365,7 @@ func OpenFSStore(dir string, logger *log.Logger) (*FSStore, error) {
 // deployments that want TTL eviction without disk durability.
 func NewMemStore() *MemStore { return store.NewMem() }
 
-// MenuFingerprint returns the canonical cache key for (menu, threshold) —
+// MenuFingerprint returns the canonical string key for (menu, threshold) —
 // two pairs share a fingerprint exactly when they build identical queues.
 func MenuFingerprint(bins BinSet, t float64) string { return opq.Fingerprint(bins, t) }
 

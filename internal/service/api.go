@@ -352,16 +352,9 @@ type runRequest struct {
 	SpammerFraction float64 `json:"spammer_fraction,omitempty"`
 	SkillSigma      float64 `json:"skill_sigma,omitempty"`
 	// PlatformKind selects where bins are issued: "sim" (default,
-	// in-process crowdsim) or "remote" (the HTTP bin platform). With
-	// "remote", PlatformURL overrides the daemon-wide platform for this
-	// job (bringing its own timeout/retry/rate knobs); empty uses the
-	// client configured at startup via -platform-url.
-	PlatformKind      string  `json:"platform_kind,omitempty"`
-	PlatformURL       string  `json:"platform_url,omitempty"`
-	PlatformAuth      string  `json:"platform_auth,omitempty"`
-	PlatformTimeoutMS int     `json:"platform_timeout_ms,omitempty"`
-	PlatformRetries   int     `json:"platform_retries,omitempty"`
-	PlatformRPS       float64 `json:"platform_rps,omitempty"`
+	// in-process crowdsim) or "remote" (the daemon's one marketplace
+	// client, configured at startup via -platform-url).
+	PlatformKind string `json:"platform_kind,omitempty"`
 	// Executor budgets: zero selects the defaults (2 retries, 2 top-up
 	// rounds, difficulty 2); negative retries/top-ups mean explicitly none.
 	Difficulty int   `json:"difficulty,omitempty"`
@@ -386,11 +379,6 @@ func (rr *runRequest) runJob(in *core.Instance) *RunJob {
 			SpammerFraction: rr.SpammerFraction,
 			SkillSigma:      rr.SkillSigma,
 			Kind:            rr.PlatformKind,
-			URL:             rr.PlatformURL,
-			Auth:            rr.PlatformAuth,
-			TimeoutMS:       rr.PlatformTimeoutMS,
-			Retries:         rr.PlatformRetries,
-			RPS:             rr.PlatformRPS,
 		},
 		Truth:        rr.Truth,
 		PositiveRate: rr.PositiveRate,

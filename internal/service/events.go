@@ -166,9 +166,14 @@ func (h *eventHub) publish(id string, ev JobEvent) {
 // by a fresh process (their feeds restart at seq 1). Idempotent: a feed
 // that already published its terminal frame is left untouched.
 func (h *eventHub) ensureTerminal(st JobStatus) {
-	if !st.State.Terminal() {
-		return
+	if st.State.Terminal() {
+		h.publish(st.ID, terminalEvent(st))
 	}
+}
+
+// terminalEvent builds a terminal job's final SSE frame from its status:
+// the one builder for both a settling job and a resuming subscriber.
+func terminalEvent(st JobStatus) JobEvent {
 	ev := JobEvent{
 		State:   st.State,
 		Error:   st.Error,
@@ -181,7 +186,7 @@ func (h *eventHub) ensureTerminal(st JobStatus) {
 		ev.Spent = st.Report.Spent
 		ev.DeliveredMass = st.Report.DeliveredMass
 	}
-	h.publish(st.ID, ev)
+	return ev
 }
 
 // drop discards a job's feed (eviction, TTL expiry).

@@ -305,6 +305,7 @@ func TestSSEPendingCancelAndShutdown(t *testing.T) {
 		return st
 	}
 	running := submit() // occupies the single slot
+	waitRunning(t, svc, running.ID)
 	pending := submit() // parked behind it
 
 	type result struct {

@@ -158,15 +158,6 @@ type JobManager struct {
 // the store holds from previous processes, and starts the TTL janitor
 // when a positive ttl is configured.
 func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Duration, logger *slog.Logger, platform PlatformFactory) *JobManager {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 1
-	}
-	if logger == nil {
-		logger = slog.Default()
-	}
-	if platform == nil {
-		platform = defaultPlatformFactory
-	}
 	m := &JobManager{
 		svc:      svc,
 		store:    st,
@@ -660,33 +651,13 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 	if persist {
 		m.persistWG.Add(1) // under the lock, so close cannot miss it
 	}
-	ev := terminalEventLocked(j)
+	ev := terminalEvent(j.statusLocked())
 	m.mu.Unlock()
 	m.svc.events.publish(j.id, ev)
 	if persist {
 		defer m.persistWG.Done()
 		m.persist(rec)
 	}
-}
-
-// terminalEventLocked builds a job's terminal SSE frame. Caller holds
-// m.mu and the job is terminal.
-func terminalEventLocked(j *job) JobEvent {
-	ev := JobEvent{
-		State:   j.state,
-		Summary: j.summary,
-		Report:  j.report,
-	}
-	if j.err != nil {
-		ev.Error = j.err.Error()
-	}
-	if j.report != nil {
-		ev.BinsIssued = j.report.BinsIssued
-		ev.TopUpRounds = j.report.TopUpRounds
-		ev.Spent = j.report.Spent
-		ev.DeliveredMass = j.report.DeliveredMass
-	}
-	return ev
 }
 
 // summarize computes the result summary against the job's menu.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,35 +139,6 @@ func TestRemoteRunDegradesWhenPlatformDies(t *testing.T) {
 	}
 }
 
-// TestRemoteRunPerSpecURL: a run job can bring its own marketplace URL
-// (with its own knobs) on a daemon that has no -platform-url at all.
-func TestRemoteRunPerSpecURL(t *testing.T) {
-	tp := startMarketplace(t, testplatform.Options{Seed: 3, Auth: "Bearer sesame"})
-	svc := New(Config{CacheSize: 8, Workers: 2, Logger: quietLogger()})
-	defer svc.Close()
-
-	req := runJellyRequest(t, 100, 0.9, 3)
-	req.Run.Platform.Kind = "remote"
-	req.Run.Platform.URL = tp.URL()
-	req.Run.Platform.Auth = "Bearer sesame"
-	req.Run.Platform.TimeoutMS = 5000
-	id, err := svc.Jobs().Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, svc, id)
-	if st.State != JobDone || st.Report == nil || st.Report.Degraded {
-		t.Fatalf("per-spec remote run: %+v", st)
-	}
-	if got := tp.Charged(); got != st.Report.Spent {
-		t.Fatalf("spend parity: report %v, marketplace %v", st.Report.Spent, got)
-	}
-	// No daemon-wide client: no platform stats/health blocks.
-	if svc.Stats().Platform != nil || svc.Health().Platform != nil {
-		t.Fatal("per-spec client must not surface daemon-wide platform blocks")
-	}
-}
-
 // TestRemoteKindUnconfiguredRejects: asking for the remote platform on a
 // daemon without one is a synchronous submit error, not a failed job.
 func TestRemoteKindUnconfiguredRejects(t *testing.T) {
@@ -183,19 +155,31 @@ func TestRemoteKindUnconfiguredRejects(t *testing.T) {
 // TestRunBudgetValidation pins the negative-budget rejections: -1 means
 // "explicitly none" but anything more negative is a typo'd request that
 // must 400 with the error envelope, not execute with a surprise budget.
+// It also pins the removed per-job marketplace override: every remote run
+// goes through the daemon's one client, so a body still naming its own
+// marketplace or wire knobs is the strict decoder's unknown-field 400, and
+// the host it names hears nothing.
 func TestRunBudgetValidation(t *testing.T) {
-	svc := New(Config{CacheSize: 8, Workers: 2, Logger: quietLogger()})
+	tp := startMarketplace(t, testplatform.Options{Seed: 1})
+	svc := New(Config{CacheSize: 8, Workers: 2, Logger: quietLogger(), PlatformURL: tp.URL()})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
+	var elsewhere atomic.Int64
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		elsewhere.Add(1)
+	}))
+	defer other.Close()
 
 	for name, runBody := range map[string]string{
 		"max_retries":         `{"max_retries":-2}`,
 		"max_top_ups":         `{"max_top_ups":-3}`,
 		"platform_kind":       `{"platform_kind":"cloud"}`,
-		"platform_retries":    `{"platform_kind":"remote","platform_url":"http://localhost:1","platform_retries":-2}`,
-		"platform_timeout_ms": `{"platform_kind":"remote","platform_url":"http://localhost:1","platform_timeout_ms":-1}`,
-		"platform_rps":        `{"platform_kind":"remote","platform_url":"http://localhost:1","platform_rps":-1}`,
+		"platform_url":        `{"platform_kind":"remote","platform_url":"` + other.URL + `"}`,
+		"platform_auth":       `{"platform_kind":"remote","platform_auth":"Bearer x"}`,
+		"platform_timeout_ms": `{"platform_kind":"remote","platform_timeout_ms":5000}`,
+		"platform_retries":    `{"platform_kind":"remote","platform_retries":-1}`,
+		"platform_rps":        `{"platform_kind":"remote","platform_rps":50}`,
 	} {
 		body := fmt.Sprintf(`{"kind":"run","bins":%s,"n":10,"threshold":0.9,"run":%s}`, table1JSON, runBody)
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
@@ -213,6 +197,20 @@ func TestRunBudgetValidation(t *testing.T) {
 			envelope.Error.Code != "invalid_request" || envelope.Error.Message == "" {
 			t.Errorf("%s: not an error envelope: %s", name, raw)
 		}
+		if strings.HasPrefix(name, "platform_") && name != "platform_kind" &&
+			!strings.Contains(envelope.Error.Message, `unknown field "`+name+`"`) {
+			t.Errorf("%s: rejected for another reason: %s", name, raw)
+		}
+	}
+	// No rejected body became a job, so none can issue later either.
+	if n := svc.Jobs().Stats().Submitted; n != 0 {
+		t.Errorf("rejected bodies submitted %d jobs", n)
+	}
+	if n := elsewhere.Load(); n != 0 {
+		t.Errorf("the host a rejected platform_url named received %d requests", n)
+	}
+	if n := tp.Commits(); n != 0 {
+		t.Errorf("the daemon's marketplace committed %d bins for rejected bodies", n)
 	}
 	// -1 stays legal: explicitly no retries, no top-ups.
 	ok := fmt.Sprintf(`{"kind":"run","bins":%s,"n":10,"threshold":0.9,"run":{"max_retries":-1,"max_top_ups":-1}}`, table1JSON)

@@ -20,8 +20,8 @@ import (
 // SpammerFraction -1, not 0 — 0 would be indistinguishable from "unset").
 type PlatformSpec struct {
 	// Kind selects the execution substrate: "sim" (default — in-process
-	// crowdsim) or "remote" (the daemon's HTTP marketplace client; see
-	// URL and the -platform-url flag).
+	// crowdsim) or "remote" (the daemon's one marketplace client, built
+	// from the -platform-url flag).
 	Kind string `json:"kind,omitempty"`
 	// Model names the crowd-behaviour model: "jelly" (default) or "smic".
 	Model string `json:"model,omitempty"`
@@ -40,17 +40,6 @@ type PlatformSpec struct {
 	// SkillSigma overrides the pool's per-worker skill spread; zero keeps
 	// the default, negative means no spread. Pool mode only.
 	SkillSigma float64 `json:"skill_sigma,omitempty"`
-
-	// The remote-kind knobs. URL overrides the daemon's configured
-	// marketplace for this job (empty uses the -platform-url client);
-	// Auth is sent verbatim as the Authorization header. TimeoutMS,
-	// Retries and RPS follow the budget convention: zero keeps the
-	// client defaults, Retries -1 means no wire retries.
-	URL       string  `json:"url,omitempty"`
-	Auth      string  `json:"auth,omitempty"`
-	TimeoutMS int     `json:"timeout_ms,omitempty"`
-	Retries   int     `json:"retries,omitempty"`
-	RPS       float64 `json:"rps,omitempty"`
 }
 
 // MaxPoolSize caps a run job's worker population: the pool is allocated
@@ -222,15 +211,6 @@ func (rj *RunJob) validate() error {
 	case "", "sim", "remote":
 	default:
 		return fmt.Errorf("service: unknown platform kind %q (have sim, remote)", rj.Platform.Kind)
-	}
-	if rj.Platform.Retries < -1 {
-		return fmt.Errorf("service: run job platform retries %d invalid (0 default, -1 none)", rj.Platform.Retries)
-	}
-	if rj.Platform.TimeoutMS < 0 {
-		return fmt.Errorf("service: run job platform timeout_ms %d negative", rj.Platform.TimeoutMS)
-	}
-	if rj.Platform.RPS < 0 {
-		return fmt.Errorf("service: run job platform rps %v negative", rj.Platform.RPS)
 	}
 	return nil
 }

@@ -264,31 +264,16 @@ func New(cfg Config) *Service {
 
 // defaultPlatform is the built-in PlatformFactory: "sim" (or empty)
 // specs map onto the crowdsim substrate; "remote" specs get a per-job
-// runner from the daemon's marketplace client, or — when the spec names
-// its own URL — from a dedicated ephemeral client built with the spec's
-// knobs (its metrics stay private; the daemon's client keeps the
-// exported slade_platform_* series).
+// runner from the daemon's one marketplace client, so its breaker, rate
+// cap, in-flight bound and slade_platform_* series cover every remote run.
 func (s *Service) defaultPlatform(spec PlatformSpec) (executor.BinRunner, error) {
 	if spec.Kind != "remote" {
 		return defaultPlatformFactory(spec)
 	}
-	if spec.URL == "" {
-		if s.platform == nil {
-			return nil, fmt.Errorf("service: run job requests the remote platform but none is configured (start sladed with -platform-url)")
-		}
-		return s.platform.Runner(), nil
+	if s.platform == nil {
+		return nil, fmt.Errorf("service: run job requests the remote platform but none is configured (start sladed with -platform-url)")
 	}
-	c, err := platform.NewClient(platform.Config{
-		BaseURL:     spec.URL,
-		Auth:        spec.Auth,
-		Timeout:     time.Duration(spec.TimeoutMS) * time.Millisecond,
-		RetryBudget: spec.Retries,
-		RPS:         spec.RPS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.Runner(), nil
+	return s.platform.Runner(), nil
 }
 
 // DefaultSolver returns the routing key unnamed requests resolve to:

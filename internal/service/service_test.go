@@ -425,6 +425,7 @@ func TestJobCancelPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitRunning(t, svc, first)
 	second, err := svc.Jobs().Submit(JobRequest{Instance: in})
 	if err != nil {
 		t.Fatal(err)
@@ -485,6 +486,25 @@ func TestSameKey(t *testing.T) {
 	if sameKey(m1, 0.9, m1, 0.95) || sameKey(m1, 0.9, m2, 0.9) {
 		t.Fatal("distinct keys must not match")
 	}
+}
+
+// waitRunning polls until the job holds a run slot. Run goroutines race
+// for the slots, so a test that needs a second job queued behind a first
+// submits it only after this returns.
+func waitRunning(t *testing.T, svc *Service, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		st, err := svc.Jobs().Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == JobRunning {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("job %s never started running", id)
 }
 
 // waitTerminal polls until the job settles.

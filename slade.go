@@ -310,7 +310,9 @@ type (
 	// RunJob is the run-job payload: plan an instance, then execute the
 	// plan against a simulated platform and report delivered reliability.
 	RunJob = service.RunJob
-	// RunPlatformSpec selects and seeds a run job's simulated platform.
+	// RunPlatformSpec selects and seeds a run job's platform: the
+	// in-process crowd simulation, or (Kind "remote") the service's one
+	// marketplace client.
 	RunPlatformSpec = service.PlatformSpec
 	// PlatformFactory builds run-job platforms; ServiceConfig.PlatformFactory
 	// overrides the crowdsim-backed default.

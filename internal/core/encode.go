@@ -12,15 +12,18 @@ import (
 // to the io.Writer whenever it fills — O(1) server memory regardless of
 // plan size. The chunk comes from a small free list and goes back to it
 // when the encode returns, so a steady stream of encodes allocates
-// nothing. Ids are rendered two ways. Explicit arena slots go through
-// strconv.AppendInt, appended in place. A use over consecutive ids of a
-// hundred and up on an identity arena — full-block or an unwrapped padded
-// one, which is nearly every use of a homogeneous solve — is
-// counted out in decimal instead: the digits of id/100 are a prefix
-// rendered once per hundred ids, id%100 comes from a two-digit table, and
-// room for the whole use is reserved first, so the loop per id is a
-// fixed-size copy and three stores with no formatting, flush or capacity
-// check.
+// nothing. A use's head — its lead and {"cardinality":N,"tasks":[ — is
+// rendered only when the cardinality changes. Ids are rendered two ways.
+// Explicit arena slots go through strconv.AppendInt, appended in place. A
+// use over consecutive ids of a hundred and up on an identity arena —
+// full-block or an unwrapped padded one, of any length, which is nearly
+// every use of a homogeneous solve — is copied out of a page instead: the
+// current hundred's ids, each rendered as the digits of id/100, the two
+// digits of id%100 and a comma at a fixed stride, so a use is one append
+// of a page slice per hundred it touches. The page lives in the encode's
+// own state, is rendered once, and moves to the next hundred by rewriting
+// in place only the prefix digits that carried; a jump to any other
+// hundred, or a digit gained, renders it afresh.
 
 // encodeBufSize is the chunk the streaming encoders fill and write out.
 const encodeBufSize = 32 << 10
@@ -34,12 +37,9 @@ var freeChunks = make(chan []byte, 8)
 const (
 	// maxIntLen bounds the rendered length of an int: sign and 19 digits.
 	maxIntLen = 20
-	// useFrameLen bounds everything a use renders besides its ids: the
-	// longest lead, {"cardinality": N ,"tasks":[ and ]}.
-	useFrameLen = len(`{"uses":[`) + len(`{"cardinality":`) + maxIntLen + len(`,"tasks":[`) + len(`]}`)
-	// seqPrefixLen is the fixed width the counter copies an id's prefix
-	// at, and so how far past the id's first byte it may scribble.
-	seqPrefixLen = 24
+	// useHeadLen bounds a use's rendered head: the longest lead,
+	// {"cardinality": N and ,"tasks":[.
+	useHeadLen = len(`{"uses":[`) + len(`{"cardinality":`) + maxIntLen + len(`,"tasks":[`)
 )
 
 // digitPairs is "000102…99": the two-digit rendering of i is at 2i.
@@ -102,10 +102,12 @@ func (p *Plan) encode(w io.Writer, open, sep, end, empty string) error {
 
 // plan renders the whole plan through the chunk and flushes it.
 func (c *chunk) plan(p *Plan, open, sep, end, empty string) error {
-	pr, lead := p.Runs(), open
+	pr, lead, visited := p.Runs(), open, false
 	err := pr.eachSpan(func(s useSpan) error {
 		c.use(pr, s, lead)
-		lead = sep
+		if !visited { // later heads lead with sep
+			lead, visited, c.headCard = sep, true, 0
+		}
 		// The chunk's error is sticky, so the walk stops at the first use
 		// after the underlying writer fails (a disconnected HTTP client,
 		// say) instead of rendering the rest of a million-use plan at it.
@@ -114,7 +116,7 @@ func (c *chunk) plan(p *Plan, open, sep, end, empty string) error {
 	if err != nil {
 		return err
 	}
-	if lead == open { // no use was visited
+	if !visited {
 		end = empty
 	}
 	c.reserve(len(end))
@@ -123,12 +125,18 @@ func (c *chunk) plan(p *Plan, open, sep, end, empty string) error {
 	return c.err
 }
 
-// chunk is the encoders' output buffer: bytes are appended to buf, within
-// its fixed capacity, and handed to w a whole chunk at a time.
+// chunk is one encode's state: the output buffer — bytes are appended to
+// buf, within its fixed capacity, and handed to w a whole chunk at a time
+// — and what the encode has rendered for reuse, which no other encode
+// sees: the last use head and the page of ids.
 type chunk struct {
 	w   io.Writer
 	buf []byte
 	err error // the first write error; once set nothing more is written
+
+	head              [useHeadLen]byte // lead and head of a use of headCard tasks
+	headLen, headCard int              // headCard 0: no head rendered
+	page              page
 }
 
 // flush hands the filled part of the chunk to the writer.
@@ -147,23 +155,19 @@ func (c *chunk) reserve(n int) {
 	}
 }
 
-// use appends lead and one {"cardinality":N,"tasks":[...]} object. The
-// task list is never empty: every use covers at least one arena slot.
+// use appends one {"cardinality":N,"tasks":[...]} object after its lead.
+// The task list is never empty: every use covers at least one arena slot.
 func (c *chunk) use(pr *PlanRuns, s useSpan, lead string) {
-	first, need := pr.Base+s.off, useFrameLen
-	// Room for the counter: every id at full width, and its last copy.
-	seqLen := need + s.n*(maxIntLen+1) + seqPrefixLen
-	counted := pr.Arena == nil && s.wrapped == 0 && first >= 100 && seqLen <= encodeBufSize
-	if counted {
-		need = seqLen
+	if s.card != c.headCard {
+		h := append(c.head[:0], lead...)
+		h = append(h, `{"cardinality":`...)
+		h = strconv.AppendInt(h, int64(s.card), 10)
+		c.headLen, c.headCard = len(append(h, `,"tasks":[`...)), s.card
 	}
-	c.reserve(need)
-	c.buf = append(c.buf, lead...)
-	c.buf = append(c.buf, `{"cardinality":`...)
-	c.buf = strconv.AppendInt(c.buf, int64(s.card), 10)
-	c.buf = append(c.buf, `,"tasks":[`...)
-	if counted {
-		c.buf = appendSeq(c.buf, first, s.n)
+	c.reserve(c.headLen)
+	c.buf = append(c.buf, c.head[:c.headLen]...)
+	if first := pr.Base + s.off; pr.Arena == nil && s.wrapped == 0 && first >= 100 {
+		c.seq(first, s.n)
 	} else {
 		c.slots(pr, s.off, s.n)
 		c.slots(pr, s.wrapOff, s.wrapped)
@@ -185,25 +189,84 @@ func (c *chunk) slots(pr *PlanRuns, off, n int) {
 	}
 }
 
-// appendSeq appends the n ≥ 1 consecutive ids from first ≥ 100, a comma
-// after each. dst must have n·(maxIntLen+1) + seqPrefixLen bytes of spare
-// capacity, the caller's reserve: the loop only stores.
-func appendSeq(dst []byte, first, n int) []byte {
-	b, i := dst[:cap(dst)], len(dst)
+// seq appends the n ≥ 1 consecutive ids from first ≥ 100, a comma after
+// each, as one slice of the page per hundred they touch, always leaving
+// room for the byte that closes the use.
+func (c *chunk) seq(first, n int) {
 	hi, lo := first/100, first%100
 	for n > 0 {
-		var prefix [seqPrefixLen]byte
-		plen := len(strconv.AppendInt(prefix[:0], int64(hi), 10))
-		k := min(n, 100-lo) // ids left in this hundred
+		c.page.at(hi)
+		k, stride := min(n, 100-lo), c.page.stride // ids left in this hundred
+		c.reserve(k*stride + 1)
+		c.buf = append(c.buf, c.page.b[lo*stride:(lo+k)*stride]...)
 		n -= k
-		for ; k > 0; k-- {
-			*(*[seqPrefixLen]byte)(b[i:]) = prefix
-			i += plen
-			b[i], b[i+1], b[i+2] = digitPairs[2*lo], digitPairs[2*lo+1], ','
-			i += 3
-			lo++
-		}
 		hi, lo = hi+1, 0
 	}
-	return b[:i]
+}
+
+// page is the current hundred hi of consecutive ids: entry j, at
+// j·stride, renders the id 100·hi + j as the digits of hi, the pair for j
+// and a comma. The zero page, hi 0, holds nothing; seq asks for hundreds
+// from 1 up.
+type page struct {
+	hi, plen, stride int
+	b                [100 * (maxIntLen + 1)]byte
+}
+
+// at makes the page hold hundred hi ≥ 1.
+func (pg *page) at(hi int) {
+	if hi != pg.hi {
+		pg.move(hi)
+	}
+}
+
+// move takes the page to another hundred: to the next one by carrying
+// into the prefix digits in place; to any other, or to one a digit wider,
+// by rendering it afresh.
+func (pg *page) move(hi int) {
+	if hi != pg.hi+1 || !pg.carry() {
+		pg.render(hi)
+	}
+}
+
+// render writes every entry of hundred hi.
+func (pg *page) render(hi int) {
+	prefix := strconv.AppendInt(pg.b[:0], int64(hi), 10)
+	pg.hi, pg.plen, pg.stride = hi, len(prefix), len(prefix)+3
+	for j, e := 0, 0; j < 100; j, e = j+1, e+pg.stride {
+		copy(pg.b[e:], pg.b[:pg.plen])
+		pg.b[e+pg.plen], pg.b[e+pg.plen+1], pg.b[e+pg.plen+2] = digitPairs[2*j], digitPairs[2*j+1], ','
+	}
+}
+
+// carry moves the page to hundred hi+1 by rewriting, in every entry, only
+// the prefix digits the increment changes: the last digit that is not a
+// 9 goes up by one and the 9s after it become 0s. It reports false, and
+// changes nothing, when every digit is a 9 — the next hundred is a digit
+// wider and must be rendered — or the page is the zero page.
+func (pg *page) carry() bool {
+	b, stride := pg.b[:100*pg.stride], pg.stride
+	k := pg.plen - 1
+	for k >= 0 && b[k] == '9' {
+		k--
+	}
+	if k < 0 {
+		return false
+	}
+	d := b[k] + 1
+	if nines := pg.plen - 1 - k; nines > 0 {
+		for e := k; e < len(b); e += stride {
+			b[e] = d
+			copy(b[e+1:e+1+nines], "0000000000000000000")
+		}
+	} else { // nine carries in ten: one store an entry, four entries a turn
+		for e := k; e < len(b); e += 4 * stride {
+			b[e] = d
+			b[e+stride] = d
+			b[e+2*stride] = d
+			b[e+3*stride] = d
+		}
+	}
+	pg.hi++
+	return true
 }

@@ -100,24 +100,63 @@ func TestEncodeUsesNDJSON(t *testing.T) {
 	}
 }
 
-// TestEncodeSequentialIDsAcrossDigitBoundaries drives the decimal counter
+// TestEncodeSequentialIDsAcrossDigitBoundaries drives the page of ids
 // (identity arena, any use over consecutive ids of a hundred and up) over
-// every carry it has: ids gaining a digit, the two-digit low part wrapping
-// inside a use — twice in the 250-wide one — and past everything it must
-// leave to the slot loop: ids below a hundred or below zero, a use too
-// wide for the chunk, and a padded run whose last use wraps (its other
-// uses are consecutive and counted).
+// every move it makes: ids gaining a digit; carries of one to six prefix
+// digits inside a 13-wide use (…199→200 up to …19,999,999→20,000,000);
+// uses of 150, 250, 4,000 and 5,000 ids, which cross several hundreds —
+// the last wider than the chunk; a padded run that goes back to its
+// window's start after a later hundred, and one whose wrapped use leaves
+// the page two hundreds behind the next run. Past everything it must leave to
+// the slot loop too: ids below a hundred or below zero, and wrapped
+// padded uses. Then two plans of different Base, encoded back to back on
+// one goroutine through both entry points, must not see each other's
+// page or head.
 func TestEncodeSequentialIDsAcrossDigitBoundaries(t *testing.T) {
+	jump := &RunComb{Parts: []RunPart{{Cardinality: 200, Count: 1}}, BlockLen: 400}
+	back := &RunComb{Parts: []RunPart{{Cardinality: 200, Count: 1}, {Cardinality: 400, Count: 1}}, BlockLen: 400}
 	runs, n := layOut(
 		BlockRun{Comb: oneBin(13), Blocks: 9},
+		BlockRun{Comb: oneBin(150), Blocks: 2},
 		BlockRun{Comb: oneBin(250), Blocks: 2},
+		BlockRun{Comb: oneBin(4000), Blocks: 1},
 		BlockRun{Comb: oneBin(5000), Blocks: 1},
+		BlockRun{Comb: back, Blocks: 0, Len: 399},
+		BlockRun{Comb: jump, Blocks: 0, Len: 399},
+		BlockRun{Comb: oneBin(13), Blocks: 2},
 		BlockRun{Comb: testComb(), Blocks: 3},
 		BlockRun{Comb: testComb(), Blocks: 0, Len: 4},
 	)
-	for _, base := range []int{0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000} {
+	plan := func(base int) *Plan { return NewRunPlan(&PlanRuns{Base: base, N: n, Runs: runs}) }
+	for _, base := range []int{
+		0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000,
+		194, 1994, 19_994, 199_994, 1_999_994, 19_999_994, // carries of 1–6 digits
+		9_994, 999_994, // a digit gained mid-use
+	} {
 		t.Run(strconv.Itoa(base), func(t *testing.T) {
-			p := NewRunPlan(&PlanRuns{Base: base, N: n, Runs: runs})
+			assertEncodeMatchesMarshal(t, plan(base))
+			assertNDJSONMatchesMarshal(t, plan(base))
+		})
+	}
+	t.Run("back-to-back", func(t *testing.T) {
+		for range 2 {
+			for _, base := range []int{1_999_994, 99_995} {
+				assertNDJSONMatchesMarshal(t, plan(base))
+				assertEncodeMatchesMarshal(t, plan(base))
+			}
+		}
+	})
+}
+
+// TestEncodeBigPlanMatchesMarshal: the ledger's big-plan body, and the
+// same plan moved so its ids cross 10⁶ inside a use, stream
+// encoding/json's bytes as JSON and as NDJSON.
+func TestEncodeBigPlanMatchesMarshal(t *testing.T) {
+	moved := bigPlanRuns(300_000)
+	moved.Base = 850_003 // 10⁶ is 149,997 = 13·11,538 + 3 ids in: inside a use
+	for name, pr := range map[string]*PlanRuns{"ledger": bigPlanRuns(300_000), "across-a-million": moved} {
+		t.Run(name, func(t *testing.T) {
+			p := NewRunPlan(pr)
 			assertEncodeMatchesMarshal(t, p)
 			assertNDJSONMatchesMarshal(t, p)
 		})
@@ -261,7 +300,10 @@ func FuzzEncodeJSONEquivalence(f *testing.F) {
 	f.Add(int64(1), 0, 0)
 	f.Add(int64(42), 1000, -1000)
 	f.Add(int64(-7), -3, 5)
-	for i, base := range []int{0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000} {
+	for i, base := range []int{
+		0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000,
+		194, 1994, 19_994, 199_994, 1_999_994, 19_999_994, 9_994, 999_994,
+	} {
 		f.Add(int64(i), base, 100-base)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, base, delta int) {
@@ -286,9 +328,11 @@ func BenchmarkEncodeJSONStream(b *testing.B) {
 
 // BenchmarkEncodeJSONBigPlan is the per-layer number behind the ledger's
 // big-plan workload: its plan (n = 300,000, 13-wide blocks) encoded to
-// io.Discard from an identity arena, from an explicit one, and as NDJSON.
+// io.Discard from an identity arena, from an explicit one, and as NDJSON;
+// wide is the same tasks in 4,000-wide uses from an identity arena.
 func BenchmarkEncodeJSONBigPlan(b *testing.B) {
 	ident := bigPlanRuns(300_000)
+	wide, _ := layOut(BlockRun{Comb: oneBin(4000), Blocks: 75})
 	for _, c := range []struct {
 		name string
 		enc  func(io.Writer) error
@@ -296,6 +340,7 @@ func BenchmarkEncodeJSONBigPlan(b *testing.B) {
 		{"identity", NewRunPlan(ident).EncodeJSON},
 		{"explicit", NewRunPlan(explicitOf(ident)).EncodeJSON},
 		{"ndjson", NewRunPlan(ident).EncodeUsesNDJSON},
+		{"wide", NewRunPlan(&PlanRuns{N: 300_000, Runs: wide}).EncodeJSON},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var body bytes.Buffer

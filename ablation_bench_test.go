@@ -93,7 +93,7 @@ func BenchmarkAblationOPQQueueReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := opq.SolveWithQueue(q, tasks); err != nil {
+			if _, err := opq.SolveRuns(q, tasks); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -106,7 +106,7 @@ func BenchmarkAblationOPQQueueReuse(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := opq.SolveWithQueue(q, tasks); err != nil {
+			if _, err := opq.SolveRuns(q, tasks); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -224,15 +224,21 @@ func BenchmarkSolveRuns(b *testing.B) {
 }
 
 // cachedSolveAllocBudget is the committed allocs/op budget of the serving
-// layer's hot path: 4 measured (5 with the materialization, which writes
-// the identity arena out) — the plan, its run slice and nothing per
-// combination, whose recipes the queue carries. 8 leaves room for runtime
-// noise and fails a solve that builds recipes again (13 and 14 allocs); the
-// per-use form costs ~800.
+// layer's hot path with the materialization: 4 measured — the plan, its
+// run slice and nothing per combination, whose recipes the queue carries,
+// then the identity arena written out and the use list. 8 leaves room for
+// runtime noise and fails a solve that builds recipes again (13 and 14
+// allocs); the per-use form costs ~800.
 const cachedSolveAllocBudget = 8
 
+// shardedSolveAllocBudget is the committed allocs/op budget of the
+// service's solver on a cached homogeneous solve, not materialized: the
+// plan and its run slice, 2 measured, so one more allocation on the route
+// fails it.
+const shardedSolveAllocBudget = 2
+
 // cachedSolveByteBudget is the committed bytes/op budget of the service's
-// homogeneous routes at any n: 264 B and 712 B measured.
+// homogeneous routes at any n: 224 B and 672 B measured.
 const cachedSolveByteBudget = 1 << 10
 
 // TestCachedSolveAllocBudget gates the cached solve plus the lazy []BinUse
@@ -263,8 +269,7 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 		solve  func(n int) (*core.Plan, error)
 	}{
 		{"opq.SolveRunsRange", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
-			pr, err := opq.SolveRunsRange(q, 0, n)
-			return core.NewRunPlan(pr), err
+			return opq.SolveRunsRange(q, 0, n)
 		}},
 		{"slade.SolveWithOPQ", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
 			return slade.SolveWithOPQ(q, ids[:n])
@@ -301,7 +306,7 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 
 	// The service's two homogeneous routes alone — instance built outside
 	// the measurement, plan not materialized — at n=100,000 and n=10,000,000:
-	// the solver with Workers: 4 inside the same alloc budget, the batched
+	// the solver with Workers: 4 at the plan's own two allocations, the batched
 	// route (a flush of one: join, timer, flush goroutine, then the same
 	// solve) a few allocations over it, and either way a constant number of
 	// bytes: the instance is (n, t) and the plan's arena an identity one, so
@@ -319,7 +324,7 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 			budget float64
 			solve  func() (*core.Plan, error)
 		}{
-			{"ShardedSolver.Solve", cachedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
+			{"ShardedSolver.Solve", shardedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
 			{"batched Service.Decompose", 16, func() (*core.Plan, error) { return svc.Decompose(context.Background(), in) }},
 		} {
 			solve := func() {
@@ -374,8 +379,8 @@ func BenchmarkMaterialize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A fresh shell per iteration defeats the once-cache while
 				// sharing the (read-only) runs and arena description.
-				shell := &core.PlanRuns{Arena: pr.Arena, Base: pr.Base, N: pr.N, Runs: pr.Runs}
-				if uses := shell.Materialize(); len(uses) == 0 {
+				shell := &core.Plan{Arena: pr.Arena, Base: pr.Base, N: pr.N, Runs: pr.Runs}
+				if uses := shell.Materialized(); len(uses) == 0 {
 					b.Fatal("empty materialization")
 				}
 			}

@@ -116,11 +116,10 @@ func MaxReliability(bins core.BinSet, n int, budget float64, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	pr, err := opq.SolveRunsRange(q, 0, n)
+	plan, err := opq.SolveRunsRange(q, 0, n)
 	if err != nil {
 		return nil, err
 	}
-	plan := core.NewRunPlan(pr)
 	c, err := plan.Cost(bins)
 	if err != nil {
 		return nil, err

@@ -29,11 +29,7 @@ func (l *localOPQ) SolveContext(_ context.Context, in *core.Instance) (*core.Pla
 	if err != nil {
 		return nil, err
 	}
-	pr, err := opq.SolveRunsRange(q, 0, in.N())
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRunPlan(pr), nil
+	return opq.SolveRunsRange(q, 0, in.N())
 }
 
 // untouchablePeer starts a listener that fails the test if anything

@@ -102,9 +102,9 @@ func (p *Plan) encode(w io.Writer, open, sep, end, empty string) error {
 
 // plan renders the whole plan through the chunk and flushes it.
 func (c *chunk) plan(p *Plan, open, sep, end, empty string) error {
-	pr, lead, visited := p.Runs(), open, false
-	err := pr.eachSpan(func(s useSpan) error {
-		c.use(pr, s, lead)
+	lead, visited := open, false
+	err := p.eachSpan(func(s useSpan) error {
+		c.use(p, s, lead)
 		if !visited { // later heads lead with sep
 			lead, visited, c.headCard = sep, true, 0
 		}
@@ -157,7 +157,7 @@ func (c *chunk) reserve(n int) {
 
 // use appends one {"cardinality":N,"tasks":[...]} object after its lead.
 // The task list is never empty: every use covers at least one arena slot.
-func (c *chunk) use(pr *PlanRuns, s useSpan, lead string) {
+func (c *chunk) use(p *Plan, s useSpan, lead string) {
 	if s.card != c.headCard {
 		h := append(c.head[:0], lead...)
 		h = append(h, `{"cardinality":`...)
@@ -166,11 +166,11 @@ func (c *chunk) use(pr *PlanRuns, s useSpan, lead string) {
 	}
 	c.reserve(c.headLen)
 	c.buf = append(c.buf, c.head[:c.headLen]...)
-	if first := pr.Base + s.off; pr.Arena == nil && s.wrapped == 0 && first >= 100 {
+	if first := p.Base + s.off; p.Arena == nil && s.wrapped == 0 && first >= 100 {
 		c.seq(first, s.n)
 	} else {
-		c.slots(pr, s.off, s.n)
-		c.slots(pr, s.wrapOff, s.wrapped)
+		c.slots(p, s.off, s.n)
+		c.slots(p, s.wrapOff, s.wrapped)
 	}
 	c.buf[len(c.buf)-1] = ']' // over the last id's comma
 	c.buf = append(c.buf, '}')
@@ -178,11 +178,11 @@ func (c *chunk) use(pr *PlanRuns, s useSpan, lead string) {
 
 // slots appends the ids of arena slots [off, off+n), a comma after each,
 // always leaving room for the byte that closes the use.
-func (c *chunk) slots(pr *PlanRuns, off, n int) {
+func (c *chunk) slots(p *Plan, off, n int) {
 	for i := off; i < off+n; i++ {
-		id := pr.Base + i
-		if pr.Arena != nil {
-			id = pr.Arena[i]
+		id := p.Base + i
+		if p.Arena != nil {
+			id = p.Arena[i]
 		}
 		c.reserve(maxIntLen + 2)
 		c.buf = append(strconv.AppendInt(c.buf, int64(id), 10), ',')

@@ -44,10 +44,10 @@ func assertEncodeMatchesMarshal(t testing.TB, p *Plan) {
 func TestEncodeJSONMatchesMarshal(t *testing.T) {
 	pr := testRuns()
 	cases := map[string]*Plan{
-		"run-backed":       NewRunPlan(pr),
+		"run-backed":       pr,
 		"from-uses":        planOf(expand(t, pr)...),
 		"negative-tasks":   planOf(BinUse{Cardinality: 2, Tasks: []int{7, -3}}),
-		"empty-run":        NewRunPlan(&PlanRuns{}),
+		"empty-run":        {Runs: []BlockRun{}},
 		"empty-legacy-nil": {}, // the zero Plan, what a use-list solver returns for n = 0
 		"from-no-uses":     planOf(),
 	}
@@ -60,7 +60,7 @@ func TestEncodeJSONRandomizedEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(8)) // fixed seed: the test must be deterministic
 	for i := 0; i < 200; i++ {
 		pr := randomRuns(r)
-		assertEncodeMatchesMarshal(t, NewRunPlan(pr))
+		assertEncodeMatchesMarshal(t, pr)
 		uses := expand(t, pr)
 		assertPlanIsUses(t, planOf(uses...), uses)
 	}
@@ -89,10 +89,10 @@ func assertNDJSONMatchesMarshal(t testing.TB, p *Plan) {
 }
 
 func TestEncodeUsesNDJSON(t *testing.T) {
-	assertNDJSONMatchesMarshal(t, NewRunPlan(testRuns()))
+	assertNDJSONMatchesMarshal(t, testRuns())
 	// An empty plan writes nothing at all.
 	var buf bytes.Buffer
-	if err := NewRunPlan(&PlanRuns{}).EncodeUsesNDJSON(&buf); err != nil {
+	if err := (&Plan{}).EncodeUsesNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -127,7 +127,7 @@ func TestEncodeSequentialIDsAcrossDigitBoundaries(t *testing.T) {
 		BlockRun{Comb: testComb(), Blocks: 3},
 		BlockRun{Comb: testComb(), Blocks: 0, Len: 4},
 	)
-	plan := func(base int) *Plan { return NewRunPlan(&PlanRuns{Base: base, N: n, Runs: runs}) }
+	plan := func(base int) *Plan { return &Plan{Base: base, N: n, Runs: runs} }
 	for _, base := range []int{
 		0, 5, 95, 995, 99_995, 999_999_995, fuzzIDRange - 7, -5, -1000,
 		194, 1994, 19_994, 199_994, 1_999_994, 19_999_994, // carries of 1–6 digits
@@ -154,9 +154,8 @@ func TestEncodeSequentialIDsAcrossDigitBoundaries(t *testing.T) {
 func TestEncodeBigPlanMatchesMarshal(t *testing.T) {
 	moved := bigPlanRuns(300_000)
 	moved.Base = 850_003 // 10⁶ is 149,997 = 13·11,538 + 3 ids in: inside a use
-	for name, pr := range map[string]*PlanRuns{"ledger": bigPlanRuns(300_000), "across-a-million": moved} {
+	for name, p := range map[string]*Plan{"ledger": bigPlanRuns(300_000), "across-a-million": moved} {
 		t.Run(name, func(t *testing.T) {
-			p := NewRunPlan(pr)
 			assertEncodeMatchesMarshal(t, p)
 			assertNDJSONMatchesMarshal(t, p)
 		})
@@ -194,9 +193,8 @@ var errShortWrite = errors.New("writer failed")
 // rendered at it.
 func TestEncodeJSONPropagatesWriterError(t *testing.T) {
 	runs, n := layOut(BlockRun{Comb: oneBin(13), Blocks: 2000}, BlockRun{Comb: oneBin(20_000), Blocks: 1})
-	ident := &PlanRuns{Base: 1_000_000, N: n, Runs: runs}
-	for arena, pr := range map[string]*PlanRuns{"identity": ident, "explicit": explicitOf(ident)} {
-		p := NewRunPlan(pr)
+	ident := &Plan{Base: 1_000_000, N: n, Runs: runs}
+	for arena, p := range map[string]*Plan{"identity": ident, "explicit": explicitOf(ident)} {
 		for name, enc := range map[string]func(io.Writer) error{
 			"EncodeJSON": p.EncodeJSON, "EncodeUses": p.EncodeUses, "EncodeUsesNDJSON": p.EncodeUsesNDJSON,
 		} {
@@ -242,18 +240,18 @@ func layOut(runs ...BlockRun) ([]BlockRun, int) {
 // bigPlanRuns is the shape of the ledger's big-plan workload: a homogeneous
 // solve's identity-arena plan, 13-wide full blocks over tasks 0..n-1 and a
 // padded run over the remainder.
-func bigPlanRuns(n int) *PlanRuns {
+func bigPlanRuns(n int) *Plan {
 	runs, _ := layOut(BlockRun{Comb: oneBin(13), Blocks: n / 13}, BlockRun{Comb: oneBin(13), Blocks: 0, Len: n % 13})
-	return &PlanRuns{N: n, Runs: runs}
+	return &Plan{N: n, Runs: runs}
 }
 
 // randomRuns builds a structurally valid random run plan: several runs of
 // random combinations, full and padded, over one sequential arena.
-func randomRuns(r *rand.Rand) *PlanRuns {
+func randomRuns(r *rand.Rand) *Plan {
 	// 120: one use can span a hundreds boundary of the ids.
 	blockLens := []int{2, 3, 4, 6, 12, 120}
 	nRuns := r.Intn(5)
-	pr := &PlanRuns{}
+	pr := &Plan{}
 	next := 0
 	for i := 0; i < nRuns; i++ {
 		L := blockLens[r.Intn(len(blockLens))]
@@ -295,7 +293,7 @@ const fuzzIDRange = 1 << 40
 // FuzzEncodeJSONEquivalence: a random run plan streams the bytes
 // encoding/json writes, and — the arena axis — the same runs over the ids
 // base..base+n-1 behave identically whether that arena is explicit or
-// identity, offset by delta or not (see assertArenaParity).
+// identity, at base or moved by delta (see assertArenaParity).
 func FuzzEncodeJSONEquivalence(f *testing.F) {
 	f.Add(int64(1), 0, 0)
 	f.Add(int64(42), 1000, -1000)
@@ -308,14 +306,13 @@ func FuzzEncodeJSONEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, base, delta int) {
 		pr := randomRuns(rand.New(rand.NewSource(seed)))
-		assertEncodeMatchesMarshal(t, NewRunPlan(pr))
+		assertEncodeMatchesMarshal(t, pr)
 		assertArenaParity(t, pr.Runs, len(pr.Arena), base%fuzzIDRange, delta%fuzzIDRange)
 	})
 }
 
 func BenchmarkEncodeJSONStream(b *testing.B) {
-	pr := randomRuns(rand.New(rand.NewSource(3)))
-	plan := NewRunPlan(pr)
+	plan := randomRuns(rand.New(rand.NewSource(3)))
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -337,10 +334,10 @@ func BenchmarkEncodeJSONBigPlan(b *testing.B) {
 		name string
 		enc  func(io.Writer) error
 	}{
-		{"identity", NewRunPlan(ident).EncodeJSON},
-		{"explicit", NewRunPlan(explicitOf(ident)).EncodeJSON},
-		{"ndjson", NewRunPlan(ident).EncodeUsesNDJSON},
-		{"wide", NewRunPlan(&PlanRuns{N: 300_000, Runs: wide}).EncodeJSON},
+		{"identity", ident.EncodeJSON},
+		{"explicit", explicitOf(ident).EncodeJSON},
+		{"ndjson", ident.EncodeUsesNDJSON},
+		{"wide", (&Plan{N: 300_000, Runs: wide}).EncodeJSON},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var body bytes.Buffer
@@ -371,19 +368,19 @@ func TestEncodeJSONMillionTaskAllocBudget(t *testing.T) {
 	const n = 1_000_000
 	comb := &RunComb{Parts: []RunPart{{Cardinality: 4, Count: 2}, {Cardinality: 12, Count: 1}}, BlockLen: 12}
 	blocks := n / comb.BlockLen
-	million := &PlanRuns{N: n, Runs: []BlockRun{
+	million := &Plan{N: n, Runs: []BlockRun{
 		{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen},
 		{Comb: comb, Blocks: 0, Off: blocks * comb.BlockLen, Len: n - blocks*comb.BlockLen},
 	}}
 	bigPlan := bigPlanRuns(300_000)
 	for _, c := range []struct {
 		name string
-		pr   *PlanRuns
+		p    *Plan
 	}{
 		{"million/identity", million}, {"million/explicit", explicitOf(million)},
 		{"big-plan/identity", bigPlan}, {"big-plan/explicit", explicitOf(bigPlan)},
 	} {
-		p := NewRunPlan(c.pr)
+		p := c.p
 		for _, e := range []struct {
 			name string
 			enc  func(io.Writer) error
@@ -464,7 +461,7 @@ func wantEncodings(t testing.TB, p *Plan) map[string][]byte {
 // chunkyRuns is a random plan several chunks long: wide full runs, the
 // occasional use too wide for the chunk and a padded tail, over ids from
 // a random base, on an identity or an explicit arena.
-func chunkyRuns(r *rand.Rand) *PlanRuns {
+func chunkyRuns(r *rand.Rand) *Plan {
 	runs := []BlockRun{
 		{Comb: oneBin(1 + r.Intn(20)), Blocks: r.Intn(800)},
 		{Comb: testComb(), Blocks: r.Intn(300)},
@@ -474,7 +471,7 @@ func chunkyRuns(r *rand.Rand) *PlanRuns {
 	}
 	runs = append(runs, BlockRun{Comb: testComb(), Blocks: 0, Len: 1 + r.Intn(5)})
 	runs, n := layOut(runs...)
-	pr := &PlanRuns{Base: r.Intn(2_000_000) - 1000, N: n, Runs: runs}
+	pr := &Plan{Base: r.Intn(2_000_000) - 1000, N: n, Runs: runs}
 	if r.Intn(2) == 0 {
 		return explicitOf(pr)
 	}
@@ -499,13 +496,12 @@ func TestEncodeChunkReuseConcurrent(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(g)))
 			for range rounds {
-				var pr *PlanRuns
+				var p *Plan
 				if r.Intn(3) == 0 {
-					pr = randomRuns(r)
+					p = randomRuns(r)
 				} else {
-					pr = chunkyRuns(r)
+					p = chunkyRuns(r)
 				}
-				p := NewRunPlan(pr)
 				for entry, want := range wantEncodings(t, p) {
 					if entry == "MarshalJSON" {
 						if got, err := p.MarshalJSON(); err != nil || !bytes.Equal(got, want) {

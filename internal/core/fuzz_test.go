@@ -89,7 +89,7 @@ func planFromUsesSeeds() map[string][]BinUse {
 			{Cardinality: 1, Tasks: []int{4}},
 			{Cardinality: 1, Tasks: []int{4}},
 		},
-		"padded-opq": NewRunPlan(testRuns()).Materialized(),
+		"padded-opq": testRuns().Materialized(),
 		"all-partial": {
 			{Cardinality: 4, Tasks: []int{8, 9}},
 			{Cardinality: 4, Tasks: []int{3}},
@@ -103,13 +103,12 @@ func TestPlanFromUses(t *testing.T) {
 		t.Run(name, func(t *testing.T) { assertPlanIsUses(t, planOf(uses...), uses) })
 	}
 	// Full-use runs compact: the mixed case's card-3 pair is one run.
-	if got := len(planOf(planFromUsesSeeds()["mixed"]...).Runs().Runs); got != 4 {
+	if got := len(planOf(planFromUsesSeeds()["mixed"]...).Runs); got != 4 {
 		t.Fatalf("got %d runs, want 4 (card-3 pair compacted)", got)
 	}
 	// The plan owns its task storage.
 	uses := []BinUse{{Cardinality: 2, Tasks: []int{0, 1}}}
-	p := planOf(uses...)
-	p.OffsetTasks(5)
+	planOf(uses...).Arena[0] = 5
 	if uses[0].Tasks[0] != 0 {
 		t.Fatal("PlanFromUses aliases the caller's task lists")
 	}
@@ -158,7 +157,7 @@ func FuzzPlanFromUses(f *testing.F) {
 		}
 		if !malformed {
 			assertPlanIsUses(t, &p, wire.Uses)
-			assertArenaParity(t, p.Runs().Runs, p.Runs().NumTasks(), base%fuzzIDRange, delta%fuzzIDRange)
+			assertArenaParity(t, p.Runs, p.NumTasks(), base%fuzzIDRange, delta%fuzzIDRange)
 		}
 	})
 }

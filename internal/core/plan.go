@@ -25,20 +25,6 @@ type BinUse struct {
 	Tasks []int `json:"tasks"`
 }
 
-// Plan is a decomposition plan DP_T: a multiset of bin uses with concrete
-// task placements, held in compact block-run form (see PlanRuns). The zero
-// Plan is the empty plan. []BinUse is only an edge type: Materialized,
-// EachUse and the encoders produce it, PlanFromUses and UnmarshalJSON
-// consume it.
-type Plan struct {
-	// runs is nil only in the zero Plan.
-	runs *PlanRuns
-}
-
-// NewRunPlan wraps a compact run-form plan. The PlanRuns is owned by the
-// returned plan and must not be mutated by the caller afterwards.
-func NewRunPlan(pr *PlanRuns) *Plan { return &Plan{runs: pr} }
-
 // PlanFromUses builds a plan whose expansion is use-for-use identical to
 // uses (task storage is copied): maximal runs of consecutive full uses of
 // one cardinality become one multi-block run (Comb BlockLen = cardinality,
@@ -52,7 +38,7 @@ func PlanFromUses(uses []BinUse) (*Plan, error) {
 	for i := range uses {
 		tasks += len(uses[i].Tasks)
 	}
-	out := &PlanRuns{Arena: make([]int, 0, tasks)}
+	out := &Plan{Arena: make([]int, 0, tasks)}
 	combs := make(map[int]*RunComb)
 	comb := func(card int) *RunComb {
 		c, ok := combs[card]
@@ -89,29 +75,7 @@ func PlanFromUses(uses []BinUse) (*Plan, error) {
 		out.Runs = append(out.Runs, BlockRun{Comb: comb(card), Blocks: 0, Off: off, Len: len(u.Tasks)})
 		i++
 	}
-	return NewRunPlan(out), nil
-}
-
-// Runs returns the plan's run form; never nil (the zero Plan yields an
-// empty PlanRuns).
-func (p *Plan) Runs() *PlanRuns {
-	if p.runs == nil {
-		return &PlanRuns{}
-	}
-	return p.runs
-}
-
-// Materialized returns the plan's bin uses, expanded on first call and
-// cached. The returned slice is shared and read-only (task lists alias
-// the plan's arena). Safe for concurrent use.
-func (p *Plan) Materialized() []BinUse { return p.Runs().Materialize() }
-
-// EachUse streams the plan's bin uses in order without materializing
-// them: the tasks slice is only valid for the duration of the callback and
-// must not be retained or mutated. Iteration stops at the first non-nil
-// error, which is returned.
-func (p *Plan) EachUse(fn func(cardinality int, tasks []int) error) error {
-	return p.Runs().EachUse(fn)
+	return out, nil
 }
 
 // MarshalJSON renders the plan in its wire form {"uses": [...]} through
@@ -126,7 +90,9 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the wire form through PlanFromUses, so a stored or
-// received plan with a malformed use is rejected at decode.
+// received plan with a malformed use is rejected at decode. The receiver
+// takes the decoded runs and arena, and its materialization cache starts
+// afresh, so Materialized never serves the uses of a plan decoded over.
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	var wire struct {
 		Uses []BinUse `json:"uses"`
@@ -138,14 +104,9 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*p = *decoded
+	*p = Plan{Arena: decoded.Arena, Base: decoded.Base, N: decoded.N, Runs: decoded.Runs}
 	return nil
 }
-
-// Cost returns the total incentive cost of the plan under the given menu:
-// the sum of c_|β| over all bin uses β, accumulated from run metadata in
-// the order the per-use sum would add, so the two agree bit for bit.
-func (p *Plan) Cost(bins BinSet) (float64, error) { return p.Runs().Cost(bins) }
 
 // MustCost is Cost that panics on an unknown cardinality; for plans that
 // were already validated against the same menu.
@@ -156,16 +117,6 @@ func (p *Plan) MustCost(bins BinSet) float64 {
 	}
 	return c
 }
-
-// Counts returns the number of uses per bin cardinality — the {τ_l} vector
-// of Definition 3.
-func (p *Plan) Counts() map[int]int { return p.Runs().Counts() }
-
-// NumUses returns the total number of bin uses (crowd-worker batches).
-func (p *Plan) NumUses() int { return p.Runs().NumUses() }
-
-// NumAssignments returns the total number of (task, bin) assignments.
-func (p *Plan) NumAssignments() int { return p.Runs().NumAssignments() }
 
 // TransformedMass returns, for each task index in [0, n), the accumulated
 // transformed reliability Σ -ln(1 - r_|β|) over the bins the task is
@@ -249,31 +200,6 @@ func (p *Plan) Validate(in *Instance) error {
 	}
 	return nil
 }
-
-// MergePlans combines plans (nil entries skipped) into one new plan, in
-// order. Cost is additive: the merged plan's cost is the sum of the parts'
-// costs, and when the parts cover disjoint task sets against a shared menu
-// the merged plan is feasible iff every part is. The merged plan shares no
-// task storage with the inputs (see MergePlanRuns), so mutating it (e.g.
-// OffsetTasks) never touches them — which also makes MergePlans(p) the
-// canonical deep copy.
-func MergePlans(plans ...*Plan) *Plan {
-	prs := make([]*PlanRuns, 0, len(plans))
-	for _, p := range plans {
-		if p != nil {
-			prs = append(prs, p.runs)
-		}
-	}
-	return NewRunPlan(MergePlanRuns(prs...))
-}
-
-// OffsetTasks shifts every task identifier in the plan by delta. A caller
-// that solves a sub-problem in its own local index space 0..n-1 (a cluster
-// span) offsets the resulting plan to its base index before merging, so
-// the combined plan addresses the global task space — in O(1) when the
-// plan's arena is an identity one (see PlanRuns). The caller must own the
-// plan exclusively.
-func (p *Plan) OffsetTasks(delta int) { p.Runs().OffsetTasks(delta) }
 
 // Summary is a compact, printable description of a plan: uses per
 // cardinality plus the total cost, as in the paper's worked examples.

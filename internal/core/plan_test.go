@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,11 +117,11 @@ func spanMenu() BinSet {
 func spanPlan(n int) *Plan {
 	comb := &RunComb{Parts: []RunPart{{Cardinality: 12, Count: 2}, {Cardinality: 24, Count: 1}}, BlockLen: 24}
 	blocks := n / comb.BlockLen
-	pr := &PlanRuns{N: n, Runs: []BlockRun{{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen}}}
+	pr := &Plan{N: n, Runs: []BlockRun{{Comb: comb, Blocks: blocks, Off: 0, Len: blocks * comb.BlockLen}}}
 	if rem := n - blocks*comb.BlockLen; rem > 0 {
 		pr.Runs = append(pr.Runs, BlockRun{Comb: comb, Blocks: 0, Off: n - rem, Len: rem})
 	}
-	return NewRunPlan(pr)
+	return pr
 }
 
 // TestValidateAllocs: Validate's allocations do not grow with the number
@@ -215,13 +216,14 @@ func TestMergePlans(t *testing.T) {
 	if a.NumUses() != 1 || b.NumUses() != 1 {
 		t.Fatal("MergePlans mutated its inputs")
 	}
-	// Task slices are copied: offsetting the merged plan must leave the
-	// inputs untouched.
-	merged.OffsetTasks(100)
+	// Task slices are copied: writing through the merged plan's arena must
+	// leave the inputs untouched.
+	for i := range merged.Arena {
+		merged.Arena[i] += 100
+	}
 	if a.Materialized()[0].Tasks[0] != 0 || b.Materialized()[0].Tasks[0] != 1 {
 		t.Fatal("merged plan aliases input task slices")
 	}
-	merged.OffsetTasks(-100)
 	cost, err := merged.Cost(table1())
 	if err != nil {
 		t.Fatal(err)
@@ -234,24 +236,24 @@ func TestMergePlans(t *testing.T) {
 	}
 }
 
-func TestOffsetTasks(t *testing.T) {
-	p := planOf(
-		BinUse{Cardinality: 2, Tasks: []int{0, 1}},
-		BinUse{Cardinality: 1, Tasks: []int{2}},
-	)
-	p.OffsetTasks(10)
-	uses := p.Materialized()
-	if got := uses[0].Tasks[0]; got != 10 {
-		t.Fatalf("offset task = %d, want 10", got)
+// TestUnmarshalResetsMaterialization: decoding into a plan whose []BinUse
+// view is already cached replaces the view with the decoded plan's uses.
+func TestUnmarshalResetsMaterialization(t *testing.T) {
+	p := planOf(BinUse{Cardinality: 2, Tasks: []int{0, 1}})
+	if got := p.Materialized(); len(got) != 1 {
+		t.Fatalf("materialized %d uses, want 1", len(got))
 	}
-	if got := uses[1].Tasks[0]; got != 12 {
-		t.Fatalf("offset task = %d, want 12", got)
+	want := []BinUse{{Cardinality: 1, Tasks: []int{7}}, {Cardinality: 3, Tasks: []int{4, 5}}}
+	data, err := json.Marshal(planOf(want...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.OffsetTasks(-10)
-	if uses[0].Tasks[0] != 0 || uses[1].Tasks[0] != 2 {
-		t.Fatal("negative offset must invert")
+	if err := json.Unmarshal(data, p); err != nil {
+		t.Fatal(err)
 	}
-	(&Plan{}).OffsetTasks(3) // the zero plan has nothing to shift
+	if got := p.Materialized(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after decoding over a materialized plan: %+v, want %+v", got, want)
+	}
 }
 
 func TestSummaryString(t *testing.T) {

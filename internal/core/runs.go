@@ -81,7 +81,7 @@ type BlockRun struct {
 // Padded reports whether the run is a padded remainder application.
 func (r *BlockRun) Padded() bool { return r.Blocks == 0 }
 
-// check rejects structurally malformed runs (hand-built PlanRuns are
+// check rejects structurally malformed runs (hand-built plans are
 // public API; solver-emitted runs always pass). arenaLen bounds the
 // run's window.
 func (r *BlockRun) check(arenaLen int) error {
@@ -143,26 +143,30 @@ func (r *BlockRun) assignments() int {
 	return n
 }
 
-// PlanRuns is a decomposition plan in compact block-run form: run metadata
-// over one shared task-id arena. It expands to exactly the bin-use
-// sequence Algorithm 3's per-use expansion emits — same uses, same order,
-// same task ids — which is what keeps every cost computed from it
-// bit-identical to the per-use accumulation.
+// Plan is a decomposition plan DP_T: a multiset of bin uses with concrete
+// task placements, held in compact block-run form — run metadata over one
+// shared task-id arena. It expands to exactly the bin-use sequence
+// Algorithm 3's per-use expansion emits — same uses, same order, same task
+// ids — which is what keeps every cost computed from it bit-identical to
+// the per-use accumulation. The zero Plan is the empty plan. []BinUse is
+// only an edge type: Materialized, EachUse and the encoders produce it,
+// PlanFromUses and UnmarshalJSON consume it.
 //
 // The arena is either explicit (Arena non-nil: slot i holds Arena[i]) or an
 // identity arena (Arena nil: N slots, slot i holds id Base+i), which costs
-// nothing to build, offset or merge with an abutting one. Both expand to
-// the same bytes for the same ids.
+// nothing to build or to merge with an abutting one. Both expand to the
+// same bytes for the same ids.
 //
-// A PlanRuns is read-only after construction except for OffsetTasks, which
-// requires exclusive ownership. Materialize is safe for concurrent use.
-// Arena ids must be distinct (the solvers' precondition, enforced at the
-// service boundary): the padded expansion derives within-bin dedup from
-// block positions, so a duplicate id in the remainder would occupy two
-// slots of one bin — exactly the invalid plan duplicate ids have always
-// produced in full blocks. Hand-built plans are validated structurally by
-// EachUse/Cost (and Plan.Validate); solver-emitted runs always pass.
-type PlanRuns struct {
+// A Plan is read-only after construction, and must not be copied once in
+// use (it carries its materialization cache). Materialized is safe for
+// concurrent use. Arena ids must be distinct (the solvers' precondition,
+// enforced at the service boundary): the padded expansion derives
+// within-bin dedup from block positions, so a duplicate id in the
+// remainder would occupy two slots of one bin — exactly the invalid plan
+// duplicate ids have always produced in full blocks. Hand-built plans are
+// validated structurally by EachUse/Cost (and Validate); solver-emitted
+// runs always pass.
+type Plan struct {
 	// Arena holds every task id the plan addresses; runs reference
 	// contiguous windows of it. Nil selects the identity arena below.
 	Arena []int
@@ -175,7 +179,6 @@ type PlanRuns struct {
 	// mat caches the lazily materialized []BinUse view. Uses alias
 	// windows of Arena — or of mat.ids, the identity arena written out —
 	// with no copy; padded uses whose cycle wraps live in mat.pad.
-	// OffsetTasks keeps a done materialization coherent through both.
 	mat struct {
 		once sync.Once
 		uses []BinUse
@@ -184,52 +187,58 @@ type PlanRuns struct {
 	}
 }
 
+// NewRunPlan returns p unchanged: a Plan is its run form.
+//
+// Deprecated: use the *Plan directly. NewRunPlan is kept only for the
+// benchmark module, which moves off it with ROADMAP.md item 1(a).
+func NewRunPlan(p *Plan) *Plan { return p }
+
 // NumTasks returns the number of task ids the plan covers: the arena's
 // length, explicit or identity.
-func (pr *PlanRuns) NumTasks() int {
-	if pr.Arena != nil {
-		return len(pr.Arena)
+func (p *Plan) NumTasks() int {
+	if p.Arena != nil {
+		return len(p.Arena)
 	}
-	return pr.N
+	return p.N
 }
 
 // appendSlots appends the ids held by arena slots [off, off+n) to dst,
 // writing an identity arena's out.
-func (pr *PlanRuns) appendSlots(dst []int, off, n int) []int {
-	if pr.Arena != nil {
-		return append(dst, pr.Arena[off:off+n]...)
+func (p *Plan) appendSlots(dst []int, off, n int) []int {
+	if p.Arena != nil {
+		return append(dst, p.Arena[off:off+n]...)
 	}
-	for id := pr.Base + off; n > 0; n-- {
+	for id := p.Base + off; n > 0; n-- {
 		dst = append(dst, id)
 		id++
 	}
 	return dst
 }
 
-// NumUses returns the total number of bin uses, computed from run
-// metadata without expansion.
-func (pr *PlanRuns) NumUses() int {
+// NumUses returns the total number of bin uses (crowd-worker batches),
+// computed from run metadata without expansion.
+func (p *Plan) NumUses() int {
 	n := 0
-	for i := range pr.Runs {
-		n += pr.Runs[i].uses()
+	for i := range p.Runs {
+		n += p.Runs[i].uses()
 	}
 	return n
 }
 
 // NumAssignments returns the total number of (task, bin) assignments,
 // computed from run metadata without expansion.
-func (pr *PlanRuns) NumAssignments() int {
+func (p *Plan) NumAssignments() int {
 	n := 0
-	for i := range pr.Runs {
-		n += pr.Runs[i].assignments()
+	for i := range p.Runs {
+		n += p.Runs[i].assignments()
 	}
 	return n
 }
 
 // Counts returns the number of uses per bin cardinality (the {τ_l} vector
 // of Definition 3), computed from run metadata without expansion.
-func (pr *PlanRuns) Counts() map[int]int {
-	counts := pr.AppendCounts(nil)
+func (p *Plan) Counts() map[int]int {
+	counts := p.AppendCounts(nil)
 	out := make(map[int]int, len(counts))
 	for _, c := range counts {
 		out[c.Cardinality] = c.Count
@@ -242,43 +251,44 @@ func (pr *PlanRuns) Counts() map[int]int {
 // ascending cardinality — Counts as a sorted slice, counted from run
 // metadata without expansion or a map. A plan names a handful of
 // cardinalities, so each part finds its row by a linear scan.
-func (pr *PlanRuns) AppendCounts(dst []RunPart) []RunPart {
+func (p *Plan) AppendCounts(dst []RunPart) []RunPart {
 	start := len(dst)
-	for i := range pr.Runs {
-		r := &pr.Runs[i]
+	for i := range p.Runs {
+		r := &p.Runs[i]
 		blocks := r.Blocks
 		if r.Padded() {
 			blocks = 1
 		}
-		for _, p := range r.Comb.Parts {
-			uses := blocks * p.Count * (r.Comb.BlockLen / p.Cardinality)
+		for _, part := range r.Comb.Parts {
+			uses := blocks * part.Count * (r.Comb.BlockLen / part.Cardinality)
 			j := start
-			for j < len(dst) && dst[j].Cardinality < p.Cardinality {
+			for j < len(dst) && dst[j].Cardinality < part.Cardinality {
 				j++
 			}
-			if j < len(dst) && dst[j].Cardinality == p.Cardinality {
+			if j < len(dst) && dst[j].Cardinality == part.Cardinality {
 				dst[j].Count += uses
 				continue
 			}
-			dst = slices.Insert(dst, j, RunPart{Cardinality: p.Cardinality, Count: uses})
+			dst = slices.Insert(dst, j, RunPart{Cardinality: part.Cardinality, Count: uses})
 		}
 	}
 	return dst
 }
 
-// Cost returns the plan's total incentive cost under the menu. The
-// accumulation replicates the expanded plan's use order add for add, so
-// the result is bit-identical to the per-use sum — the exact cost-parity
-// invariants (clustered == single-node, batched == solo) compare floats with
-// ==, so the arithmetic must not round differently. The
-// loop touches only run metadata: no uses are materialized and the menu
-// is consulted once per run part, not once per use.
-func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
+// Cost returns the total incentive cost of the plan under the given menu:
+// the sum of c_|β| over all bin uses β. The accumulation replicates the
+// expanded plan's use order add for add, so the result is bit-identical to
+// the per-use sum — the exact cost-parity invariants (clustered ==
+// single-node, batched == solo) compare floats with ==, so the arithmetic
+// must not round differently. The loop touches only run metadata: no uses
+// are materialized and the menu is consulted once per run part, not once
+// per use.
+func (p *Plan) Cost(bins BinSet) (float64, error) {
 	total := 0.0
 	var costs []float64 // per-part bin costs, resolved once per run
-	for i := range pr.Runs {
-		r := &pr.Runs[i]
-		if err := r.check(pr.NumTasks()); err != nil {
+	for i := range p.Runs {
+		r := &p.Runs[i]
+		if err := r.check(p.NumTasks()); err != nil {
 			return 0, err
 		}
 		blocks := r.Blocks
@@ -286,17 +296,17 @@ func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
 			blocks = 1
 		}
 		costs = costs[:0]
-		for _, p := range r.Comb.Parts {
-			b, ok := bins.ByCardinality(p.Cardinality)
+		for _, part := range r.Comb.Parts {
+			b, ok := bins.ByCardinality(part.Cardinality)
 			if !ok {
-				return 0, fmt.Errorf("core: plan uses unknown bin cardinality %d", p.Cardinality)
+				return 0, fmt.Errorf("core: plan uses unknown bin cardinality %d", part.Cardinality)
 			}
 			costs = append(costs, b.Cost)
 		}
 		// Block-major, then part order — the expansion's use order exactly.
 		for b := 0; b < blocks; b++ {
-			for pi, p := range r.Comb.Parts {
-				per := p.Count * (r.Comb.BlockLen / p.Cardinality)
+			for pi, part := range r.Comb.Parts {
+				per := part.Count * (r.Comb.BlockLen / part.Cardinality)
 				c := costs[pi]
 				for u := 0; u < per; u++ {
 					total += c
@@ -319,7 +329,7 @@ type useSpan struct {
 
 // eachSpan visits the plan's bin uses in expansion order — run by run,
 // block-major, then part order — as arena spans; it is the one walk under
-// EachUse, Materialize and the encoders. It stops at the first non-nil
+// EachUse, Materialized and the encoders. It stops at the first non-nil
 // error, and reports a structurally malformed run (hand-built plans only)
 // as an error rather than walking it.
 //
@@ -330,10 +340,10 @@ type useSpan struct {
 // cycling from start%len(rem) — index arithmetic in place of a per-use
 // dedup map, with the same output (a map would also keep tasks in
 // first-occurrence position order).
-func (pr *PlanRuns) eachSpan(visit func(useSpan) error) error {
-	for i := range pr.Runs {
-		r := &pr.Runs[i]
-		if err := r.check(pr.NumTasks()); err != nil {
+func (p *Plan) eachSpan(visit func(useSpan) error) error {
+	for i := range p.Runs {
+		r := &p.Runs[i]
+		if err := r.check(p.NumTasks()); err != nil {
 			return err
 		}
 		L, blocks := r.Comb.BlockLen, r.Blocks
@@ -341,9 +351,9 @@ func (pr *PlanRuns) eachSpan(visit func(useSpan) error) error {
 			blocks = 1
 		}
 		for b := 0; b < blocks; b++ {
-			for _, p := range r.Comb.Parts {
-				card := p.Cardinality
-				for rep := 0; rep < p.Count; rep++ {
+			for _, part := range r.Comb.Parts {
+				card := part.Cardinality
+				for rep := 0; rep < part.Count; rep++ {
 					for start := 0; start < L; start += card {
 						s := useSpan{card: card, off: r.Off + b*L + start, n: card}
 						if r.Padded() {
@@ -374,55 +384,55 @@ var scratchPool = sync.Pool{New: func() any { return new([]int) }}
 // the duration of the callback and must not be retained or mutated.
 // Iteration stops at the first non-nil error, which is returned; a
 // structurally malformed run (hand-built plans only) is reported as an
-// error rather than iterated, which is what lets Plan.Validate reject such
+// error rather than iterated, which is what lets Validate reject such
 // plans cleanly.
-func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
+func (p *Plan) EachUse(fn func(cardinality int, tasks []int) error) error {
 	buf := scratchPool.Get().(*[]int)
 	defer scratchPool.Put(buf)
-	return pr.eachSpan(func(s useSpan) error {
-		if pr.Arena != nil && s.wrapped == 0 {
-			return fn(s.card, pr.Arena[s.off:s.off+s.n])
+	return p.eachSpan(func(s useSpan) error {
+		if p.Arena != nil && s.wrapped == 0 {
+			return fn(s.card, p.Arena[s.off:s.off+s.n])
 		}
-		*buf = pr.appendSlots(pr.appendSlots((*buf)[:0], s.off, s.n), s.wrapOff, s.wrapped)
+		*buf = p.appendSlots(p.appendSlots((*buf)[:0], s.off, s.n), s.wrapOff, s.wrapped)
 		return fn(s.card, *buf)
 	})
 }
 
-// Materialize returns the plan's []BinUse view, built on first call and
+// Materialized returns the plan's []BinUse view, built on first call and
 // cached: one []BinUse for every use, task lists aliasing the arena (zero
 // copy; an identity arena is written out once, into the cache, to be
 // aliased) except those of wrapped padded uses, which share one backing
 // array. The result is read-only — it shares storage with the arena — and
 // safe for concurrent use. Returns nil for an empty plan, whose JSON is
 // "uses":null.
-func (pr *PlanRuns) Materialize() []BinUse {
-	pr.mat.once.Do(func() {
+func (p *Plan) Materialized() []BinUse {
+	p.mat.once.Do(func() {
 		padLen := 0 // an upper bound: pad must not move once aliased
-		for i := range pr.Runs {
-			r := &pr.Runs[i]
-			if err := r.check(pr.NumTasks()); err != nil {
+		for i := range p.Runs {
+			r := &p.Runs[i]
+			if err := r.check(p.NumTasks()); err != nil {
 				// No error return here; a malformed hand-built plan is a
 				// programmer error — fail loudly instead of dividing by
-				// zero deep in the expansion. Plan.Validate / EachUse are
-				// the error-returning rejection paths.
+				// zero deep in the expansion. Validate / EachUse are the
+				// error-returning rejection paths.
 				panic(err)
 			}
 			if r.Padded() {
 				padLen += r.assignments()
 			}
 		}
-		total := pr.NumUses()
+		total := p.NumUses()
 		if total == 0 {
 			return
 		}
-		arena := pr.Arena
+		arena := p.Arena
 		if arena == nil {
-			pr.mat.ids = pr.appendSlots(make([]int, 0, pr.N), 0, pr.N)
-			arena = pr.mat.ids
+			p.mat.ids = p.appendSlots(make([]int, 0, p.N), 0, p.N)
+			arena = p.mat.ids
 		}
 		uses := make([]BinUse, 0, total)
 		pad := make([]int, 0, padLen)
-		_ = pr.eachSpan(func(s useSpan) error { // every run passed check above
+		_ = p.eachSpan(func(s useSpan) error { // every run passed check above
 			tasks := arena[s.off : s.off+s.n : s.off+s.n]
 			if s.wrapped > 0 {
 				from := len(pad)
@@ -432,76 +442,60 @@ func (pr *PlanRuns) Materialize() []BinUse {
 			uses = append(uses, BinUse{Cardinality: s.card, Tasks: tasks})
 			return nil
 		})
-		pr.mat.uses = uses
-		pr.mat.pad = pad
+		p.mat.uses = uses
+		p.mat.pad = pad
 	})
-	return pr.mat.uses
+	return p.mat.uses
 }
 
-// OffsetTasks shifts every task id in the plan by delta: O(1) for an
-// identity arena (the base moves), one pass over an explicit one. The
-// caller must own the plan exclusively: the arena may be shared with a
-// cached materialization (kept coherent here) but must not be shared with
-// other live plans.
-func (pr *PlanRuns) OffsetTasks(delta int) {
-	if delta == 0 {
-		return
-	}
-	if pr.Arena == nil {
-		pr.Base += delta
-	}
-	for _, ids := range [][]int{pr.Arena, pr.mat.ids, pr.mat.pad} {
-		for i := range ids {
-			ids[i] += delta
-		}
-	}
-}
-
-// MergePlanRuns concatenates plans in run form (nil and empty entries
-// skipped) into one independent plan with run offsets rebased, so mutating
-// the merged plan (e.g. OffsetTasks) never touches the inputs. When every
-// part is an identity arena starting where the previous one ended — the
-// spans of one homogeneous solve — so is the result, at the first part's
-// base and with nothing copied; otherwise the ids are written into a single
-// new explicit arena. Cost is additive, and the merged expansion order is
-// the inputs' expansion orders in sequence, without expanding anything.
-func MergePlanRuns(prs ...*PlanRuns) *PlanRuns {
+// MergePlans combines plans (nil and empty entries skipped) into one new
+// plan, in order, with run offsets rebased and without expanding anything:
+// the merged expansion order is the inputs' expansion orders in sequence.
+// Cost is additive: the merged plan's cost is the sum of the parts' costs,
+// and when the parts cover disjoint task sets against a shared menu the
+// merged plan is feasible iff every part is. When every part is an
+// identity arena starting where the previous one ended, so is the result,
+// at the first part's base and with nothing copied; otherwise the ids are
+// written into a single new explicit arena. Either way the merged plan
+// shares no task storage with the inputs, which also makes
+// MergePlans(p) the canonical deep copy.
+func MergePlans(plans ...*Plan) *Plan {
 	tasks, runs := 0, 0
 	identity, base := true, 0
-	for _, pr := range prs {
-		if pr == nil {
+	for _, p := range plans {
+		if p == nil {
 			continue
 		}
-		runs += len(pr.Runs)
-		if pr.NumTasks() == 0 {
+		runs += len(p.Runs)
+		if p.NumTasks() == 0 {
 			continue
 		}
 		if tasks == 0 {
-			base = pr.Base // the first non-empty part's only
+			base = p.Base // the first non-empty part's only
 		}
-		if pr.Arena != nil || pr.Base != base+tasks {
+		if p.Arena != nil || p.Base != base+tasks {
 			identity = false
 		}
-		tasks += pr.NumTasks()
+		tasks += p.NumTasks()
 	}
-	out := &PlanRuns{Runs: make([]BlockRun, 0, runs)}
+	out := &Plan{Runs: make([]BlockRun, 0, runs)}
 	if identity {
 		out.Base, out.N = base, tasks
 	} else {
 		out.Arena = make([]int, 0, tasks)
 	}
 	off := 0
-	for _, pr := range prs {
-		if pr == nil {
+	for _, p := range plans {
+		if p == nil {
 			continue
 		}
-		for _, r := range pr.Runs {
+		for _, r := range p.Runs {
 			r.Off += off
 			out.Runs = append(out.Runs, r)
 		}
-		off += pr.NumTasks()
+		off += p.NumTasks()
 		if !identity {
-			out.Arena = pr.appendSlots(out.Arena, 0, pr.NumTasks())
+			out.Arena = p.appendSlots(out.Arena, 0, p.NumTasks())
 		}
 	}
 	return out

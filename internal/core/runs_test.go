@@ -27,12 +27,12 @@ func testMenu() BinSet {
 
 // testRuns builds a two-run plan: 2 full blocks over tasks 0..11 plus a
 // padded application over the 4-task remainder 12..15.
-func testRuns() *PlanRuns {
+func testRuns() *Plan {
 	arena := make([]int, 16)
 	for i := range arena {
 		arena[i] = i
 	}
-	return &PlanRuns{
+	return &Plan{
 		Arena: arena,
 		Runs: []BlockRun{
 			{Comb: testComb(), Blocks: 2, Off: 0, Len: 12},
@@ -95,8 +95,8 @@ func assertPlanIsUses(t testing.TB, p *Plan, uses []BinUse) {
 }
 
 // expand copies the plan's uses off EachUse, the streaming twin of
-// Materialize, so each expansion checks the other.
-func expand(t testing.TB, pr *PlanRuns) []BinUse {
+// Materialized, so each expansion checks the other.
+func expand(t testing.TB, pr *Plan) []BinUse {
 	t.Helper()
 	var uses []BinUse
 	err := pr.EachUse(func(card int, tasks []int) error {
@@ -111,8 +111,8 @@ func expand(t testing.TB, pr *PlanRuns) []BinUse {
 
 // explicitOf returns pr's twin over an explicit arena: the same runs, the
 // same ids, written out.
-func explicitOf(pr *PlanRuns) *PlanRuns {
-	return &PlanRuns{Arena: pr.appendSlots([]int{}, 0, pr.NumTasks()), Runs: pr.Runs}
+func explicitOf(pr *Plan) *Plan {
+	return &Plan{Arena: pr.appendSlots([]int{}, 0, pr.NumTasks()), Runs: pr.Runs}
 }
 
 // encodings returns every wire form of the plan, in a fixed order.
@@ -150,48 +150,27 @@ func assertSamePlan(t testing.TB, stage string, a, b *Plan, menu BinSet) {
 		t.Fatalf("%s: cost %v (%v) vs %v (%v)", stage, ca, errA, cb, errB)
 	}
 	if a.NumUses() != b.NumUses() || a.NumAssignments() != b.NumAssignments() ||
-		a.Runs().NumTasks() != b.Runs().NumTasks() || !reflect.DeepEqual(a.Counts(), b.Counts()) {
+		a.NumTasks() != b.NumTasks() || !reflect.DeepEqual(a.Counts(), b.Counts()) {
 		t.Fatalf("%s: run arithmetic differs", stage)
 	}
 }
 
 // assertArenaParity is the identity-vs-explicit property: for the same
-// runs over ids base..base+n-1 the two arenas are indistinguishable —
-// before and after OffsetTasks(delta), and through a []BinUse view taken
-// before the offset, which must follow it (the coherence rule).
+// runs over ids base..base+n-1, and again over the ids moved by delta, the
+// two arenas are indistinguishable on every encoding and figure and
+// through their []BinUse views.
 func assertArenaParity(t testing.TB, runs []BlockRun, n, base, delta int) {
 	t.Helper()
-	pair := func() (*Plan, *Plan) {
-		ident := &PlanRuns{Base: base, N: n, Runs: runs}
-		return NewRunPlan(ident), NewRunPlan(explicitOf(ident))
+	for _, at := range []int{base, base + delta} {
+		ident := &Plan{Base: at, N: n, Runs: runs}
+		expl := explicitOf(ident)
+		menu := menuFor(expand(t, expl))
+		assertSamePlan(t, "fresh", ident, expl, menu)
+		if !reflect.DeepEqual(ident.Materialized(), expl.Materialized()) {
+			t.Fatal("materialized views differ")
+		}
+		assertSamePlan(t, "materialized", ident, expl, menu)
 	}
-	ident, expl := pair()
-	menu := menuFor(expand(t, expl.Runs()))
-	assertSamePlan(t, "fresh", ident, expl, menu)
-	ident.OffsetTasks(delta)
-	expl.OffsetTasks(delta)
-	if ident.Runs().Arena != nil {
-		t.Fatal("OffsetTasks wrote an identity arena out")
-	}
-	assertSamePlan(t, "offset", ident, expl, menu)
-	if !reflect.DeepEqual(ident.Materialized(), expl.Materialized()) {
-		t.Fatal("materialized views differ after the offset")
-	}
-
-	ident, expl = pair()
-	viewI, viewE := ident.Materialized(), expl.Materialized()
-	if !reflect.DeepEqual(viewI, viewE) {
-		t.Fatal("materialized views differ")
-	}
-	ident.OffsetTasks(delta)
-	expl.OffsetTasks(delta)
-	if want := expand(t, ident.Runs()); !reflect.DeepEqual(viewI, want) {
-		t.Fatalf("view taken before the offset did not follow it:\n got %+v\nwant %+v", viewI, want)
-	}
-	if !reflect.DeepEqual(viewI, viewE) {
-		t.Fatal("materialized views differ after a later offset")
-	}
-	assertSamePlan(t, "materialized, then offset", ident, expl, menu)
 }
 
 func TestIdentityArenaParity(t *testing.T) {
@@ -204,13 +183,13 @@ func TestIdentityArenaParity(t *testing.T) {
 
 func TestPlanRunsArithmeticMatchesExpansion(t *testing.T) {
 	pr := testRuns()
-	assertPlanIsUses(t, NewRunPlan(pr), expand(t, pr))
+	assertPlanIsUses(t, pr, expand(t, pr))
 }
 
 func TestPlanRunsCostUnknownCardinality(t *testing.T) {
 	pr := testRuns()
 	badMenu := MustBinSet([]TaskBin{{Cardinality: 2, Confidence: 0.85, Cost: 0.18}})
-	if _, err := NewRunPlan(pr).Cost(badMenu); err == nil {
+	if _, err := pr.Cost(badMenu); err == nil {
 		t.Fatal("cost against a menu missing cardinality 3 must fail")
 	}
 }
@@ -219,7 +198,7 @@ func TestPlanRunsCostUnknownCardinality(t *testing.T) {
 // form older versions stored — encoding/json over the use list — and it
 // decodes back to the same plan.
 func TestPlanRunsJSONMatchesLegacy(t *testing.T) {
-	plan := NewRunPlan(testRuns())
+	plan := testRuns()
 	assertEncodeMatchesMarshal(t, plan)
 	data, err := json.Marshal(plan)
 	if err != nil {
@@ -231,7 +210,7 @@ func TestPlanRunsJSONMatchesLegacy(t *testing.T) {
 	}
 	assertPlanIsUses(t, &back, plan.Materialized())
 	// Empty plans keep the "uses":null form, whichever way they were made.
-	for _, empty := range []*Plan{{}, NewRunPlan(&PlanRuns{}), planOf()} {
+	for _, empty := range []*Plan{{}, {Runs: []BlockRun{}}, planOf()} {
 		if got, err := json.Marshal(empty); err != nil || string(got) != `{"uses":null}` {
 			t.Fatalf("empty plan JSON %s (err %v)", got, err)
 		}
@@ -243,7 +222,7 @@ func TestPlanRunsJSONMatchesLegacy(t *testing.T) {
 
 func TestMergePlanRunsIndependence(t *testing.T) {
 	a, b := testRuns(), testRuns()
-	merged := MergePlanRuns(a, nil, b)
+	merged := MergePlans(a, nil, b)
 	if got, want := len(merged.Arena), len(a.Arena)+len(b.Arena); got != want {
 		t.Fatalf("merged arena %d, want %d", got, want)
 	}
@@ -251,10 +230,12 @@ func TestMergePlanRunsIndependence(t *testing.T) {
 	if !reflect.DeepEqual(expand(t, merged), wantUses) {
 		t.Fatal("merged expansion is not the concatenation of the parts")
 	}
-	// Mutating the merge must not touch the inputs.
-	merged.OffsetTasks(100)
+	// Writing through the merge's arena must not touch the inputs.
+	for i := range merged.Arena {
+		merged.Arena[i] += 100
+	}
 	if a.Arena[0] != 0 || b.Arena[0] != 0 {
-		t.Fatal("OffsetTasks on the merge leaked into an input arena")
+		t.Fatal("a write through the merge's arena leaked into an input arena")
 	}
 	for _, u := range expand(t, merged) {
 		for _, task := range u.Tasks {
@@ -271,26 +252,26 @@ func TestMergePlanRunsIndependence(t *testing.T) {
 // into an explicit arena. Either way the merge expands to what the
 // all-explicit merge does, and stays independent of its inputs.
 func TestMergePlanRunsIdentity(t *testing.T) {
-	span := func(base int) *PlanRuns { return &PlanRuns{Base: base, N: 16, Runs: testRuns().Runs} }
-	empty := func(base int) *PlanRuns { return &PlanRuns{Base: base} } // θ = 0: no runs, no tasks
+	span := func(base int) *Plan { return &Plan{Base: base, N: 16, Runs: testRuns().Runs} }
+	empty := func(base int) *Plan { return &Plan{Base: base} } // θ = 0: no runs, no tasks
 	for name, c := range map[string]struct {
-		parts    []*PlanRuns
+		parts    []*Plan
 		identity bool
 	}{
-		"abutting":          {[]*PlanRuns{span(0), span(16), span(32)}, true},
-		"non-zero base":     {[]*PlanRuns{span(100), span(116)}, true},
-		"nil and empty":     {[]*PlanRuns{nil, empty(999), span(100), nil, empty(5), span(116), {}}, true},
-		"single":            {[]*PlanRuns{span(40)}, true},
-		"nothing":           {[]*PlanRuns{nil, empty(3)}, true},
-		"gap":               {[]*PlanRuns{span(0), span(17)}, false},
-		"overlap":           {[]*PlanRuns{span(0), span(15)}, false},
-		"out of order":      {[]*PlanRuns{span(16), span(0)}, false},
-		"one explicit part": {[]*PlanRuns{span(0), explicitOf(span(16)), span(32)}, false},
-		"explicit first":    {[]*PlanRuns{explicitOf(span(0)), span(16)}, false},
+		"abutting":          {[]*Plan{span(0), span(16), span(32)}, true},
+		"non-zero base":     {[]*Plan{span(100), span(116)}, true},
+		"nil and empty":     {[]*Plan{nil, empty(999), span(100), nil, empty(5), span(116), {}}, true},
+		"single":            {[]*Plan{span(40)}, true},
+		"nothing":           {[]*Plan{nil, empty(3)}, true},
+		"gap":               {[]*Plan{span(0), span(17)}, false},
+		"overlap":           {[]*Plan{span(0), span(15)}, false},
+		"out of order":      {[]*Plan{span(16), span(0)}, false},
+		"one explicit part": {[]*Plan{span(0), explicitOf(span(16)), span(32)}, false},
+		"explicit first":    {[]*Plan{explicitOf(span(0)), span(16)}, false},
 	} {
 		t.Run(name, func(t *testing.T) {
-			merged := MergePlanRuns(c.parts...)
-			var twins []*PlanRuns
+			merged := MergePlans(c.parts...)
+			var twins []*Plan
 			first, tasks := 0, 0
 			for _, pr := range c.parts {
 				if pr == nil {
@@ -311,52 +292,33 @@ func TestMergePlanRunsIdentity(t *testing.T) {
 			if merged.NumTasks() != tasks {
 				t.Fatalf("merged %d tasks, want %d", merged.NumTasks(), tasks)
 			}
-			want := MergePlanRuns(twins...)
+			want := MergePlans(twins...)
 			if tasks > 0 && want.Arena == nil {
 				t.Fatal("the all-explicit merge lost its arena")
 			}
-			assertSamePlan(t, "merged", NewRunPlan(merged), NewRunPlan(want), testMenu())
-			// Independence: moving the merge moves no input.
+			assertSamePlan(t, "merged", merged, want, testMenu())
+			// Independence: writing through the merge's arena moves no
+			// input (an identity merge has no arena to share).
 			before := make([][]BinUse, len(c.parts))
 			for i, pr := range c.parts {
 				if pr != nil {
 					before[i] = expand(t, pr)
 				}
 			}
-			merged.OffsetTasks(1000)
-			want.OffsetTasks(1000)
-			assertSamePlan(t, "merged, then offset", NewRunPlan(merged), NewRunPlan(want), testMenu())
+			for i := range merged.Arena {
+				merged.Arena[i] += 1000
+			}
 			for i, pr := range c.parts {
 				if pr != nil && !reflect.DeepEqual(expand(t, pr), before[i]) {
-					t.Fatalf("OffsetTasks on the merge leaked into part %d", i)
+					t.Fatalf("a write through the merge's arena leaked into part %d", i)
 				}
 			}
 		})
 	}
 }
 
-func TestOffsetTasksKeepsMaterializationCoherent(t *testing.T) {
-	pr := testRuns()
-	before := NewRunPlan(pr)
-	mat := before.Materialized() // materialize BEFORE offsetting
-	pr.OffsetTasks(10)
-	after := expand(t, pr)
-	for i, u := range mat {
-		for j, task := range u.Tasks {
-			if task != after[i].Tasks[j] {
-				t.Fatalf("use %d task %d: cached materialization %d != post-offset expansion %d",
-					i, j, task, after[i].Tasks[j])
-			}
-			if task < 10 {
-				t.Fatalf("use %d: cached materialization missed the offset (task %d)", i, task)
-			}
-		}
-	}
-}
-
 func TestMaterializeConcurrent(t *testing.T) {
-	pr := testRuns()
-	plan := NewRunPlan(pr)
+	plan := testRuns()
 	var wg sync.WaitGroup
 	views := make([][]BinUse, 16)
 	for i := range views {
@@ -381,7 +343,7 @@ func TestMaterializeConcurrent(t *testing.T) {
 func TestMalformedRunsRejected(t *testing.T) {
 	menu := testMenu()
 	in := MustHomogeneous(menu, 16, 0.95)
-	bad := []*PlanRuns{
+	bad := []*Plan{
 		{Runs: []BlockRun{{Comb: testComb(), Blocks: 0, Off: 0, Len: 0}}},                                                                                 // empty padded run
 		{Runs: []BlockRun{{Comb: nil, Blocks: 1, Off: 0, Len: 6}}},                                                                                        // no comb
 		{Arena: make([]int, 4), Runs: []BlockRun{{Comb: testComb(), Blocks: 1, Off: 0, Len: 6}}},                                                          // window past arena
@@ -389,29 +351,28 @@ func TestMalformedRunsRejected(t *testing.T) {
 		{Arena: make([]int, 8), Runs: []BlockRun{{Comb: testComb(), Blocks: 0, Off: 0, Len: 8}}},                                                          // padded ≥ block
 		{Arena: make([]int, 6), Runs: []BlockRun{{Comb: &RunComb{Parts: []RunPart{{Cardinality: 4, Count: 1}}, BlockLen: 6}, Blocks: 1, Off: 0, Len: 6}}}, // card ∤ L
 	}
-	for i, pr := range bad {
-		if err := NewRunPlan(pr).Validate(in); err == nil {
+	for i, p := range bad {
+		if err := p.Validate(in); err == nil {
 			t.Errorf("malformed plan %d passed Validate", i)
 		}
-		if _, err := NewRunPlan(pr).Cost(menu); err == nil {
+		if _, err := p.Cost(menu); err == nil {
 			t.Errorf("malformed plan %d passed Cost", i)
 		}
-		if _, err := NewRunPlan(pr).MarshalJSON(); err == nil {
+		if _, err := p.MarshalJSON(); err == nil {
 			t.Errorf("malformed plan %d was marshalled", i)
 		}
 	}
 }
 
 func TestRunBackedValidateAndMass(t *testing.T) {
-	pr := testRuns()
+	plan := testRuns()
 	menu := testMenu()
-	plan := NewRunPlan(pr)
 	gotMass, err := plan.TransformedMass(16, menu)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMass := make([]float64, 16)
-	for _, u := range expand(t, pr) {
+	for _, u := range expand(t, plan) {
 		b, _ := menu.ByCardinality(u.Cardinality)
 		for _, task := range u.Tasks {
 			wantMass[task] += b.Weight()

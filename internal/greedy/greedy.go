@@ -196,9 +196,8 @@ func SolveResidual(in *core.Instance, delivered []float64) (*core.Plan, error) {
 	// and an explicit one, because Solve builds its plan with
 	// core.PlanFromUses; an identity arena (opq.SolveRunsRange) has no
 	// slots to write through.
-	arena := fix.Runs().Arena
-	for i, t := range arena {
-		arena[i] = ids[t]
+	for i, t := range fix.Arena {
+		fix.Arena[i] = ids[t]
 	}
 	return fix, nil
 }

@@ -138,7 +138,7 @@ func SolveWith(in *core.Instance, build QueueBuilder) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var parts []*core.PlanRuns
+	var parts []*core.Plan
 	for _, part := range set.Partitions {
 		if len(part.Tasks) == 0 {
 			continue
@@ -149,7 +149,7 @@ func SolveWith(in *core.Instance, build QueueBuilder) (*core.Plan, error) {
 		}
 		parts = append(parts, sub)
 	}
-	return core.NewRunPlan(core.MergePlanRuns(parts...)), nil
+	return core.MergePlans(parts...), nil
 }
 
 // ApproxRatioBound returns the Theorem-3 guarantee

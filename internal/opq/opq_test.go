@@ -178,7 +178,7 @@ func TestCorollary1(t *testing.T) {
 	for _, mult := range []int{1, 2, 5, 100} {
 		n := mult * lcm1
 		tasks := seq(n)
-		p, err := SolveWithQueue(q, tasks)
+		p, err := SolveRuns(q, tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestPlanCostMatchesSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 30; n++ {
-		p, err := SolveWithQueue(q, seq(n))
+		p, err := SolveRuns(q, seq(n))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -271,7 +271,7 @@ func TestQueueInvariantsRandom(t *testing.T) {
 		}
 		n := 1 + rng.Intn(60)
 		in := core.MustHomogeneous(bins, n, th)
-		p, err := SolveWithQueue(q, seq(n))
+		p, err := SolveRuns(q, seq(n))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -14,8 +14,8 @@ import (
 // perSolveSized is solveSized as it was before queues carried their run
 // recipes, kept as the oracle: a recipe built per distinct combination a
 // solve applies (memoized within the solve) and runs appended as planned.
-func perSolveSized(q *Queue, n int) (*core.PlanRuns, error) {
-	pr := &core.PlanRuns{}
+func perSolveSized(q *Queue, n int) (*core.Plan, error) {
+	pr := &core.Plan{}
 	if n == 0 {
 		if len(q.Elems) == 0 {
 			return nil, fmt.Errorf("opq: empty queue")
@@ -62,7 +62,7 @@ func perSolveSized(q *Queue, n int) (*core.PlanRuns, error) {
 // sameRuns fails unless got and want describe the same plan: arena, base,
 // N and every run's Blocks, Off, Len, Parts and BlockLen — and encode to the
 // same JSON bytes.
-func sameRuns(t *testing.T, label string, got, want *core.PlanRuns) {
+func sameRuns(t *testing.T, label string, got, want *core.Plan) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Arena, want.Arena) || got.Base != want.Base || got.N != want.N {
 		t.Fatalf("%s: arena %v base %d n %d, want %v base %d n %d", label, got.Arena, got.Base, got.N, want.Arena, want.Base, want.N)
@@ -79,10 +79,10 @@ func sameRuns(t *testing.T, label string, got, want *core.PlanRuns) {
 		}
 	}
 	var gb, wb bytes.Buffer
-	if err := core.NewRunPlan(got).EncodeJSON(&gb); err != nil {
+	if err := got.EncodeJSON(&gb); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if err := core.NewRunPlan(want).EncodeJSON(&wb); err != nil {
+	if err := want.EncodeJSON(&wb); err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
@@ -172,7 +172,7 @@ func TestQueueRecipesSharedReadOnly(t *testing.T) {
 					errs <- err
 					return
 				}
-				for _, pr := range []*core.PlanRuns{a, b} {
+				for _, pr := range []*core.Plan{a, b} {
 					for _, r := range pr.Runs {
 						if !own[r.Comb] {
 							errs <- fmt.Errorf("goroutine %d: a run's recipe is not the queue's", g)
@@ -180,14 +180,18 @@ func TestQueueRecipesSharedReadOnly(t *testing.T) {
 						}
 					}
 				}
-				b.OffsetTasks(n)
-				m := core.MergePlanRuns(a, b)
-				m.OffsetTasks(-1)
-				if err := core.NewRunPlan(m).EncodeJSON(&bytes.Buffer{}); err != nil {
+				for i := range b.Arena {
+					b.Arena[i] += n
+				}
+				m := core.MergePlans(a, b)
+				for i := range m.Arena {
+					m.Arena[i]--
+				}
+				if err := m.EncodeJSON(&bytes.Buffer{}); err != nil {
 					errs <- err
 					return
 				}
-				if len(a.Materialize()) == 0 || len(m.Materialize()) == 0 {
+				if len(a.Materialized()) == 0 || len(m.Materialized()) == 0 {
 					errs <- fmt.Errorf("goroutine %d: empty materialization", g)
 					return
 				}

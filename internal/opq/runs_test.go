@@ -134,7 +134,7 @@ func sameUses(t *testing.T, label string, got, want []core.BinUse) {
 
 // TestRunsEquivalenceRandom is the master equivalence test: for
 // randomized menus, thresholds and sizes, the compact run form — streamed
-// (EachUse) and materialized (Materialize) — reproduces the historical
+// (EachUse) and materialized (Materialized) — reproduces the historical
 // expansion use for use, and every arithmetic aggregate (cost bit-for-bit,
 // uses, assignments, per-cardinality counts) agrees with a direct count
 // over it.
@@ -159,13 +159,12 @@ func TestRunsEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
-		pr, err := SolveRuns(q, tasks)
+		plan, err := SolveRuns(q, tasks)
 		if err != nil {
 			t.Fatalf("trial %d: SolveRuns: %v", trial, err)
 		}
-		plan := core.NewRunPlan(pr)
 
-		sameUses(t, "Materialize", plan.Materialized(), want)
+		sameUses(t, "Materialized", plan.Materialized(), want)
 		var streamed []core.BinUse
 		if err := plan.EachUse(func(card int, ts []int) error {
 			streamed = append(streamed, core.BinUse{Cardinality: card, Tasks: append([]int(nil), ts...)})
@@ -194,12 +193,6 @@ func TestRunsEquivalenceRandom(t *testing.T) {
 		if !reflect.DeepEqual(plan.Counts(), wantCounts) {
 			t.Fatalf("trial %d: Counts %v != %v", trial, plan.Counts(), wantCounts)
 		}
-
-		viaPlan, err := SolveWithQueue(q, tasks)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sameUses(t, "SolveWithQueue", viaPlan.Materialized(), want)
 	}
 }
 
@@ -222,11 +215,10 @@ func TestPaddedBlockByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("t=%v n=%d: %v", th, n, err)
 			}
-			pr, err := SolveRuns(q, seq(n))
+			plan, err := SolveRuns(q, seq(n))
 			if err != nil {
 				t.Fatalf("t=%v n=%d: %v", th, n, err)
 			}
-			plan := core.NewRunPlan(pr)
 			sameUses(t, "padded", plan.Materialized(), want)
 			wantAssigns := 0
 			for _, u := range want {
@@ -258,7 +250,7 @@ func TestPlanCostMatchesSolveRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := core.NewRunPlan(pr).Cost(bins)
+		want, err := pr.Cost(bins)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -29,18 +29,14 @@ func (Solver) Solve(in *core.Instance) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := SolveRunsRange(q, 0, in.N())
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRunPlan(pr), nil
+	return SolveRunsRange(q, 0, in.N())
 }
 
 // planSteps runs Algorithm 3's decision loop for n tasks, emitting each
 // decision instead of materializing assignments: emit(c, blocks, 0) for
 // blocks consecutive full blocks of combination c, emit(c, 0, rem) for one
 // final padded application of c over rem < c.LCM remainder tasks. It is
-// the single control-flow core shared by SolveWithQueue, SolveRuns and
+// the single control-flow core shared by SolveRuns, SolveRunsRange and
 // PlanCost.
 func planSteps(q *Queue, n int, emit func(c *Comb, blocks, rem int)) error {
 	if len(q.Elems) == 0 {
@@ -94,35 +90,37 @@ func planSteps(q *Queue, n int, emit func(c *Comb, blocks, rem int)) error {
 // expanding only at the JSON edge. The queue's threshold applies to every
 // task; sharing a queue across calls is how the evaluation amortizes
 // construction cost, and how the heterogeneous OPQ-Extended algorithm
-// drives per-partition solves. Task ids must be distinct: the block
+// drives per-partition solves. The plan's expansion is use for use what
+// Algorithm 3's per-use expansion emits (the equivalence test pins this
+// against a reference expansion). Task ids must be distinct: the block
 // expansion places ids positionally (and the padded block dedups by
 // position), so a duplicate would occupy two slots of one bin and yield
 // a plan that fails core.Plan.Validate — the same precondition the
 // expansion has always had, which the service layer enforces at
 // submission.
-func SolveRuns(q *Queue, tasks []int) (*core.PlanRuns, error) {
-	pr, err := solveSized(q, len(tasks))
+func SolveRuns(q *Queue, tasks []int) (*core.Plan, error) {
+	p, err := solveSized(q, len(tasks))
 	if err != nil {
 		return nil, err
 	}
-	if pr.N > 0 { // caller ids replace the identity arena
-		pr.Arena, pr.N = make([]int, len(tasks)), 0
-		copy(pr.Arena, tasks)
+	if p.N > 0 { // caller ids replace the identity arena
+		p.Arena, p.N = make([]int, len(tasks)), 0
+		copy(p.Arena, tasks)
 	}
-	return pr, nil
+	return p, nil
 }
 
 // SolveRunsRange is SolveRuns for the contiguous task ids base..base+n-1:
 // the plan keeps solveSized's identity arena, moved to base, so the solve
 // is O(runs) time and memory at any n — the shape the service's
 // homogeneous path uses.
-func SolveRunsRange(q *Queue, base, n int) (*core.PlanRuns, error) {
-	pr, err := solveSized(q, n)
+func SolveRunsRange(q *Queue, base, n int) (*core.Plan, error) {
+	p, err := solveSized(q, n)
 	if err != nil {
 		return nil, err
 	}
-	pr.Base = base
-	return pr, nil
+	p.Base = base
+	return p, nil
 }
 
 // solveSized plans the runs for n tasks over the identity arena 0..n-1
@@ -130,38 +128,27 @@ func SolveRunsRange(q *Queue, base, n int) (*core.PlanRuns, error) {
 // first planSteps pass only counts the runs, so the plan is two
 // allocations — itself and its exactly sized run slice — with every run
 // pointing at its element's recipe on the queue.
-func solveSized(q *Queue, n int) (*core.PlanRuns, error) {
+func solveSized(q *Queue, n int) (*core.Plan, error) {
 	runs := 0
 	if err := planSteps(q, n, func(*Comb, int, int) { runs++ }); err != nil {
 		return nil, err
 	}
-	pr := &core.PlanRuns{}
+	p := &core.Plan{}
 	if runs == 0 {
-		return pr, nil
+		return p, nil
 	}
-	pr.Runs = make([]core.BlockRun, 0, runs)
+	p.Runs = make([]core.BlockRun, 0, runs)
 	pos := 0
 	_ = planSteps(q, n, func(c *Comb, blocks, rem int) { // the same steps: it cannot fail now
 		ln := blocks * int(c.LCM)
 		if blocks == 0 {
 			ln = rem
 		}
-		pr.Runs = append(pr.Runs, core.BlockRun{Comb: c.run, Blocks: blocks, Off: pos, Len: ln})
+		p.Runs = append(p.Runs, core.BlockRun{Comb: c.run, Blocks: blocks, Off: pos, Len: ln})
 		pos += ln
 	})
-	pr.N = n
-	return pr, nil
-}
-
-// SolveWithQueue is SolveRuns behind the *core.Plan type. The plan's
-// expansion is use for use what Algorithm 3's per-use expansion emits (the
-// equivalence test pins this against a reference expansion).
-func SolveWithQueue(q *Queue, tasks []int) (*core.Plan, error) {
-	pr, err := SolveRuns(q, tasks)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRunPlan(pr), nil
+	p.N = n
+	return p, nil
 }
 
 // cheapestBlock returns the queue element with the smallest one-shot block

@@ -233,11 +233,11 @@ func (b *batcher) solve(pb *pendingBatch, members []*batchMember) error {
 		return err
 	}
 	for _, m := range members {
-		pr, err := opq.SolveRunsRange(q, 0, m.n)
+		plan, err := opq.SolveRunsRange(q, 0, m.n)
 		if err != nil {
 			return err
 		}
-		m.plan = core.NewRunPlan(pr)
+		m.plan = plan
 	}
 	return nil
 }

@@ -424,15 +424,15 @@ func TestRecordPlanBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ident.Runs().Arena != nil {
+	if ident.Arena != nil {
 		t.Fatal("the homogeneous solve's plan has an explicit arena; the identity case tests nothing")
 	}
 	// The same runs over the ids in reverse: an explicit arena.
-	arena := make([]int, ident.Runs().NumTasks())
+	arena := make([]int, ident.NumTasks())
 	for i := range arena {
 		arena[i] = len(arena) - 1 - i
 	}
-	explicit := core.NewRunPlan(&core.PlanRuns{Arena: arena, Runs: ident.Runs().Runs})
+	explicit := &core.Plan{Arena: arena, Runs: ident.Runs}
 	fromUses, err := core.PlanFromUses([]core.BinUse{
 		{Cardinality: 3, Tasks: []int{0, 1, 2}}, {Cardinality: 1, Tasks: []int{6}}, {Cardinality: 3, Tasks: []int{6, 7}},
 	})
@@ -452,7 +452,7 @@ func TestRecordPlanBytesUnchanged(t *testing.T) {
 		plan *core.Plan
 	}{
 		{"identity", ident}, {"explicit", explicit}, {"PlanFromUses", fromUses},
-		{"OPQ-Extended", ext}, {"empty", &core.Plan{}}, {"empty runs", core.NewRunPlan(&core.PlanRuns{})},
+		{"OPQ-Extended", ext}, {"empty", &core.Plan{}}, {"empty runs", &core.Plan{Runs: []core.BlockRun{}}},
 	} {
 		rec, err := recordFromJob(&job{id: "job-1", kind: KindSolve, state: JobDone, plan: c.plan})
 		if err != nil {

@@ -471,17 +471,16 @@ func summarizePlan(plan *core.Plan, bins core.BinSet) (PlanSummary, error) {
 	if err != nil {
 		return PlanSummary{}, err
 	}
-	pr := plan.Runs()
 	var buf [16]core.RunPart // a plan names a few cardinalities; more spill to the heap
-	counts := pr.AppendCounts(buf[:0])
+	counts := plan.AppendCounts(buf[:0])
 	uses := make([]CardinalityUses, len(counts))
 	for i, c := range counts {
 		uses[i] = CardinalityUses{Cardinality: c.Cardinality, Count: c.Count}
 	}
 	return PlanSummary{
 		Uses:           uses,
-		NumUses:        pr.NumUses(),
-		NumAssignments: pr.NumAssignments(),
+		NumUses:        plan.NumUses(),
+		NumAssignments: plan.NumAssignments(),
 		Cost:           cost,
 	}, nil
 }

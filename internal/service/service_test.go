@@ -214,7 +214,7 @@ func TestLibraryEqualsServiceHeterogeneous(t *testing.T) {
 	if gc, wc := got.MustCost(menu), want.MustCost(menu); gc != wc {
 		t.Errorf("hetero.Solve: cost %v != service %v", gc, wc)
 	}
-	if gr, wr := len(got.Runs().Runs), len(want.Runs().Runs); gr != wr {
+	if gr, wr := len(got.Runs), len(want.Runs); gr != wr {
 		t.Errorf("hetero.Solve: %d runs in memory, service solver holds %d", gr, wr)
 	}
 }

@@ -110,11 +110,7 @@ func (s *ShardedSolver) solve(in *core.Instance) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr, err := opq.SolveRunsRange(q, 0, in.N())
-	if err != nil {
-		return nil, err
-	}
-	return core.NewRunPlan(pr), nil
+	return opq.SolveRunsRange(q, 0, in.N())
 }
 
 // acquire takes one solve slot, waiting until one frees up or ctx is done.

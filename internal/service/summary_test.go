@@ -77,7 +77,7 @@ func TestPlanSummaryParity(t *testing.T) {
 	}
 	merged := core.MergePlans(append(parts, tail)...)
 	seen, recurs := map[int]bool{}, false
-	for _, r := range merged.Runs().Runs {
+	for _, r := range merged.Runs {
 		for _, p := range r.Comb.Parts {
 			recurs = recurs || seen[p.Cardinality]
 			seen[p.Cardinality] = true
@@ -107,7 +107,7 @@ func TestPlanSummaryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases = append(cases, tc{"OPQ-Extended", ext, jelly})
-	cases = append(cases, tc{"empty", &core.Plan{}, table1}, tc{"empty runs", core.NewRunPlan(&core.PlanRuns{}), table1})
+	cases = append(cases, tc{"empty", &core.Plan{}, table1}, tc{"empty runs", &core.Plan{Runs: []core.BlockRun{}}, table1})
 
 	for _, c := range cases {
 		got, err := summarizePlan(c.plan, c.bins)

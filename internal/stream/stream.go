@@ -110,7 +110,7 @@ func (p *Planner) Add(taskIDs ...int) (*core.Plan, error) {
 	// of the block size, Algorithm 3 emits the same full-block sequence a
 	// block-by-block solve-and-merge loop would. The emitted plan owns a
 	// copy of the ids, so compacting the buffer below never disturbs it.
-	out, err := opq.SolveWithQueue(p.queue, p.buffer[:emit])
+	out, err := opq.SolveRuns(p.queue, p.buffer[:emit])
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (p *Planner) Flush() (*core.Plan, error) {
 	if len(p.buffer) == 0 {
 		return &core.Plan{}, nil
 	}
-	out, err := opq.SolveWithQueue(p.queue, p.buffer)
+	out, err := opq.SolveRuns(p.queue, p.buffer)
 	if err != nil {
 		return nil, err
 	}

@@ -72,14 +72,11 @@ type (
 	// Instance is a SLADE problem: a menu plus per-task thresholds.
 	Instance = core.Instance
 	// Plan is a decomposition plan: bin uses with task placements, held
-	// in the compact PlanRuns form. Per-use views are produced lazily
-	// (Plan.Materialized, Plan.EachUse); PlanFromUses builds a plan from
-	// a use list.
+	// in compact block-run form — run metadata over one task-id arena
+	// (implicit when the ids are a contiguous range). Per-use views are
+	// produced lazily (Plan.Materialized, Plan.EachUse); PlanFromUses
+	// builds a plan from a use list.
 	Plan = core.Plan
-	// PlanRuns is the block-run form every Plan holds: run metadata over
-	// one task-id arena (implicit when the ids are a contiguous range),
-	// expanded only where per-use lists are needed.
-	PlanRuns = core.PlanRuns
 	// BinUse is one bin use within a plan — the wire and edge form.
 	BinUse = core.BinUse
 	// Summary is a compact plan description (uses per cardinality, cost).
@@ -143,14 +140,7 @@ func BuildOPQ(bins BinSet, t float64) (*OPQ, error) { return opq.Build(bins, t) 
 // SolveWithOPQ runs Algorithm 3 over the given task identifiers with a
 // pre-built queue: a constant number of allocations regardless of task
 // count, no per-use expansion until Materialized is called.
-func SolveWithOPQ(q *OPQ, tasks []int) (*Plan, error) { return opq.SolveWithQueue(q, tasks) }
-
-// SolveRunsWithOPQ is SolveWithOPQ returning the bare run form, for
-// callers that merge or clone runs themselves; NewRunPlan wraps it.
-func SolveRunsWithOPQ(q *OPQ, tasks []int) (*PlanRuns, error) { return opq.SolveRuns(q, tasks) }
-
-// NewRunPlan wraps a PlanRuns in the Plan API; the plan owns it.
-func NewRunPlan(pr *PlanRuns) *Plan { return core.NewRunPlan(pr) }
+func SolveWithOPQ(q *OPQ, tasks []int) (*Plan, error) { return opq.SolveRuns(q, tasks) }
 
 // PlanFromUses builds a plan that expands to exactly the given use list,
 // rejecting a use with a non-positive cardinality, no tasks, or more

@@ -249,7 +249,9 @@ const cachedSolveByteBudget = 1 << 10
 // more at ten times the tasks (queue construction is independent of n;
 // OPQ-Extended's partition lists grow by a few append doublings). The last
 // block holds the service's solver and batched route, and the homogeneous
-// instance itself, to a constant number of bytes/op at any n.
+// instance itself, to a constant number of bytes/op at any n; the solver
+// meets its budget too at a threshold served by the queue another
+// threshold built (a shared piece).
 func TestCachedSolveAllocBudget(t *testing.T) {
 	menu := benchMenu(t, experiments.Jelly, 20)
 	q, err := opq.Build(menu, 0.9)
@@ -314,17 +316,28 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 	sharded := &slade.ShardedSolver{Cache: slade.NewOPQCache(4), Workers: 4}
 	svc := slade.NewService(slade.ServiceConfig{BatchWindow: time.Minute, BatchMaxRequests: 1})
 	defer svc.Close()
+	// tShared lies in the piece of needs 0.9's queue is valid on, so the
+	// solver serves it from the queue 0.9 built: one build in all.
+	_, piece, err := opq.BuildPiece(menu, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tShared := core.ThresholdFromTheta((piece.Lo+piece.Hi)/2 + core.RelTol)
+	if tShared == 0.9 || !piece.Contains(opq.Need(tShared)) {
+		t.Fatalf("t′ = %v does not lie in 0.9's piece %+v", tShared, piece)
+	}
 	for _, n := range []int{100_000, 10_000_000} {
 		if allocs, bytesPerOp := allocsAndBytes(func() { core.MustHomogeneous(menu, n, 0.9) }); bytesPerOp >= 1<<10 {
 			t.Errorf("core.MustHomogeneous at n=%d: %.0f allocs/op, %d bytes/op, want under 1 KiB — the instance holds an n-sized slice", n, allocs, bytesPerOp)
 		}
-		in := core.MustHomogeneous(menu, n, 0.9)
+		in, inShared := core.MustHomogeneous(menu, n, 0.9), core.MustHomogeneous(menu, n, tShared)
 		for _, r := range []struct {
 			name   string
 			budget float64
 			solve  func() (*core.Plan, error)
 		}{
 			{"ShardedSolver.Solve", shardedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
+			{"ShardedSolver.Solve at a t′ in 0.9's piece", shardedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(inShared) }},
 			{"batched Service.Decompose", 16, func() (*core.Plan, error) { return svc.Decompose(context.Background(), in) }},
 		} {
 			solve := func() {
@@ -342,6 +355,9 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 				t.Errorf("%s: %d bytes/op at n=%d, over %d — the route writes more than its plan and runs", r.name, bytesPerOp, n, cachedSolveByteBudget)
 			}
 		}
+	}
+	if st := sharded.Cache.Stats(); st.Builds != 1 {
+		t.Errorf("the solver's cache built %d queues, want 1: t′ = %v must hit 0.9's piece", st.Builds, tShared)
 	}
 }
 

@@ -60,14 +60,32 @@ type BuildStats struct {
 // insertion) at a much larger enumeration cost: it is the exhaustive
 // reference enumeration the parity tests and the ablation compare against.
 func BuildInstrumented(bins core.BinSet, t float64, budget int, prune bool) (*Queue, BuildStats, error) {
+	var b builder
+	if err := b.init(bins, t, budget, prune); err != nil {
+		return nil, BuildStats{}, err
+	}
+	if err := b.run(); err != nil {
+		return nil, b.stats, err
+	}
+	return b.q, b.stats, nil
+}
+
+// Need is the demand θ(t) − core.RelTol that Algorithm 2 holds a
+// combination's mass to: mass ≥ Need(t) is feasible at t.
+func Need(t float64) float64 { return core.Theta(t) - core.RelTol }
+
+// init validates the menu and threshold and prepares the enumeration's
+// per-bin terms. The builder is a value the caller owns, so it stays on
+// the caller's stack.
+func (b *builder) init(bins core.BinSet, t float64, budget int, prune bool) error {
 	if bins.Len() == 0 {
-		return nil, BuildStats{}, fmt.Errorf("opq: empty bin menu")
+		return fmt.Errorf("opq: empty bin menu")
 	}
 	if !(t >= 0 && t < 1) {
-		return nil, BuildStats{}, fmt.Errorf("opq: threshold %v outside [0,1)", t)
+		return fmt.Errorf("opq: threshold %v outside [0,1)", t)
 	}
-	need := core.Theta(t) - core.RelTol
-	b := &builder{
+	need := Need(t)
+	*b = builder{
 		q:      &Queue{Threshold: t, bins: bins},
 		terms:  make([]term, bins.Len()),
 		counts: make([]int, bins.Len()),
@@ -88,10 +106,13 @@ func BuildInstrumented(bins core.BinSet, t float64, budget int, prune bool) (*Qu
 		}
 	}
 	if need/b.terms[weakest].weight > maxAssignments {
-		return nil, BuildStats{}, fmt.Errorf(
+		return fmt.Errorf(
 			"opq: threshold %v needs more than %d assignments of the weakest bin (cardinality %d, confidence %v)",
 			t, maxAssignments, bins.At(weakest).Cardinality, bins.At(weakest).Confidence)
 	}
+	// Any need up to maxNeed passes the check above: need ≤ 4096·w gives
+	// need/w ≤ 4096 under correctly rounded division.
+	b.maxNeed = maxAssignments * b.terms[weakest].weight
 	// minRatio is a running minimum from the right of unit/weight. BinSet
 	// validation guarantees cost > 0 and 0 < confidence < 1, so every
 	// ratio is positive or +Inf, never NaN; written as !(r >= ratio), a
@@ -104,16 +125,20 @@ func BuildInstrumented(bins core.BinSet, t float64, budget int, prune bool) (*Qu
 		}
 		b.terms[i].minRatio = ratio
 	}
+	return nil
+}
 
+// run enumerates the queue and gives its elements their run recipes.
+func (b *builder) run() error {
 	err := b.enumerate(0, 1, 0, 0)
 	if err == nil && len(b.q.Elems) == 0 {
-		err = fmt.Errorf("opq: no feasible combination found (budget %d)", budget)
+		err = fmt.Errorf("opq: no feasible combination found (budget %d)", b.budget)
 	}
 	if err != nil {
-		return nil, b.stats, err
+		return err
 	}
 	b.q.buildRecipes()
-	return b.q, b.stats, nil
+	return nil
 }
 
 // buildRecipes gives every element of the finished queue its run recipe, in
@@ -172,7 +197,11 @@ type builder struct {
 	counts []int
 	free   [][]int
 	// need is the demand θ(t) less core.RelTol: mass ≥ need is feasible.
-	need   float64
+	need float64
+	// maxNeed is the largest need the maxAssignments check lets through.
+	maxNeed float64
+	// lo is the running lower end of the built queue's Piece (lower).
+	lo     float64
 	budget int
 	stats  BuildStats
 	// prune enables the two mid-enumeration cuts; when false, domination

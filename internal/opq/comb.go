@@ -134,12 +134,19 @@ func (q *Queue) Len() int { return len(q.Elems) }
 // Elems is descending in LCM and ascending in UC, so the first element with
 // LCM ≤ lcm is the cheapest of those that qualify and decides alone.
 func (q *Queue) dominated(l int64, uc float64) bool {
+	e := q.decider(l)
+	return e != nil && e.UC <= uc
+}
+
+// decider returns the element that decides dominated(l, ·): the first, and
+// so the cheapest, with LCM ≤ l, or nil when there is none.
+func (q *Queue) decider(l int64) *Comb {
 	for i := range q.Elems {
-		if e := &q.Elems[i]; e.LCM <= l {
-			return e.UC <= uc
+		if q.Elems[i].LCM <= l {
+			return &q.Elems[i]
 		}
 	}
-	return false
+	return nil
 }
 
 // Validate checks the Definition-4 invariants: descending LCM, strictly

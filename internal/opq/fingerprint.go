@@ -1,7 +1,6 @@
 package opq
 
 import (
-	"encoding/binary"
 	"math"
 	"strconv"
 
@@ -23,13 +22,16 @@ const (
 // callers using it as a cache key must confirm a hit against the full key
 // material.
 //
-// Fingerprint is not the service's cache key: the OPQ cache and the
-// batcher both key by FingerprintDigest plus the menu length and the
-// threshold's bits, and render nothing per request. The string stays the
-// library's canonical form (slade.MenuFingerprint); its 16-hex-digit
-// prefix, up to the first ':', is the digest the service's /metrics
-// `key` label prints. The format "%016x:m%d:t%.6f" is pinned by
-// TestFingerprintFormat. It is not written to disk.
+// Fingerprint is not the service's cache key. The OPQ cache keeps each
+// menu's queues under MenuDigest plus the menu length, each queue valid on
+// a Piece of thresholds; the batcher, and the cache's in-flight builds,
+// key by FingerprintDigest plus the menu length and the threshold's bits.
+// Neither renders anything per request. The string stays the library's
+// canonical form (slade.MenuFingerprint); its 16-hex-digit prefix, up to
+// the first ':', is the digest the service's /metrics `key` label prints
+// for the threshold that first built a cached queue. The format
+// "%016x:m%d:t%.6f" is pinned by TestFingerprintFormat. It is not written
+// to disk.
 func Fingerprint(bins core.BinSet, t float64) string {
 	const hexdigits = "0123456789abcdef"
 	sum := FingerprintDigest(bins, t)
@@ -45,26 +47,37 @@ func Fingerprint(bins core.BinSet, t float64) string {
 }
 
 // FingerprintDigest returns Fingerprint's 64-bit digest without rendering
-// the string form — the per-request key the service's OPQ cache and
-// batcher group by, where the string's strconv work would be pure
-// overhead. Like the full fingerprint, equal digests of distinct key
-// material are possible and must be confirmed against the full (menu,
-// threshold) pair.
+// the string form: FoldThreshold(MenuDigest(bins), t). Like the full
+// fingerprint, equal digests of distinct key material are possible and
+// must be confirmed against the full (menu, threshold) pair.
 func FingerprintDigest(bins core.BinSet, t float64) uint64 {
+	return FoldThreshold(MenuDigest(bins), t)
+}
+
+// MenuDigest is the FNV-64a digest of the menu alone: every bin's
+// cardinality, confidence bits and cost bits, in menu order. The service's
+// OPQ cache groups a menu's queues under it.
+func MenuDigest(bins core.BinSet) uint64 {
 	h := uint64(fnvOffset64)
-	var buf [8]byte
-	write := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		for _, c := range buf {
-			h = (h ^ uint64(c)) * fnvPrime64
-		}
-	}
 	for i := 0; i < bins.Len(); i++ { // At, not Bins(): no menu copy per key
 		b := bins.At(i)
-		write(uint64(b.Cardinality))
-		write(math.Float64bits(b.Confidence))
-		write(math.Float64bits(b.Cost))
+		h = fnvWrite(h, uint64(b.Cardinality))
+		h = fnvWrite(h, math.Float64bits(b.Confidence))
+		h = fnvWrite(h, math.Float64bits(b.Cost))
 	}
-	write(math.Float64bits(t))
+	return h
+}
+
+// FoldThreshold continues a menu digest over the bits of t, giving
+// FingerprintDigest(bins, t) from MenuDigest(bins).
+func FoldThreshold(menu uint64, t float64) uint64 {
+	return fnvWrite(menu, math.Float64bits(t))
+}
+
+// fnvWrite folds v's eight big-endian bytes into the FNV-64a state h.
+func fnvWrite(h, v uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ (v >> shift & 0xff)) * fnvPrime64
+	}
 	return h
 }

@@ -480,26 +480,49 @@ func TestBuildRejectsUnreachableDepth(t *testing.T) {
 // TestBuildAllocBudget is the clock-free gate on Algorithm 2: over the 320
 // cold-menu thresholds a SMIC-20 build averages ≤ 128 allocations and
 // ≤ 32 KiB (34 and 10.0 KiB measured, the queue's run recipes included; the
-// clone-per-node enumeration this replaced made 18,298 and 2,733 KiB), and a
-// build that dies on its node budget has allocated next to nothing on the
-// way.
+// clone-per-node enumeration this replaced made 18,298 and 2,733 KiB);
+// BuildPiece allocates exactly what Build does, its second enumeration
+// nothing; and a build that dies on its node budget has allocated next to
+// nothing on the way.
 func TestBuildAllocBudget(t *testing.T) {
 	smic20 := binset.MustSMIC(20)
 	ts := coldMenuThresholds()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, th := range ts {
-		if _, err := Build(smic20, th); err != nil {
-			t.Fatal(err)
+	sweep := func(build func(th float64) error) (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, th := range ts {
+			if err := build(th); err != nil {
+				t.Fatal(err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(ts))
-	kib := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ts)) / 1024
+	build := func(th float64) error { _, err := Build(smic20, th); return err }
+	piece := func(th float64) error { _, _, err := BuildPiece(smic20, th); return err }
+	mallocs, bytes := sweep(build)
+	allocs := float64(mallocs) / float64(len(ts))
+	kib := float64(bytes) / float64(len(ts)) / 1024
 	t.Logf("SMIC-20 over %d cold-menu thresholds: %.0f allocs, %.1f KiB per build", len(ts), allocs, kib)
 	if allocs > 128 || kib > 32 {
 		t.Errorf("build averages %.0f allocs and %.1f KiB, budget 128 and 32", allocs, kib)
+	}
+	// MemStats are process-wide and another goroutine's allocation only
+	// adds (a -race runtime makes a few per sweep), so each side's count is
+	// its least over up to ten interleaved sweeps.
+	pm, pb := sweep(piece)
+	for range 9 {
+		if pm == mallocs && pb == bytes {
+			break
+		}
+		m, b := sweep(build)
+		mallocs, bytes = min(mallocs, m), min(bytes, b)
+		m, b = sweep(piece)
+		pm, pb = min(pm, m), min(pb, b)
+	}
+	if pm != mallocs || pb != bytes {
+		t.Errorf("BuildPiece made %d allocations / %d B over the sweep, Build %d / %d B", pm, pb, mallocs, bytes)
 	}
 
 	smic30 := binset.MustSMIC(30)

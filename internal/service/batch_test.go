@@ -136,9 +136,9 @@ func TestBatchDrainHandoffFlushesWithoutWindow(t *testing.T) {
 	// cache.Get pays this injected build delay, guaranteeing the third
 	// member joins the successor batch while the first flush is still in
 	// flight.
-	svc.cache = NewOPQCacheWithBuilder(DefaultCacheSize, func(bins core.BinSet, th float64) (*opq.Queue, error) {
+	svc.cache = NewOPQCacheWithBuilder(DefaultCacheSize, func(bins core.BinSet, th float64) (*opq.Queue, opq.Piece, error) {
 		time.Sleep(300 * time.Millisecond)
-		return opq.Build(bins, th)
+		return opq.BuildPiece(bins, th)
 	})
 	svc.sharded.Cache = svc.cache
 

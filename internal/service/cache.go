@@ -10,6 +10,7 @@ import (
 	"container/list"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,52 +27,111 @@ const DefaultCacheSize = 128
 
 // CacheStats is a snapshot of OPQCache effectiveness counters.
 type CacheStats struct {
-	// Hits counts Get calls answered from the cache.
+	// Hits counts Get calls answered from the cache, including those a
+	// piece built for another threshold answered.
 	Hits uint64 `json:"hits"`
 	// Misses counts Get calls that had to build (or wait for) a queue.
 	Misses uint64 `json:"misses"`
-	// Builds counts actual opq.Build invocations — with coalescing this is
-	// at most one per distinct (menu, threshold) key ever resident.
+	// Builds counts actual opq.BuildPiece invocations — with coalescing at
+	// most one per miss, and once pieces cover a menu's working set, none.
+	// A build whose queue a resident piece already holds widens that
+	// piece instead of adding an entry.
 	Builds uint64 `json:"builds"`
 	// Coalesced counts Get calls that piggybacked on an in-flight build
 	// instead of starting their own.
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries dropped by the LRU policy.
 	Evictions uint64 `json:"evictions"`
-	// Entries is the current number of resident queues.
+	// Entries is the current number of resident queues (pieces).
 	Entries int `json:"entries"`
 }
 
-// BuildFunc constructs a queue for a menu and threshold; opq.Build is the
-// production implementation. Tests inject counting or failing variants.
-type BuildFunc func(bins core.BinSet, t float64) (*opq.Queue, error)
+// BuildFunc constructs a queue for a menu and threshold together with the
+// piece of needs it is valid on; opq.BuildPiece is the production
+// implementation. Tests inject counting or failing variants.
+type BuildFunc func(bins core.BinSet, t float64) (*opq.Queue, opq.Piece, error)
 
-// OPQCache is a concurrency-safe LRU cache of Optimal Priority Queues keyed
-// by the (menu, threshold) pair's queueKey. Concurrent Gets for the
-// same missing key coalesce into a single build: the first caller runs
-// Algorithm 2, the rest block until it finishes and share the result.
-// Queues are read-only after construction, so sharing is safe.
+// OPQCache is a concurrency-safe LRU cache of Optimal Priority Queues. A
+// queue is piecewise constant in the threshold, so each entry is a piece:
+// one queue and the interval of needs opq.Need(t) on which Algorithm 2
+// returns exactly it (opq.BuildPiece). A Get hits on any resident piece of
+// its menu that holds its need, whichever threshold built it; entries of
+// one menu never overlap. Concurrent Gets for the same missing threshold
+// coalesce into a single build: the first caller runs Algorithm 2, the
+// rest block until it finishes and share the result. Queues are read-only
+// after construction, so sharing is safe.
 type OPQCache struct {
 	mu       sync.Mutex
 	capacity int
 	build    BuildFunc
-	ll       *list.List                 // front = most recently used
-	byKey    map[queueKey]*list.Element // → *cacheEntry element
+	ll       *list.List // of *cacheEntry; front = most recently used
+	menus    map[menuKey]*menuPieces
 	inflight map[queueKey]*inflightBuild
 	stats    CacheStats
-	// keyed tracks per-key traffic for resident and in-flight keys; an
-	// evicted (or failed-build) key's counters fold into folded so the
-	// map stays bounded by the cache capacity plus in-flight builds.
-	keyed  map[queueKey]*keyCounters
+	// folded aggregates the per-key counters of evicted entries and of
+	// builds that failed or were not kept, so live records stay bounded by
+	// the capacity plus in-flight builds.
 	folded KeyCacheStats
 }
 
+// menuKey groups a menu's pieces: the menu's digest and its length. A
+// digest match is only probable identity, so a hit is confirmed against
+// the entry's menu (sameMenu).
+type menuKey struct {
+	digest  uint64
+	menuLen int
+}
+
+// menuPieces is one menu's resident entries.
+type menuPieces struct {
+	// bins is the menu, kept beside the digest so a hash collision is
+	// detected instead of silently serving a queue built for another menu.
+	bins core.BinSet
+	// pieces are the shareable entries, sorted by ascending Hi. Two
+	// correct pieces that share a need share a queue and so its least
+	// mass, Hi; pieces of different Hi therefore never overlap.
+	pieces []*cacheEntry
+	// exact are entries whose piece does not hold their own threshold's
+	// need: a θ = 0 build (the zero Piece) or one whose need rounds to
+	// −RelTol. Each serves its own threshold's bits only.
+	exact []*cacheEntry
+}
+
+// find returns the entry that serves need (or, failing a piece, exactly t),
+// or nil. m may be nil.
+func (m *menuPieces) find(need, t float64) *cacheEntry {
+	if m == nil {
+		return nil
+	}
+	if i := m.search(need); i < len(m.pieces) && m.pieces[i].piece.Lo < need {
+		return m.pieces[i]
+	}
+	return m.exactFor(t)
+}
+
+// exactFor returns the exact entry built for t's bits, or nil.
+func (m *menuPieces) exactFor(t float64) *cacheEntry {
+	for _, e := range m.exact {
+		if e.key.tbits == math.Float64bits(t) {
+			return e
+		}
+	}
+	return nil
+}
+
+// search returns the index of the first piece with Hi ≥ hi.
+func (m *menuPieces) search(hi float64) int {
+	return sort.Search(len(m.pieces), func(i int) bool { return m.pieces[i].piece.Hi >= hi })
+}
+
 // queueKey identifies the queue opq.Build(bins, t) would construct, for
-// the cache and the batcher alike: the menu's fingerprint digest, its
-// length and the threshold's bit pattern (bits, not the float, so a NaN
-// key still finds itself in a map). It costs no rendering per request;
-// a digest match is only probable identity, so both users confirm it
-// against the full key material (sameKey).
+// in-flight builds and the batcher alike: the menu's fingerprint digest
+// folded over the threshold, the menu's length and the threshold's bit
+// pattern (bits, not the float, so a NaN key still finds itself in a map).
+// It costs no rendering per request; a digest match is only probable
+// identity, so both users confirm it against the full key material
+// (sameKey). A resident entry keeps the queueKey of the threshold that
+// first built it: its digest is the entry's /metrics `key` label.
 type queueKey struct {
 	digest  uint64
 	menuLen int
@@ -83,38 +143,52 @@ func keyOf(bins core.BinSet, t float64) queueKey {
 	return queueKey{digest: opq.FingerprintDigest(bins, t), menuLen: bins.Len(), tbits: math.Float64bits(t)}
 }
 
-// keyCounters is the live per-key traffic record behind KeyMetrics.
-// Guarded by OPQCache.mu except for the build histogram, which is
-// internally atomic (built outside the lock, observed under it).
+// keyCounters is the live per-key traffic record behind KeyMetrics, held
+// by a resident entry or an in-flight build. Guarded by OPQCache.mu; the
+// build histogram is internally atomic.
 type keyCounters struct {
 	hits, misses, builds uint64
-	build                *obs.Histogram // lazily created on first build
+	build                *obs.Histogram // created by the first build
+}
+
+// add folds o's counts into kc.
+func (kc *keyCounters) add(o *keyCounters) {
+	kc.hits += o.hits
+	kc.misses += o.misses
+	kc.builds += o.builds
+	if kc.build == nil {
+		kc.build = o.build
+	} else if o.build != nil {
+		_ = kc.build.Merge(o.build) // both latency histograms: same layout
+	}
 }
 
 // KeyCacheStats is one key's slice of cache traffic, as reported by
-// KeyMetrics. Key is the key's fingerprint digest in hex, suitable as a
-// metric label (the exposition merges series on the rare digest
-// collision).
+// KeyMetrics. A key is a resident piece (or an in-flight build), labelled
+// with the fingerprint digest of the threshold that first built it, in
+// hex, suitable as a metric label (the exposition merges series on the
+// rare digest collision).
 type KeyCacheStats struct {
 	// Key is the 16-hex-digit fingerprint digest, or "" for the
 	// aggregated remainder.
 	Key string
 	// Hits, Misses and Builds mirror the global CacheStats counters,
-	// scoped to this key. Coalesced Gets count as misses here.
+	// scoped to this key: every threshold the piece served or that built
+	// into it. Coalesced Gets count as misses here.
 	Hits, Misses, Builds uint64
 	// Build is the build-latency distribution for this key (zero-valued
 	// when the key has never been built).
 	Build obs.HistogramSnapshot
 }
 
-// cacheEntry is one resident queue. The full (bins, threshold) key is kept
-// alongside the digest key so a hash collision is detected on hit instead
-// of silently serving a queue built for a different menu.
+// cacheEntry is one resident piece of a menu.
 type cacheEntry struct {
-	key       queueKey
-	bins      core.BinSet
-	threshold float64
-	queue     *opq.Queue
+	key   queueKey // of the threshold that first built the piece
+	mk    menuKey
+	piece opq.Piece
+	queue *opq.Queue
+	el    *list.Element
+	keyCounters
 }
 
 // inflightBuild tracks a build in progress; waiters block on done.
@@ -124,12 +198,14 @@ type inflightBuild struct {
 	done      chan struct{}
 	queue     *opq.Queue
 	err       error
+	kc        keyCounters // the build's misses until it lands
 }
 
 // NewOPQCache returns a cache holding at most capacity queues
-// (DefaultCacheSize when capacity <= 0), building misses with opq.Build.
+// (DefaultCacheSize when capacity <= 0), building misses with
+// opq.BuildPiece.
 func NewOPQCache(capacity int) *OPQCache {
-	return NewOPQCacheWithBuilder(capacity, opq.Build)
+	return NewOPQCacheWithBuilder(capacity, opq.BuildPiece)
 }
 
 // NewOPQCacheWithBuilder is NewOPQCache with an injectable build function.
@@ -141,31 +217,14 @@ func NewOPQCacheWithBuilder(capacity int, build BuildFunc) *OPQCache {
 		capacity: capacity,
 		build:    build,
 		ll:       list.New(),
-		byKey:    make(map[queueKey]*list.Element),
+		menus:    make(map[menuKey]*menuPieces),
 		inflight: make(map[queueKey]*inflightBuild),
-		keyed:    make(map[queueKey]*keyCounters),
 	}
 }
 
-// keyCountersLocked returns (creating if needed) the traffic record for
-// key. Caller holds c.mu.
-func (c *OPQCache) keyCountersLocked(key queueKey) *keyCounters {
-	kc, ok := c.keyed[key]
-	if !ok {
-		kc = &keyCounters{}
-		c.keyed[key] = kc
-	}
-	return kc
-}
-
-// foldKeyLocked folds key's counters into the aggregated remainder and
-// drops the live record. Caller holds c.mu.
-func (c *OPQCache) foldKeyLocked(key queueKey) {
-	kc, ok := c.keyed[key]
-	if !ok {
-		return
-	}
-	delete(c.keyed, key)
+// foldLocked folds a record that stops being live into the aggregated
+// remainder. Caller holds c.mu.
+func (c *OPQCache) foldLocked(kc *keyCounters) {
 	c.folded.Hits += kc.hits
 	c.folded.Misses += kc.misses
 	c.folded.Builds += kc.builds
@@ -174,69 +233,64 @@ func (c *OPQCache) foldKeyLocked(key queueKey) {
 	}
 }
 
-// Get returns the queue for (bins, t), building it on first use. Errors are
-// not cached: every Get for a failing key re-attempts the build (concurrent
-// callers still share one attempt). A digest collision (distinct key
-// material, equal digest) is detected against the stored full key and
-// served by an uncached direct build, never by the colliding entry.
-// Safe for concurrent use; builds run outside the cache lock, so Gets for
-// other keys never block behind Algorithm 2. The returned queue is shared
-// and must be treated as read-only.
+// Get returns the queue for (bins, t): the resident piece of the menu that
+// holds t's need, or else a new build. Errors are not cached: every Get for
+// a failing threshold re-attempts the build (concurrent callers still share
+// one attempt). A digest collision (distinct menus, equal digest) is
+// detected against the stored menu and served by an uncached direct build,
+// never by the colliding entry. Safe for concurrent use; builds run outside
+// the cache lock, so Gets for other keys never block behind Algorithm 2.
+// The returned queue is shared and must be treated as read-only; its
+// Threshold is the one that first built it, which plans exactly as t does.
 func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
-	key := keyOf(bins, t)
+	mk := menuKey{digest: opq.MenuDigest(bins), menuLen: bins.Len()}
+	need := opq.Need(t)
 
 	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if !sameKey(e.bins, e.threshold, bins, t) {
+	m := c.menus[mk]
+	if e := m.find(need, t); e != nil {
+		if !sameMenu(m.bins, bins) {
 			c.mu.Unlock()
-			return c.build(bins, t) // collision: bypass the cache entirely
+			return c.buildUncached(bins, t) // collision: bypass the cache entirely
 		}
 		c.stats.Hits++
-		c.keyCountersLocked(key).hits++
-		c.ll.MoveToFront(el)
+		e.hits++
+		c.ll.MoveToFront(e.el)
 		q := e.queue
 		c.mu.Unlock()
 		return q, nil
 	}
+	key := queueKey{digest: opq.FoldThreshold(mk.digest, t), menuLen: mk.menuLen, tbits: math.Float64bits(t)}
 	if fl, ok := c.inflight[key]; ok {
 		if !sameKey(fl.bins, fl.threshold, bins, t) {
 			c.mu.Unlock()
-			return c.build(bins, t)
+			return c.buildUncached(bins, t)
 		}
 		c.stats.Coalesced++
-		c.keyCountersLocked(key).misses++ // not served from cache
+		fl.kc.misses++ // not served from cache
 		c.mu.Unlock()
 		<-fl.done
 		return fl.queue, fl.err
 	}
 	c.stats.Misses++
-	c.keyCountersLocked(key).misses++
-	fl := &inflightBuild{bins: bins, threshold: t, done: make(chan struct{})}
+	fl := &inflightBuild{bins: bins, threshold: t, done: make(chan struct{}), kc: keyCounters{misses: 1}}
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
 	// Algorithm 2 runs outside the lock: other keys stay servable and
 	// same-key callers coalesce onto fl.
 	buildStart := time.Now()
-	q, err := c.build(bins, t)
+	q, piece, err := c.build(bins, t)
 	buildDur := time.Since(buildStart)
 
 	c.mu.Lock()
 	c.stats.Builds++
-	kc := c.keyCountersLocked(key)
-	kc.builds++
-	if kc.build == nil {
-		kc.build = obs.NewLatencyHistogram()
-	}
-	kc.build.ObserveDuration(buildDur)
+	fl.kc.builds++
+	fl.kc.build = obs.NewLatencyHistogram()
+	fl.kc.build.ObserveDuration(buildDur)
 	delete(c.inflight, key)
-	if err == nil {
-		c.insertLocked(key, bins, t, q)
-	} else if _, resident := c.byKey[key]; !resident {
-		// A key that only ever fails to build would otherwise pin a live
-		// record forever; fold it so the keyed map stays bounded.
-		c.foldKeyLocked(key)
+	if err != nil || !c.insertLocked(mk, key, bins, t, q, piece, &fl.kc) {
+		c.foldLocked(&fl.kc)
 	}
 	c.mu.Unlock()
 
@@ -245,46 +299,92 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 	return q, err
 }
 
-// sameKey reports whether two (menu, threshold) pairs are identical — the
-// collision check behind the digest key.
-func sameKey(aBins core.BinSet, aT float64, bBins core.BinSet, bT float64) bool {
-	if aT != bT || aBins.Len() != bBins.Len() {
+// buildUncached builds without touching the cache.
+func (c *OPQCache) buildUncached(bins core.BinSet, t float64) (*opq.Queue, error) {
+	q, _, err := c.build(bins, t)
+	return q, err
+}
+
+// sameMenu reports whether two menus are identical — the collision check
+// behind the menu digest.
+func sameMenu(a, b core.BinSet) bool {
+	if a.Len() != b.Len() {
 		return false
 	}
-	for i := 0; i < aBins.Len(); i++ {
-		if aBins.At(i) != bBins.At(i) {
+	for i := 0; i < a.Len(); i++ {
+		if a.At(i) != b.At(i) {
 			return false
 		}
 	}
 	return true
 }
 
-// insertLocked adds a built queue and evicts the least recently used entry
-// past capacity. Caller holds c.mu.
-func (c *OPQCache) insertLocked(key queueKey, bins core.BinSet, t float64, q *opq.Queue) {
-	if _, ok := c.byKey[key]; ok {
-		return // a racing build for the same key already landed
-	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, bins: bins, threshold: t, queue: q})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		evictedKey := oldest.Value.(*cacheEntry).key
-		delete(c.byKey, evictedKey)
-		if _, building := c.inflight[evictedKey]; !building {
-			c.foldKeyLocked(evictedKey)
-		}
-		c.stats.Evictions++
-	}
+// sameKey reports whether two (menu, threshold) pairs are identical — the
+// collision check behind the threshold-folded digest.
+func sameKey(aBins core.BinSet, aT float64, bBins core.BinSet, bT float64) bool {
+	return aT == bT && sameMenu(aBins, bBins)
 }
 
-// Contains reports whether the key for (bins, t) is resident, without
+// insertLocked makes a built queue resident, folding the build's counters
+// kc into the entry that keeps it, and evicts the least recently used
+// entries past capacity. A piece whose Hi a resident piece of the menu
+// shares holds the same queue, so it only lowers that piece's Lo. It
+// reports false when nothing keeps kc: a digest collision with another
+// resident menu. Caller holds c.mu.
+func (c *OPQCache) insertLocked(mk menuKey, key queueKey, bins core.BinSet, t float64, q *opq.Queue, piece opq.Piece, kc *keyCounters) bool {
+	m := c.menus[mk]
+	if m == nil {
+		m = &menuPieces{bins: bins}
+		c.menus[mk] = m
+	} else if !sameMenu(m.bins, bins) {
+		return false
+	}
+	shared, i := piece.Contains(opq.Need(t)), m.search(piece.Hi)
+	var old *cacheEntry
+	if !shared {
+		old = m.exactFor(t) // a racing build landed first
+	} else if i < len(m.pieces) && m.pieces[i].piece.Hi == piece.Hi {
+		old = m.pieces[i]
+		old.piece.Lo = min(old.piece.Lo, piece.Lo)
+	}
+	if old != nil {
+		old.add(kc)
+		c.ll.MoveToFront(old.el)
+		return true
+	}
+	e := &cacheEntry{key: key, mk: mk, piece: piece, queue: q, keyCounters: *kc}
+	if shared {
+		m.pieces = slices.Insert(m.pieces, i, e)
+	} else {
+		m.exact = append(m.exact, e)
+	}
+	e.el = c.ll.PushFront(e)
+	for c.ll.Len() > c.capacity {
+		c.evictLocked(c.ll.Back().Value.(*cacheEntry))
+	}
+	return true
+}
+
+// evictLocked drops e, folding its counters. Caller holds c.mu.
+func (c *OPQCache) evictLocked(e *cacheEntry) {
+	c.ll.Remove(e.el)
+	m := c.menus[e.mk]
+	m.pieces = slices.DeleteFunc(m.pieces, func(x *cacheEntry) bool { return x == e })
+	m.exact = slices.DeleteFunc(m.exact, func(x *cacheEntry) bool { return x == e })
+	if len(m.pieces) == 0 && len(m.exact) == 0 {
+		delete(c.menus, e.mk)
+	}
+	c.foldLocked(&e.keyCounters)
+	c.stats.Evictions++
+}
+
+// Contains reports whether a resident queue serves (bins, t), without
 // touching recency or counters. Safe for concurrent use.
 func (c *OPQCache) Contains(bins core.BinSet, t float64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.byKey[keyOf(bins, t)]
-	return ok
+	m := c.menus[menuKey{digest: opq.MenuDigest(bins), menuLen: bins.Len()}]
+	return m.find(opq.Need(t), t) != nil && sameMenu(m.bins, bins)
 }
 
 // Len returns the number of resident queues. Safe for concurrent use.
@@ -311,13 +411,20 @@ func (c *OPQCache) Stats() CacheStats {
 func (c *OPQCache) KeyMetrics(topK int) (top []KeyCacheStats, rest KeyCacheStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	all := make([]KeyCacheStats, 0, len(c.keyed))
-	for key, kc := range c.keyed {
+	all := make([]KeyCacheStats, 0, c.ll.Len()+len(c.inflight))
+	live := func(key queueKey, kc *keyCounters) {
 		ks := KeyCacheStats{Key: fmt.Sprintf("%016x", key.digest), Hits: kc.hits, Misses: kc.misses, Builds: kc.builds}
 		if kc.build != nil {
 			ks.Build = kc.build.Snapshot()
 		}
 		all = append(all, ks)
+	}
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		live(e.key, &e.keyCounters)
+	}
+	for key, fl := range c.inflight {
+		live(key, &fl.kc)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		ti, tj := all[i].Hits+all[i].Misses, all[j].Hits+all[j].Misses

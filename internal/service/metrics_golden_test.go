@@ -32,6 +32,11 @@ var updateMetricsGolden = flag.Bool("update-metrics", false, "rewrite testdata/m
 //     same-key pairs of concurrent decomposes, each one cap flush, over
 //     two thresholds.
 //
+// The cache samples were regenerated once, when the cache began keeping
+// queues by piece: the batch route's 0.86 partition builds Table 1's 0.9
+// queue, so its build widens 0.9's piece and its samples count under
+// 0.9's key, one entry fewer. Nothing else moved.
+//
 // Regenerate only on a checkout whose counting is the reference:
 //
 //	go test ./internal/service -run TestMetricsMatchParentGolden -update-metrics

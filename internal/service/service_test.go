@@ -68,12 +68,12 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 func TestCacheCoalescesConcurrentBuilds(t *testing.T) {
 	var builds int
 	var mu sync.Mutex
-	slow := func(bins core.BinSet, th float64) (*opq.Queue, error) {
+	slow := func(bins core.BinSet, th float64) (*opq.Queue, opq.Piece, error) {
 		mu.Lock()
 		builds++
 		mu.Unlock()
 		time.Sleep(20 * time.Millisecond) // hold the build so peers coalesce
-		return opq.Build(bins, th)
+		return opq.BuildPiece(bins, th)
 	}
 	c := NewOPQCacheWithBuilder(8, slow)
 	menu := binset.Table1()
@@ -108,9 +108,9 @@ func TestCacheCoalescesConcurrentBuilds(t *testing.T) {
 
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	fails := 0
-	c := NewOPQCacheWithBuilder(8, func(bins core.BinSet, th float64) (*opq.Queue, error) {
+	c := NewOPQCacheWithBuilder(8, func(bins core.BinSet, th float64) (*opq.Queue, opq.Piece, error) {
 		fails++
-		return nil, fmt.Errorf("boom %d", fails)
+		return nil, opq.Piece{}, fmt.Errorf("boom %d", fails)
 	})
 	menu := binset.Table1()
 	if _, err := c.Get(menu, 0.9); err == nil {

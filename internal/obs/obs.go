@@ -9,10 +9,9 @@
 //     atomic adds and one CAS loop — no locks, no allocations — so the
 //     cached-solve path can be instrumented without moving its committed
 //     allocs/op budget.
-//   - Mergeability. Histograms with identical bucket layouts merge by
-//     plain addition, which is associative and commutative; shard-local
-//     histograms can therefore be combined into cluster views later
-//     without resampling.
+//   - Windowing. Snapshots of one histogram add and subtract bucket by
+//     bucket, so a view over a recent interval (the admission signal's
+//     queue-wait p95) needs no second histogram.
 //   - No dependencies. The package hand-rolls the exposition format
 //     instead of importing a Prometheus client. The renderer keeps the
 //     output valid by construction: one HELP and TYPE per family, unique
@@ -84,12 +83,11 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 // Histogram is a fixed-layout exponential-bucket histogram: bucket i
 // covers (bounds[i-1], bounds[i]] with bounds[i] = base·growthⁱ, plus a
 // final +Inf overflow bucket. The layout is fixed at construction, which
-// is what makes two histograms mergeable and keeps Observe lock-free:
+// is what makes snapshots subtractable and keeps Observe lock-free:
 // one logarithm to find the bucket, one atomic add per bucket, a CAS
 // loop for the sum. Safe for concurrent use.
 type Histogram struct {
 	base     float64
-	growth   float64
 	invLnG   float64 // 1 / ln(growth), precomputed for Observe
 	bounds   []float64
 	counts   []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
@@ -123,7 +121,6 @@ func NewHistogram(base, growth float64, buckets int) *Histogram {
 	}
 	return &Histogram{
 		base:   base,
-		growth: growth,
 		invLnG: 1 / math.Log(growth),
 		bounds: bounds,
 		counts: make([]atomic.Uint64, buckets),
@@ -182,23 +179,6 @@ func (h *Histogram) Count() uint64 { return h.observed.Load() }
 // Sum returns the sum of all positive finite observations.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Merge adds o's observations into h. The two histograms must share an
-// identical bucket layout; merging is plain addition, so it is
-// associative and commutative (the property the cluster roll-up relies
-// on, pinned by TestHistogramMergeAssociative).
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.base != o.base || h.growth != o.growth || len(h.counts) != len(o.counts) {
-		return fmt.Errorf("obs: merging histograms with different layouts (base %v/%v growth %v/%v buckets %d/%d)",
-			h.base, o.base, h.growth, o.growth, len(h.counts), len(o.counts))
-	}
-	for i := range h.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	h.observed.Add(o.observed.Load())
-	h.sum.add(o.sum.load())
-	return nil
-}
-
 // Snapshot returns a point-in-time copy of the histogram. Buckets are
 // read without a global lock, so a snapshot taken mid-Observe may be off
 // by the in-flight observation — monitoring-grade consistency, by design.
@@ -228,9 +208,7 @@ type HistogramSnapshot struct {
 
 // Add folds o's observations into s and returns the combined snapshot.
 // An empty snapshot (no buckets) adopts o's layout; otherwise the two
-// must have the same bucket count, and a mismatched o is ignored —
-// snapshot folding is a best-effort aggregation step, not a checked
-// pipeline stage like Histogram.Merge.
+// must have the same bucket count, and a mismatched o is ignored.
 func (s HistogramSnapshot) Add(o HistogramSnapshot) HistogramSnapshot {
 	if len(s.Buckets) == 0 {
 		return o

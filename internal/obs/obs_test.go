@@ -120,68 +120,6 @@ func TestHistogramExactPowerBoundaries(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mk := func() *Histogram {
-		h := NewLatencyHistogram()
-		for i := 0; i < 500; i++ {
-			h.Observe(math.Exp(rng.Float64()*14 - 11))
-		}
-		return h
-	}
-	a, b, c := mk(), mk(), mk()
-
-	left := NewLatencyHistogram() // (a ⊕ b) ⊕ c
-	for _, h := range []*Histogram{a, b} {
-		if err := left.Merge(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := left.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-
-	bc := NewLatencyHistogram() // a ⊕ (b ⊕ c)
-	for _, h := range []*Histogram{b, c} {
-		if err := bc.Merge(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	right := NewLatencyHistogram()
-	if err := right.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-
-	ls, rs := left.Snapshot(), right.Snapshot()
-	if ls.Count != rs.Count || ls.Count != 1500 {
-		t.Fatalf("counts differ: %d vs %d", ls.Count, rs.Count)
-	}
-	for i := range ls.Buckets {
-		if ls.Buckets[i] != rs.Buckets[i] {
-			t.Fatalf("bucket %d differs: %d vs %d", i, ls.Buckets[i], rs.Buckets[i])
-		}
-	}
-	if math.Abs(ls.Sum-rs.Sum) > 1e-9*math.Abs(ls.Sum) {
-		t.Fatalf("sums differ: %v vs %v", ls.Sum, rs.Sum)
-	}
-}
-
-func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	a := NewHistogram(1, 2, 8)
-	for _, bad := range []*Histogram{
-		NewHistogram(2, 2, 8),  // base differs
-		NewHistogram(1, 3, 8),  // growth differs
-		NewHistogram(1, 2, 16), // bucket count differs
-	} {
-		if err := a.Merge(bad); err == nil {
-			t.Fatalf("merge of mismatched layout succeeded")
-		}
-	}
-}
-
 // TestQuantileOracle checks the quantile estimate against an exact
 // oracle on randomized samples: the estimate must land in the same or an
 // adjacent bucket as the true quantile (the structural error bound of an

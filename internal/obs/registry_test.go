@@ -62,12 +62,12 @@ func TestRegistryInvalidNamesPanic(t *testing.T) {
 
 // TestRegistryRenderGolden pins the exposition of one fixed registry byte
 // for byte: a counter, a gauge, a default- and a custom-layout histogram,
-// label values carrying `"`, `\`, a newline and `}`, and a collector whose
-// duplicate counter and histogram samples merge into one series each.
-// What a validator would check of it — one HELP and TYPE per family,
-// unique series, escaped values, cumulative buckets whose +Inf equals
-// _count, a _sum per histogram — is visible in the golden, and holds for
-// any registry by construction of WriteTo.
+// label values carrying `"`, `\`, a newline and `}`, and a counter and a
+// gauge read at render time, sorted among the instruments. What a
+// validator would check of it — one HELP and TYPE per family, unique
+// series, escaped values, cumulative buckets whose +Inf equals _count, a
+// _sum per histogram — is visible in the golden, and holds for any
+// registry by construction of WriteTo.
 func TestRegistryRenderGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_requests_total", "Requests served.", L("route", "/v1/jobs/{id}"), L("code", "2xx")).Add(7)
@@ -82,14 +82,11 @@ func TestRegistryRenderGolden(t *testing.T) {
 	for _, v := range []float64{0.0005, 0.003, 0.02, 5} {
 		custom.Observe(v)
 	}
-	r.RegisterCollector(func(e *Emitter) {
-		e.Counter("app_dynamic_total", "Collector-provided counter.", 11, L("key", "k}1"))
-		e.Counter("app_dynamic_total", "Collector-provided counter.", 4, L("key", "k}1"))
-		e.Gauge("app_uptime_seconds", "Uptime.", 12.5)
-		e.Histogram("app_dyn_seconds", "Collector histogram.", custom.Snapshot(), L("key", "k1"))
-		e.Histogram("app_dyn_seconds", "Collector histogram.", custom.Snapshot(), L("key", "k1"))
-	})
+	dynamic := uint64(11)
+	r.Func("app_dynamic_total", "Counter read at render time.", TypeCounter, func() float64 { return float64(dynamic) }, L("key", "k}1"))
+	r.Func("app_uptime_seconds", "Uptime.", TypeGauge, func() float64 { return 12.5 })
 
+	dynamic += 4 // a read returns the value at render time
 	out := string(r.Expose())
 	if out != registryGolden {
 		t.Fatalf("exposition drifted from the golden:\n%s", out)
@@ -99,7 +96,10 @@ func TestRegistryRenderGolden(t *testing.T) {
 	}
 }
 
-const registryGolden = `# HELP app_inflight In-flight requests.
+const registryGolden = `# HELP app_dynamic_total Counter read at render time.
+# TYPE app_dynamic_total counter
+app_dynamic_total{key="k}1"} 15
+# HELP app_inflight In-flight requests.
 # TYPE app_inflight gauge
 app_inflight -3
 # HELP app_latency_seconds Latency.
@@ -150,36 +150,19 @@ app_size_bytes_bucket{le="0.016"} 2
 app_size_bytes_bucket{le="+Inf"} 4
 app_size_bytes_sum 5.0235
 app_size_bytes_count 4
-# HELP app_dyn_seconds Collector histogram.
-# TYPE app_dyn_seconds histogram
-app_dyn_seconds_bucket{key="k1",le="0.001"} 2
-app_dyn_seconds_bucket{key="k1",le="0.002"} 2
-app_dyn_seconds_bucket{key="k1",le="0.004"} 4
-app_dyn_seconds_bucket{key="k1",le="0.008"} 4
-app_dyn_seconds_bucket{key="k1",le="0.016"} 4
-app_dyn_seconds_bucket{key="k1",le="+Inf"} 8
-app_dyn_seconds_sum{key="k1"} 10.047
-app_dyn_seconds_count{key="k1"} 8
-# HELP app_dynamic_total Collector-provided counter.
-# TYPE app_dynamic_total counter
-app_dynamic_total{key="k}1"} 15
 # HELP app_uptime_seconds Uptime.
 # TYPE app_uptime_seconds gauge
 app_uptime_seconds 12.5
 `
 
-// TestRegistryCollisionPanics: the three ways two families could claim one
-// series name panic where they are declared — a collector family named
-// like a registered one, a family named like another histogram's
-// _bucket/_sum/_count series (in either registration order, statically or
-// from a collector), and a collector family emitted again as another type.
+// TestRegistryCollisionPanics: every way two registrations could claim one
+// series name panics where it is declared — a family named like another
+// histogram's _bucket/_sum/_count series (in either registration order,
+// by an instrument or a read), a read of a registered family's type
+// clashing or of a series already held, and a histogram read.
 func TestRegistryCollisionPanics(t *testing.T) {
+	one := func() float64 { return 1 }
 	for name, f := range map[string]func(r *Registry){
-		"collector reuses a registered family": func(r *Registry) {
-			r.Gauge("app_inflight", "h")
-			r.RegisterCollector(func(e *Emitter) { e.Gauge("app_inflight", "h", 1) })
-			r.Expose()
-		},
 		"counter named like a histogram's _count": func(r *Registry) {
 			r.Histogram("app_seconds", "h", HistogramOpts{})
 			r.Counter("app_seconds_count", "h")
@@ -188,24 +171,32 @@ func TestRegistryCollisionPanics(t *testing.T) {
 			r.Gauge("app_seconds_bucket", "h")
 			r.Histogram("app_seconds", "h", HistogramOpts{})
 		},
-		"collector family named like a registered histogram's _sum": func(r *Registry) {
+		"read named like a registered histogram's _sum": func(r *Registry) {
 			r.Histogram("app_seconds", "h", HistogramOpts{})
-			r.RegisterCollector(func(e *Emitter) { e.Gauge("app_seconds_sum", "h", 1) })
-			r.Expose()
+			r.Func("app_seconds_sum", "h", TypeGauge, one)
 		},
-		"collector histogram whose _count another collector family holds": func(r *Registry) {
-			r.RegisterCollector(func(e *Emitter) {
-				e.Counter("app_seconds_count", "h", 1)
-				e.Histogram("app_seconds", "h", HistogramSnapshot{})
-			})
-			r.Expose()
+		"histogram whose _count is a read": func(r *Registry) {
+			r.Func("app_seconds_count", "h", TypeCounter, one)
+			r.Histogram("app_seconds", "h", HistogramOpts{})
 		},
-		"collector family emitted as two types": func(r *Registry) {
-			r.RegisterCollector(func(e *Emitter) {
-				e.Gauge("app_things", "h", 1)
-				e.Counter("app_things", "h", 1)
-			})
-			r.Expose()
+		"read of a registered family as another type": func(r *Registry) {
+			r.Gauge("app_things", "h")
+			r.Func("app_things", "h", TypeCounter, one)
+		},
+		"read of a series an instrument holds": func(r *Registry) {
+			r.Gauge("app_inflight", "h")
+			r.Func("app_inflight", "h", TypeGauge, one)
+		},
+		"instrument of a series a read holds": func(r *Registry) {
+			r.Func("app_inflight", "h", TypeGauge, one)
+			r.Gauge("app_inflight", "h")
+		},
+		"read registered twice": func(r *Registry) {
+			r.Func("app_inflight", "h", TypeGauge, one)
+			r.Func("app_inflight", "h", TypeGauge, one)
+		},
+		"histogram read": func(r *Registry) {
+			r.Func("app_seconds", "h", TypeHistogram, one)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

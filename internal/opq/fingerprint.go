@@ -27,11 +27,8 @@ const (
 // a Piece of thresholds; the batcher, and the cache's in-flight builds,
 // key by FingerprintDigest plus the menu length and the threshold's bits.
 // Neither renders anything per request. The string stays the library's
-// canonical form (slade.MenuFingerprint); its 16-hex-digit prefix, up to
-// the first ':', is the digest the service's /metrics `key` label prints
-// for the threshold that first built a cached queue. The format
-// "%016x:m%d:t%.6f" is pinned by TestFingerprintFormat. It is not written
-// to disk.
+// canonical form (slade.MenuFingerprint); its format "%016x:m%d:t%.6f" is
+// pinned by TestFingerprintFormat. It is not written to disk.
 func Fingerprint(bins core.BinSet, t float64) string {
 	const hexdigits = "0123456789abcdef"
 	sum := FingerprintDigest(bins, t)

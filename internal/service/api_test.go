@@ -671,3 +671,27 @@ func TestTrailingDataRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeTypeErrorText pins the 400 message each decoding route gives
+// for a type error inside bins: encoding/json's own text, whose struct
+// path names the route's request type.
+func TestDecodeTypeErrorText(t *testing.T) {
+	_, ts := newTestServer(t)
+	const bins = `[{"cardinality":1,"confidence":0.9,"cost":"0.1"}]`
+	const want = "decoding request: json: cannot unmarshal string into Go struct field TaskBin.%s of type float64"
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/decompose", `{"bins":` + bins + `,"n":5,"threshold":0.9}`, "instanceRequest.bins.cost"},
+		{"/v1/decompose/batch", `{"bins":` + bins + `,"instances":[{"n":5,"threshold":0.9}]}`, "bins.cost"},
+		{"/v1/streams", `{"bins":` + bins + `,"threshold":0.9}`, "bins.cost"},
+		{"/v1/jobs", `{"bins":` + bins + `,"n":5,"threshold":0.9}`, "decomposeRequest.instanceRequest.bins.cost"},
+	} {
+		resp, raw := postJSON(t, ts.URL+tc.path, tc.body)
+		var e errorBody
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("POST %s: no error envelope in %s", tc.path, raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Message != fmt.Sprintf(want, tc.field) {
+			t.Errorf("POST %s: status %d, message %q; want 400, %q", tc.path, resp.StatusCode, e.Error.Message, fmt.Sprintf(want, tc.field))
+		}
+	}
+}

@@ -8,7 +8,6 @@ package service
 
 import (
 	"container/list"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -68,10 +67,9 @@ type OPQCache struct {
 	menus    map[menuKey]*menuPieces
 	inflight map[queueKey]*inflightBuild
 	stats    CacheStats
-	// folded aggregates the per-key counters of evicted entries and of
-	// builds that failed or were not kept, so live records stay bounded by
-	// the capacity plus in-flight builds.
-	folded KeyCacheStats
+	// buildDuration, when set, observes every build's latency; the service
+	// sets it to its /metrics histogram.
+	buildDuration *obs.Histogram
 }
 
 // menuKey groups a menu's pieces: the menu's digest and its length. A
@@ -112,7 +110,7 @@ func (m *menuPieces) find(need, t float64) *cacheEntry {
 // exactFor returns the exact entry built for t's bits, or nil.
 func (m *menuPieces) exactFor(t float64) *cacheEntry {
 	for _, e := range m.exact {
-		if e.key.tbits == math.Float64bits(t) {
+		if e.tbits == math.Float64bits(t) {
 			return e
 		}
 	}
@@ -130,8 +128,7 @@ func (m *menuPieces) search(hi float64) int {
 // pattern (bits, not the float, so a NaN key still finds itself in a map).
 // It costs no rendering per request; a digest match is only probable
 // identity, so both users confirm it against the full key material
-// (sameKey). A resident entry keeps the queueKey of the threshold that
-// first built it: its digest is the entry's /metrics `key` label.
+// (sameKey).
 type queueKey struct {
 	digest  uint64
 	menuLen int
@@ -143,52 +140,13 @@ func keyOf(bins core.BinSet, t float64) queueKey {
 	return queueKey{digest: opq.FingerprintDigest(bins, t), menuLen: bins.Len(), tbits: math.Float64bits(t)}
 }
 
-// keyCounters is the live per-key traffic record behind KeyMetrics, held
-// by a resident entry or an in-flight build. Guarded by OPQCache.mu; the
-// build histogram is internally atomic.
-type keyCounters struct {
-	hits, misses, builds uint64
-	build                *obs.Histogram // created by the first build
-}
-
-// add folds o's counts into kc.
-func (kc *keyCounters) add(o *keyCounters) {
-	kc.hits += o.hits
-	kc.misses += o.misses
-	kc.builds += o.builds
-	if kc.build == nil {
-		kc.build = o.build
-	} else if o.build != nil {
-		_ = kc.build.Merge(o.build) // both latency histograms: same layout
-	}
-}
-
-// KeyCacheStats is one key's slice of cache traffic, as reported by
-// KeyMetrics. A key is a resident piece (or an in-flight build), labelled
-// with the fingerprint digest of the threshold that first built it, in
-// hex, suitable as a metric label (the exposition merges series on the
-// rare digest collision).
-type KeyCacheStats struct {
-	// Key is the 16-hex-digit fingerprint digest, or "" for the
-	// aggregated remainder.
-	Key string
-	// Hits, Misses and Builds mirror the global CacheStats counters,
-	// scoped to this key: every threshold the piece served or that built
-	// into it. Coalesced Gets count as misses here.
-	Hits, Misses, Builds uint64
-	// Build is the build-latency distribution for this key (zero-valued
-	// when the key has never been built).
-	Build obs.HistogramSnapshot
-}
-
 // cacheEntry is one resident piece of a menu.
 type cacheEntry struct {
-	key   queueKey // of the threshold that first built the piece
+	tbits uint64 // of the threshold that first built the piece
 	mk    menuKey
 	piece opq.Piece
 	queue *opq.Queue
 	el    *list.Element
-	keyCounters
 }
 
 // inflightBuild tracks a build in progress; waiters block on done.
@@ -198,7 +156,6 @@ type inflightBuild struct {
 	done      chan struct{}
 	queue     *opq.Queue
 	err       error
-	kc        keyCounters // the build's misses until it lands
 }
 
 // NewOPQCache returns a cache holding at most capacity queues
@@ -219,17 +176,6 @@ func NewOPQCacheWithBuilder(capacity int, build BuildFunc) *OPQCache {
 		ll:       list.New(),
 		menus:    make(map[menuKey]*menuPieces),
 		inflight: make(map[queueKey]*inflightBuild),
-	}
-}
-
-// foldLocked folds a record that stops being live into the aggregated
-// remainder. Caller holds c.mu.
-func (c *OPQCache) foldLocked(kc *keyCounters) {
-	c.folded.Hits += kc.hits
-	c.folded.Misses += kc.misses
-	c.folded.Builds += kc.builds
-	if kc.build != nil {
-		c.folded.Build = c.folded.Build.Add(kc.build.Snapshot())
 	}
 }
 
@@ -254,7 +200,6 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 			return c.buildUncached(bins, t) // collision: bypass the cache entirely
 		}
 		c.stats.Hits++
-		e.hits++
 		c.ll.MoveToFront(e.el)
 		q := e.queue
 		c.mu.Unlock()
@@ -267,13 +212,12 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 			return c.buildUncached(bins, t)
 		}
 		c.stats.Coalesced++
-		fl.kc.misses++ // not served from cache
 		c.mu.Unlock()
 		<-fl.done
 		return fl.queue, fl.err
 	}
 	c.stats.Misses++
-	fl := &inflightBuild{bins: bins, threshold: t, done: make(chan struct{}), kc: keyCounters{misses: 1}}
+	fl := &inflightBuild{bins: bins, threshold: t, done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
@@ -285,12 +229,12 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 
 	c.mu.Lock()
 	c.stats.Builds++
-	fl.kc.builds++
-	fl.kc.build = obs.NewLatencyHistogram()
-	fl.kc.build.ObserveDuration(buildDur)
+	if c.buildDuration != nil {
+		c.buildDuration.ObserveDuration(buildDur)
+	}
 	delete(c.inflight, key)
-	if err != nil || !c.insertLocked(mk, key, bins, t, q, piece, &fl.kc) {
-		c.foldLocked(&fl.kc)
+	if err == nil {
+		c.insertLocked(mk, bins, t, q, piece)
 	}
 	c.mu.Unlock()
 
@@ -325,19 +269,18 @@ func sameKey(aBins core.BinSet, aT float64, bBins core.BinSet, bT float64) bool 
 	return aT == bT && sameMenu(aBins, bBins)
 }
 
-// insertLocked makes a built queue resident, folding the build's counters
-// kc into the entry that keeps it, and evicts the least recently used
-// entries past capacity. A piece whose Hi a resident piece of the menu
-// shares holds the same queue, so it only lowers that piece's Lo. It
-// reports false when nothing keeps kc: a digest collision with another
-// resident menu. Caller holds c.mu.
-func (c *OPQCache) insertLocked(mk menuKey, key queueKey, bins core.BinSet, t float64, q *opq.Queue, piece opq.Piece, kc *keyCounters) bool {
+// insertLocked makes a built queue resident and evicts the least recently
+// used entries past capacity. A piece whose Hi a resident piece of the
+// menu shares holds the same queue, so it only lowers that piece's Lo. A
+// digest collision with another resident menu keeps nothing. Caller holds
+// c.mu.
+func (c *OPQCache) insertLocked(mk menuKey, bins core.BinSet, t float64, q *opq.Queue, piece opq.Piece) {
 	m := c.menus[mk]
 	if m == nil {
 		m = &menuPieces{bins: bins}
 		c.menus[mk] = m
 	} else if !sameMenu(m.bins, bins) {
-		return false
+		return
 	}
 	shared, i := piece.Contains(opq.Need(t)), m.search(piece.Hi)
 	var old *cacheEntry
@@ -348,11 +291,10 @@ func (c *OPQCache) insertLocked(mk menuKey, key queueKey, bins core.BinSet, t fl
 		old.piece.Lo = min(old.piece.Lo, piece.Lo)
 	}
 	if old != nil {
-		old.add(kc)
 		c.ll.MoveToFront(old.el)
-		return true
+		return
 	}
-	e := &cacheEntry{key: key, mk: mk, piece: piece, queue: q, keyCounters: *kc}
+	e := &cacheEntry{tbits: math.Float64bits(t), mk: mk, piece: piece, queue: q}
 	if shared {
 		m.pieces = slices.Insert(m.pieces, i, e)
 	} else {
@@ -362,10 +304,9 @@ func (c *OPQCache) insertLocked(mk menuKey, key queueKey, bins core.BinSet, t fl
 	for c.ll.Len() > c.capacity {
 		c.evictLocked(c.ll.Back().Value.(*cacheEntry))
 	}
-	return true
 }
 
-// evictLocked drops e, folding its counters. Caller holds c.mu.
+// evictLocked drops e. Caller holds c.mu.
 func (c *OPQCache) evictLocked(e *cacheEntry) {
 	c.ll.Remove(e.el)
 	m := c.menus[e.mk]
@@ -374,7 +315,6 @@ func (c *OPQCache) evictLocked(e *cacheEntry) {
 	if len(m.pieces) == 0 && len(m.exact) == 0 {
 		delete(c.menus, e.mk)
 	}
-	c.foldLocked(&e.keyCounters)
 	c.stats.Evictions++
 }
 
@@ -401,52 +341,4 @@ func (c *OPQCache) Stats() CacheStats {
 	s := c.stats
 	s.Entries = c.ll.Len()
 	return s
-}
-
-// KeyMetrics returns per-key traffic for the topK busiest keys (by hits
-// plus misses, ties broken by key for determinism) and one aggregate for
-// everything else — the long tail of live keys plus all counters folded
-// from evicted and failed keys. The split keeps hot-key skew observable
-// without unbounded metric cardinality. Safe for concurrent use.
-func (c *OPQCache) KeyMetrics(topK int) (top []KeyCacheStats, rest KeyCacheStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	all := make([]KeyCacheStats, 0, c.ll.Len()+len(c.inflight))
-	live := func(key queueKey, kc *keyCounters) {
-		ks := KeyCacheStats{Key: fmt.Sprintf("%016x", key.digest), Hits: kc.hits, Misses: kc.misses, Builds: kc.builds}
-		if kc.build != nil {
-			ks.Build = kc.build.Snapshot()
-		}
-		all = append(all, ks)
-	}
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		live(e.key, &e.keyCounters)
-	}
-	for key, fl := range c.inflight {
-		live(key, &fl.kc)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		ti, tj := all[i].Hits+all[i].Misses, all[j].Hits+all[j].Misses
-		if ti != tj {
-			return ti > tj
-		}
-		return all[i].Key < all[j].Key
-	})
-	if topK < 0 {
-		topK = 0
-	}
-	if topK > len(all) {
-		topK = len(all)
-	}
-	top = all[:topK]
-	rest = c.folded
-	rest.Key = ""
-	for _, ks := range all[topK:] {
-		rest.Hits += ks.Hits
-		rest.Misses += ks.Misses
-		rest.Builds += ks.Builds
-		rest.Build = rest.Build.Add(ks.Build)
-	}
-	return top, rest
 }

@@ -180,10 +180,9 @@ func TestDecomposeZeroThenPositiveThreshold(t *testing.T) {
 }
 
 // TestCacheSharesPieceAcrossThresholds: a threshold whose need lies in a
-// resident piece is a hit on that piece and counts under the key of the
-// threshold that built it. On Table 1, 0.86 lies below 0.9's piece but
-// builds the same queue, so its build widens that piece instead of adding
-// an entry.
+// resident piece is a hit on that piece, whichever threshold built it. On
+// Table 1, 0.86 lies below 0.9's piece but builds the same queue, so its
+// build widens that piece instead of adding an entry.
 func TestCacheSharesPieceAcrossThresholds(t *testing.T) {
 	menu := binset.Table1()
 	_, piece, err := opq.BuildPiece(menu, 0.9)
@@ -203,10 +202,6 @@ func TestCacheSharesPieceAcrossThresholds(t *testing.T) {
 	if st := c.Stats(); st.Builds != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("after 0.9 and %v: %+v, want 1 build, 1 hit, 1 entry", inside, st)
 	}
-	key := fmt.Sprintf("%016x", opq.FingerprintDigest(menu, 0.9))
-	if top, _ := c.KeyMetrics(8); len(top) != 1 || top[0].Key != key || top[0].Hits != 1 || top[0].Misses != 1 {
-		t.Fatalf("key metrics %+v: the hit must count under 0.9's key %s", top, key)
-	}
 
 	got, err := c.Get(menu, 0.86)
 	if err != nil {
@@ -218,8 +213,5 @@ func TestCacheSharesPieceAcrossThresholds(t *testing.T) {
 	}
 	if st := c.Stats(); st.Builds != 2 || st.Entries != 1 || !c.Contains(menu, 0.86) {
 		t.Errorf("0.86's build must widen 0.9's piece: %+v", st)
-	}
-	if top, _ := c.KeyMetrics(8); len(top) != 1 || top[0].Key != key || top[0].Builds != 2 || top[0].Misses != 2 {
-		t.Errorf("key metrics %+v: 0.86's build must count under 0.9's key", top)
 	}
 }

@@ -101,10 +101,15 @@ func (f *jobFeed) publish(ev JobEvent) bool {
 // since returns every buffered frame with Seq > last, whether the feed
 // has published its terminal frame, and the wakeup channel to wait on —
 // all under one lock, so a publish between the read and the wait is
-// impossible to miss.
+// impossible to miss. A cursor past the newest frame was issued by an
+// earlier feed of the job (one lost to a restart or dropped), so the feed
+// replays from its start: such a client still gets its terminal frame.
 func (f *jobFeed) since(last uint64) ([]JobEvent, bool, chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if last >= f.nextSeq {
+		last = 0
+	}
 	var out []JobEvent
 	for _, ev := range f.events {
 		if ev.Seq > last {

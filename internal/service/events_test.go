@@ -199,6 +199,17 @@ func TestSSEJobEventsAcceptance(t *testing.T) {
 	if resumed[0].data.Report == nil || resumed[0].data.BinsIssued != final.data.BinsIssued {
 		t.Fatalf("synthesized terminal lost report detail: %+v", resumed[0].data)
 	}
+	// So does one resuming from a cursor of the lost feed, past the
+	// rebuilt feed's newest frame.
+	svc.events.drop(st.ID)
+	stale := final.id - 1
+	if stale <= resumed[0].id {
+		t.Fatalf("cursor %d is not past the rebuilt feed's seq %d", stale, resumed[0].id)
+	}
+	resumed, _ = subscribeSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", stale)
+	if len(resumed) != 1 || !resumed[0].data.State.Terminal() || resumed[0].id != 1 {
+		t.Fatalf("resume from the lost feed's cursor %d: %+v", stale, resumed)
+	}
 }
 
 // TestSSEUnknownJobAndMultiSubscriber covers the 404 path and N

@@ -23,12 +23,6 @@ import (
 // Prometheus text exposition format version the renderer emits.
 const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// cacheTopKeys is how many per-key cache series /metrics exports; the
-// remaining keys (and everything folded from evicted keys) aggregate
-// under key="other" so hot-key skew stays visible without unbounded
-// series cardinality.
-const cacheTopKeys = 10
-
 // admissionRecomputeInterval bounds how often the admission check
 // recomputes the queue-wait p95 from a histogram snapshot; between
 // recomputes every request reads a cached value with two atomic loads,
@@ -59,8 +53,13 @@ type serviceMetrics struct {
 	routeMu sync.Mutex
 	routes  map[string]*routeMetrics
 
-	// Decompose path.
+	// Decompose path: the latency histogram's count is the request count.
 	solveLatency *obs.Histogram
+	solveErrors  *obs.Counter
+	solveTasks   *obs.Counter
+
+	// Queue cache builds (OPQCache.buildDuration).
+	cacheBuildDuration *obs.Histogram
 
 	// Sharded solver: solves and their wait for a slot.
 	shardObs ShardPoolObs
@@ -139,6 +138,10 @@ func newServiceMetrics() *serviceMetrics {
 		admissionRejected: reg.Counter("slade_admission_rejected_total", "Requests shed with 429 by queue-wait admission control."),
 
 		solveLatency: reg.Histogram("slade_solve_duration_seconds", "End-to-end decompose latency (sync and job-driven), including batching windows.", obs.HistogramOpts{}),
+		solveErrors:  reg.Counter("slade_solve_errors_total", "Failed decompose requests."),
+		solveTasks:   reg.Counter("slade_solve_tasks_total", "Tasks decomposed by successful requests."),
+
+		cacheBuildDuration: reg.Histogram("slade_cache_build_duration_seconds", "Queue build latency.", obs.HistogramOpts{}),
 
 		shardObs: ShardPoolObs{
 			SolveDuration: reg.Histogram("slade_shard_solve_duration_seconds", "Solve latency of the sharded solver, slot held.", obs.HistogramOpts{}),
@@ -258,51 +261,38 @@ func (m *serviceMetrics) nextRequestID() string {
 	return string(strconv.AppendUint(b, m.admissionSeq.Add(1), 16))
 }
 
-// registerCollectors exports the service's pre-existing counters (jobs,
-// cache, uptime) as scrape-time series so /metrics is complete without
-// double-counting state that Stats already tracks.
-func (s *Service) registerCollectors() {
-	m := s.metrics
-	m.reg.RegisterCollector(func(e *obs.Emitter) {
-		e.Gauge("slade_uptime_seconds", "Service age.", time.Since(s.started).Seconds())
-		e.Counter("slade_solve_requests_total", "Decompose requests (sync and job-driven).", m.solveLatency.Count())
-		e.Counter("slade_solve_errors_total", "Failed decompose requests.", s.errors.Load())
-		e.Counter("slade_solve_tasks_total", "Tasks decomposed by successful requests.", s.tasks.Load())
+// registerReads exports state the service already holds — uptime, the
+// job manager's and the queue cache's counts — as series read at scrape
+// time, so /metrics keeps no second copy of them.
+func (s *Service) registerReads() {
+	reg := s.metrics.reg
+	counter := func(name, help string, read func() uint64, labels ...obs.Label) {
+		reg.Func(name, help, obs.TypeCounter, func() float64 { return float64(read()) }, labels...)
+	}
+	gauge := func(name, help string, read func() int) {
+		reg.Func(name, help, obs.TypeGauge, func() float64 { return float64(read()) })
+	}
+	reg.Func("slade_uptime_seconds", "Service age.", obs.TypeGauge, func() float64 { return time.Since(s.started).Seconds() })
+	counter("slade_solve_requests_total", "Decompose requests (sync and job-driven).", s.metrics.solveLatency.Count)
 
-		js := s.jobs.Stats()
-		e.Counter("slade_jobs_total", "Jobs by terminal outcome.", js.Done, obs.L("state", "done"))
-		e.Counter("slade_jobs_total", "Jobs by terminal outcome.", js.Failed, obs.L("state", "failed"))
-		e.Counter("slade_jobs_total", "Jobs by terminal outcome.", js.Canceled, obs.L("state", "canceled"))
-		e.Gauge("slade_jobs_running", "Jobs currently running.", float64(js.Running))
-		e.Gauge("slade_jobs_pending", "Jobs queued for a slot.", float64(js.Pending))
-		e.Counter("slade_jobs_persisted_total", "Terminal jobs spilled to the durable store.", js.Persisted)
-		e.Counter("slade_jobs_recovered_total", "Jobs replayed from the store at boot.", js.Recovered)
-		e.Counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL.", js.Expired)
-		e.Counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.", js.RunsInterrupted)
+	jobs := s.jobs.Stats
+	counter("slade_jobs_total", "Jobs by terminal outcome.", func() uint64 { return jobs().Done }, obs.L("state", "done"))
+	counter("slade_jobs_total", "Jobs by terminal outcome.", func() uint64 { return jobs().Failed }, obs.L("state", "failed"))
+	counter("slade_jobs_total", "Jobs by terminal outcome.", func() uint64 { return jobs().Canceled }, obs.L("state", "canceled"))
+	gauge("slade_jobs_running", "Jobs currently running.", func() int { return jobs().Running })
+	gauge("slade_jobs_pending", "Jobs queued for a slot.", func() int { return jobs().Pending })
+	counter("slade_jobs_persisted_total", "Terminal jobs spilled to the durable store.", func() uint64 { return jobs().Persisted })
+	counter("slade_jobs_recovered_total", "Jobs replayed from the store at boot.", func() uint64 { return jobs().Recovered })
+	counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL.", func() uint64 { return jobs().Expired })
+	counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.", func() uint64 { return jobs().RunsInterrupted })
 
-		cs := s.cache.Stats()
-		e.Gauge("slade_cache_entries", "Resident queues.", float64(cs.Entries))
-		e.Counter("slade_cache_evictions_total", "Queues dropped by the LRU policy.", cs.Evictions)
-		e.Counter("slade_cache_coalesced_total", "Gets that piggybacked on an in-flight build.", cs.Coalesced)
-
-		// The key label set follows the current top-K by traffic: a key
-		// that drops out (or is evicted) stops exporting its own series and
-		// folds into key="other", so per-key rate()/increase() can see
-		// spurious resets across churn — the caveat is stated in each HELP
-		// line and in OPERATIONS.md; sum without the key label for stable
-		// totals.
-		top, rest := s.cache.KeyMetrics(cacheTopKeys)
-		emitKey := func(k KeyCacheStats, label string) {
-			e.Counter("slade_cache_hits_total", "Cache hits by key (current top keys; others fold into key=\"other\", so per-key series churn — sum without key for stable rates).", k.Hits, obs.L("key", label))
-			e.Counter("slade_cache_misses_total", "Cache misses by key (current top keys; others fold into key=\"other\", so per-key series churn — sum without key for stable rates).", k.Misses, obs.L("key", label))
-			e.Counter("slade_cache_builds_total", "Queue builds by key (current top keys; others fold into key=\"other\", so per-key series churn — sum without key for stable rates).", k.Builds, obs.L("key", label))
-			e.Histogram("slade_cache_build_duration_seconds", "Queue build latency by key (current top keys; others fold into key=\"other\", so per-key series churn — sum without key for stable rates).", k.Build, obs.L("key", label))
-		}
-		for _, k := range top {
-			emitKey(k, k.Key)
-		}
-		emitKey(rest, "other")
-	})
+	cache := s.cache.Stats
+	gauge("slade_cache_entries", "Resident queues.", func() int { return cache().Entries })
+	counter("slade_cache_hits_total", "Gets a resident queue answered.", func() uint64 { return cache().Hits })
+	counter("slade_cache_misses_total", "Gets that built a queue or waited on another Get's build.", func() uint64 { c := cache(); return c.Misses + c.Coalesced })
+	counter("slade_cache_builds_total", "Queue builds.", func() uint64 { return cache().Builds })
+	counter("slade_cache_evictions_total", "Queues dropped by the LRU policy.", func() uint64 { return cache().Evictions })
+	counter("slade_cache_coalesced_total", "Gets that piggybacked on an in-flight build.", func() uint64 { return cache().Coalesced })
 }
 
 // instrument is the HTTP middleware every route passes through: request

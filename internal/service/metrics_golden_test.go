@@ -20,9 +20,8 @@ var updateMetricsGolden = flag.Bool("update-metrics", false, "rewrite testdata/m
 // request script to testdata/metrics_parent.golden, generated by the
 // release whose /v1/stats still kept a second set of counters next to
 // these instruments: every counter and gauge sample, every histogram
-// _count, the non-time histograms' buckets and sums, and with them the
-// per-key cache label set. Time-valued buckets and sums and
-// slade_uptime_seconds are left out. Two services run the script:
+// _count and the non-time histograms' buckets and sums. Time-valued
+// buckets and sums and slade_uptime_seconds are left out. Two services run the script:
 //
 //   - unbatched, with a store and a result TTL: the contract script (sync
 //     decomposes and their errors, the batch route, a solve and a run
@@ -32,10 +31,13 @@ var updateMetricsGolden = flag.Bool("update-metrics", false, "rewrite testdata/m
 //     same-key pairs of concurrent decomposes, each one cap flush, over
 //     two thresholds.
 //
-// The cache samples were regenerated once, when the cache began keeping
-// queues by piece: the batch route's 0.86 partition builds Table 1's 0.9
-// queue, so its build widens 0.9's piece and its samples count under
-// 0.9's key, one entry fewer. Nothing else moved.
+// The cache samples were regenerated twice. First when the cache began
+// keeping queues by piece: the batch route's 0.86 partition builds Table
+// 1's 0.9 queue, so its build widens 0.9's piece, one entry fewer. Then
+// when the cache series lost their per-piece key label: each
+// slade_cache_* family's samples became one unlabelled sample equal to
+// their sum, and every sample now renders in sorted order. Nothing else
+// moved.
 //
 // Regenerate only on a checkout whose counting is the reference:
 //

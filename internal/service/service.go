@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/baseline"
@@ -176,11 +175,6 @@ type Service struct {
 	solvers map[string]core.Solver
 
 	started time.Time
-
-	// Request counters; the request count and latency distribution are
-	// metrics.solveLatency's.
-	errors atomic.Uint64
-	tasks  atomic.Uint64
 }
 
 // New builds a Service with the standard solver line-up registered:
@@ -212,6 +206,7 @@ func New(cfg Config) *Service {
 		started:      time.Now(),
 	}
 	s.cache = NewOPQCache(cfg.CacheSize)
+	s.cache.buildDuration = s.metrics.cacheBuildDuration
 	s.store = cfg.Store
 	if cfg.Store != nil {
 		// Every store access — job spills and replay — flows through the
@@ -248,7 +243,7 @@ func New(cfg Config) *Service {
 		pf = s.defaultPlatform
 	}
 	s.jobs = newJobManager(s, maxJobs, s.store, cfg.ResultTTL, logger, pf)
-	s.registerCollectors()
+	s.registerReads()
 
 	s.mustRegister(DefaultSolverName, s.sharded)
 	s.mustRegister("greedy", greedy.Solver{})
@@ -408,9 +403,9 @@ func (s *Service) decompose(ctx context.Context, name string, in *core.Instance)
 	defer func() {
 		s.metrics.solveLatency.ObserveSince(start)
 		if err != nil {
-			s.errors.Add(1)
+			s.metrics.solveErrors.Inc()
 		} else {
-			s.tasks.Add(uint64(in.N()))
+			s.metrics.solveTasks.Add(uint64(in.N()))
 		}
 	}()
 	if in == nil {
@@ -561,8 +556,8 @@ func (s *Service) Stats() Stats {
 	st := Stats{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Requests:      s.metrics.solveLatency.Count(),
-		Errors:        s.errors.Load(),
-		Tasks:         s.tasks.Load(),
+		Errors:        s.metrics.solveErrors.Value(),
+		Tasks:         s.metrics.solveTasks.Value(),
 		Latency:       s.metrics.solveLatency.Snapshot().Summary(),
 		Endpoints:     s.metrics.endpointStats(),
 		QueueWait:     s.metrics.shardObs.QueueWait.Snapshot().Summary(),

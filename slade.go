@@ -357,8 +357,10 @@ func OpenFSStore(dir string, logger *log.Logger) (*FSStore, error) {
 // deployments that want TTL eviction without disk durability.
 func NewMemStore() *MemStore { return store.NewMem() }
 
-// MenuFingerprint returns the canonical string key for (menu, threshold) —
-// two pairs share a fingerprint exactly when they build identical queues.
+// MenuFingerprint returns a digest of the exact (menu, threshold bits)
+// pair, as a string. Equal pairs share it; distinct pairs may collide, with
+// 64-bit-hash probability. It does not name a queue: the thresholds of one
+// piece build one queue under different fingerprints.
 func MenuFingerprint(bins BinSet, t float64) string { return opq.Fingerprint(bins, t) }
 
 // Threshold workload generators (Section 7.2).

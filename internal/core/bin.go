@@ -47,12 +47,6 @@ func (b TaskBin) Weight() float64 {
 	return -math.Log1p(-b.Confidence)
 }
 
-// PerTaskCost returns c_l / l, the average incentive cost per atomic task
-// when the bin is filled to capacity.
-func (b TaskBin) PerTaskCost() float64 {
-	return b.Cost / float64(b.Cardinality)
-}
-
 // Validate reports whether the bin's fields are in their legal domains.
 func (b TaskBin) Validate() error {
 	if b.Cardinality < 1 {
@@ -139,18 +133,6 @@ func (s BinSet) MinWeight() float64 {
 	w := math.Inf(1)
 	for _, b := range s.bins {
 		if bw := b.Weight(); bw < w {
-			w = bw
-		}
-	}
-	return w
-}
-
-// MaxWeight returns the largest transformed weight over the menu, or 0 if
-// the menu is empty.
-func (s BinSet) MaxWeight() float64 {
-	w := 0.0
-	for _, b := range s.bins {
-		if bw := b.Weight(); bw > w {
 			w = bw
 		}
 	}

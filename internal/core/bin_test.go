@@ -28,8 +28,8 @@ func TestTable1Menu(t *testing.T) {
 		if b.Cardinality != i+1 {
 			t.Errorf("At(%d).Cardinality = %d, want %d", i, b.Cardinality, i+1)
 		}
-		if math.Abs(b.PerTaskCost()-wantPerTask[i]) > 1e-12 {
-			t.Errorf("bin %d per-task cost = %v, want %v", i+1, b.PerTaskCost(), wantPerTask[i])
+		if perTask := b.Cost / float64(b.Cardinality); math.Abs(perTask-wantPerTask[i]) > 1e-12 {
+			t.Errorf("bin %d per-task cost = %v, want %v", i+1, perTask, wantPerTask[i])
 		}
 		if b.Confidence != wantConf[i] {
 			t.Errorf("bin %d confidence = %v, want %v", i+1, b.Confidence, wantConf[i])
@@ -130,18 +130,12 @@ func TestMinMaxWeightAndConfidence(t *testing.T) {
 	if got, want := bs.MinWeight(), -math.Log1p(-0.8); math.Abs(got-want) > 1e-12 {
 		t.Errorf("MinWeight = %v, want %v", got, want)
 	}
-	if got, want := bs.MaxWeight(), -math.Log1p(-0.9); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MaxWeight = %v, want %v", got, want)
-	}
 	if got := bs.MinConfidence(); got != 0.8 {
 		t.Errorf("MinConfidence = %v, want 0.8", got)
 	}
 	empty := BinSet{}
 	if !math.IsInf(empty.MinWeight(), 1) {
 		t.Error("empty MinWeight should be +Inf")
-	}
-	if empty.MaxWeight() != 0 {
-		t.Error("empty MaxWeight should be 0")
 	}
 	if empty.MaxCardinality() != 0 {
 		t.Error("empty MaxCardinality should be 0")

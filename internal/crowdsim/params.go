@@ -48,11 +48,14 @@
 //     seeded Platform (the run-job PlatformFactory does exactly this).
 //
 // Pool is not safe for concurrent use; wrap it (or confine it to one
-// goroutine) before sharing. PoolRunner inherits that contract, and so
-// does the executor.RunnerFunc built from its RunBin.
+// goroutine) before sharing. The executor.RunnerFunc built from its RunBin
+// inherits that contract.
 package crowdsim
 
-import "time"
+import (
+	"strings"
+	"time"
+)
 
 // Params defines one task type's crowd-behaviour model.
 type Params struct {
@@ -125,6 +128,19 @@ func SMIC() Params {
 		Deadline:        30 * time.Minute,
 		WorkerSigma:     0.03,
 	}
+}
+
+// ModelByName maps a crowd-model name onto its parameters: "jelly" (also
+// the empty name) or "smic", case-insensitively. It reports false for any
+// other name.
+func ModelByName(name string) (Params, bool) {
+	switch strings.ToLower(name) {
+	case "", "jelly":
+		return Jelly(), true
+	case "smic":
+		return SMIC(), true
+	}
+	return Params{}, false
 }
 
 // DefaultDifficulty is the reference difficulty level (level 2 in

@@ -100,19 +100,26 @@ type BinOutcome struct {
 func (pl *Platform) RunBin(cardinality int, pay float64, difficulty int, truth []bool) BinOutcome {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if len(truth) > cardinality {
-		truth = truth[:cardinality]
-	}
 	conf := pl.TrueConfidence(cardinality, pay, difficulty)
 	conf = clamp(conf+pl.rng.NormFloat64()*pl.params.WorkerSigma,
 		pl.params.MinConfidence, pl.params.MaxConfidence)
+	return pl.outcome(pl.rng, conf, cardinality, pay, truth)
+}
 
+// outcome draws one bin's outcome from rng: each of the first cardinality
+// truth slots is answered correctly with probability conf, then the
+// completion time takes its lognormal jitter. It reads only the model, so
+// a Pool draws from its own stream through it.
+func (pl *Platform) outcome(rng *rand.Rand, conf float64, cardinality int, pay float64, truth []bool) BinOutcome {
+	if len(truth) > cardinality {
+		truth = truth[:cardinality]
+	}
 	out := BinOutcome{
 		Answers: make([]bool, len(truth)),
 		Correct: make([]bool, len(truth)),
 	}
 	for i, tv := range truth {
-		correct := pl.rng.Float64() < conf
+		correct := rng.Float64() < conf
 		out.Correct[i] = correct
 		if correct {
 			out.Answers[i] = tv
@@ -120,7 +127,7 @@ func (pl *Platform) RunBin(cardinality int, pay float64, difficulty int, truth [
 			out.Answers[i] = !tv
 		}
 	}
-	jitter := math.Exp(pl.rng.NormFloat64() * pl.params.TimeJitter)
+	jitter := math.Exp(rng.NormFloat64() * pl.params.TimeJitter)
 	out.Duration = time.Duration(float64(pl.ExpectedDuration(cardinality, pay)) * jitter)
 	out.Overtime = out.Duration > pl.params.Deadline
 	return out

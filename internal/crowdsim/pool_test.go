@@ -25,150 +25,45 @@ func TestNewPoolValidation(t *testing.T) {
 	}
 }
 
-func TestPoolWorkerAccess(t *testing.T) {
-	p := testPool(t, DefaultPoolConfig, 3)
-	if p.Size() != DefaultPoolConfig.Size {
-		t.Errorf("Size = %d", p.Size())
-	}
-	w, err := p.Worker(0)
-	if err != nil || w.ID != 0 {
-		t.Errorf("Worker(0) = %+v, %v", w, err)
-	}
-	if _, err := p.Worker(-1); err == nil {
-		t.Error("negative worker id accepted")
-	}
-	if _, err := p.Worker(p.Size()); err == nil {
-		t.Error("out-of-range worker id accepted")
-	}
-}
-
-func TestPoolRunBinTracksWorkers(t *testing.T) {
-	p := testPool(t, PoolConfig{Size: 5, SkillSigma: 0.02}, 4)
-	truth := []bool{true, false, true}
-	for i := 0; i < 50; i++ {
-		out, wid := p.RunBin(3, 0.10, DefaultDifficulty, truth)
-		if len(out.Answers) != 3 {
-			t.Fatalf("answers = %d", len(out.Answers))
+// deliveredConfidence runs bins through the pool and returns the share of
+// its in-time answers that were correct, checking that every bin answers
+// each of its slots.
+func deliveredConfidence(t *testing.T, p *Pool, cardinality int, pay float64, bins int) float64 {
+	t.Helper()
+	truth := make([]bool, cardinality+2) // RunBin answers only cardinality slots
+	correct, total := 0, 0
+	for b := 0; b < bins; b++ {
+		out := p.RunBin(cardinality, pay, DefaultDifficulty, truth)
+		if len(out.Answers) != cardinality || len(out.Correct) != cardinality {
+			t.Fatalf("bin %d: %d answers, %d marks for cardinality %d", b, len(out.Answers), len(out.Correct), cardinality)
 		}
-		if wid < 0 || wid >= 5 {
-			t.Fatalf("worker id %d out of range", wid)
+		if out.Overtime {
+			continue
+		}
+		for _, c := range out.Correct {
+			total++
+			if c {
+				correct++
+			}
 		}
 	}
-	total := 0
-	for id := 0; id < 5; id++ {
-		w, _ := p.Worker(id)
-		total += w.Completed
+	if total == 0 {
+		t.Fatal("every bin ran overtime")
 	}
-	if total != 50 {
-		t.Errorf("completed bins sum to %d, want 50", total)
-	}
+	return float64(correct) / float64(total)
 }
 
-// TestQualificationRemovesSpammers is the headline pool property: probing
-// with known ground truth and banning low-accuracy workers removes
-// spammers and lifts the pool's delivered confidence.
-func TestQualificationRemovesSpammers(t *testing.T) {
-	cfg := PoolConfig{Size: 200, SkillSigma: 0.02, SpammerFraction: 0.25}
-	p := testPool(t, cfg, 11)
-	before := p.EmpiricalConfidence(5, 0.10, DefaultDifficulty, 600)
-
-	banned, err := p.Qualify(5, 0.10, DefaultDifficulty, 10, 0.75)
-	if err != nil {
-		t.Fatal(err)
+// TestPoolDeliveredConfidence is the headline pool property: skill offsets
+// average out, so a spammer-free pool delivers the model confidence, while
+// a pool of spammers delivers a coin flip.
+func TestPoolDeliveredConfidence(t *testing.T) {
+	model := New(Jelly(), 99).TrueConfidence(5, 0.10, DefaultDifficulty)
+	honest := testPool(t, PoolConfig{Size: 200, SkillSigma: 0.02}, 11)
+	if got := deliveredConfidence(t, honest, 5, 0.10, 600); math.Abs(got-model) > 0.02 {
+		t.Errorf("honest pool delivered %v, model %v", got, model)
 	}
-	// Roughly a quarter of the pool are spammers at ~50% accuracy; the
-	// 0.75 bar should catch most of them and few honest workers.
-	if banned < 30 || banned > 80 {
-		t.Errorf("banned %d workers, expected ≈50 spammers", banned)
-	}
-	after := p.EmpiricalConfidence(5, 0.10, DefaultDifficulty, 600)
-	if after <= before {
-		t.Errorf("qualification did not improve confidence: %v → %v", before, after)
-	}
-	// Post-qualification confidence should approach the honest model.
-	pl := New(Jelly(), 99)
-	model := pl.TrueConfidence(5, 0.10, DefaultDifficulty)
-	if math.Abs(after-model) > 0.04 {
-		t.Errorf("post-qualification confidence %v far from model %v", after, model)
-	}
-	if p.ActiveWorkers() != p.Size()-banned {
-		t.Errorf("ActiveWorkers = %d, want %d", p.ActiveWorkers(), p.Size()-banned)
-	}
-}
-
-func TestQualifyValidation(t *testing.T) {
-	p := testPool(t, PoolConfig{Size: 10}, 1)
-	if _, err := p.Qualify(0, 0.1, 2, 5, 0.7); err == nil {
-		t.Error("cardinality 0 accepted")
-	}
-	if _, err := p.Qualify(3, 0.1, 2, 0, 0.7); err == nil {
-		t.Error("zero probes accepted")
-	}
-}
-
-func TestQualifyBanningEveryoneErrors(t *testing.T) {
-	p := testPool(t, PoolConfig{Size: 10, SpammerFraction: 1.0}, 2)
-	if _, err := p.Qualify(5, 0.10, DefaultDifficulty, 10, 0.95); err == nil {
-		t.Error("expected an error when qualification empties the pool")
-	}
-}
-
-// TestPoolRunnerAdaptsPool: the adapter issues through the pool (workers
-// accumulate completions) and replays deterministically for a fixed seed.
-func TestPoolRunnerAdaptsPool(t *testing.T) {
-	mk := func() PoolRunner {
-		return PoolRunner{Pool: testPool(t, PoolConfig{Size: 20, SkillSigma: 0.02}, 7)}
-	}
-	a, b := mk(), mk()
-	truth := []bool{true, false}
-	for i := 0; i < 25; i++ {
-		oa, ob := a.RunBin(2, 0.18, DefaultDifficulty, truth), b.RunBin(2, 0.18, DefaultDifficulty, truth)
-		if oa.Duration != ob.Duration || oa.Answers[0] != ob.Answers[0] || oa.Answers[1] != ob.Answers[1] {
-			t.Fatalf("call %d: pooled outcomes diverged", i)
-		}
-	}
-	completed := 0
-	for id := 0; id < a.Pool.Size(); id++ {
-		w, err := a.Pool.Worker(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		completed += w.Completed
-	}
-	if completed != 25 {
-		t.Fatalf("pool completed %d bins, want 25", completed)
-	}
-}
-
-func TestTopWorkers(t *testing.T) {
-	p := testPool(t, PoolConfig{Size: 50, SkillSigma: 0.05, SpammerFraction: 0.2}, 6)
-	if got := p.TopWorkers(5); len(got) != 0 {
-		t.Errorf("TopWorkers before probing = %v, want empty", got)
-	}
-	if _, err := p.Qualify(5, 0.10, DefaultDifficulty, 8, 0.0); err != nil {
-		t.Fatal(err)
-	}
-	top := p.TopWorkers(5)
-	if len(top) != 5 {
-		t.Fatalf("TopWorkers = %d ids", len(top))
-	}
-	// The top workers' probe accuracy must dominate the pool average.
-	var topAcc, poolAcc float64
-	for _, id := range top {
-		w, _ := p.Worker(id)
-		topAcc += float64(w.CorrectProbe) / float64(w.TotalProbe)
-	}
-	topAcc /= float64(len(top))
-	for id := 0; id < p.Size(); id++ {
-		w, _ := p.Worker(id)
-		poolAcc += float64(w.CorrectProbe) / float64(w.TotalProbe)
-	}
-	poolAcc /= float64(p.Size())
-	if topAcc <= poolAcc {
-		t.Errorf("top-5 accuracy %v not above pool average %v", topAcc, poolAcc)
-	}
-	// Asking for more than available truncates.
-	if got := p.TopWorkers(10_000); len(got) != p.ActiveWorkers() {
-		t.Errorf("TopWorkers(10000) = %d ids, want %d", len(got), p.ActiveWorkers())
+	spammers := testPool(t, PoolConfig{Size: 200, SkillSigma: 0.02, SpammerFraction: 1}, 11)
+	if got := deliveredConfidence(t, spammers, 5, 0.10, 600); math.Abs(got-0.5) > 0.04 {
+		t.Errorf("spammer pool delivered %v, want ≈0.5", got)
 	}
 }

@@ -66,7 +66,7 @@ var errDegraded = errors.New("executor: execution degraded")
 
 // BinRunner executes one bin against a crowd and is the executor's only
 // view of the marketplace: platform.Runner issues over the wire, and the
-// in-process simulators (crowdsim.Platform, crowdsim.PoolRunner) plug in
+// in-process simulators (crowdsim.Platform, crowdsim.Pool) plug in
 // through RunnerFunc. A BinRunner need not be safe for concurrent use —
 // the executor issues bins sequentially within one execution; see the
 // package comment for the full contract.
@@ -81,7 +81,7 @@ type BinRunner interface {
 }
 
 // RunnerFunc adapts a runner that cannot fail — crowdsim.Platform.RunBin,
-// crowdsim.PoolRunner.RunBin — to BinRunner: every issue commits.
+// crowdsim.Pool.RunBin — to BinRunner: every issue commits.
 type RunnerFunc func(cardinality int, pay float64, difficulty int, truth []bool) crowdsim.BinOutcome
 
 // RunBinContext calls f and commits its outcome.

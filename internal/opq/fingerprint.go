@@ -2,7 +2,6 @@ package opq
 
 import (
 	"math"
-	"strconv"
 
 	"repro/internal/core"
 )
@@ -14,39 +13,14 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// Fingerprint returns a compact key for the queue opq.Build(bins, t)
-// would construct: an FNV-64a digest over the menu's bins (in
-// ascending-cardinality order, the canonical BinSet order) and the exact bit
-// pattern of the threshold. Identical (menu, threshold) pairs always share a
-// fingerprint; distinct pairs collide only with 64-bit-hash probability, so
-// callers using it as a cache key must confirm a hit against the full key
-// material.
-//
-// Fingerprint is not the service's cache key. The OPQ cache keeps each
-// menu's queues under MenuDigest plus the menu length, each queue valid on
-// a Piece of thresholds; the batcher, and the cache's in-flight builds,
-// key by FingerprintDigest plus the menu length and the threshold's bits.
-// Neither renders anything per request. The string stays the library's
-// canonical form (slade.MenuFingerprint); its format "%016x:m%d:t%.6f" is
-// pinned by TestFingerprintFormat. It is not written to disk.
-func Fingerprint(bins core.BinSet, t float64) string {
-	const hexdigits = "0123456789abcdef"
-	sum := FingerprintDigest(bins, t)
-	out := make([]byte, 0, 48)
-	for shift := 60; shift >= 0; shift -= 4 { // %016x
-		out = append(out, hexdigits[(sum>>shift)&0xf])
-	}
-	out = append(out, ':', 'm')
-	out = strconv.AppendInt(out, int64(bins.Len()), 10)
-	out = append(out, ':', 't')
-	out = strconv.AppendFloat(out, t, 'f', 6, 64)
-	return string(out)
-}
-
-// FingerprintDigest returns Fingerprint's 64-bit digest without rendering
-// the string form: FoldThreshold(MenuDigest(bins), t). Like the full
-// fingerprint, equal digests of distinct key material are possible and
-// must be confirmed against the full (menu, threshold) pair.
+// FingerprintDigest returns an FNV-64a digest of the exact (menu,
+// threshold bits) pair: the menu's bins in ascending-cardinality order
+// (the canonical BinSet order), then the bit pattern of t. Equal pairs
+// share it; distinct pairs collide only with 64-bit-hash probability, so a
+// caller keying by it confirms a hit against the full pair. It does not
+// name a queue: the thresholds of one Piece build one queue under
+// different digests. The batcher and the OPQ cache's in-flight builds key
+// by it plus the menu length and the threshold's bits.
 func FingerprintDigest(bins core.BinSet, t float64) uint64 {
 	return FoldThreshold(MenuDigest(bins), t)
 }

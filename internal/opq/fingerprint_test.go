@@ -2,7 +2,6 @@ package opq
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -19,16 +18,16 @@ func TestFingerprintStableAndOrderInsensitive(t *testing.T) {
 		core.TaskBin{Cardinality: 2, Confidence: 0.85, Cost: 0.18},
 	)
 	// Same bins given in the other order: NewBinSet canonicalizes, so the
-	// fingerprint must match.
+	// digest must match.
 	b := fpMenu(
 		core.TaskBin{Cardinality: 2, Confidence: 0.85, Cost: 0.18},
 		core.TaskBin{Cardinality: 1, Confidence: 0.9, Cost: 0.1},
 	)
-	if Fingerprint(a, 0.9) != Fingerprint(b, 0.9) {
-		t.Fatal("fingerprint depends on input order")
+	if FingerprintDigest(a, 0.9) != FingerprintDigest(b, 0.9) {
+		t.Fatal("digest depends on input order")
 	}
-	if Fingerprint(a, 0.9) != Fingerprint(a, 0.9) {
-		t.Fatal("fingerprint not deterministic")
+	if FingerprintDigest(a, 0.9) != FingerprintDigest(a, 0.9) {
+		t.Fatal("digest not deterministic")
 	}
 }
 
@@ -58,18 +57,19 @@ func TestFingerprintDistinguishes(t *testing.T) {
 			core.TaskBin{Cardinality: 1, Confidence: 0.9, Cost: 0.1},
 		), 0.9},
 	}
-	ref := Fingerprint(base, 0.9)
+	ref := FingerprintDigest(base, 0.9)
 	for name, tc := range cases {
-		if Fingerprint(tc.bins, tc.t) == ref {
-			t.Errorf("%s: fingerprint collision", name)
+		if FingerprintDigest(tc.bins, tc.t) == ref {
+			t.Errorf("%s: digest collision", name)
 		}
 	}
 }
 
-// TestFingerprintFormat pins the rendered key to the "%016x:m%d:t%.6f"
-// layout: the hand-rolled append path must stay byte-identical to the fmt
-// form, the library's canonical string (slade.MenuFingerprint).
-func TestFingerprintFormat(t *testing.T) {
+// TestFingerprintDigestMatchesFNV: the inlined FNV-64a must stay
+// bit-identical to hash/fnv's over the same bytes — every bin's
+// cardinality, confidence bits and cost bits big-endian, then the
+// threshold's bits.
+func TestFingerprintDigestMatchesFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		nBins := 1 + rng.Intn(12)
@@ -83,28 +83,26 @@ func TestFingerprintFormat(t *testing.T) {
 		}
 		menu := core.MustBinSet(bins)
 		thr := rng.Float64() * 0.999
-		got := Fingerprint(menu, thr)
-		if want := referenceFingerprint(menu, thr); got != want {
-			t.Fatalf("fingerprint %q, reference %q", got, want)
+		if got, want := FingerprintDigest(menu, thr), referenceDigest(menu, thr); got != want {
+			t.Fatalf("digest %016x, hash/fnv %016x", got, want)
 		}
 	}
 }
 
-// referenceFingerprint is the original hash/fnv + fmt implementation the
-// hot-path version must stay byte-identical to.
-func referenceFingerprint(bins core.BinSet, t float64) string {
+// referenceDigest is the hash/fnv implementation the inlined one must
+// stay bit-identical to.
+func referenceDigest(bins core.BinSet, t float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	writeF64 := func(v float64) {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
+	write := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	for _, b := range bins.Bins() {
-		binary.BigEndian.PutUint64(buf[:], uint64(b.Cardinality))
-		h.Write(buf[:])
-		writeF64(b.Confidence)
-		writeF64(b.Cost)
+		write(uint64(b.Cardinality))
+		write(math.Float64bits(b.Confidence))
+		write(math.Float64bits(b.Cost))
 	}
-	writeF64(t)
-	return fmt.Sprintf("%016x:m%d:t%.6f", h.Sum64(), bins.Len(), t)
+	write(math.Float64bits(t))
+	return h.Sum64()
 }

@@ -241,9 +241,6 @@ func NewClient(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// BaseURL returns the marketplace root the client issues against.
-func (c *Client) BaseURL() string { return c.base }
-
 // IdempotencyKey derives the idempotency key for one bin purchase. It is
 // pure — the same (run, bin, attempt epoch) coordinates always name the
 // same purchase, across client restarts — which is what lets a retry

@@ -34,12 +34,3 @@ func (c *Client) Stats() Stats {
 		Latency:             c.latency.Snapshot().Summary(),
 	}
 }
-
-// Degraded reports whether the platform breaker is currently not "ok" —
-// the signal /v1/healthz uses to flip the platform block to degraded
-// without failing the health check (runs degrade to partial reports,
-// the daemon keeps serving).
-func (c *Client) Degraded() bool {
-	state, _, _ := c.breaker.Snapshot()
-	return state != breakerClosed
-}

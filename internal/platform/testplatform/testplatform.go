@@ -66,13 +66,8 @@ func New(opts Options) (*Server, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	var params crowdsim.Params
-	switch opts.Model {
-	case "", "jelly":
-		params = crowdsim.Jelly()
-	case "smic":
-		params = crowdsim.SMIC()
-	default:
+	params, ok := crowdsim.ModelByName(opts.Model)
+	if !ok {
 		return nil, fmt.Errorf("testplatform: unknown model %q (have jelly, smic)", opts.Model)
 	}
 	s := &Server{

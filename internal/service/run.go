@@ -56,13 +56,8 @@ type PlatformFactory func(spec PlatformSpec) (executor.BinRunner, error)
 
 // defaultPlatformFactory maps a spec onto the crowdsim substrate.
 func defaultPlatformFactory(spec PlatformSpec) (executor.BinRunner, error) {
-	var params crowdsim.Params
-	switch strings.ToLower(spec.Model) {
-	case "", "jelly":
-		params = crowdsim.Jelly()
-	case "smic":
-		params = crowdsim.SMIC()
-	default:
+	params, ok := crowdsim.ModelByName(spec.Model)
+	if !ok {
 		return nil, fmt.Errorf("service: unknown platform model %q (have jelly, smic)", spec.Model)
 	}
 	pl := crowdsim.New(params, spec.Seed)
@@ -80,7 +75,7 @@ func defaultPlatformFactory(spec PlatformSpec) (executor.BinRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executor.RunnerFunc(crowdsim.PoolRunner{Pool: pool}.RunBin), nil
+	return executor.RunnerFunc(pool.RunBin), nil
 }
 
 // overrideRate applies the zero-keeps-default / negative-means-zero

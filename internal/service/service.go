@@ -292,9 +292,6 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// Store returns the configured durable store (nil without persistence).
-func (s *Service) Store() store.Store { return s.store }
-
 // RegisterSolver adds (or replaces) a named solver. The name is the routing
 // key for Decompose requests and job submissions. Safe for concurrent use,
 // including concurrently with in-flight solves; the registered solver must

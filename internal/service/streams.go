@@ -29,6 +29,16 @@ var ErrUnknownStream = errors.New("service: unknown stream")
 // flushed; the HTTP layer maps it to 409.
 var errStreamFlushed = errors.New("service: stream already flushed")
 
+// maxStreamTasks bounds the tasks one session holds over all its
+// appends: seen, the planner's buffer and the emitted plans grow with
+// them, and a zero result TTL never reaps the session. A var so tests
+// can shrink it.
+var maxStreamTasks = MaxTasks
+
+// errStreamFull tags an append that would take a session past
+// maxStreamTasks; the HTTP layer maps it to 400.
+var errStreamFull = errors.New("too many tasks")
+
 // Stream session states.
 const (
 	StreamOpen    = "open"
@@ -109,6 +119,9 @@ func (ss *streamSession) statusLocked() StreamStatus {
 func (ss *streamSession) appendLocked(tasks []int) error {
 	if ss.flushed {
 		return errStreamFlushed
+	}
+	if len(tasks) > maxStreamTasks-len(ss.seen) {
+		return fmt.Errorf("%w: a stream may hold at most %d", errStreamFull, maxStreamTasks)
 	}
 	batch := make(map[int]struct{}, len(tasks))
 	for _, id := range tasks {
@@ -416,13 +429,13 @@ func handleStreamDelete(s *Service, w http.ResponseWriter, r *http.Request) {
 var errDuplicateTask = errors.New("service: duplicate task id")
 
 // streamErrStatus maps session mutation errors: flushed-conflict to 409,
-// client mistakes (duplicate ids) to 400, summarize invariant breaks to
+// client mistakes (duplicate ids, a full session) to 400, summarize invariant breaks to
 // 500, solver-side failures through statusFor.
 func streamErrStatus(err error) int {
 	switch {
 	case errors.Is(err, errStreamFlushed):
 		return http.StatusConflict
-	case errors.Is(err, errDuplicateTask):
+	case errors.Is(err, errDuplicateTask), errors.Is(err, errStreamFull):
 		return http.StatusBadRequest
 	case errors.Is(err, errSummarize):
 		return http.StatusInternalServerError

@@ -250,6 +250,72 @@ func TestHTTPStreamErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPStreamTaskLimit: a session holds at most maxStreamTasks
+// (MaxTasks) tasks over all its appends. An append that would take it
+// past the bound is a 400 naming the bound and applies nothing of its
+// batch; a later append that fits is served.
+func TestHTTPStreamTaskLimit(t *testing.T) {
+	if maxStreamTasks != MaxTasks {
+		t.Fatalf("maxStreamTasks = %d, want MaxTasks", maxStreamTasks)
+	}
+	maxStreamTasks = 10
+	t.Cleanup(func() { maxStreamTasks = MaxTasks })
+	_, ts := newTestServer(t)
+	resp, raw := postJSON(t, ts.URL+"/v1/streams", fmt.Sprintf(`{"bins":%s,"threshold":0.9}`, table1JSON))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open: %d %s", resp.StatusCode, raw)
+	}
+	var st StreamStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/v1/streams/" + st.ID
+	status := func() string {
+		t.Helper()
+		resp, err := http.Get(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if resp, raw := postJSON(t, base+"/tasks", `{"tasks":[0,1,2,3,4,5]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append 6: %d %s", resp.StatusCode, raw)
+	}
+	before := status()
+	for _, body := range []string{`{"tasks":[6,7,8,9,10]}`, `{"tasks":[6,7,8,9,10,11,12,13,14,15,16]}`} {
+		resp, raw := postJSON(t, base+"/tasks", body)
+		var e errorBody
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("no error envelope in %s", raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_request" ||
+			e.Error.Message != "too many tasks: a stream may hold at most 10" || e.Error.RequestID == "" {
+			t.Errorf("over the bound: status %d, envelope %+v", resp.StatusCode, e.Error)
+		}
+		if after := status(); after != before {
+			t.Fatalf("a rejected append changed the session:\n%s\n%s", before, after)
+		}
+	}
+	resp, raw = postJSON(t, base+"/tasks", `{"tasks":[6,7,8,9]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append that fits: %d %s", resp.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Pending+st.EmittedTasks != 10 || st.Appends != 2 {
+		t.Fatalf("after the fitting append: %+v", st)
+	}
+	if resp, raw := postJSON(t, base+"/tasks", `{"tasks":[10]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("append to a full session: %d %s", resp.StatusCode, raw)
+	}
+}
+
 // TestStreamSessionTTLExpiry: idle sessions are reaped by the janitor's
 // sweep and lazily on lookup, like terminal jobs.
 func TestStreamSessionTTLExpiry(t *testing.T) {

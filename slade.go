@@ -185,9 +185,6 @@ func NewJellyPlatform(seed int64) *Platform { return crowdsim.New(crowdsim.Jelly
 // (Example 3).
 func NewSMICPlatform(seed int64) *Platform { return crowdsim.New(crowdsim.SMIC(), seed) }
 
-// NewPlatform returns a simulated marketplace with custom parameters.
-func NewPlatform(p PlatformParams, seed int64) *Platform { return crowdsim.New(p, seed) }
-
 // Calibrate learns a bin menu from probe bins on a platform (Section 3.1's
 // "regression or counting methods").
 func Calibrate(pl *Platform, opts CalibrationOptions) (*CalibrationResult, error) {
@@ -342,8 +339,6 @@ type (
 	JobRecord = store.JobRecord
 	// FSStore is the crash-safe filesystem JobStore.
 	FSStore = store.FS
-	// MemStore is the in-memory JobStore (state dies with the process).
-	MemStore = store.Mem
 )
 
 // OpenFSStore opens (creating if needed) a crash-safe filesystem store
@@ -352,16 +347,6 @@ type (
 func OpenFSStore(dir string, logger *log.Logger) (*FSStore, error) {
 	return store.OpenFS(dir, logger)
 }
-
-// NewMemStore returns an in-memory store: useful in tests and in
-// deployments that want TTL eviction without disk durability.
-func NewMemStore() *MemStore { return store.NewMem() }
-
-// MenuFingerprint returns a digest of the exact (menu, threshold bits)
-// pair, as a string. Equal pairs share it; distinct pairs may collide, with
-// 64-bit-hash probability. It does not name a queue: the thresholds of one
-// piece build one queue under different fingerprints.
-func MenuFingerprint(bins BinSet, t float64) string { return opq.Fingerprint(bins, t) }
 
 // Threshold workload generators (Section 7.2).
 var (

@@ -443,19 +443,13 @@ type jobStatusResponse struct {
 }
 
 func handleJobStatus(s *Service, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, err := s.Jobs().Status(id)
+	st, plan, _, err := s.Jobs().snapshot(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	resp := jobStatusResponse{JobStatus: st}
 	if st.State == JobDone && r.URL.Query().Get("include_plan") == "true" {
-		plan, err := s.Jobs().Result(id)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
 		writePlanStreamed(w, http.StatusOK, resp, plan)
 		return
 	}

@@ -8,17 +8,19 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// This file is the live job-event surface: a per-job broadcast hub fed
+// This file is the live job-event surface: a per-job broadcast feed fed
 // from the executor's Observer seam and the job manager's state
 // transitions, served as Server-Sent Events by GET /v1/jobs/{id}/events.
 // Every frame carries the running totals (bins issued, spend, delivered
 // mass, top-up rounds) plus the job state; the final frame is the job's
 // terminal status with its summary/report attached. Subscribers resume
 // with Last-Event-ID: recent frames replay from a bounded per-job ring,
-// and a job that finished while the client was away still gets its
-// terminal frame synthesized from the job record.
+// and a job replayed from the store after a restart gets a fresh feed
+// holding its terminal frame, synthesized from the job record.
 
 // DefaultSSEHeartbeat is the comment-frame interval that keeps idle SSE
 // connections alive through proxies; Config.SSEHeartbeat overrides it.
@@ -58,7 +60,12 @@ type JobEvent struct {
 }
 
 // jobFeed is one job's event ring plus its subscriber wakeup channel.
+// The job owns it (job.feed), so a feed lives exactly as long as its job.
 type jobFeed struct {
+	jobID string
+	// published is slade_sse_events_total.
+	published *obs.Counter
+
 	mu       sync.Mutex
 	events   []JobEvent
 	nextSeq  uint64
@@ -69,20 +76,20 @@ type jobFeed struct {
 	notify chan struct{}
 }
 
-func newJobFeed() *jobFeed {
-	return &jobFeed{nextSeq: 1, notify: make(chan struct{})}
+func newJobFeed(jobID string, published *obs.Counter) *jobFeed {
+	return &jobFeed{jobID: jobID, published: published, nextSeq: 1, notify: make(chan struct{})}
 }
 
-// publish appends one frame, assigning its sequence number. Frames after
-// the terminal frame are dropped (the terminal frame is final by
-// contract), which also makes terminal publication idempotent across the
-// settle path and the synthesized-resume path.
-func (f *jobFeed) publish(ev JobEvent) bool {
+// publish appends one frame, stamping the job id and assigning its
+// sequence number. Frames after the terminal frame are dropped: the
+// terminal frame is final by contract.
+func (f *jobFeed) publish(ev JobEvent) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.terminal {
-		f.mu.Unlock()
-		return false
+		return
 	}
+	ev.JobID = f.jobID
 	ev.Seq = f.nextSeq
 	f.nextSeq++
 	f.events = append(f.events, ev)
@@ -94,16 +101,15 @@ func (f *jobFeed) publish(ev JobEvent) bool {
 	}
 	close(f.notify)
 	f.notify = make(chan struct{})
-	f.mu.Unlock()
-	return true
+	f.published.Inc()
 }
 
 // since returns every buffered frame with Seq > last, whether the feed
 // has published its terminal frame, and the wakeup channel to wait on —
 // all under one lock, so a publish between the read and the wait is
 // impossible to miss. A cursor past the newest frame was issued by an
-// earlier feed of the job (one lost to a restart or dropped), so the feed
-// replays from its start: such a client still gets its terminal frame.
+// earlier feed of the job (one lost to a restart), so the feed replays
+// from its start: such a client still gets its terminal frame.
 func (f *jobFeed) since(last uint64) ([]JobEvent, bool, chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -119,65 +125,9 @@ func (f *jobFeed) since(last uint64) ([]JobEvent, bool, chan struct{}) {
 	return out, f.terminal, f.notify
 }
 
-// eventHub owns the per-job feeds. Feeds live as long as their job: the
-// manager drops them on eviction and TTL expiry.
-type eventHub struct {
-	heartbeat time.Duration
-	metrics   *serviceMetrics
-
-	mu    sync.Mutex
-	feeds map[string]*jobFeed
-
-	// closed wakes every subscriber at service shutdown.
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-func newEventHub(heartbeat time.Duration, m *serviceMetrics) *eventHub {
-	if heartbeat <= 0 {
-		heartbeat = DefaultSSEHeartbeat
-	}
-	return &eventHub{
-		heartbeat: heartbeat,
-		metrics:   m,
-		feeds:     make(map[string]*jobFeed),
-		closed:    make(chan struct{}),
-	}
-}
-
-// feed returns (creating on first use) the job's feed.
-func (h *eventHub) feed(id string) *jobFeed {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	f := h.feeds[id]
-	if f == nil {
-		f = newJobFeed()
-		h.feeds[id] = f
-	}
-	return f
-}
-
-// publish appends one frame to the job's feed.
-func (h *eventHub) publish(id string, ev JobEvent) {
-	ev.JobID = id
-	if h.feed(id).publish(ev) {
-		h.metrics.sseEventsPublished.Inc()
-	}
-}
-
-// ensureTerminal synthesizes the terminal frame of an already-terminal
-// job from its status — the resume path for jobs that finished before
-// the subscriber (re)connected, including jobs recovered from the store
-// by a fresh process (their feeds restart at seq 1). Idempotent: a feed
-// that already published its terminal frame is left untouched.
-func (h *eventHub) ensureTerminal(st JobStatus) {
-	if st.State.Terminal() {
-		h.publish(st.ID, terminalEvent(st))
-	}
-}
-
 // terminalEvent builds a terminal job's final SSE frame from its status:
-// the one builder for both a settling job and a resuming subscriber.
+// the one builder for both a settling job and a job replayed from the
+// store, whose feed starts at seq 1 with this frame.
 func terminalEvent(st JobStatus) JobEvent {
 	ev := JobEvent{
 		State:   st.State,
@@ -194,26 +144,13 @@ func terminalEvent(st JobStatus) JobEvent {
 	return ev
 }
 
-// drop discards a job's feed (eviction, TTL expiry).
-func (h *eventHub) drop(id string) {
-	h.mu.Lock()
-	delete(h.feeds, id)
-	h.mu.Unlock()
-}
-
-// close wakes every subscriber for teardown. Idempotent.
-func (h *eventHub) close() {
-	h.closeOnce.Do(func() { close(h.closed) })
-}
-
 // jobEventObserver is the executor.Observer of every run job: it feeds
-// the executor's callbacks into both the metric bundle and the event hub.
-// Executor callbacks run inline on the single executing goroutine, so
-// plain fields need no synchronization.
+// the executor's callbacks into both the metric bundle and the job's
+// event feed. Executor callbacks run inline on the single executing
+// goroutine, so plain fields need no synchronization.
 type jobEventObserver struct {
 	metrics *serviceMetrics
-	hub     *eventHub
-	jobID   string
+	feed    *jobFeed
 
 	topUps      int
 	bins        int
@@ -250,7 +187,7 @@ func (o *jobEventObserver) emit(force bool) {
 	}
 	o.emitted = true
 	o.lastEmit = now
-	o.hub.publish(o.jobID, JobEvent{
+	o.feed.publish(JobEvent{
 		State:         JobRunning,
 		BinsIssued:    o.bins,
 		TopUpRounds:   o.topUps,
@@ -296,8 +233,7 @@ func writeSSEFrame(w io.Writer, ev JobEvent) error {
 // away, or the service shuts down; heartbeat comments keep idle
 // connections alive through buffering proxies (see docs/OPERATIONS.md).
 func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, err := s.Jobs().Status(id)
+	_, _, feed, err := s.Jobs().snapshot(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -307,11 +243,6 @@ func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("service: response writer cannot stream"))
 		return
 	}
-	// A job that is already terminal streams exactly one frame — its
-	// terminal status, rebuilt from the job record when the live frames
-	// are gone (process restart, ring overflow).
-	s.events.ensureTerminal(st)
-	feed := s.events.feed(id)
 	last := lastEventID(r)
 
 	h := w.Header()
@@ -325,7 +256,7 @@ func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	s.metrics.sseSubscribers.Inc()
 	defer s.metrics.sseSubscribers.Dec()
 
-	ticker := time.NewTicker(s.events.heartbeat)
+	ticker := time.NewTicker(s.sseHeartbeat)
 	defer ticker.Stop()
 	for {
 		evs, terminal, notify := feed.since(last)
@@ -350,7 +281,7 @@ func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		case <-r.Context().Done():
 			return
-		case <-s.events.closed:
+		case <-s.closed:
 			return
 		}
 	}

@@ -17,6 +17,8 @@ import (
 
 	"repro/internal/binset"
 	"repro/internal/core"
+	"repro/internal/opq"
+	"repro/internal/store"
 )
 
 // sseFrame is one decoded SSE frame as read off the wire.
@@ -107,7 +109,7 @@ func fastProgressFrames(t *testing.T) {
 // running totals, and end on the terminal frame carrying the report.
 func TestSSEJobEventsAcceptance(t *testing.T) {
 	fastProgressFrames(t)
-	svc, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	body := fmt.Sprintf(`{"kind":"run","bins":%s,"n":80,"threshold":0.9,
 		"run":{"platform":"jelly","seed":9,"positive_rate":0.4}}`, table1JSON)
 	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
@@ -188,28 +190,118 @@ func TestSSEJobEventsAcceptance(t *testing.T) {
 			t.Fatalf("resume frame %d: seq %d want %d", i, f.id, frames[i+1].id)
 		}
 	}
+}
 
-	// A subscriber that lost the ring entirely (process restart) still
-	// gets a terminal frame synthesized from the job record.
-	svc.events.drop(st.ID)
-	resumed, _ := subscribeSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", 0)
-	if len(resumed) != 1 || !resumed[0].data.State.Terminal() {
-		t.Fatalf("synthesized resume: %+v", resumed)
+// TestSSEResumeAfterRestart: a subscriber whose feed was lost to a
+// process restart still gets the terminal frame, synthesized with its
+// report from the stored record — from cursor 0, and from a cursor of
+// the first process's feed, past the new feed's newest frame.
+func TestSSEResumeAfterRestart(t *testing.T) {
+	fastProgressFrames(t)
+	mem := store.NewMem()
+	serve := func() (*Service, *httptest.Server) {
+		svc := New(Config{CacheSize: 8, Workers: 2, Store: mem, Slog: slog.New(slog.DiscardHandler)})
+		ts := httptest.NewServer(NewHandler(svc))
+		t.Cleanup(func() { ts.Close(); svc.Close() })
+		return svc, ts
 	}
-	if resumed[0].data.Report == nil || resumed[0].data.BinsIssued != final.data.BinsIssued {
-		t.Fatalf("synthesized terminal lost report detail: %+v", resumed[0].data)
+	first, ts := serve()
+	body := fmt.Sprintf(`{"kind":"run","bins":%s,"n":80,"threshold":0.9,
+		"run":{"platform":"jelly","seed":9,"positive_rate":0.4}}`, table1JSON)
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", resp.StatusCode, raw)
 	}
-	// So does one resuming from a cursor of the lost feed, past the
-	// rebuilt feed's newest frame.
-	svc.events.drop(st.ID)
-	stale := final.id - 1
-	if stale <= resumed[0].id {
-		t.Fatalf("cursor %d is not past the rebuilt feed's seq %d", stale, resumed[0].id)
+	var st JobStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
 	}
-	resumed, _ = subscribeSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", stale)
-	if len(resumed) != 1 || !resumed[0].data.State.Terminal() || resumed[0].id != 1 {
-		t.Fatalf("resume from the lost feed's cursor %d: %+v", stale, resumed)
+	frames, _ := subscribeSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", 0)
+	final := frames[len(frames)-1]
+	if final.data.State != JobDone || final.id < 3 {
+		t.Fatalf("first feed ends on seq %d state %q; want done past seq 2", final.id, final.data.State)
 	}
+	first.Close() // waits for the terminal record to reach the store
+
+	_, ts = serve()
+	for _, cursor := range []uint64{final.id - 1, 0} {
+		resumed, _ := subscribeSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", cursor)
+		if len(resumed) != 1 || resumed[0].id != 1 || resumed[0].data.State != JobDone {
+			t.Fatalf("resume from cursor %d after restart: %+v", cursor, resumed)
+		}
+		if ev := resumed[0].data; ev.JobID != st.ID || ev.Report == nil || ev.BinsIssued != final.data.BinsIssued {
+			t.Fatalf("synthesized terminal lost report detail: %+v", ev)
+		}
+	}
+}
+
+// TestJobReadsRaceExpiry: status-with-plan and event-stream reads of
+// done jobs expiring under a 1 ms result TTL answer 200 or 404, never
+// 500, and every event stream ends. The jobs finish together while the
+// readers poll, so reads land inside the short done-but-unexpired window.
+// Run under -race (CI does).
+func TestJobReadsRaceExpiry(t *testing.T) {
+	const jobs, readers = 16, 4
+	svc := New(Config{CacheSize: 8, Workers: 2, MaxJobs: jobs, ResultTTL: time.Millisecond,
+		Slog: slog.New(slog.DiscardHandler)})
+	ts := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(func() { ts.Close(); svc.Close() })
+	client := ts.Client()
+	client.Timeout = 10 * time.Second // an event stream that never ends fails here
+	release := make(chan struct{})
+	if err := svc.RegisterSolver("gated", core.SolverFunc{
+		SolverName: "gated",
+		Fn: func(in *core.Instance) (*core.Plan, error) {
+			<-release
+			return (opq.Solver{}).Solve(in)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	in := core.MustHomogeneous(binset.Table1(), 40, 0.9)
+
+	var wg, polling sync.WaitGroup
+	for range jobs {
+		id, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: "gated"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 2 * readers {
+			path := [...]string{"?include_plan=true", "/events"}[i%2]
+			wg.Add(1)
+			polling.Add(1)
+			go func() {
+				defer wg.Done()
+				started := sync.OnceFunc(polling.Done)
+				defer started()
+				for { // read until the job expires
+					resp, err := client.Get(ts.URL + "/v1/jobs/" + id + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					started()
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Errorf("%s%s: body: %v", id, path, err)
+						return
+					}
+					switch resp.StatusCode {
+					case http.StatusOK:
+					case http.StatusNotFound:
+						return
+					default:
+						t.Errorf("%s%s: status %d", id, path, resp.StatusCode)
+						return
+					}
+				}
+			}()
+		}
+	}
+	polling.Wait() // every reader has had its first answer
+	close(release)
+	wg.Wait()
 }
 
 // TestSSEUnknownJobAndMultiSubscriber covers the 404 path and N
@@ -354,7 +446,7 @@ func TestSSEPendingCancelAndShutdown(t *testing.T) {
 		shutdownDone <- frames
 	}()
 	time.Sleep(20 * time.Millisecond)
-	svc.events.close() // the shutdown path Close() takes, without tearing down jobs
+	svc.Close()
 	frames := <-shutdownDone
 	for _, f := range frames {
 		if f.data.State.Terminal() {

@@ -100,6 +100,10 @@ type job struct {
 	summary *PlanSummary
 	report  *ExecutionReport
 	err     error
+
+	// feed is the job's SSE event feed. Submit creates it; a job replayed
+	// from the store has none until its first read (see snapshot).
+	feed *jobFeed
 }
 
 // JobManager runs asynchronous decomposition jobs on a bounded pool. All
@@ -446,7 +450,6 @@ func (m *JobManager) sweep(now time.Time) {
 	}
 	m.mu.Unlock()
 	for _, id := range expired {
-		m.svc.events.drop(id)
 		m.deleteStored(id)
 	}
 }
@@ -525,6 +528,7 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 		runner:    runner,
 		submitted: time.Now(),
 	}
+	j.feed = newJobFeed(j.id, m.svc.metrics.sseEventsPublished)
 	m.jobs[j.id] = j
 	m.counts.submitted++
 	st := j.statusLocked()
@@ -576,7 +580,7 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 	}
 	// The first event of every job's feed: it started running. Run jobs
 	// follow with per-bin progress frames from the executor observer.
-	m.svc.events.publish(j.id, JobEvent{State: JobRunning})
+	j.feed.publish(JobEvent{State: JobRunning})
 
 	plan, report, err := m.execute(ctx, j)
 	if err == nil && ctx.Err() != nil {
@@ -605,7 +609,8 @@ func (m *JobManager) settle(j *job, plan *core.Plan, report *ExecutionReport, er
 }
 
 // settleLocked is settle for a caller that already holds m.mu — which it
-// releases before publishing and persisting.
+// releases before persisting. The terminal frame is published under the
+// lock, so whoever sees the job terminal finds that frame on its feed.
 func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionReport, err error) {
 	if j.state.Terminal() {
 		m.mu.Unlock()
@@ -651,9 +656,8 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 	if persist {
 		m.persistWG.Add(1) // under the lock, so close cannot miss it
 	}
-	ev := terminalEvent(j.statusLocked())
+	j.feed.publish(terminalEvent(j.statusLocked()))
 	m.mu.Unlock()
-	m.svc.events.publish(j.id, ev)
 	if persist {
 		defer m.persistWG.Done()
 		m.persist(rec)
@@ -687,21 +691,35 @@ func (m *JobManager) expire(id string) bool {
 	delete(m.jobs, id)
 	m.counts.expired++
 	m.mu.Unlock()
-	m.svc.events.drop(id)
 	m.deleteStored(id)
 	return true
 }
 
 // Status returns a snapshot of the job. Safe for concurrent use.
 func (m *JobManager) Status(id string) (JobStatus, error) {
+	st, _, _, err := m.snapshot(id)
+	return st, err
+}
+
+// snapshot applies lazy TTL expiry to id, then reads the job's status,
+// plan (nil unless done) and event feed in one lock hold, so a handler
+// never sees the job expire between two reads. A job replayed from the
+// store gets its feed here, on first read: it starts at seq 1 with the
+// terminal frame rebuilt from the record.
+func (m *JobManager) snapshot(id string) (JobStatus, *core.Plan, *jobFeed, error) {
 	m.expire(id)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+		return JobStatus{}, nil, nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
-	return j.statusLocked(), nil
+	st := j.statusLocked()
+	if j.feed == nil {
+		j.feed = newJobFeed(id, m.svc.metrics.sseEventsPublished)
+		j.feed.publish(terminalEvent(st))
+	}
+	return st, j.plan, j.feed, nil
 }
 
 // statusLocked snapshots the job; the caller holds the manager's mu.
@@ -789,7 +807,6 @@ func (m *JobManager) EvictJob(id string) error {
 	}
 	delete(m.jobs, id)
 	m.mu.Unlock()
-	m.svc.events.drop(id)
 	m.deleteStored(id)
 	return nil
 }

@@ -82,7 +82,6 @@ type serviceMetrics struct {
 
 	// Incremental-ingest stream sessions.
 	streamSessionsOpened  *obs.Counter
-	streamSessionsActive  *obs.Gauge
 	streamSessionsExpired *obs.Counter
 	streamTasksAppended   *obs.Counter
 	streamFlushes         *obs.Counter
@@ -169,7 +168,6 @@ func newServiceMetrics() *serviceMetrics {
 		sseEventsPublished: reg.Counter("slade_sse_events_total", "Job events published to SSE feeds."),
 
 		streamSessionsOpened:  reg.Counter("slade_stream_sessions_opened_total", "Incremental-ingest stream sessions opened."),
-		streamSessionsActive:  reg.Gauge("slade_stream_sessions_active", "Incremental-ingest stream sessions currently resident."),
 		streamSessionsExpired: reg.Counter("slade_stream_sessions_expired_total", "Stream sessions reaped by the result TTL."),
 		streamTasksAppended:   reg.Counter("slade_stream_tasks_total", "Tasks appended to stream sessions."),
 		streamFlushes:         reg.Counter("slade_stream_flushes_total", "Stream session flushes."),
@@ -262,8 +260,8 @@ func (m *serviceMetrics) nextRequestID() string {
 }
 
 // registerReads exports state the service already holds — uptime, the
-// job manager's and the queue cache's counts — as series read at scrape
-// time, so /metrics keeps no second copy of them.
+// job manager's, the stream manager's and the queue cache's counts — as
+// series read at scrape time, so /metrics keeps no second copy of them.
 func (s *Service) registerReads() {
 	reg := s.metrics.reg
 	counter := func(name, help string, read func() uint64, labels ...obs.Label) {
@@ -285,6 +283,8 @@ func (s *Service) registerReads() {
 	counter("slade_jobs_recovered_total", "Jobs replayed from the store at boot.", func() uint64 { return jobs().Recovered })
 	counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL.", func() uint64 { return jobs().Expired })
 	counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.", func() uint64 { return jobs().RunsInterrupted })
+
+	gauge("slade_stream_sessions_active", "Incremental-ingest stream sessions currently resident.", func() int { return s.streams.stats().Active })
 
 	cache := s.cache.Stats
 	gauge("slade_cache_entries", "Resident queues.", func() int { return cache().Entries })

@@ -151,7 +151,11 @@ func TestFailedAndCanceledJobsPersist(t *testing.T) {
 	close(block)
 	for _, id := range []string{failed, running, pending} {
 		waitTerminal(t, svc, id)
-		evs, _, _ := svc.events.feed(id).since(0)
+		_, _, feed, err := svc.Jobs().snapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, _, _ := feed.since(0)
 		terminal := 0
 		for _, ev := range evs {
 			if ev.State.Terminal() {

@@ -308,7 +308,7 @@ func (m *JobManager) runRun(ctx context.Context, j *job) (*core.Plan, *Execution
 	opts.RunID = j.id
 	// One observer feeds both sinks: the metric bundle and the job's SSE
 	// event feed.
-	opts.Observer = &jobEventObserver{metrics: m.svc.metrics, hub: m.svc.events, jobID: j.id}
+	opts.Observer = &jobEventObserver{metrics: m.svc.metrics, feed: j.feed}
 	rep, err := executor.ExecuteContext(ctx, j.runner, rj.Instance, plan, truth, opts)
 	if err != nil {
 		return nil, nil, err

@@ -164,8 +164,11 @@ type Service struct {
 	// metrics is the observability bundle every pipeline stage writes
 	// into; always non-nil (see metrics.go).
 	metrics *serviceMetrics
-	// events is the per-job SSE broadcast hub; always non-nil.
-	events *eventHub
+	// sseHeartbeat is the comment-frame interval of SSE job feeds.
+	sseHeartbeat time.Duration
+	// closed wakes every SSE subscriber at Close.
+	closed    chan struct{}
+	closeOnce sync.Once
 	// streams manages incremental-ingest planner sessions; always non-nil.
 	streams *StreamManager
 	// maxQueueWait is the admission-control threshold; 0 disables.
@@ -203,7 +206,12 @@ func New(cfg Config) *Service {
 		slog:         logger,
 		metrics:      newServiceMetrics(),
 		maxQueueWait: cfg.MaxQueueWait,
+		sseHeartbeat: cfg.SSEHeartbeat,
+		closed:       make(chan struct{}),
 		started:      time.Now(),
+	}
+	if s.sseHeartbeat <= 0 {
+		s.sseHeartbeat = DefaultSSEHeartbeat
 	}
 	s.cache = NewOPQCache(cfg.CacheSize)
 	s.cache.buildDuration = s.metrics.cacheBuildDuration
@@ -232,11 +240,9 @@ func New(cfg Config) *Service {
 		}
 		s.platform = pc
 	}
-	// The event hub and stream manager exist before the job manager: jobs
-	// replayed at construction must find a hub to publish into. The
-	// platform client exists first too — the factory resolves "remote"
-	// specs against it.
-	s.events = newEventHub(cfg.SSEHeartbeat, s.metrics)
+	// The stream manager exists before the job manager, whose janitor
+	// sweeps it. The platform client exists first too — the factory
+	// resolves "remote" specs against it.
 	s.streams = newStreamManager(s, cfg.ResultTTL)
 	pf := cfg.PlatformFactory
 	if pf == nil {
@@ -288,7 +294,7 @@ func (s *Service) DefaultSolver() string {
 // Idempotent and safe for concurrent use.
 func (s *Service) Close() error {
 	s.jobs.close()
-	s.events.close() // wake every SSE subscriber so handlers return
+	s.closeOnce.Do(func() { close(s.closed) }) // wake every SSE subscriber so handlers return
 	return nil
 }
 

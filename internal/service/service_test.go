@@ -15,7 +15,6 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/obs"
 	"repro/internal/opq"
-	"repro/internal/stream"
 )
 
 // menuB returns a second menu distinct from Table1 so cache-key tests can
@@ -523,51 +522,4 @@ func waitTerminal(t *testing.T, svc *Service, id string) JobStatus {
 	}
 	t.Fatalf("job %s did not settle", id)
 	return JobStatus{}
-}
-
-func TestStreamPlannerReuseViaReset(t *testing.T) {
-	// The service never reuses a flushed planner (one per session); Reset
-	// is the sanctioned path for a caller that does. Verify it yields a fresh
-	// stream with identical behavior on the shared queue.
-	q, err := opq.Build(binset.Table1(), 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := stream.NewPlannerWithQueue(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []int{0, 1, 2, 3, 4, 5, 6}
-	if _, err := p.Add(ids...); err != nil {
-		t.Fatal(err)
-	}
-	first, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Flushed() {
-		t.Fatal("planner should report flushed")
-	}
-	if _, err := p.Add(9); err == nil {
-		t.Fatal("flushed planner must reject Add")
-	}
-	cost1 := p.EmittedCost()
-
-	p.Reset()
-	if p.Flushed() || p.Pending() != 0 || p.EmittedCost() != 0 || p.EmittedTasks() != 0 {
-		t.Fatalf("reset planner not pristine: flushed=%v pending=%d", p.Flushed(), p.Pending())
-	}
-	if _, err := p.Add(ids...); err != nil {
-		t.Fatal(err)
-	}
-	second, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.EmittedCost() != cost1 {
-		t.Fatalf("second stream cost %v != first %v", p.EmittedCost(), cost1)
-	}
-	if first.NumUses() != second.NumUses() {
-		t.Fatalf("second stream shape differs: %d vs %d uses", second.NumUses(), first.NumUses())
-	}
 }

@@ -221,7 +221,6 @@ func (sm *StreamManager) open(bins core.BinSet, threshold float64) (*streamSessi
 	sm.sessions[ss.id] = ss
 	sm.mu.Unlock()
 	sm.svc.metrics.streamSessionsOpened.Inc()
-	sm.svc.metrics.streamSessionsActive.Inc()
 	return ss, nil
 }
 
@@ -234,7 +233,6 @@ func (sm *StreamManager) lookup(id string) (*streamSession, error) {
 	if ok && sm.expiredLocked(ss, now) {
 		delete(sm.sessions, id)
 		sm.svc.metrics.streamSessionsExpired.Inc()
-		sm.svc.metrics.streamSessionsActive.Dec()
 		ok = false
 	}
 	if !ok {
@@ -249,7 +247,6 @@ func (sm *StreamManager) remove(id string) error {
 	_, ok := sm.sessions[id]
 	if ok {
 		delete(sm.sessions, id)
-		sm.svc.metrics.streamSessionsActive.Dec()
 	}
 	sm.mu.Unlock()
 	if !ok {
@@ -274,7 +271,6 @@ func (sm *StreamManager) sweep(now time.Time) {
 		if sm.expiredLocked(ss, now) {
 			delete(sm.sessions, id)
 			sm.svc.metrics.streamSessionsExpired.Inc()
-			sm.svc.metrics.streamSessionsActive.Dec()
 		}
 	}
 	sm.mu.Unlock()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -21,14 +22,10 @@ func NewMem() *Mem {
 
 // copyRecord clones rec including its raw JSON payloads.
 func copyRecord(rec JobRecord) JobRecord {
-	c := rec
-	if rec.Summary != nil {
-		c.Summary = append([]byte(nil), rec.Summary...)
-	}
-	if rec.Plan != nil {
-		c.Plan = append([]byte(nil), rec.Plan...)
-	}
-	return c
+	rec.Summary = bytes.Clone(rec.Summary)
+	rec.Plan = bytes.Clone(rec.Plan)
+	rec.Report = bytes.Clone(rec.Report)
+	return rec
 }
 
 // PutJob implements Store.

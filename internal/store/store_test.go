@@ -109,6 +109,39 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreCopiesPayloads: editing a record's payload bytes after PutJob,
+// or those of a record GetJob returned, leaves the stored record as put.
+func TestStoreCopiesPayloads(t *testing.T) {
+	for name, s := range impls(t) {
+		t.Run(name, func(t *testing.T) {
+			rec := testRecord("job-1")
+			rec.Report = json.RawMessage(`{"spent":2}`)
+			want := testRecord("job-1")
+			want.Report = bytes.Clone(rec.Report)
+			if err := s.PutJob(rec); err != nil {
+				t.Fatal(err)
+			}
+			scribble := func(r JobRecord) {
+				for _, p := range [][]byte{r.Summary, r.Plan, r.Report} {
+					p[0] = 'X'
+				}
+			}
+			scribble(rec)
+			got, err := s.GetJob("job-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			scribble(got)
+			if got, err = s.GetJob("job-1"); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Summary, want.Summary) || !bytes.Equal(got.Plan, want.Plan) || !bytes.Equal(got.Report, want.Report) {
+				t.Fatalf("stored payloads changed: %s / %s / %s", got.Summary, got.Plan, got.Report)
+			}
+		})
+	}
+}
+
 // TestStoreRejectsInvalidRecords checks validation on the way in.
 func TestStoreRejectsInvalidRecords(t *testing.T) {
 	for name, s := range impls(t) {

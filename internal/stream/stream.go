@@ -62,24 +62,6 @@ func NewPlannerWithQueue(q *opq.Queue) (*Planner, error) {
 // OPQ1.LCM, the provably optimal block size.
 func (p *Planner) BlockSize() int { return p.blockSize }
 
-// Flushed reports whether the planner has been closed by Flush. A flushed
-// planner rejects further Add and Flush calls; call Reset to start a new
-// stream on the same queue.
-func (p *Planner) Flushed() bool { return p.flushed }
-
-// Reset reopens the planner for a fresh stream: the buffer, emitted
-// counters, and the flushed flag are cleared while the (expensive) Optimal
-// Priority Queue is kept. Buffered-but-unplanned tasks are discarded — call
-// Flush first if they must be covered. Reset lets a long-running service
-// pool planners per (menu, threshold) without rebuilding queues, and makes
-// reuse-after-Flush a defined operation instead of a permanent error.
-func (p *Planner) Reset() {
-	p.buffer = nil
-	p.emittedCost = 0
-	p.emittedTasks = 0
-	p.flushed = false
-}
-
 // Pending returns the number of buffered tasks awaiting a full block.
 func (p *Planner) Pending() int { return len(p.buffer) }
 

@@ -219,30 +219,3 @@ func TestNewPlannerWithQueueSharesQueue(t *testing.T) {
 		t.Fatal("nil queue accepted")
 	}
 }
-
-func TestResetReopensFlushedPlanner(t *testing.T) {
-	p, err := NewPlanner(table1(), 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Add(0, 1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Flushed() {
-		t.Fatal("Flushed() false after Flush")
-	}
-	p.Reset()
-	if p.Flushed() || p.Pending() != 0 || p.EmittedCost() != 0 || p.EmittedTasks() != 0 {
-		t.Fatal("Reset left state behind")
-	}
-	plan, err := p.Add(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumUses() == 0 {
-		t.Fatal("reset planner emitted nothing for a full block")
-	}
-}

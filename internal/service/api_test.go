@@ -694,4 +694,12 @@ func TestDecodeTypeErrorText(t *testing.T) {
 			t.Errorf("POST %s: status %d, message %q; want 400, %q", tc.path, resp.StatusCode, e.Error.Message, fmt.Sprintf(want, tc.field))
 		}
 	}
+	// A type error in n ahead of a bad bin: encoding/json reports the
+	// first type error it meets, so n's wins.
+	const nFirst = "decoding request: json: cannot unmarshal string into Go struct field decomposeRequest.instanceRequest.instanceShape.n of type int"
+	resp, raw := postJSON(t, ts.URL+"/v1/decompose", `{"n":"5","bins":`+bins+`,"threshold":0.9}`)
+	var e errorBody
+	if err := json.Unmarshal(raw, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Message != nFirst {
+		t.Errorf("POST /v1/decompose with n and a bin mistyped: status %d, %s; want 400, %q", resp.StatusCode, raw, nFirst)
+	}
 }

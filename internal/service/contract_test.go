@@ -267,8 +267,23 @@ func lateContractSteps() []contractStep {
 	return []contractStep{
 		{name: "job_submit_run_unknown_model", method: "POST", path: "/v1/jobs",
 			body: fmt.Sprintf(`{"kind":"run","bins":%s,"n":4,"threshold":0.9,"run":{"platform":"nope"}}`, table1JSON)},
+		// Bodies that decode but whose menu fails core.NewBinSet, or whose
+		// bins the decoder itself rejects: the rejection text is the one a
+		// plain decode of the body gives.
+		{name: "decompose_duplicate_cardinality", method: "POST", path: "/v1/decompose",
+			body: fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9}`, dupCardinalityJSON)},
+		{name: "job_submit_duplicate_cardinality", method: "POST", path: "/v1/jobs",
+			body: fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9}`, dupCardinalityJSON)},
+		{name: "batch_bin_unknown_field", method: "POST", path: "/v1/decompose/batch",
+			body: `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1,"weight":2}],"instances":[{"n":5,"threshold":0.9}]}`},
+		{name: "stream_open_null_bins", method: "POST", path: "/v1/streams",
+			body: `{"bins":null,"threshold":0.9}`},
 	}
 }
+
+// dupCardinalityJSON is a menu that decodes but that core.NewBinSet
+// rejects: two bins of cardinality 1.
+const dupCardinalityJSON = `[{"cardinality":1,"confidence":0.9,"cost":0.1},{"cardinality":1,"confidence":0.8,"cost":0.05}]`
 
 func TestAPIContract(t *testing.T) {
 	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})

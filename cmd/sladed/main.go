@@ -107,7 +107,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (string, daemonConfig, error) {
 	workers := fs.Int("workers", 0, "concurrent solve slots, shared by all requests; also the default -max-jobs (0 = all CPUs)")
 	maxJobs := fs.Int("max-jobs", 0, "concurrently running async jobs (0 = workers)")
 	dataDir := fs.String("data-dir", "", "durable state directory; empty keeps all state in memory")
-	resultTTL := fs.Duration("result-ttl", 0, "evict terminal jobs this long after they finish (0 = keep until deleted)")
+	resultTTL := fs.Duration("result-ttl", 0, "evict terminal jobs this long after they finish (0 = keep them for the daemon's lifetime)")
 	batchWindow := fs.Duration("batch-window", slade.DefaultBatchWindow, "coalesce concurrent same-menu requests for up to this long into one flush (0 = disable batching)")
 	batchMax := fs.Int("batch-max", 0, "flush a batch once this many requests joined (0 = default 256)")
 	maxQueueWait := fs.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")

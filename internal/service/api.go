@@ -145,13 +145,13 @@ type instanceRequest struct {
 	instanceShape
 }
 
-// instance validates and builds the core.Instance.
-func (ir *instanceRequest) instance() (*core.Instance, error) {
-	bins, err := core.NewBinSet(ir.Bins)
-	if err != nil {
-		return nil, err
+// instance builds the core.Instance over the decoded menu, or reports
+// what validating the menu gave.
+func (b *internedBins) instance(sh *instanceShape) (*core.Instance, error) {
+	if b.err != nil {
+		return nil, b.err
 	}
-	return ir.build(bins, MaxTasks)
+	return sh.build(b.set, MaxTasks)
 }
 
 // decomposeRequest is the POST /v1/decompose body.
@@ -176,11 +176,11 @@ type decomposeResponse struct {
 }
 
 func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
-	var req decomposeRequest
-	if !decodeBody(w, r, &req) {
+	req := decomposeBody{Bins: internedBins{table: s.menus}}
+	if !decodeMenuBody(w, r, &req, &req.Bins, &req.decomposeRequest, &req.decomposeRequest.Bins) {
 		return
 	}
-	in, err := req.instance()
+	in, err := req.Bins.instance(&req.instanceShape)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -263,15 +263,15 @@ type batchDecomposeResponse struct {
 }
 
 func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
-	var req batchDecomposeRequest
-	if !decodeBody(w, r, &req) {
+	req := batchBody{Bins: internedBins{table: s.menus}}
+	if !decodeMenuBody(w, r, &req, &req.Bins, &req.batchDecomposeRequest, &req.batchDecomposeRequest.Bins) {
 		return
 	}
 	if len(req.Instances) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch needs at least one instance"))
 		return
 	}
-	bins, err := core.NewBinSet(req.Bins)
+	bins, err := req.Bins.set, req.Bins.err
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -391,8 +391,8 @@ func (rr *runRequest) runJob(in *core.Instance) *RunJob {
 }
 
 func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	if !decodeBody(w, r, &req) {
+	req := jobBody{Bins: internedBins{table: s.menus}}
+	if !decodeMenuBody(w, r, &req, &req.Bins, &req.jobRequest, &req.jobRequest.Bins) {
 		return
 	}
 	kind := req.Kind
@@ -406,7 +406,7 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	jr := JobRequest{Solver: req.Solver}
 	switch kind {
 	case KindRun:
-		in, err := req.instance()
+		in, err := req.Bins.instance(&req.instanceShape)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -417,7 +417,7 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		}
 		jr.Run = rr.runJob(in)
 	case "", KindSolve:
-		in, err := req.instance()
+		in, err := req.Bins.instance(&req.instanceShape)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -491,18 +491,13 @@ func writePlanStreamed(w http.ResponseWriter, code int, resp any, plan *core.Pla
 }
 
 func handleCancelJob(s *Service, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.Jobs().Cancel(id); err != nil {
+	st, err := s.Jobs().Cancel(r.PathValue("id"))
+	if err != nil {
 		code := http.StatusConflict // terminal job: cancel conflicts with its state
 		if errors.Is(err, ErrUnknownJob) {
 			code = http.StatusNotFound
 		}
 		writeErr(w, code, err)
-		return
-	}
-	st, err := s.Jobs().Status(id)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -512,19 +507,7 @@ func handleCancelJob(s *Service, w http.ResponseWriter, r *http.Request) {
 // followed by whitespace — into dst, writing the error response itself on
 // failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
-		if _, next := dec.Token(); next != io.EOF {
-			err = errors.New("data after the JSON value")
-		}
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, MaxRequestBytes), dst)
 }
 
 // statusCanceled is the nginx-convention 499 "client closed request";

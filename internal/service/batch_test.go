@@ -370,7 +370,7 @@ func TestBatchJobDeleteRemovesMemberOnly(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := svc.Jobs().Cancel(ids[0]); err != nil {
+	if _, err := svc.Jobs().Cancel(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -137,7 +137,11 @@ func checkDecomposeReply(t *testing.T, body, reply []byte) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		t.Fatalf("%q was served but does not decode: %v", body, err)
 	}
-	in, err := req.instance()
+	bins, err := core.NewBinSet(req.Bins)
+	if err != nil {
+		t.Fatalf("%q was served but its menu does not validate: %v", body, err)
+	}
+	in, err := req.build(bins, MaxTasks)
 	if err != nil {
 		t.Fatalf("%q was served but describes no instance: %v", body, err)
 	}

@@ -610,11 +610,13 @@ func (m *JobManager) settle(j *job, plan *core.Plan, report *ExecutionReport, er
 
 // settleLocked is settle for a caller that already holds m.mu — which it
 // releases before persisting. The terminal frame is published under the
-// lock, so whoever sees the job terminal finds that frame on its feed.
-func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionReport, err error) {
+// lock, so whoever sees the job terminal finds that frame on its feed. It
+// returns the job's status as of that lock hold.
+func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionReport, err error) JobStatus {
 	if j.state.Terminal() {
+		st := j.statusLocked()
 		m.mu.Unlock()
-		return
+		return st
 	}
 	j.finished = time.Now()
 	j.runner = nil // the platform (and any worker pool) is done; free it
@@ -656,12 +658,14 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 	if persist {
 		m.persistWG.Add(1) // under the lock, so close cannot miss it
 	}
-	j.feed.publish(terminalEvent(j.statusLocked()))
+	st := j.statusLocked()
+	j.feed.publish(terminalEvent(st))
 	m.mu.Unlock()
 	if persist {
 		defer m.persistWG.Done()
 		m.persist(rec)
 	}
+	return st
 }
 
 // summarize computes the result summary against the job's menu.
@@ -767,27 +771,30 @@ func (m *JobManager) Result(id string) (*core.Plan, error) {
 // error; canceling a running job is cooperative (the solver observes the
 // context while it waits for a solve slot, the executor between bins) and
 // the job settles as Canceled once it stops.
+// It returns the job's status as of the lock hold that canceled it — a
+// pending job's settled one — so a short result TTL cannot expire the job
+// before its caller reads it.
 // Safe for concurrent use, including concurrent Cancels of the same job.
-func (m *JobManager) Cancel(id string) error {
+func (m *JobManager) Cancel(id string) (JobStatus, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	if !ok {
 		m.mu.Unlock()
-		return fmt.Errorf("%w %q", ErrUnknownJob, id)
+		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	if j.state.Terminal() {
 		m.mu.Unlock()
-		return fmt.Errorf("service: job %s already %s", id, j.state)
+		return JobStatus{}, fmt.Errorf("service: job %s already %s", id, j.state)
 	}
 	if j.state == JobPending {
 		// Settled here, under the same lock hold that saw it pending, so
 		// it can never start; its run goroutine finds it terminal.
-		m.settleLocked(j, nil, nil, context.Canceled)
-		return nil
+		return m.settleLocked(j, nil, nil, context.Canceled), nil
 	}
+	st := j.statusLocked()
 	m.mu.Unlock()
 	j.cancel()
-	return nil
+	return st, nil
 }
 
 // EvictJob drops a terminal job's record (and its plan) from memory and

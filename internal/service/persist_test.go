@@ -144,7 +144,7 @@ func TestFailedAndCanceledJobsPersist(t *testing.T) {
 		t.Fatalf("job behind the full slot: %+v, %v", st, err)
 	}
 	for _, id := range []string{pending, running} {
-		if err := svc.Jobs().Cancel(id); err != nil {
+		if _, err := svc.Jobs().Cancel(id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -232,7 +232,7 @@ func TestRunJobCancelMidFlight(t *testing.T) {
 	}
 
 	<-r.started // execution reached the platform
-	if err := svc.Jobs().Cancel(id); err != nil {
+	if _, err := svc.Jobs().Cancel(id); err != nil {
 		t.Fatal(err)
 	}
 	close(r.release) // the in-flight bin returns; the next issue must not happen

@@ -147,7 +147,9 @@ var errSummarize = errors.New("service: summarizing solved plan")
 // gated cached solver, a registry of named solvers, an async job manager,
 // and an optional durable store. All methods are safe for concurrent use.
 type Service struct {
-	cache   *OPQCache
+	cache *OPQCache
+	// menus interns the validated menus request bodies carry.
+	menus   *menuTable
 	sharded *ShardedSolver
 	// cluster holds the configured peer list and serves the "cluster"
 	// solver name by the local route; nil without Peers.
@@ -214,6 +216,7 @@ func New(cfg Config) *Service {
 		s.sseHeartbeat = DefaultSSEHeartbeat
 	}
 	s.cache = NewOPQCache(cfg.CacheSize)
+	s.menus = newMenuTable(cfg.CacheSize)
 	s.cache.buildDuration = s.metrics.cacheBuildDuration
 	s.store = cfg.Store
 	if cfg.Store != nil {

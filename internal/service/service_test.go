@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -383,7 +387,7 @@ func TestJobLifecycleSolve(t *testing.T) {
 	if err := plan.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Jobs().Cancel(id); err == nil {
+	if _, err := svc.Jobs().Cancel(id); err == nil {
 		t.Fatal("canceling a done job must error")
 	}
 	if err := svc.Jobs().EvictJob(id); err != nil {
@@ -429,7 +433,7 @@ func TestJobCancelPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Jobs().Cancel(second); err != nil {
+	if _, err := svc.Jobs().Cancel(second); err != nil {
 		t.Fatal(err)
 	}
 	st := waitTerminal(t, svc, second)
@@ -442,6 +446,45 @@ func TestJobCancelPending(t *testing.T) {
 	close(block)
 	if st := waitTerminal(t, svc, first); st.State != JobDone {
 		t.Fatalf("first job: %s", st.State)
+	}
+}
+
+// TestCancelPendingUnderShortTTL: DELETE answers with the status Cancel
+// settled the job to. Read again after the cancel, a pending job canceled
+// under a one-nanosecond result TTL has already expired, and the route
+// answered 500 unknown job.
+func TestCancelPendingUnderShortTTL(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Workers: 1, MaxJobs: 1, ResultTTL: time.Nanosecond, Slog: slog.New(slog.DiscardHandler)})
+	defer svc.Close()
+	block := make(chan struct{})
+	defer close(block)
+	if err := svc.RegisterSolver("slow", core.SolverFunc{
+		SolverName: "slow",
+		Fn: func(in *core.Instance) (*core.Plan, error) {
+			<-block
+			return &core.Plan{}, nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	in := core.MustHomogeneous(binset.Table1(), 10, 0.9)
+	first, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, svc, first)
+	h := NewHandler(svc)
+	for range 3 {
+		pending, err := svc.Jobs().Submit(JobRequest{Instance: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/jobs/"+pending, nil))
+		var st JobStatus
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil || st.ID != pending || st.State != JobCanceled {
+			t.Fatalf("DELETE /v1/jobs/%s: status %d, %s; want 200 and state canceled", pending, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -467,7 +510,7 @@ func TestJobCancelRunningContextUnawareSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-running
-	if err := svc.Jobs().Cancel(id); err != nil {
+	if _, err := svc.Jobs().Cancel(id); err != nil {
 		t.Fatal(err)
 	}
 	close(block) // solver finishes "successfully" after the cancel

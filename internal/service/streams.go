@@ -322,11 +322,11 @@ type streamStatusResponse struct {
 }
 
 func handleOpenStream(s *Service, w http.ResponseWriter, r *http.Request) {
-	var req streamOpenRequest
-	if !decodeBody(w, r, &req) {
+	req := streamOpenBody{Bins: internedBins{table: s.menus}}
+	if !decodeMenuBody(w, r, &req, &req.Bins, &req.streamOpenRequest, &req.streamOpenRequest.Bins) {
 		return
 	}
-	bins, err := core.NewBinSet(req.Bins)
+	bins, err := req.Bins.set, req.Bins.err
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -89,8 +89,6 @@ type (
 	Comb = opq.Comb
 	// Platform is the simulated crowd marketplace.
 	Platform = crowdsim.Platform
-	// PlatformParams parameterizes a Platform's task model.
-	PlatformParams = crowdsim.Params
 	// CalibrationResult is the outcome of probe-based menu calibration.
 	CalibrationResult = calib.Result
 	// CalibrationOptions configures Calibrate.
@@ -297,16 +295,9 @@ type (
 	// RunJob is the run-job payload: plan an instance, then execute the
 	// plan against a simulated platform and report delivered reliability.
 	RunJob = service.RunJob
-	// RunPlatformSpec selects and seeds a run job's platform: the
-	// in-process crowd simulation, or (Kind "remote") the service's one
-	// marketplace client.
-	RunPlatformSpec = service.PlatformSpec
 	// PlatformFactory builds run-job platforms; ServiceConfig.PlatformFactory
 	// overrides the crowdsim-backed default.
 	PlatformFactory = service.PlatformFactory
-	// JobExecutionReport is the persisted outcome of a run job (the
-	// service-level wire form of an ExecutionReport).
-	JobExecutionReport = service.ExecutionReport
 )
 
 // DefaultBatchWindow is the request-batcher accumulation window cmd/sladed
@@ -332,12 +323,10 @@ func NewOPQCache(capacity int) *OPQCache { return service.NewOPQCache(capacity) 
 // Durable state layer: the pluggable store behind ServiceConfig.Store.
 // See docs/FORMATS.md for the on-disk record format.
 type (
-	// JobStore is the pluggable durable state interface the service
-	// spills terminal jobs into.
-	JobStore = store.Store
 	// JobRecord is the durable (versioned JSON) form of a terminal job.
 	JobRecord = store.JobRecord
-	// FSStore is the crash-safe filesystem JobStore.
+	// FSStore is the crash-safe filesystem store; ServiceConfig.Store
+	// takes it.
 	FSStore = store.FS
 )
 

@@ -30,6 +30,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hetero"
 	"repro/internal/opq"
+	"repro/internal/service"
 )
 
 // benchSolvers is the homogeneous line-up of Section 7.1.
@@ -273,8 +274,8 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 		{"opq.SolveRunsRange", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
 			return opq.SolveRunsRange(q, 0, n)
 		}},
-		{"slade.SolveWithOPQ", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
-			return slade.SolveWithOPQ(q, ids[:n])
+		{"opq.SolveRuns", cachedSolveAllocBudget, 0, func(n int) (*core.Plan, error) {
+			return opq.SolveRuns(q, ids[:n])
 		}},
 		{"opq.Solver.Solve", 0, 0, func(n int) (*core.Plan, error) {
 			return opq.Solver{}.Solve(core.MustHomogeneous(menu, n, 0.9))
@@ -313,7 +314,7 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 	// solve) a few allocations over it, and either way a constant number of
 	// bytes: the instance is (n, t) and the plan's arena an identity one, so
 	// nothing on the route is n-sized.
-	sharded := &slade.ShardedSolver{Cache: slade.NewOPQCache(4), Workers: 4}
+	sharded := &service.ShardedSolver{Cache: service.NewOPQCache(4), Workers: 4}
 	svc := slade.NewService(slade.ServiceConfig{BatchWindow: time.Minute, BatchMaxRequests: 1})
 	defer svc.Close()
 	// tShared lies in the piece of needs 0.9's queue is valid on, so the
@@ -338,7 +339,7 @@ func TestCachedSolveAllocBudget(t *testing.T) {
 		}{
 			{"ShardedSolver.Solve", shardedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(in) }},
 			{"ShardedSolver.Solve at a t′ in 0.9's piece", shardedSolveAllocBudget, func() (*core.Plan, error) { return sharded.Solve(inShared) }},
-			{"batched Service.Decompose", 16, func() (*core.Plan, error) { return svc.Decompose(context.Background(), in) }},
+			{"batched Service.DecomposeWith", 16, func() (*core.Plan, error) { return svc.DecomposeWith(context.Background(), svc.DefaultSolver(), in) }},
 		} {
 			solve := func() {
 				if plan, err := r.solve(); err != nil || plan.NumUses() == 0 {
@@ -418,13 +419,13 @@ func BenchmarkServiceCachedVsCold(b *testing.B) {
 
 	b.Run("warm-cache", func(b *testing.B) {
 		svc := slade.NewService(slade.ServiceConfig{})
-		if _, err := svc.Decompose(ctx, in); err != nil { // prime the cache
+		if _, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), in); err != nil { // prime the cache
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.Decompose(ctx, in); err != nil {
+			if _, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), in); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -438,7 +439,7 @@ func BenchmarkServiceCachedVsCold(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// A fresh service per iteration: every request pays Algorithm 2.
 			svc := slade.NewService(slade.ServiceConfig{})
-			if _, err := svc.Decompose(ctx, in); err != nil {
+			if _, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), in); err != nil {
 				b.Fatal(err)
 			}
 		}

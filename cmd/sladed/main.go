@@ -184,7 +184,11 @@ func run(ctx context.Context, addr string, cfg daemonConfig, logger *log.Logger)
 // replays persisted jobs.
 func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.Logger) error {
 	svcCfg := cfg.service
-	svcCfg.Logger = logger
+	if svcCfg.Slog == nil {
+		// Straight to the logger's writer: through the logger itself its
+		// date prefix would precede slog's own time= on every line.
+		svcCfg.Slog = slog.New(slog.NewTextHandler(logger.Writer(), nil))
+	}
 	// Catch a typo'd -platform-url here with a flag-shaped error; the
 	// service constructor treats an invalid URL as a programming error.
 	if u := svcCfg.PlatformURL; u != "" {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	slade "repro"
+	"repro/internal/service"
 )
 
 // TestServeEndToEnd boots the daemon on an ephemeral port, exercises the
@@ -67,7 +68,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st slade.ServiceStats
+	var st service.Stats
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st slade.ServiceStats
+	var st service.Stats
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestRunJobRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st slade.ServiceStats
+	var st service.Stats
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -434,6 +435,44 @@ func TestPeersAcceptedNotDialled(t *testing.T) {
 	}
 	if n := bytes.Count(logs.Bytes(), []byte("2 peers accepted for compatibility and not dialled")); n != 1 {
 		t.Fatalf("compatibility notice logged %d times, want once:\n%s", n, logs.Bytes())
+	}
+}
+
+// TestRequestLogOneTimestamp: with a dated logger (log.Default's flags) a
+// request line carries one timestamp, slog's time=, not the logger's
+// date in front of it.
+func TestRequestLogOneTimestamp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	var logs bytes.Buffer // read only after serve has returned
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, ln, daemonConfig{}, log.New(&logs, "", log.LstdFlags)) }()
+	waitHealthy(t, base)
+	resp, err := http.Post(base+"/v1/decompose", "application/json",
+		strings.NewReader(`{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1}],"n":5,"threshold":0.9}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v", err)
+	}
+	var lines int
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "route=/v1/decompose") {
+			lines++
+			if !strings.HasPrefix(line, "time=") {
+				t.Errorf("request line does not start with time=: %q", line)
+			}
+		}
+	}
+	if lines != 1 {
+		t.Fatalf("%d request lines for one decompose:\n%s", lines, logs.String())
 	}
 }
 

@@ -1,11 +1,11 @@
 package slade
 
 import (
-	"context"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Tests for the facade of the extension layers: execution, budgeting,
@@ -38,15 +38,6 @@ func TestExecuteFacade(t *testing.T) {
 	}
 	if rep.EmpiricalReliability < 0.9 {
 		t.Errorf("empirical reliability %v too low for a 0.95 plan", rep.EmpiricalReliability)
-	}
-	// ExecuteContext takes a Platform through RunnerFunc and replays the
-	// same execution on the same seed.
-	again, err := ExecuteContext(context.Background(), RunnerFunc(NewJellyPlatform(12).RunBin), in, plan, truth, ExecutionOptions{TopUp: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep, again) {
-		t.Errorf("ExecuteContext over RunnerFunc diverged from Execute:\n%+v\n%+v", rep, again)
 	}
 }
 
@@ -109,7 +100,7 @@ func TestAnalyzeAndCompareFacades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Feasible() {
+	if stats.Slack.Min < -core.RelTol {
 		t.Error("OPQ plan reported infeasible")
 	}
 	cg, co := pg.MustCost(in.Bins()), po.MustCost(in.Bins())

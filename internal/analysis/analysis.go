@@ -162,11 +162,6 @@ func (s *Stats) String() string {
 	return sb.String()
 }
 
-// Feasible reports whether the analyzed plan met every threshold.
-func (s *Stats) Feasible() bool {
-	return s.Slack.Min >= -core.RelTol
-}
-
 // Compare runs Analyze for several (name, plan) pairs and renders a
 // side-by-side comparison table on the shared instance.
 func Compare(in *core.Instance, plans map[string]*core.Plan) (string, error) {

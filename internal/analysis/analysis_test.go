@@ -50,9 +50,6 @@ func TestAnalyzeExample4(t *testing.T) {
 	if s.AssignmentsPerTask.Min != 2 || s.AssignmentsPerTask.Max != 2 {
 		t.Errorf("assignments/task = %+v, want exactly 2 each", s.AssignmentsPerTask)
 	}
-	if !s.Feasible() {
-		t.Error("the optimal plan must be feasible")
-	}
 	if s.Slack.Min < 0 {
 		t.Errorf("slack.Min = %v", s.Slack.Min)
 	}
@@ -71,7 +68,7 @@ func TestAnalyzeDetectsInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Feasible() {
+	if s.Slack.Min >= -core.RelTol {
 		t.Error("under-covered plan reported feasible")
 	}
 	if !strings.Contains(s.String(), "WARNING") {

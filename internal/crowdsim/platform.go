@@ -51,35 +51,6 @@ func (pl *Platform) ExpectedDuration(cardinality int, pay float64) time.Duration
 	return time.Duration(minutes * float64(time.Minute))
 }
 
-// MaxInTimeCardinality returns the largest cardinality whose expected
-// completion time meets the deadline at the given bin pay — the solid-line
-// boundary of Figure 3.
-func (pl *Platform) MaxInTimeCardinality(pay float64) int {
-	l := 0
-	for cand := 1; cand <= 1000; cand++ {
-		if pl.ExpectedDuration(cand, pay) <= pl.params.Deadline {
-			l = cand
-		} else {
-			break
-		}
-	}
-	return l
-}
-
-// MinInTimePay returns the smallest pay (on a cent grid) at which a bin of
-// the given cardinality is expected to finish within the deadline. This is
-// the "minimum cost that meets the response time requirement" rule of
-// Section 3.1 used to price each cardinality.
-func (pl *Platform) MinInTimePay(cardinality int) float64 {
-	// T = K·l/c ≤ D  ⇔  c ≥ K·l/D.
-	need := pl.params.TimeFactor * float64(cardinality) / pl.params.Deadline.Minutes()
-	cents := math.Ceil(need*100 - 1e-9)
-	if cents < 1 {
-		cents = 1
-	}
-	return cents / 100
-}
-
 // BinOutcome is the result of one simulated bin execution.
 type BinOutcome struct {
 	// Answers holds the worker's boolean answer per task slot, parallel to

@@ -105,42 +105,3 @@ func HeavyTailed(n int, alpha, scale float64, b Bounds, seed int64) ([]float64, 
 	}
 	return out, nil
 }
-
-// Summary reports distributional statistics of a threshold workload; the
-// experiment harness logs it next to each heterogeneous run.
-type Summary struct {
-	N              int
-	Min, Max, Mean float64
-	StdDev         float64
-	Distinct       int
-}
-
-// Summarize computes the Summary of a workload.
-func Summarize(ts []float64) Summary {
-	s := Summary{N: len(ts)}
-	if len(ts) == 0 {
-		return s
-	}
-	s.Min, s.Max = ts[0], ts[0]
-	sum := 0.0
-	seen := make(map[float64]struct{}, len(ts))
-	for _, t := range ts {
-		if t < s.Min {
-			s.Min = t
-		}
-		if t > s.Max {
-			s.Max = t
-		}
-		sum += t
-		seen[t] = struct{}{}
-	}
-	s.Mean = sum / float64(len(ts))
-	s.Distinct = len(seen)
-	varSum := 0.0
-	for _, t := range ts {
-		d := t - s.Mean
-		varSum += d * d
-	}
-	s.StdDev = math.Sqrt(varSum / float64(len(ts)))
-	return s
-}

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -139,7 +140,10 @@ func TestExecuteRetriesOvertime(t *testing.T) {
 	// A menu priced exactly at the deadline boundary: the lognormal time
 	// jitter makes a sizable fraction of bins overtime, forcing retries.
 	pl := crowdsim.New(crowdsim.Jelly(), 3)
-	price := pl.MinInTimePay(20) // expected duration ≈ deadline → ~50% overtime
+	// The cent-rounded pay at which 20 tasks' expected duration K·l/c
+	// meets the deadline: about half the bins run overtime.
+	p := pl.Params()
+	price := math.Ceil(p.TimeFactor*20/p.Deadline.Minutes()*100) / 100
 	menu := core.MustBinSet([]core.TaskBin{{
 		Cardinality: 20,
 		Confidence:  pl.TrueConfidence(20, price, crowdsim.DefaultDifficulty),

@@ -51,10 +51,10 @@ func TestExample10QueueSet(t *testing.T) {
 		t.Errorf("S1 = %v, want [2 3]", p1.Tasks)
 	}
 	// Table 4 / Table 5 queue shapes.
-	if p0.Queue.Len() != 3 {
-		t.Errorf("OPQ0 has %d elements, want 3", p0.Queue.Len())
+	if len(p0.Queue.Elems) != 3 {
+		t.Errorf("OPQ0 has %d elements, want 3", len(p0.Queue.Elems))
 	}
-	if p1.Queue.Len() != 1 || p1.Queue.Elems[0].String() != "{1×b1}" {
+	if len(p1.Queue.Elems) != 1 || p1.Queue.Elems[0].String() != "{1×b1}" {
 		t.Errorf("OPQ1 = %v, want single {1×b1}", p1.Queue.Elems)
 	}
 }

@@ -52,21 +52,6 @@ type Comb struct {
 	run *core.RunComb
 }
 
-// Count returns how many times a task is assigned to the bin at menu index i.
-func (c *Comb) Count(i int) int { return c.counts[i] }
-
-// Uses returns the per-cardinality assignment multiplicities {n_k} of the
-// combination, keyed by bin cardinality.
-func (c *Comb) Uses() map[int]int {
-	out := make(map[int]int)
-	for i, n := range c.counts {
-		if n > 0 {
-			out[c.bins.At(i).Cardinality] = n
-		}
-	}
-	return out
-}
-
 // BlockCost returns the total cost of applying the combination to one full
 // block of LCM tasks: LCM × UC.
 func (c *Comb) BlockCost() float64 { return float64(c.LCM) * c.UC }
@@ -124,9 +109,6 @@ type Queue struct {
 
 // Bins returns the menu the queue was built against.
 func (q *Queue) Bins() core.BinSet { return q.bins }
-
-// Len returns the number of combinations in the queue.
-func (q *Queue) Len() int { return len(q.Elems) }
 
 // dominated reports whether a combination with the given (lcm, uc) is
 // dominated by an existing element: some element has LCM ≤ lcm and UC ≤ uc

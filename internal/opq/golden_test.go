@@ -98,6 +98,18 @@ func goldenCorpus() []buildCase {
 	return cases
 }
 
+// combUses returns the combination's per-cardinality assignment
+// multiplicities {n_k}, keyed by bin cardinality.
+func combUses(c *Comb) map[int]int {
+	out := make(map[int]int)
+	for i, n := range c.counts {
+		if n > 0 {
+			out[c.bins.At(i).Cardinality] = n
+		}
+	}
+	return out
+}
+
 // queueDigest hashes everything a consumer can read off a queue: the
 // threshold, the menu and each element's cardinality → multiplicity map,
 // as the JSON Queue.MarshalJSON rendered when the golden was written, plus
@@ -109,8 +121,8 @@ func queueDigest(t testing.TB, q *Queue) string {
 		Bins      []core.TaskBin `json:"bins"`
 		Combs     []map[int]int  `json:"combs"`
 	}{Threshold: q.Threshold, Bins: q.bins.Bins()}
-	for _, e := range q.Elems {
-		form.Combs = append(form.Combs, e.Uses())
+	for i := range q.Elems {
+		form.Combs = append(form.Combs, combUses(&q.Elems[i]))
 	}
 	data, err := json.Marshal(form)
 	if err != nil {

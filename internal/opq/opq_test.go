@@ -31,8 +31,8 @@ func TestTable3OPQ(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 3 {
-		t.Fatalf("queue has %d elements, want 3: %v", q.Len(), q.Elems)
+	if len(q.Elems) != 3 {
+		t.Fatalf("queue has %d elements, want 3: %v", len(q.Elems), q.Elems)
 	}
 	want := []struct {
 		str string
@@ -64,8 +64,8 @@ func TestTable4OPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 3 {
-		t.Fatalf("queue has %d elements, want 3: %v", q.Len(), q.Elems)
+	if len(q.Elems) != 3 {
+		t.Fatalf("queue has %d elements, want 3: %v", len(q.Elems), q.Elems)
 	}
 	want := []struct {
 		str string
@@ -93,8 +93,8 @@ func TestTable5OPQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 1 {
-		t.Fatalf("queue has %d elements, want 1: %v", q.Len(), q.Elems)
+	if len(q.Elems) != 1 {
+		t.Fatalf("queue has %d elements, want 1: %v", len(q.Elems), q.Elems)
 	}
 	e := q.Elems[0]
 	if e.String() != "{1×b1}" || math.Abs(e.UC-0.10) > 1e-9 || e.LCM != 1 {
@@ -324,7 +324,7 @@ func TestCombString(t *testing.T) {
 	if got := q.Elems[0].String(); got != "{2×b3}" {
 		t.Errorf("String = %q, want {2×b3}", got)
 	}
-	uses := q.Elems[0].Uses()
+	uses := combUses(&q.Elems[0])
 	if len(uses) != 1 || uses[3] != 2 {
 		t.Errorf("Uses = %v, want map[3:2]", uses)
 	}
@@ -356,8 +356,8 @@ func checkCutsPreserveQueue(t *testing.T, bins core.BinSet, th float64, refBudge
 	if statsOff.Lemma1Cuts != 0 || statsOff.BoundCuts != 0 {
 		t.Errorf("reference enumeration cut: %+v", statsOff)
 	}
-	if qOn.Len() != qOff.Len() {
-		t.Fatalf("frontier sizes differ: %d vs %d", qOn.Len(), qOff.Len())
+	if len(qOn.Elems) != len(qOff.Elems) {
+		t.Fatalf("frontier sizes differ: %d vs %d", len(qOn.Elems), len(qOff.Elems))
 	}
 	for i := range qOn.Elems {
 		a, b := qOn.Elems[i], qOff.Elems[i]
@@ -472,7 +472,7 @@ func TestBuildRejectsUnreachableDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := q.Elems[0].Count(0); n < 3999 || n > 4001 {
+	if n := q.Elems[0].counts[0]; n < 3999 || n > 4001 {
 		t.Errorf("edge menu uses its bin %d times, want ~4000", n)
 	}
 }

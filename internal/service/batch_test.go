@@ -105,7 +105,7 @@ func TestBatchWindowTimeoutFlush(t *testing.T) {
 	svc := New(Config{BatchWindow: 2 * time.Millisecond, Workers: 2})
 	defer svc.Close()
 	in := core.MustHomogeneous(binset.Table1(), 10, 0.95)
-	plan, err := svc.Decompose(context.Background(), in)
+	plan, err := svc.DecomposeWith(context.Background(), svc.DefaultSolver(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestBatchDrainHandoffFlushesWithoutWindow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = svc.Decompose(context.Background(), in)
+			_, errs[i] = svc.DecomposeWith(context.Background(), svc.DefaultSolver(), in)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -195,7 +195,7 @@ func TestBatchMemberCancelLeavesSiblings(t *testing.T) {
 		wg.Add(1)
 		go func(i int, reqCtx context.Context) {
 			defer wg.Done()
-			plan, err := svc.Decompose(reqCtx, in)
+			plan, err := svc.DecomposeWith(reqCtx, svc.DefaultSolver(), in)
 			errs[i] = err
 			if err == nil {
 				costs[i] = plan.MustCost(menu)
@@ -233,7 +233,7 @@ func TestBatchBypassesIneligibleRequests(t *testing.T) {
 	ctx := context.Background()
 
 	het := core.MustHeterogeneous(menu, []float64{0.9, 0.95, 0.8})
-	if _, err := svc.Decompose(ctx, het); err != nil {
+	if _, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), het); err != nil {
 		t.Fatalf("heterogeneous: %v", err)
 	}
 	hom := core.MustHomogeneous(menu, 9, 0.95)
@@ -241,7 +241,7 @@ func TestBatchBypassesIneligibleRequests(t *testing.T) {
 		t.Fatalf("greedy: %v", err)
 	}
 	empty := core.MustHomogeneous(menu, 0, 0.95)
-	if _, err := svc.Decompose(ctx, empty); err != nil {
+	if _, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), empty); err != nil {
 		t.Fatalf("empty: %v", err)
 	}
 	if st := svc.Stats().Batch; st.Batches != 0 || st.BatchedRequests != 0 {
@@ -256,7 +256,7 @@ func TestBatchBypassesIneligibleRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs, _ := svc.solver(DefaultSolverName)
-	if _, err := svc.Decompose(ctx, hom); err != nil {
+	if _, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), hom); err != nil {
 		t.Fatalf("re-registered solver: %v", err)
 	}
 	if got := *cs.(countingSolver).calls; got != 1 {
@@ -319,10 +319,7 @@ func TestBatchedJobsPersistAndReplayIndividually(t *testing.T) {
 	}
 	for i, id := range ids {
 		in := core.MustHomogeneous(menu, sizes[i], 0.95)
-		plan, err := revived.Jobs().Result(id)
-		if err != nil {
-			t.Fatalf("job %s: %v", id, err)
-		}
+		plan := jobPlan(t, revived.Jobs(), id)
 		if err := plan.Validate(in); err != nil {
 			t.Fatalf("job %s: replayed plan invalid: %v", id, err)
 		}
@@ -382,10 +379,7 @@ func TestBatchJobDeleteRemovesMemberOnly(t *testing.T) {
 		if got := waitTerminal(t, svc, id); got.State != JobDone {
 			t.Fatalf("sibling %s settled %s (%s)", id, got.State, got.Error)
 		}
-		plan, err := svc.Jobs().Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := jobPlan(t, svc.Jobs(), id)
 		if got := plan.MustCost(menu); got != want {
 			t.Errorf("sibling %s cost %v != unbatched %v", id, got, want)
 		}

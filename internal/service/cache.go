@@ -318,22 +318,6 @@ func (c *OPQCache) evictLocked(e *cacheEntry) {
 	c.stats.Evictions++
 }
 
-// Contains reports whether a resident queue serves (bins, t), without
-// touching recency or counters. Safe for concurrent use.
-func (c *OPQCache) Contains(bins core.BinSet, t float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.menus[menuKey{digest: opq.MenuDigest(bins), menuLen: bins.Len()}]
-	return m.find(opq.Need(t), t) != nil && sameMenu(m.bins, bins)
-}
-
-// Len returns the number of resident queues. Safe for concurrent use.
-func (c *OPQCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns a snapshot of the cache counters. Safe for concurrent use.
 func (c *OPQCache) Stats() CacheStats {
 	c.mu.Lock()

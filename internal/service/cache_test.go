@@ -211,7 +211,10 @@ func TestCacheSharesPieceAcrossThresholds(t *testing.T) {
 	if !bytes.Equal(queueBytes(t, got, 12), queueBytes(t, fresh, 12)) {
 		t.Fatal("0.86 no longer builds 0.9's queue on Table 1")
 	}
-	if st := c.Stats(); st.Builds != 2 || st.Entries != 1 || !c.Contains(menu, 0.86) {
-		t.Errorf("0.86's build must widen 0.9's piece: %+v", st)
+	if _, err := c.Get(menu, 0.86); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Builds != 2 || st.Entries != 1 || st.Hits != 2 {
+		t.Errorf("0.86's build must widen 0.9's piece, which then serves 0.86: %+v", st)
 	}
 }

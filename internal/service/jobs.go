@@ -110,18 +110,18 @@ type job struct {
 // exported methods are safe for concurrent use; internal state is guarded
 // by one mutex and solver work runs outside it.
 //
-// Terminal jobs stay queryable until they are evicted — explicitly via
-// EvictJob, or automatically once their age since Finished exceeds the
-// configured result TTL. With a durable store configured every terminal
-// job is also spilled to it, and a new manager replays the store at
-// construction, so completed plans survive a process restart.
+// Terminal jobs stay queryable until their age since Finished exceeds the
+// configured result TTL; with no TTL, for the manager's lifetime. With a
+// durable store configured every terminal job is also spilled to it, and
+// a new manager replays the store at construction, so completed plans
+// survive a process restart.
 type JobManager struct {
 	svc *Service
 
 	// store receives terminal job records; nil disables persistence.
 	store store.Store
 	// ttl evicts terminal jobs (memory and store) this long after they
-	// finish; zero keeps them until EvictJob.
+	// finish; zero keeps them for the manager's lifetime.
 	ttl    time.Duration
 	logger *slog.Logger
 	// platform builds run-job runners; never nil (defaults to the
@@ -377,11 +377,11 @@ func recordFromJob(j *job) (store.JobRecord, error) {
 
 // persist spills a terminal job to the store; failures are logged, never
 // fatal — the in-memory copy still serves until eviction. After the write
-// it re-checks that the job is still live: a concurrent EvictJob (or TTL
-// expiry) may have raced the spill, deleted from the store before the
-// record landed, and would otherwise see the job resurrected at the next
-// replay. Either ordering now ends with the record gone — the later of
-// the two operations observes the other's effect under m.mu and deletes.
+// it re-checks that the job is still live: a concurrent TTL expiry may
+// have raced the spill, deleted from the store before the record landed,
+// and would otherwise see the job resurrected at the next replay. Either
+// ordering now ends with the record gone — the later of the two
+// operations observes the other's effect under m.mu and deletes.
 func (m *JobManager) persist(rec store.JobRecord) {
 	if err := m.store.PutJob(rec); err != nil {
 		m.logger.Warn("persisting job failed", "id", rec.ID, "err", err)
@@ -418,9 +418,7 @@ func (m *JobManager) janitor() {
 			m.sweep(now)
 			// Stream sessions share the result TTL and ride the same
 			// janitor instead of running a second timer.
-			if m.svc.streams != nil {
-				m.svc.streams.sweep(now)
-			}
+			m.svc.streams.sweep(now)
 		}
 	}
 }
@@ -745,28 +743,6 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
-// Result returns the plan of a JobDone job. Safe for concurrent use; the
-// returned plan is shared and must be treated as read-only.
-func (m *JobManager) Result(id string) (*core.Plan, error) {
-	m.expire(id)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
-	}
-	switch j.state {
-	case JobDone:
-		return j.plan, nil
-	case JobFailed:
-		return nil, fmt.Errorf("service: job %s failed: %w", id, j.err)
-	case JobCanceled:
-		return nil, fmt.Errorf("service: job %s was canceled", id)
-	default:
-		return nil, fmt.Errorf("service: job %s still %s", id, j.state)
-	}
-}
-
 // Cancel stops a pending or running job. Canceling a terminal job is an
 // error; canceling a running job is cooperative (the solver observes the
 // context while it waits for a solve slot, the executor between bins) and
@@ -795,27 +771,6 @@ func (m *JobManager) Cancel(id string) (JobStatus, error) {
 	m.mu.Unlock()
 	j.cancel()
 	return st, nil
-}
-
-// EvictJob drops a terminal job's record (and its plan) from memory and
-// from the durable store. With a result TTL configured the janitor does
-// this automatically; EvictJob remains for explicit reclamation. Safe for
-// concurrent use.
-func (m *JobManager) EvictJob(id string) error {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w %q", ErrUnknownJob, id)
-	}
-	if !j.state.Terminal() {
-		m.mu.Unlock()
-		return fmt.Errorf("service: job %s still %s", id, j.state)
-	}
-	delete(m.jobs, id)
-	m.mu.Unlock()
-	m.deleteStored(id)
-	return nil
 }
 
 // JobStats counts jobs by outcome, by durability event, and — for run

@@ -259,6 +259,23 @@ func (m *serviceMetrics) nextRequestID() string {
 	return string(strconv.AppendUint(b, m.admissionSeq.Add(1), 16))
 }
 
+// echoableRequestID reports whether an inbound X-Request-ID is echoed:
+// 1 to 128 bytes of visible ASCII (0x21–0x7E). Any other value is
+// replaced by a minted id, so a caller cannot put up to the server's
+// header limit, or control bytes, into every response header, error
+// envelope and log line its request causes.
+func echoableRequestID(id string) bool {
+	if id == "" || len(id) > 128 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return false
+		}
+	}
+	return true
+}
+
 // registerReads exports state the service already holds — uptime, the
 // job manager's, the stream manager's and the queue cache's counts — as
 // series read at scrape time, so /metrics keeps no second copy of them.
@@ -304,7 +321,7 @@ func (s *Service) instrument(rm *routeMetrics, shed bool, next http.HandlerFunc)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqID := r.Header.Get("X-Request-ID")
-		if reqID == "" {
+		if !echoableRequestID(reqID) {
 			reqID = s.metrics.nextRequestID()
 		}
 		w.Header().Set("X-Request-ID", reqID)

@@ -201,7 +201,7 @@ func saturateSolveSlots(t *testing.T, svc *Service, hold time.Duration) {
 	var queued []<-chan error
 	for i := 0; i < 4; i++ {
 		queued = append(queued, queueSolve(context.Background(), func(ctx context.Context) error {
-			_, err := svc.Decompose(ctx, in)
+			_, err := svc.DecomposeWith(ctx, svc.DefaultSolver(), in)
 			return err
 		}))
 	}
@@ -251,8 +251,9 @@ func TestAdmissionControlRecovers(t *testing.T) {
 	}
 }
 
-// TestRequestIDs: an inbound X-Request-ID is echoed; absent one, the
-// middleware mints a unique id per request.
+// TestRequestIDs: an inbound X-Request-ID is echoed; absent one, or over
+// 128 bytes, or with a byte outside visible ASCII, the middleware mints a
+// unique id per request.
 func TestRequestIDs(t *testing.T) {
 	_, ts := newMetricsServer(t, Config{CacheSize: 8, Workers: 2})
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
@@ -264,6 +265,25 @@ func TestRequestIDs(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get("X-Request-ID"); got != "caller-supplied-7" {
 		t.Fatalf("inbound request id not echoed: %q", got)
+	}
+	for _, bad := range []string{strings.Repeat("a", 64<<10), strings.Repeat("a", 129), "two words"} {
+		req.Header.Set("X-Request-ID", bad)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Request-ID"); got == bad || got == "" || len(got) > 32 {
+			t.Fatalf("a %d-byte inbound id came back as a %d-byte id, want a minted one", len(bad), len(got))
+		}
+	}
+	req.Header.Set("X-Request-ID", strings.Repeat("a", 128))
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Request-ID"); got != strings.Repeat("a", 128) {
+		t.Fatalf("a 128-byte inbound id was not echoed: %q", got)
 	}
 	r1 := getJSON(t, ts.URL+"/v1/healthz", nil).Header.Get("X-Request-ID")
 	r2 := getJSON(t, ts.URL+"/v1/healthz", nil).Header.Get("X-Request-ID")

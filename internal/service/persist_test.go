@@ -61,10 +61,7 @@ func TestJobsSpillAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	svc := New(Config{CacheSize: 8, Workers: 2, Store: openFS(t, dir), Logger: quietLogger()})
 	id := submitAndWait(t, svc, 100)
-	firstPlan, err := svc.Jobs().Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	firstPlan := jobPlan(t, svc.Jobs(), id)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +76,7 @@ func TestJobsSpillAndReplay(t *testing.T) {
 	if st.State != JobDone || st.Summary == nil || st.Summary.Cost <= 0 {
 		t.Fatalf("recovered status: %+v", st)
 	}
-	plan, err := svc2.Jobs().Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := jobPlan(t, svc2.Jobs(), id)
 	if plan.NumUses() != firstPlan.NumUses() {
 		t.Fatalf("recovered plan has %d uses, want %d", plan.NumUses(), firstPlan.NumUses())
 	}
@@ -177,8 +171,8 @@ func TestFailedAndCanceledJobsPersist(t *testing.T) {
 	if st.State != JobFailed || !strings.Contains(st.Error, "no plan today") {
 		t.Fatalf("recovered failed job: %+v", st)
 	}
-	if _, err := svc2.Jobs().Result(failed); err == nil {
-		t.Fatal("Result on recovered failed job: want error")
+	if _, plan, _, _ := svc2.Jobs().snapshot(failed); plan != nil {
+		t.Fatal("recovered failed job serves a plan")
 	}
 	for name, id := range map[string]string{"running": running, "pending": pending} {
 		st, err := svc2.Jobs().Status(id)
@@ -399,22 +393,6 @@ func TestVersion1StreamRecordReplays(t *testing.T) {
 	}
 }
 
-// TestEvictJobRemovesStoredRecord: explicit eviction reclaims the disk
-// record too.
-func TestEvictJobRemovesStoredRecord(t *testing.T) {
-	dir := t.TempDir()
-	fsStore := openFS(t, dir)
-	svc := New(Config{CacheSize: 8, Workers: 2, Store: fsStore, Logger: quietLogger()})
-	defer svc.Close()
-	id := submitAndWait(t, svc, 60)
-	if err := svc.Jobs().EvictJob(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fsStore.GetJob(id); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("evicted job still on disk: %v", err)
-	}
-}
-
 // TestRecordPlanBytesUnchanged: a job record stores the plan's own
 // encoding, which must be json.Marshal's bytes for the plan byte for byte
 // — on an identity and an explicit arena, for a PlanFromUses plan, an
@@ -424,7 +402,7 @@ func TestRecordPlanBytesUnchanged(t *testing.T) {
 	jelly := binset.MustJelly(20)
 	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
 	defer svc.Close()
-	ident, err := svc.Decompose(context.Background(), core.MustHomogeneous(jelly, 30_000, 0.9))
+	ident, err := svc.DecomposeWith(context.Background(), svc.DefaultSolver(), core.MustHomogeneous(jelly, 30_000, 0.9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +467,7 @@ func TestPlanMarshalAllocBudget(t *testing.T) {
 		allocsBudget, bytesBudget = 3, 27_184
 	}
 	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
-	plan, err := svc.Decompose(context.Background(), core.MustHomogeneous(binset.MustJelly(20), 2000, 0.9))
+	plan, err := svc.DecomposeWith(context.Background(), svc.DefaultSolver(), core.MustHomogeneous(binset.MustJelly(20), 2000, 0.9))
 	svc.Close() // nothing of the service's may allocate during the count
 	if err != nil {
 		t.Fatal(err)

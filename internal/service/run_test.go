@@ -83,10 +83,7 @@ func TestRunJobEndToEnd(t *testing.T) {
 	}
 
 	// The plan that was executed is served like any other job result.
-	plan, err := svc.Jobs().Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := jobPlan(t, svc.Jobs(), id)
 	if err := plan.Validate(req.Run.Instance); err != nil {
 		t.Fatalf("executed plan invalid: %v", err)
 	}
@@ -285,9 +282,7 @@ func TestRunJobPersistAndReplay(t *testing.T) {
 	if !reflect.DeepEqual(st2.Report, firstReport) {
 		t.Fatalf("recovered report differs:\n%+v\n%+v", st2.Report, firstReport)
 	}
-	if _, err := svc2.Jobs().Result(id); err != nil {
-		t.Fatalf("recovered run plan: %v", err)
-	}
+	jobPlan(t, svc2.Jobs(), id)
 	js := svc2.Jobs().Stats()
 	if js.Recovered != 1 {
 		t.Fatalf("recovered counter: %d", js.Recovered)

@@ -51,7 +51,7 @@ type Config struct {
 	// keeps everything in memory.
 	Store store.Store
 	// ResultTTL evicts terminal jobs — memory and store — this long after
-	// they finish; 0 keeps results until EvictJob.
+	// they finish; 0 keeps them for the service's lifetime.
 	ResultTTL time.Duration
 	// Logger receives persistence warnings; nil selects log.Default().
 	//
@@ -349,12 +349,6 @@ func (s *Service) solverNamesLocked() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Decompose solves the instance on the default path, the cached solver.
-// Safe for concurrent use.
-func (s *Service) Decompose(ctx context.Context, in *core.Instance) (*core.Plan, error) {
-	return s.DecomposeWith(ctx, s.DefaultSolver(), in)
 }
 
 // DecomposeWith solves the instance with the named solver, recording

@@ -60,11 +60,18 @@ func TestCacheHitMissAndLRU(t *testing.T) {
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("after eviction: %+v", st)
 	}
-	if c.Contains(m2, 0.9) {
-		t.Fatal("LRU victim m2@0.9 still resident")
+	get := func(bins core.BinSet, th float64) CacheStats {
+		if _, err := c.Get(bins, th); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats()
 	}
-	if !c.Contains(m1, 0.9) || !c.Contains(m2, 0.95) {
-		t.Fatal("recently used entries were evicted")
+	get(m1, 0.9)
+	if got := get(m2, 0.95); got.Hits != st.Hits+2 || got.Misses != st.Misses {
+		t.Fatalf("recently used entries were evicted: %+v", got)
+	}
+	if got := get(m2, 0.9); got.Misses != st.Misses+1 {
+		t.Fatal("LRU victim m2@0.9 still resident")
 	}
 }
 
@@ -125,7 +132,7 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	if fails != 2 {
 		t.Fatalf("failing key should rebuild per Get, built %d times", fails)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("error result was cached")
 	}
 }
@@ -336,7 +343,7 @@ func TestServiceDecomposeAndSolverRegistry(t *testing.T) {
 	svc := New(Config{CacheSize: 8, Workers: 2})
 	in := core.MustHomogeneous(binset.Table1(), 200, 0.9)
 
-	plan, err := svc.Decompose(context.Background(), in)
+	plan, err := svc.DecomposeWith(context.Background(), svc.DefaultSolver(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,21 +387,12 @@ func TestJobLifecycleSolve(t *testing.T) {
 	if st.Summary == nil || st.Summary.Cost <= 0 {
 		t.Fatalf("missing summary: %+v", st)
 	}
-	plan, err := svc.Jobs().Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := jobPlan(t, svc.Jobs(), id)
 	if err := plan.Validate(in); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Jobs().Cancel(id); err == nil {
 		t.Fatal("canceling a done job must error")
-	}
-	if err := svc.Jobs().EvictJob(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Jobs().Status(id); err == nil {
-		t.Fatal("evicted job still queryable")
 	}
 }
 
@@ -440,8 +438,8 @@ func TestJobCancelPending(t *testing.T) {
 	if st.State != JobCanceled {
 		t.Fatalf("want canceled, got %s", st.State)
 	}
-	if _, err := svc.Jobs().Result(second); err == nil {
-		t.Fatal("result of canceled job must error")
+	if _, plan, _, _ := svc.Jobs().snapshot(second); plan != nil {
+		t.Fatal("canceled job serves a plan")
 	}
 	close(block)
 	if st := waitTerminal(t, svc, first); st.State != JobDone {
@@ -547,6 +545,17 @@ func waitRunning(t *testing.T, svc *Service, id string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never started running", id)
+}
+
+// jobPlan reads a done job's plan as the job-status route does, and fails
+// the test unless the job is done.
+func jobPlan(t *testing.T, m *JobManager, id string) *core.Plan {
+	t.Helper()
+	st, plan, _, err := m.snapshot(id)
+	if err != nil || st.State != JobDone {
+		t.Fatalf("job %s: state %q, err %v", id, st.State, err)
+	}
+	return plan
 }
 
 // waitTerminal polls until the job settles.

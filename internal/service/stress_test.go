@@ -69,7 +69,7 @@ func TestStressConcurrentDecompose(t *testing.T) {
 		go func(i int, wl workload) {
 			defer wg.Done()
 			<-start // release all requests at once onto the cold cache
-			plan, err := svc.Decompose(context.Background(), wl.in)
+			plan, err := svc.DecomposeWith(context.Background(), svc.DefaultSolver(), wl.in)
 			if err != nil {
 				errs[i] = err
 				return
@@ -162,7 +162,7 @@ func TestStressBatchedDecompose(t *testing.T) {
 		go func(i int, wl workload) {
 			defer wg.Done()
 			<-start
-			plan, err := svc.Decompose(context.Background(), wl.in)
+			plan, err := svc.DecomposeWith(context.Background(), svc.DefaultSolver(), wl.in)
 			if err != nil {
 				errs[i] = err
 				return

@@ -68,9 +68,6 @@ func OpenFS(dir string, logger *log.Logger) (*FS, error) {
 
 const jobsDir = "jobs"
 
-// Dir returns the store's root directory.
-func (s *FS) Dir() string { return s.dir }
-
 // removeLeftoverTemps deletes *.tmp files abandoned by a crash mid-write.
 func (s *FS) removeLeftoverTemps() {
 	dir := filepath.Join(s.dir, jobsDir)

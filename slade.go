@@ -34,12 +34,10 @@
 // The repository also ships the substrates the paper's evaluation needs: a
 // simulated crowd marketplace (NewJellyPlatform / NewSMICPlatform), probe
 // based bin calibration (Calibrate), threshold workload generators, and a
-// benchmark harness regenerating every figure of the paper (see cmd/ and
-// the Fig* re-exports).
+// harness regenerating every figure of the paper (cmd/sladesim -fig).
 package slade
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -52,7 +50,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowdsim"
 	"repro/internal/distgen"
-	"repro/internal/dp"
 	"repro/internal/executor"
 	"repro/internal/greedy"
 	"repro/internal/hetero"
@@ -74,19 +71,12 @@ type (
 	// Plan is a decomposition plan: bin uses with task placements, held
 	// in compact block-run form — run metadata over one task-id arena
 	// (implicit when the ids are a contiguous range). Per-use views are
-	// produced lazily (Plan.Materialized, Plan.EachUse); PlanFromUses
-	// builds a plan from a use list.
+	// produced lazily (Plan.Materialized, Plan.EachUse).
 	Plan = core.Plan
-	// BinUse is one bin use within a plan — the wire and edge form.
-	BinUse = core.BinUse
-	// Summary is a compact plan description (uses per cardinality, cost).
-	Summary = core.Summary
 	// Solver is the interface all SLADE algorithms implement.
 	Solver = core.Solver
 	// OPQ is the Optimal Priority Queue of Definition 4.
 	OPQ = opq.Queue
-	// Comb is one combination of task bins in an OPQ.
-	Comb = opq.Comb
 	// Platform is the simulated crowd marketplace.
 	Platform = crowdsim.Platform
 	// CalibrationResult is the outcome of probe-based menu calibration.
@@ -101,8 +91,6 @@ type (
 var (
 	// NewBinSet builds a validated menu from bins.
 	NewBinSet = core.NewBinSet
-	// MustBinSet is NewBinSet that panics on error.
-	MustBinSet = core.MustBinSet
 	// NewHomogeneous builds an instance of n tasks sharing threshold t.
 	NewHomogeneous = core.NewHomogeneous
 	// NewHeterogeneous builds an instance with per-task thresholds.
@@ -112,8 +100,6 @@ var (
 	Theta = core.Theta
 	// ThresholdFromTheta inverts Theta.
 	ThresholdFromTheta = core.ThresholdFromTheta
-	// LowerBoundLP is the fractional covering lower bound on plan cost.
-	LowerBoundLP = core.LowerBoundLP
 )
 
 // NewGreedy returns the Greedy solver (Algorithm 1).
@@ -132,18 +118,8 @@ func NewOPQExtended() Solver { return hetero.Solver{} }
 func NewBaseline(seed int64) Solver { return baseline.Solver{Seed: seed} }
 
 // BuildOPQ constructs the Optimal Priority Queue (Algorithm 2) for a menu
-// and threshold. The queue can be reused across SolveWithOPQ calls.
+// and threshold.
 func BuildOPQ(bins BinSet, t float64) (*OPQ, error) { return opq.Build(bins, t) }
-
-// SolveWithOPQ runs Algorithm 3 over the given task identifiers with a
-// pre-built queue: a constant number of allocations regardless of task
-// count, no per-use expansion until Materialized is called.
-func SolveWithOPQ(q *OPQ, tasks []int) (*Plan, error) { return opq.SolveRuns(q, tasks) }
-
-// PlanFromUses builds a plan that expands to exactly the given use list,
-// rejecting a use with a non-positive cardinality, no tasks, or more
-// tasks than its cardinality.
-func PlanFromUses(uses []BinUse) (*Plan, error) { return core.PlanFromUses(uses) }
 
 // Decompose solves the instance with the paper's recommended algorithm for
 // its shape: OPQ-Based for homogeneous thresholds, OPQ-Extended otherwise.
@@ -156,11 +132,6 @@ func Decompose(in *Instance) (*Plan, error) {
 	}
 	return hetero.Solve(in)
 }
-
-// SolveRelaxedExact solves the polynomial relaxed variant of Section 4.2
-// exactly (every bin confidence ≥ every threshold) via rod-cutting dynamic
-// programming; it errors on non-relaxed instances.
-func SolveRelaxedExact(in *Instance) (*Plan, error) { return dp.RodCutting(in) }
 
 // Datasets and crowd-market substrates.
 
@@ -197,12 +168,6 @@ type (
 	ExecutionOptions = executor.Options
 	// ExecutionReport is the outcome of an Execute run.
 	ExecutionReport = executor.Report
-	// BinRunner is the executor's view of a marketplace. A Platform is
-	// passed as RunnerFunc(pl.RunBin); Execute does that for you.
-	BinRunner = executor.BinRunner
-	// RunnerFunc adapts an in-process runner that cannot fail, such as
-	// Platform.RunBin, to BinRunner.
-	RunnerFunc = executor.RunnerFunc
 	// BudgetOptions configures MaxReliability.
 	BudgetOptions = budget.Options
 	// BudgetResult is the outcome of a budget search.
@@ -227,13 +192,6 @@ func Refine(in *Instance, plan *Plan) (*RefineResult, error) {
 // ground-truth labels for measuring the achieved no-false-negative rate.
 func Execute(pl *Platform, in *Instance, plan *Plan, truth []bool, opts ExecutionOptions) (*ExecutionReport, error) {
 	return executor.Execute(pl, in, plan, truth, opts)
-}
-
-// ExecuteContext is Execute against any BinRunner with cooperative
-// cancellation: the context is observed before every bin issue, so a
-// cancel stops the run at the next bin boundary.
-func ExecuteContext(ctx context.Context, r BinRunner, in *Instance, plan *Plan, truth []bool, opts ExecutionOptions) (*ExecutionReport, error) {
-	return executor.ExecuteContext(ctx, r, in, plan, truth, opts)
 }
 
 // MaxReliability answers the budgeted dual of SLADE: the highest uniform
@@ -274,39 +232,11 @@ type (
 	Service = service.Service
 	// ServiceConfig parameterizes NewService.
 	ServiceConfig = service.Config
-	// ServiceStats is the counter snapshot served by GET /v1/stats.
-	ServiceStats = service.Stats
-	// OPQCache is the LRU + request-coalescing queue cache.
-	OPQCache = service.OPQCache
-	// CacheStats reports queue-cache effectiveness.
-	CacheStats = service.CacheStats
-	// BatchStats reports the request batcher's coalescing effectiveness.
-	BatchStats = service.BatchStats
-	// ShardedSolver is the cached solve path behind the "sharded" route:
-	// one solve per request, at most Workers at once.
-	ShardedSolver = service.ShardedSolver
-	// JobManager runs asynchronous decomposition jobs.
-	JobManager = service.JobManager
-	// JobRequest describes one async job (solve or run); streamed
-	// arrivals are planned by a /v1/streams session or a StreamPlanner.
-	JobRequest = service.JobRequest
-	// JobStatus is an async job snapshot.
-	JobStatus = service.JobStatus
-	// RunJob is the run-job payload: plan an instance, then execute the
-	// plan against a simulated platform and report delivered reliability.
-	RunJob = service.RunJob
-	// PlatformFactory builds run-job platforms; ServiceConfig.PlatformFactory
-	// overrides the crowdsim-backed default.
-	PlatformFactory = service.PlatformFactory
 )
 
 // DefaultBatchWindow is the request-batcher accumulation window cmd/sladed
 // enables by default; ServiceConfig.BatchWindow = 0 keeps batching off.
 const DefaultBatchWindow = service.DefaultBatchWindow
-
-// DefaultBatchMaxRequests is the per-batch size cap used when
-// ServiceConfig.BatchMaxRequests is unset.
-const DefaultBatchMaxRequests = service.DefaultBatchMaxRequests
 
 // NewService builds the decomposition service with the standard solvers
 // registered ("sharded", "greedy", "opq", "opq-extended", "baseline").
@@ -316,19 +246,11 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // cmd/sladed serves).
 func NewServiceHandler(s *Service) http.Handler { return service.NewHandler(s) }
 
-// NewOPQCache returns a standalone queue cache for embedding the caching
-// layer without the full service.
-func NewOPQCache(capacity int) *OPQCache { return service.NewOPQCache(capacity) }
-
 // Durable state layer: the pluggable store behind ServiceConfig.Store.
 // See docs/FORMATS.md for the on-disk record format.
-type (
-	// JobRecord is the durable (versioned JSON) form of a terminal job.
-	JobRecord = store.JobRecord
-	// FSStore is the crash-safe filesystem store; ServiceConfig.Store
-	// takes it.
-	FSStore = store.FS
-)
+
+// FSStore is the crash-safe filesystem store; ServiceConfig.Store takes it.
+type FSStore = store.FS
 
 // OpenFSStore opens (creating if needed) a crash-safe filesystem store
 // rooted at dir — the store cmd/sladed uses for -data-dir. A nil logger

@@ -3,6 +3,8 @@ package slade
 import (
 	"math"
 	"testing"
+
+	"repro/internal/opq"
 )
 
 // TestQuickstart exercises the documented quick-start path end to end.
@@ -80,10 +82,10 @@ func TestBuildOPQAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 3 {
-		t.Fatalf("queue len = %d, want 3 (Table 3)", q.Len())
+	if len(q.Elems) != 3 {
+		t.Fatalf("queue len = %d, want 3 (Table 3)", len(q.Elems))
 	}
-	plan, err := SolveWithOPQ(q, []int{0, 1, 2})
+	plan, err := opq.SolveRuns(q, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,20 +123,6 @@ func TestCalibrateFacade(t *testing.T) {
 	}
 	if res.Bins.Len() == 0 {
 		t.Error("calibration returned empty menu")
-	}
-}
-
-func TestSolveRelaxedExact(t *testing.T) {
-	in, err := NewHomogeneous(Table1Menu(), 6, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := SolveRelaxedExact(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost := p.MustCost(in.Bins()); math.Abs(cost-0.48) > 1e-9 {
-		t.Errorf("relaxed exact cost = %v, want 0.48", cost)
 	}
 }
 

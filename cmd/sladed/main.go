@@ -93,7 +93,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, addr, cfg, log.Default()); err != nil {
-		fmt.Fprintln(os.Stderr, "sladed:", err)
+		if cfg.service.Slog != nil { // -log-json: the last line is JSON too
+			cfg.service.Slog.Error("sladed: " + err.Error())
+		} else {
+			fmt.Fprintln(os.Stderr, "sladed:", err)
+		}
 		os.Exit(1)
 	}
 }
@@ -181,7 +185,10 @@ func run(ctx context.Context, addr string, cfg daemonConfig, logger *log.Logger)
 
 // serve runs the daemon on an existing listener; the testable core of
 // main. With a data dir configured it opens the filesystem store and
-// replays persisted jobs.
+// replays persisted jobs. Every line the daemon logs — its own, the
+// store's warnings and the requests — goes through one slog handler:
+// cfg.service.Slog (JSON under -log-json), or else a text handler over
+// logger's writer.
 func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.Logger) error {
 	svcCfg := cfg.service
 	if svcCfg.Slog == nil {
@@ -189,6 +196,7 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 		// date prefix would precede slog's own time= on every line.
 		svcCfg.Slog = slog.New(slog.NewTextHandler(logger.Writer(), nil))
 	}
+	logf := func(format string, args ...any) { svcCfg.Slog.Info(fmt.Sprintf(format, args...)) }
 	// Catch a typo'd -platform-url here with a flag-shaped error; the
 	// service constructor treats an invalid URL as a programming error.
 	if u := svcCfg.PlatformURL; u != "" {
@@ -198,7 +206,7 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 		}
 	}
 	if cfg.dataDir != "" {
-		st, err := slade.OpenFSStore(cfg.dataDir, logger)
+		st, err := slade.OpenFSStore(cfg.dataDir, slog.NewLogLogger(svcCfg.Slog.Handler(), slog.LevelWarn))
 		if err != nil {
 			return err
 		}
@@ -208,17 +216,17 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 	defer svc.Close()
 
 	if rec := svc.Stats().Jobs.Recovered; rec > 0 {
-		logger.Printf("sladed: warm boot: %d persisted jobs recovered", rec)
+		logf("sladed: warm boot: %d persisted jobs recovered", rec)
 	}
 
 	srv := &http.Server{
 		Handler:           slade.NewServiceHandler(svc),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	logger.Printf("sladed listening on %s (workers=%d, durable=%v, batch-window=%v)",
+	logf("sladed listening on %s (workers=%d, durable=%v, batch-window=%v)",
 		ln.Addr(), svc.Stats().Workers, cfg.dataDir != "", cfg.service.BatchWindow)
 	if n := len(cfg.service.Peers); n > 0 {
-		logger.Printf("sladed: -peers is deprecated: %d peers accepted for compatibility and not dialled; this node serves every request itself", n)
+		logf("sladed: -peers is deprecated: %d peers accepted for compatibility and not dialled; this node serves every request itself", n)
 	}
 
 	errc := make(chan error, 1)
@@ -229,7 +237,7 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 		return err
 	case <-ctx.Done():
 	}
-	logger.Printf("sladed shutting down")
+	logf("sladed shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {

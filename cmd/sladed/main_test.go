@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,12 +11,14 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -488,13 +491,7 @@ func TestRunBadAddr(t *testing.T) {
 // -snapshot-interval does not start — the built binary prints the flag
 // package's usage error and exits 2, as for any flag it never had.
 func TestRemovedSnapshotFlagIsAUsageError(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	bin := filepath.Join(t.TempDir(), "sladed")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	for _, name := range []string{"-snapshot-interval", "-never-existed"} {
 		out, err := exec.Command(bin, name, "5m").CombinedOutput()
 		var exit *exec.ExitError
@@ -504,6 +501,113 @@ func TestRemovedSnapshotFlagIsAUsageError(t *testing.T) {
 		if want := "flag provided but not defined: " + name; !strings.Contains(string(out), want) || !strings.Contains(string(out), "Usage of") {
 			t.Fatalf("sladed %s 5m printed no usage error:\n%s", name, out)
 		}
+	}
+}
+
+// buildDaemon builds the sladed binary into a temporary directory and
+// returns its path; it skips under -short.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "sladed")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestLogJSONEveryLine: under -log-json every line the daemon writes to
+// stderr is a JSON object — its boot, notice and shutdown lines and the
+// store's warnings as well as the request lines. A data dir holding a
+// corrupt job record makes the store warn; -peers adds the notice.
+func TestLogJSONEveryLine(t *testing.T) {
+	bin := buildDaemon(t)
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-1.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-log-json", "-data-dir", dir, "-addr", "127.0.0.1:0", "-peers", "http://b.invalid:8080")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	// Room for every line this run logs (about six), so the reader never
+	// blocks on a send after the test has stopped receiving.
+	lines := make(chan string, 64)
+	go func() {
+		defer close(lines)
+		for sc := bufio.NewScanner(stderr); sc.Scan(); {
+			lines <- sc.Text()
+		}
+	}()
+
+	var logged []string
+	listening := regexp.MustCompile(`sladed listening on (\S+)`)
+	var base string
+	for timeout := time.After(10 * time.Second); base == ""; {
+		select {
+		case line, ok := <-lines:
+			if !ok {
+				t.Fatalf("daemon exited before listening:\n%s", strings.Join(logged, "\n"))
+			}
+			logged = append(logged, line)
+			if m := listening.FindStringSubmatch(line); m != nil {
+				base = "http://" + m[1]
+			}
+		case <-timeout:
+			t.Fatalf("daemon never logged its address:\n%s", strings.Join(logged, "\n"))
+		}
+	}
+	resp, err := http.Post(base+"/v1/decompose", "application/json",
+		strings.NewReader(`{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1}],"n":5,"threshold":0.9}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for line := range lines {
+		logged = append(logged, line)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("sladed exited with %v:\n%s", err, strings.Join(logged, "\n"))
+	}
+
+	var msgs []string
+	for _, line := range logged {
+		var rec struct{ Msg string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Errorf("stderr line is not JSON (%v): %q", err, line)
+		}
+		msgs = append(msgs, rec.Msg)
+	}
+	all := strings.Join(msgs, "\n")
+	for _, want := range []string{"store: warning: skipping corrupt job record job-1.json", "sladed listening on",
+		"-peers is deprecated", "http request", "sladed shutting down"} {
+		if !strings.Contains(all, want) {
+			t.Errorf("no JSON line says %q; messages:\n%s", want, all)
+		}
+	}
+
+	// A daemon that cannot start says why in JSON as well.
+	out, err := exec.Command(bin, "-log-json", "-addr", "256.0.0.1:-1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("sladed on a bad address: %v, want exit status 1\n%s", err, out)
+	}
+	var rec struct{ Level, Msg string }
+	if err := json.Unmarshal(out, &rec); err != nil || rec.Level != "ERROR" || !strings.HasPrefix(rec.Msg, "sladed: ") {
+		t.Errorf("start-up failure under -log-json logged %q (%v), want one JSON error line", out, err)
 	}
 }
 

@@ -63,9 +63,12 @@ func (b TaskBin) Validate() error {
 
 // BinSet is the menu B = {b_1, ..., b_m} of available task bins, with at most
 // one bin per cardinality, ordered by ascending cardinality. The zero value
-// is an empty menu.
+// is an empty menu. A BinSet is valid by construction: only NewBinSet,
+// which validates, and Truncate, which keeps a prefix, build one.
 type BinSet struct {
 	bins []TaskBin
+	// digest is Digest's value, computed once by the constructor.
+	digest uint64
 }
 
 // NewBinSet builds a BinSet from the given bins. It validates every bin,
@@ -82,7 +85,7 @@ func NewBinSet(bins []TaskBin) (BinSet, error) {
 			return BinSet{}, fmt.Errorf("core: duplicate bin cardinality %d", b.Cardinality)
 		}
 	}
-	return BinSet{bins: out}, nil
+	return BinSet{bins: out, digest: menuDigest(out)}, nil
 }
 
 // MustBinSet is NewBinSet that panics on error; intended for tests and
@@ -145,7 +148,7 @@ func (s BinSet) Truncate(maxCard int) BinSet {
 	i := sort.Search(len(s.bins), func(i int) bool { return s.bins[i].Cardinality > maxCard })
 	out := make([]TaskBin, i)
 	copy(out, s.bins[:i])
-	return BinSet{bins: out}
+	return BinSet{bins: out, digest: menuDigest(out)}
 }
 
 // MinConfidence returns the smallest confidence in the menu, or 0 if empty.
@@ -162,18 +165,43 @@ func (s BinSet) MinConfidence() float64 {
 	return r
 }
 
-// Validate re-checks every bin and the uniqueness/order invariants. A BinSet
-// produced by NewBinSet always validates; this is for decoded JSON.
-func (s BinSet) Validate() error {
-	for i, b := range s.bins {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		if i > 0 && s.bins[i-1].Cardinality >= b.Cardinality {
-			return fmt.Errorf("core: bins out of order at index %d", i)
-		}
+// Digest returns the menu's FNV-64a digest: every bin's cardinality,
+// confidence bits and cost bits, each as eight big-endian bytes, in menu
+// order. It is computed once, when the set is built; the zero BinSet
+// digests as the empty menu. Equal menus share it; distinct menus collide
+// only with 64-bit-hash probability, so a caller keying by it confirms a
+// match against the bins.
+func (s BinSet) Digest() uint64 {
+	if len(s.bins) == 0 {
+		return fnvOffset64
 	}
-	return nil
+	return s.digest
+}
+
+// FNV-64a parameters (hash/fnv's), inlined so a digest hashes without
+// interface dispatch; the digest values are identical.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// menuDigest is Digest computed over bins.
+func menuDigest(bins []TaskBin) uint64 {
+	h := uint64(fnvOffset64)
+	for _, b := range bins {
+		h = FoldFNV(h, uint64(b.Cardinality))
+		h = FoldFNV(h, math.Float64bits(b.Confidence))
+		h = FoldFNV(h, math.Float64bits(b.Cost))
+	}
+	return h
+}
+
+// FoldFNV continues the FNV-64a state h over v's eight big-endian bytes.
+func FoldFNV(h, v uint64) uint64 {
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ (v >> shift & 0xff)) * fnvPrime64
+	}
+	return h
 }
 
 // Theta converts a reliability threshold t in [0,1) to its transformed

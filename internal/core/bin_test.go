@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -189,5 +191,35 @@ func TestBinsReturnsCopy(t *testing.T) {
 	got[0].Cost = 999
 	if bs.At(0).Cost == 999 {
 		t.Error("Bins() exposed internal storage")
+	}
+}
+
+// TestBinSetDigest: the digest a BinSet carries from its constructor is
+// hash/fnv's FNV-64a over its bins in menu order (cardinality, confidence
+// bits and cost bits, each eight big-endian bytes); the zero BinSet, the
+// empty menu and an empty Truncate all digest as the offset basis, and a
+// Truncate prefix digests as those bins given to NewBinSet.
+func TestBinSetDigest(t *testing.T) {
+	ref := func(bins []TaskBin) uint64 {
+		h := fnv.New64a()
+		for _, b := range bins {
+			for _, v := range []uint64{uint64(b.Cardinality), math.Float64bits(b.Confidence), math.Float64bits(b.Cost)} {
+				h.Write(binary.BigEndian.AppendUint64(nil, v))
+			}
+		}
+		return h.Sum64()
+	}
+	bs := table1()
+	if got, want := bs.Digest(), ref(bs.Bins()); got != want {
+		t.Errorf("Table 1 digest %016x, hash/fnv %016x", got, want)
+	}
+	empty := ref(nil)
+	for name, s := range map[string]BinSet{"zero": {}, "empty": MustBinSet(nil), "truncated to nothing": bs.Truncate(0)} {
+		if got := s.Digest(); got != empty {
+			t.Errorf("%s BinSet digest %016x, want the empty menu's %016x", name, got, empty)
+		}
+	}
+	if got, want := bs.Truncate(2).Digest(), MustBinSet(bs.Bins()[:2]).Digest(); got != want {
+		t.Errorf("Truncate(2) digest %016x, NewBinSet of the prefix %016x", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -20,7 +21,7 @@ func FuzzInstanceJSON(f *testing.F) {
 			return // rejected input is fine
 		}
 		// Accepted input must satisfy every invariant.
-		if err := in.Bins().Validate(); err != nil {
+		if err := checkBinSet(in.Bins()); err != nil {
 			t.Fatalf("decoded invalid bins: %v", err)
 		}
 		for i := 0; i < in.N(); i++ {
@@ -44,6 +45,20 @@ func FuzzInstanceJSON(f *testing.F) {
 			t.Fatalf("round trip changed n: %d → %d", in.N(), back.N())
 		}
 	})
+}
+
+// checkBinSet checks what NewBinSet guarantees of every menu: each bin
+// validates and the cardinalities strictly ascend.
+func checkBinSet(s BinSet) error {
+	for i, b := range s.bins {
+		if err := b.Validate(); err != nil {
+			return err
+		}
+		if i > 0 && s.bins[i-1].Cardinality >= b.Cardinality {
+			return fmt.Errorf("bins out of order at index %d", i)
+		}
+	}
+	return nil
 }
 
 // FuzzThetaTransform fuzzes the reliability transform pair: for any t in

@@ -21,9 +21,6 @@ type Instance struct {
 
 // checkMenu is the constructors' shared menu validation for n tasks.
 func checkMenu(bins BinSet, n int) error {
-	if err := bins.Validate(); err != nil {
-		return err
-	}
 	if bins.Len() == 0 && n > 0 {
 		return fmt.Errorf("core: empty bin menu for %d tasks", n)
 	}

@@ -97,18 +97,15 @@ func TestInstanceImplicitEqualsSlice(t *testing.T) {
 		}
 	}
 
-	badMenu := BinSet{bins: []TaskBin{{Cardinality: 0, Confidence: 0.9, Cost: 0.1}}}
 	for name, c := range map[string]struct {
 		bins BinSet
 		n    int
 		th   float64
 	}{
-		"t = 1":            {table1(), 3, 1},
-		"t < 0":            {table1(), 3, -0.1},
-		"t NaN":            {table1(), 3, math.NaN()},
-		"empty menu":       {BinSet{}, 3, 0.9},
-		"invalid menu":     {badMenu, 3, 0.9},
-		"invalid menu n=0": {badMenu, 0, 0.9},
+		"t = 1":      {table1(), 3, 1},
+		"t < 0":      {table1(), 3, -0.1},
+		"t NaN":      {table1(), 3, math.NaN()},
+		"empty menu": {BinSet{}, 3, 0.9},
 	} {
 		ths := make([]float64, c.n)
 		for i := range ths {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -276,16 +277,18 @@ func (p *Plan) AppendCounts(dst []RunPart) []RunPart {
 }
 
 // Cost returns the total incentive cost of the plan under the given menu:
-// the sum of c_|β| over all bin uses β. The accumulation replicates the
-// expanded plan's use order add for add, so the result is bit-identical to
-// the per-use sum — the exact cost-parity invariants (clustered ==
-// single-node, batched == solo) compare floats with ==, so the arithmetic
-// must not round differently. The loop touches only run metadata: no uses
-// are materialized and the menu is consulted once per run part, not once
-// per use.
+// the sum of c_|β| over all bin uses β. The result is bit-identical to the
+// left-to-right float sum in the expanded plan's use order — the exact
+// cost-parity invariants (clustered == single-node, batched == solo,
+// planned == spent) compare floats with ==, so the arithmetic must not
+// round differently. It touches only run metadata, in O(runs) time and
+// without allocating (up to 16 parts per combination): no uses are
+// materialized, the menu is consulted once per run part, and whole blocks
+// are added at once where blockJump can prove the per-use sum's rounding.
 func (p *Plan) Cost(bins BinSet) (float64, error) {
 	total := 0.0
-	var costs []float64 // per-part bin costs, resolved once per run
+	var buf [16]float64
+	costs := buf[:0] // per-part bin costs, resolved once per run
 	for i := range p.Runs {
 		r := &p.Runs[i]
 		if err := r.check(p.NumTasks()); err != nil {
@@ -303,8 +306,14 @@ func (p *Plan) Cost(bins BinSet) (float64, error) {
 			}
 			costs = append(costs, b.Cost)
 		}
-		// Block-major, then part order — the expansion's use order exactly.
-		for b := 0; b < blocks; b++ {
+		for b := 0; b < blocks; {
+			j, sum := blockJump(total, r.Comb, costs, blocks-b)
+			if j > 0 {
+				total, b = sum, b+j
+				continue
+			}
+			// One block use by use: block-major, then part order — the
+			// expansion's use order exactly.
 			for pi, part := range r.Comb.Parts {
 				per := part.Count * (r.Comb.BlockLen / part.Cardinality)
 				c := costs[pi]
@@ -312,9 +321,68 @@ func (p *Plan) Cost(bins BinSet) (float64, error) {
 					total += c
 				}
 			}
+			b++
 		}
 	}
 	return total, nil
+}
+
+// blockJump adds up to maxBlocks whole blocks of comb (part costs costs)
+// to total at once, and returns how many it added and the sum after them;
+// 0 blocks means the caller adds the next block use by use.
+//
+// While a sum stays in one binade its ulp u is fixed and it is S units of
+// u, S an integer in [2^52, 2^53). Adding c ≤ sum/2 there rounds to exactly
+// S + round(c/u) units unless c/u is a tie (fraction ½, which rounds to
+// even and so depends on S). One block therefore adds a constant B units,
+// and j blocks add j·B exactly as long as S + j·B stays below 2^53 — kept
+// at most 2^53 − 2, so no exact sum on the way reaches the next binade's
+// coarser grid. B = 0 means every add rounds away: the rest of the run
+// adds nothing. Anything outside those conditions — a zero, subnormal or
+// non-finite sum, a part costing more than half the sum, a tie, a block
+// too large for the binade's room — returns 0.
+func blockJump(total float64, comb *RunComb, costs []float64, maxBlocks int) (int, float64) {
+	bits := math.Float64bits(total)
+	e := int(bits >> 52 & 0x7ff)
+	if !(total > 0) || e == 0 || e == 0x7ff {
+		return 0, total
+	}
+	const top = 1<<53 - 2
+	s := int64(bits&(1<<52-1) | 1<<52)
+	if s > top {
+		return 0, total
+	}
+	room := top - s
+	exp := e - 1075 // total = s·2^exp
+	half := total / 2
+	var units int64 // B: the units one block adds
+	for pi, part := range comb.Parts {
+		c := costs[pi]
+		if !(c <= half) {
+			return 0, total
+		}
+		q := math.Ldexp(c, -exp) // c/u, exact: a power-of-two scaling below 2^52
+		f := math.Floor(q)
+		n := int64(f)
+		switch frac := q - f; {
+		case frac == 0.5:
+			return 0, total
+		case frac > 0.5:
+			n++
+		}
+		per := int64(part.Count * (comb.BlockLen / part.Cardinality))
+		if n > 0 && per > room/n {
+			return 0, total
+		}
+		if units += per * n; units > room {
+			return 0, total
+		}
+	}
+	if units == 0 {
+		return maxBlocks, total
+	}
+	j := min(int64(maxBlocks), room/units)
+	return int(j), math.Ldexp(float64(s+j*units), exp)
 }
 
 // useSpan locates one bin use in the arena: the use holds the n slots from

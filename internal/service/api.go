@@ -298,35 +298,45 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	// Solve concurrently so the request batcher (when enabled) coalesces
 	// the members into one accumulation window; without a batcher this is
 	// plain fan-out over the solver pool.
-	type memberOut struct {
-		sum PlanSummary
-		err error
+	m := &batchMembers{s: s, ctx: r.Context(), name: name, ins: ins,
+		results: make([]batchResult, len(ins)), errs: make([]error, len(ins))}
+	m.wg.Add(len(ins))
+	for i := range ins {
+		go m.solve(i)
 	}
-	outs := make([]memberOut, len(ins))
-	var wg sync.WaitGroup
-	for i, in := range ins {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, sum, err := s.DecomposeSummarized(r.Context(), name, in)
-			outs[i] = memberOut{sum: sum, err: err}
-		}()
-	}
-	wg.Wait()
-	resp := batchDecomposeResponse{
-		Solver:    name,
-		Instances: len(ins),
-		Results:   make([]batchResult, len(ins)),
-	}
-	for i, o := range outs {
-		if o.err != nil {
-			writeErr(w, statusFor(o.err), fmt.Errorf("instance %d: %w", i, o.err))
+	m.wg.Wait()
+	for i, err := range m.errs {
+		if err != nil {
+			writeErr(w, statusFor(err), fmt.Errorf("instance %d: %w", i, err))
 			return
 		}
-		resp.Results[i] = batchResult{N: ins[i].N(), Summary: o.sum}
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, batchDecomposeResponse{
+		Solver:    name,
+		Instances: len(ins),
+		Results:   m.results,
+		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
+	})
+}
+
+// batchMembers is one batch call's fan-out: member i solves ins[i] and
+// writes its summary straight into results[i], the reply's slot, and its
+// error into errs[i]. The member goroutines share it, so each one's
+// closure holds a pointer and an index.
+type batchMembers struct {
+	s       *Service
+	ctx     context.Context
+	name    string
+	ins     []*core.Instance
+	results []batchResult
+	errs    []error
+	wg      sync.WaitGroup
+}
+
+func (m *batchMembers) solve(i int) {
+	defer m.wg.Done()
+	m.results[i].N = m.ins[i].N()
+	_, m.results[i].Summary, m.errs[i] = m.s.DecomposeSummarized(m.ctx, m.name, m.ins[i])
 }
 
 // jobRequest is the POST /v1/jobs body. Kind selects the payload: "solve"

@@ -72,9 +72,10 @@ type OPQCache struct {
 	buildDuration *obs.Histogram
 }
 
-// menuKey groups a menu's pieces: the menu's digest and its length. A
-// digest match is only probable identity, so a hit is confirmed against
-// the entry's menu (sameMenu).
+// menuKey groups a menu's pieces: the menu's digest (BinSet.Digest, hashed
+// once when the menu was built) and its length. A digest match is only
+// probable identity, so a hit is confirmed against the entry's menu
+// (sameMenu).
 type menuKey struct {
 	digest  uint64
 	menuLen int
@@ -126,7 +127,8 @@ func (m *menuPieces) search(hi float64) int {
 // in-flight builds and the batcher alike: the menu's fingerprint digest
 // folded over the threshold, the menu's length and the threshold's bit
 // pattern (bits, not the float, so a NaN key still finds itself in a map).
-// It costs no rendering per request; a digest match is only probable
+// It costs no rendering or menu hashing per request — the menu digest is
+// the one its BinSet carries; a digest match is only probable
 // identity, so both users confirm it against the full key material
 // (sameKey).
 type queueKey struct {
@@ -189,7 +191,7 @@ func NewOPQCacheWithBuilder(capacity int, build BuildFunc) *OPQCache {
 // The returned queue is shared and must be treated as read-only; its
 // Threshold is the one that first built it, which plans exactly as t does.
 func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
-	mk := menuKey{digest: opq.MenuDigest(bins), menuLen: bins.Len()}
+	mk := menuKey{digest: bins.Digest(), menuLen: bins.Len()}
 	need := opq.Need(t)
 
 	c.mu.Lock()

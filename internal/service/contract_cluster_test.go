@@ -3,18 +3,9 @@ package service
 import (
 	"fmt"
 	"log/slog"
-	"net/http"
 	"path/filepath"
 	"testing"
 )
-
-// failingTransport is a peer transport that must never be used.
-type failingTransport struct{ t *testing.T }
-
-func (f failingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	f.t.Errorf("peer dialled: %s %s", req.Method, req.URL)
-	return nil, fmt.Errorf("peers are not dialled")
-}
 
 // TestAPIContractCluster pins the cluster-facing slice of the wire
 // contract with its own golden script under testdata/contract/cluster:
@@ -26,12 +17,11 @@ func (f failingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // Regenerate with -update-contract, same as TestAPIContract.
 func TestAPIContractCluster(t *testing.T) {
 	svc := New(Config{
-		CacheSize:        8,
-		Workers:          2,
-		Slog:             slog.New(slog.DiscardHandler),
-		Peers:            []string{"http://peer-b:7002", "http://peer-a:7001/"},
-		ClusterSelf:      "http://self:7000",
-		ClusterTransport: failingTransport{t},
+		CacheSize:   8,
+		Workers:     2,
+		Slog:        slog.New(slog.DiscardHandler),
+		Peers:       []string{"http://peer-b:7002", "http://peer-a:7001/"},
+		ClusterSelf: "http://self:7000",
 	})
 	t.Cleanup(func() { svc.Close() })
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -136,16 +137,23 @@ type JobManager struct {
 	// the solver pool.
 	slots chan struct{}
 
+	// counts has one home per number: the instrument newJobManager
+	// registers for each series /metrics serves, a plain counter for the
+	// rest. Writers move them under mu; Stats reads them without it.
 	counts struct {
-		submitted, done, failed, canceled uint64
-		persisted, recovered, expired     uint64
+		done, failed, canceled        *obs.Counter
+		persisted, recovered, expired *obs.Counter
 		// interrupted counts run jobs replayed from a non-terminal record
 		// at construction — they failed mid-run when the process stopped.
-		interrupted uint64
+		interrupted *obs.Counter
+		// running and pending move only at submit (+pending), slot grant
+		// (pending → running) and settleLocked (−pending or −running).
+		running, pending *obs.Gauge
+		submitted        obs.Counter
 		// Run-execution aggregates, counted only for runs executed by
 		// this process (recovered reports never re-execute); the run count
 		// and spend are metrics.execJobSpend's count and sum.
-		runBins, runTopUps uint64
+		runBins, runTopUps obs.Counter
 	}
 
 	// persistWG tracks in-flight spills to the store so close can wait
@@ -171,6 +179,18 @@ func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Dur
 		jobs:     make(map[string]*job),
 		slots:    make(chan struct{}, maxConcurrent),
 	}
+	reg := svc.metrics.reg
+	outcome := func(state string) *obs.Counter {
+		return reg.Counter("slade_jobs_total", "Jobs by terminal outcome.", obs.L("state", state))
+	}
+	c := &m.counts
+	c.done, c.failed, c.canceled = outcome("done"), outcome("failed"), outcome("canceled")
+	c.persisted = reg.Counter("slade_jobs_persisted_total", "Terminal jobs spilled to the durable store.")
+	c.recovered = reg.Counter("slade_jobs_recovered_total", "Jobs replayed from the store at boot.")
+	c.expired = reg.Counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL.")
+	c.interrupted = reg.Counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.")
+	c.running = reg.Gauge("slade_jobs_running", "Jobs currently running.")
+	c.pending = reg.Gauge("slade_jobs_pending", "Jobs queued for a slot.")
 	m.replay()
 	if ttl > 0 {
 		m.janitorStop = make(chan struct{})
@@ -208,9 +228,9 @@ func (m *JobManager) replay() {
 			continue
 		}
 		m.jobs[j.id] = j
-		m.counts.recovered++
+		m.counts.recovered.Inc()
 		if wasInterrupted {
-			m.counts.interrupted++
+			m.counts.interrupted.Inc()
 			interrupted = append(interrupted, j)
 		}
 		// Keep fresh ids strictly after every recovered one.
@@ -390,7 +410,7 @@ func (m *JobManager) persist(rec store.JobRecord) {
 	m.mu.Lock()
 	_, live := m.jobs[rec.ID]
 	if live {
-		m.counts.persisted++
+		m.counts.persisted.Inc()
 	}
 	m.mu.Unlock()
 	if !live {
@@ -443,7 +463,7 @@ func (m *JobManager) sweep(now time.Time) {
 		if m.expiredLocked(j, now) {
 			delete(m.jobs, id)
 			expired = append(expired, id)
-			m.counts.expired++
+			m.counts.expired.Inc()
 		}
 	}
 	m.mu.Unlock()
@@ -528,7 +548,8 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 	}
 	j.feed = newJobFeed(j.id, m.svc.metrics.sseEventsPublished)
 	m.jobs[j.id] = j
-	m.counts.submitted++
+	m.counts.submitted.Inc()
+	m.counts.pending.Inc()
 	st := j.statusLocked()
 	m.mu.Unlock()
 
@@ -554,6 +575,8 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 		return
 	}
 	j.state = JobRunning
+	m.counts.pending.Dec()
+	m.counts.running.Inc()
 	j.started = time.Now()
 	var marker store.JobRecord
 	writeMarker := j.kind == KindRun && m.store != nil
@@ -616,6 +639,11 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 		m.mu.Unlock()
 		return st
 	}
+	if j.state == JobRunning {
+		m.counts.running.Dec()
+	} else {
+		m.counts.pending.Dec()
+	}
 	j.finished = time.Now()
 	j.runner = nil // the platform (and any worker pool) is done; free it
 	switch {
@@ -626,19 +654,19 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 		if s, serr := summarize(plan, j.req); serr == nil {
 			j.summary = s
 		}
-		m.counts.done++
+		m.counts.done.Inc()
 		if report != nil {
-			m.counts.runBins += uint64(report.BinsIssued)
-			m.counts.runTopUps += uint64(report.TopUpRounds)
+			m.counts.runBins.Add(uint64(report.BinsIssued))
+			m.counts.runTopUps.Add(uint64(report.TopUpRounds))
 			m.svc.metrics.execJobSpend.Observe(report.Spent)
 		}
 	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
-		m.counts.canceled++
+		m.counts.canceled.Inc()
 	default:
 		j.state = JobFailed
 		j.err = err
-		m.counts.failed++
+		m.counts.failed.Inc()
 	}
 	if j.cancel != nil {
 		j.cancel() // release the context's resources in every terminal path
@@ -691,7 +719,7 @@ func (m *JobManager) expire(id string) bool {
 		return false
 	}
 	delete(m.jobs, id)
-	m.counts.expired++
+	m.counts.expired.Inc()
 	m.mu.Unlock()
 	m.deleteStored(id)
 	return true
@@ -801,31 +829,25 @@ type JobStats struct {
 	RunSpend       float64 `json:"run_spend"`
 }
 
-// Stats returns a snapshot of job counters. Safe for concurrent use.
+// Stats returns a snapshot of job counters, read off their instruments
+// without the manager's lock, so its cost does not grow with the jobs
+// held. Safe for concurrent use.
 func (m *JobManager) Stats() JobStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := JobStats{
-		Submitted:       m.counts.submitted,
-		Done:            m.counts.done,
-		Failed:          m.counts.failed,
-		Canceled:        m.counts.canceled,
-		Persisted:       m.counts.persisted,
-		Recovered:       m.counts.recovered,
-		Expired:         m.counts.expired,
-		RunsInterrupted: m.counts.interrupted,
+	c := &m.counts
+	return JobStats{
+		Submitted:       c.submitted.Value(),
+		Running:         int(c.running.Value()),
+		Pending:         int(c.pending.Value()),
+		Done:            c.done.Value(),
+		Failed:          c.failed.Value(),
+		Canceled:        c.canceled.Value(),
+		Persisted:       c.persisted.Value(),
+		Recovered:       c.recovered.Value(),
+		Expired:         c.expired.Value(),
+		RunsInterrupted: c.interrupted.Value(),
 		Runs:            m.svc.metrics.execJobSpend.Count(),
-		RunBinsIssued:   m.counts.runBins,
-		RunTopUpRounds:  m.counts.runTopUps,
+		RunBinsIssued:   c.runBins.Value(),
+		RunTopUpRounds:  c.runTopUps.Value(),
 		RunSpend:        m.svc.metrics.execJobSpend.Sum(),
 	}
-	for _, j := range m.jobs {
-		switch j.state {
-		case JobRunning:
-			s.Running++
-		case JobPending:
-			s.Pending++
-		}
-	}
-	return s
 }

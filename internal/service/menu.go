@@ -92,12 +92,12 @@ var errRepeatedBins = errors.New("service: bins given twice")
 
 // internedBins is a request's bins field decoded through a menuTable. After
 // decodeMenuBody, set is the validated menu, or err is what validating it
-// gave, which the handler reports at the point it checks the menu.
+// gave, which the handler reports at the point it checks the menu. The
+// first decode clears table, so a nil table marks bins already decoded.
 type internedBins struct {
 	table *menuTable
 	set   core.BinSet
 	err   error
-	seen  bool
 }
 
 // UnmarshalJSON resolves raw through the table. A miss is decoded as the
@@ -105,11 +105,12 @@ type internedBins struct {
 // core.NewBinSet; only a menu that passes both is inserted. Any failure
 // fails the decode, and decodeMenuBody then decodes the body plainly.
 func (b *internedBins) UnmarshalJSON(raw []byte) error {
-	if b.seen {
+	table := b.table
+	if table == nil {
 		return errRepeatedBins
 	}
-	b.seen = true
-	if set, ok := b.table.lookup(raw); ok {
+	b.table = nil
+	if set, ok := table.lookup(raw); ok {
 		b.set = set
 		return nil
 	}
@@ -123,7 +124,7 @@ func (b *internedBins) UnmarshalJSON(raw []byte) error {
 	if err != nil {
 		return err
 	}
-	b.table.insert(raw, set)
+	table.insert(raw, set)
 	b.set = set
 	return nil
 }

@@ -80,12 +80,6 @@ type serviceMetrics struct {
 	sseSubscribers     *obs.Gauge
 	sseEventsPublished *obs.Counter
 
-	// Incremental-ingest stream sessions.
-	streamSessionsOpened  *obs.Counter
-	streamSessionsExpired *obs.Counter
-	streamTasksAppended   *obs.Counter
-	streamFlushes         *obs.Counter
-
 	// Store.
 	storeOpDuration map[string]*obs.Histogram
 	storeOpErrors   map[string]*obs.Counter
@@ -166,11 +160,6 @@ func newServiceMetrics() *serviceMetrics {
 
 		sseSubscribers:     reg.Gauge("slade_sse_subscribers", "Open SSE job-event subscriptions."),
 		sseEventsPublished: reg.Counter("slade_sse_events_total", "Job events published to SSE feeds."),
-
-		streamSessionsOpened:  reg.Counter("slade_stream_sessions_opened_total", "Incremental-ingest stream sessions opened."),
-		streamSessionsExpired: reg.Counter("slade_stream_sessions_expired_total", "Stream sessions reaped by the result TTL."),
-		streamTasksAppended:   reg.Counter("slade_stream_tasks_total", "Tasks appended to stream sessions."),
-		streamFlushes:         reg.Counter("slade_stream_flushes_total", "Stream session flushes."),
 
 		storeOpDuration: make(map[string]*obs.Histogram, len(storeOps)),
 		storeOpErrors:   make(map[string]*obs.Counter, len(storeOps)),
@@ -276,35 +265,20 @@ func echoableRequestID(id string) bool {
 	return true
 }
 
-// registerReads exports state the service already holds — uptime, the
-// job manager's, the stream manager's and the queue cache's counts — as
+// registerReads exports state the service already holds and reads in
+// O(1) — uptime, the request count and the queue cache's counters — as
 // series read at scrape time, so /metrics keeps no second copy of them.
+// The job and stream managers register their own instruments.
 func (s *Service) registerReads() {
 	reg := s.metrics.reg
 	counter := func(name, help string, read func() uint64, labels ...obs.Label) {
 		reg.Func(name, help, obs.TypeCounter, func() float64 { return float64(read()) }, labels...)
 	}
-	gauge := func(name, help string, read func() int) {
-		reg.Func(name, help, obs.TypeGauge, func() float64 { return float64(read()) })
-	}
 	reg.Func("slade_uptime_seconds", "Service age.", obs.TypeGauge, func() float64 { return time.Since(s.started).Seconds() })
 	counter("slade_solve_requests_total", "Decompose requests (sync and job-driven).", s.metrics.solveLatency.Count)
 
-	jobs := s.jobs.Stats
-	counter("slade_jobs_total", "Jobs by terminal outcome.", func() uint64 { return jobs().Done }, obs.L("state", "done"))
-	counter("slade_jobs_total", "Jobs by terminal outcome.", func() uint64 { return jobs().Failed }, obs.L("state", "failed"))
-	counter("slade_jobs_total", "Jobs by terminal outcome.", func() uint64 { return jobs().Canceled }, obs.L("state", "canceled"))
-	gauge("slade_jobs_running", "Jobs currently running.", func() int { return jobs().Running })
-	gauge("slade_jobs_pending", "Jobs queued for a slot.", func() int { return jobs().Pending })
-	counter("slade_jobs_persisted_total", "Terminal jobs spilled to the durable store.", func() uint64 { return jobs().Persisted })
-	counter("slade_jobs_recovered_total", "Jobs replayed from the store at boot.", func() uint64 { return jobs().Recovered })
-	counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL.", func() uint64 { return jobs().Expired })
-	counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.", func() uint64 { return jobs().RunsInterrupted })
-
-	gauge("slade_stream_sessions_active", "Incremental-ingest stream sessions currently resident.", func() int { return s.streams.stats().Active })
-
 	cache := s.cache.Stats
-	gauge("slade_cache_entries", "Resident queues.", func() int { return cache().Entries })
+	reg.Func("slade_cache_entries", "Resident queues.", obs.TypeGauge, func() float64 { return float64(cache().Entries) })
 	counter("slade_cache_hits_total", "Gets a resident queue answered.", func() uint64 { return cache().Hits })
 	counter("slade_cache_misses_total", "Gets that built a queue or waited on another Get's build.", func() uint64 { c := cache(); return c.Misses + c.Coalesced })
 	counter("slade_cache_builds_total", "Queue builds.", func() uint64 { return cache().Builds })

@@ -105,16 +105,14 @@ type Config struct {
 	//
 	// Deprecated: goes with Peers.
 	ClusterSelf string
-	// ClusterTimeout, PeerRetries, ClusterTransport, ClusterMinSpanBlocks,
-	// ClusterFailureThreshold and ClusterCooldown tuned the span fan-out.
+	// ClusterTimeout, PeerRetries, ClusterMinSpanBlocks and
+	// ClusterCooldown tuned the span fan-out.
 	//
 	// Deprecated: inert — nothing reads them; they go with Peers.
-	ClusterTimeout          time.Duration
-	PeerRetries             int
-	ClusterTransport        http.RoundTripper
-	ClusterMinSpanBlocks    int
-	ClusterFailureThreshold int
-	ClusterCooldown         time.Duration
+	ClusterTimeout       time.Duration
+	PeerRetries          int
+	ClusterMinSpanBlocks int
+	ClusterCooldown      time.Duration
 	// PlatformURL, when non-empty, connects the daemon to a remote crowd
 	// marketplace: run jobs with platform kind "remote" execute against
 	// it through the fault-tolerant platform client (retry budgets,

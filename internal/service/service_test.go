@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -515,6 +517,156 @@ func TestJobCancelRunningContextUnawareSolver(t *testing.T) {
 	st := waitTerminal(t, svc, id)
 	if st.State != JobCanceled {
 		t.Fatalf("want canceled, got %s", st.State)
+	}
+}
+
+// TestJobGaugesMatchTable is a model test of the running and pending job
+// gauges: a random script of submits, cancels of pending and of running
+// jobs, completions and TTL sweeps, over solvers that block until the
+// script releases them. Every gauge move happens under the manager's lock,
+// so after every step, and at every poll while a job settles, the gauges
+// read under that lock equal a walk of the job table. Run under -race (CI
+// does).
+func TestJobGaugesMatchTable(t *testing.T) {
+	const ttl = time.Hour // only the script's sweeps expire jobs
+	svc := New(Config{CacheSize: 8, Workers: 2, MaxJobs: 2, ResultTTL: ttl, Slog: slog.New(slog.DiscardHandler)})
+	defer svc.Close()
+	m := svc.Jobs()
+	check := func(step string) {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		var running, pending int
+		for _, j := range m.jobs {
+			switch j.state {
+			case JobRunning:
+				running++
+			case JobPending:
+				pending++
+			}
+		}
+		if js := m.Stats(); js.Running != running || js.Pending != pending {
+			t.Fatalf("%s: gauges read running %d, pending %d; the table holds %d and %d", step, js.Running, js.Pending, running, pending)
+		}
+	}
+	in := core.MustHomogeneous(binset.Table1(), 10, 0.9)
+	gates := map[string]chan struct{}{} // the solver gate of every job not yet settled
+	// finish releases id's solver and polls until the job settles in want.
+	finish := func(id string, want JobState) {
+		t.Helper()
+		close(gates[id])
+		delete(gates, id)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			check("settling " + id)
+			st, err := m.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State.Terminal() {
+				if st.State != want {
+					t.Fatalf("%s settled %s, want %s", id, st.State, want)
+				}
+				return
+			}
+		}
+		t.Fatalf("%s did not settle", id)
+	}
+	rng := rand.New(rand.NewPCG(49, 1))
+	ran := map[string]int{}
+	for step := range 300 {
+		// Wait for the jobs to fill both slots, checking at every poll, so
+		// that the script draws from a settled split.
+		var pending, running []string
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			check(fmt.Sprintf("step %d, waiting for slots", step))
+			pending, running = pending[:0], running[:0]
+			for id := range gates {
+				st, err := m.Status(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.State == JobPending {
+					pending = append(pending, id)
+				} else {
+					running = append(running, id)
+				}
+			}
+			if len(running) == min(2, len(gates)) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("step %d: %d of %d live jobs running", step, len(running), len(gates))
+			}
+		}
+		sort.Strings(pending)
+		sort.Strings(running)
+		k := rng.IntN(6) % 5 // submits twice as likely, so jobs queue
+		for k == 0 && len(gates) >= 6 || k == 1 && len(pending) == 0 || (k == 2 || k == 3) && len(running) == 0 {
+			k = rng.IntN(6) % 5
+		}
+		var op string
+		switch k {
+		case 0:
+			op = "submit"
+			name, gate := fmt.Sprintf("gate-%d", step), make(chan struct{})
+			if err := svc.RegisterSolver(name, core.SolverFunc{SolverName: name, Fn: func(*core.Instance) (*core.Plan, error) {
+				<-gate
+				return &core.Plan{}, nil
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			id, err := m.Submit(JobRequest{Instance: in, Solver: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gates[id] = gate
+		case 1:
+			op = "cancel pending"
+			id := pending[rng.IntN(len(pending))]
+			st, err := m.Cancel(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == JobRunning { // it took a slot before the cancel
+				finish(id, JobCanceled)
+			} else {
+				delete(gates, id)
+			}
+		case 2:
+			op = "cancel running"
+			id := running[rng.IntN(len(running))]
+			if _, err := m.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			finish(id, JobCanceled)
+		case 3:
+			op = "complete"
+			finish(running[rng.IntN(len(running))], JobDone)
+		default:
+			op = "expire"
+			m.sweep(time.Now().Add(2 * ttl))
+		}
+		check(fmt.Sprintf("step %d (%s)", step, op))
+		ran[op]++
+	}
+	t.Logf("steps by kind: %v", ran)
+	if len(ran) != 5 {
+		t.Fatalf("the script ran only %v", ran)
+	}
+	ids := make([]string, 0, len(gates))
+	for id := range gates {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if _, err := m.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		finish(id, JobCanceled)
+	}
+	check("drained")
+	if js := m.Stats(); js.Running != 0 || js.Pending != 0 || js.Done+js.Failed+js.Canceled != js.Submitted {
+		t.Fatalf("drained: %+v", js)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -49,10 +50,9 @@ const (
 // concurrency-safe, so every mutation holds mu; lastNS is atomic so the
 // TTL sweep never waits behind an in-flight solve.
 type streamSession struct {
-	id        string
-	bins      core.BinSet
-	threshold float64
-	created   time.Time
+	id      string
+	bins    core.BinSet
+	created time.Time
 	// lastNS is the UnixNano of the last mutation (open/append/flush) —
 	// the idle clock the TTL expires sessions on.
 	lastNS atomic.Int64
@@ -115,8 +115,9 @@ func (ss *streamSession) statusLocked() StreamStatus {
 	return st
 }
 
-// append plans a batch of arrivals; caller holds ss.mu.
-func (ss *streamSession) appendLocked(tasks []int) error {
+// appendLocked plans a batch of arrivals into ss and counts them; caller
+// holds ss.mu.
+func (sm *StreamManager) appendLocked(ss *streamSession, tasks []int) error {
 	if ss.flushed {
 		return errStreamFlushed
 	}
@@ -145,12 +146,13 @@ func (ss *streamSession) appendLocked(tasks []int) error {
 	}
 	ss.appends++
 	ss.touch()
+	sm.tasks.Add(uint64(len(tasks)))
 	return nil
 }
 
-// flush plans the remainder and seals the merged result; caller holds
-// ss.mu.
-func (ss *streamSession) flushLocked() error {
+// flushLocked plans ss's remainder, seals the merged result and counts
+// the flush; caller holds ss.mu.
+func (sm *StreamManager) flushLocked(ss *streamSession) error {
 	if ss.flushed {
 		return errStreamFlushed
 	}
@@ -172,17 +174,22 @@ func (ss *streamSession) flushLocked() error {
 	ss.flushed = true
 	ss.finished = time.Now()
 	ss.touch()
+	sm.flushes.Inc()
 	return nil
 }
 
-// StreamManager owns the open sessions. All exported behaviour is via
-// the HTTP handlers; sessions expire on the job janitor's TTL sweep and
-// lazily on access, exactly like terminal jobs.
+// StreamManager owns the open sessions and their counters. All exported
+// behaviour is via the HTTP handlers; sessions expire on the job
+// janitor's TTL sweep and lazily on access, exactly like terminal jobs.
 type StreamManager struct {
 	svc *Service
 	// ttl reaps sessions idle (open) or finished (flushed) this long; 0
 	// keeps them until DELETE.
 	ttl time.Duration
+
+	// The slade_stream_* counters, registered by newStreamManager and
+	// written only by the manager.
+	opened, expired, tasks, flushes *obs.Counter
 
 	mu       sync.Mutex
 	sessions map[string]*streamSession
@@ -190,68 +197,84 @@ type StreamManager struct {
 }
 
 func newStreamManager(svc *Service, ttl time.Duration) *StreamManager {
-	return &StreamManager{
+	reg := svc.metrics.reg
+	sm := &StreamManager{
 		svc:      svc,
 		ttl:      ttl,
+		opened:   reg.Counter("slade_stream_sessions_opened_total", "Incremental-ingest stream sessions opened."),
+		expired:  reg.Counter("slade_stream_sessions_expired_total", "Stream sessions reaped by the result TTL."),
+		tasks:    reg.Counter("slade_stream_tasks_total", "Tasks appended to stream sessions."),
+		flushes:  reg.Counter("slade_stream_flushes_total", "Stream session flushes."),
 		sessions: make(map[string]*streamSession),
 	}
+	reg.Func("slade_stream_sessions_active", "Incremental-ingest stream sessions currently resident.", obs.TypeGauge,
+		func() float64 { return float64(sm.stats().Active) })
+	return sm
 }
 
-// open builds a session around the cached queue for (bins, threshold).
-func (sm *StreamManager) open(bins core.BinSet, threshold float64) (*streamSession, error) {
+// open builds a session around the cached queue for (bins, threshold)
+// and returns its first status.
+func (sm *StreamManager) open(bins core.BinSet, threshold float64) (StreamStatus, error) {
 	q, err := sm.svc.cache.Get(bins, threshold)
 	if err != nil {
-		return nil, err
+		return StreamStatus{}, err
 	}
 	planner, err := stream.NewPlannerWithQueue(q)
 	if err != nil {
-		return nil, err
+		return StreamStatus{}, err
 	}
 	ss := &streamSession{
-		bins:      bins,
-		threshold: threshold,
-		created:   time.Now(),
-		planner:   planner,
-		seen:      make(map[int]struct{}),
+		bins:    bins,
+		created: time.Now(),
+		planner: planner,
+		seen:    make(map[int]struct{}),
 	}
 	ss.touch()
 	sm.mu.Lock()
 	sm.nextID++
 	ss.id = fmt.Sprintf("stream-%d", sm.nextID)
+	st := ss.statusLocked() // no other goroutine can reach ss yet
 	sm.sessions[ss.id] = ss
 	sm.mu.Unlock()
-	sm.svc.metrics.streamSessionsOpened.Inc()
-	return ss, nil
+	sm.opened.Inc()
+	return st, nil
 }
 
-// lookup resolves a session, applying lazy TTL expiry first.
-func (sm *StreamManager) lookup(id string) (*streamSession, error) {
+// do resolves id, applying lazy TTL expiry first, runs op (when non-nil)
+// on the session under its lock, and returns the session's status and
+// merged plan (nil until flushed) from that same lock hold, as
+// JobManager.snapshot does for jobs.
+func (sm *StreamManager) do(id string, op func(*streamSession) error) (StreamStatus, *core.Plan, error) {
 	now := time.Now()
 	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	ss, ok := sm.sessions[id]
 	if ok && sm.expiredLocked(ss, now) {
 		delete(sm.sessions, id)
-		sm.svc.metrics.streamSessionsExpired.Inc()
+		sm.expired.Inc()
 		ok = false
 	}
+	sm.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownStream, id)
+		return StreamStatus{}, nil, fmt.Errorf("%w %q", ErrUnknownStream, id)
 	}
-	return ss, nil
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if op != nil {
+		if err := op(ss); err != nil {
+			return StreamStatus{}, nil, err
+		}
+	}
+	return ss.statusLocked(), ss.merged, nil
 }
 
 // remove deletes a session (DELETE /v1/streams/{id}).
 func (sm *StreamManager) remove(id string) error {
 	sm.mu.Lock()
-	_, ok := sm.sessions[id]
-	if ok {
-		delete(sm.sessions, id)
-	}
-	sm.mu.Unlock()
-	if !ok {
+	defer sm.mu.Unlock()
+	if _, ok := sm.sessions[id]; !ok {
 		return fmt.Errorf("%w %q", ErrUnknownStream, id)
 	}
+	delete(sm.sessions, id)
 	return nil
 }
 
@@ -270,7 +293,7 @@ func (sm *StreamManager) sweep(now time.Time) {
 	for id, ss := range sm.sessions {
 		if sm.expiredLocked(ss, now) {
 			delete(sm.sessions, id)
-			sm.svc.metrics.streamSessionsExpired.Inc()
+			sm.expired.Inc()
 		}
 	}
 	sm.mu.Unlock()
@@ -288,18 +311,18 @@ type StreamStats struct {
 	TasksAppended uint64 `json:"tasks_appended"`
 }
 
-// stats reads the counts off the slade_stream_* instruments; Active is
-// the resident count. Safe for concurrent use.
+// stats reads the counts off the manager's instruments; Active is the
+// resident count. Safe for concurrent use.
 func (sm *StreamManager) stats() StreamStats {
-	m := sm.svc.metrics
 	sm.mu.Lock()
-	defer sm.mu.Unlock()
+	active := len(sm.sessions)
+	sm.mu.Unlock()
 	return StreamStats{
-		Opened:        m.streamSessionsOpened.Value(),
-		Active:        len(sm.sessions),
-		Flushed:       m.streamFlushes.Value(),
-		Expired:       m.streamSessionsExpired.Value(),
-		TasksAppended: m.streamTasksAppended.Value(),
+		Opened:        sm.opened.Value(),
+		Active:        active,
+		Flushed:       sm.flushes.Value(),
+		Expired:       sm.expired.Value(),
+		TasksAppended: sm.tasks.Value(),
 	}
 }
 
@@ -339,14 +362,11 @@ func handleOpenStream(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: stream threshold %v outside [0,1)", req.Threshold))
 		return
 	}
-	ss, err := s.streams.open(bins, req.Threshold)
+	st, err := s.streams.open(bins, req.Threshold)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	ss.mu.Lock()
-	st := ss.statusLocked()
-	ss.mu.Unlock()
 	writeJSON(w, http.StatusCreated, st)
 }
 
@@ -355,51 +375,29 @@ func handleStreamAppend(s *Service, w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	ss, err := s.streams.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	ss.mu.Lock()
-	err = ss.appendLocked(req.Tasks)
-	st := ss.statusLocked()
-	ss.mu.Unlock()
+	st, _, err := s.streams.do(r.PathValue("id"), func(ss *streamSession) error { return s.streams.appendLocked(ss, req.Tasks) })
 	if err != nil {
 		writeErr(w, streamErrStatus(err), err)
 		return
 	}
-	s.metrics.streamTasksAppended.Add(uint64(len(req.Tasks)))
 	writeJSON(w, http.StatusOK, st)
 }
 
 func handleStreamFlush(s *Service, w http.ResponseWriter, r *http.Request) {
-	ss, err := s.streams.lookup(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	ss.mu.Lock()
-	err = ss.flushLocked()
-	st := ss.statusLocked()
-	ss.mu.Unlock()
+	st, _, err := s.streams.do(r.PathValue("id"), s.streams.flushLocked)
 	if err != nil {
 		writeErr(w, streamErrStatus(err), err)
 		return
 	}
-	s.metrics.streamFlushes.Inc()
 	writeJSON(w, http.StatusOK, st)
 }
 
 func handleStreamStatus(s *Service, w http.ResponseWriter, r *http.Request) {
-	ss, err := s.streams.lookup(r.PathValue("id"))
+	st, merged, err := s.streams.do(r.PathValue("id"), nil)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, streamErrStatus(err), err)
 		return
 	}
-	ss.mu.Lock()
-	st := ss.statusLocked()
-	merged := ss.merged
-	ss.mu.Unlock()
 	resp := streamStatusResponse{StreamStatus: st}
 	if r.URL.Query().Get("include_plan") == "true" {
 		if st.State != StreamFlushed {
@@ -414,7 +412,7 @@ func handleStreamStatus(s *Service, w http.ResponseWriter, r *http.Request) {
 
 func handleStreamDelete(s *Service, w http.ResponseWriter, r *http.Request) {
 	if err := s.streams.remove(r.PathValue("id")); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, streamErrStatus(err), err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -424,17 +422,18 @@ func handleStreamDelete(s *Service, w http.ResponseWriter, r *http.Request) {
 // map them to 400 without string matching.
 var errDuplicateTask = errors.New("service: duplicate task id")
 
-// streamErrStatus maps session mutation errors: flushed-conflict to 409,
-// client mistakes (duplicate ids, a full session) to 400, summarize invariant breaks to
-// 500, solver-side failures through statusFor.
+// streamErrStatus maps session errors: an unknown id to 404, a
+// flushed-conflict to 409, client mistakes (duplicate ids, a full
+// session) to 400, the rest — summarize invariant breaks, solver-side
+// failures — through statusFor.
 func streamErrStatus(err error) int {
 	switch {
+	case errors.Is(err, ErrUnknownStream):
+		return http.StatusNotFound
 	case errors.Is(err, errStreamFlushed):
 		return http.StatusConflict
 	case errors.Is(err, errDuplicateTask), errors.Is(err, errStreamFull):
 		return http.StatusBadRequest
-	case errors.Is(err, errSummarize):
-		return http.StatusInternalServerError
 	}
 	return statusFor(err)
 }

@@ -188,7 +188,9 @@ func TestLogRequestLine(t *testing.T) {
 
 // decomposeHandlerAllocBudget is the committed allocs/op budget of a warm
 // POST /v1/decompose through NewHandler (Jelly-20, t = 0.9, n = 10,000,
-// summary only, no batching): 33 measured (37–38 under -race). It was 64
+// summary only, no batching), taken as the minimum over allocWindows
+// windows: 33 measured on every run, 37 or 38 under -race, whose sync.Pool
+// drops a random quarter of its Puts, so the count itself varies. It was 64
 // before the queue carried its run recipes — the per-solve recipes, the
 // summary's map, NewBinSet's reflect swapper, the boxed log attributes and
 // the fmt-formatted request id — 41 (47) before the menu table, which
@@ -216,7 +218,7 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 	}
 	body := fmt.Sprintf(`{"bins":%s,"n":10000,"threshold":0.9}`, bins)
 	const runs = 50
-	reqs := make([]*http.Request, runs+2)
+	reqs := make([]*http.Request, 2+allocWindows*runs)
 	recs := make([]*httptest.ResponseRecorder, len(reqs))
 	for i := range reqs {
 		reqs[i] = httptest.NewRequest("POST", "/v1/decompose", strings.NewReader(body))
@@ -231,7 +233,7 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 		next++
 	}
 	serve() // build and cache the queue
-	allocs := testing.AllocsPerRun(runs, serve)
+	allocs, _ := allocsAndBytesPerRun(runs, serve)
 	t.Logf("warm POST /v1/decompose: %.0f allocs/op", allocs)
 	if budget := decomposeHandlerAllocBudget(); allocs > budget {
 		t.Errorf("warm POST /v1/decompose: %.0f allocs/op, over the committed budget of %.0f", allocs, budget)
@@ -321,9 +323,10 @@ func TestDecomposeBatchHandlerAllocBudget(t *testing.T) {
 
 // planHandlerBytesBudget is the committed bytes/op budget of a warm
 // include_plan POST /v1/decompose at n = 300,000 (2.6 MB of plan, the
-// ledger's big-plan body) as JSON and as NDJSON: 4,024 B measured (up to
-// 4,891 B under -race), none of it the encoder's; 5,984 B (6,486 B)
-// before the menu table. Commit a08cf0b, whose encoders made a 32 KiB
+// ledger's big-plan body) as JSON and as NDJSON: 4,016 B and 4,000 B
+// measured (up to 4,907 B under -race), none of it the encoder's; 4,032 B
+// and 4,016 B while the interned bins kept a flag that put the decoded
+// body in the 160 B size class, 5,984 B (6,486 B) before the menu table. Commit a08cf0b, whose encoders made a 32 KiB
 // chunk per call, reads 38.8 KB on the same loop. Each build's budget is
 // its measurement plus about 15 %.
 func planHandlerBytesBudget() float64 {

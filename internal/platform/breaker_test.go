@@ -180,7 +180,7 @@ func TestBreakerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := c.breaker; b.threshold != DefaultFailureThreshold || b.cooldown != breakerCooldown {
+	if b := c.breaker; b.threshold != defaultFailureThreshold || b.cooldown != breakerCooldown {
 		t.Fatalf("defaults: threshold=%d cooldown=%v", b.threshold, b.cooldown)
 	}
 	mustState(t, c.breaker, breakerClosed)

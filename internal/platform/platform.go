@@ -57,17 +57,17 @@ const (
 	DefaultTimeout = 10 * time.Second
 	// DefaultRetryBudget is the per-job wire-retry allowance.
 	DefaultRetryBudget = 64
-	// DefaultFailureThreshold is the consecutive-failure count that opens
-	// the breaker.
-	DefaultFailureThreshold = 3
-	// DefaultBackoffBase seeds the exponential backoff window.
-	DefaultBackoffBase = 50 * time.Millisecond
-	// DefaultBackoffCap caps the backoff window.
-	DefaultBackoffCap = 2 * time.Second
 )
 
 // Fixed resilience parameters.
 const (
+	// defaultFailureThreshold is the consecutive-failure count that opens
+	// the breaker.
+	defaultFailureThreshold = 3
+	// defaultBackoffBase seeds the exponential backoff window;
+	// defaultBackoffCap caps it.
+	defaultBackoffBase = 50 * time.Millisecond
+	defaultBackoffCap  = 2 * time.Second
 	// maxInFlight bounds concurrent issues per client.
 	maxInFlight = 16
 	// breakerCooldown is how long an open breaker shuts the marketplace
@@ -110,16 +110,6 @@ type Config struct {
 	// RPS caps the steady-state issue rate in requests per second;
 	// <= 0 is unlimited.
 	RPS float64
-	// FailureThreshold consecutive failures open the breaker; <= 0
-	// selects DefaultFailureThreshold.
-	FailureThreshold int
-	// BackoffBase/BackoffCap shape the retry backoff window; zero
-	// selects the defaults above.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// JitterSeed seeds the backoff jitter RNG; zero selects 1. The
-	// jitter stream is the client's only randomness.
-	JitterSeed int64
 	// Transport overrides the HTTP transport (tests); nil selects a
 	// transport shared by every Client. It is called directly, not
 	// through an http.Client: redirects are not followed — a 3xx is a
@@ -138,6 +128,8 @@ type Client struct {
 	auth        string
 	timeout     time.Duration
 	retryBudget int
+	// backoffBase and backoffCap are defaultBackoffBase/Cap; the chaos
+	// tests shrink them.
 	backoffBase time.Duration
 	backoffCap  time.Duration
 	rt          http.RoundTripper
@@ -195,19 +187,6 @@ func NewClient(cfg Config) (*Client, error) {
 	case cfg.RetryBudget < 0:
 		cfg.RetryBudget = 0
 	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultFailureThreshold
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = DefaultBackoffCap
-	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -217,15 +196,15 @@ func NewClient(cfg Config) (*Client, error) {
 		auth:        cfg.Auth,
 		timeout:     cfg.Timeout,
 		retryBudget: cfg.RetryBudget,
-		backoffBase: cfg.BackoffBase,
-		backoffCap:  cfg.BackoffCap,
+		backoffBase: defaultBackoffBase,
+		backoffCap:  defaultBackoffCap,
 		rt:          cfg.Transport,
 		tmpl:        &http.Request{Method: http.MethodPost, URL: u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1},
 		binsURL:     u.Redacted(),
-		breaker:     newBreaker(cfg.FailureThreshold, breakerCooldown, time.Now),
+		breaker:     newBreaker(defaultFailureThreshold, breakerCooldown, time.Now),
 		bucket:      newTokenBucket(cfg.RPS, rateBurst, time.Now),
 		inflight:    make(chan struct{}, maxInFlight),
-		rnd:         rand.New(rand.NewSource(seed)),
+		rnd:         rand.New(rand.NewSource(1)), // the jitter stream is the client's only randomness
 
 		attempts:     reg.Counter("slade_platform_attempts_total", "Bin issue HTTP attempts, including retries."),
 		retries:      reg.Counter("slade_platform_retries_total", "Bin issue wire retries (same idempotency key)."),

@@ -45,13 +45,9 @@ func chaosEnv(t *testing.T, n int) (*core.Instance, *core.Plan, []bool) {
 func hardenedClient(t *testing.T, url string, mutate func(*Config)) *Client {
 	t.Helper()
 	cfg := Config{
-		BaseURL:          url,
-		Timeout:          5 * time.Second,
-		RetryBudget:      100000,
-		FailureThreshold: 1000,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       4 * time.Millisecond,
-		JitterSeed:       42,
+		BaseURL:     url,
+		Timeout:     5 * time.Second,
+		RetryBudget: 100000,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -60,6 +56,9 @@ func hardenedClient(t *testing.T, url string, mutate func(*Config)) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.breaker = newBreaker(1000, breakerCooldown, time.Now)
+	c.backoffBase, c.backoffCap = time.Millisecond, 4*time.Millisecond
+	c.rnd = rand.New(rand.NewSource(42))
 	return c
 }
 
@@ -197,9 +196,9 @@ func TestPlatformDownMidRunDegrades(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := hardenedClient(t, srv.URL(), func(cfg *Config) {
 		cfg.RetryBudget = 4
-		cfg.FailureThreshold = 3
 		cfg.Registry = reg
 	})
+	c.breaker = newBreaker(3, breakerCooldown, time.Now)
 	rep, err := executor.ExecuteContext(context.Background(), c.Runner(), in, plan, truth, executor.Options{RunID: "dying"})
 	if err != nil {
 		t.Fatalf("degraded run returned error: %v", err)
@@ -244,8 +243,8 @@ func TestPlatformDownFromStartDegradesEmpty(t *testing.T) {
 
 	c := hardenedClient(t, srv.URL(), func(cfg *Config) {
 		cfg.RetryBudget = 2
-		cfg.FailureThreshold = 2
 	})
+	c.breaker = newBreaker(2, breakerCooldown, time.Now)
 	rep, err := executor.ExecuteContext(context.Background(), c.Runner(), in, plan, truth, executor.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ package testplatform
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -30,8 +29,6 @@ import (
 type Options struct {
 	// Seed drives the crowd simulation (default 1).
 	Seed int64
-	// Model selects the crowd model: "jelly" (default) or "smic".
-	Model string
 	// Auth, when non-empty, is the exact Authorization header value
 	// required on every request (others get 401).
 	Auth string
@@ -60,18 +57,16 @@ type Server struct {
 	killAfter int // requests to serve before going down; 0 = disabled
 }
 
-// New starts the marketplace on a real loopback socket.
+// New starts the marketplace, simulating the Jelly crowd model, on a real
+// loopback socket. The error is always nil; the ledger in benchmark/
+// checks it.
 func New(opts Options) (*Server, error) {
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	params, ok := crowdsim.ModelByName(opts.Model)
-	if !ok {
-		return nil, fmt.Errorf("testplatform: unknown model %q (have jelly, smic)", opts.Model)
-	}
 	s := &Server{
-		sim:       crowdsim.New(params, seed),
+		sim:       crowdsim.New(crowdsim.Jelly(), seed),
 		auth:      opts.Auth,
 		committed: make(map[string]binRecord),
 	}

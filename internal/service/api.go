@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -511,6 +512,203 @@ func handleCancelJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// lastEventID extracts the resume cursor: the standard Last-Event-ID
+// header, with ?last_event_id= as a curl-friendly fallback.
+func lastEventID(r *http.Request) uint64 {
+	v := r.Header.Get("Last-Event-ID")
+	if v == "" {
+		v = r.URL.Query().Get("last_event_id")
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+// writeSSEFrame renders one frame in SSE wire form: the sequence number
+// as the event id, the state as the event name ("progress" while the job
+// runs, the terminal state name on the final frame), the JSON payload as
+// data.
+func writeSSEFrame(w io.Writer, ev JobEvent) error {
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	name := "progress"
+	if ev.State.Terminal() {
+		name = string(ev.State)
+	}
+	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, name, data)
+	return err
+}
+
+// handleJobEvents serves GET /v1/jobs/{id}/events: an SSE stream of the
+// job's progress frames ending with its terminal frame. The handler
+// returns when the terminal frame has been delivered, the client goes
+// away, or the service shuts down; heartbeat comments keep idle
+// connections alive through buffering proxies (see docs/OPERATIONS.md).
+func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
+	feed, release, err := s.jobs.subscribe(r.PathValue("id"))
+	if err != nil {
+		writeErr(w, http.StatusNotFound, err)
+		return
+	}
+	defer release()
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("service: response writer cannot stream"))
+		return
+	}
+	last := lastEventID(r)
+
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	// Tell nginx-style proxies not to buffer the stream (OPERATIONS.md).
+	h.Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+
+	ticker := time.NewTicker(s.sseHeartbeat)
+	defer ticker.Stop()
+	for {
+		evs, terminal, notify := feed.since(last)
+		for _, ev := range evs {
+			if err := writeSSEFrame(w, ev); err != nil {
+				return // client gone
+			}
+			last = ev.Seq
+		}
+		if len(evs) > 0 {
+			flusher.Flush()
+		}
+		if terminal {
+			return // the terminal frame was the last one delivered
+		}
+		select {
+		case <-notify:
+		case <-ticker.C:
+			if _, err := io.WriteString(w, ": hb\n\n"); err != nil {
+				return
+			}
+			flusher.Flush()
+		case <-r.Context().Done():
+			return
+		case <-s.closed:
+			return
+		}
+	}
+}
+
+// streamOpenRequest is the POST /v1/streams body.
+type streamOpenRequest struct {
+	Bins      []core.TaskBin `json:"bins"`
+	Threshold float64        `json:"threshold"`
+}
+
+// streamAppendRequest is the POST /v1/streams/{id}/tasks body.
+type streamAppendRequest struct {
+	Tasks []int `json:"tasks"`
+}
+
+// streamStatusResponse augments StreamStatus with the optional merged
+// plan, mirroring jobStatusResponse.
+type streamStatusResponse struct {
+	StreamStatus
+	Plan []core.BinUse `json:"plan,omitempty"`
+}
+
+func handleOpenStream(s *Service, w http.ResponseWriter, r *http.Request) {
+	req := streamOpenBody{Bins: internedBins{table: s.menus}}
+	if !decodeMenuBody(w, r, &req, &req.Bins, &req.streamOpenRequest, &req.streamOpenRequest.Bins) {
+		return
+	}
+	bins, err := req.Bins.set, req.Bins.err
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if bins.Len() == 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: stream with empty menu"))
+		return
+	}
+	if !(req.Threshold >= 0 && req.Threshold < 1) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: stream threshold %v outside [0,1)", req.Threshold))
+		return
+	}
+	st, err := s.streams.open(bins, req.Threshold)
+	if err != nil {
+		writeErr(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, st)
+}
+
+func handleStreamAppend(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req streamAppendRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	st, _, err := s.streams.do(r.PathValue("id"), func(ss *streamSession) error { return s.streams.appendLocked(ss, req.Tasks) })
+	if err != nil {
+		writeErr(w, streamErrStatus(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
+}
+
+func handleStreamFlush(s *Service, w http.ResponseWriter, r *http.Request) {
+	st, _, err := s.streams.do(r.PathValue("id"), s.streams.flushLocked)
+	if err != nil {
+		writeErr(w, streamErrStatus(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
+}
+
+func handleStreamStatus(s *Service, w http.ResponseWriter, r *http.Request) {
+	st, merged, err := s.streams.do(r.PathValue("id"), nil)
+	if err != nil {
+		writeErr(w, streamErrStatus(err), err)
+		return
+	}
+	resp := streamStatusResponse{StreamStatus: st}
+	if r.URL.Query().Get("include_plan") == "true" {
+		if st.State != StreamFlushed {
+			writeErr(w, http.StatusConflict, fmt.Errorf("service: stream %s not flushed; no merged plan yet", st.ID))
+			return
+		}
+		writePlanStreamed(w, http.StatusOK, resp, merged)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func handleStreamDelete(s *Service, w http.ResponseWriter, r *http.Request) {
+	if err := s.streams.remove(r.PathValue("id")); err != nil {
+		writeErr(w, streamErrStatus(err), err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// streamErrStatus maps session errors: an unknown id to 404, a
+// flushed-conflict to 409, client mistakes (duplicate ids, a full
+// session) to 400, the rest — summarize invariant breaks, solver-side
+// failures — through statusFor.
+func streamErrStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrUnknownStream):
+		return http.StatusNotFound
+	case errors.Is(err, errStreamFlushed):
+		return http.StatusConflict
+	case errors.Is(err, errDuplicateTask), errors.Is(err, errStreamFull):
+		return http.StatusBadRequest
+	}
+	return statusFor(err)
 }
 
 // decodeBody decodes a JSON request body — one JSON value, optionally

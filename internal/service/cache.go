@@ -67,8 +67,8 @@ type OPQCache struct {
 	menus    map[menuKey]*menuPieces
 	inflight map[queueKey]*inflightBuild
 	stats    CacheStats
-	// buildDuration, when set, observes every build's latency; the service
-	// sets it to its /metrics histogram.
+	// buildDuration, when set, observes every build's latency (see
+	// register).
 	buildDuration *obs.Histogram
 }
 
@@ -318,6 +318,20 @@ func (c *OPQCache) evictLocked(e *cacheEntry) {
 		delete(c.menus, e.mk)
 	}
 	c.stats.Evictions++
+}
+
+// register exports the cache on reg: the build-latency histogram Get
+// writes, and its counters as series read at scrape time, so /metrics
+// keeps no second copy of them. Call it before the first Get.
+func (c *OPQCache) register(reg *obs.Registry) {
+	c.buildDuration = reg.Histogram("slade_cache_build_duration_seconds", "Queue build latency.", obs.HistogramOpts{})
+	reg.Func("slade_cache_entries", "Resident queues.", obs.TypeGauge, func() float64 { return float64(c.Stats().Entries) })
+	reg.Func("slade_cache_hits_total", "Gets a resident queue answered.", obs.TypeCounter, func() float64 { return float64(c.Stats().Hits) })
+	reg.Func("slade_cache_misses_total", "Gets that built a queue or waited on another Get's build.", obs.TypeCounter,
+		func() float64 { s := c.Stats(); return float64(s.Misses + s.Coalesced) })
+	reg.Func("slade_cache_builds_total", "Queue builds.", obs.TypeCounter, func() float64 { return float64(c.Stats().Builds) })
+	reg.Func("slade_cache_evictions_total", "Queues dropped by the LRU policy.", obs.TypeCounter, func() float64 { return float64(c.Stats().Evictions) })
+	reg.Func("slade_cache_coalesced_total", "Gets that piggybacked on an in-flight build.", obs.TypeCounter, func() float64 { return float64(c.Stats().Coalesced) })
 }
 
 // Stats returns a snapshot of the cache counters. Safe for concurrent use.

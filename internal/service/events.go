@@ -1,11 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -14,7 +9,8 @@ import (
 
 // This file is the live job-event surface: a per-job broadcast feed fed
 // from the executor's Observer seam and the job manager's state
-// transitions, served as Server-Sent Events by GET /v1/jobs/{id}/events.
+// transitions, served as Server-Sent Events by GET /v1/jobs/{id}/events
+// (handleJobEvents in api.go).
 // Every frame carries the running totals (bins issued, spend, delivered
 // mass, top-up rounds) plus the job state; the final frame is the job's
 // terminal status with its summary/report attached. Subscribers resume
@@ -144,13 +140,23 @@ func terminalEvent(st JobStatus) JobEvent {
 	return ev
 }
 
+// subscribe is snapshot's feed for a follower, counted on
+// slade_sse_subscribers until the follower calls release; after an error
+// there is nothing to release.
+func (m *JobManager) subscribe(id string) (feed *jobFeed, release func(), err error) {
+	if _, _, feed, err = m.snapshot(id); err == nil {
+		m.sseSubscribers.Inc()
+	}
+	return feed, m.sseSubscribers.Dec, err
+}
+
 // jobEventObserver is the executor.Observer of every run job: it feeds
-// the executor's callbacks into both the metric bundle and the job's
-// event feed. Executor callbacks run inline on the single executing
-// goroutine, so plain fields need no synchronization.
+// the executor's callbacks into both the manager's slade_executor_*
+// instruments and the job's event feed. Executor callbacks run inline on
+// the single executing goroutine, so plain fields need no synchronization.
 type jobEventObserver struct {
-	metrics *serviceMetrics
-	feed    *jobFeed
+	jobs *JobManager
+	feed *jobFeed
 
 	topUps      int
 	bins        int
@@ -160,14 +166,14 @@ type jobEventObserver struct {
 }
 
 func (o *jobEventObserver) BinIssued(d time.Duration) {
-	o.metrics.execBinsIssued.Inc()
-	o.metrics.execBinDuration.ObserveDuration(d)
+	o.jobs.execBins.Inc()
+	o.jobs.execBinDuration.ObserveDuration(d)
 }
 
-func (o *jobEventObserver) BinRetried() { o.metrics.execRetries.Inc() }
+func (o *jobEventObserver) BinRetried() { o.jobs.execRetries.Inc() }
 
 func (o *jobEventObserver) TopUpRound() {
-	o.metrics.execTopUpRounds.Inc()
+	o.jobs.execTopUps.Inc()
 	o.topUps++
 	o.emit(true) // round boundaries always publish
 }
@@ -194,95 +200,4 @@ func (o *jobEventObserver) emit(force bool) {
 		Spent:         o.spent,
 		DeliveredMass: o.mass,
 	})
-}
-
-// lastEventID extracts the resume cursor: the standard Last-Event-ID
-// header, with ?last_event_id= as a curl-friendly fallback.
-func lastEventID(r *http.Request) uint64 {
-	v := r.Header.Get("Last-Event-ID")
-	if v == "" {
-		v = r.URL.Query().Get("last_event_id")
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// writeSSEFrame renders one frame in SSE wire form: the sequence number
-// as the event id, the state as the event name ("progress" while the job
-// runs, the terminal state name on the final frame), the JSON payload as
-// data.
-func writeSSEFrame(w io.Writer, ev JobEvent) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	name := "progress"
-	if ev.State.Terminal() {
-		name = string(ev.State)
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, name, data)
-	return err
-}
-
-// handleJobEvents serves GET /v1/jobs/{id}/events: an SSE stream of the
-// job's progress frames ending with its terminal frame. The handler
-// returns when the terminal frame has been delivered, the client goes
-// away, or the service shuts down; heartbeat comments keep idle
-// connections alive through buffering proxies (see docs/OPERATIONS.md).
-func handleJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
-	_, _, feed, err := s.Jobs().snapshot(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("service: response writer cannot stream"))
-		return
-	}
-	last := lastEventID(r)
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	// Tell nginx-style proxies not to buffer the stream (OPERATIONS.md).
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	s.metrics.sseSubscribers.Inc()
-	defer s.metrics.sseSubscribers.Dec()
-
-	ticker := time.NewTicker(s.sseHeartbeat)
-	defer ticker.Stop()
-	for {
-		evs, terminal, notify := feed.since(last)
-		for _, ev := range evs {
-			if err := writeSSEFrame(w, ev); err != nil {
-				return // client gone
-			}
-			last = ev.Seq
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			return // the terminal frame was the last one delivered
-		}
-		select {
-		case <-notify:
-		case <-ticker.C:
-			if _, err := io.WriteString(w, ": hb\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.closed:
-			return
-		}
-	}
 }

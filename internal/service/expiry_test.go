@@ -1,0 +1,142 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/binset"
+)
+
+// newExpiryService is a service whose result TTL only a test's own sweep
+// reaches: the janitor ticks once a minute, and nothing expires for an
+// hour unless the test backdates it.
+func newExpiryService(t *testing.T) *Service {
+	t.Helper()
+	svc := New(Config{CacheSize: 8, Workers: 1, MaxJobs: 1, ResultTTL: time.Hour, Slog: slog.New(slog.DiscardHandler)})
+	t.Cleanup(func() { svc.Close() })
+	return svc
+}
+
+// canceledJobs registers n pending jobs as Submit does, without their
+// run goroutines, and settles each canceled as a DELETE of a pending job
+// does, so every one holds a result TTL.
+func canceledJobs(m *JobManager, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		m.mu.Lock()
+		m.nextID++
+		j := &job{id: fmt.Sprintf("job-%d", m.nextID), kind: KindSolve, state: JobPending, submitted: time.Now()}
+		j.feed = newJobFeed(j.id, m.sseEvents)
+		m.jobs[j.id] = j
+		m.counts.pending.Inc()
+		m.settleLocked(j, nil, nil, context.Canceled)
+		ids[i] = j.id
+	}
+	return ids
+}
+
+// TestSweepExaminesOnlyExpired is the clock-free gate of expiry in
+// O(expired): with 10⁵ unexpired jobs and 10⁵ unexpired stream sessions
+// resident, one janitor tick examines the head of each expiry queue and
+// nothing else. A tick past the TTL then pops every entry once. Under
+// -race, whose shadow memory multiplies the ≈ 110 MB the two tables hold
+// at 10⁵, the tables hold 10⁴: what a tick examines does not depend on n.
+func TestSweepExaminesOnlyExpired(t *testing.T) {
+	n := 100_000
+	if raceBuild {
+		n = 10_000
+	}
+	svc := newExpiryService(t)
+	m, sm := svc.Jobs(), svc.streams
+	canceledJobs(m, n)
+	for range n {
+		if _, err := sm.open(binset.Table1(), 0.9); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	now := time.Now()
+	m.sweep(now)
+	sm.sweep(now)
+	if m.swept != 1 || sm.swept != 1 {
+		t.Fatalf("one tick with nothing expired examined %d jobs and %d sessions; want the two queue heads", m.swept, sm.swept)
+	}
+	if len(m.jobs) != n || len(sm.sessions) != n {
+		t.Fatalf("a tick with nothing expired reaped: %d jobs and %d sessions left of %d", len(m.jobs), len(sm.sessions), n)
+	}
+
+	later := now.Add(2 * time.Hour)
+	m.sweep(later)
+	sm.sweep(later)
+	if js, ss := m.Stats(), sm.stats(); js.Expired != uint64(n) || ss.Expired != uint64(n) || ss.Active != 0 {
+		t.Fatalf("a tick past the TTL expired %d jobs and %d sessions (%d resident); want %d each", js.Expired, ss.Expired, ss.Active, n)
+	}
+	if m.swept != 1+n || sm.swept != 1+n {
+		t.Fatalf("a tick past the TTL examined %d jobs and %d sessions; want each entry once", m.swept-1, sm.swept-1)
+	}
+}
+
+// TestLazyExpiryCountsOnce: a job a read expires lazily leaves its entry
+// on the expiry queue; the sweep that pops it skips it, so
+// slade_jobs_expired_total counts the job once.
+func TestLazyExpiryCountsOnce(t *testing.T) {
+	svc := newExpiryService(t)
+	m := svc.Jobs()
+	id := canceledJobs(m, 1)[0]
+	m.mu.Lock()
+	m.jobs[id].finished = m.jobs[id].finished.Add(-2 * time.Hour)
+	m.mu.Unlock()
+
+	if _, err := m.Status(id); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("read of an expired job: %v, want ErrUnknownJob", err)
+	}
+	m.sweep(time.Now())
+	if got := m.Stats().Expired; got != 1 {
+		t.Fatalf("expired %d after a lazy expiry and a sweep; want 1", got)
+	}
+	if len(m.expiry) != 0 || m.swept != 1 {
+		t.Fatalf("the sweep left %d queued and examined %d; want the one entry popped", len(m.expiry), m.swept)
+	}
+	if got := parseSamples(t, string(svc.Metrics()))["slade_jobs_expired_total"]; got != 1 {
+		t.Fatalf("slade_jobs_expired_total reads %v; want 1", got)
+	}
+}
+
+// TestSweepRequeuesTouchedSession: a session touched after it was queued
+// is queued again at its new idle clock, not reaped, and reaped once that
+// clock expires; a deleted session's entry is skipped.
+func TestSweepRequeuesTouchedSession(t *testing.T) {
+	svc := newExpiryService(t)
+	sm := svc.streams
+	touched, err := sm.open(binset.Table1(), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted, err := sm.open(binset.Table1(), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.remove(deleted.ID); err != nil {
+		t.Fatal(err)
+	}
+	ss := sm.sessions[touched.ID]
+	queued := ss.lastNS.Load()
+	ss.lastNS.Store(queued + int64(30*time.Minute))
+
+	sm.sweep(time.Unix(0, queued).Add(time.Hour + time.Minute))
+	if st := sm.stats(); st.Active != 1 || st.Expired != 0 {
+		t.Fatalf("after the queued clock expired: %+v; want the touched session resident", st)
+	}
+	if want := []queuedSession{{touched.ID, ss.lastNS.Load()}}; !slices.Equal(sm.expiry, want) {
+		t.Fatalf("expiry queue %v; want %v, the touched session at its new clock", sm.expiry, want)
+	}
+	sm.sweep(time.Unix(0, ss.lastNS.Load()).Add(time.Hour))
+	if st := sm.stats(); st.Active != 0 || st.Expired != 1 {
+		t.Fatalf("after the new clock expired: %+v; want the touched session reaped, the deleted one not counted", st)
+	}
+}

@@ -2,12 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -119,7 +116,8 @@ type job struct {
 type JobManager struct {
 	svc *Service
 
-	// store receives terminal job records; nil disables persistence.
+	// store receives terminal job records, through the manager's
+	// slade_store_* wrapper (persist.go); nil disables persistence.
 	store store.Store
 	// ttl evicts terminal jobs (memory and store) this long after they
 	// finish; zero keeps them for the manager's lifetime.
@@ -151,10 +149,31 @@ type JobManager struct {
 		running, pending *obs.Gauge
 		submitted        obs.Counter
 		// Run-execution aggregates, counted only for runs executed by
-		// this process (recovered reports never re-execute); the run count
-		// and spend are metrics.execJobSpend's count and sum.
+		// this process (recovered reports never re-execute); spend
+		// observes each run's total, so its count and sum are the run
+		// count and spend.
 		runBins, runTopUps obs.Counter
+		spend              *obs.Histogram
 	}
+
+	// The slade_executor_* instruments every run job's observer writes
+	// (events.go).
+	execBins, execRetries, execTopUps *obs.Counter
+	execBinDuration                   *obs.Histogram
+	// sseEvents counts the frames the jobs' feeds publish; sseSubscribers
+	// the feeds' open subscriptions (see subscribe).
+	sseEvents      *obs.Counter
+	sseSubscribers *obs.Gauge
+	// storeDuration and storeErrors are the slade_store_* series by op.
+	storeDuration map[string]*obs.Histogram
+	storeErrors   map[string]*obs.Counter
+
+	// expiry lists terminal jobs in finish order, which under a fixed TTL
+	// is expiry order: settle appends, replay pushes the recovered jobs
+	// sorted, sweep pops the expired head. Empty without a TTL. swept
+	// counts the entries sweep has examined. Both are guarded by mu.
+	expiry []*job
+	swept  int
 
 	// persistWG tracks in-flight spills to the store so close can wait
 	// for every settled job to be durable before returning.
@@ -172,7 +191,6 @@ type JobManager struct {
 func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Duration, logger *slog.Logger, platform PlatformFactory) *JobManager {
 	m := &JobManager{
 		svc:      svc,
-		store:    st,
 		ttl:      ttl,
 		logger:   logger,
 		platform: platform,
@@ -191,6 +209,15 @@ func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Dur
 	c.interrupted = reg.Counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.")
 	c.running = reg.Gauge("slade_jobs_running", "Jobs currently running.")
 	c.pending = reg.Gauge("slade_jobs_pending", "Jobs queued for a slot.")
+	c.spend = reg.Histogram("slade_executor_job_spend", "Total spend per completed run job.",
+		obs.HistogramOpts{Base: 0.01, Growth: 2, Buckets: 30})
+	m.execBins = reg.Counter("slade_executor_bins_issued_total", "Bins handed to workers, including retries.")
+	m.execBinDuration = reg.Histogram("slade_executor_bin_duration_seconds", "Reported per-bin completion time.", obs.HistogramOpts{})
+	m.execRetries = reg.Counter("slade_executor_retries_total", "Bin re-issues after an overtime outcome.")
+	m.execTopUps = reg.Counter("slade_executor_topup_rounds_total", "Adaptive top-up rounds executed.")
+	m.sseEvents = reg.Counter("slade_sse_events_total", "Job events published to SSE feeds.")
+	m.sseSubscribers = reg.Gauge("slade_sse_subscribers", "Open SSE job-event subscriptions.")
+	m.store = m.registerStore(reg, st)
 	m.replay()
 	if ttl > 0 {
 		m.janitorStop = make(chan struct{})
@@ -198,224 +225,6 @@ func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Dur
 		go m.janitor()
 	}
 	return m
-}
-
-// replay loads every readable terminal job record from the store into
-// memory, so results submitted before a restart remain queryable. Records
-// that fail to decode are skipped with a warning; ids are re-parsed so
-// fresh submissions never collide with recovered ones.
-func (m *JobManager) replay() {
-	if m.store == nil {
-		return
-	}
-	recs, err := m.store.ListJobs()
-	if err != nil {
-		m.logger.Warn("replaying job store failed", "err", err)
-		return
-	}
-	now := time.Now()
-	var expired []string
-	var interrupted []*job
-	m.mu.Lock()
-	for _, rec := range recs {
-		j, wasInterrupted, err := jobFromRecord(rec, now)
-		if err != nil {
-			m.logger.Warn("skipping unreadable job record", "id", rec.ID, "err", err)
-			continue
-		}
-		if m.ttl > 0 && now.Sub(j.finished) >= m.ttl {
-			expired = append(expired, j.id) // expired while the process was down
-			continue
-		}
-		m.jobs[j.id] = j
-		m.counts.recovered.Inc()
-		if wasInterrupted {
-			m.counts.interrupted.Inc()
-			interrupted = append(interrupted, j)
-		}
-		// Keep fresh ids strictly after every recovered one.
-		if n, ok := jobIDNumber(j.id); ok && n > m.nextID {
-			m.nextID = n
-		}
-	}
-	// Converge the store on the interrupted jobs' terminal form while
-	// still under the lock (recordFromJob's contract), so a second
-	// restart replays them as ordinary failed jobs.
-	interruptedRecs := make([]store.JobRecord, 0, len(interrupted))
-	for _, j := range interrupted {
-		rec, err := recordFromJob(j)
-		if err != nil {
-			m.logger.Warn("encoding interrupted job failed", "id", j.id, "err", err)
-			continue
-		}
-		interruptedRecs = append(interruptedRecs, rec)
-	}
-	m.mu.Unlock()
-	for _, rec := range interruptedRecs {
-		m.logger.Warn("run job interrupted by restart", "id", rec.ID)
-		if err := m.store.PutJob(rec); err != nil {
-			m.logger.Warn("persisting interrupted job failed", "id", rec.ID, "err", err)
-		}
-	}
-	// Reap expired-on-disk records here, once, rather than rescanning the
-	// whole store from the janitor: after replay, every live record has an
-	// in-memory twin whose expiry the sweep tracks directly.
-	for _, id := range expired {
-		m.deleteStored(id)
-	}
-}
-
-// jobIDNumber extracts N from a "job-N" id.
-func jobIDNumber(id string) (int, bool) {
-	num, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// errInterrupted is the terminal error stamped on jobs whose record was
-// still non-terminal at replay: the process stopped mid-run, the job can
-// never resume (its platform session is gone), so it fails loudly rather
-// than vanishing.
-var errInterrupted = errors.New("interrupted by restart: the process stopped while the job was running")
-
-// jobFromRecord rebuilds an in-memory job from its durable form. A
-// non-terminal record — written as a running marker before a crash — is
-// converted to a failed job stamped with errInterrupted and finished at
-// now; interrupted reports that conversion so replay can count it and
-// converge the store.
-func jobFromRecord(rec store.JobRecord, now time.Time) (j *job, interrupted bool, err error) {
-	state := JobState(rec.State)
-	if !state.Terminal() {
-		interrupted = true
-	}
-	j = &job{
-		id:        rec.ID,
-		kind:      rec.Kind,
-		state:     state,
-		solver:    rec.Solver,
-		submitted: rec.Submitted,
-		started:   rec.Started,
-		finished:  rec.Finished,
-	}
-	if j.kind == "" {
-		// Version-1 records carry no kind; stream jobs are recognizable
-		// from their reserved solver name, everything else was a solve.
-		if j.solver == "stream" {
-			j.kind = kindStream
-		} else {
-			j.kind = KindSolve
-		}
-	}
-	if rec.Error != "" {
-		j.err = errors.New(rec.Error)
-	}
-	if interrupted {
-		// The marker has no plan, summary or report to decode; fail it in
-		// place with a finish time of "now" (the closest observable moment
-		// to the actual death) so the result TTL starts from the restart.
-		j.state = JobFailed
-		j.err = errInterrupted
-		j.finished = now
-		return j, true, nil
-	}
-	if len(rec.Plan) > 0 {
-		var plan core.Plan
-		if err := json.Unmarshal(rec.Plan, &plan); err != nil {
-			return nil, false, fmt.Errorf("decoding plan: %w", err)
-		}
-		j.plan = &plan
-	}
-	if len(rec.Summary) > 0 {
-		var sum PlanSummary
-		if err := json.Unmarshal(rec.Summary, &sum); err != nil {
-			return nil, false, fmt.Errorf("decoding summary: %w", err)
-		}
-		j.summary = &sum
-	}
-	if len(rec.Report) > 0 {
-		var rep ExecutionReport
-		if err := json.Unmarshal(rec.Report, &rep); err != nil {
-			return nil, false, fmt.Errorf("decoding execution report: %w", err)
-		}
-		j.report = &rep
-	}
-	if state == JobDone && j.plan == nil {
-		return nil, false, fmt.Errorf("done record without a plan")
-	}
-	if state == JobDone && j.kind == KindRun && j.report == nil {
-		return nil, false, fmt.Errorf("done run record without an execution report")
-	}
-	return j, false, nil
-}
-
-// record converts a terminal job to its durable form. Caller holds m.mu.
-func recordFromJob(j *job) (store.JobRecord, error) {
-	rec := store.JobRecord{
-		Version:   store.RecordVersion,
-		ID:        j.id,
-		Kind:      j.kind,
-		State:     string(j.state),
-		Solver:    j.solver,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
-	}
-	if j.err != nil {
-		rec.Error = j.err.Error()
-	}
-	if j.plan != nil {
-		// The plan's own encoder, not json.Marshal: its bytes are already
-		// compact, and json.Marshal would scan and copy them twice more.
-		data, err := j.plan.MarshalJSON()
-		if err != nil {
-			return store.JobRecord{}, err
-		}
-		rec.Plan = data
-	}
-	if j.summary != nil {
-		data, err := json.Marshal(j.summary)
-		if err != nil {
-			return store.JobRecord{}, err
-		}
-		rec.Summary = data
-	}
-	if j.report != nil {
-		data, err := json.Marshal(j.report)
-		if err != nil {
-			return store.JobRecord{}, err
-		}
-		rec.Report = data
-	}
-	return rec, nil
-}
-
-// persist spills a terminal job to the store; failures are logged, never
-// fatal — the in-memory copy still serves until eviction. After the write
-// it re-checks that the job is still live: a concurrent TTL expiry may
-// have raced the spill, deleted from the store before the record landed,
-// and would otherwise see the job resurrected at the next replay. Either
-// ordering now ends with the record gone — the later of the two
-// operations observes the other's effect under m.mu and deletes.
-func (m *JobManager) persist(rec store.JobRecord) {
-	if err := m.store.PutJob(rec); err != nil {
-		m.logger.Warn("persisting job failed", "id", rec.ID, "err", err)
-		return
-	}
-	m.mu.Lock()
-	_, live := m.jobs[rec.ID]
-	if live {
-		m.counts.persisted.Inc()
-	}
-	m.mu.Unlock()
-	if !live {
-		m.deleteStored(rec.ID)
-	}
 }
 
 // janitor periodically reaps expired terminal jobs until close.
@@ -449,36 +258,34 @@ func (m *JobManager) expiredLocked(j *job, now time.Time) bool {
 	return m.ttl > 0 && j.state.Terminal() && !j.finished.IsZero() && now.Sub(j.finished) >= m.ttl
 }
 
-// sweep drops every expired terminal job from memory and the store.
-// Records with no in-memory twin need no scan here: replay reaps the
+// sweep drops the expired terminal jobs from memory and the store. It
+// pops the expiry queue while its head has expired, so a tick costs
+// O(expired), not O(resident); an entry whose job already left the table
+// (expired lazily by a read) is skipped, so no expiry counts twice, and a
+// job expiredLocked keeps (a record without a finish time) leaves the
+// queue but stays resident, as the lazy check leaves it. Records with no in-memory twin need no scan here: replay reaps the
 // pre-boot expirations and persist cleans up after eviction races, so
 // after construction every live record has an in-memory twin.
 func (m *JobManager) sweep(now time.Time) {
-	if m.ttl <= 0 {
-		return
-	}
 	m.mu.Lock()
 	var expired []string
-	for id, j := range m.jobs {
-		if m.expiredLocked(j, now) {
-			delete(m.jobs, id)
-			expired = append(expired, id)
+	for len(m.expiry) > 0 {
+		j := m.expiry[0]
+		m.swept++
+		if now.Sub(j.finished) < m.ttl {
+			break
+		}
+		m.expiry[0] = nil
+		m.expiry = m.expiry[1:]
+		if m.jobs[j.id] == j && m.expiredLocked(j, now) {
+			delete(m.jobs, j.id)
+			expired = append(expired, j.id)
 			m.counts.expired.Inc()
 		}
 	}
 	m.mu.Unlock()
 	for _, id := range expired {
 		m.deleteStored(id)
-	}
-}
-
-// deleteStored removes a job record from the store, tolerating absence.
-func (m *JobManager) deleteStored(id string) {
-	if m.store == nil {
-		return
-	}
-	if err := m.store.DeleteJob(id); err != nil && !errors.Is(err, store.ErrNotFound) {
-		m.logger.Warn("deleting stored job failed", "id", id, "err", err)
 	}
 }
 
@@ -546,7 +353,7 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 		runner:    runner,
 		submitted: time.Now(),
 	}
-	j.feed = newJobFeed(j.id, m.svc.metrics.sseEventsPublished)
+	j.feed = newJobFeed(j.id, m.sseEvents)
 	m.jobs[j.id] = j
 	m.counts.submitted.Inc()
 	m.counts.pending.Inc()
@@ -651,14 +458,18 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 		j.state = JobDone
 		j.plan = plan
 		j.report = report
-		if s, serr := summarize(plan, j.req); serr == nil {
-			j.summary = s
+		in := j.req.Instance
+		if j.req.Run != nil {
+			in = j.req.Run.Instance
+		}
+		if ps, serr := summarizePlan(plan, in.Bins()); serr == nil {
+			j.summary = &ps
 		}
 		m.counts.done.Inc()
 		if report != nil {
 			m.counts.runBins.Add(uint64(report.BinsIssued))
 			m.counts.runTopUps.Add(uint64(report.TopUpRounds))
-			m.svc.metrics.execJobSpend.Observe(report.Spent)
+			m.counts.spend.Observe(report.Spent)
 		}
 	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
@@ -670,6 +481,9 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 	}
 	if j.cancel != nil {
 		j.cancel() // release the context's resources in every terminal path
+	}
+	if m.ttl > 0 {
+		m.expiry = append(m.expiry, j)
 	}
 	var rec store.JobRecord
 	persist := m.store != nil
@@ -692,19 +506,6 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 		m.persist(rec)
 	}
 	return st
-}
-
-// summarize computes the result summary against the job's menu.
-func summarize(plan *core.Plan, req JobRequest) (*PlanSummary, error) {
-	in := req.Instance
-	if req.Run != nil {
-		in = req.Run.Instance
-	}
-	ps, err := summarizePlan(plan, in.Bins())
-	if err != nil {
-		return nil, err
-	}
-	return &ps, nil
 }
 
 // expire applies lazy TTL expiry to id: a terminal job past its TTL is
@@ -746,7 +547,7 @@ func (m *JobManager) snapshot(id string) (JobStatus, *core.Plan, *jobFeed, error
 	}
 	st := j.statusLocked()
 	if j.feed == nil {
-		j.feed = newJobFeed(id, m.svc.metrics.sseEventsPublished)
+		j.feed = newJobFeed(id, m.sseEvents)
 		j.feed.publish(terminalEvent(st))
 	}
 	return st, j.plan, j.feed, nil
@@ -845,9 +646,9 @@ func (m *JobManager) Stats() JobStats {
 		Recovered:       c.recovered.Value(),
 		Expired:         c.expired.Value(),
 		RunsInterrupted: c.interrupted.Value(),
-		Runs:            m.svc.metrics.execJobSpend.Count(),
+		Runs:            c.spend.Count(),
 		RunBinsIssued:   c.runBins.Value(),
 		RunTopUpRounds:  c.runTopUps.Value(),
-		RunSpend:        m.svc.metrics.execJobSpend.Sum(),
+		RunSpend:        c.spend.Sum(),
 	}
 }

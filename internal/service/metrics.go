@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"log/slog"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // MetricsContentType is the Content-Type of GET /metrics responses — the
@@ -39,10 +37,12 @@ const admissionRecomputeInterval = 250 * time.Millisecond
 // tests can shrink it.
 var admissionWindow = 10 * time.Second
 
-// serviceMetrics is the service's metric bundle: every instrument the
-// pipeline stages write into, plus the registry that renders them on
-// GET /metrics. All instruments are created in New so the hot paths
-// never take the registry lock.
+// serviceMetrics holds the registry that renders GET /metrics and the
+// instruments of the HTTP edge, the decompose path and the batcher. Every
+// other series is registered by the type that writes it (the cache, the
+// solve slots, the job and stream managers, the platform client) on this
+// registry. All instruments are created in New so the hot paths never
+// take the registry lock.
 type serviceMetrics struct {
 	reg *obs.Registry
 
@@ -58,31 +58,10 @@ type serviceMetrics struct {
 	solveErrors  *obs.Counter
 	solveTasks   *obs.Counter
 
-	// Queue cache builds (OPQCache.buildDuration).
-	cacheBuildDuration *obs.Histogram
-
-	// Sharded solver: solves and their wait for a slot.
-	shardObs ShardPoolObs
-
 	// Batcher.
 	batchFlushes   map[string]*obs.Counter // by flush reason
 	batchFlushSize *obs.Histogram
 	batchPending   *obs.Gauge
-
-	// Executor.
-	execBinsIssued  *obs.Counter
-	execBinDuration *obs.Histogram
-	execRetries     *obs.Counter
-	execTopUpRounds *obs.Counter
-	execJobSpend    *obs.Histogram
-
-	// Job-event streaming (SSE).
-	sseSubscribers     *obs.Gauge
-	sseEventsPublished *obs.Counter
-
-	// Store.
-	storeOpDuration map[string]*obs.Histogram
-	storeOpErrors   map[string]*obs.Counter
 
 	// Admission p95 cache (see queueWaitP95).
 	admissionAtNS   atomic.Int64
@@ -116,11 +95,6 @@ type routeMetrics struct {
 	duration *obs.Histogram
 }
 
-// storeOps enumerates the operation labels of the store instrument
-// families; pre-registering them keeps the wrapper allocation-free and
-// makes the store series visible on /metrics even before traffic.
-var storeOps = []string{"put_job", "get_job", "list_jobs", "delete_job"}
-
 func newServiceMetrics() *serviceMetrics {
 	reg := obs.NewRegistry()
 	m := &serviceMetrics{
@@ -134,14 +108,6 @@ func newServiceMetrics() *serviceMetrics {
 		solveErrors:  reg.Counter("slade_solve_errors_total", "Failed decompose requests."),
 		solveTasks:   reg.Counter("slade_solve_tasks_total", "Tasks decomposed by successful requests."),
 
-		cacheBuildDuration: reg.Histogram("slade_cache_build_duration_seconds", "Queue build latency.", obs.HistogramOpts{}),
-
-		shardObs: ShardPoolObs{
-			SolveDuration: reg.Histogram("slade_shard_solve_duration_seconds", "Solve latency of the sharded solver, slot held.", obs.HistogramOpts{}),
-			QueueWait:     reg.Histogram("slade_shard_queue_wait_seconds", "Time solves waited for one of the service-wide solve slots.", obs.HistogramOpts{}),
-			ShardJobs:     reg.Counter("slade_shard_jobs_total", "Solves executed by the sharded solver."),
-		},
-
 		batchFlushes: map[string]*obs.Counter{
 			flushReasonWindow: reg.Counter("slade_batch_flushes_total", "Batch flushes by trigger.", obs.L("reason", flushReasonWindow)),
 			flushReasonCap:    reg.Counter("slade_batch_flushes_total", "Batch flushes by trigger.", obs.L("reason", flushReasonCap)),
@@ -151,25 +117,8 @@ func newServiceMetrics() *serviceMetrics {
 			obs.HistogramOpts{Base: 1, Growth: 2, Buckets: 12}),
 		batchPending: reg.Gauge("slade_batch_pending_requests", "Requests currently parked in pending batches."),
 
-		execBinsIssued:  reg.Counter("slade_executor_bins_issued_total", "Bins handed to workers, including retries."),
-		execBinDuration: reg.Histogram("slade_executor_bin_duration_seconds", "Reported per-bin completion time.", obs.HistogramOpts{}),
-		execRetries:     reg.Counter("slade_executor_retries_total", "Bin re-issues after an overtime outcome."),
-		execTopUpRounds: reg.Counter("slade_executor_topup_rounds_total", "Adaptive top-up rounds executed."),
-		execJobSpend: reg.Histogram("slade_executor_job_spend", "Total spend per completed run job.",
-			obs.HistogramOpts{Base: 0.01, Growth: 2, Buckets: 30}),
-
-		sseSubscribers:     reg.Gauge("slade_sse_subscribers", "Open SSE job-event subscriptions."),
-		sseEventsPublished: reg.Counter("slade_sse_events_total", "Job events published to SSE feeds."),
-
-		storeOpDuration: make(map[string]*obs.Histogram, len(storeOps)),
-		storeOpErrors:   make(map[string]*obs.Counter, len(storeOps)),
-
 		admissionBootID:    time.Now().UnixNano(),
 		admissionRotatedNS: time.Now().UnixNano(),
-	}
-	for _, op := range storeOps {
-		m.storeOpDuration[op] = reg.Histogram("slade_store_op_duration_seconds", "Durable store operation latency.", obs.HistogramOpts{}, obs.L("op", op))
-		m.storeOpErrors[op] = reg.Counter("slade_store_errors_total", "Durable store operation failures (not-found excluded).", obs.L("op", op))
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		m.version = bi.Main.Version
@@ -265,25 +214,12 @@ func echoableRequestID(id string) bool {
 	return true
 }
 
-// registerReads exports state the service already holds and reads in
-// O(1) — uptime, the request count and the queue cache's counters — as
-// series read at scrape time, so /metrics keeps no second copy of them.
-// The job and stream managers register their own instruments.
+// registerReads exports uptime and the request count as series read at
+// scrape time, so /metrics keeps no second copy of them.
 func (s *Service) registerReads() {
 	reg := s.metrics.reg
-	counter := func(name, help string, read func() uint64, labels ...obs.Label) {
-		reg.Func(name, help, obs.TypeCounter, func() float64 { return float64(read()) }, labels...)
-	}
 	reg.Func("slade_uptime_seconds", "Service age.", obs.TypeGauge, func() float64 { return time.Since(s.started).Seconds() })
-	counter("slade_solve_requests_total", "Decompose requests (sync and job-driven).", s.metrics.solveLatency.Count)
-
-	cache := s.cache.Stats
-	reg.Func("slade_cache_entries", "Resident queues.", obs.TypeGauge, func() float64 { return float64(cache().Entries) })
-	counter("slade_cache_hits_total", "Gets a resident queue answered.", func() uint64 { return cache().Hits })
-	counter("slade_cache_misses_total", "Gets that built a queue or waited on another Get's build.", func() uint64 { c := cache(); return c.Misses + c.Coalesced })
-	counter("slade_cache_builds_total", "Queue builds.", func() uint64 { return cache().Builds })
-	counter("slade_cache_evictions_total", "Queues dropped by the LRU policy.", func() uint64 { return cache().Evictions })
-	counter("slade_cache_coalesced_total", "Gets that piggybacked on an in-flight build.", func() uint64 { return cache().Coalesced })
+	reg.Func("slade_solve_requests_total", "Decompose requests (sync and job-driven).", obs.TypeCounter, func() float64 { return float64(s.metrics.solveLatency.Count()) })
 }
 
 // instrument is the HTTP middleware every route passes through: request
@@ -388,7 +324,7 @@ func (s *Service) queueWaitP95() float64 {
 	if !m.admissionAtNS.CompareAndSwap(last, now) {
 		return math.Float64frombits(m.admissionP95.Load())
 	}
-	cur := m.shardObs.QueueWait.Snapshot()
+	cur := s.sharded.Obs.QueueWait.Snapshot()
 	m.admissionMu.Lock()
 	switch elapsed := now - m.admissionRotatedNS; {
 	case elapsed >= 2*int64(admissionWindow):
@@ -421,20 +357,6 @@ func retryAfterSeconds(p95 float64) string {
 		secs = 60
 	}
 	return fmt.Sprintf("%d", secs)
-}
-
-// storeObserver adapts the store wrapper's callbacks onto the metric
-// bundle. Not-found lookups are normal control flow, not store failures.
-func (s *Service) storeObserver(op string, d time.Duration, err error) {
-	m := s.metrics
-	h, ok := m.storeOpDuration[op]
-	if !ok {
-		return
-	}
-	h.ObserveDuration(d)
-	if err != nil && !errors.Is(err, store.ErrNotFound) {
-		m.storeOpErrors[op].Inc()
-	}
 }
 
 // EndpointStats is one endpoint's row in /v1/stats: request counts by

@@ -226,7 +226,7 @@ func TestAdmissionControlRecovers(t *testing.T) {
 
 	svc, ts := newMetricsServer(t, Config{CacheSize: 8, Workers: 2, MaxQueueWait: 100 * time.Millisecond})
 	for i := 0; i < 100; i++ {
-		svc.metrics.shardObs.QueueWait.Observe(2.0)
+		svc.sharded.Obs.QueueWait.Observe(2.0)
 	}
 	body := fmt.Sprintf(`{"bins":%s,"n":10,"threshold":0.9}`, table1JSON)
 	resp, raw := postJSON(t, ts.URL+"/v1/decompose", body)
@@ -297,7 +297,7 @@ func TestRequestIDs(t *testing.T) {
 func TestStatsQueueWaitSummary(t *testing.T) {
 	svc, ts := newMetricsServer(t, Config{CacheSize: 8, Workers: 2})
 	for i := 0; i < 10; i++ {
-		svc.metrics.shardObs.QueueWait.Observe(0.5)
+		svc.sharded.Obs.QueueWait.Observe(0.5)
 	}
 	var st Stats
 	getJSON(t, ts.URL+"/v1/stats", &st)

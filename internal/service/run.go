@@ -306,9 +306,9 @@ func (m *JobManager) runRun(ctx context.Context, j *job) (*core.Plan, *Execution
 	// The job id is the run id a remote platform derives idempotency
 	// keys from: stable across wire retries, unique across jobs.
 	opts.RunID = j.id
-	// One observer feeds both sinks: the metric bundle and the job's SSE
-	// event feed.
-	opts.Observer = &jobEventObserver{metrics: m.svc.metrics, feed: j.feed}
+	// One observer feeds both sinks: the manager's executor instruments
+	// and the job's SSE event feed.
+	opts.Observer = &jobEventObserver{jobs: m, feed: j.feed}
 	rep, err := executor.ExecuteContext(ctx, j.runner, rj.Instance, plan, truth, opts)
 	if err != nil {
 		return nil, nil, err

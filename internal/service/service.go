@@ -156,13 +156,13 @@ type Service struct {
 	// is configured.
 	platform *platform.Client
 	jobs     *JobManager
-	store    store.Store
 	slog     *slog.Logger
 	// batcher coalesces same-key default-solver traffic; nil when
 	// batching is disabled.
 	batcher *batcher
-	// metrics is the observability bundle every pipeline stage writes
-	// into; always non-nil (see metrics.go).
+	// metrics holds the /metrics registry every subsystem registers its
+	// instruments on, and the HTTP edge's own; always non-nil (see
+	// metrics.go).
 	metrics *serviceMetrics
 	// sseHeartbeat is the comment-frame interval of SSE job feeds.
 	sseHeartbeat time.Duration
@@ -214,15 +214,9 @@ func New(cfg Config) *Service {
 		s.sseHeartbeat = DefaultSSEHeartbeat
 	}
 	s.cache = NewOPQCache(cfg.CacheSize)
+	s.cache.register(s.metrics.reg)
 	s.menus = newMenuTable(cfg.CacheSize)
-	s.cache.buildDuration = s.metrics.cacheBuildDuration
-	s.store = cfg.Store
-	if cfg.Store != nil {
-		// Every store access — job spills and replay — flows through the
-		// instrumented wrapper.
-		s.store = store.Observed(cfg.Store, s.storeObserver)
-	}
-	s.sharded = &ShardedSolver{Cache: s.cache, Workers: workers, Obs: &s.metrics.shardObs}
+	s.sharded = &ShardedSolver{Cache: s.cache, Workers: workers, Obs: newShardPoolObs(s.metrics.reg)}
 	if cfg.BatchWindow > 0 {
 		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.BatchMaxRequests)
 	}
@@ -249,7 +243,7 @@ func New(cfg Config) *Service {
 	if pf == nil {
 		pf = s.defaultPlatform
 	}
-	s.jobs = newJobManager(s, maxJobs, s.store, cfg.ResultTTL, logger, pf)
+	s.jobs = newJobManager(s, maxJobs, cfg.Store, cfg.ResultTTL, logger, pf)
 	s.registerReads()
 
 	s.mustRegister(DefaultSolverName, s.sharded)
@@ -349,54 +343,16 @@ func (s *Service) solverNamesLocked() []string {
 	return names
 }
 
-// DecomposeWith solves the instance with the named solver, recording
-// request, error, task and latency counters. Solvers that implement
-// SolveContext (the sharded solver does) observe ctx; plain core.Solvers
-// run to completion. With batching enabled, default-solver homogeneous
-// requests are coalesced with concurrent same-key traffic (the reported
-// latency then includes the accumulation window). Safe for concurrent
-// use; the instance is only read.
-func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Instance) (*core.Plan, error) {
-	return s.decompose(ctx, name, in)
-}
-
-// DecomposeSummarized is DecomposeWith returning the plan's summary as
-// well — the shape the HTTP layer serves. Safe for concurrent use.
-func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core.Instance) (*core.Plan, PlanSummary, error) {
-	plan, err := s.decompose(ctx, name, in)
-	if err != nil {
-		return nil, PlanSummary{}, err
-	}
-	ps, err := summarizePlan(plan, in.Bins())
-	if err != nil {
-		return nil, PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
-	}
-	return plan, ps, nil
-}
-
-// ctxSolver is the optional context-aware extension of core.Solver.
-type ctxSolver interface {
-	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
-}
-
-// localRoute is the route a node serves its default solver by: through
-// the batcher when the request is eligible (batching on, homogeneous,
-// non-empty), otherwise straight to the cached solver. "sharded" and, on
-// a peer-configured service, "cluster" both resolve to it.
-type localRoute struct{ s *Service }
-
-func (r localRoute) SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error) {
-	if r.s.batcher != nil && in.N() > 0 && in.Homogeneous() {
-		return r.s.batcher.join(ctx, in)
-	}
-	return r.s.sharded.SolveContext(ctx, in)
-}
-
-// decompose routes one request — by the local route when the resolved
-// solver is the built-in sharded path, otherwise straight to the named
-// solver — and records the request counters and latency histogram shared
-// by both public entry points.
-func (s *Service) decompose(ctx context.Context, name string, in *core.Instance) (plan *core.Plan, err error) {
+// DecomposeWith solves the instance with the named solver — by the local
+// route when it resolves to the built-in sharded path, otherwise straight
+// to the named solver — recording request, error, task and latency
+// counters. Solvers that implement SolveContext (the sharded solver does)
+// observe ctx; plain core.Solvers run to completion. With batching
+// enabled, default-solver homogeneous requests are coalesced with
+// concurrent same-key traffic (the reported latency then includes the
+// accumulation window). Safe for concurrent use; the instance is only
+// read.
+func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Instance) (plan *core.Plan, err error) {
 	start := time.Now()
 	defer func() {
 		s.metrics.solveLatency.ObserveSince(start)
@@ -425,6 +381,38 @@ func (s *Service) decompose(ctx context.Context, name string, in *core.Instance)
 		return cs.SolveContext(ctx, in)
 	}
 	return sv.Solve(in)
+}
+
+// DecomposeSummarized is DecomposeWith returning the plan's summary as
+// well — the shape the HTTP layer serves. Safe for concurrent use.
+func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core.Instance) (*core.Plan, PlanSummary, error) {
+	plan, err := s.DecomposeWith(ctx, name, in)
+	if err != nil {
+		return nil, PlanSummary{}, err
+	}
+	ps, err := summarizePlan(plan, in.Bins())
+	if err != nil {
+		return nil, PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
+	}
+	return plan, ps, nil
+}
+
+// ctxSolver is the optional context-aware extension of core.Solver.
+type ctxSolver interface {
+	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
+}
+
+// localRoute is the route a node serves its default solver by: through
+// the batcher when the request is eligible (batching on, homogeneous,
+// non-empty), otherwise straight to the cached solver. "sharded" and, on
+// a peer-configured service, "cluster" both resolve to it.
+type localRoute struct{ s *Service }
+
+func (r localRoute) SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error) {
+	if r.s.batcher != nil && in.N() > 0 && in.Homogeneous() {
+		return r.s.batcher.join(ctx, in)
+	}
+	return r.s.sharded.SolveContext(ctx, in)
 }
 
 // Jobs returns the async job manager. Safe for concurrent use; the
@@ -558,12 +546,12 @@ func (s *Service) Stats() Stats {
 		Tasks:         s.metrics.solveTasks.Value(),
 		Latency:       s.metrics.solveLatency.Snapshot().Summary(),
 		Endpoints:     s.metrics.endpointStats(),
-		QueueWait:     s.metrics.shardObs.QueueWait.Snapshot().Summary(),
+		QueueWait:     s.sharded.Obs.QueueWait.Snapshot().Summary(),
 		Cache:         s.cache.Stats(),
 		Jobs:          s.jobs.Stats(),
 		Streams:       s.streams.stats(),
 		Persistence: PersistenceStats{
-			Enabled:          s.store != nil,
+			Enabled:          s.jobs.store != nil,
 			ResultTTLSeconds: s.jobs.ttl.Seconds(),
 		},
 		Solvers: s.SolverNames(),
@@ -668,9 +656,9 @@ func (s *Service) Health() Health {
 		Version:       s.metrics.version,
 		GoVersion:     s.metrics.goVersion,
 		Revision:      s.metrics.revision,
-		Persistence:   HealthPersistence{Enabled: s.store != nil, Writable: true},
+		Persistence:   HealthPersistence{Enabled: s.jobs.store != nil, Writable: true},
 	}
-	if c, ok := s.store.(store.Checker); ok {
+	if c, ok := s.jobs.store.(store.Checker); ok {
 		if err := c.CheckWritable(); err != nil {
 			h.Status = "degraded"
 			h.Persistence.Writable = false

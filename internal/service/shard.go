@@ -30,6 +30,15 @@ type ShardPoolObs struct {
 	ShardJobs *obs.Counter
 }
 
+// newShardPoolObs registers the slade_shard_* instruments on reg.
+func newShardPoolObs(reg *obs.Registry) *ShardPoolObs {
+	return &ShardPoolObs{
+		SolveDuration: reg.Histogram("slade_shard_solve_duration_seconds", "Solve latency of the sharded solver, slot held.", obs.HistogramOpts{}),
+		QueueWait:     reg.Histogram("slade_shard_queue_wait_seconds", "Time solves waited for one of the service-wide solve slots.", obs.HistogramOpts{}),
+		ShardJobs:     reg.Counter("slade_shard_jobs_total", "Solves executed by the sharded solver."),
+	}
+}
+
 // ShardedSolver is the service's cached solve path: one Algorithm-3 solve
 // per request over a queue pulled through the shared cache, with at most
 // Workers solves running at once across all callers. Homogeneous instances

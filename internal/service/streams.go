@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,6 +193,19 @@ type StreamManager struct {
 	mu       sync.Mutex
 	sessions map[string]*streamSession
 	nextID   int
+	// expiry queues every session with the lastNS it had when queued;
+	// sweep pops the expired head. Empty without a TTL. swept counts the
+	// entries sweep has examined. Both are guarded by mu.
+	expiry []queuedSession
+	swept  int
+}
+
+// queuedSession is one expiry-queue entry. It names the session by id,
+// so a deleted session's memory is freed at once, not when its entry
+// is popped.
+type queuedSession struct {
+	id string
+	at int64
 }
 
 func newStreamManager(svc *Service, ttl time.Duration) *StreamManager {
@@ -235,6 +247,9 @@ func (sm *StreamManager) open(bins core.BinSet, threshold float64) (StreamStatus
 	ss.id = fmt.Sprintf("stream-%d", sm.nextID)
 	st := ss.statusLocked() // no other goroutine can reach ss yet
 	sm.sessions[ss.id] = ss
+	if sm.ttl > 0 {
+		sm.expiry = append(sm.expiry, queuedSession{ss.id, ss.lastNS.Load()})
+	}
 	sm.mu.Unlock()
 	sm.opened.Inc()
 	return st, nil
@@ -284,19 +299,34 @@ func (sm *StreamManager) expiredLocked(ss *streamSession, now time.Time) bool {
 	return sm.ttl > 0 && now.UnixNano()-ss.lastNS.Load() >= int64(sm.ttl)
 }
 
-// sweep reaps expired sessions; the job janitor calls it on its tick.
+// sweep reaps expired sessions; the job janitor calls it on its tick. It
+// pops the expiry queue while the head's queued idle clock has expired,
+// so a tick costs O(expired), not O(resident). A popped session that is
+// gone (DELETE, a lazy expiry) is skipped; one touched since it was
+// queued, and not expired at its new clock, is queued again at that
+// clock. Such an entry can sit behind later ones, so a session may stay
+// resident up to about one more TTL past its expiry; do's lazy check
+// still makes every read exact.
 func (sm *StreamManager) sweep(now time.Time) {
-	if sm.ttl <= 0 {
-		return
-	}
 	sm.mu.Lock()
-	for id, ss := range sm.sessions {
-		if sm.expiredLocked(ss, now) {
-			delete(sm.sessions, id)
+	defer sm.mu.Unlock()
+	for len(sm.expiry) > 0 {
+		e := sm.expiry[0]
+		sm.swept++
+		if now.UnixNano()-e.at < int64(sm.ttl) {
+			return
+		}
+		sm.expiry = sm.expiry[1:]
+		ss, ok := sm.sessions[e.id]
+		switch {
+		case !ok: // deleted, or expired lazily by a read
+		case sm.expiredLocked(ss, now):
+			delete(sm.sessions, e.id)
 			sm.expired.Inc()
+		default:
+			sm.expiry = append(sm.expiry, queuedSession{e.id, ss.lastNS.Load()})
 		}
 	}
-	sm.mu.Unlock()
 }
 
 // StreamStats counts stream sessions for /v1/stats.
@@ -326,114 +356,6 @@ func (sm *StreamManager) stats() StreamStats {
 	}
 }
 
-// streamOpenRequest is the POST /v1/streams body.
-type streamOpenRequest struct {
-	Bins      []core.TaskBin `json:"bins"`
-	Threshold float64        `json:"threshold"`
-}
-
-// streamAppendRequest is the POST /v1/streams/{id}/tasks body.
-type streamAppendRequest struct {
-	Tasks []int `json:"tasks"`
-}
-
-// streamStatusResponse augments StreamStatus with the optional merged
-// plan, mirroring jobStatusResponse.
-type streamStatusResponse struct {
-	StreamStatus
-	Plan []core.BinUse `json:"plan,omitempty"`
-}
-
-func handleOpenStream(s *Service, w http.ResponseWriter, r *http.Request) {
-	req := streamOpenBody{Bins: internedBins{table: s.menus}}
-	if !decodeMenuBody(w, r, &req, &req.Bins, &req.streamOpenRequest, &req.streamOpenRequest.Bins) {
-		return
-	}
-	bins, err := req.Bins.set, req.Bins.err
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if bins.Len() == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: stream with empty menu"))
-		return
-	}
-	if !(req.Threshold >= 0 && req.Threshold < 1) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("service: stream threshold %v outside [0,1)", req.Threshold))
-		return
-	}
-	st, err := s.streams.open(bins, req.Threshold)
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, st)
-}
-
-func handleStreamAppend(s *Service, w http.ResponseWriter, r *http.Request) {
-	var req streamAppendRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	st, _, err := s.streams.do(r.PathValue("id"), func(ss *streamSession) error { return s.streams.appendLocked(ss, req.Tasks) })
-	if err != nil {
-		writeErr(w, streamErrStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func handleStreamFlush(s *Service, w http.ResponseWriter, r *http.Request) {
-	st, _, err := s.streams.do(r.PathValue("id"), s.streams.flushLocked)
-	if err != nil {
-		writeErr(w, streamErrStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func handleStreamStatus(s *Service, w http.ResponseWriter, r *http.Request) {
-	st, merged, err := s.streams.do(r.PathValue("id"), nil)
-	if err != nil {
-		writeErr(w, streamErrStatus(err), err)
-		return
-	}
-	resp := streamStatusResponse{StreamStatus: st}
-	if r.URL.Query().Get("include_plan") == "true" {
-		if st.State != StreamFlushed {
-			writeErr(w, http.StatusConflict, fmt.Errorf("service: stream %s not flushed; no merged plan yet", st.ID))
-			return
-		}
-		writePlanStreamed(w, http.StatusOK, resp, merged)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func handleStreamDelete(s *Service, w http.ResponseWriter, r *http.Request) {
-	if err := s.streams.remove(r.PathValue("id")); err != nil {
-		writeErr(w, streamErrStatus(err), err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // errDuplicateTask tags duplicate-id rejections so the HTTP layer can
 // map them to 400 without string matching.
 var errDuplicateTask = errors.New("service: duplicate task id")
-
-// streamErrStatus maps session errors: an unknown id to 404, a
-// flushed-conflict to 409, client mistakes (duplicate ids, a full
-// session) to 400, the rest — summarize invariant breaks, solver-side
-// failures — through statusFor.
-func streamErrStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrUnknownStream):
-		return http.StatusNotFound
-	case errors.Is(err, errStreamFlushed):
-		return http.StatusConflict
-	case errors.Is(err, errDuplicateTask), errors.Is(err, errStreamFull):
-		return http.StatusBadRequest
-	}
-	return statusFor(err)
-}

@@ -140,6 +140,25 @@ func TestImportLayering(t *testing.T) {
 	}
 }
 
+// TestManagerFilesImportNoHTTP pins internal/service's split between its
+// subsystems and the HTTP edge: the files of the job and stream managers,
+// their persistence, events and run jobs hold no handler or wire type, so
+// they import no net/http. The handlers live in api.go.
+func TestManagerFilesImportNoHTTP(t *testing.T) {
+	for _, name := range []string{"jobs.go", "persist.go", "streams.go", "events.go", "run.go"} {
+		path := filepath.Join("internal", "service", name)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if strings.HasPrefix(imp.Path.Value, `"net/http`) {
+				t.Errorf("%s imports %s: the HTTP edge belongs in api.go", path, imp.Path.Value)
+			}
+		}
+	}
+}
+
 // listedPackage is the part of `go list -json` these tests read.
 type listedPackage struct {
 	ImportPath, Dir, Export string

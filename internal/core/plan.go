@@ -91,8 +91,7 @@ func (p *Plan) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the wire form through PlanFromUses, so a stored or
 // received plan with a malformed use is rejected at decode. The receiver
-// takes the decoded runs and arena, and its materialization cache starts
-// afresh, so Materialized never serves the uses of a plan decoded over.
+// takes the decoded runs and arena.
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	var wire struct {
 		Uses []BinUse `json:"uses"`
@@ -104,7 +103,7 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*p = Plan{Arena: decoded.Arena, Base: decoded.Base, N: decoded.N, Runs: decoded.Runs}
+	*p = *decoded
 	return nil
 }
 

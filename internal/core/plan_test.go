@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -233,26 +232,6 @@ func TestMergePlans(t *testing.T) {
 	}
 	if empty := MergePlans(); empty == nil || empty.NumUses() != 0 {
 		t.Fatal("MergePlans() must return an empty plan")
-	}
-}
-
-// TestUnmarshalResetsMaterialization: decoding into a plan whose []BinUse
-// view is already cached replaces the view with the decoded plan's uses.
-func TestUnmarshalResetsMaterialization(t *testing.T) {
-	p := planOf(BinUse{Cardinality: 2, Tasks: []int{0, 1}})
-	if got := p.Materialized(); len(got) != 1 {
-		t.Fatalf("materialized %d uses, want 1", len(got))
-	}
-	want := []BinUse{{Cardinality: 1, Tasks: []int{7}}, {Cardinality: 3, Tasks: []int{4, 5}}}
-	data, err := json.Marshal(planOf(want...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Materialized(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after decoding over a materialized plan: %+v, want %+v", got, want)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // blocks of one combination, plus at most one padded block — so a plan is
 // stored as run metadata over a single task-id arena: cost, use counts and
 // summaries are computed arithmetically from the runs, iteration streams
-// uses without materializing them, and the []BinUse view is produced once,
-// lazily, only where a caller truly needs per-use task lists. When the ids
+// uses without materializing them, and the []BinUse view is produced only
+// where a caller truly needs per-use task lists. When the ids
 // are a contiguous range — every solve over tasks base..base+n-1 — the
 // arena itself is implicit (an identity arena: slot i holds id Base+i), so
 // such a plan is O(runs) memory at any n.
@@ -158,8 +158,7 @@ func (r *BlockRun) assignments() int {
 // nothing to build or to merge with an abutting one. Both expand to the
 // same bytes for the same ids.
 //
-// A Plan is read-only after construction, and must not be copied once in
-// use (it carries its materialization cache). Materialized is safe for
+// A Plan is read-only after construction, and every method is safe for
 // concurrent use. Arena ids must be distinct (the solvers' precondition,
 // enforced at the service boundary): the padded expansion derives
 // within-bin dedup from block positions, so a duplicate id in the
@@ -176,16 +175,6 @@ type Plan struct {
 	Base, N int
 	// Runs is the plan's run sequence, in emission order.
 	Runs []BlockRun
-
-	// mat caches the lazily materialized []BinUse view. Uses alias
-	// windows of Arena — or of mat.ids, the identity arena written out —
-	// with no copy; padded uses whose cycle wraps live in mat.pad.
-	mat struct {
-		once sync.Once
-		uses []BinUse
-		ids  []int
-		pad  []int
-	}
 }
 
 // NewRunPlan returns p unchanged: a Plan is its run form.
@@ -466,54 +455,48 @@ func (p *Plan) EachUse(fn func(cardinality int, tasks []int) error) error {
 	})
 }
 
-// Materialized returns the plan's []BinUse view, built on first call and
-// cached: one []BinUse for every use, task lists aliasing the arena (zero
-// copy; an identity arena is written out once, into the cache, to be
-// aliased) except those of wrapped padded uses, which share one backing
-// array. The result is read-only — it shares storage with the arena — and
-// safe for concurrent use. Returns nil for an empty plan, whose JSON is
-// "uses":null.
+// Materialized builds the plan's []BinUse view afresh on each call: one
+// []BinUse for every use, task lists aliasing the arena (zero copy; an
+// identity arena is written out, once per call, to be aliased) except
+// those of wrapped padded uses, which share one backing array. The result
+// is read-only — it shares storage with the arena. Returns nil for an
+// empty plan, whose JSON is "uses":null.
 func (p *Plan) Materialized() []BinUse {
-	p.mat.once.Do(func() {
-		padLen := 0 // an upper bound: pad must not move once aliased
-		for i := range p.Runs {
-			r := &p.Runs[i]
-			if err := r.check(p.NumTasks()); err != nil {
-				// No error return here; a malformed hand-built plan is a
-				// programmer error — fail loudly instead of dividing by
-				// zero deep in the expansion. Validate / EachUse are the
-				// error-returning rejection paths.
-				panic(err)
-			}
-			if r.Padded() {
-				padLen += r.assignments()
-			}
+	padLen := 0 // an upper bound: pad must not move once aliased
+	for i := range p.Runs {
+		r := &p.Runs[i]
+		if err := r.check(p.NumTasks()); err != nil {
+			// No error return here; a malformed hand-built plan is a
+			// programmer error — fail loudly instead of dividing by
+			// zero deep in the expansion. Validate / EachUse are the
+			// error-returning rejection paths.
+			panic(err)
 		}
-		total := p.NumUses()
-		if total == 0 {
-			return
+		if r.Padded() {
+			padLen += r.assignments()
 		}
-		arena := p.Arena
-		if arena == nil {
-			p.mat.ids = p.appendSlots(make([]int, 0, p.N), 0, p.N)
-			arena = p.mat.ids
+	}
+	total := p.NumUses()
+	if total == 0 {
+		return nil
+	}
+	arena := p.Arena
+	if arena == nil {
+		arena = p.appendSlots(make([]int, 0, p.N), 0, p.N)
+	}
+	uses := make([]BinUse, 0, total)
+	pad := make([]int, 0, padLen)
+	_ = p.eachSpan(func(s useSpan) error { // every run passed check above
+		tasks := arena[s.off : s.off+s.n : s.off+s.n]
+		if s.wrapped > 0 {
+			from := len(pad)
+			pad = append(append(pad, tasks...), arena[s.wrapOff:s.wrapOff+s.wrapped]...)
+			tasks = pad[from:len(pad):len(pad)]
 		}
-		uses := make([]BinUse, 0, total)
-		pad := make([]int, 0, padLen)
-		_ = p.eachSpan(func(s useSpan) error { // every run passed check above
-			tasks := arena[s.off : s.off+s.n : s.off+s.n]
-			if s.wrapped > 0 {
-				from := len(pad)
-				pad = append(append(pad, tasks...), arena[s.wrapOff:s.wrapOff+s.wrapped]...)
-				tasks = pad[from:len(pad):len(pad)]
-			}
-			uses = append(uses, BinUse{Cardinality: s.card, Tasks: tasks})
-			return nil
-		})
-		p.mat.uses = uses
-		p.mat.pad = pad
+		uses = append(uses, BinUse{Cardinality: s.card, Tasks: tasks})
+		return nil
 	})
-	return p.mat.uses
+	return uses
 }
 
 // MergePlans combines plans (nil and empty entries skipped) into one new

@@ -330,8 +330,8 @@ func TestMaterializeConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < len(views); i++ {
-		if &views[i][0] != &views[0][0] {
-			t.Fatal("concurrent Materialized calls produced distinct expansions")
+		if !reflect.DeepEqual(views[i], views[0]) {
+			t.Fatalf("concurrent Materialized calls disagree: %+v and %+v", views[i], views[0])
 		}
 	}
 }

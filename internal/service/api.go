@@ -146,15 +146,6 @@ type instanceRequest struct {
 	instanceShape
 }
 
-// instance builds the core.Instance over the decoded menu, or reports
-// what validating the menu gave.
-func (b *internedBins) instance(sh *instanceShape) (*core.Instance, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	return sh.build(b.set, MaxTasks)
-}
-
 // decomposeRequest is the POST /v1/decompose body.
 type decomposeRequest struct {
 	instanceRequest
@@ -177,11 +168,12 @@ type decomposeResponse struct {
 }
 
 func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
-	req := decomposeBody{Bins: internedBins{table: s.menus}}
-	if !decodeMenuBody(w, r, &req, &req.Bins, &req.decomposeRequest, &req.decomposeRequest.Bins) {
+	var req decomposeRequest
+	menu, ok := decodeMenuBody(w, r, s.menus, &req, &req.Bins)
+	if !ok {
 		return
 	}
-	in, err := req.Bins.instance(&req.instanceShape)
+	in, err := menu.instance(&req.instanceShape)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -264,15 +256,16 @@ type batchDecomposeResponse struct {
 }
 
 func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
-	req := batchBody{Bins: internedBins{table: s.menus}}
-	if !decodeMenuBody(w, r, &req, &req.Bins, &req.batchDecomposeRequest, &req.batchDecomposeRequest.Bins) {
+	var req batchDecomposeRequest
+	menu, ok := decodeMenuBody(w, r, s.menus, &req, &req.Bins)
+	if !ok {
 		return
 	}
 	if len(req.Instances) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch needs at least one instance"))
 		return
 	}
-	bins, err := req.Bins.set, req.Bins.err
+	bins, err := menu.set, menu.err
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -402,8 +395,9 @@ func (rr *runRequest) runJob(in *core.Instance) *RunJob {
 }
 
 func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
-	req := jobBody{Bins: internedBins{table: s.menus}}
-	if !decodeMenuBody(w, r, &req, &req.Bins, &req.jobRequest, &req.jobRequest.Bins) {
+	var req jobRequest
+	menu, ok := decodeMenuBody(w, r, s.menus, &req, &req.Bins)
+	if !ok {
 		return
 	}
 	kind := req.Kind
@@ -417,7 +411,7 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	jr := JobRequest{Solver: req.Solver}
 	switch kind {
 	case KindRun:
-		in, err := req.Bins.instance(&req.instanceShape)
+		in, err := menu.instance(&req.instanceShape)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -428,7 +422,7 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		}
 		jr.Run = rr.runJob(in)
 	case "", KindSolve:
-		in, err := req.Bins.instance(&req.instanceShape)
+		in, err := menu.instance(&req.instanceShape)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -622,11 +616,12 @@ type streamStatusResponse struct {
 }
 
 func handleOpenStream(s *Service, w http.ResponseWriter, r *http.Request) {
-	req := streamOpenBody{Bins: internedBins{table: s.menus}}
-	if !decodeMenuBody(w, r, &req, &req.Bins, &req.streamOpenRequest, &req.streamOpenRequest.Bins) {
+	var req streamOpenRequest
+	menu, ok := decodeMenuBody(w, r, s.menus, &req, &req.Bins)
+	if !ok {
 		return
 	}
-	bins, err := req.Bins.set, req.Bins.err
+	bins, err := menu.set, menu.err
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

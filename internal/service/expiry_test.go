@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -138,5 +140,32 @@ func TestSweepRequeuesTouchedSession(t *testing.T) {
 	sm.sweep(time.Unix(0, ss.lastNS.Load()).Add(time.Hour))
 	if st := sm.stats(); st.Active != 0 || st.Expired != 1 {
 		t.Fatalf("after the new clock expired: %+v; want the touched session reaped, the deleted one not counted", st)
+	}
+}
+
+// TestDeleteExpiredSession: a DELETE of a session that has idled past the
+// TTL but that no sweep has reaped yet answers 404, as a read of it does,
+// and counts the session expired once, the sweep that pops its entry
+// after included.
+func TestDeleteExpiredSession(t *testing.T) {
+	svc := newExpiryService(t)
+	sm := svc.streams
+	st, err := sm.open(binset.Table1(), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.sessions[st.ID].lastNS.Add(-int64(2 * time.Hour))
+
+	rec := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/streams/"+st.ID, nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("DELETE of an expired session: %d %s; want 404", rec.Code, rec.Body)
+	}
+	sm.sweep(time.Now())
+	if got := sm.stats(); got.Active != 0 || got.Expired != 1 {
+		t.Fatalf("after the DELETE and a sweep: %+v; want no session resident and one expired", got)
+	}
+	if got := parseSamples(t, string(svc.Metrics()))["slade_stream_sessions_expired_total"]; got != 1 {
+		t.Fatalf("slade_stream_sessions_expired_total reads %v; want 1", got)
 	}
 }

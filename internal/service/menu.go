@@ -8,15 +8,16 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
 
 // A requester brings one menu of bins and asks for decompositions at many
 // (n, t), so a warm request resends bytes the service has already decoded
-// and validated. The four routes that carry bins decode the field through
-// internedBins, which finds those bytes in the service's menuTable; only
-// a miss decodes and validates them. docs/ARCHITECTURE.md § Menu table.
+// and validated. The four routes that carry bins read their bodies with a
+// bodyReader, which finds those bytes in the service's menuTable; only a
+// miss decodes and validates them. docs/ARCHITECTURE.md § Menu table.
 
 // maxMenuBytes bounds the wire bytes of a menu the table keeps: a larger
 // menu is decoded and validated on every request, so hostile menus cannot
@@ -45,6 +46,9 @@ type menuTable struct {
 	mu   sync.Mutex
 	max  int
 	sets map[string]core.BinSet
+	// plain counts the bodies decodeMenuBody decoded plainly: too long
+	// for the buffer, or refused by the reader.
+	plain atomic.Int64
 }
 
 // newMenuTable returns an empty table of the given capacity
@@ -84,89 +88,49 @@ func (t *menuTable) insert(raw []byte, bins core.BinSet) {
 	t.sets[string(raw)] = bins
 }
 
-// errRepeatedBins fails the interning decode of a body that names its bins
-// twice: a plain decode fills the second array into the first's elements,
-// so a field the second omits keeps the first's value, and only the plain
-// decode itself reproduces that.
-var errRepeatedBins = errors.New("service: bins given twice")
-
-// internedBins is a request's bins field decoded through a menuTable. After
-// decodeMenuBody, set is the validated menu, or err is what validating it
-// gave, which the handler reports at the point it checks the menu. The
-// first decode clears table, so a nil table marks bins already decoded.
-type internedBins struct {
-	table *menuTable
-	set   core.BinSet
-	err   error
+// decodedMenu is the menu a bins-carrying request named: the validated
+// set, or what validating it gave, which the handler reports at the point
+// it checks the menu.
+type decodedMenu struct {
+	set core.BinSet
+	err error
 }
 
-// UnmarshalJSON resolves raw through the table. A miss is decoded as the
-// plain wire types decode bins (unknown fields refused) and validated by
-// core.NewBinSet; only a menu that passes both is inserted. Any failure
-// fails the decode, and decodeMenuBody then decodes the body plainly.
-func (b *internedBins) UnmarshalJSON(raw []byte) error {
-	table := b.table
-	if table == nil {
-		return errRepeatedBins
+// instance builds the core.Instance over the decoded menu, or reports
+// what validating the menu gave.
+func (m decodedMenu) instance(sh *instanceShape) (*core.Instance, error) {
+	if m.err != nil {
+		return nil, m.err
 	}
-	b.table = nil
-	if set, ok := table.lookup(raw); ok {
-		b.set = set
-		return nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var bins []core.TaskBin
-	if err := dec.Decode(&bins); err != nil {
-		return err
-	}
-	set, err := core.NewBinSet(bins)
-	if err != nil {
-		return err
-	}
-	table.insert(raw, set)
-	b.set = set
-	return nil
+	return sh.build(m.set, MaxTasks)
 }
 
-// The interning twins of the wire types that carry bins. Each embeds its
-// wire type, whose own bins field its Bins shadows (a shallower field
-// wins), so a twin accepts exactly the wire type's keys.
-type (
-	decomposeBody struct {
-		Bins internedBins `json:"bins"`
-		decomposeRequest
-	}
-	batchBody struct {
-		Bins internedBins `json:"bins"`
-		batchDecomposeRequest
-	}
-	jobBody struct {
-		Bins internedBins `json:"bins"`
-		jobRequest
-	}
-	streamOpenBody struct {
-		Bins internedBins `json:"bins"`
-		streamOpenRequest
-	}
-)
+// menuRequest is a wire type that carries bins.
+type menuRequest interface {
+	decomposeRequest | batchDecomposeRequest | jobRequest | streamOpenRequest
+}
 
-// decodeMenuBody decodes r's body into body, a twin whose Bins field is m
-// and whose embedded wire type is *plain, with plain's own bins field at
-// wire. It accepts and rejects exactly what decodeBody(w, r, plain) does,
-// with the same 400 text. A body over maxInternedBody, or of unknown
-// length, is decoded by decodeBody. A smaller one is read into a buffer
-// from bodyBufs and decoded into body; if that fails — a menu that does
-// not decode or validate, bins given twice, any error elsewhere — the
-// buffer is decoded again into plain, so an error names the wire types,
-// and on success m holds core.NewBinSet over what plain decoded.
-func decodeMenuBody[P any](w http.ResponseWriter, r *http.Request, body any, m *internedBins, plain *P, wire *[]core.TaskBin) bool {
-	plainly := func(rd io.Reader) bool {
-		if !decodeFrom(w, rd, plain) {
-			return false
+// decodeMenuBody decodes r's body into req, whose own bins field is wire,
+// and returns the menu it named. It accepts and rejects exactly what
+// decodeBody(w, r, req) does, with the same 400 text. A body over
+// maxInternedBody, or of unknown length, is decoded by decodeBody. A
+// smaller one is read into a buffer from bodyBufs and read by a
+// bodyReader, which leaves wire nil; if the reader refuses it — anything
+// outside its subset, a menu that does not decode — the buffer is
+// decoded plainly, so an error names the wire types, and on success the
+// menu is core.NewBinSet over what the plain decode left in wire.
+func decodeMenuBody[P menuRequest](w http.ResponseWriter, r *http.Request, table *menuTable, req *P, wire *[]core.TaskBin) (decodedMenu, bool) {
+	plainly := func(rd io.Reader) (decodedMenu, bool) {
+		table.plain.Add(1)
+		// A fresh value, not req: the reader may have filled part of req,
+		// and req stays off the heap when only the reader writes it.
+		p := new(P)
+		if !decodeFrom(w, rd, p) {
+			return decodedMenu{}, false
 		}
-		m.set, m.err = core.NewBinSet(*wire)
-		return true
+		*req = *p
+		set, err := core.NewBinSet(*wire)
+		return decodedMenu{set, err}, true
 	}
 	if r.ContentLength < 0 || r.ContentLength > maxInternedBody {
 		return plainly(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
@@ -193,10 +157,10 @@ func decodeMenuBody[P any](w http.ResponseWriter, r *http.Request, body any, m *
 		// Its read failed: replay the error after the bytes before it.
 		return plainly(io.MultiReader(bytes.NewReader(buf[:n]), errReader{err}))
 	}
-	if decodeValue(bytes.NewReader(buf[:n]), body) == nil {
-		return true
+	d := bodyReader{b: buf[:n], table: table}
+	if d.request(req) {
+		return d.menu, true
 	}
-	*plain = *new(P)
 	return plainly(bytes.NewReader(buf[:n]))
 }
 

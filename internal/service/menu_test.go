@@ -15,6 +15,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"repro/internal/binset"
 	"repro/internal/core"
 )
 
@@ -29,12 +30,13 @@ type decoded struct {
 }
 
 // internedDecode runs decodeMenuBody and reads back what it left.
-func internedDecode[P any](w http.ResponseWriter, r *http.Request, body any, m *internedBins, plain *P, wire *[]core.TaskBin) decoded {
-	if !decodeMenuBody(w, r, body, m, plain, wire) {
+func internedDecode[P menuRequest](tbl *menuTable, w http.ResponseWriter, r *http.Request, req *P, wire *[]core.TaskBin) decoded {
+	menu, ok := decodeMenuBody(w, r, tbl, req, wire)
+	if !ok {
 		return decoded{}
 	}
 	*wire = nil
-	return decoded{ok: true, req: *plain, menu: m.set, menuErr: m.err}
+	return decoded{ok: true, req: *req, menu: menu.set, menuErr: menu.err}
 }
 
 // plainDecode is the decode step before the menu table: decodeBody into
@@ -56,8 +58,8 @@ var parityRoutes = []struct {
 }{
 	{"/v1/decompose",
 		func(tbl *menuTable, w http.ResponseWriter, r *http.Request) decoded {
-			b := decomposeBody{Bins: internedBins{table: tbl}}
-			return internedDecode(w, r, &b, &b.Bins, &b.decomposeRequest, &b.decomposeRequest.Bins)
+			var p decomposeRequest
+			return internedDecode(tbl, w, r, &p, &p.Bins)
 		},
 		func(w http.ResponseWriter, r *http.Request) decoded {
 			var p decomposeRequest
@@ -65,8 +67,8 @@ var parityRoutes = []struct {
 		}},
 	{"/v1/decompose/batch",
 		func(tbl *menuTable, w http.ResponseWriter, r *http.Request) decoded {
-			b := batchBody{Bins: internedBins{table: tbl}}
-			return internedDecode(w, r, &b, &b.Bins, &b.batchDecomposeRequest, &b.batchDecomposeRequest.Bins)
+			var p batchDecomposeRequest
+			return internedDecode(tbl, w, r, &p, &p.Bins)
 		},
 		func(w http.ResponseWriter, r *http.Request) decoded {
 			var p batchDecomposeRequest
@@ -74,8 +76,8 @@ var parityRoutes = []struct {
 		}},
 	{"/v1/jobs",
 		func(tbl *menuTable, w http.ResponseWriter, r *http.Request) decoded {
-			b := jobBody{Bins: internedBins{table: tbl}}
-			return internedDecode(w, r, &b, &b.Bins, &b.jobRequest, &b.jobRequest.Bins)
+			var p jobRequest
+			return internedDecode(tbl, w, r, &p, &p.Bins)
 		},
 		func(w http.ResponseWriter, r *http.Request) decoded {
 			var p jobRequest
@@ -83,8 +85,8 @@ var parityRoutes = []struct {
 		}},
 	{"/v1/streams",
 		func(tbl *menuTable, w http.ResponseWriter, r *http.Request) decoded {
-			b := streamOpenBody{Bins: internedBins{table: tbl}}
-			return internedDecode(w, r, &b, &b.Bins, &b.streamOpenRequest, &b.streamOpenRequest.Bins)
+			var p streamOpenRequest
+			return internedDecode(tbl, w, r, &p, &p.Bins)
 		},
 		func(w http.ResponseWriter, r *http.Request) decoded {
 			var p streamOpenRequest
@@ -92,7 +94,7 @@ var parityRoutes = []struct {
 		}},
 }
 
-// checkParity fails t unless the interning decode left what the plain
+// checkParity fails t unless the body reader's decode left what the plain
 // decode left: the same 400 status and text, or the same request with
 // the same menu bit for bit (or the same validation error).
 func checkParity(t *testing.T, label string, got, want decoded, gotRec, wantRec *httptest.ResponseRecorder) {
@@ -122,11 +124,11 @@ func checkParity(t *testing.T, label string, got, want decoded, gotRec, wantRec 
 	}
 }
 
-// FuzzDecodeParity holds the interning decode of every route that carries
-// bins to the plain decode it replaced, for any body, with the table cold
-// (the body's menu not resident) and warm (the same body again, its menu
-// now resident if it validated): the same request and menu on success,
-// the same status and 400 text on failure.
+// FuzzDecodeParity holds the body reader's decode of every route that
+// carries bins, through the menu table, to the plain decode, for any
+// body, with the table cold (the body's menu not resident) and warm (the
+// same body again, its menu now resident if it validated): the same
+// request and menu on success, the same status and 400 text on failure.
 func FuzzDecodeParity(f *testing.F) {
 	// The menus of FuzzInstanceJSON's corpus, on every route. They start
 	// resident, so a body whose menu shares most of its bytes with one of
@@ -153,14 +155,49 @@ func FuzzDecodeParity(f *testing.F) {
 	} {
 		f.Add(uint8(seed.route), []byte(seed.body))
 	}
-	// Bodies the interning decode hands to the plain one: bins given
-	// twice (the plain decode fills the second into the first's
-	// elements), a menu that fails core.NewBinSet, a type error ahead of
-	// a bad bin.
+	// Bodies the reader hands to the plain decode: bins given twice (the
+	// plain decode fills the second into the first's elements), a type
+	// error ahead of a bad bin, an unknown field in a bin; and a menu that
+	// fails core.NewBinSet, whose error both report.
 	f.Add(uint8(0), []byte(`{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1}],"bins":[{"cardinality":2}],"n":2,"threshold":0.5}`))
 	f.Add(uint8(2), []byte(fmt.Sprintf(`{"bins":%s,"n":5,"threshold":0.9}`, dupCardinalityJSON)))
 	f.Add(uint8(0), []byte(`{"n":"5","bins":[{"cardinality":1,"confidence":0.9,"cost":"0.1"}],"threshold":0.9}`))
 	f.Add(uint8(1), []byte(`{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1,"weight":2}],"instances":[{"n":5,"threshold":0.9}]}`))
+	// One body per class the reader refuses, each of which the plain
+	// decode accepts or rejects in its own way, and empty arrays, which
+	// must leave empty slices where an absent field leaves nil.
+	for _, seed := range []struct {
+		route int
+		rest  string // the fields after bins
+	}{
+		{0, `"n":2,"threshold":0.5,"solver":"op\u0071"`},
+		{0, `"n":2,"threshold":0.5,"solver":"opé"`},
+		{0, `"N":2,"threshold":0.5`},
+		{2, `"n":2,"threshold":0.5,"kind":"solve","Kind":"run"`},
+		{0, `"n":2,"n":3,"threshold":0.5`},
+		{2, `"kind":"run","n":2,"threshold":0.5,"run":{"seed":1,"seed":2}`},
+		{0, `"n":2,"threshold":null`},
+		{2, `"kind":"run","n":2,"threshold":0.5,"run":null`},
+		{0, `"n":1e3,"threshold":0.5`},
+		{0, `"n":1.0,"threshold":0.5`},
+		{0, `"n":-0,"threshold":0.5`},
+		{0, `"n":01,"threshold":0.5`},
+		{3, `"threshold":+0.5`},
+		{0, `"n":2,"threshold":1e400`},
+		{0, `"n":99999999999999999999,"threshold":0.5`},
+		{0, `"thresholds":[]`},
+		{1, `"instances":[]`},
+		{1, `"instances":[{"thresholds":[]},{}]`},
+		{2, `"kind":"run","n":2,"threshold":0.5,"run":{"truth":[]}`},
+		{2, `"kind":"run","n":2,"threshold":0.5,"run":{"truth":[true,false],"top_up":false,"seed":-7}`},
+	} {
+		f.Add(uint8(seed.route), []byte(fmt.Sprintf(`{"bins":%s,%s}`, table1JSON, seed.rest)))
+	}
+	f.Add(uint8(0), []byte(fmt.Sprintf(" \n{\"bins\":%s,\"n\":2,\"threshold\":0.5}\t\r\n", table1JSON)))
+	f.Add(uint8(0), []byte(fmt.Sprintf(`{"bins":%s,"n":2,"threshold":0.5}{}`, table1JSON)))
+	f.Add(uint8(3), []byte(fmt.Sprintf(`{"bins":%s,"threshold":0.5} x`, table1JSON)))
+	f.Add(uint8(0), []byte(`{"n":2,"threshold":0.5}`))
+	f.Add(uint8(3), []byte(`{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1,"note":"\u00e9"}],"threshold":0.5}`))
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		rt := parityRoutes[int(route)%len(parityRoutes)]
 		wantRec := httptest.NewRecorder()
@@ -179,6 +216,60 @@ func FuzzDecodeParity(f *testing.F) {
 			checkParity(t, fmt.Sprintf("POST %s %q, table %s", rt.path, body, pass), got, want, gotRec, wantRec)
 		}
 	})
+}
+
+// TestReaderTakesLedgerBodies: the bodies the ledger sends on each of the
+// four routes are read by the bodyReader, table cold and warm, so the
+// plain decode never runs for them; a reader that refused everything would
+// still pass FuzzDecodeParity. A body with an escaped string is the
+// control: the plain decode reads it.
+func TestReaderTakesLedgerBodies(t *testing.T) {
+	menu, err := json.Marshal(binset.MustJelly(20).Bins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch strings.Builder
+	fmt.Fprintf(&batch, `{"bins":%s,"instances":[`, menu)
+	for i := range 64 {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		fmt.Fprintf(&batch, `{"n":%d,"threshold":0.9}`, 1000+313*i)
+	}
+	batch.WriteString(`]}`)
+	for _, tc := range []struct {
+		route int
+		body  string
+	}{
+		{0, fmt.Sprintf(`{"bins":%s,"n":12345,"threshold":0.9}`, menu)},
+		{0, fmt.Sprintf(`{"bins":%s,"n":300000,"threshold":0.9,"include_plan":true}`, menu)},
+		{0, fmt.Sprintf(`{"bins":%s,"n":20000,"threshold":0.9943718592964824}`, menu)},
+		{1, batch.String()},
+		{2, fmt.Sprintf(`{"bins":%s,"n":20000,"threshold":0.9,"kind":"run","run":{"platform_kind":"remote","seed":734582367561}}`, menu)},
+		{3, fmt.Sprintf(`{"bins":%s,"threshold":0.9}`, menu)},
+	} {
+		rt := parityRoutes[tc.route]
+		wantRec := httptest.NewRecorder()
+		want := rt.plain(wantRec, httptest.NewRequest("POST", rt.path, strings.NewReader(tc.body)))
+		tbl := newMenuTable(8)
+		for _, pass := range []string{"cold", "warm"} {
+			gotRec := httptest.NewRecorder()
+			got := rt.interned(tbl, gotRec, httptest.NewRequest("POST", rt.path, strings.NewReader(tc.body)))
+			checkParity(t, fmt.Sprintf("POST %s %.80q, table %s", rt.path, tc.body, pass), got, want, gotRec, wantRec)
+			if !got.ok || got.menuErr != nil {
+				t.Fatalf("POST %s %.80q: ok=%v, menu error %v", rt.path, tc.body, got.ok, got.menuErr)
+			}
+		}
+		if n := tbl.plain.Load(); n != 0 {
+			t.Errorf("POST %s %.80q: decoded plainly %d times; want the reader to take it", rt.path, tc.body, n)
+		}
+	}
+	tbl := newMenuTable(8)
+	escaped := fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9,"solver":"op\u0071"}`, menu)
+	parityRoutes[0].interned(tbl, httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/decompose", strings.NewReader(escaped)))
+	if n := tbl.plain.Load(); n != 1 {
+		t.Errorf("a body with an escaped string decoded plainly %d times; want once", n)
+	}
 }
 
 // TestDecodeParityReadPaths holds the two reads decodeMenuBody streams

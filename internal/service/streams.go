@@ -260,14 +260,8 @@ func (sm *StreamManager) open(bins core.BinSet, threshold float64) (StreamStatus
 // merged plan (nil until flushed) from that same lock hold, as
 // JobManager.snapshot does for jobs.
 func (sm *StreamManager) do(id string, op func(*streamSession) error) (StreamStatus, *core.Plan, error) {
-	now := time.Now()
 	sm.mu.Lock()
-	ss, ok := sm.sessions[id]
-	if ok && sm.expiredLocked(ss, now) {
-		delete(sm.sessions, id)
-		sm.expired.Inc()
-		ok = false
-	}
+	ss, ok := sm.liveLocked(id, time.Now())
 	sm.mu.Unlock()
 	if !ok {
 		return StreamStatus{}, nil, fmt.Errorf("%w %q", ErrUnknownStream, id)
@@ -282,15 +276,29 @@ func (sm *StreamManager) do(id string, op func(*streamSession) error) (StreamSta
 	return ss.statusLocked(), ss.merged, nil
 }
 
-// remove deletes a session (DELETE /v1/streams/{id}).
+// remove deletes a session (DELETE /v1/streams/{id}). A session idled
+// past the TTL is expired, as do expires it, and is not found.
 func (sm *StreamManager) remove(id string) error {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if _, ok := sm.sessions[id]; !ok {
+	if _, ok := sm.liveLocked(id, time.Now()); !ok {
 		return fmt.Errorf("%w %q", ErrUnknownStream, id)
 	}
 	delete(sm.sessions, id)
 	return nil
+}
+
+// liveLocked returns the session id names, unless it is gone or has idled
+// past the TTL at now; such a session is deleted and counted expired.
+// Caller holds sm.mu.
+func (sm *StreamManager) liveLocked(id string, now time.Time) (*streamSession, bool) {
+	ss, ok := sm.sessions[id]
+	if ok && sm.expiredLocked(ss, now) {
+		delete(sm.sessions, id)
+		sm.expired.Inc()
+		return nil, false
+	}
+	return ss, ok
 }
 
 // expiredLocked reports whether the session has idled past the TTL.

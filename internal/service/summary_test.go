@@ -189,19 +189,32 @@ func TestLogRequestLine(t *testing.T) {
 // decomposeHandlerAllocBudget is the committed allocs/op budget of a warm
 // POST /v1/decompose through NewHandler (Jelly-20, t = 0.9, n = 10,000,
 // summary only, no batching), taken as the minimum over allocWindows
-// windows: 33 measured on every run, 37 or 38 under -race, whose sync.Pool
+// windows: 18 measured on every run, 22 or 23 under -race, whose sync.Pool
 // drops a random quarter of its Puts, so the count itself varies. It was 64
 // before the queue carried its run recipes — the per-solve recipes, the
 // summary's map, NewBinSet's reflect swapper, the boxed log attributes and
 // the fmt-formatted request id — 41 (47) before the menu table, which
-// drops the bins' reflect decode and NewBinSet's copy, and 34 (39) before
-// Plan.Cost kept its part costs on the stack. Each build's budget is its
-// measurement plus about 15 %.
+// drops the bins' reflect decode and NewBinSet's copy, 34 (39) before
+// Plan.Cost kept its part costs on the stack, and 33 (37 or 38) before the
+// body reader replaced the reflective decode of the rest of the body. Each
+// build's budget is its measurement plus about 15 %.
 func decomposeHandlerAllocBudget() float64 {
 	if raceBuild {
-		return 44
+		return 27
 	}
-	return 38
+	return 21
+}
+
+// decomposeHandlerBytesBudget is the committed B/op budget of the same
+// request: 1,504 B measured (up to 2,522 B under -race); 4,432 B (up to
+// 5,428 B) while a json.Decoder decoded the body, into its own buffer of
+// 512 B grown to 1,536 B, and a Plan carried its materialization cache.
+// Each build's budget is its measurement plus about 15 %.
+func decomposeHandlerBytesBudget() float64 {
+	if raceBuild {
+		return 2900
+	}
+	return 1728
 }
 
 // TestDecomposeHandlerAllocBudget is the clock-free gate on the warm route:
@@ -233,10 +246,13 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 		next++
 	}
 	serve() // build and cache the queue
-	allocs, _ := allocsAndBytesPerRun(runs, serve)
-	t.Logf("warm POST /v1/decompose: %.0f allocs/op", allocs)
+	allocs, perOp := allocsAndBytesPerRun(runs, serve)
+	t.Logf("warm POST /v1/decompose: %.0f allocs/op, %.0f B/op", allocs, perOp)
 	if budget := decomposeHandlerAllocBudget(); allocs > budget {
 		t.Errorf("warm POST /v1/decompose: %.0f allocs/op, over the committed budget of %.0f", allocs, budget)
+	}
+	if budget := decomposeHandlerBytesBudget(); perOp > budget {
+		t.Errorf("warm POST /v1/decompose: %.0f B/op, over the committed budget of %.0f", perOp, budget)
 	}
 
 	// The plan-bearing rows: the same menu at big-plan's n with the whole
@@ -268,15 +284,28 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 
 // batchHandlerAllocBudget is the committed allocs/op budget of a warm
 // 64-member POST /v1/decompose/batch through NewHandler (Jelly-20,
-// t = 0.9, n from 1,000 to 64,000, no batching): 420 measured (424–425
-// under -race), 485 (492) while Plan.Cost allocated its part costs once
-// per member. Each budget's headroom, 48, is under one allocation per
+// t = 0.9, n from 1,000 to 64,000, no batching): 404 measured (408–411
+// under -race), 420 (424–426) while a json.Decoder decoded the body and
+// 485 (492) while Plan.Cost allocated its part costs once per member. Each
+// budget is its measurement plus about 15 %, 60 allocations: under one per
 // member, so one scratch allocation more per member fails it.
 func batchHandlerAllocBudget() float64 {
 	if raceBuild {
-		return 473
+		return 472
 	}
-	return 468
+	return 464
+}
+
+// batchHandlerBytesBudget is the committed B/op budget of the same call:
+// 29,464 B measured (up to 43,982 B under -race); 42,520 B (up to
+// 53,571 B) while a json.Decoder decoded the body and each member's Plan
+// carried a materialization cache, 152 B in all instead of 64 B. Each
+// build's budget is its measurement plus about 15 %.
+func batchHandlerBytesBudget() float64 {
+	if raceBuild {
+		return 50600
+	}
+	return 33900
 }
 
 // TestDecomposeBatchHandlerAllocBudget is the clock-free gate on the warm
@@ -319,21 +348,26 @@ func TestDecomposeBatchHandlerAllocBudget(t *testing.T) {
 	if budget := batchHandlerAllocBudget(); allocs > budget {
 		t.Errorf("warm POST /v1/decompose/batch: %.0f allocs/op, over the committed budget of %.0f", allocs, budget)
 	}
+	if budget := batchHandlerBytesBudget(); perOp > budget {
+		t.Errorf("warm POST /v1/decompose/batch: %.0f B/op, over the committed budget of %.0f", perOp, budget)
+	}
 }
 
 // planHandlerBytesBudget is the committed bytes/op budget of a warm
 // include_plan POST /v1/decompose at n = 300,000 (2.6 MB of plan, the
-// ledger's big-plan body) as JSON and as NDJSON: 4,016 B and 4,000 B
-// measured (up to 4,907 B under -race), none of it the encoder's; 4,032 B
-// and 4,016 B while the interned bins kept a flag that put the decoded
-// body in the 160 B size class, 5,984 B (6,486 B) before the menu table. Commit a08cf0b, whose encoders made a 32 KiB
-// chunk per call, reads 38.8 KB on the same loop. Each build's budget is
-// its measurement plus about 15 %.
+// ledger's big-plan body) as JSON and as NDJSON: 1,088 B and 1,072 B
+// measured (up to 1,844 B under -race), none of it the encoder's; 4,016 B
+// and 4,000 B (up to 5,030 B) while a json.Decoder decoded the body and
+// the Plan carried a materialization cache, 4,032 B and 4,016 B while the
+// interned bins kept a flag that put the decoded body in the 160 B size
+// class, 5,984 B (6,486 B) before the menu table. Commit a08cf0b, whose
+// encoders made a 32 KiB chunk per call, reads 38.8 KB on the same loop.
+// Each build's budget is its measurement plus about 15 %.
 func planHandlerBytesBudget() float64 {
 	if raceBuild {
-		return 5632
+		return 2120
 	}
-	return 4608
+	return 1248
 }
 
 // discardResponse is a ResponseWriter that keeps the status and counts the

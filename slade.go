@@ -71,7 +71,7 @@ type (
 	// Plan is a decomposition plan: bin uses with task placements, held
 	// in compact block-run form — run metadata over one task-id arena
 	// (implicit when the ids are a contiguous range). Per-use views are
-	// produced lazily (Plan.Materialized, Plan.EachUse).
+	// produced on demand (Plan.Materialized, Plan.EachUse).
 	Plan = core.Plan
 	// Solver is the interface all SLADE algorithms implement.
 	Solver = core.Solver

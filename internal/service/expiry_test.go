@@ -31,10 +31,10 @@ func canceledJobs(m *JobManager, n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
 		m.mu.Lock()
-		m.nextID++
-		j := &job{id: fmt.Sprintf("job-%d", m.nextID), kind: KindSolve, state: JobPending, submitted: time.Now()}
+		m.jobs.last++
+		j := &job{id: fmt.Sprintf("job-%d", m.jobs.last), kind: KindSolve, state: JobPending, submitted: time.Now()}
 		j.feed = newJobFeed(j.id, m.sseEvents)
-		m.jobs[j.id] = j
+		m.jobs.byID[j.id] = j
 		m.counts.pending.Inc()
 		m.settleLocked(j, nil, nil, context.Canceled)
 		ids[i] = j.id
@@ -65,11 +65,11 @@ func TestSweepExaminesOnlyExpired(t *testing.T) {
 	now := time.Now()
 	m.sweep(now)
 	sm.sweep(now)
-	if m.swept != 1 || sm.swept != 1 {
-		t.Fatalf("one tick with nothing expired examined %d jobs and %d sessions; want the two queue heads", m.swept, sm.swept)
+	if m.jobs.swept != 1 || sm.sessions.swept != 1 {
+		t.Fatalf("one tick with nothing expired examined %d jobs and %d sessions; want the two queue heads", m.jobs.swept, sm.sessions.swept)
 	}
-	if len(m.jobs) != n || len(sm.sessions) != n {
-		t.Fatalf("a tick with nothing expired reaped: %d jobs and %d sessions left of %d", len(m.jobs), len(sm.sessions), n)
+	if len(m.jobs.byID) != n || len(sm.sessions.byID) != n {
+		t.Fatalf("a tick with nothing expired reaped: %d jobs and %d sessions left of %d", len(m.jobs.byID), len(sm.sessions.byID), n)
 	}
 
 	later := now.Add(2 * time.Hour)
@@ -78,8 +78,8 @@ func TestSweepExaminesOnlyExpired(t *testing.T) {
 	if js, ss := m.Stats(), sm.stats(); js.Expired != uint64(n) || ss.Expired != uint64(n) || ss.Active != 0 {
 		t.Fatalf("a tick past the TTL expired %d jobs and %d sessions (%d resident); want %d each", js.Expired, ss.Expired, ss.Active, n)
 	}
-	if m.swept != 1+n || sm.swept != 1+n {
-		t.Fatalf("a tick past the TTL examined %d jobs and %d sessions; want each entry once", m.swept-1, sm.swept-1)
+	if m.jobs.swept != 1+n || sm.sessions.swept != 1+n {
+		t.Fatalf("a tick past the TTL examined %d jobs and %d sessions; want each entry once", m.jobs.swept-1, sm.sessions.swept-1)
 	}
 }
 
@@ -91,18 +91,18 @@ func TestLazyExpiryCountsOnce(t *testing.T) {
 	m := svc.Jobs()
 	id := canceledJobs(m, 1)[0]
 	m.mu.Lock()
-	m.jobs[id].finished = m.jobs[id].finished.Add(-2 * time.Hour)
+	m.jobs.byID[id].finished = m.jobs.byID[id].finished.Add(-2 * time.Hour)
 	m.mu.Unlock()
 
 	if _, err := m.Status(id); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("read of an expired job: %v, want ErrUnknownJob", err)
 	}
-	m.sweep(time.Now())
+	m.sweep(time.Now().Add(2 * time.Hour))
 	if got := m.Stats().Expired; got != 1 {
 		t.Fatalf("expired %d after a lazy expiry and a sweep; want 1", got)
 	}
-	if len(m.expiry) != 0 || m.swept != 1 {
-		t.Fatalf("the sweep left %d queued and examined %d; want the one entry popped", len(m.expiry), m.swept)
+	if len(m.jobs.fifo) != 0 || m.jobs.swept != 1 {
+		t.Fatalf("the sweep left %d queued and examined %d; want the one entry popped", len(m.jobs.fifo), m.jobs.swept)
 	}
 	if got := parseSamples(t, string(svc.Metrics()))["slade_jobs_expired_total"]; got != 1 {
 		t.Fatalf("slade_jobs_expired_total reads %v; want 1", got)
@@ -126,7 +126,7 @@ func TestSweepRequeuesTouchedSession(t *testing.T) {
 	if err := sm.remove(deleted.ID); err != nil {
 		t.Fatal(err)
 	}
-	ss := sm.sessions[touched.ID]
+	ss := sm.sessions.byID[touched.ID]
 	queued := ss.lastNS.Load()
 	ss.lastNS.Store(queued + int64(30*time.Minute))
 
@@ -134,8 +134,8 @@ func TestSweepRequeuesTouchedSession(t *testing.T) {
 	if st := sm.stats(); st.Active != 1 || st.Expired != 0 {
 		t.Fatalf("after the queued clock expired: %+v; want the touched session resident", st)
 	}
-	if want := []queuedSession{{touched.ID, ss.lastNS.Load()}}; !slices.Equal(sm.expiry, want) {
-		t.Fatalf("expiry queue %v; want %v, the touched session at its new clock", sm.expiry, want)
+	if want := []expiryEntry{{touched.ID, ss.lastNS.Load()}}; !slices.Equal(sm.sessions.fifo, want) {
+		t.Fatalf("expiry queue %v; want %v, the touched session at its new clock", sm.sessions.fifo, want)
 	}
 	sm.sweep(time.Unix(0, ss.lastNS.Load()).Add(time.Hour))
 	if st := sm.stats(); st.Active != 0 || st.Expired != 1 {
@@ -154,7 +154,7 @@ func TestDeleteExpiredSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm.sessions[st.ID].lastNS.Add(-int64(2 * time.Hour))
+	sm.sessions.byID[st.ID].lastNS.Add(-int64(2 * time.Hour))
 
 	rec := httptest.NewRecorder()
 	NewHandler(svc).ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/streams/"+st.ID, nil))

@@ -116,20 +116,20 @@ type job struct {
 type JobManager struct {
 	svc *Service
 
-	// store receives terminal job records, through the manager's
-	// slade_store_* wrapper (persist.go); nil disables persistence.
-	store store.Store
-	// ttl evicts terminal jobs (memory and store) this long after they
-	// finish; zero keeps them for the manager's lifetime.
-	ttl    time.Duration
+	// store receives terminal job records, each access timed on the
+	// slade_store_* series (persist.go); nil disables persistence.
+	store  store.Store
 	logger *slog.Logger
 	// platform builds run-job runners; never nil (defaults to the
 	// crowdsim-backed factory).
 	platform PlatformFactory
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	nextID int
+	mu sync.Mutex
+	// jobs is the job table. A job's expiry clock is its finish time, so
+	// under a fixed TTL its queue is in expiry order: settle queues each
+	// terminal job, replay the recovered ones sorted. The result TTL
+	// evicts a job from memory and store this long after it finishes.
+	jobs residents[*job]
 	// slots bounds concurrently running jobs; acquired before a job flips
 	// to Running so a flood of submissions queues instead of oversubscribing
 	// the solver pool.
@@ -139,8 +139,8 @@ type JobManager struct {
 	// registers for each series /metrics serves, a plain counter for the
 	// rest. Writers move them under mu; Stats reads them without it.
 	counts struct {
-		done, failed, canceled        *obs.Counter
-		persisted, recovered, expired *obs.Counter
+		done, failed, canceled *obs.Counter
+		persisted, recovered   *obs.Counter
 		// interrupted counts run jobs replayed from a non-terminal record
 		// at construction — they failed mid-run when the process stopped.
 		interrupted *obs.Counter
@@ -168,33 +168,19 @@ type JobManager struct {
 	storeDuration map[string]*obs.Histogram
 	storeErrors   map[string]*obs.Counter
 
-	// expiry lists terminal jobs in finish order, which under a fixed TTL
-	// is expiry order: settle appends, replay pushes the recovered jobs
-	// sorted, sweep pops the expired head. Empty without a TTL. swept
-	// counts the entries sweep has examined. Both are guarded by mu.
-	expiry []*job
-	swept  int
-
-	// persistWG tracks in-flight spills to the store so close can wait
-	// for every settled job to be durable before returning.
+	// persistWG tracks in-flight spills to the store so Service.Close
+	// can wait for every settled job to be durable before returning.
 	persistWG sync.WaitGroup
-
-	// janitorStop ends the TTL sweeper; nil when no janitor runs.
-	janitorStop chan struct{}
-	janitorDone chan struct{}
-	closeOnce   sync.Once
 }
 
-// newJobManager wires a manager to its owning service, replays any jobs
-// the store holds from previous processes, and starts the TTL janitor
-// when a positive ttl is configured.
+// newJobManager wires a manager to its owning service and replays any
+// jobs the store holds from previous processes.
 func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Duration, logger *slog.Logger, platform PlatformFactory) *JobManager {
 	m := &JobManager{
 		svc:      svc,
-		ttl:      ttl,
+		store:    st,
 		logger:   logger,
 		platform: platform,
-		jobs:     make(map[string]*job),
 		slots:    make(chan struct{}, maxConcurrent),
 	}
 	reg := svc.metrics.reg
@@ -205,7 +191,8 @@ func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Dur
 	c.done, c.failed, c.canceled = outcome("done"), outcome("failed"), outcome("canceled")
 	c.persisted = reg.Counter("slade_jobs_persisted_total", "Terminal jobs spilled to the durable store.")
 	c.recovered = reg.Counter("slade_jobs_recovered_total", "Jobs replayed from the store at boot.")
-	c.expired = reg.Counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL.")
+	m.jobs = newResidents("job", ttl, reg.Counter("slade_jobs_expired_total", "Terminal jobs reaped by the result TTL."),
+		func(j *job) (int64, bool) { return j.finished.UnixNano(), j.state.Terminal() })
 	c.interrupted = reg.Counter("slade_jobs_interrupted_total", "Run jobs found mid-run at boot and failed as interrupted.")
 	c.running = reg.Gauge("slade_jobs_running", "Jobs currently running.")
 	c.pending = reg.Gauge("slade_jobs_pending", "Jobs queued for a slot.")
@@ -217,90 +204,22 @@ func newJobManager(svc *Service, maxConcurrent int, st store.Store, ttl time.Dur
 	m.execTopUps = reg.Counter("slade_executor_topup_rounds_total", "Adaptive top-up rounds executed.")
 	m.sseEvents = reg.Counter("slade_sse_events_total", "Job events published to SSE feeds.")
 	m.sseSubscribers = reg.Gauge("slade_sse_subscribers", "Open SSE job-event subscriptions.")
-	m.store = m.registerStore(reg, st)
+	m.registerStore(reg)
 	m.replay()
-	if ttl > 0 {
-		m.janitorStop = make(chan struct{})
-		m.janitorDone = make(chan struct{})
-		go m.janitor()
-	}
 	return m
 }
 
-// janitor periodically reaps expired terminal jobs until close.
-func (m *JobManager) janitor() {
-	defer close(m.janitorDone)
-	interval := m.ttl / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.janitorStop:
-			return
-		case now := <-t.C:
-			m.sweep(now)
-			// Stream sessions share the result TTL and ride the same
-			// janitor instead of running a second timer.
-			m.svc.streams.sweep(now)
-		}
-	}
-}
-
-// expiredLocked reports whether the job's result has outlived the TTL.
-// Caller holds m.mu.
-func (m *JobManager) expiredLocked(j *job, now time.Time) bool {
-	return m.ttl > 0 && j.state.Terminal() && !j.finished.IsZero() && now.Sub(j.finished) >= m.ttl
-}
-
-// sweep drops the expired terminal jobs from memory and the store. It
-// pops the expiry queue while its head has expired, so a tick costs
-// O(expired), not O(resident); an entry whose job already left the table
-// (expired lazily by a read) is skipped, so no expiry counts twice, and a
-// job expiredLocked keeps (a record without a finish time) leaves the
-// queue but stays resident, as the lazy check leaves it. Records with no in-memory twin need no scan here: replay reaps the
-// pre-boot expirations and persist cleans up after eviction races, so
-// after construction every live record has an in-memory twin.
+// sweep drops the expired terminal jobs from memory and the store. Records
+// with no in-memory twin need no scan here: replay reaps the pre-boot
+// expirations and persist cleans up after eviction races, so after
+// construction every live record has an in-memory twin.
 func (m *JobManager) sweep(now time.Time) {
 	m.mu.Lock()
-	var expired []string
-	for len(m.expiry) > 0 {
-		j := m.expiry[0]
-		m.swept++
-		if now.Sub(j.finished) < m.ttl {
-			break
-		}
-		m.expiry[0] = nil
-		m.expiry = m.expiry[1:]
-		if m.jobs[j.id] == j && m.expiredLocked(j, now) {
-			delete(m.jobs, j.id)
-			expired = append(expired, j.id)
-			m.counts.expired.Inc()
-		}
-	}
+	expired := m.jobs.sweep(now)
 	m.mu.Unlock()
 	for _, id := range expired {
 		m.deleteStored(id)
 	}
-}
-
-// close waits for in-flight spills to reach the store and stops the TTL
-// janitor; terminal job records stay in the store. Jobs still solving are
-// not waited for — their spill happens in a process that may outlive the
-// manager's owner, which is harmless (the store is append-consistent).
-func (m *JobManager) close() {
-	m.closeOnce.Do(func() {
-		m.persistWG.Wait()
-		if m.janitorStop != nil {
-			close(m.janitorStop)
-			<-m.janitorDone
-		}
-	})
 }
 
 // Submit registers the request and starts it asynchronously, returning the
@@ -342,9 +261,8 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
-	m.nextID++
 	j := &job{
-		id:        fmt.Sprintf("job-%d", m.nextID),
+		id:        m.jobs.mint(),
 		kind:      kind,
 		req:       req,
 		state:     JobPending,
@@ -354,7 +272,7 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 		submitted: time.Now(),
 	}
 	j.feed = newJobFeed(j.id, m.sseEvents)
-	m.jobs[j.id] = j
+	m.jobs.put(j.id, j)
 	m.counts.submitted.Inc()
 	m.counts.pending.Inc()
 	st := j.statusLocked()
@@ -402,7 +320,7 @@ func (m *JobManager) run(ctx context.Context, j *job) {
 	// meaning "terminal jobs spilled"; the terminal record overwrites the
 	// marker at settle.
 	if writeMarker {
-		if err := m.store.PutJob(marker); err != nil {
+		if err := m.putJob(marker); err != nil {
 			m.logger.Warn("persisting running marker failed", "id", j.id, "err", err)
 		}
 	}
@@ -482,9 +400,7 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 	if j.cancel != nil {
 		j.cancel() // release the context's resources in every terminal path
 	}
-	if m.ttl > 0 {
-		m.expiry = append(m.expiry, j)
-	}
+	m.jobs.enqueue(j.id, j)
 	var rec store.JobRecord
 	persist := m.store != nil
 	if persist {
@@ -508,41 +424,27 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 	return st
 }
 
-// expire applies lazy TTL expiry to id: a terminal job past its TTL is
-// dropped from memory (and, outside the lock, from the store) so TTL
-// precision does not depend on janitor timing. It reports whether the id
-// was expired by this call.
-func (m *JobManager) expire(id string) bool {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok || !m.expiredLocked(j, time.Now()) {
-		m.mu.Unlock()
-		return false
-	}
-	delete(m.jobs, id)
-	m.counts.expired.Inc()
-	m.mu.Unlock()
-	m.deleteStored(id)
-	return true
-}
-
 // Status returns a snapshot of the job. Safe for concurrent use.
 func (m *JobManager) Status(id string) (JobStatus, error) {
 	st, _, _, err := m.snapshot(id)
 	return st, err
 }
 
-// snapshot applies lazy TTL expiry to id, then reads the job's status,
-// plan (nil unless done) and event feed in one lock hold, so a handler
-// never sees the job expire between two reads. A job replayed from the
-// store gets its feed here, on first read: it starts at seq 1 with the
-// terminal frame rebuilt from the record.
+// snapshot resolves id, applying lazy TTL expiry, and reads the job's
+// status, plan (nil unless done) and event feed in that one lock hold, so
+// a handler never sees the job expire between two reads and TTL precision
+// does not depend on janitor timing. A job it expires leaves the store
+// outside the lock. A job replayed from the store gets its feed here, on
+// first read: it starts at seq 1 with the terminal frame rebuilt from the
+// record.
 func (m *JobManager) snapshot(id string) (JobStatus, *core.Plan, *jobFeed, error) {
-	m.expire(id)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok, reaped := m.jobs.lookup(id, time.Now())
 	if !ok {
+		m.mu.Unlock()
+		if reaped {
+			m.deleteStored(id)
+		}
 		return JobStatus{}, nil, nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	st := j.statusLocked()
@@ -550,7 +452,9 @@ func (m *JobManager) snapshot(id string) (JobStatus, *core.Plan, *jobFeed, error
 		j.feed = newJobFeed(id, m.sseEvents)
 		j.feed.publish(terminalEvent(st))
 	}
-	return st, j.plan, j.feed, nil
+	plan, feed := j.plan, j.feed
+	m.mu.Unlock()
+	return st, plan, feed, nil
 }
 
 // statusLocked snapshots the job; the caller holds the manager's mu.
@@ -582,7 +486,7 @@ func (j *job) statusLocked() JobStatus {
 // Safe for concurrent use, including concurrent Cancels of the same job.
 func (m *JobManager) Cancel(id string) (JobStatus, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	j, ok := m.jobs.byID[id]
 	if !ok {
 		m.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
@@ -644,7 +548,7 @@ func (m *JobManager) Stats() JobStats {
 		Canceled:        c.canceled.Value(),
 		Persisted:       c.persisted.Value(),
 		Recovered:       c.recovered.Value(),
-		Expired:         c.expired.Value(),
+		Expired:         m.jobs.expired.Value(),
 		RunsInterrupted: c.interrupted.Value(),
 		Runs:            c.spend.Count(),
 		RunBinsIssued:   c.runBins.Value(),

@@ -34,7 +34,8 @@ const maxInternedBody = 16 << 10
 // encode chunks: at most cap(bodyBufs) idle buffers (128 KiB) stay
 // resident, enough for eight decodes at once without a fresh buffer.
 // Taking one never blocks, and one given back to a full list is left to
-// the garbage collector.
+// the garbage collector. A buffer is a byte longer than maxInternedBody,
+// so a body that fills it is longer than any it takes.
 var bodyBufs = make(chan []byte, 8)
 
 // menuTable maps a menu's wire bytes to its validated core.BinSet. The map
@@ -139,7 +140,7 @@ func decodeMenuBody[P menuRequest](w http.ResponseWriter, r *http.Request, table
 	select {
 	case buf = <-bodyBufs:
 	default:
-		buf = make([]byte, maxInternedBody)
+		buf = make([]byte, maxInternedBody+1)
 	}
 	defer func() {
 		select {

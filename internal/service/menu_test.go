@@ -306,6 +306,27 @@ func TestDecodeParityReadPaths(t *testing.T) {
 	}
 }
 
+// TestReaderTakesFullBuffer: a body of exactly maxInternedBody bytes is
+// read by the bodyReader, and one a byte longer by the plain decode.
+func TestReaderTakesFullBuffer(t *testing.T) {
+	value := fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9}`, table1JSON)
+	rt := parityRoutes[0]
+	for _, tc := range []struct {
+		size  int
+		plain int64
+	}{{maxInternedBody, 0}, {maxInternedBody + 1, 1}} {
+		body := value + strings.Repeat(" ", tc.size-len(value))
+		wantRec, gotRec := httptest.NewRecorder(), httptest.NewRecorder()
+		want := rt.plain(wantRec, httptest.NewRequest("POST", rt.path, strings.NewReader(body)))
+		tbl := newMenuTable(4)
+		got := rt.interned(tbl, gotRec, httptest.NewRequest("POST", rt.path, strings.NewReader(body)))
+		checkParity(t, fmt.Sprintf("a %d-byte body", tc.size), got, want, gotRec, wantRec)
+		if n := tbl.plain.Load(); n != tc.plain {
+			t.Errorf("a %d-byte body decoded plainly %d times; want %d", tc.size, n, tc.plain)
+		}
+	}
+}
+
 // TestMenuTableBounds sends more distinct menus than the table holds and
 // one over its byte cap, checking both bounds after every request; then
 // a whitespace variant and a reordered variant of a resident menu answer

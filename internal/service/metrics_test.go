@@ -418,7 +418,7 @@ func BenchmarkMetricsScrape(b *testing.B) {
 			defer svc.Close()
 			for i := range n {
 				id := fmt.Sprintf("job-%d", i+1)
-				svc.jobs.jobs[id] = &job{id: id, kind: KindSolve, state: JobDone}
+				svc.jobs.jobs.byID[id] = &job{id: id, kind: KindSolve, state: JobDone}
 			}
 			b.ResetTimer()
 			for range b.N {

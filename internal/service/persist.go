@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -19,34 +17,37 @@ import (
 // access is timed by the slade_store_* instruments the manager registers.
 
 // storeOps enumerates the operation labels of the store instrument
-// families; pre-registering them keeps the wrapper allocation-free and
-// makes the store series visible on /metrics even before traffic.
+// families; registering them up front makes the store series visible on
+// /metrics before traffic. get_job's series never move: the service
+// never reads one record back, replay lists them all.
 var storeOps = []string{"put_job", "get_job", "list_jobs", "delete_job"}
 
-// registerStore registers the slade_store_* series on reg and wraps st,
-// when non-nil, so that every access — spills, markers, deletes and
-// replay — is timed and its failures counted.
-func (m *JobManager) registerStore(reg *obs.Registry, st store.Store) store.Store {
+// registerStore registers the slade_store_* series on reg.
+func (m *JobManager) registerStore(reg *obs.Registry) {
 	m.storeDuration = make(map[string]*obs.Histogram, len(storeOps))
 	m.storeErrors = make(map[string]*obs.Counter, len(storeOps))
 	for _, op := range storeOps {
 		m.storeDuration[op] = reg.Histogram("slade_store_op_duration_seconds", "Durable store operation latency.", obs.HistogramOpts{}, obs.L("op", op))
 		m.storeErrors[op] = reg.Counter("slade_store_errors_total", "Durable store operation failures (not-found excluded).", obs.L("op", op))
 	}
-	return store.Observed(st, m.observeStore)
 }
 
-// observeStore records one store access. Not-found lookups are normal
-// control flow, not store failures.
-func (m *JobManager) observeStore(op string, d time.Duration, err error) {
-	h, ok := m.storeDuration[op]
-	if !ok {
-		return
-	}
-	h.ObserveDuration(d)
+// observeStore records one store access begun at start. Not-found is
+// normal control flow, not a store failure.
+func (m *JobManager) observeStore(op string, start time.Time, err error) {
+	m.storeDuration[op].ObserveSince(start)
 	if err != nil && !errors.Is(err, store.ErrNotFound) {
 		m.storeErrors[op].Inc()
 	}
+}
+
+// putJob writes rec to the store, timed: spills, running markers and
+// interrupted jobs all go through it.
+func (m *JobManager) putJob(rec store.JobRecord) error {
+	start := time.Now()
+	err := m.store.PutJob(rec)
+	m.observeStore("put_job", start, err)
+	return err
 }
 
 // replay loads every readable terminal job record from the store into
@@ -57,14 +58,16 @@ func (m *JobManager) replay() {
 	if m.store == nil {
 		return
 	}
+	start := time.Now()
 	recs, err := m.store.ListJobs()
+	m.observeStore("list_jobs", start, err)
 	if err != nil {
 		m.logger.Warn("replaying job store failed", "err", err)
 		return
 	}
 	now := time.Now()
 	var expired []string
-	var interrupted []*job
+	var live, interrupted []*job
 	m.mu.Lock()
 	for _, rec := range recs {
 		j, wasInterrupted, err := jobFromRecord(rec, now)
@@ -72,27 +75,25 @@ func (m *JobManager) replay() {
 			m.logger.Warn("skipping unreadable job record", "id", rec.ID, "err", err)
 			continue
 		}
-		if m.ttl > 0 && now.Sub(j.finished) >= m.ttl {
+		if ttl := m.jobs.ttl; ttl > 0 && now.Sub(j.finished) >= ttl {
 			expired = append(expired, j.id) // expired while the process was down
 			continue
 		}
-		m.jobs[j.id] = j
-		if m.ttl > 0 {
-			m.expiry = append(m.expiry, j)
-		}
+		live = append(live, j)
 		m.counts.recovered.Inc()
 		if wasInterrupted {
 			m.counts.interrupted.Inc()
 			interrupted = append(interrupted, j)
 		}
 		// Keep fresh ids strictly after every recovered one.
-		if n, ok := jobIDNumber(j.id); ok && n > m.nextID {
-			m.nextID = n
-		}
+		m.jobs.seen(j.id)
 	}
 	// The expiry queue holds jobs in finish order, which the records'
 	// order is not.
-	slices.SortFunc(m.expiry, func(a, b *job) int { return a.finished.Compare(b.finished) })
+	slices.SortFunc(live, func(a, b *job) int { return a.finished.Compare(b.finished) })
+	for _, j := range live {
+		m.jobs.put(j.id, j)
+	}
 	// Converge the store on the interrupted jobs' terminal form while
 	// still under the lock (recordFromJob's contract), so a second
 	// restart replays them as ordinary failed jobs.
@@ -108,7 +109,7 @@ func (m *JobManager) replay() {
 	m.mu.Unlock()
 	for _, rec := range interruptedRecs {
 		m.logger.Warn("run job interrupted by restart", "id", rec.ID)
-		if err := m.store.PutJob(rec); err != nil {
+		if err := m.putJob(rec); err != nil {
 			m.logger.Warn("persisting interrupted job failed", "id", rec.ID, "err", err)
 		}
 	}
@@ -118,19 +119,6 @@ func (m *JobManager) replay() {
 	for _, id := range expired {
 		m.deleteStored(id)
 	}
-}
-
-// jobIDNumber extracts N from a "job-N" id.
-func jobIDNumber(id string) (int, bool) {
-	num, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // errInterrupted is the terminal error stamped on jobs whose record was
@@ -258,12 +246,12 @@ func recordFromJob(j *job) (store.JobRecord, error) {
 // ordering now ends with the record gone — the later of the two
 // operations observes the other's effect under m.mu and deletes.
 func (m *JobManager) persist(rec store.JobRecord) {
-	if err := m.store.PutJob(rec); err != nil {
+	if err := m.putJob(rec); err != nil {
 		m.logger.Warn("persisting job failed", "id", rec.ID, "err", err)
 		return
 	}
 	m.mu.Lock()
-	_, live := m.jobs[rec.ID]
+	_, live := m.jobs.byID[rec.ID]
 	if live {
 		m.counts.persisted.Inc()
 	}
@@ -278,7 +266,10 @@ func (m *JobManager) deleteStored(id string) {
 	if m.store == nil {
 		return
 	}
-	if err := m.store.DeleteJob(id); err != nil && !errors.Is(err, store.ErrNotFound) {
+	start := time.Now()
+	err := m.store.DeleteJob(id)
+	m.observeStore("delete_job", start, err)
+	if err != nil && !errors.Is(err, store.ErrNotFound) {
 		m.logger.Warn("deleting stored job failed", "id", id, "err", err)
 	}
 }

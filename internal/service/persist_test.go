@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"log/slog"
@@ -481,5 +482,78 @@ func TestPlanMarshalAllocBudget(t *testing.T) {
 	if allocs > allocsBudget || perOp > bytesBudget {
 		t.Errorf("MarshalJSON of a jobs-durable plan: %.0f allocs and %.0f B per call, over the committed budget of %.0f and %.0f",
 			allocs, perOp, allocsBudget, bytesBudget)
+	}
+}
+
+// errStoreDown is every failure failingStore reports.
+var errStoreDown = errors.New("store down")
+
+// failingStore fails every write and list with errStoreDown, answers
+// deletes with deleteErr and write probes with checkErr. It has no
+// GetJob: the service never reads one record back, so a call panics.
+type failingStore struct {
+	store.Store
+	deleteErr, checkErr error
+}
+
+func (s *failingStore) PutJob(store.JobRecord) error         { return errStoreDown }
+func (s *failingStore) ListJobs() ([]store.JobRecord, error) { return nil, errStoreDown }
+func (s *failingStore) DeleteJob(string) error               { return s.deleteErr }
+func (s *failingStore) CheckWritable() error                 { return s.checkErr }
+func (s *failingStore) Close() error                         { return nil }
+
+// TestStoreErrorsCountedPerOp: each store access the job manager makes —
+// the replay's list, a settled job's spill, an expired job's delete — is
+// timed on slade_store_op_duration_seconds and, when it fails, counted on
+// slade_store_errors_total under its own op; a delete that finds no
+// record is timed but is not a failure.
+func TestStoreErrorsCountedPerOp(t *testing.T) {
+	st := &failingStore{deleteErr: errStoreDown}
+	svc := New(Config{CacheSize: 8, Workers: 1, Store: st, ResultTTL: time.Hour, Logger: quietLogger()})
+	defer svc.Close()
+	m := svc.Jobs()
+	expire := func(id string) {
+		t.Helper()
+		m.mu.Lock()
+		m.jobs.byID[id].finished = m.jobs.byID[id].finished.Add(-2 * time.Hour)
+		m.mu.Unlock()
+		if _, err := m.Status(id); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("read of an expired job: %v, want ErrUnknownJob", err)
+		}
+	}
+	failed := submitAndWait(t, svc, 10)
+	m.persistWG.Wait()
+	expire(failed)
+	st.deleteErr = fmt.Errorf("%w: job %q", store.ErrNotFound, "job-2")
+	expire(submitAndWait(t, svc, 10))
+	m.persistWG.Wait()
+
+	samples := parseSamples(t, string(svc.Metrics()))
+	for op, want := range map[string][2]float64{
+		"list_jobs":  {1, 1},
+		"put_job":    {2, 2},
+		"delete_job": {2, 1},
+		"get_job":    {0, 0},
+	} {
+		label := `{op="` + op + `"}`
+		if got := [2]float64{samples["slade_store_op_duration_seconds_count"+label], samples["slade_store_errors_total"+label]}; got != want {
+			t.Errorf("op %s: %v timed, %v failed; want %v", op, got[0], got[1], want)
+		}
+	}
+}
+
+// TestHealthzDegradedStore: a store whose write probe fails makes
+// /v1/healthz answer 503 "degraded" with the probe's error.
+func TestHealthzDegradedStore(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Workers: 1, Store: &failingStore{checkErr: errStoreDown}, Logger: quietLogger()})
+	defer svc.Close()
+	rec := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
+	var h Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || h.Status != "degraded" || h.Persistence.Writable || h.Persistence.Error != errStoreDown.Error() {
+		t.Fatalf("healthz with an unwritable store: %d %s", rec.Code, rec.Body)
 	}
 }

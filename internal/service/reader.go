@@ -66,16 +66,21 @@ func (d *bodyReader) decomposeField(req *decomposeRequest, key []byte) bool {
 	case "include_plan":
 		return d.readBool(&req.IncludePlan)
 	}
-	return d.shapeField(&req.instanceShape, key)
+	return d.shapeField(&req.instanceShape, key, nil)
 }
 
-func (d *bodyReader) shapeField(sh *instanceShape, key []byte) bool {
+// shapeField reads a threshold into *threshold, or into a new float64
+// when threshold is nil.
+func (d *bodyReader) shapeField(sh *instanceShape, key []byte, threshold *float64) bool {
 	switch string(key) {
 	case "n":
 		return d.readInt(&sh.N)
 	case "threshold":
-		sh.Threshold = new(float64)
-		return d.readFloat(sh.Threshold)
+		if threshold == nil {
+			threshold = new(float64)
+		}
+		sh.Threshold = threshold
+		return d.readFloat(threshold)
 	case "thresholds":
 		sh.Thresholds = []float64{}
 		return d.array(func() bool {
@@ -93,11 +98,19 @@ func (d *bodyReader) batchField(req *batchDecomposeRequest, key []byte) bool {
 	case "solver":
 		return d.readString(&req.Solver)
 	case "instances":
-		req.Instances = []instanceShape{}
+		// Count the members first, so that the members and their
+		// thresholds take one allocation each.
+		start, n := d.i, 0
+		if !d.array(func() bool { n++; return d.skip(1) }) {
+			return false
+		}
+		d.i = start
+		req.Instances = make([]instanceShape, 0, n)
+		thresholds := make([]float64, n)
 		return d.array(func() bool {
 			req.Instances = append(req.Instances, instanceShape{})
-			sh := &req.Instances[len(req.Instances)-1]
-			return d.object(func(key []byte) bool { return d.shapeField(sh, key) })
+			i := len(req.Instances) - 1
+			return d.object(func(key []byte) bool { return d.shapeField(&req.Instances[i], key, &thresholds[i]) })
 		})
 	}
 	return false

@@ -166,9 +166,12 @@ type Service struct {
 	metrics *serviceMetrics
 	// sseHeartbeat is the comment-frame interval of SSE job feeds.
 	sseHeartbeat time.Duration
-	// closed wakes every SSE subscriber at Close.
+	// closed stops the janitor and wakes every SSE subscriber at Close.
 	closed    chan struct{}
 	closeOnce sync.Once
+	// janitorDone closes once the result-TTL janitor has stopped; nil
+	// without a TTL.
+	janitorDone chan struct{}
 	// streams manages incremental-ingest planner sessions; always non-nil.
 	streams *StreamManager
 	// maxQueueWait is the admission-control threshold; 0 disables.
@@ -235,8 +238,7 @@ func New(cfg Config) *Service {
 		}
 		s.platform = pc
 	}
-	// The stream manager exists before the job manager, whose janitor
-	// sweeps it. The platform client exists first too — the factory
+	// The platform client exists before the job manager: the factory
 	// resolves "remote" specs against it.
 	s.streams = newStreamManager(s, cfg.ResultTTL)
 	pf := cfg.PlatformFactory
@@ -245,6 +247,10 @@ func New(cfg Config) *Service {
 	}
 	s.jobs = newJobManager(s, maxJobs, cfg.Store, cfg.ResultTTL, logger, pf)
 	s.registerReads()
+	if cfg.ResultTTL > 0 {
+		s.janitorDone = make(chan struct{})
+		go s.janitor(cfg.ResultTTL)
+	}
 
 	s.mustRegister(DefaultSolverName, s.sharded)
 	s.mustRegister("greedy", greedy.Solver{})
@@ -284,12 +290,37 @@ func (s *Service) DefaultSolver() string {
 	return DefaultSolverName
 }
 
-// Close stops the service's background work (the result-TTL janitor).
-// Persisted state stays in the store; in-flight jobs are not waited for.
-// Idempotent and safe for concurrent use.
+// janitor reaps the expired terminal jobs and stream sessions every ttl/4,
+// clamped to 10 ms–1 min, until Close.
+func (s *Service) janitor(ttl time.Duration) {
+	defer close(s.janitorDone)
+	t := time.NewTicker(min(max(ttl/4, 10*time.Millisecond), time.Minute))
+	defer t.Stop()
+	for {
+		select {
+		case <-s.closed:
+			return
+		case now := <-t.C:
+			s.jobs.sweep(now)
+			s.streams.sweep(now)
+		}
+	}
+}
+
+// Close waits for in-flight spills to reach the store, stops the
+// result-TTL janitor and wakes every SSE subscriber so handlers return.
+// Persisted state stays in the store; jobs still solving are not waited
+// for — their spill happens in a process that may outlive the service's
+// owner, which is harmless (the store is append-consistent). Idempotent
+// and safe for concurrent use.
 func (s *Service) Close() error {
-	s.jobs.close()
-	s.closeOnce.Do(func() { close(s.closed) }) // wake every SSE subscriber so handlers return
+	s.closeOnce.Do(func() {
+		s.jobs.persistWG.Wait()
+		close(s.closed)
+		if s.janitorDone != nil {
+			<-s.janitorDone
+		}
+	})
 	return nil
 }
 
@@ -552,7 +583,7 @@ func (s *Service) Stats() Stats {
 		Streams:       s.streams.stats(),
 		Persistence: PersistenceStats{
 			Enabled:          s.jobs.store != nil,
-			ResultTTLSeconds: s.jobs.ttl.Seconds(),
+			ResultTTLSeconds: s.jobs.jobs.ttl.Seconds(),
 		},
 		Solvers: s.SolverNames(),
 		Workers: s.sharded.workers(),

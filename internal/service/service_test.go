@@ -537,7 +537,7 @@ func TestJobGaugesMatchTable(t *testing.T) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		var running, pending int
-		for _, j := range m.jobs {
+		for _, j := range m.jobs.byID {
 			switch j.state {
 			case JobRunning:
 				running++

@@ -19,7 +19,7 @@ import (
 // end for the remainder. The merged plan costs exactly what a one-shot
 // solve of the whole arrival sequence would (stream.Planner's guarantee),
 // and stays queryable until the session is deleted or the result TTL
-// reaps it via the job janitor.
+// reaps it via the service's janitor.
 
 // ErrUnknownStream tags lookups of stream ids that were never opened or
 // have been deleted/expired; the HTTP layer maps it to 404.
@@ -178,47 +178,33 @@ func (sm *StreamManager) flushLocked(ss *streamSession) error {
 }
 
 // StreamManager owns the open sessions and their counters. All exported
-// behaviour is via the HTTP handlers; sessions expire on the job
+// behaviour is via the HTTP handlers; sessions expire on the service
 // janitor's TTL sweep and lazily on access, exactly like terminal jobs.
 type StreamManager struct {
 	svc *Service
-	// ttl reaps sessions idle (open) or finished (flushed) this long; 0
-	// keeps them until DELETE.
-	ttl time.Duration
 
 	// The slade_stream_* counters, registered by newStreamManager and
-	// written only by the manager.
-	opened, expired, tasks, flushes *obs.Counter
+	// written only by the manager; the expired one is the table's.
+	opened, tasks, flushes *obs.Counter
 
-	mu       sync.Mutex
-	sessions map[string]*streamSession
-	nextID   int
-	// expiry queues every session with the lastNS it had when queued;
-	// sweep pops the expired head. Empty without a TTL. swept counts the
-	// entries sweep has examined. Both are guarded by mu.
-	expiry []queuedSession
-	swept  int
-}
-
-// queuedSession is one expiry-queue entry. It names the session by id,
-// so a deleted session's memory is freed at once, not when its entry
-// is popped.
-type queuedSession struct {
-	id string
-	at int64
+	mu sync.Mutex
+	// sessions is the session table. A session's expiry clock is its
+	// lastNS, so the result TTL reaps it this long after its last
+	// mutation, idle (open) or finished (flushed); 0 keeps it until
+	// DELETE.
+	sessions residents[*streamSession]
 }
 
 func newStreamManager(svc *Service, ttl time.Duration) *StreamManager {
 	reg := svc.metrics.reg
 	sm := &StreamManager{
-		svc:      svc,
-		ttl:      ttl,
-		opened:   reg.Counter("slade_stream_sessions_opened_total", "Incremental-ingest stream sessions opened."),
-		expired:  reg.Counter("slade_stream_sessions_expired_total", "Stream sessions reaped by the result TTL."),
-		tasks:    reg.Counter("slade_stream_tasks_total", "Tasks appended to stream sessions."),
-		flushes:  reg.Counter("slade_stream_flushes_total", "Stream session flushes."),
-		sessions: make(map[string]*streamSession),
+		svc:     svc,
+		opened:  reg.Counter("slade_stream_sessions_opened_total", "Incremental-ingest stream sessions opened."),
+		tasks:   reg.Counter("slade_stream_tasks_total", "Tasks appended to stream sessions."),
+		flushes: reg.Counter("slade_stream_flushes_total", "Stream session flushes."),
 	}
+	sm.sessions = newResidents("stream", ttl, reg.Counter("slade_stream_sessions_expired_total", "Stream sessions reaped by the result TTL."),
+		func(ss *streamSession) (int64, bool) { return ss.lastNS.Load(), true })
 	reg.Func("slade_stream_sessions_active", "Incremental-ingest stream sessions currently resident.", obs.TypeGauge,
 		func() float64 { return float64(sm.stats().Active) })
 	return sm
@@ -243,13 +229,9 @@ func (sm *StreamManager) open(bins core.BinSet, threshold float64) (StreamStatus
 	}
 	ss.touch()
 	sm.mu.Lock()
-	sm.nextID++
-	ss.id = fmt.Sprintf("stream-%d", sm.nextID)
+	ss.id = sm.sessions.mint()
 	st := ss.statusLocked() // no other goroutine can reach ss yet
-	sm.sessions[ss.id] = ss
-	if sm.ttl > 0 {
-		sm.expiry = append(sm.expiry, queuedSession{ss.id, ss.lastNS.Load()})
-	}
+	sm.sessions.put(ss.id, ss)
 	sm.mu.Unlock()
 	sm.opened.Inc()
 	return st, nil
@@ -261,7 +243,7 @@ func (sm *StreamManager) open(bins core.BinSet, threshold float64) (StreamStatus
 // JobManager.snapshot does for jobs.
 func (sm *StreamManager) do(id string, op func(*streamSession) error) (StreamStatus, *core.Plan, error) {
 	sm.mu.Lock()
-	ss, ok := sm.liveLocked(id, time.Now())
+	ss, ok, _ := sm.sessions.lookup(id, time.Now())
 	sm.mu.Unlock()
 	if !ok {
 		return StreamStatus{}, nil, fmt.Errorf("%w %q", ErrUnknownStream, id)
@@ -281,60 +263,19 @@ func (sm *StreamManager) do(id string, op func(*streamSession) error) (StreamSta
 func (sm *StreamManager) remove(id string) error {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	if _, ok := sm.liveLocked(id, time.Now()); !ok {
+	if _, ok, _ := sm.sessions.lookup(id, time.Now()); !ok {
 		return fmt.Errorf("%w %q", ErrUnknownStream, id)
 	}
-	delete(sm.sessions, id)
+	delete(sm.sessions.byID, id)
 	return nil
 }
 
-// liveLocked returns the session id names, unless it is gone or has idled
-// past the TTL at now; such a session is deleted and counted expired.
-// Caller holds sm.mu.
-func (sm *StreamManager) liveLocked(id string, now time.Time) (*streamSession, bool) {
-	ss, ok := sm.sessions[id]
-	if ok && sm.expiredLocked(ss, now) {
-		delete(sm.sessions, id)
-		sm.expired.Inc()
-		return nil, false
-	}
-	return ss, ok
-}
-
-// expiredLocked reports whether the session has idled past the TTL.
-// Caller holds sm.mu.
-func (sm *StreamManager) expiredLocked(ss *streamSession, now time.Time) bool {
-	return sm.ttl > 0 && now.UnixNano()-ss.lastNS.Load() >= int64(sm.ttl)
-}
-
-// sweep reaps expired sessions; the job janitor calls it on its tick. It
-// pops the expiry queue while the head's queued idle clock has expired,
-// so a tick costs O(expired), not O(resident). A popped session that is
-// gone (DELETE, a lazy expiry) is skipped; one touched since it was
-// queued, and not expired at its new clock, is queued again at that
-// clock. Such an entry can sit behind later ones, so a session may stay
-// resident up to about one more TTL past its expiry; do's lazy check
-// still makes every read exact.
+// sweep reaps the expired sessions; the service's janitor calls it on its
+// tick.
 func (sm *StreamManager) sweep(now time.Time) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	for len(sm.expiry) > 0 {
-		e := sm.expiry[0]
-		sm.swept++
-		if now.UnixNano()-e.at < int64(sm.ttl) {
-			return
-		}
-		sm.expiry = sm.expiry[1:]
-		ss, ok := sm.sessions[e.id]
-		switch {
-		case !ok: // deleted, or expired lazily by a read
-		case sm.expiredLocked(ss, now):
-			delete(sm.sessions, e.id)
-			sm.expired.Inc()
-		default:
-			sm.expiry = append(sm.expiry, queuedSession{e.id, ss.lastNS.Load()})
-		}
-	}
+	sm.sessions.sweep(now)
 }
 
 // StreamStats counts stream sessions for /v1/stats.
@@ -353,13 +294,13 @@ type StreamStats struct {
 // resident count. Safe for concurrent use.
 func (sm *StreamManager) stats() StreamStats {
 	sm.mu.Lock()
-	active := len(sm.sessions)
+	active := len(sm.sessions.byID)
 	sm.mu.Unlock()
 	return StreamStats{
 		Opened:        sm.opened.Value(),
 		Active:        active,
 		Flushed:       sm.flushes.Value(),
-		Expired:       sm.expired.Value(),
+		Expired:       sm.sessions.expired.Value(),
 		TasksAppended: sm.tasks.Value(),
 	}
 }

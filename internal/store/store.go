@@ -97,3 +97,12 @@ type Store interface {
 	// after Close.
 	Close() error
 }
+
+// Checker is the optional health-probe facet of a Store. FS implements
+// it with a write probe against its data directory; Mem does not need
+// to (memory is always writable).
+type Checker interface {
+	// CheckWritable returns nil when the store can currently accept
+	// writes, or the reason it cannot.
+	CheckWritable() error
+}

@@ -325,3 +325,76 @@ func TestOpenFSErrors(t *testing.T) {
 		t.Fatal("want error when root is a file")
 	}
 }
+
+// TestFSCheckWritable: the probe actually writes — a data dir that
+// vanishes (or stops accepting writes) turns into an error, and the
+// probe's temp file never survives a successful check.
+func TestFSCheckWritable(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFS(dir, log.New(os.Stderr, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.CheckWritable(); err != nil {
+		t.Fatalf("fresh dir: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			t.Errorf("probe left %s behind", e.Name())
+		}
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	expireProbeCache(fs)
+	if err := fs.CheckWritable(); err == nil {
+		t.Fatal("vanished dir reported writable")
+	}
+}
+
+// TestFSCheckWritableCached: within writableProbeInterval the verdict is
+// served from cache — no disk probe — so readiness probes hammering
+// /v1/healthz do not translate into a constant write load on the data
+// dir. The cache expiring brings back the real probe.
+func TestFSCheckWritableCached(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := OpenFS(dir, log.New(os.Stderr, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+
+	if err := fs.CheckWritable(); err != nil {
+		t.Fatalf("fresh dir: %v", err)
+	}
+	// Break the dir; the cached verdict keeps reporting writable...
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CheckWritable(); err != nil {
+		t.Fatalf("verdict within the probe interval not cached: %v", err)
+	}
+	// ...until the interval passes and the probe runs for real.
+	expireProbeCache(fs)
+	if err := fs.CheckWritable(); err == nil {
+		t.Fatal("expired cache did not re-probe the vanished dir")
+	}
+	// Failure verdicts cache too.
+	if err := fs.CheckWritable(); err == nil {
+		t.Fatal("cached failure verdict lost")
+	}
+}
+
+// expireProbeCache ages the CheckWritable cache so the next call probes
+// the disk for real.
+func expireProbeCache(fs *FS) {
+	fs.probeMu.Lock()
+	fs.probeAt = fs.probeAt.Add(-2 * writableProbeInterval)
+	fs.probeMu.Unlock()
+}

@@ -45,7 +45,7 @@
 // route) and never dialled; the other two are ignored.
 //
 // By default the daemon coalesces concurrent same-menu decompose traffic
-// (-batch-window 2ms): requests sharing a menu fingerprint accumulate
+// (-batch-window 2ms): requests for the same menu and threshold accumulate
 // briefly and are solved in one flush over one cached queue, each caller
 // getting exactly the plan its unbatched solve would.
 //

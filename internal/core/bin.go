@@ -18,6 +18,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -70,8 +71,9 @@ func (b TaskBin) Validate() error {
 // which validates, and Truncate, which keeps a prefix, build one.
 type BinSet struct {
 	bins []TaskBin
-	// digest is Digest's value, computed once by the constructor.
-	digest uint64
+	// key is Key's value, built once by the constructor; nil for an empty
+	// menu. A pointer, so a BinSet stays 32 bytes.
+	key *string
 }
 
 // NewBinSet builds a BinSet from the given bins. It validates every bin,
@@ -88,7 +90,7 @@ func NewBinSet(bins []TaskBin) (BinSet, error) {
 			return BinSet{}, fmt.Errorf("core: duplicate bin cardinality %d", b.Cardinality)
 		}
 	}
-	return BinSet{bins: out, digest: menuDigest(out)}, nil
+	return BinSet{bins: out, key: keyOf(out)}, nil
 }
 
 // MustBinSet is NewBinSet that panics on error; intended for tests and
@@ -151,7 +153,7 @@ func (s BinSet) Truncate(maxCard int) BinSet {
 	i := sort.Search(len(s.bins), func(i int) bool { return s.bins[i].Cardinality > maxCard })
 	out := make([]TaskBin, i)
 	copy(out, s.bins[:i])
-	return BinSet{bins: out, digest: menuDigest(out)}
+	return BinSet{bins: out, key: keyOf(out)}
 }
 
 // MinConfidence returns the smallest confidence in the menu, or 0 if empty.
@@ -168,43 +170,31 @@ func (s BinSet) MinConfidence() float64 {
 	return r
 }
 
-// Digest returns the menu's FNV-64a digest: every bin's cardinality,
+// Key returns the menu's canonical key: every bin's cardinality,
 // confidence bits and cost bits, each as eight big-endian bytes, in menu
-// order. It is computed once, when the set is built; the zero BinSet
-// digests as the empty menu. Equal menus share it; distinct menus collide
-// only with 64-bit-hash probability, so a caller keying by it confirms a
-// match against the bins.
-func (s BinSet) Digest() uint64 {
-	if len(s.bins) == 0 {
-		return fnvOffset64
+// order. Two BinSets share a key exactly when they hold the same bins;
+// the zero BinSet and the empty menu key as "". It is built once, when
+// the set is built.
+func (s BinSet) Key() string {
+	if s.key == nil {
+		return ""
 	}
-	return s.digest
+	return *s.key
 }
 
-// FNV-64a parameters (hash/fnv's), inlined so a digest hashes without
-// interface dispatch; the digest values are identical.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// menuDigest is Digest computed over bins.
-func menuDigest(bins []TaskBin) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range bins {
-		h = FoldFNV(h, uint64(b.Cardinality))
-		h = FoldFNV(h, math.Float64bits(b.Confidence))
-		h = FoldFNV(h, math.Float64bits(b.Cost))
+// keyOf builds Key's value over bins, or nil for no bins.
+func keyOf(bins []TaskBin) *string {
+	if len(bins) == 0 {
+		return nil
 	}
-	return h
-}
-
-// FoldFNV continues the FNV-64a state h over v's eight big-endian bytes.
-func FoldFNV(h, v uint64) uint64 {
-	for shift := 56; shift >= 0; shift -= 8 {
-		h = (h ^ (v >> shift & 0xff)) * fnvPrime64
+	b := make([]byte, 0, 24*len(bins))
+	for _, bin := range bins {
+		b = binary.BigEndian.AppendUint64(b, uint64(bin.Cardinality))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(bin.Confidence))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(bin.Cost))
 	}
-	return h
+	k := string(b)
+	return &k
 }
 
 // Theta converts a reliability threshold t in [0,1) to its transformed

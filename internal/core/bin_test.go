@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -195,32 +194,54 @@ func TestBinsReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestBinSetDigest: the digest a BinSet carries from its constructor is
-// hash/fnv's FNV-64a over its bins in menu order (cardinality, confidence
-// bits and cost bits, each eight big-endian bytes); the zero BinSet, the
-// empty menu and an empty Truncate all digest as the offset basis, and a
-// Truncate prefix digests as those bins given to NewBinSet.
-func TestBinSetDigest(t *testing.T) {
-	ref := func(bins []TaskBin) uint64 {
-		h := fnv.New64a()
-		for _, b := range bins {
-			for _, v := range []uint64{uint64(b.Cardinality), math.Float64bits(b.Confidence), math.Float64bits(b.Cost)} {
-				h.Write(binary.BigEndian.AppendUint64(nil, v))
+// TestBinSetKey: a BinSet's key is its bins' cardinality, confidence bits
+// and cost bits, whatever order the menu was given in; a one-unit or
+// one-ulp change to any field of any bin changes it; the zero BinSet, the
+// empty menu and an empty Truncate all key as ""; and a Truncate prefix
+// keys as those bins given to NewBinSet.
+func TestBinSetKey(t *testing.T) {
+	bs := table1()
+	bins := bs.Bins()
+	want := ""
+	for _, b := range bins {
+		for _, v := range []uint64{uint64(b.Cardinality), math.Float64bits(b.Confidence), math.Float64bits(b.Cost)} {
+			want += string(binary.BigEndian.AppendUint64(nil, v))
+		}
+	}
+	if got := bs.Key(); got != want {
+		t.Errorf("Table 1 key %x, want %x", got, want)
+	}
+	for _, order := range [][]int{{2, 1, 0}, {1, 2, 0}, {0, 2, 1}} {
+		perm := make([]TaskBin, len(order))
+		for i, j := range order {
+			perm[i] = bins[j]
+		}
+		if got := MustBinSet(perm).Key(); got != want {
+			t.Errorf("bins in order %v key %x, want %x", order, got, want)
+		}
+	}
+	nudges := map[string]func(*TaskBin){
+		"cardinality": func(b *TaskBin) { b.Cardinality += 10 },
+		"confidence":  func(b *TaskBin) { b.Confidence = math.Nextafter(b.Confidence, 1) },
+		"cost":        func(b *TaskBin) { b.Cost = math.Nextafter(b.Cost, 1) },
+	}
+	for i := range bins {
+		for field, nudge := range nudges {
+			moved := bs.Bins()
+			nudge(&moved[i])
+			if MustBinSet(moved).Key() == want {
+				t.Errorf("bin %d: a one-step change to its %s keeps the key", i, field)
 			}
 		}
-		return h.Sum64()
 	}
-	bs := table1()
-	if got, want := bs.Digest(), ref(bs.Bins()); got != want {
-		t.Errorf("Table 1 digest %016x, hash/fnv %016x", got, want)
-	}
-	empty := ref(nil)
 	for name, s := range map[string]BinSet{"zero": {}, "empty": MustBinSet(nil), "truncated to nothing": bs.Truncate(0)} {
-		if got := s.Digest(); got != empty {
-			t.Errorf("%s BinSet digest %016x, want the empty menu's %016x", name, got, empty)
+		if got := s.Key(); got != "" {
+			t.Errorf("%s BinSet key %x, want \"\"", name, got)
 		}
 	}
-	if got, want := bs.Truncate(2).Digest(), MustBinSet(bs.Bins()[:2]).Digest(); got != want {
-		t.Errorf("Truncate(2) digest %016x, NewBinSet of the prefix %016x", got, want)
+	for k := 1; k <= 3; k++ {
+		if got, want := bs.Truncate(k).Key(), MustBinSet(bins[:k]).Key(); got != want {
+			t.Errorf("Truncate(%d) key %x, NewBinSet of the prefix %x", k, got, want)
+		}
 	}
 }

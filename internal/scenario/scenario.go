@@ -31,6 +31,7 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 
 	"repro/internal/binset"
 	"repro/internal/core"
@@ -186,8 +187,9 @@ type Matrix struct {
 }
 
 // Filter returns a copy keeping only cells whose name contains any of the
-// given substrings (all cells when none are given). Filtering never
-// re-seeds the survivors: cell seeds derive from cell names, not indices.
+// given substrings, ignoring case (all cells when none are given).
+// Filtering never re-seeds the survivors: cell seeds derive from cell
+// names, not indices.
 func (m Matrix) Filter(substrings []string) Matrix {
 	if len(substrings) == 0 {
 		return m
@@ -196,7 +198,7 @@ func (m Matrix) Filter(substrings []string) Matrix {
 	for _, c := range m.Cells {
 		name := c.Name()
 		for _, sub := range substrings {
-			if sub != "" && containsFold(name, sub) {
+			if sub != "" && strings.Contains(strings.ToLower(name), strings.ToLower(sub)) {
 				out.Cells = append(out.Cells, c)
 				break
 			}
@@ -218,27 +220,4 @@ func DeriveSeed(seed int64, tag string) int64 {
 // reqSeed is the platform seed of request i within a cell.
 func reqSeed(cellSeed int64, i int) int64 {
 	return DeriveSeed(cellSeed, fmt.Sprintf("req/%d", i))
-}
-
-// containsFold is a case-insensitive substring match over ASCII names.
-func containsFold(s, sub string) bool {
-	lower := func(b byte) byte {
-		if 'A' <= b && b <= 'Z' {
-			return b + 'a' - 'A'
-		}
-		return b
-	}
-	if len(sub) > len(s) {
-		return false
-	}
-outer:
-	for i := 0; i+len(sub) <= len(s); i++ {
-		for j := 0; j < len(sub); j++ {
-			if lower(s[i+j]) != lower(sub[j]) {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -51,10 +51,10 @@ type batcher struct {
 	maxRequests int
 
 	mu      sync.Mutex
-	pending map[queueKey]*pendingBatch
+	pending map[menuThreshold]*pendingBatch
 	// inflight counts detached-but-unfinished flushes per key; the last
 	// one to finish hands any successor batch straight to a new flush.
-	inflight map[queueKey]int
+	inflight map[menuThreshold]int
 }
 
 // Flush reasons, as exported in the slade_batch_flushes_total{reason}
@@ -74,7 +74,7 @@ const (
 // results with one wakeup sweep.
 type pendingBatch struct {
 	// key.tbits holds the batch's threshold.
-	key     queueKey
+	key     menuThreshold
 	bins    core.BinSet
 	members []*batchMember
 	timer   *time.Timer
@@ -103,8 +103,8 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 		svc:         svc,
 		window:      window,
 		maxRequests: maxRequests,
-		pending:     make(map[queueKey]*pendingBatch),
-		inflight:    make(map[queueKey]int),
+		pending:     make(map[menuThreshold]*pendingBatch),
+		inflight:    make(map[menuThreshold]int),
 	}
 }
 
@@ -114,17 +114,11 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 // with at least one task.
 func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, error) {
 	bins, threshold := in.Bins(), in.Threshold(0)
-	key := keyOf(bins, threshold)
+	key := menuThreshold{menu: bins.Key(), tbits: math.Float64bits(threshold)}
 	m := &batchMember{n: in.N()}
 
 	b.mu.Lock()
 	pb, ok := b.pending[key]
-	if ok && !sameKey(pb.bins, math.Float64frombits(pb.key.tbits), bins, threshold) {
-		// Digest collision (distinct key material, equal digest): solve
-		// alone, mirroring the cache's collision bypass.
-		b.mu.Unlock()
-		return b.svc.sharded.SolveContext(ctx, in)
-	}
 	if !ok {
 		pb = &pendingBatch{key: key, bins: bins, done: make(chan struct{})}
 		b.pending[key] = pb
@@ -167,7 +161,7 @@ func (b *batcher) detachLocked(pb *pendingBatch) {
 
 // flushExpired is the window-timer path: it flushes the batch unless the
 // size cap (or a drain handoff) already detached it.
-func (b *batcher) flushExpired(key queueKey, pb *pendingBatch) {
+func (b *batcher) flushExpired(key menuThreshold, pb *pendingBatch) {
 	b.mu.Lock()
 	if b.pending[key] != pb {
 		b.mu.Unlock()

@@ -64,28 +64,17 @@ type OPQCache struct {
 	capacity int
 	build    BuildFunc
 	ll       *list.List // of *cacheEntry; front = most recently used
-	menus    map[menuKey]*menuPieces
-	inflight map[queueKey]*inflightBuild
+	// menus holds each menu's pieces under its core.BinSet.Key.
+	menus    map[string]*menuPieces
+	inflight map[menuThreshold]*inflightBuild
 	stats    CacheStats
 	// buildDuration, when set, observes every build's latency (see
 	// register).
 	buildDuration *obs.Histogram
 }
 
-// menuKey groups a menu's pieces: the menu's digest (BinSet.Digest, hashed
-// once when the menu was built) and its length. A digest match is only
-// probable identity, so a hit is confirmed against the entry's menu
-// (sameMenu).
-type menuKey struct {
-	digest  uint64
-	menuLen int
-}
-
 // menuPieces is one menu's resident entries.
 type menuPieces struct {
-	// bins is the menu, kept beside the digest so a hash collision is
-	// detected instead of silently serving a queue built for another menu.
-	bins core.BinSet
 	// pieces are the shareable entries, sorted by ascending Hi. Two
 	// correct pieces that share a need share a queue and so its least
 	// mass, Hi; pieces of different Hi therefore never overlap.
@@ -123,29 +112,20 @@ func (m *menuPieces) search(hi float64) int {
 	return sort.Search(len(m.pieces), func(i int) bool { return m.pieces[i].piece.Hi >= hi })
 }
 
-// queueKey identifies the queue opq.Build(bins, t) would construct, for
-// in-flight builds and the batcher alike: the menu's fingerprint digest
-// folded over the threshold, the menu's length and the threshold's bit
-// pattern (bits, not the float, so a NaN key still finds itself in a map).
-// It costs no rendering or menu hashing per request — the menu digest is
-// the one its BinSet carries; a digest match is only probable
-// identity, so both users confirm it against the full key material
-// (sameKey).
-type queueKey struct {
-	digest  uint64
-	menuLen int
-	tbits   uint64
-}
-
-// keyOf returns the queueKey of (bins, t).
-func keyOf(bins core.BinSet, t float64) queueKey {
-	return queueKey{digest: opq.FingerprintDigest(bins, t), menuLen: bins.Len(), tbits: math.Float64bits(t)}
+// menuThreshold identifies the queue opq.Build(bins, t) would construct,
+// for in-flight builds and the batcher alike: the menu's key
+// (core.BinSet.Key, built once with the menu) and the threshold's bit
+// pattern (bits, not the float, so a NaN key still finds itself in a
+// map). Equal keys are equal menus, so a match needs no confirming.
+type menuThreshold struct {
+	menu  string
+	tbits uint64
 }
 
 // cacheEntry is one resident piece of a menu.
 type cacheEntry struct {
 	tbits uint64 // of the threshold that first built the piece
-	mk    menuKey
+	menu  string // its menu's key
 	piece opq.Piece
 	queue *opq.Queue
 	el    *list.Element
@@ -153,11 +133,9 @@ type cacheEntry struct {
 
 // inflightBuild tracks a build in progress; waiters block on done.
 type inflightBuild struct {
-	bins      core.BinSet
-	threshold float64
-	done      chan struct{}
-	queue     *opq.Queue
-	err       error
+	done  chan struct{}
+	queue *opq.Queue
+	err   error
 }
 
 // NewOPQCache returns a cache holding at most capacity queues
@@ -176,50 +154,38 @@ func NewOPQCacheWithBuilder(capacity int, build BuildFunc) *OPQCache {
 		capacity: capacity,
 		build:    build,
 		ll:       list.New(),
-		menus:    make(map[menuKey]*menuPieces),
-		inflight: make(map[queueKey]*inflightBuild),
+		menus:    make(map[string]*menuPieces),
+		inflight: make(map[menuThreshold]*inflightBuild),
 	}
 }
 
 // Get returns the queue for (bins, t): the resident piece of the menu that
 // holds t's need, or else a new build. Errors are not cached: every Get for
 // a failing threshold re-attempts the build (concurrent callers still share
-// one attempt). A digest collision (distinct menus, equal digest) is
-// detected against the stored menu and served by an uncached direct build,
-// never by the colliding entry. Safe for concurrent use; builds run outside
-// the cache lock, so Gets for other keys never block behind Algorithm 2.
-// The returned queue is shared and must be treated as read-only; its
-// Threshold is the one that first built it, which plans exactly as t does.
+// one attempt). Safe for concurrent use; builds run outside the cache
+// lock, so Gets for other keys never block behind Algorithm 2. The
+// returned queue is shared and must be treated as read-only; its Threshold
+// is the one that first built it, which plans exactly as t does.
 func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
-	mk := menuKey{digest: bins.Digest(), menuLen: bins.Len()}
+	key := menuThreshold{menu: bins.Key(), tbits: math.Float64bits(t)}
 	need := opq.Need(t)
 
 	c.mu.Lock()
-	m := c.menus[mk]
-	if e := m.find(need, t); e != nil {
-		if !sameMenu(m.bins, bins) {
-			c.mu.Unlock()
-			return c.buildUncached(bins, t) // collision: bypass the cache entirely
-		}
+	if e := c.menus[key.menu].find(need, t); e != nil {
 		c.stats.Hits++
 		c.ll.MoveToFront(e.el)
 		q := e.queue
 		c.mu.Unlock()
 		return q, nil
 	}
-	key := queueKey{digest: opq.FoldThreshold(mk.digest, t), menuLen: mk.menuLen, tbits: math.Float64bits(t)}
 	if fl, ok := c.inflight[key]; ok {
-		if !sameKey(fl.bins, fl.threshold, bins, t) {
-			c.mu.Unlock()
-			return c.buildUncached(bins, t)
-		}
 		c.stats.Coalesced++
 		c.mu.Unlock()
 		<-fl.done
 		return fl.queue, fl.err
 	}
 	c.stats.Misses++
-	fl := &inflightBuild{bins: bins, threshold: t, done: make(chan struct{})}
+	fl := &inflightBuild{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
@@ -236,7 +202,7 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 	}
 	delete(c.inflight, key)
 	if err == nil {
-		c.insertLocked(mk, bins, t, q, piece)
+		c.insertLocked(key.menu, t, q, piece)
 	}
 	c.mu.Unlock()
 
@@ -245,44 +211,15 @@ func (c *OPQCache) Get(bins core.BinSet, t float64) (*opq.Queue, error) {
 	return q, err
 }
 
-// buildUncached builds without touching the cache.
-func (c *OPQCache) buildUncached(bins core.BinSet, t float64) (*opq.Queue, error) {
-	q, _, err := c.build(bins, t)
-	return q, err
-}
-
-// sameMenu reports whether two menus are identical — the collision check
-// behind the menu digest.
-func sameMenu(a, b core.BinSet) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameKey reports whether two (menu, threshold) pairs are identical — the
-// collision check behind the threshold-folded digest.
-func sameKey(aBins core.BinSet, aT float64, bBins core.BinSet, bT float64) bool {
-	return aT == bT && sameMenu(aBins, bBins)
-}
-
 // insertLocked makes a built queue resident and evicts the least recently
 // used entries past capacity. A piece whose Hi a resident piece of the
-// menu shares holds the same queue, so it only lowers that piece's Lo. A
-// digest collision with another resident menu keeps nothing. Caller holds
-// c.mu.
-func (c *OPQCache) insertLocked(mk menuKey, bins core.BinSet, t float64, q *opq.Queue, piece opq.Piece) {
-	m := c.menus[mk]
+// menu shares holds the same queue, so it only lowers that piece's Lo.
+// Caller holds c.mu.
+func (c *OPQCache) insertLocked(menu string, t float64, q *opq.Queue, piece opq.Piece) {
+	m := c.menus[menu]
 	if m == nil {
-		m = &menuPieces{bins: bins}
-		c.menus[mk] = m
-	} else if !sameMenu(m.bins, bins) {
-		return
+		m = &menuPieces{}
+		c.menus[menu] = m
 	}
 	shared, i := piece.Contains(opq.Need(t)), m.search(piece.Hi)
 	var old *cacheEntry
@@ -296,7 +233,7 @@ func (c *OPQCache) insertLocked(mk menuKey, bins core.BinSet, t float64, q *opq.
 		c.ll.MoveToFront(old.el)
 		return
 	}
-	e := &cacheEntry{tbits: math.Float64bits(t), mk: mk, piece: piece, queue: q}
+	e := &cacheEntry{tbits: math.Float64bits(t), menu: menu, piece: piece, queue: q}
 	if shared {
 		m.pieces = slices.Insert(m.pieces, i, e)
 	} else {
@@ -311,11 +248,11 @@ func (c *OPQCache) insertLocked(mk menuKey, bins core.BinSet, t float64, q *opq.
 // evictLocked drops e. Caller holds c.mu.
 func (c *OPQCache) evictLocked(e *cacheEntry) {
 	c.ll.Remove(e.el)
-	m := c.menus[e.mk]
+	m := c.menus[e.menu]
 	m.pieces = slices.DeleteFunc(m.pieces, func(x *cacheEntry) bool { return x == e })
 	m.exact = slices.DeleteFunc(m.exact, func(x *cacheEntry) bool { return x == e })
 	if len(m.pieces) == 0 && len(m.exact) == 0 {
-		delete(c.menus, e.mk)
+		delete(c.menus, e.menu)
 	}
 	c.stats.Evictions++
 }

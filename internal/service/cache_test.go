@@ -218,3 +218,32 @@ func TestCacheSharesPieceAcrossThresholds(t *testing.T) {
 		t.Errorf("0.86's build must widen 0.9's piece, which then serves 0.86: %+v", st)
 	}
 }
+
+// TestCacheKeysByMenu: the cache tells menus apart by their bins alone. A
+// menu rebuilt from the same bins in another order hits the resident
+// piece; a menu one cost-ulp away builds its own.
+func TestCacheKeysByMenu(t *testing.T) {
+	bins := binset.Table1().Bins()
+	c := NewOPQCache(8)
+	if _, err := c.Get(core.MustBinSet(bins), 0.9); err != nil {
+		t.Fatal(err)
+	}
+	permuted := []core.TaskBin{bins[2], bins[0], bins[1]}
+	if _, err := c.Get(core.MustBinSet(permuted), 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Builds != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("permuted bins: %+v, want 1 build, 1 hit, 1 entry", st)
+	}
+	bins[1].Cost = math.Nextafter(bins[1].Cost, 1)
+	got, err := c.Get(core.MustBinSet(bins), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Builds != 2 || st.Hits != 1 || st.Entries != 2 {
+		t.Fatalf("a cost one ulp up: %+v, want 2 builds, 1 hit, 2 entries", st)
+	}
+	if got.Bins().At(1).Cost != bins[1].Cost {
+		t.Errorf("the nudged menu got a queue over cost %v, want %v", got.Bins().At(1).Cost, bins[1].Cost)
+	}
+}

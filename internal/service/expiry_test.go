@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/binset"
+	"repro/internal/store"
 )
 
 // newExpiryService is a service whose result TTL only a test's own sweep
@@ -167,5 +168,38 @@ func TestDeleteExpiredSession(t *testing.T) {
 	}
 	if got := parseSamples(t, string(svc.Metrics()))["slade_stream_sessions_expired_total"]; got != 1 {
 		t.Fatalf("slade_stream_sessions_expired_total reads %v; want 1", got)
+	}
+}
+
+// TestCancelExpiredJob: a DELETE of a job past its result TTL that no
+// sweep has reaped yet answers 404, as a read of it does, counts the job
+// expired once and deletes its stored record.
+func TestCancelExpiredJob(t *testing.T) {
+	mem := store.NewMem()
+	svc := New(Config{CacheSize: 8, Workers: 1, MaxJobs: 1, ResultTTL: time.Hour, Store: mem, Slog: slog.New(slog.DiscardHandler)})
+	t.Cleanup(func() { svc.Close() })
+	m := svc.Jobs()
+	id := canceledJobs(m, 1)[0]
+	if _, err := mem.GetJob(id); err != nil {
+		t.Fatalf("the canceled job was not stored: %v", err)
+	}
+	m.mu.Lock()
+	m.jobs.byID[id].finished = m.jobs.byID[id].finished.Add(-2 * time.Hour)
+	m.mu.Unlock()
+
+	rec := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(rec, httptest.NewRequest("DELETE", "/v1/jobs/"+id, nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("DELETE of an expired job: %d %s; want 404", rec.Code, rec.Body)
+	}
+	if _, err := mem.GetJob(id); err == nil {
+		t.Fatal("the expired job's record is still stored")
+	}
+	m.sweep(time.Now().Add(2 * time.Hour))
+	if got := m.Stats().Expired; got != 1 {
+		t.Fatalf("expired %d after the DELETE and a sweep; want 1", got)
+	}
+	if got := parseSamples(t, string(svc.Metrics()))["slade_jobs_expired_total"]; got != 1 {
+		t.Fatalf("slade_jobs_expired_total reads %v; want 1", got)
 	}
 }

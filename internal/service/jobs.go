@@ -438,14 +438,9 @@ func (m *JobManager) Status(id string) (JobStatus, error) {
 // first read: it starts at seq 1 with the terminal frame rebuilt from the
 // record.
 func (m *JobManager) snapshot(id string) (JobStatus, *core.Plan, *jobFeed, error) {
-	m.mu.Lock()
-	j, ok, reaped := m.jobs.lookup(id, time.Now())
-	if !ok {
-		m.mu.Unlock()
-		if reaped {
-			m.deleteStored(id)
-		}
-		return JobStatus{}, nil, nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := m.lockJob(id)
+	if err != nil {
+		return JobStatus{}, nil, nil, err
 	}
 	st := j.statusLocked()
 	if j.feed == nil {
@@ -476,8 +471,25 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
+// lockJob takes m.mu and resolves id, applying lazy TTL expiry. An unknown
+// or expired id releases the lock, deletes an expired job's record and
+// returns ErrUnknownJob.
+func (m *JobManager) lockJob(id string) (*job, error) {
+	m.mu.Lock()
+	j, ok, reaped := m.jobs.lookup(id, time.Now())
+	if !ok {
+		m.mu.Unlock()
+		if reaped {
+			m.deleteStored(id)
+		}
+		return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	}
+	return j, nil
+}
+
 // Cancel stops a pending or running job. Canceling a terminal job is an
-// error; canceling a running job is cooperative (the solver observes the
+// error, and an id past its result TTL is unknown, as it is to a read;
+// canceling a running job is cooperative (the solver observes the
 // context while it waits for a solve slot, the executor between bins) and
 // the job settles as Canceled once it stops.
 // It returns the job's status as of the lock hold that canceled it — a
@@ -485,11 +497,9 @@ func (j *job) statusLocked() JobStatus {
 // before its caller reads it.
 // Safe for concurrent use, including concurrent Cancels of the same job.
 func (m *JobManager) Cancel(id string) (JobStatus, error) {
-	m.mu.Lock()
-	j, ok := m.jobs.byID[id]
-	if !ok {
-		m.mu.Unlock()
-		return JobStatus{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
+	j, err := m.lockJob(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	if j.state.Terminal() {
 		m.mu.Unlock()

@@ -74,7 +74,7 @@ type Config struct {
 	PlatformFactory PlatformFactory
 	// BatchWindow > 0 enables the request batcher: concurrent
 	// default-solver requests (synchronous decomposes and the planning
-	// phase of solve/run jobs) that share a menu fingerprint accumulate
+	// phase of solve/run jobs) for the same menu and threshold accumulate
 	// for up to this long — DefaultBatchWindow (~2ms) in cmd/sladed —
 	// and are then solved in one flush over one cache lookup, each
 	// caller receiving exactly the plan its unbatched solve would.

@@ -670,16 +670,6 @@ func TestJobGaugesMatchTable(t *testing.T) {
 	}
 }
 
-func TestSameKey(t *testing.T) {
-	m1, m2 := binset.Table1(), menuB()
-	if !sameKey(m1, 0.9, m1, 0.9) {
-		t.Fatal("identical keys must match")
-	}
-	if sameKey(m1, 0.9, m1, 0.95) || sameKey(m1, 0.9, m2, 0.9) {
-		t.Fatal("distinct keys must not match")
-	}
-}
-
 // waitRunning polls until the job holds a run slot. Run goroutines race
 // for the slots, so a test that needs a second job queued behind a first
 // submits it only after this returns.

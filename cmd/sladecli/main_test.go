@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -130,4 +131,80 @@ func TestPickSolver(t *testing.T) {
 	if err != nil || s.Name() != "OPQ-Extended" {
 		t.Errorf("auto(hetero) = %v, %v", s, err)
 	}
+}
+
+var updateOutput = flag.Bool("update", false, "rewrite testdata/*.golden from this checkout's output")
+
+// TestPrintedOutputGolden pins what the subcommands print, byte for byte:
+// the paper's tables, the Example 4 and 11 summary lines of demo, and
+// analyze's comparison and single-plan report on a fixed gen instance
+// (whose JSON is pinned too). solve is left out: it prints its wall time.
+// Regenerate after an intentional change with
+//
+//	go test ./cmd/sladecli -run TestPrintedOutputGolden -update
+func TestPrintedOutputGolden(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.json")
+	planPath := filepath.Join(dir, "plan.json")
+	genArgs := []string{"-n", "60", "-menu", "jelly", "-maxcard", "6", "-dist", "normal",
+		"-t", "0.9", "-sigma", "0.03", "-seed", "7"}
+	instance := captureStdout(t, func() error { return gen(genArgs) })
+	if err := os.WriteFile(inPath, []byte(instance), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	captureStdout(t, func() error { // prints its wall time; only the plan file is kept
+		return solve([]string{"-in", inPath, "-algo", "opq-extended", "-out", planPath})
+	})
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"gen", func() error { _, err := os.Stdout.WriteString(instance); return err }},
+		{"tables", tables},
+		{"demo", demo},
+		{"analyze_compare", func() error { return analyze([]string{"-in", inPath}) }},
+		{"analyze_plan", func() error { return analyze([]string{"-in", inPath, "-plan", planPath}) }},
+	} {
+		got := captureStdout(t, c.run)
+		path := filepath.Join("testdata", c.name+".golden")
+		if *updateOutput {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v (rewrite with -update)", c.name, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s prints\n%s\nwant (%s)\n%s", c.name, got, path, want)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout sent to a file and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

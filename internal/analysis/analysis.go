@@ -14,20 +14,16 @@ import (
 	"repro/internal/core"
 )
 
-// Stats summarizes one plan against its instance.
+// Stats summarizes one plan against its instance; the embedded Summary
+// carries the plan's use vector, totals and cost.
 type Stats struct {
+	core.Summary
 	// N is the instance's task count.
 	N int
-	// Cost is the total incentive cost.
-	Cost float64
 	// LPLowerBound is the fractional covering bound; Cost/LPLowerBound
 	// measures how much the integrality and the algorithm leave on the
 	// table.
 	LPLowerBound float64
-	// NumUses and NumAssignments count bins and (task, bin) pairs.
-	NumUses, NumAssignments int
-	// UsesByCardinality is the {τ_l} histogram.
-	UsesByCardinality map[int]int
 	// CostByCardinality splits Cost per bin size.
 	CostByCardinality map[int]float64
 	// FillRate is the fraction of paid bin slots actually holding a task
@@ -73,27 +69,21 @@ func summarize(vals []float64) Distribution {
 // Analyze computes the Stats of a plan for an instance. The plan need not
 // be feasible; infeasibility shows up as negative slack.
 func Analyze(in *core.Instance, plan *core.Plan) (*Stats, error) {
-	s := &Stats{
-		N:                 in.N(),
-		NumUses:           plan.NumUses(),
-		NumAssignments:    plan.NumAssignments(),
-		UsesByCardinality: plan.Counts(),
-		CostByCardinality: make(map[int]float64),
-		LPLowerBound:      core.LowerBoundLP(in),
-	}
-	var err error
-	s.Cost, err = plan.Cost(in.Bins())
+	sum, err := plan.Summarize(in.Bins())
 	if err != nil {
 		return nil, err
 	}
+	s := &Stats{
+		Summary:           sum,
+		N:                 in.N(),
+		CostByCardinality: make(map[int]float64, len(sum.Uses)),
+		LPLowerBound:      core.LowerBoundLP(in),
+	}
 	slots := 0
-	for card, uses := range s.UsesByCardinality {
-		b, ok := in.Bins().ByCardinality(card)
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown bin cardinality %d", card)
-		}
-		s.CostByCardinality[card] = float64(uses) * b.Cost
-		slots += uses * card
+	for _, u := range sum.Uses {
+		b, _ := in.Bins().ByCardinality(u.Cardinality) // Summarize priced every row
+		s.CostByCardinality[u.Cardinality] = float64(u.Count) * b.Cost
+		slots += u.Count * u.Cardinality
 	}
 	if slots > 0 {
 		s.FillRate = float64(s.NumAssignments) / float64(slots)
@@ -129,8 +119,10 @@ func Analyze(in *core.Instance, plan *core.Plan) (*Stats, error) {
 	return s, nil
 }
 
-// String renders the stats as an operator-facing report.
-func (s *Stats) String() string {
+// String renders the stats as an operator-facing report. Its value
+// receiver keeps the promoted Summary.String from answering for a Stats
+// value.
+func (s Stats) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "tasks:              %d\n", s.N)
 	fmt.Fprintf(&sb, "cost:               $%.4f", s.Cost)
@@ -141,14 +133,9 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&sb, "bin uses:           %d (%d assignments, fill rate %.1f%%)\n",
 		s.NumUses, s.NumAssignments, 100*s.FillRate)
 
-	cards := make([]int, 0, len(s.UsesByCardinality))
-	for card := range s.UsesByCardinality {
-		cards = append(cards, card)
-	}
-	sort.Ints(cards)
-	for _, card := range cards {
+	for _, u := range s.Uses {
 		fmt.Fprintf(&sb, "  b%-3d              %6d uses   $%.4f\n",
-			card, s.UsesByCardinality[card], s.CostByCardinality[card])
+			u.Cardinality, u.Count, s.CostByCardinality[u.Cardinality])
 	}
 	fmt.Fprintf(&sb, "assignments/task:   min %.0f  mean %.2f  max %.0f\n",
 		s.AssignmentsPerTask.Min, s.AssignmentsPerTask.Mean, s.AssignmentsPerTask.Max)

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -58,6 +59,10 @@ func TestAnalyzeExample4(t *testing.T) {
 	}
 	if s.CostByCardinality[3] != 0.48 || math.Abs(s.CostByCardinality[2]-0.18) > 1e-12 {
 		t.Errorf("cost by cardinality = %v", s.CostByCardinality)
+	}
+	// A Stats value prints the report, not the embedded Summary's line.
+	if got := fmt.Sprint(*s); got != s.String() || !strings.HasPrefix(got, "tasks:") {
+		t.Errorf("fmt of a Stats value prints %q, want the report", got)
 	}
 }
 

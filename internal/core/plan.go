@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"strings"
 )
 
 // RelTol is the absolute tolerance used when checking reliability
@@ -200,52 +200,62 @@ func (p *Plan) Validate(in *Instance) error {
 	return nil
 }
 
-// Summary is a compact, printable description of a plan: uses per
-// cardinality plus the total cost, as in the paper's worked examples.
+// Summary is a compact, printable description of a plan — its use vector
+// {τ_l} (Definition 3) plus the totals and the cost, as in the paper's
+// worked examples — and the form the service serves and stores.
 type Summary struct {
-	// UsesByCardinality maps bin cardinality l to the number of uses τ_l.
-	UsesByCardinality map[int]int
+	// Uses lists the uses τ_l per bin cardinality l, in ascending
+	// cardinality; never nil, so an empty plan encodes "uses":[].
+	Uses []CardinalityUses `json:"uses"`
 	// NumUses is the total number of bin uses.
-	NumUses int
+	NumUses int `json:"num_uses"`
 	// NumAssignments is the total number of (task, bin) pairs.
-	NumAssignments int
+	NumAssignments int `json:"num_assignments"`
 	// Cost is the total incentive cost.
-	Cost float64
+	Cost float64 `json:"cost"`
 }
 
-// Summarize computes the plan's Summary under the given menu.
+// CardinalityUses is one row of a Summary: Count uses of the bin of this
+// Cardinality.
+type CardinalityUses struct {
+	Cardinality int `json:"cardinality"`
+	Count       int `json:"count"`
+}
+
+// Summarize computes the plan's Summary under the given menu from run
+// metadata, without expanding the plan; Uses is its one allocation.
 func (p *Plan) Summarize(bins BinSet) (Summary, error) {
 	cost, err := p.Cost(bins)
 	if err != nil {
 		return Summary{}, err
 	}
+	var buf [16]CardinalityUses // a plan names a few cardinalities; more spill to the heap
+	counts := p.appendCounts(buf[:0])
+	uses := make([]CardinalityUses, len(counts))
+	copy(uses, counts)
 	return Summary{
-		UsesByCardinality: p.Counts(),
-		NumUses:           p.NumUses(),
-		NumAssignments:    p.NumAssignments(),
-		Cost:              cost,
+		Uses:           uses,
+		NumUses:        p.NumUses(),
+		NumAssignments: p.NumAssignments(),
+		Cost:           cost,
 	}, nil
 }
 
 // String renders the summary as "τ_l×b_l + ... = $cost" with cardinalities
 // in ascending order.
 func (s Summary) String() string {
-	cards := make([]int, 0, len(s.UsesByCardinality))
-	for l := range s.UsesByCardinality {
-		cards = append(cards, l)
-	}
-	sort.Ints(cards)
-	out := ""
-	for i, l := range cards {
+	var sb strings.Builder
+	for i, u := range s.Uses {
 		if i > 0 {
-			out += " + "
+			sb.WriteString(" + ")
 		}
-		out += fmt.Sprintf("%d×b%d", s.UsesByCardinality[l], l)
+		fmt.Fprintf(&sb, "%d×b%d", u.Count, u.Cardinality)
 	}
-	if out == "" {
-		out = "(empty)"
+	if sb.Len() == 0 {
+		sb.WriteString("(empty)")
 	}
-	return fmt.Sprintf("%s = $%.4f", out, s.Cost)
+	fmt.Fprintf(&sb, " = $%.4f", s.Cost)
+	return sb.String()
 }
 
 // LowerBoundLP returns the fractional covering lower bound on the optimal

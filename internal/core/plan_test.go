@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math"
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -165,9 +165,12 @@ func examplePlanUnder() *Plan {
 
 func TestPlanCountsAndAssignments(t *testing.T) {
 	p := examplePlanP2()
-	counts := p.Counts()
-	if counts[3] != 2 || counts[2] != 1 {
-		t.Errorf("Counts = %v, want map[2:1 3:2]", counts)
+	s, err := p.Summarize(table1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []CardinalityUses{{Cardinality: 2, Count: 1}, {Cardinality: 3, Count: 2}}; !reflect.DeepEqual(s.Uses, want) {
+		t.Errorf("Summarize.Uses = %v, want %v", s.Uses, want)
 	}
 	if p.NumUses() != 3 {
 		t.Errorf("NumUses = %d, want 3", p.NumUses())
@@ -244,13 +247,11 @@ func TestSummaryString(t *testing.T) {
 	if math.Abs(s.Cost-0.66) > 1e-12 {
 		t.Errorf("Summary.Cost = %v, want 0.66", s.Cost)
 	}
-	str := s.String()
-	if !strings.Contains(str, "1×b2") || !strings.Contains(str, "2×b3") {
-		t.Errorf("Summary.String() = %q, want it to mention 1×b2 and 2×b3", str)
+	if got, want := s.String(), "1×b2 + 2×b3 = $0.6600"; got != want {
+		t.Errorf("Summary.String() = %q, want %q", got, want)
 	}
-	empty := Summary{}
-	if !strings.Contains(empty.String(), "(empty)") {
-		t.Errorf("empty Summary.String() = %q", empty.String())
+	if got, want := (Summary{}).String(), "(empty) = $0.0000"; got != want {
+		t.Errorf("empty Summary.String() = %q, want %q", got, want)
 	}
 }
 

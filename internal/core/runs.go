@@ -225,23 +225,12 @@ func (p *Plan) NumAssignments() int {
 	return n
 }
 
-// Counts returns the number of uses per bin cardinality (the {τ_l} vector
-// of Definition 3), computed from run metadata without expansion.
-func (p *Plan) Counts() map[int]int {
-	counts := p.AppendCounts(nil)
-	out := make(map[int]int, len(counts))
-	for _, c := range counts {
-		out[c.Cardinality] = c.Count
-	}
-	return out
-}
-
-// AppendCounts appends the plan's uses per bin cardinality to dst, one
-// RunPart (Cardinality, Count = uses) per cardinality the runs name, in
-// ascending cardinality — Counts as a sorted slice, counted from run
-// metadata without expansion or a map. A plan names a handful of
-// cardinalities, so each part finds its row by a linear scan.
-func (p *Plan) AppendCounts(dst []RunPart) []RunPart {
+// appendCounts appends the plan's uses per bin cardinality (the {τ_l}
+// vector of Definition 3) to dst, one row per cardinality the runs name,
+// in ascending cardinality, counted from run metadata without expansion
+// or a map. A plan names a handful of cardinalities, so each part finds
+// its row by a linear scan.
+func (p *Plan) appendCounts(dst []CardinalityUses) []CardinalityUses {
 	start := len(dst)
 	for i := range p.Runs {
 		r := &p.Runs[i]
@@ -259,7 +248,7 @@ func (p *Plan) AppendCounts(dst []RunPart) []RunPart {
 				dst[j].Count += uses
 				continue
 			}
-			dst = slices.Insert(dst, j, RunPart{Cardinality: part.Cardinality, Count: uses})
+			dst = slices.Insert(dst, j, CardinalityUses{Cardinality: part.Cardinality, Count: uses})
 		}
 	}
 	return dst

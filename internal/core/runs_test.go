@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -69,19 +70,14 @@ func assertPlanIsUses(t testing.TB, p *Plan, uses []BinUse) {
 		t.Fatalf("expansion diverges:\n got %+v\nwant %+v", got, uses)
 	}
 	menu := menuFor(uses)
-	counts, assigns, cost := make(map[int]int), 0, 0.0
+	direct := Summary{Uses: countUses(uses), NumUses: len(uses)}
 	for _, u := range uses {
-		counts[u.Cardinality]++
-		assigns += len(u.Tasks)
+		direct.NumAssignments += len(u.Tasks)
 		b, _ := menu.ByCardinality(u.Cardinality)
-		cost += b.Cost
+		direct.Cost += b.Cost
 	}
-	if p.NumUses() != len(uses) || p.NumAssignments() != assigns || !reflect.DeepEqual(p.Counts(), counts) {
-		t.Fatalf("run arithmetic %d uses / %d assignments / %v, direct count %d / %d / %v",
-			p.NumUses(), p.NumAssignments(), p.Counts(), len(uses), assigns, counts)
-	}
-	if got := p.MustCost(menu); got != cost {
-		t.Fatalf("Cost %v != per-use sum %v", got, cost)
+	if got, err := p.Summarize(menu); err != nil || !reflect.DeepEqual(got, direct) {
+		t.Fatalf("run arithmetic %+v (%v), direct count %+v", got, err, direct)
 	}
 	want, err := json.Marshal(struct {
 		Uses []BinUse `json:"uses"`
@@ -92,6 +88,20 @@ func assertPlanIsUses(t testing.TB, p *Plan, uses []BinUse) {
 	if got := encodeViaStream(t, p); !bytes.Equal(got, want) {
 		t.Fatalf("EncodeJSON differs from encoding/json:\n got %s\nwant %s", got, want)
 	}
+}
+
+// countUses is the {τ_l} vector counted use by use, in ascending
+// cardinality: the oracle for Summarize's run arithmetic.
+func countUses(uses []BinUse) []CardinalityUses {
+	rows := []CardinalityUses{}
+	for _, u := range uses {
+		i, found := slices.BinarySearchFunc(rows, u.Cardinality, func(r CardinalityUses, l int) int { return r.Cardinality - l })
+		if !found {
+			rows = slices.Insert(rows, i, CardinalityUses{Cardinality: u.Cardinality})
+		}
+		rows[i].Count++
+	}
+	return rows
 }
 
 // expand copies the plan's uses off EachUse, the streaming twin of
@@ -144,14 +154,13 @@ func assertSamePlan(t testing.TB, stage string, a, b *Plan, menu BinSet) {
 			t.Fatalf("%s: encoding %d differs:\n%s\n%s", stage, i, ea[i], eb[i])
 		}
 	}
-	ca, errA := a.Cost(menu)
-	cb, errB := b.Cost(menu)
-	if ca != cb || (errA == nil) != (errB == nil) {
-		t.Fatalf("%s: cost %v (%v) vs %v (%v)", stage, ca, errA, cb, errB)
+	sa, errA := a.Summarize(menu)
+	sb, errB := b.Summarize(menu)
+	if !reflect.DeepEqual(sa, sb) || (errA == nil) != (errB == nil) {
+		t.Fatalf("%s: summary %+v (%v) vs %+v (%v)", stage, sa, errA, sb, errB)
 	}
-	if a.NumUses() != b.NumUses() || a.NumAssignments() != b.NumAssignments() ||
-		a.NumTasks() != b.NumTasks() || !reflect.DeepEqual(a.Counts(), b.Counts()) {
-		t.Fatalf("%s: run arithmetic differs", stage)
+	if a.NumTasks() != b.NumTasks() {
+		t.Fatalf("%s: %d tasks vs %d", stage, a.NumTasks(), b.NumTasks())
 	}
 }
 

@@ -36,9 +36,12 @@ func TestExample5(t *testing.T) {
 			if math.Abs(cost-0.74) > 1e-9 {
 				t.Errorf("cost = %v, want 0.74", cost)
 			}
-			counts := p.Counts()
-			if counts[1] != 5 || counts[3] != 1 || counts[2] != 0 {
-				t.Errorf("counts = %v, want 5×b1 + 1×b3", counts)
+			sum, err := p.Summarize(in.Bins())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sum.String(), "5×b1 + 1×b3 = $0.7400"; got != want {
+				t.Errorf("plan %s, want %s", got, want)
 			}
 		})
 	}

@@ -74,9 +74,12 @@ func TestExample11Plan(t *testing.T) {
 	if math.Abs(cost-0.38) > 1e-9 {
 		t.Errorf("cost = %v, want 0.38", cost)
 	}
-	counts := p.Counts()
-	if counts[2] != 1 || counts[1] != 2 {
-		t.Errorf("counts = %v, want 1×b2 + 2×b1", counts)
+	sum, err := p.Summarize(in.Bins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sum.String(), "2×b1 + 1×b2 = $0.3800"; got != want {
+		t.Errorf("plan %s, want %s", got, want)
 	}
 }
 

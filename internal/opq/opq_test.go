@@ -117,9 +117,12 @@ func TestExample9(t *testing.T) {
 	if math.Abs(cost-0.68) > 1e-9 {
 		t.Errorf("cost = %v, want 0.68", cost)
 	}
-	counts := p.Counts()
-	if counts[3] != 2 || counts[1] != 2 {
-		t.Errorf("counts = %v, want 2×b3 + 2×b1", counts)
+	sum, err := p.Summarize(in.Bins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sum.String(), "2×b1 + 2×b3 = $0.6800"; got != want {
+		t.Errorf("plan %s, want %s", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -174,12 +175,16 @@ func TestRunsEquivalenceRandom(t *testing.T) {
 		}
 		sameUses(t, "EachUse", streamed, want)
 
-		wantCost, wantAssigns, wantCounts := 0.0, 0, make(map[int]int)
+		wantCost, wantAssigns, wantUses := 0.0, 0, []core.CardinalityUses{}
 		for _, u := range want {
 			b, _ := bins.ByCardinality(u.Cardinality)
 			wantCost += b.Cost
 			wantAssigns += len(u.Tasks)
-			wantCounts[u.Cardinality]++
+			i, found := slices.BinarySearchFunc(wantUses, u.Cardinality, func(r core.CardinalityUses, l int) int { return r.Cardinality - l })
+			if !found {
+				wantUses = slices.Insert(wantUses, i, core.CardinalityUses{Cardinality: u.Cardinality})
+			}
+			wantUses[i].Count++
 		}
 		if got := plan.MustCost(bins); got != wantCost {
 			t.Fatalf("trial %d: run cost %v != per-use sum %v (not bit-identical)", trial, got, wantCost)
@@ -190,8 +195,8 @@ func TestRunsEquivalenceRandom(t *testing.T) {
 		if plan.NumAssignments() != wantAssigns {
 			t.Fatalf("trial %d: NumAssignments %d != %d", trial, plan.NumAssignments(), wantAssigns)
 		}
-		if !reflect.DeepEqual(plan.Counts(), wantCounts) {
-			t.Fatalf("trial %d: Counts %v != %v", trial, plan.Counts(), wantCounts)
+		if sum, err := plan.Summarize(bins); err != nil || !reflect.DeepEqual(sum.Uses, wantUses) {
+			t.Fatalf("trial %d: Summarize.Uses %v (%v) != %v", trial, sum.Uses, err, wantUses)
 		}
 	}
 }

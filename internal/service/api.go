@@ -112,6 +112,14 @@ func NewHandler(s *Service) http.Handler {
 // the ledger, the figures and the alloc budgets run.
 const MaxTasks = 1 << 24
 
+// MaxBatchInstances bounds the members of one batch call. Each member is
+// solved on a goroutine of its own, since the batcher needs them
+// concurrent to coalesce them, and a zero-task member takes no room under
+// MaxTasks, so without this bound a full body would start millions of
+// goroutines. 1,024 is 16 × the ledger's 64-member batches and
+// 4 × DefaultBatchMaxRequests.
+const MaxBatchInstances = 1024
+
 // instanceShape is the wire form of an instance over a known menu:
 // either a homogeneous (n, threshold) pair or per-task thresholds.
 type instanceShape struct {
@@ -162,7 +170,7 @@ type decomposeRequest struct {
 type decomposeResponse struct {
 	Solver    string        `json:"solver"`
 	N         int           `json:"n"`
-	Summary   PlanSummary   `json:"summary"`
+	Summary   core.Summary  `json:"summary"`
 	ElapsedMS float64       `json:"elapsed_ms"`
 	Plan      []core.BinUse `json:"plan,omitempty"`
 }
@@ -243,8 +251,8 @@ type batchDecomposeRequest struct {
 
 // batchResult is one member's reply, in request order.
 type batchResult struct {
-	N       int         `json:"n"`
-	Summary PlanSummary `json:"summary"`
+	N       int          `json:"n"`
+	Summary core.Summary `json:"summary"`
 }
 
 // batchDecomposeResponse is the POST /v1/decompose/batch reply.
@@ -263,6 +271,10 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Instances) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch needs at least one instance"))
+		return
+	}
+	if len(req.Instances) > MaxBatchInstances {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("too many instances: a batch may carry at most %d", MaxBatchInstances))
 		return
 	}
 	bins, err := menu.set, menu.err

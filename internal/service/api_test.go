@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,6 +463,45 @@ func TestHTTPDecomposeBatchErrors(t *testing.T) {
 	var e errorBody
 	if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error.Message, "instance 1") {
 		t.Fatalf("bad member error does not name the index: %s", raw)
+	}
+}
+
+// TestHTTPBatchInstanceLimit: a batch of more than MaxBatchInstances
+// members is a 400 naming the limit before any member is solved, however
+// few tasks they carry; a batch of exactly MaxBatchInstances is served.
+func TestHTTPBatchInstanceLimit(t *testing.T) {
+	svc, ts := newTestServer(t)
+	var solves atomic.Int64
+	if err := svc.RegisterSolver("counting", core.SolverFunc{
+		SolverName: "counting",
+		Fn: func(in *core.Instance) (*core.Plan, error) {
+			solves.Add(1)
+			return (opq.Solver{}).Solve(in)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(members int) string {
+		return fmt.Sprintf(`{"bins":%s,"solver":"counting","instances":[%s]}`, table1JSON,
+			strings.TrimSuffix(strings.Repeat(`{"n":1,"threshold":0.9},`, members), ","))
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/decompose/batch", batch(MaxBatchInstances+1))
+	var e errorBody
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatalf("no error envelope in %.200s", raw)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_request" ||
+		!strings.Contains(e.Error.Message, fmt.Sprint(MaxBatchInstances)) {
+		t.Errorf("status %d, envelope %+v; want 400 invalid_request naming %d", resp.StatusCode, e.Error, MaxBatchInstances)
+	}
+	if n := solves.Load(); n != 0 {
+		t.Errorf("a rejected batch solved %d members", n)
+	}
+	if resp, raw := postJSON(t, ts.URL+"/v1/decompose/batch", batch(MaxBatchInstances)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("a batch of %d members: status %d (%.200s)", MaxBatchInstances, resp.StatusCode, raw)
+	}
+	if n := solves.Load(); n != MaxBatchInstances {
+		t.Errorf("a batch of %d members solved %d", MaxBatchInstances, n)
 	}
 }
 

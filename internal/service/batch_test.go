@@ -45,7 +45,7 @@ func TestBatchCostParityInvariant(t *testing.T) {
 
 	type result struct {
 		plan *core.Plan
-		sum  PlanSummary
+		sum  core.Summary
 		err  error
 	}
 	results := make([]result, len(sizes))

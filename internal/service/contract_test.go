@@ -278,6 +278,9 @@ func lateContractSteps() []contractStep {
 			body: `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1,"weight":2}],"instances":[{"n":5,"threshold":0.9}]}`},
 		{name: "stream_open_null_bins", method: "POST", path: "/v1/streams",
 			body: `{"bins":null,"threshold":0.9}`},
+		{name: "batch_too_many_instances", method: "POST", path: "/v1/decompose/batch",
+			body: fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON,
+				strings.TrimSuffix(strings.Repeat(`{"n":0,"threshold":0.9},`, MaxBatchInstances+1), ","))},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -51,7 +52,7 @@ type JobEvent struct {
 	DeliveredMass float64 `json:"delivered_mass"`
 	// Terminal-frame extras, mirroring JobStatus.
 	Error   string           `json:"error,omitempty"`
-	Summary *PlanSummary     `json:"summary,omitempty"`
+	Summary *core.Summary    `json:"summary,omitempty"`
 	Report  *ExecutionReport `json:"report,omitempty"`
 }
 

@@ -73,7 +73,7 @@ type JobStatus struct {
 	// Error holds the failure message of a JobFailed job.
 	Error string `json:"error,omitempty"`
 	// Summary describes the result plan of a JobDone job.
-	Summary *PlanSummary `json:"summary,omitempty"`
+	Summary *core.Summary `json:"summary,omitempty"`
 	// Report is the execution outcome of a JobDone run job.
 	Report *ExecutionReport `json:"report,omitempty"`
 }
@@ -95,7 +95,7 @@ type job struct {
 	finished  time.Time
 
 	plan    *core.Plan
-	summary *PlanSummary
+	summary *core.Summary
 	report  *ExecutionReport
 	err     error
 
@@ -380,8 +380,8 @@ func (m *JobManager) settleLocked(j *job, plan *core.Plan, report *ExecutionRepo
 		if j.req.Run != nil {
 			in = j.req.Run.Instance
 		}
-		if ps, serr := summarizePlan(plan, in.Bins()); serr == nil {
-			j.summary = &ps
+		if sum, serr := plan.Summarize(in.Bins()); serr == nil {
+			j.summary = &sum
 		}
 		m.counts.done.Inc()
 		if report != nil {

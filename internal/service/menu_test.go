@@ -397,19 +397,19 @@ func TestMenuTableConcurrent(t *testing.T) {
 	for i := range menus {
 		menus[i] = fmt.Sprintf(`[{"cardinality":1,"confidence":0.9,"cost":%d},{"cardinality":2,"confidence":0.85,"cost":1}]`, i+1)
 	}
-	summary := func(h http.Handler, menu string) (PlanSummary, error) {
+	summary := func(h http.Handler, menu string) (core.Summary, error) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/decompose", strings.NewReader(fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9}`, menu))))
 		var resp decomposeResponse
 		if rec.Code != http.StatusOK {
-			return PlanSummary{}, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+			return core.Summary{}, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
 		}
 		err := json.Unmarshal(rec.Body.Bytes(), &resp)
 		return resp.Summary, err
 	}
 	ref := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
 	defer ref.Close()
-	want := make([]PlanSummary, len(menus))
+	want := make([]core.Summary, len(menus))
 	for i, m := range menus {
 		var err error
 		if want[i], err = summary(NewHandler(ref), m); err != nil {

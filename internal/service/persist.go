@@ -175,7 +175,7 @@ func jobFromRecord(rec store.JobRecord, now time.Time) (j *job, interrupted bool
 		j.plan = &plan
 	}
 	if len(rec.Summary) > 0 {
-		var sum PlanSummary
+		var sum core.Summary
 		if err := json.Unmarshal(rec.Summary, &sum); err != nil {
 			return nil, false, fmt.Errorf("decoding summary: %w", err)
 		}

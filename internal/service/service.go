@@ -416,16 +416,16 @@ func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Insta
 
 // DecomposeSummarized is DecomposeWith returning the plan's summary as
 // well — the shape the HTTP layer serves. Safe for concurrent use.
-func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core.Instance) (*core.Plan, PlanSummary, error) {
+func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core.Instance) (*core.Plan, core.Summary, error) {
 	plan, err := s.DecomposeWith(ctx, name, in)
 	if err != nil {
-		return nil, PlanSummary{}, err
+		return nil, core.Summary{}, err
 	}
-	ps, err := summarizePlan(plan, in.Bins())
+	sum, err := plan.Summarize(in.Bins())
 	if err != nil {
-		return nil, PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
+		return nil, core.Summary{}, fmt.Errorf("%w: %v", errSummarize, err)
 	}
-	return plan, ps, nil
+	return plan, sum, nil
 }
 
 // ctxSolver is the optional context-aware extension of core.Solver.
@@ -454,67 +454,11 @@ func (s *Service) Jobs() *JobManager { return s.jobs }
 // cache itself is concurrency-safe.
 func (s *Service) Cache() *OPQCache { return s.cache }
 
-// PlanSummary is the wire form of core.Summary: JSON object keys must be
-// strings, so cardinalities are rendered as a sorted array of pairs.
-type PlanSummary struct {
-	// Uses lists (cardinality, count) pairs in ascending cardinality.
-	Uses []CardinalityUses `json:"uses"`
-	// NumUses is the total number of bin uses.
-	NumUses int `json:"num_uses"`
-	// NumAssignments is the total number of (task, bin) assignments.
-	NumAssignments int `json:"num_assignments"`
-	// Cost is the total incentive cost.
-	Cost float64 `json:"cost"`
-}
-
-// CardinalityUses is one (cardinality, count) summary row.
-type CardinalityUses struct {
-	Cardinality int `json:"cardinality"`
-	Count       int `json:"count"`
-}
-
-// summarizePlan is NewPlanSummary(plan.Summarize(bins)) without the map in
-// between: the uses per cardinality come from one counting walk over the
-// runs, already in ascending cardinality, and fill Uses in its one
-// allocation (non-nil even when empty, so an empty plan serves "uses":[]).
-// Every summary the service serves is built here.
-func summarizePlan(plan *core.Plan, bins core.BinSet) (PlanSummary, error) {
-	cost, err := plan.Cost(bins)
-	if err != nil {
-		return PlanSummary{}, err
-	}
-	var buf [16]core.RunPart // a plan names a few cardinalities; more spill to the heap
-	counts := plan.AppendCounts(buf[:0])
-	uses := make([]CardinalityUses, len(counts))
-	for i, c := range counts {
-		uses[i] = CardinalityUses{Cardinality: c.Cardinality, Count: c.Count}
-	}
-	return PlanSummary{
-		Uses:           uses,
-		NumUses:        plan.NumUses(),
-		NumAssignments: plan.NumAssignments(),
-		Cost:           cost,
-	}, nil
-}
-
-// NewPlanSummary converts a core.Summary.
-func NewPlanSummary(sum core.Summary) PlanSummary {
-	cards := make([]int, 0, len(sum.UsesByCardinality))
-	for l := range sum.UsesByCardinality {
-		cards = append(cards, l)
-	}
-	sort.Ints(cards)
-	uses := make([]CardinalityUses, 0, len(cards))
-	for _, l := range cards {
-		uses = append(uses, CardinalityUses{Cardinality: l, Count: sum.UsesByCardinality[l]})
-	}
-	return PlanSummary{
-		Uses:           uses,
-		NumUses:        sum.NumUses,
-		NumAssignments: sum.NumAssignments,
-		Cost:           sum.Cost,
-	}
-}
+// NewPlanSummary returns sum unchanged: core.Summary is the served form.
+//
+// Deprecated: use the core.Summary directly. NewPlanSummary is kept only
+// for the benchmark module, which moves off it with ROADMAP.md item 1(a).
+func NewPlanSummary(sum core.Summary) core.Summary { return sum }
 
 // Stats is a point-in-time service snapshot, served by GET /v1/stats.
 type Stats struct {

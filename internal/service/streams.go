@@ -65,7 +65,7 @@ type streamSession struct {
 	// backed merge, no expansion) into merged.
 	plans    []*core.Plan
 	merged   *core.Plan
-	summary  *PlanSummary
+	summary  *core.Summary
 	appends  int
 	finished time.Time
 	flushed  bool
@@ -90,7 +90,7 @@ type StreamStatus struct {
 	LastActivity time.Time `json:"last_activity"`
 	Finished     time.Time `json:"finished,omitzero"`
 	// Summary describes the merged plan of a flushed session.
-	Summary *PlanSummary `json:"summary,omitempty"`
+	Summary *core.Summary `json:"summary,omitempty"`
 }
 
 // statusLocked snapshots the session; caller holds ss.mu.
@@ -165,11 +165,11 @@ func (sm *StreamManager) flushLocked(ss *streamSession) error {
 	// The merged plan stays O(runs) and streams through EncodeUses.
 	ss.merged = core.MergePlans(ss.plans...)
 	ss.plans = nil
-	ps, err := summarizePlan(ss.merged, ss.bins)
+	sum, err := ss.merged.Summarize(ss.bins)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errSummarize, err)
 	}
-	ss.summary = &ps
+	ss.summary = &sum
 	ss.flushed = true
 	ss.finished = time.Now()
 	ss.touch()

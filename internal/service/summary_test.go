@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,12 +22,11 @@ import (
 	"repro/internal/stream"
 )
 
-// TestPlanSummaryParity holds summarizePlan — the one summary sequence the
-// service serves — to NewPlanSummary(plan.Summarize(bins)), the map-based
-// sequence it replaced, byte for byte on the wire: cached-solver plans,
-// stream-session merges where one cardinality recurs across runs,
-// PlanFromUses plans, OPQ-Extended plans and the empty plan, which must
-// still serve "uses":[].
+// TestPlanSummaryParity holds Plan.Summarize — the one summary the service
+// serves — to summaryByUses, byte for byte on the wire: cached-solver plans
+// as DecomposeSummarized serves them, stream-session merges where one
+// cardinality recurs across runs, PlanFromUses plans, OPQ-Extended plans
+// and the empty plan, which must still serve "uses":[].
 func TestPlanSummaryParity(t *testing.T) {
 	table1, jelly := binset.Table1(), binset.MustJelly(20)
 	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
@@ -44,11 +44,7 @@ func TestPlanSummaryParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := plan.Summarize(jelly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := mustJSON(t, served), mustJSON(t, NewPlanSummary(sum)); got != want {
+		if got, want := mustJSON(t, served), mustJSON(t, summaryByUses(t, plan, jelly)); got != want {
 			t.Errorf("DecomposeSummarized n=%d serves %s, want %s", n, got, want)
 		}
 		cases = append(cases, tc{fmt.Sprintf("cached n=%d", n), plan, jelly})
@@ -110,15 +106,11 @@ func TestPlanSummaryParity(t *testing.T) {
 	cases = append(cases, tc{"empty", &core.Plan{}, table1}, tc{"empty runs", &core.Plan{Runs: []core.BlockRun{}}, table1})
 
 	for _, c := range cases {
-		got, err := summarizePlan(c.plan, c.bins)
+		got, err := c.plan.Summarize(c.bins)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		sum, err := c.plan.Summarize(c.bins)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", c.name, err)
-		}
-		if g, w := mustJSON(t, got), mustJSON(t, NewPlanSummary(sum)); g != w {
+		if g, w := mustJSON(t, got), mustJSON(t, summaryByUses(t, c.plan, c.bins)); g != w {
 			t.Errorf("%s: summary %s, want %s", c.name, g, w)
 		}
 		if c.plan.NumUses() == 0 && !strings.Contains(mustJSON(t, got), `"uses":[]`) {
@@ -126,10 +118,37 @@ func TestPlanSummaryParity(t *testing.T) {
 		}
 	}
 
-	// An unknown cardinality is an error, as it is for Summarize.
-	if _, err := summarizePlan(fromUses, binset.MustJelly(2)); err == nil {
-		t.Error("summarizePlan accepted a plan naming a cardinality the menu lacks")
+	if _, err := fromUses.Summarize(binset.MustJelly(2)); err == nil {
+		t.Error("Summarize accepted a plan naming a cardinality the menu lacks")
 	}
+}
+
+// summaryByUses is the oracle of TestPlanSummaryParity: the summary counted
+// use by use over EachUse, sharing none of Summarize's run arithmetic, with
+// the cost summed in use order, which Plan.Cost matches bit for bit
+// (FuzzPlanCostExact).
+func summaryByUses(t *testing.T, plan *core.Plan, bins core.BinSet) core.Summary {
+	t.Helper()
+	sum := core.Summary{Uses: []core.CardinalityUses{}}
+	err := plan.EachUse(func(card int, tasks []int) error {
+		b, ok := bins.ByCardinality(card)
+		if !ok {
+			return fmt.Errorf("no bin of cardinality %d", card)
+		}
+		sum.NumUses++
+		sum.NumAssignments += len(tasks)
+		sum.Cost += b.Cost
+		i, found := slices.BinarySearchFunc(sum.Uses, card, func(r core.CardinalityUses, l int) int { return r.Cardinality - l })
+		if !found {
+			sum.Uses = slices.Insert(sum.Uses, i, core.CardinalityUses{Cardinality: card})
+		}
+		sum.Uses[i].Count++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
 }
 
 func mustJSON(t *testing.T, v any) string {

@@ -55,7 +55,7 @@ type JobRecord struct {
 	Finished  time.Time `json:"finished,omitzero"`
 	// Error holds the failure message of a failed job.
 	Error string `json:"error,omitempty"`
-	// Summary is the service's PlanSummary JSON for a done job.
+	// Summary is the core.Summary JSON for a done job.
 	Summary json.RawMessage `json:"summary,omitempty"`
 	// Plan is the core.Plan JSON ({"uses": [...]}) for a done job.
 	Plan json.RawMessage `json:"plan,omitempty"`

@@ -20,8 +20,6 @@
 //	sladed -max-queue-wait 250ms  # shed solve traffic when queue-wait p95 exceeds 250ms
 //	sladed -sse-heartbeat 15s     # SSE keep-alive comment interval for /v1/jobs/{id}/events
 //	sladed -log-json              # structured request logs as JSON lines
-//	sladed -peers http://b:8080,http://c:8080 -advertise http://a:8080
-//	                              # deprecated: b and c are listed in stats, never dialled
 //	sladed -platform-url http://market:9000 -platform-auth "Bearer t"
 //	                              # remote marketplace for "platform_kind":"remote" runs
 //	sladed -platform-timeout 10s -platform-retries 64 -platform-rps 50
@@ -36,13 +34,9 @@
 // "platform" block, and /v1/healthz reports marketplace reachability
 // without ever failing the probe.
 //
-// A cluster is N independent sladed nodes behind a load balancer: every
-// node answers every request from its own OPQ cache, and no node talks
-// to another. -peers, -advertise, -cluster-timeout and -peer-retries are
-// deprecated and still parse so existing unit files boot: a peer list is
-// reported ("cluster" blocks in /v1/stats and /v1/healthz, each peer
-// "unused"; "solver":"cluster" stays an accepted name for the default
-// route) and never dialled; the other two are ignored.
+// To scale out, run N independent sladed nodes behind a load balancer:
+// every node answers every request from its own OPQ cache, and no node
+// talks to another.
 //
 // By default the daemon coalesces concurrent same-menu decompose traffic
 // (-batch-window 2ms): requests for the same menu and threshold accumulate
@@ -117,10 +111,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (string, daemonConfig, error) {
 	maxQueueWait := fs.Duration("max-queue-wait", 0, "shed solve traffic (429 + Retry-After) when the p95 wait for a solve slot exceeds this (0 = never shed)")
 	sseHeartbeat := fs.Duration("sse-heartbeat", 0, "keep-alive comment interval on SSE event streams (0 = 15s default)")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
-	peers := fs.String("peers", "", "deprecated: comma-separated peer base URLs, listed in /v1/stats and /v1/healthz and never dialled — run N independent nodes behind a balancer")
-	advertise := fs.String("advertise", "", "deprecated: this node's own base URL, reported as \"self\" beside -peers")
-	fs.Duration("cluster-timeout", 0, "deprecated: ignored (no peer is dialled)")
-	fs.Int("peer-retries", 1, "deprecated: ignored (no peer is dialled)")
 	platformURL := fs.String("platform-url", "", "remote crowd-marketplace base URL; non-empty lets run jobs execute with \"platform_kind\":\"remote\"")
 	platformAuth := fs.String("platform-auth", "", "Authorization header sent verbatim on every marketplace request")
 	platformTimeout := fs.Duration("platform-timeout", 0, "per-attempt deadline for one remote bin issue (0 = 10s default)")
@@ -139,8 +129,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (string, daemonConfig, error) {
 			BatchMaxRequests: *batchMax,
 			MaxQueueWait:     *maxQueueWait,
 			SSEHeartbeat:     *sseHeartbeat,
-			Peers:            splitPeers(*peers),
-			ClusterSelf:      *advertise,
 			PlatformURL:      *platformURL,
 			PlatformAuth:     *platformAuth,
 			PlatformTimeout:  *platformTimeout,
@@ -153,17 +141,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (string, daemonConfig, error) {
 		cfg.service.Slog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	return *addr, cfg, nil
-}
-
-// splitPeers parses the -peers flag: comma-separated URLs, blanks dropped.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // daemonConfig bundles the service configuration with the data directory.
@@ -225,9 +202,6 @@ func serve(ctx context.Context, ln net.Listener, cfg daemonConfig, logger *log.L
 	}
 	logf("sladed listening on %s (workers=%d, durable=%v, batch-window=%v)",
 		ln.Addr(), svc.Stats().Workers, cfg.dataDir != "", cfg.service.BatchWindow)
-	if n := len(cfg.service.Peers); n > 0 {
-		logf("sladed: -peers is deprecated: %d peers accepted for compatibility and not dialled; this node serves every request itself", n)
-	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -391,56 +391,6 @@ func waitHealthy(t *testing.T, base string) {
 	t.Fatal("daemon never became healthy")
 }
 
-// TestPeersAcceptedNotDialled: a daemon given -peers says once at start
-// that they are not dialled, serves a decompose with both peers
-// unreachable, and reports them "unused" — not healthy — in /v1/healthz.
-func TestPeersAcceptedNotDialled(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + ln.Addr().String()
-	var logs bytes.Buffer // read only after serve has returned
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	cfg := daemonConfig{service: slade.ServiceConfig{Peers: splitPeers("http://b.invalid:8080, http://c.invalid:8080"), ClusterSelf: "http://a.invalid:8080"}}
-	go func() { done <- serve(ctx, ln, cfg, log.New(&logs, "", 0)) }()
-	waitHealthy(t, base)
-
-	body := `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1}],"n":500,"threshold":0.9}`
-	resp, err := http.Post(base+"/v1/decompose", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("decompose with unreachable peers: status %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h struct {
-		Cluster struct {
-			Peers []struct{ URL, State string }
-		}
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(h.Cluster.Peers) != 2 || h.Cluster.Peers[0].State != "unused" || h.Cluster.Peers[1].State != "unused" {
-		t.Fatalf("healthz peers: %+v", h.Cluster.Peers)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("serve returned %v", err)
-	}
-	if n := bytes.Count(logs.Bytes(), []byte("2 peers accepted for compatibility and not dialled")); n != 1 {
-		t.Fatalf("compatibility notice logged %d times, want once:\n%s", n, logs.Bytes())
-	}
-}
-
 // TestRequestLogOneTimestamp: with a dated logger (log.Default's flags) a
 // request line carries one timestamp, slog's time=, not the logger's
 // date in front of it.
@@ -488,11 +438,13 @@ func TestRunBadAddr(t *testing.T) {
 }
 
 // TestRemovedSnapshotFlagIsAUsageError: an old unit file that still passes
-// -snapshot-interval does not start — the built binary prints the flag
-// package's usage error and exits 2, as for any flag it never had.
+// a removed flag — -snapshot-interval, or one of the four cluster flags
+// -peers, -advertise, -cluster-timeout and -peer-retries — does not start:
+// the built binary prints the flag package's usage error and exits 2, as
+// for any flag it never had.
 func TestRemovedSnapshotFlagIsAUsageError(t *testing.T) {
 	bin := buildDaemon(t)
-	for _, name := range []string{"-snapshot-interval", "-never-existed"} {
+	for _, name := range []string{"-snapshot-interval", "-peers", "-advertise", "-cluster-timeout", "-peer-retries", "-never-existed"} {
 		out, err := exec.Command(bin, name, "5m").CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
@@ -519,9 +471,9 @@ func buildDaemon(t *testing.T) string {
 }
 
 // TestLogJSONEveryLine: under -log-json every line the daemon writes to
-// stderr is a JSON object — its boot, notice and shutdown lines and the
+// stderr is a JSON object — its boot and shutdown lines and the
 // store's warnings as well as the request lines. A data dir holding a
-// corrupt job record makes the store warn; -peers adds the notice.
+// corrupt job record makes the store warn.
 func TestLogJSONEveryLine(t *testing.T) {
 	bin := buildDaemon(t)
 	dir := t.TempDir()
@@ -531,7 +483,7 @@ func TestLogJSONEveryLine(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-1.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-log-json", "-data-dir", dir, "-addr", "127.0.0.1:0", "-peers", "http://b.invalid:8080")
+	cmd := exec.Command(bin, "-log-json", "-data-dir", dir, "-addr", "127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -593,7 +545,7 @@ func TestLogJSONEveryLine(t *testing.T) {
 	}
 	all := strings.Join(msgs, "\n")
 	for _, want := range []string{"store: warning: skipping corrupt job record job-1.json", "sladed listening on",
-		"-peers is deprecated", "http request", "sladed shutting down"} {
+		"http request", "sladed shutting down"} {
 		if !strings.Contains(all, want) {
 			t.Errorf("no JSON line says %q; messages:\n%s", want, all)
 		}

@@ -141,9 +141,9 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkValidate measures the check a cluster node runs on every peer
-// reply, on the plan as it comes off the wire: one 33,334-task span, a
-// third of cluster-fanout's n = 100,000.
+// BenchmarkValidate measures the check sladecli and the examples run on a
+// solved plan, on a 33,334-task plan in the per-use form PlanFromUses
+// decodes from the wire.
 func BenchmarkValidate(b *testing.B) {
 	const n = 33_334
 	plan, in := planOf(spanPlan(n).Materialized()...), MustHomogeneous(spanMenu(), n, 0.99)

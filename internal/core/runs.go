@@ -257,7 +257,7 @@ func (p *Plan) appendCounts(dst []CardinalityUses) []CardinalityUses {
 // Cost returns the total incentive cost of the plan under the given menu:
 // the sum of c_|β| over all bin uses β. The result is bit-identical to the
 // left-to-right float sum in the expanded plan's use order — the exact
-// cost-parity invariants (clustered == single-node, batched == solo,
+// cost-parity invariants (concurrent == solo, batched == solo,
 // planned == spent) compare floats with ==, so the arithmetic must not
 // round differently. It touches only run metadata, in O(runs) time and
 // without allocating (up to 16 parts per combination): no uses are

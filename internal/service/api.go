@@ -188,7 +188,7 @@ func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	name := req.Solver
 	if name == "" {
-		name = s.DefaultSolver()
+		name = DefaultSolverName
 	}
 	start := time.Now()
 	plan, sum, err := s.DecomposeSummarized(r.Context(), name, in)
@@ -298,7 +298,7 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	name := req.Solver
 	if name == "" {
-		name = s.DefaultSolver()
+		name = DefaultSolverName
 	}
 	start := time.Now()
 	// Solve concurrently so the request batcher (when enabled) coalesces

@@ -278,6 +278,10 @@ func lateContractSteps() []contractStep {
 			body: `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1,"weight":2}],"instances":[{"n":5,"threshold":0.9}]}`},
 		{name: "stream_open_null_bins", method: "POST", path: "/v1/streams",
 			body: `{"bins":null,"threshold":0.9}`},
+		// No solver goes by "cluster" any more: naming it is the unknown-
+		// solver reply, byte for byte what a single node always answered.
+		{name: "decompose_solver_cluster", method: "POST", path: "/v1/decompose",
+			body: fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9,"solver":"cluster"}`, table1JSON)},
 		{name: "batch_too_many_instances", method: "POST", path: "/v1/decompose/batch",
 			body: fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON,
 				strings.TrimSuffix(strings.Repeat(`{"n":0,"threshold":0.9},`, MaxBatchInstances+1), ","))},
@@ -353,9 +357,7 @@ func runContractScript(t *testing.T, svc *Service, dir string, steps []contractS
 	}
 
 	// Goldens with no matching step are dead weight (renamed or removed
-	// routes); fail so the directory stays authoritative. Subdirectories
-	// belong to other scripts (the cluster script keeps its goldens in
-	// contract/cluster) and police themselves.
+	// routes); fail so the directory stays authoritative.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

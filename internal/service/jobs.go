@@ -240,7 +240,7 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 	kind := KindSolve
 	solver := req.Solver
 	if solver == "" {
-		solver = m.svc.DefaultSolver()
+		solver = DefaultSolverName
 	}
 	if _, err := m.svc.solver(solver); err != nil {
 		return JobStatus{}, err

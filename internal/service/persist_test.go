@@ -379,6 +379,44 @@ func TestParentDataDirBoots(t *testing.T) {
 	}
 }
 
+// TestStoredClusterJobReplays: a job record a peer-configured node wrote
+// with solver "cluster" (testdata/cluster_job/parent_store, planned by
+// the span fan-out) is replayed at boot and served byte-identically to
+// what that node served for it, on first boot and across a restart —
+// though no solver goes by that name any more.
+func TestStoredClusterJobReplays(t *testing.T) {
+	src := filepath.Join("testdata", "cluster_job")
+	want, err := os.ReadFile(filepath.Join(src, "parent_job-1.response.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join(src, "parent_store"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, boot := range []string{"first boot", "restarted"} {
+		svc := New(Config{Store: openFS(t, dir), Logger: quietLogger()})
+		ts := httptest.NewServer(NewHandler(svc))
+		resp, err := http.Get(ts.URL + "/v1/jobs/job-1?include_plan=true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: status %d, body differs from the parent's:\n%s", boot, resp.StatusCode, got)
+		}
+		if rec := svc.Stats().Jobs.Recovered; rec != 1 {
+			t.Errorf("%s: %d jobs recovered, want 1", boot, rec)
+		}
+		ts.Close()
+		svc.Close()
+	}
+}
+
 // TestVersion1StreamRecordReplays: a version-1 record has no kind, and one
 // whose solver is "stream" still replays as a stream job.
 func TestVersion1StreamRecordReplays(t *testing.T) {

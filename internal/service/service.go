@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/greedy"
@@ -28,12 +27,12 @@ import (
 // service's recommended solver for every instance shape.
 const DefaultSolverName = "sharded"
 
-// ClusterSolverName is the name the default route goes by on a service
-// configured with Peers — registered only there, and the same route as
-// DefaultSolverName.
+// ClusterSolverName named the default route on a peer-configured service.
+// No solver goes by it: a request naming it is refused like any unknown
+// name, and a stored job that carries it replays as stored.
 //
-// Deprecated: kept as a wire name for clients and stored jobs that carry
-// it; ROADMAP item 2(c) removes it with Config.Peers.
+// Deprecated: inert; kept because the benchmark module compares
+// DefaultSolver against it.
 const ClusterSolverName = "cluster"
 
 // Config parameterizes a Service.
@@ -89,26 +88,12 @@ type Config struct {
 	// streams, keeping idle connections alive through proxies; <= 0 selects
 	// DefaultSSEHeartbeat (15s).
 	SSEHeartbeat time.Duration
-	// Peers lists other sladed nodes' base URLs. They are accepted,
-	// reported and never dialled: a node with peers serves every request
-	// from its own cache by the route a single node uses, so a cluster is
-	// N independent nodes behind a balancer. Non-empty still makes
-	// "cluster" a registered solver name and the one unnamed requests are
-	// reported under, and still adds the cluster blocks to /v1/stats and
-	// /v1/healthz.
-	//
-	// Deprecated: kept for existing deployments and the ledger; ROADMAP
-	// item 2(c) removes it with the fields below.
-	Peers []string
-	// ClusterSelf is this node's own advertised URL, reported as the
-	// cluster blocks' "self" and dropped from Peers if listed there.
-	//
-	// Deprecated: goes with Peers.
-	ClusterSelf string
 	// ClusterTimeout, PeerRetries, ClusterMinSpanBlocks and
-	// ClusterCooldown tuned the span fan-out.
+	// ClusterCooldown tuned a span fan-out to peers that no longer
+	// exists: a cluster is N independent nodes behind a balancer.
 	//
-	// Deprecated: inert — nothing reads them; they go with Peers.
+	// Deprecated: inert — nothing reads them; kept because the benchmark
+	// module sets them.
 	ClusterTimeout       time.Duration
 	PeerRetries          int
 	ClusterMinSpanBlocks int
@@ -149,9 +134,6 @@ type Service struct {
 	// menus interns the validated menus request bodies carry.
 	menus   *menuTable
 	sharded *ShardedSolver
-	// cluster holds the configured peer list and serves the "cluster"
-	// solver name by the local route; nil without Peers.
-	cluster *cluster.Distributor
 	// platform is the remote marketplace client; nil unless PlatformURL
 	// is configured.
 	platform *platform.Client
@@ -257,10 +239,6 @@ func New(cfg Config) *Service {
 	s.mustRegister("opq", opq.Solver{})
 	s.mustRegister("opq-extended", hetero.Solver{})
 	s.mustRegister("baseline", baseline.Solver{Seed: 1})
-	if len(cfg.Peers) > 0 {
-		s.cluster = cluster.New(cluster.Config{Self: cfg.ClusterSelf, Peers: cfg.Peers}, localRoute{s})
-		s.mustRegister(ClusterSolverName, s.cluster)
-	}
 	return s
 }
 
@@ -278,17 +256,11 @@ func (s *Service) defaultPlatform(spec PlatformSpec) (executor.BinRunner, error)
 	return s.platform.Runner(), nil
 }
 
-// DefaultSolver returns the routing key unnamed requests resolve to:
-// "cluster" on a peer-configured service, DefaultSolverName otherwise.
-// Both name the same route.
+// DefaultSolver returns DefaultSolverName, the name unnamed requests
+// resolve to.
 //
-// Deprecated: always DefaultSolverName once ROADMAP item 2(c) lands.
-func (s *Service) DefaultSolver() string {
-	if s.cluster != nil {
-		return ClusterSolverName
-	}
-	return DefaultSolverName
-}
+// Deprecated: use DefaultSolverName; kept for the benchmark module.
+func (s *Service) DefaultSolver() string { return DefaultSolverName }
 
 // janitor reaps the expired terminal jobs and stream sessions every ttl/4,
 // clamped to 10 ms–1 min, until Close.
@@ -404,9 +376,13 @@ func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Insta
 		return nil, err
 	}
 	// Only the built-in sharded solver: a re-registered "sharded" must
-	// keep routing to the replacement.
+	// keep routing to the replacement. Its route goes through the batcher
+	// when the request is eligible (batching on, homogeneous, non-empty).
 	if ss, ok := sv.(*ShardedSolver); ok && ss == s.sharded {
-		return localRoute{s}.SolveContext(ctx, in)
+		if s.batcher != nil && in.N() > 0 && in.Homogeneous() {
+			return s.batcher.join(ctx, in)
+		}
+		return ss.SolveContext(ctx, in)
 	}
 	if cs, ok := sv.(ctxSolver); ok {
 		return cs.SolveContext(ctx, in)
@@ -431,19 +407,6 @@ func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core
 // ctxSolver is the optional context-aware extension of core.Solver.
 type ctxSolver interface {
 	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
-}
-
-// localRoute is the route a node serves its default solver by: through
-// the batcher when the request is eligible (batching on, homogeneous,
-// non-empty), otherwise straight to the cached solver. "sharded" and, on
-// a peer-configured service, "cluster" both resolve to it.
-type localRoute struct{ s *Service }
-
-func (r localRoute) SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error) {
-	if r.s.batcher != nil && in.N() > 0 && in.Homogeneous() {
-		return r.s.batcher.join(ctx, in)
-	}
-	return r.s.sharded.SolveContext(ctx, in)
 }
 
 // Jobs returns the async job manager. Safe for concurrent use; the
@@ -490,11 +453,10 @@ type Stats struct {
 	Streams StreamStats `json:"streams"`
 	// Persistence reports the durable state layer's status.
 	Persistence PersistenceStats `json:"persistence"`
-	// Cluster lists the configured peers, each "unused", with zeroed
-	// counters; omitted without Peers.
+	// Cluster is always nil, so the block is never served.
 	//
-	// Deprecated: goes with Config.Peers.
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
+	// Deprecated: kept because the benchmark module reads it.
+	Cluster *ClusterStats `json:"cluster,omitempty"`
 	// Platform reports the remote marketplace client's counters and
 	// breaker state; omitted unless PlatformURL is configured.
 	Platform *platform.Stats `json:"platform,omitempty"`
@@ -502,6 +464,19 @@ type Stats struct {
 	Solvers []string `json:"solvers"`
 	// Workers is the number of solve slots.
 	Workers int `json:"workers"`
+}
+
+// ClusterStats is the field set of the retired /v1/stats cluster block.
+//
+// Deprecated: Stats.Cluster is always nil; the type stays for the field
+// names the benchmark module reads.
+type ClusterStats struct {
+	SpansRemote, SpansLocal, Fallbacks uint64
+
+	Peers []struct {
+		Retries, BreakerOpens, Requests uint64
+		Latency                         obs.LatencySummary
+	}
 }
 
 // PersistenceStats describes the durable store's configuration.
@@ -535,10 +510,6 @@ func (s *Service) Stats() Stats {
 	if s.batcher != nil {
 		st.Batch = s.batcher.stats()
 	}
-	if s.cluster != nil {
-		cs := s.cluster.Stats()
-		st.Cluster = &cs
-	}
 	if s.platform != nil {
 		ps := s.platform.Stats()
 		st.Platform = &ps
@@ -566,12 +537,6 @@ type Health struct {
 	Revision  string `json:"revision,omitempty"`
 	// Persistence reports the durable store's availability.
 	Persistence HealthPersistence `json:"persistence"`
-	// Cluster lists the configured peers; omitted without Peers. Peers
-	// are never contacted, so the block says nothing about their health
-	// and cannot fail or degrade this node's.
-	//
-	// Deprecated: goes with Config.Peers.
-	Cluster *HealthCluster `json:"cluster,omitempty"`
 	// Platform reports the remote marketplace's reachability; omitted
 	// unless PlatformURL is configured. A degraded platform NEVER fails the health check: the daemon keeps
 	// serving (solve jobs are unaffected, remote runs finish with
@@ -589,23 +554,6 @@ type HealthPlatform struct {
 	Degraded bool `json:"degraded"`
 	// Error is the most recent issue failure, while not "ok".
 	Error string `json:"error,omitempty"`
-}
-
-// HealthCluster is the cluster block of a health report.
-type HealthCluster struct {
-	// Self is this node's advertised name.
-	Self string `json:"self"`
-	// Degraded is always false: no peer is probed.
-	Degraded bool `json:"degraded"`
-	// Peers lists the configured peers, sorted by URL.
-	Peers []HealthPeer `json:"peers"`
-}
-
-// HealthPeer is one configured peer in a health report.
-type HealthPeer struct {
-	URL string `json:"url"`
-	// State is always "unused": configured, never contacted.
-	State string `json:"state"`
 }
 
 // HealthPersistence is the store block of a health report.
@@ -639,14 +587,6 @@ func (s *Service) Health() Health {
 			h.Persistence.Writable = false
 			h.Persistence.Error = err.Error()
 		}
-	}
-	if s.cluster != nil {
-		cs := s.cluster.Stats()
-		hc := &HealthCluster{Self: cs.Self, Peers: make([]HealthPeer, 0, len(cs.Peers))}
-		for _, p := range cs.Peers {
-			hc.Peers = append(hc.Peers, HealthPeer{URL: p.URL, State: p.State})
-		}
-		h.Cluster = hc
 	}
 	if s.platform != nil {
 		ps := s.platform.Stats()

@@ -36,7 +36,7 @@ var keptUncalled = map[string]string{
 	"hetero.BuildSet":       "Tables 4–5: BenchmarkTables4And5BuildOPQSet",
 
 	// A scenario cell's traffic, replayed outside the lab.
-	"scenario.Cell.Instances": "scenario cells: cluster's TestClusterChaosShortMatrixParity replays the short matrix",
+	"scenario.Cell.Instances": "scenario cells: service's TestShortMatrixConcurrentParity replays the short matrix",
 
 	// Item 6's oracle, and the references named tests compare against.
 	"dp.SolveExactCost":        "item 6's exact oracle: TestApproximationsNeverBeatExact, TestCorollary1AgainstExact",
@@ -114,7 +114,7 @@ func TestImportLayering(t *testing.T) {
 	const in = "repro/internal/"
 	leaves := map[string]bool{"core": true, "lp": true, "crowdsim": true, "distgen": true, "store": true, "obs": true}
 	algorithms := map[string]bool{"opq": true, "hetero": true, "greedy": true, "dp": true, "baseline": true, "stream": true}
-	serving := map[string]bool{"service": true, "platform": true, "store": true, "obs": true, "cluster": true}
+	serving := map[string]bool{"service": true, "platform": true, "store": true, "obs": true}
 	serviceImporters := map[string]bool{"scenario": true, "cluster/testcluster": true}
 
 	for _, p := range goList(t, ".") {

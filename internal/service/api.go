@@ -117,7 +117,8 @@ const MaxTasks = 1 << 24
 // concurrent to coalesce them, and a zero-task member takes no room under
 // MaxTasks, so without this bound a full body would start millions of
 // goroutines. 1,024 is 16 × the ledger's 64-member batches and
-// 4 × DefaultBatchMaxRequests.
+// 4 × DefaultBatchMaxRequests. The body's decode enforces it, before a
+// member is allocated (memberCounter).
 const MaxBatchInstances = 1024
 
 // instanceShape is the wire form of an instance over a known menu:
@@ -133,7 +134,7 @@ type instanceShape struct {
 // what earlier members left of it on a batch call.
 func (sh *instanceShape) build(bins core.BinSet, room int) (*core.Instance, error) {
 	if sh.N > room || len(sh.Thresholds) > room {
-		return nil, fmt.Errorf("too many tasks: a call may carry at most %d", MaxTasks)
+		return nil, fmt.Errorf("%w: a call may carry at most %d", errTooManyTasks, MaxTasks)
 	}
 	if len(sh.Thresholds) > 0 {
 		if sh.Threshold != nil || sh.N != 0 {
@@ -271,10 +272,6 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Instances) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch needs at least one instance"))
-		return
-	}
-	if len(req.Instances) > MaxBatchInstances {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("too many instances: a batch may carry at most %d", MaxBatchInstances))
 		return
 	}
 	bins, err := menu.set, menu.err
@@ -730,13 +727,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 const statusCanceled = 499
 
 // statusFor maps a solve error to an HTTP status: context cancellations
-// (the client went away mid-solve) surface as 499, server-side
-// summarize failures as 500, everything else as 422 (the instance was
-// well-formed JSON but unsolvable — e.g. unknown solver or an
-// infeasible menu).
+// (the client went away mid-solve) surface as 499, a request past a
+// solver's task bound as 400, server-side summarize failures as 500,
+// everything else as 422 (the instance was well-formed JSON but
+// unsolvable — e.g. unknown solver or an infeasible menu).
 func statusFor(err error) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return statusCanceled
+	}
+	if errors.Is(err, errTooManyTasks) {
+		return http.StatusBadRequest
 	}
 	if errors.Is(err, errSummarize) {
 		return http.StatusInternalServerError

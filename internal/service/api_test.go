@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -502,6 +503,124 @@ func TestHTTPBatchInstanceLimit(t *testing.T) {
 	}
 	if n := solves.Load(); n != MaxBatchInstances {
 		t.Errorf("a batch of %d members solved %d", MaxBatchInstances, n)
+	}
+}
+
+// TestBatchMemberBoundBeforeDecode: a batch body past MaxBatchInstances
+// members is refused before its members are decoded, on both decode paths:
+// a body small enough for the body reader (5,000 members) and one the
+// plain decode streams (100,000 members, where decoding them all took
+// 31 MB). Each costs the handler a fixed few KiB, not bytes per member.
+func TestBatchMemberBoundBeforeDecode(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
+	defer svc.Close()
+	h := NewHandler(svc)
+	const budget = 64 << 10
+	for _, members := range []int{5_000, 100_000} {
+		body := fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON,
+			strings.TrimSuffix(strings.Repeat(`{},`, members), ","))
+		if members == 5_000 && len(body) > maxInternedBody {
+			t.Fatalf("%d-member body is %d bytes: too long for the body reader", members, len(body))
+		}
+		const runs = 4
+		reqs, recs := make([]*http.Request, runs), make([]*httptest.ResponseRecorder, runs)
+		for i := range reqs {
+			reqs[i] = httptest.NewRequest("POST", "/v1/decompose/batch", strings.NewReader(body))
+			recs[i] = httptest.NewRecorder()
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range reqs {
+			h.ServeHTTP(recs[i], reqs[i])
+		}
+		runtime.ReadMemStats(&after)
+		perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%d members (%d-byte body): %d B allocated per rejected request", members, len(body), perOp)
+		if recs[0].Code != http.StatusBadRequest || !strings.Contains(recs[0].Body.String(), errTooManyInstances.Error()) {
+			t.Fatalf("%d members: status %d, %s", members, recs[0].Code, recs[0].Body)
+		}
+		if perOp > budget {
+			t.Errorf("%d members: %d B allocated per rejected request, budget %d", members, perOp, budget)
+		}
+	}
+}
+
+// TestMemberCounterMatchesDecode: the member count the plain decode
+// enforces is the length encoding/json gives the instances field — for
+// the key spelled with escapes or in another case, for members whose
+// strings hold brackets, commas and escaped quotes, and with a string
+// value that spells an instances array — so 1,024 members decode and
+// 1,025 are refused.
+func TestMemberCounterMatchesDecode(t *testing.T) {
+	members := func(n int, member string) string {
+		return strings.TrimSuffix(strings.Repeat(member+",", n), ",")
+	}
+	fake := `{\"n\":1},`
+	for _, tc := range []struct{ name, body string }{
+		{"plain", `{"instances":[%s]}`},
+		{"escaped key", `{"instanc\u0065s":[%s]}`},
+		{"folded key", `{"INSTANCES":[%s]}`},
+		{"long s", `{"in\u017ftances":[%s]}`},
+		{"after bins", `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1}],"solver":"x],[{","instances":[%s]}`},
+		{"string spells members", `{"solver":"\"instances\":[` + strings.Repeat(fake, 2000) + `]","instances":[%s]}`},
+	} {
+		for _, member := range []string{`{}`, `{"thresholds":[0.5,0.6]}`, ` { "n" : 2 , "threshold" : 0.9 } `} {
+			for _, n := range []int{MaxBatchInstances, MaxBatchInstances + 1} {
+				body := fmt.Sprintf(tc.body, members(n, member))
+				var req batchDecomposeRequest
+				rec := httptest.NewRecorder()
+				ok := decodeFrom(rec, strings.NewReader(body), &req)
+				switch {
+				case n <= MaxBatchInstances && (!ok || len(req.Instances) != n):
+					t.Errorf("%s, %d × %s: ok %v, %d members, %s", tc.name, n, member, ok, len(req.Instances), rec.Body)
+				case n > MaxBatchInstances && (ok || !strings.Contains(rec.Body.String(), errTooManyInstances.Error())):
+					t.Errorf("%s, %d × %s: ok %v, %s", tc.name, n, member, ok, rec.Body)
+				}
+			}
+		}
+	}
+}
+
+// TestSolverTaskLimit: greedy and baseline take at most their own task
+// bound. One more task is a 400 naming the bound, before anything is
+// solved, on a decompose and on a batch member; a job past it fails with
+// the same message; and each solver still serves below its bound.
+func TestSolverTaskLimit(t *testing.T) {
+	svc, ts := newTestServer(t)
+	for _, tc := range []struct {
+		solver string
+		limit  int
+	}{{"greedy", maxGreedyTasks}, {"baseline", maxBaselineTasks}} {
+		want := fmt.Sprintf("too many tasks: solver %q may take at most %d", tc.solver, tc.limit)
+		for _, call := range []struct{ path, body, prefix string }{
+			{"/v1/decompose", `{"bins":%s,"n":%d,"threshold":0.9,"solver":%q}`, ""},
+			{"/v1/decompose/batch", `{"bins":%s,"instances":[{"n":%d,"threshold":0.9}],"solver":%q}`, "instance 0: "},
+		} {
+			resp, raw := postJSON(t, ts.URL+call.path, fmt.Sprintf(call.body, table1JSON, tc.limit+1, tc.solver))
+			var e errorBody
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("%s %s: no error envelope in %s", tc.solver, call.path, raw)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_request" || e.Error.Message != call.prefix+want {
+				t.Errorf("%s %s: status %d, envelope %+v; want 400 invalid_request %q", tc.solver, call.path, resp.StatusCode, e.Error, call.prefix+want)
+			}
+		}
+		in, err := core.NewHomogeneous(binset.Table1(), tc.limit+1, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: tc.solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, svc, id); st.State != JobFailed || st.Error != want {
+			t.Errorf("%s job past the bound: state %s, error %q; want failed, %q", tc.solver, st.State, st.Error, want)
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/decompose", fmt.Sprintf(`{"bins":%s,"n":1000,"threshold":0.9,"solver":%q}`, table1JSON, tc.solver))
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s below its bound: status %d: %s", tc.solver, resp.StatusCode, raw)
+		}
 	}
 }
 

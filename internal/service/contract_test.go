@@ -278,6 +278,11 @@ func lateContractSteps() []contractStep {
 			body: `{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1,"weight":2}],"instances":[{"n":5,"threshold":0.9}]}`},
 		{name: "stream_open_null_bins", method: "POST", path: "/v1/streams",
 			body: `{"bins":null,"threshold":0.9}`},
+		// One task past a comparison solver's own bound.
+		{name: "decompose_greedy_over_limit", method: "POST", path: "/v1/decompose",
+			body: fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"greedy"}`, table1JSON, maxGreedyTasks+1)},
+		{name: "decompose_baseline_over_limit", method: "POST", path: "/v1/decompose",
+			body: fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"baseline"}`, table1JSON, maxBaselineTasks+1)},
 		// No solver goes by "cluster" any more: naming it is the unknown-
 		// solver reply, byte for byte what a single node always answered.
 		{name: "decompose_solver_cluster", method: "POST", path: "/v1/decompose",
@@ -292,17 +297,14 @@ func lateContractSteps() []contractStep {
 // rejects: two bins of cardinality 1.
 const dupCardinalityJSON = `[{"cardinality":1,"confidence":0.9,"cost":0.1},{"cardinality":1,"confidence":0.8,"cost":0.05}]`
 
+// TestAPIContract replays the script against a fresh handler: every
+// response is scrubbed, compared (or rewritten with -update-contract), and
+// the golden directory is checked for orphans.
 func TestAPIContract(t *testing.T) {
 	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
 	t.Cleanup(func() { svc.Close() })
-	runContractScript(t, svc, filepath.Join("testdata", "contract"), append(contractScript(), lateContractSteps()...))
-}
-
-// runContractScript replays one golden script against a fresh handler for
-// the service: every response is scrubbed, compared (or rewritten with
-// -update-contract), and the golden directory is checked for orphans.
-func runContractScript(t *testing.T, svc *Service, dir string, steps []contractStep) {
-	t.Helper()
+	dir := filepath.Join("testdata", "contract")
+	steps := append(contractScript(), lateContractSteps()...)
 	ts := httptest.NewServer(NewHandler(svc))
 	t.Cleanup(ts.Close)
 

@@ -30,11 +30,11 @@ var edgeRoutes = []string{"/v1/decompose", "/v1/decompose/batch", "/v1/jobs", "/
 // types, so field names that match case-insensitively (FORMATS.md:
 // "include_plAn") mean to the oracle what they mean to the handler.
 //
-// Bodies asking for more than edgeMaxTasks tasks are skipped: ROADMAP
-// 7(d) has not yet bounded a reply by anything but MaxTasks, and one
-// decompose of 2^24 tasks with its plan is ~500 MB of JSON, so mutating
-// n's digits would spend each worker's time and memory on a few legal
-// inputs.
+// Bodies asking for more than edgeMaxTasks tasks are skipped, unless a
+// solver's own task bound refuses them unsolved: ROADMAP 7(d) has not yet
+// bounded a reply by anything but MaxTasks, and one decompose of 2^24
+// tasks with its plan is ~500 MB of JSON, so mutating n's digits would
+// spend each worker's time and memory on a few legal inputs.
 // Accepted jobs are cancelled at once, so no execution outlives its call.
 func FuzzHandlerEdge(f *testing.F) {
 	for _, seed := range []struct {
@@ -44,6 +44,8 @@ func FuzzHandlerEdge(f *testing.F) {
 		{0, fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9,"include_plan":true}`, table1JSON)},
 		{0, fmt.Sprintf(`{"bins":%s,"thresholds":[0.9,0.95,0.6,0.99],"include_plan":true,"solver":"opq-extended"}`, table1JSON)},
 		{0, fmt.Sprintf(`{"bins":%s,"n":4,"threshold":0.95}`, table1JSON)},
+		{0, fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"greedy"}`, table1JSON, maxGreedyTasks+1)},
+		{0, fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"baseline"}`, table1JSON, maxBaselineTasks+1)},
 		{1, fmt.Sprintf(`{"bins":%s,"instances":[{"n":12,"threshold":0.9},{"thresholds":[0.5,0.86]}]}`, table1JSON)},
 		{1, fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON,
 			strings.TrimSuffix(strings.Repeat(`{"n":0,"threshold":0.9},`, MaxBatchInstances+1), ","))},
@@ -65,7 +67,7 @@ func FuzzHandlerEdge(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		path := edgeRoutes[int(route)%len(edgeRoutes)]
-		if edgeTasks(path, body) > edgeMaxTasks {
+		if n, limit := edgeTasks(svc, path, body); n > edgeMaxTasks && (limit == 0 || n <= limit) {
 			t.Skip("asks for more tasks than the fuzzer spends time on")
 		}
 		if path == "/v1/streams/{id}/tasks" {
@@ -109,27 +111,29 @@ func FuzzHandlerEdge(f *testing.F) {
 const edgeMaxTasks = 1 << 16
 
 // edgeTasks is how many tasks body asks path for, read with the route's
-// own request type; a body that does not decode asks for none.
-func edgeTasks(path string, body []byte) int {
+// own request type, and the task bound of the solver it names on svc, 0
+// for none; a body that does not decode asks for no tasks.
+func edgeTasks(svc *Service, path string, body []byte) (tasks, limit int) {
 	switch path {
 	case "/v1/decompose", "/v1/jobs":
 		var req jobRequest
 		if json.Unmarshal(body, &req) != nil {
-			return 0
+			return 0, 0
 		}
-		return max(req.N, len(req.Thresholds))
+		if sv, err := svc.solver(req.Solver); err == nil {
+			limit = solverTaskLimit(sv)
+		}
+		return max(req.N, len(req.Thresholds)), limit
 	case "/v1/decompose/batch":
 		var req batchDecomposeRequest
 		if json.Unmarshal(body, &req) != nil {
-			return 0
+			return 0, 0
 		}
-		total := 0
 		for _, sh := range req.Instances {
-			total += max(sh.N, len(sh.Thresholds))
+			tasks += max(sh.N, len(sh.Thresholds))
 		}
-		return total
 	}
-	return 0
+	return tasks, 0
 }
 
 // checkDecomposeReply holds a 2xx POST /v1/decompose reply to the

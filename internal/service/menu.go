@@ -186,9 +186,16 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // decodeFrom is decodeBody over rd: it writes the 400 itself on failure.
+// A batch body passes through a memberCounter on its way to the decoder.
 func decodeFrom(w http.ResponseWriter, rd io.Reader, dst any) bool {
+	if _, ok := dst.(*batchDecomposeRequest); ok {
+		rd = &memberCounter{r: rd}
+	}
 	if err := decodeValue(rd, dst); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !errors.Is(err, errTooManyInstances) {
+			err = fmt.Errorf("decoding request: %w", err)
+		}
+		writeErr(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
@@ -206,4 +213,107 @@ func decodeValue(rd io.Reader, dst any) error {
 		}
 	}
 	return err
+}
+
+// errTooManyInstances is the 400 of a batch body with more than
+// MaxBatchInstances members.
+var errTooManyInstances = fmt.Errorf("too many instances: a batch may carry at most %d", MaxBatchInstances)
+
+// memberCounter passes a batch body through to the JSON decoder, counting
+// the members of each top-level "instances" array as they go by, and fails
+// the read at the first byte of member MaxBatchInstances+1. The decoder
+// reads a whole value before it decodes any of it, so no member has been
+// allocated by then, and the bytes before that one have been handed on,
+// so a syntax error among them is still the decoder's to report. The key
+// is matched as encoding/json matches it: unescaped, and case-folded.
+type memberCounter struct {
+	r   io.Reader
+	err error
+
+	depth    int    // nesting depth of the byte being read
+	str, esc bool   // inside a string; after a backslash in it
+	key      []byte // the last top-level string, cut past maxKeyBytes
+	named    bool   // the last top-level key was instances
+	counting bool   // inside an instances array
+	next     bool   // the next value in it is a new member
+	members  int
+}
+
+func (c *memberCounter) Read(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	n, err := c.r.Read(p)
+	for i, b := range p[:n] {
+		if c.step(b) {
+			c.err = errTooManyInstances
+			return i + 1, nil
+		}
+	}
+	return n, err
+}
+
+// maxKeyBytes bounds the bytes of a top-level string kept as a possible
+// key: instances, each letter escaped as \uXXXX, takes 54.
+const maxKeyBytes = 64
+
+// step reads one byte and reports whether it starts a member past the
+// bound.
+func (c *memberCounter) step(b byte) bool {
+	if c.str {
+		switch {
+		case c.esc:
+			c.esc = false
+		case b == '\\':
+			c.esc = true
+		case b == '"':
+			c.str = false
+			return false
+		}
+		if c.depth == 1 && len(c.key) <= maxKeyBytes {
+			c.key = append(c.key, b)
+		}
+		return false
+	}
+	if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
+		return false
+	}
+	over := false
+	if c.counting && c.depth == 2 && c.next && b != ']' && b != ',' {
+		c.members++
+		c.next, over = false, c.members > MaxBatchInstances
+	}
+	switch b {
+	case '"':
+		c.str, c.key = true, c.key[:0]
+	case ':':
+		c.named = c.depth == 1 && isInstancesKey(c.key)
+	case '{', '[':
+		c.depth++
+		if c.depth == 2 && b == '[' && c.named {
+			c.counting, c.next, c.members = true, true, 0
+		}
+	case '}', ']':
+		c.counting = c.counting && c.depth != 2
+		c.depth--
+	case ',':
+		c.next = c.depth == 2
+	}
+	return over
+}
+
+// isInstancesKey reports whether the raw bytes of a key, between its
+// quotes, name the instances field.
+func isInstancesKey(raw []byte) bool {
+	if len(raw) > maxKeyBytes {
+		return false
+	}
+	if bytes.IndexByte(raw, '\\') >= 0 {
+		var key string
+		if json.Unmarshal(append(append([]byte{'"'}, raw...), '"'), &key) != nil {
+			return false
+		}
+		raw = []byte(key)
+	}
+	return bytes.EqualFold(raw, []byte("instances"))
 }

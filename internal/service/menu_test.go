@@ -193,6 +193,11 @@ func FuzzDecodeParity(f *testing.F) {
 	} {
 		f.Add(uint8(seed.route), []byte(fmt.Sprintf(`{"bins":%s,%s}`, table1JSON, seed.rest)))
 	}
+	// A batch at the member bound and one past it: the reader refuses the
+	// second, and the plain decode rejects it before decoding a member.
+	for _, n := range []int{MaxBatchInstances, MaxBatchInstances + 1} {
+		f.Add(uint8(1), []byte(fmt.Sprintf(`{"bins":%s,"instances":[%s{}]}`, table1JSON, strings.Repeat("{},", n-1))))
+	}
 	f.Add(uint8(0), []byte(fmt.Sprintf(" \n{\"bins\":%s,\"n\":2,\"threshold\":0.5}\t\r\n", table1JSON)))
 	f.Add(uint8(0), []byte(fmt.Sprintf(`{"bins":%s,"n":2,"threshold":0.5}{}`, table1JSON)))
 	f.Add(uint8(3), []byte(fmt.Sprintf(`{"bins":%s,"threshold":0.5} x`, table1JSON)))

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/binset"
+	"repro/internal/core"
 )
 
 // TestRunJobPoolDeterministicAcrossGOMAXPROCS pins the pooled run path's
@@ -45,6 +49,41 @@ func TestRunJobPoolDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range procsList {
 		if got := runOnce(procs); !reflect.DeepEqual(base, got) {
 			t.Fatalf("GOMAXPROCS=%d diverged from the single-core report:\n got %+v\nwant %+v", procs, got, base)
+		}
+	}
+}
+
+// TestSolveDeterministicAcrossGOMAXPROCS pins the default route's
+// determinism under varying parallelism, batching on: at GOMAXPROCS 1, 2
+// and 4 it serves the same use sequence and the same cost bits as a
+// service of its own with batching off.
+func TestSolveDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	ref := New(Config{Workers: 2, Logger: quietLogger()})
+	defer ref.Close()
+	svc := New(Config{Workers: 2, BatchWindow: DefaultBatchWindow, Logger: quietLogger()})
+	defer svc.Close()
+
+	in, err := core.NewHomogeneous(binset.Table1(), 30*6+5, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePlan, baseSum, err := ref.DecomposeSummarized(context.Background(), DefaultSolverName, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseUses := basePlan.Materialized()
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		plan, sum, err := svc.DecomposeSummarized(context.Background(), DefaultSolverName, in)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if sum.Cost != baseSum.Cost {
+			t.Fatalf("GOMAXPROCS=%d: cost %v, unbatched %v", procs, sum.Cost, baseSum.Cost)
+		}
+		if !reflect.DeepEqual(plan.Materialized(), baseUses) {
+			t.Fatalf("GOMAXPROCS=%d: use sequence diverged from the unbatched service's", procs)
 		}
 	}
 }

@@ -99,9 +99,11 @@ func (d *bodyReader) batchField(req *batchDecomposeRequest, key []byte) bool {
 		return d.readString(&req.Solver)
 	case "instances":
 		// Count the members first, so that the members and their
-		// thresholds take one allocation each.
+		// thresholds take one allocation each; past MaxBatchInstances,
+		// leave the body to the plain decode, which rejects it before
+		// allocating a member.
 		start, n := d.i, 0
-		if !d.array(func() bool { n++; return d.skip(1) }) {
+		if !d.array(func() bool { n++; return d.skip(1) }) || n > MaxBatchInstances {
 			return false
 		}
 		d.i = start

@@ -126,6 +126,35 @@ type Config struct {
 // HTTP layer maps it to 500 where ordinary solve errors map to 422.
 var errSummarize = errors.New("service: summarizing solved plan")
 
+// errTooManyTasks tags a request past a task bound — MaxTasks, or a
+// comparison solver's own. The HTTP layer maps it to 400.
+var errTooManyTasks = errors.New("too many tasks")
+
+// The comparison solvers build their plans use by use and keep per-task
+// state, so their memory grows by hundreds of bytes per task where the
+// sharded route's grows with the plan's runs. Each is bounded so that one
+// request of the measured shape stays under solverMemoryBudget: at
+// n = 2^22 on the Table-1 menu at t = 0.95, greedy allocated 2,811 MB
+// (670 B per task) and baseline 2,113 MB (504 B per task). A higher
+// threshold means more bin uses per task, and more bytes.
+const (
+	solverMemoryBudget = 256 << 20
+	maxGreedyTasks     = solverMemoryBudget / 670 // 400,649
+	maxBaselineTasks   = solverMemoryBudget / 504 // 532,610
+)
+
+// solverTaskLimit is the most tasks sv takes in one request, or 0 when
+// only MaxTasks bounds it.
+func solverTaskLimit(sv core.Solver) int {
+	switch sv.(type) {
+	case greedy.Solver:
+		return maxGreedyTasks
+	case baseline.Solver:
+		return maxBaselineTasks
+	}
+	return 0
+}
+
 // Service is the long-running decomposition service: a queue cache, a
 // gated cached solver, a registry of named solvers, an async job manager,
 // and an optional durable store. All methods are safe for concurrent use.
@@ -371,6 +400,9 @@ func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Insta
 	sv, err := s.solver(name)
 	if err != nil {
 		return nil, err
+	}
+	if limit := solverTaskLimit(sv); limit > 0 && in.N() > limit {
+		return nil, fmt.Errorf("%w: solver %q may take at most %d", errTooManyTasks, name, limit)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

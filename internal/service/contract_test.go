@@ -297,6 +297,54 @@ func lateContractSteps() []contractStep {
 // rejects: two bins of cardinality 1.
 const dupCardinalityJSON = `[{"cardinality":1,"confidence":0.9,"cost":0.1},{"cardinality":1,"confidence":0.8,"cost":0.05}]`
 
+// TestAPIContractCluster pins what a node answers to the requests a
+// peer-configured node once answered differently: an unnamed decompose is
+// reported under the default solver, a decompose naming "cluster" gets the
+// unknown-solver 422 (its bytes are TestAPIContract's
+// decompose_solver_cluster golden), and /v1/stats and /v1/healthz carry no
+// cluster block and list no cluster solver.
+func TestAPIContractCluster(t *testing.T) {
+	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.DiscardHandler)})
+	t.Cleanup(func() { svc.Close() })
+	ts := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(ts.Close)
+
+	call := func(step contractStep, wantStatus int) map[string]any {
+		t.Helper()
+		resp, raw := doContractStep(t, svc, ts.URL, step)
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("%s: status %d, want %d\n%s", step.name, resp.StatusCode, wantStatus, raw)
+		}
+		var v map[string]any
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: %v\n%s", step.name, err, raw)
+		}
+		return v
+	}
+
+	body := fmt.Sprintf(`{"bins":%s,"n":12,"threshold":0.9`, table1JSON)
+	dr := call(contractStep{name: "decompose_default", method: "POST", path: "/v1/decompose", body: body + "}"}, http.StatusOK)
+	if dr["solver"] != DefaultSolverName {
+		t.Errorf("unnamed decompose reported solver %v, want %q", dr["solver"], DefaultSolverName)
+	}
+	er := call(contractStep{name: "decompose_named", method: "POST", path: "/v1/decompose", body: body + `,"solver":"cluster"}`}, http.StatusUnprocessableEntity)
+	if msg, _ := er["error"].(map[string]any)["message"].(string); !strings.Contains(msg, `unknown solver "cluster"`) {
+		t.Errorf("decompose naming cluster: message %q, want the unknown-solver reply", msg)
+	}
+	stats := call(contractStep{name: "stats", method: "GET", path: "/v1/stats"}, http.StatusOK)
+	if _, ok := stats["cluster"]; ok {
+		t.Errorf("/v1/stats carries a cluster block: %v", stats["cluster"])
+	}
+	for _, name := range stats["solvers"].([]any) {
+		if name == "cluster" {
+			t.Errorf("/v1/stats lists a cluster solver: %v", stats["solvers"])
+		}
+	}
+	if health := call(contractStep{name: "healthz", method: "GET", path: "/v1/healthz"}, http.StatusOK); health["cluster"] != nil {
+		t.Errorf("/v1/healthz carries a cluster block: %v", health["cluster"])
+	}
+}
+
 // TestAPIContract replays the script against a fresh handler: every
 // response is scrubbed, compared (or rewritten with -update-contract), and
 // the golden directory is checked for orphans.

@@ -39,19 +39,29 @@ func checkThreshold(i int, t float64) error {
 // t. The instance stores (n, t) only: nothing n-sized is allocated until
 // Thresholds or MarshalJSON writes the slice out.
 func NewHomogeneous(bins BinSet, n int, t float64) (*Instance, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("core: negative task count %d", n)
-	}
-	if err := checkMenu(bins, n); err != nil {
+	if err := CheckHomogeneous(bins, n, t); err != nil {
 		return nil, err
 	}
 	if n == 0 {
 		return &Instance{bins: bins}, nil
 	}
-	if err := checkThreshold(0, t); err != nil {
-		return nil, err
-	}
 	return &Instance{bins: bins, n: n, lo: t, hi: t}, nil
+}
+
+// CheckHomogeneous reports what NewHomogeneous(bins, n, t) would reject,
+// without building the instance: a negative n, an empty menu for n > 0
+// tasks, or (for n > 0) a threshold outside [0,1).
+func CheckHomogeneous(bins BinSet, n int, t float64) error {
+	if n < 0 {
+		return fmt.Errorf("core: negative task count %d", n)
+	}
+	if err := checkMenu(bins, n); err != nil {
+		return err
+	}
+	if n == 0 {
+		return nil
+	}
+	return checkThreshold(0, t)
 }
 
 // NewHeterogeneous builds an instance with one threshold per atomic task.

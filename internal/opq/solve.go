@@ -36,8 +36,8 @@ func (Solver) Solve(in *core.Instance) (*core.Plan, error) {
 // decision instead of materializing assignments: emit(c, blocks, 0) for
 // blocks consecutive full blocks of combination c, emit(c, 0, rem) for one
 // final padded application of c over rem < c.LCM remainder tasks. It is
-// the single control-flow core shared by SolveRuns, SolveRunsRange and
-// PlanCost.
+// the single control-flow core shared by SolveRuns, SolveRunsRange,
+// SolveInto and PlanCost.
 func planSteps(q *Queue, n int, emit func(c *Comb, blocks, rem int)) error {
 	if len(q.Elems) == 0 {
 		return fmt.Errorf("opq: empty queue")
@@ -133,22 +133,33 @@ func solveSized(q *Queue, n int) (*core.Plan, error) {
 	if err := planSteps(q, n, func(*Comb, int, int) { runs++ }); err != nil {
 		return nil, err
 	}
-	p := &core.Plan{}
 	if runs == 0 {
-		return p, nil
+		return &core.Plan{}, nil
 	}
-	p.Runs = make([]core.BlockRun, 0, runs)
+	p, _ := SolveInto(q, n, make([]core.BlockRun, 0, runs)) // the same steps: it cannot fail now
+	return &p, nil
+}
+
+// SolveInto is SolveRunsRange at base 0 returning the plan by value, with
+// its runs appended to runs[:0]: given room for them, the solve allocates
+// nothing, so a caller that only reads the plan — to summarize it, say —
+// can hold plan and runs on its stack. The plan aliases runs; a plan
+// without runs (n = 0, or θ = 0) is the zero Plan.
+func SolveInto(q *Queue, n int, runs []core.BlockRun) (core.Plan, error) {
+	runs = runs[:0]
 	pos := 0
-	_ = planSteps(q, n, func(c *Comb, blocks, rem int) { // the same steps: it cannot fail now
+	err := planSteps(q, n, func(c *Comb, blocks, rem int) {
 		ln := blocks * int(c.LCM)
 		if blocks == 0 {
 			ln = rem
 		}
-		p.Runs = append(p.Runs, core.BlockRun{Comb: c.run, Blocks: blocks, Off: pos, Len: ln})
+		runs = append(runs, core.BlockRun{Comb: c.run, Blocks: blocks, Off: pos, Len: ln})
 		pos += ln
 	})
-	p.N = n
-	return p, nil
+	if err != nil || len(runs) == 0 {
+		return core.Plan{}, err
+	}
+	return core.Plan{N: n, Runs: runs}, nil
 }
 
 // cheapestBlock returns the queue element with the smallest one-shot block

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/opq"
 )
 
 // MaxRequestBytes bounds decoded request bodies (64 MiB covers ~4M-task
@@ -112,13 +114,14 @@ func NewHandler(s *Service) http.Handler {
 // the ledger, the figures and the alloc budgets run.
 const MaxTasks = 1 << 24
 
-// MaxBatchInstances bounds the members of one batch call. Each member is
-// solved on a goroutine of its own, since the batcher needs them
-// concurrent to coalesce them, and a zero-task member takes no room under
-// MaxTasks, so without this bound a full body would start millions of
-// goroutines. 1,024 is 16 × the ledger's 64-member batches and
-// 4 × DefaultBatchMaxRequests. The body's decode enforces it, before a
-// member is allocated (memberCounter).
+// MaxBatchInstances bounds the members of one batch call. Every member is
+// decoded, validated and answered with a summary of its own, and a
+// zero-task member takes no room under MaxTasks, so without this bound a
+// full body would be millions of members, each with its reply slot, and
+// as many goroutines when they fan out (heterogeneous members, or a call
+// naming another solver). 1,024 is 16 × the ledger's 64-member batches
+// and 4 × DefaultBatchMaxRequests. The body's decode enforces it, before
+// a member is allocated (memberCounter).
 const MaxBatchInstances = 1024
 
 // instanceShape is the wire form of an instance over a known menu:
@@ -133,20 +136,35 @@ type instanceShape struct {
 // refusing more than room tasks: MaxTasks on the single-instance routes,
 // what earlier members left of it on a batch call.
 func (sh *instanceShape) build(bins core.BinSet, room int) (*core.Instance, error) {
-	if sh.N > room || len(sh.Thresholds) > room {
-		return nil, fmt.Errorf("%w: a call may carry at most %d", errTooManyTasks, MaxTasks)
-	}
-	if len(sh.Thresholds) > 0 {
-		if sh.Threshold != nil || sh.N != 0 {
-			return nil, fmt.Errorf("give either thresholds or (n, threshold), not both")
+	if len(sh.Thresholds) == 0 {
+		if err := sh.check(bins, room); err != nil {
+			return nil, err
 		}
-		return core.NewHeterogeneous(bins, sh.Thresholds)
+		return core.NewHomogeneous(bins, sh.N, *sh.Threshold)
+	}
+	if sh.N > room || len(sh.Thresholds) > room {
+		return nil, errCallTasks
+	}
+	if sh.Threshold != nil || sh.N != 0 {
+		return nil, fmt.Errorf("give either thresholds or (n, threshold), not both")
+	}
+	return core.NewHeterogeneous(bins, sh.Thresholds)
+}
+
+// check is build for a shape without thresholds, without building its
+// instance: it rejects what build would, with the same error.
+func (sh *instanceShape) check(bins core.BinSet, room int) error {
+	if sh.N > room {
+		return errCallTasks
 	}
 	if sh.Threshold == nil {
-		return nil, fmt.Errorf("missing threshold(s)")
+		return fmt.Errorf("missing threshold(s)")
 	}
-	return core.NewHomogeneous(bins, sh.N, *sh.Threshold)
+	return core.CheckHomogeneous(bins, sh.N, *sh.Threshold)
 }
+
+// errCallTasks rejects a call past MaxTasks.
+var errCallTasks = fmt.Errorf("%w: a call may carry at most %d", errTooManyTasks, MaxTasks)
 
 // instanceRequest is the wire form of a problem instance: a menu plus
 // its shape.
@@ -279,67 +297,194 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	// Validate every member before solving any: a batch either runs
-	// whole or rejects whole, so a typo in member 7 cannot waste the
-	// first six solves.
-	ins := make([]*core.Instance, len(req.Instances))
-	room := MaxTasks
-	for i := range req.Instances {
-		in, err := req.Instances[i].build(bins, room)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("instance %d: %w", i, err))
-			return
-		}
-		ins[i] = in
-		room -= in.N()
-	}
 	name := req.Solver
 	if name == "" {
 		name = DefaultSolverName
 	}
-	start := time.Now()
-	// Solve concurrently so the request batcher (when enabled) coalesces
-	// the members into one accumulation window; without a batcher this is
-	// plain fan-out over the solver pool.
-	m := &batchMembers{s: s, ctx: r.Context(), name: name, ins: ins,
-		results: make([]batchResult, len(ins)), errs: make([]error, len(ins))}
-	m.wg.Add(len(ins))
-	for i := range ins {
-		go m.solve(i)
-	}
-	m.wg.Wait()
-	for i, err := range m.errs {
+	// Homogeneous members on the built-in route are grouped: they keep no
+	// Instance, and are served by this goroutine (serveGrouped). Every
+	// other member — a heterogeneous one, or any member of a call naming
+	// another solver — is built and fans out as a lone request would.
+	sv, err := s.solver(name)
+	grouped := err == nil && s.builtIn(sv)
+	// Validate every member before solving any: a batch either runs
+	// whole or rejects whole, so a typo in member 7 cannot waste the
+	// first six solves.
+	var ins []*core.Instance // nil while no member fans out
+	room := MaxTasks
+	for i := range req.Instances {
+		sh := &req.Instances[i]
+		if grouped && len(sh.Thresholds) == 0 {
+			err = sh.check(bins, room)
+		} else {
+			if ins == nil {
+				ins = make([]*core.Instance, len(req.Instances))
+			}
+			ins[i], err = sh.build(bins, room)
+		}
 		if err != nil {
-			writeErr(w, statusFor(err), fmt.Errorf("instance %d: %w", i, err))
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("instance %d: %w", i, err))
 			return
 		}
+		room -= max(sh.N, len(sh.Thresholds))
+	}
+	start := time.Now()
+	c := &batchCall{s: s, ctx: r.Context(), name: name, results: make([]batchResult, len(req.Instances))}
+	for i, in := range ins {
+		if in != nil {
+			c.wg.Add(1)
+			go c.fanOut(i, in)
+		}
+	}
+	if grouped {
+		c.serveGrouped(bins, req.Instances, ins)
+	}
+	c.wg.Wait()
+	if c.err != nil {
+		writeErr(w, statusFor(c.err), fmt.Errorf("instance %d: %w", c.errAt, c.err))
+		return
 	}
 	writeJSON(w, http.StatusOK, batchDecomposeResponse{
 		Solver:    name,
-		Instances: len(ins),
-		Results:   m.results,
+		Instances: len(req.Instances),
+		Results:   c.results,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 	})
 }
 
-// batchMembers is one batch call's fan-out: member i solves ins[i] and
-// writes its summary straight into results[i], the reply's slot, and its
-// error into errs[i]. The member goroutines share it, so each one's
-// closure holds a pointer and an index.
-type batchMembers struct {
+// batchCall is one batch call's solving: member i's summary goes
+// straight into results[i], the reply's slot, and the lowest-indexed
+// failure — the one the reply names — into errAt and err. The fan-out
+// goroutines share it with the handler's own.
+type batchCall struct {
 	s       *Service
 	ctx     context.Context
 	name    string
-	ins     []*core.Instance
 	results []batchResult
-	errs    []error
 	wg      sync.WaitGroup
+
+	mu    sync.Mutex
+	errAt int
+	err   error
 }
 
-func (m *batchMembers) solve(i int) {
-	defer m.wg.Done()
-	m.results[i].N = m.ins[i].N()
-	_, m.results[i].Summary, m.errs[i] = m.s.DecomposeSummarized(m.ctx, m.name, m.ins[i])
+// fail records member i's error unless a lower-indexed member failed.
+func (c *batchCall) fail(i int, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil || i < c.errAt {
+		c.errAt, c.err = i, err
+	}
+}
+
+// fanOut solves member i as a lone request does, on a goroutine of its
+// own: the route of heterogeneous members and of every member of a call
+// that names a solver other than the built-in one.
+func (c *batchCall) fanOut(i int, in *core.Instance) {
+	defer c.wg.Done()
+	c.results[i].N = in.N()
+	var err error
+	if _, c.results[i].Summary, err = c.s.DecomposeSummarized(c.ctx, c.name, in); err != nil {
+		c.fail(i, err)
+	}
+}
+
+// batchGroup is one threshold's members in a grouped batch call: k of
+// them, entered into the batcher's pending batch pb as one weight.
+type batchGroup struct {
+	tbits uint64
+	k     int
+	pb    *pendingBatch
+}
+
+// serveGrouped solves every member that has no Instance — the call's
+// homogeneous members on the built-in route — and writes each one's
+// summary. With the batcher on, each threshold's members enter their
+// batch once, all groups before any waits, so they share one window as
+// concurrent requests would; every member is then solved over the queue
+// its flush hands out. With it off, each member takes a solve slot and
+// looks its queue up, as a lone request does. Either way a member's plan
+// lives on this stack only while it is summarized, and each member counts
+// as one decompose request, as it would on its own. An empty member is
+// answered without either.
+func (c *batchCall) serveGrouped(bins core.BinSet, shapes []instanceShape, ins []*core.Instance) {
+	s, b := c.s, c.s.batcher
+	mine := func(i int) bool { return ins == nil || ins[i] == nil }
+	// answer records member i as one decompose request since start, as
+	// DecomposeSummarized does, and summarizes its plan into the reply.
+	answer := func(i int, start time.Time, plan core.Plan, err error) {
+		s.solved(start, shapes[i].N, err)
+		if err == nil {
+			var sum core.Summary
+			if sum, err = plan.Summarize(bins); err == nil {
+				c.results[i] = batchResult{N: shapes[i].N, Summary: sum}
+				return
+			}
+			err = fmt.Errorf("%w: %v", errSummarize, err)
+		}
+		c.fail(i, err)
+	}
+	for i := range shapes {
+		if mine(i) && shapes[i].N == 0 {
+			// No queue to wait for, but a canceled call fails it still,
+			// as DecomposeWith fails a lone empty request.
+			answer(i, time.Now(), core.Plan{}, c.ctx.Err())
+		}
+	}
+	var runs [32]core.BlockRun // one member's runs at a time; a longer plan spills to the heap
+	if b == nil {
+		for i := range shapes {
+			if !mine(i) || shapes[i].N == 0 {
+				continue
+			}
+			start := time.Now()
+			var plan core.Plan
+			err := s.sharded.run(c.ctx, func() error {
+				q, err := s.cache.Get(bins, *shapes[i].Threshold)
+				if err == nil {
+					plan, err = opq.SolveInto(q, shapes[i].N, runs[:0])
+				}
+				return err
+			})
+			answer(i, start, plan, err)
+		}
+		return
+	}
+
+	start := time.Now()
+	var buf [4]batchGroup // a call names a few thresholds; more spill to the heap
+	groups := buf[:0]
+	for i := range shapes {
+		if !mine(i) || shapes[i].N == 0 {
+			continue
+		}
+		tb := math.Float64bits(*shapes[i].Threshold)
+		j := 0
+		for j < len(groups) && groups[j].tbits != tb {
+			j++
+		}
+		if j == len(groups) {
+			groups = append(groups, batchGroup{tbits: tb})
+		}
+		groups[j].k++
+	}
+	for j := range groups {
+		groups[j].pb = b.enter(bins, math.Float64frombits(groups[j].tbits), groups[j].k)
+	}
+	for _, g := range groups {
+		q, werr := b.wait(c.ctx, g.pb, g.k)
+		for i := range shapes {
+			if !mine(i) || shapes[i].N == 0 || math.Float64bits(*shapes[i].Threshold) != g.tbits {
+				continue
+			}
+			var plan core.Plan
+			err := werr
+			if err == nil {
+				plan, err = opq.SolveInto(q, shapes[i].N, runs[:0])
+			}
+			answer(i, start, plan, err)
+		}
+	}
 }
 
 // jobRequest is the POST /v1/jobs body. Kind selects the payload: "solve"

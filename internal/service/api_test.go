@@ -584,8 +584,9 @@ func TestMemberCounterMatchesDecode(t *testing.T) {
 
 // TestSolverTaskLimit: greedy and baseline take at most their own task
 // bound. One more task is a 400 naming the bound, before anything is
-// solved, on a decompose and on a batch member; a job past it fails with
-// the same message; and each solver still serves below its bound.
+// solved, on a decompose, on a batch member and on a job submission (as
+// Submit's error, too, so no job is registered); and each solver still
+// serves below its bound.
 func TestSolverTaskLimit(t *testing.T) {
 	svc, ts := newTestServer(t)
 	for _, tc := range []struct {
@@ -596,6 +597,7 @@ func TestSolverTaskLimit(t *testing.T) {
 		for _, call := range []struct{ path, body, prefix string }{
 			{"/v1/decompose", `{"bins":%s,"n":%d,"threshold":0.9,"solver":%q}`, ""},
 			{"/v1/decompose/batch", `{"bins":%s,"instances":[{"n":%d,"threshold":0.9}],"solver":%q}`, "instance 0: "},
+			{"/v1/jobs", `{"bins":%s,"n":%d,"threshold":0.9,"solver":%q}`, ""},
 		} {
 			resp, raw := postJSON(t, ts.URL+call.path, fmt.Sprintf(call.body, table1JSON, tc.limit+1, tc.solver))
 			var e errorBody
@@ -610,12 +612,12 @@ func TestSolverTaskLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: tc.solver})
-		if err != nil {
-			t.Fatal(err)
+		if _, err := svc.Jobs().Submit(JobRequest{Instance: in, Solver: tc.solver}); err == nil || err.Error() != want {
+			t.Errorf("%s job past the bound: Submit returned %v; want %q", tc.solver, err, want)
 		}
-		if st := waitTerminal(t, svc, id); st.State != JobFailed || st.Error != want {
-			t.Errorf("%s job past the bound: state %s, error %q; want failed, %q", tc.solver, st.State, st.Error, want)
+		rj := &RunJob{Instance: in}
+		if _, err := svc.Jobs().Submit(JobRequest{Run: rj, Solver: tc.solver}); err == nil || err.Error() != want {
+			t.Errorf("%s run job past the bound: Submit returned %v; want %q", tc.solver, err, want)
 		}
 		resp, raw := postJSON(t, ts.URL+"/v1/decompose", fmt.Sprintf(`{"bins":%s,"n":1000,"threshold":0.9,"solver":%q}`, table1JSON, tc.solver))
 		if resp.StatusCode != http.StatusOK {

@@ -23,31 +23,36 @@ const DefaultBatchMaxRequests = 256
 
 // batcher coalesces concurrent default-solver decompose traffic that
 // shares a (menu, threshold) cache key: one accumulation window, one
-// cache lookup, then each member is solved over the shared cached queue
-// by the same opq.SolveRunsRange call an unbatched request makes — so a
-// batched plan is its solo plan by construction.
+// cache lookup, and the flush hands the cached queue to every request
+// that entered the batch. Each caller then makes the same
+// opq.SolveRunsRange (or opq.SolveInto) call over it that an unbatched
+// request makes — so a batched plan is its solo plan by construction, in
+// its own ids 0..n-1, and the batcher holds no per-request state: a
+// pending batch is a count of requests, not a list of them.
 //
 // Mechanics: the first request for a key opens a pending batch and arms
-// the window timer; followers sharing the key append themselves. The
-// batch flushes when the window expires, when the size cap fills, or —
-// the double-buffering rule — when the key's previous flush completes
-// with no other flush in flight: requests that accumulated while the
-// solver was busy are solved the moment it frees up, so a saturated
-// solver never idles waiting for a window to expire, and the window is
-// what it claims to be — an upper bound on added latency, paid in full
-// only by sparse traffic. Each member's plan addresses only its own ids
-// 0..n-1 — no cross-request task leakage.
+// the window timer; followers sharing the key add themselves to its
+// count. One caller may enter k requests at once — a batch call enters
+// each threshold's members as one weight. The batch flushes when the
+// window expires, when the count reaches the size cap, or — the
+// double-buffering rule — when the key's previous flush completes with no
+// other flush in flight: requests that accumulated while the cache was
+// busy are served the moment it frees up, so a saturated service never
+// idles waiting for a window to expire, and the window is what it claims
+// to be — an upper bound on added latency, paid in full only by sparse
+// traffic.
 //
-// Concurrency contract: join is safe for any number of goroutines. A
-// member whose context is canceled while the batch is still pending
-// leaves it without disturbing siblings (the DELETE-one-member semantics
-// of batched jobs); once a flush has started, it solves every member it
-// collected and the canceled caller simply abandons its result.
+// Concurrency contract: enter, wait and join are safe for any number of
+// goroutines. A caller whose context is canceled while its batch is still
+// pending takes its weight back out without disturbing siblings (the
+// DELETE-one-member semantics of batched jobs); once a flush has begun,
+// it counts every request still in the batch and the canceled caller
+// simply abandons the queue.
 type batcher struct {
 	svc *Service
 	// window is the maximum accumulation time before a flush.
 	window time.Duration
-	// maxRequests flushes a batch early once this many members joined.
+	// maxRequests flushes a batch early once this many requests are in it.
 	maxRequests int
 
 	mu      sync.Mutex
@@ -69,29 +74,20 @@ const (
 	flushReasonDrain = "drain"
 )
 
-// pendingBatch accumulates the members of one cache key until flush.
-// done closes after every member's slot is written, publishing all
-// results with one wakeup sweep.
+// pendingBatch is one cache key's batch until its flush. count is how
+// many live requests are in it: it moves under b.mu while the batch is in
+// b.pending, and is fixed once a trigger detaches it. done closes after
+// the flush wrote q (or err), publishing the queue to every waiter with
+// one wakeup sweep.
 type pendingBatch struct {
 	// key.tbits holds the batch's threshold.
-	key     menuThreshold
-	bins    core.BinSet
-	members []*batchMember
-	timer   *time.Timer
-	done    chan struct{}
-	err     error
-}
-
-// batchMember is one caller parked in a pending batch. The flush
-// goroutine writes plan (or the batch-level err) before closing the
-// batch's done channel.
-type batchMember struct {
-	n int
-	// gone marks a member whose caller gave up (context canceled) before
-	// the flush collected it; flushes skip gone members.
-	gone bool
-
-	plan *core.Plan
+	key   menuThreshold
+	bins  core.BinSet
+	count int
+	timer *time.Timer
+	done  chan struct{}
+	q     *opq.Queue
+	err   error
 }
 
 // newBatcher wires a batcher to its owning service.
@@ -108,15 +104,18 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 	}
 }
 
-// join enters the caller's instance into the pending batch for its cache
-// key (opening one if needed) and blocks until the flush delivers this
-// member's plan, or ctx is canceled. The instance must be homogeneous
-// with at least one task.
-func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, error) {
-	bins, threshold := in.Bins(), in.Threshold(0)
-	key := menuThreshold{menu: bins.Key(), tbits: math.Float64bits(threshold)}
-	m := &batchMember{n: in.N()}
+// join enters k requests at threshold t over bins and waits for the
+// queue their flush hands out: enter, then wait.
+func (b *batcher) join(ctx context.Context, bins core.BinSet, t float64, k int) (*opq.Queue, error) {
+	return b.wait(ctx, b.enter(bins, t, k), k)
+}
 
+// enter adds k ≥ 1 requests to the pending batch for the key of (bins,
+// t), opening one if needed, and returns that batch for wait. A caller
+// with several keys to serve enters them all before waiting on any, so
+// they share one window.
+func (b *batcher) enter(bins core.BinSet, t float64, k int) *pendingBatch {
+	key := menuThreshold{menu: bins.Key(), tbits: math.Float64bits(t)}
 	b.mu.Lock()
 	pb, ok := b.pending[key]
 	if !ok {
@@ -124,27 +123,36 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, erro
 		b.pending[key] = pb
 		pb.timer = time.AfterFunc(b.window, func() { b.flushExpired(key, pb) })
 	}
-	pb.members = append(pb.members, m)
-	b.svc.metrics.batchPending.Inc()
-	if len(pb.members) >= b.maxRequests {
-		// Cap reached: detach now so the next join opens a fresh batch,
-		// and flush without waiting out the window.
-		b.detachLocked(pb)
+	pb.count += k
+	b.svc.metrics.batchPending.Add(int64(k))
+	if pb.count < b.maxRequests {
 		b.mu.Unlock()
-		go b.flush(pb, flushReasonCap)
-	} else {
-		b.mu.Unlock()
+		return pb
 	}
+	// Cap reached: detach now so the next enter opens a fresh batch, and
+	// flush without waiting out the window.
+	b.detachLocked(pb)
+	b.mu.Unlock()
+	go b.flush(pb, flushReasonCap)
+	return pb
+}
 
+// wait blocks until pb's flush hands out the key's queue, or ctx is
+// canceled. A cancel takes the k requests entered into pb back out of it
+// while it is still pending, so its flush neither counts nor waits for
+// them; siblings are untouched. Once the flush has begun the cancel
+// still wins, and the queue is simply not used — the job manager's
+// cancel semantics.
+func (b *batcher) wait(ctx context.Context, pb *pendingBatch, k int) (*opq.Queue, error) {
 	select {
 	case <-pb.done:
-		return m.plan, pb.err
+		return pb.q, pb.err
 	case <-ctx.Done():
-		// Leave the batch; siblings are untouched. If the flush already
-		// collected this member its result is simply dropped — the cancel
-		// still wins, matching the job manager's cancel semantics.
 		b.mu.Lock()
-		m.gone = true
+		if b.pending[pb.key] == pb {
+			pb.count -= k
+			b.svc.metrics.batchPending.Add(-int64(k))
+		}
 		b.mu.Unlock()
 		return nil, ctx.Err()
 	}
@@ -172,34 +180,26 @@ func (b *batcher) flushExpired(key menuThreshold, pb *pendingBatch) {
 	b.flush(pb, flushReasonWindow)
 }
 
-// flush solves and delivers every live member's plan, and — when it was
-// the key's last in-flight flush — hands any batch that accumulated
-// meanwhile straight to the next flush. Exactly one flush runs per batch:
-// every trigger detaches the batch from the pending map under the lock
-// before calling it.
+// flush fetches the key's cached queue for every live request in the
+// batch, and — when it was the key's last in-flight flush — hands any
+// batch that accumulated meanwhile straight to the next flush. Exactly
+// one flush runs per batch: every trigger detaches the batch from the
+// pending map under the lock before calling it, which also fixes its
+// count. The lookup is deliberately detached from any one caller's
+// context, since the flush serves every sibling.
 func (b *batcher) flush(pb *pendingBatch, reason string) {
-	b.mu.Lock()
-	members := make([]*batchMember, 0, len(pb.members))
-	for _, m := range pb.members {
-		if !m.gone {
-			members = append(members, m)
-		}
-	}
-	joined := len(pb.members)
-	b.mu.Unlock()
-	// Every joined member (gone ones included) incremented the pending
-	// gauge exactly once; this flush retires them all.
+	// Every live request raised the pending gauge once; this flush
+	// retires them (canceled ones retired themselves in wait).
 	bm := b.svc.metrics
-	bm.batchPending.Add(-int64(joined))
-
-	if len(members) > 0 { // otherwise every caller canceled while pending
+	bm.batchPending.Add(-int64(pb.count))
+	if pb.count > 0 { // otherwise every caller canceled while pending
 		bm.batchFlushes[reason].Inc()
-		bm.batchFlushSize.Observe(float64(len(members)))
-		pb.err = b.solve(pb, members)
-		close(pb.done) // one close publishes every member's slot
+		bm.batchFlushSize.Observe(float64(pb.count))
+		pb.q, pb.err = b.svc.cache.Get(pb.bins, math.Float64frombits(pb.key.tbits))
+		close(pb.done) // one close publishes the queue to every waiter
 	}
 
-	// Drain handoff: requests that arrived while this flush was solving
+	// Drain handoff: requests that arrived while this flush was running
 	// are ready-made coalesced work — start on them now rather than
 	// letting them wait out the rest of their window.
 	b.mu.Lock()
@@ -217,24 +217,6 @@ func (b *batcher) flush(pb *pendingBatch, reason string) {
 	b.detachLocked(succ)
 	b.mu.Unlock()
 	go b.flush(succ, flushReasonDrain)
-}
-
-// solve fetches the key's cached queue once and writes each member's
-// plan. It is deliberately detached from any single member's context,
-// since the flush serves every sibling.
-func (b *batcher) solve(pb *pendingBatch, members []*batchMember) error {
-	q, err := b.svc.cache.Get(pb.bins, math.Float64frombits(pb.key.tbits))
-	if err != nil {
-		return err
-	}
-	for _, m := range members {
-		plan, err := opq.SolveRunsRange(q, 0, m.n)
-		if err != nil {
-			return err
-		}
-		m.plan = plan
-	}
-	return nil
 }
 
 // BatchStats reports the request batcher's effectiveness; served inside

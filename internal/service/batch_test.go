@@ -3,7 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -383,5 +389,136 @@ func TestBatchJobDeleteRemovesMemberOnly(t *testing.T) {
 		if got := plan.MustCost(menu); got != want {
 			t.Errorf("sibling %s cost %v != unbatched %v", id, got, want)
 		}
+	}
+}
+
+// groupedMembers is a batch that exercises every branch of the grouped
+// route: two thresholds of three non-empty members each (so a cap of 3
+// flushes each group), an empty member, a heterogeneous member, and
+// repeated sizes at both thresholds.
+var groupedMembers = []string{
+	`{"n":37,"threshold":0.95}`, `{"n":200,"threshold":0.9}`, `{"n":0,"threshold":0.9}`,
+	`{"thresholds":[0.5,0.86,0.95]}`, `{"n":37,"threshold":0.95}`, `{"n":12,"threshold":0.9}`,
+	`{"n":200,"threshold":0.95}`, `{"n":200,"threshold":0.9}`,
+}
+
+// TestGroupedBatchMatchesSolo pins the grouped batch route: each member
+// of groupedMembers gets, byte for byte, the summary a solo POST
+// /v1/decompose of it gets — with the batcher on (each threshold's group
+// is one cap flush: the cap is the group's size, the window an hour) and
+// with it off — and counts as one decompose request either way. Off,
+// each non-empty member takes a solve slot as a lone request does; on,
+// only the heterogeneous member does.
+func TestGroupedBatchMatchesSolo(t *testing.T) {
+	ref, refTS := newTestServer(t)
+	t.Cleanup(func() { ref.Close() })
+	solo := make([]json.RawMessage, len(groupedMembers))
+	for i, m := range groupedMembers {
+		resp, raw := postJSON(t, refTS.URL+"/v1/decompose", fmt.Sprintf(`{"bins":%s,%s`, table1JSON, m[1:]))
+		var dr struct{ Summary json.RawMessage }
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &dr) != nil {
+			t.Fatalf("solo member %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+		solo[i] = dr.Summary
+	}
+	body := fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON, strings.Join(groupedMembers, ","))
+
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		shardJobs  uint64
+		flushes    uint64
+		flushTotal uint64
+	}{
+		{"unbatched", Config{Workers: 2}, 7, 0, 0},
+		{"batched", Config{Workers: 2, BatchWindow: time.Hour, BatchMaxRequests: 3}, 1, 2, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Slog = slog.New(slog.DiscardHandler)
+			svc := New(tc.cfg)
+			t.Cleanup(func() { svc.Close() })
+			ts := httptest.NewServer(NewHandler(svc))
+			t.Cleanup(ts.Close)
+
+			resp, raw := postJSON(t, ts.URL+"/v1/decompose/batch", body)
+			var br struct {
+				Results []struct {
+					N       int
+					Summary json.RawMessage
+				}
+			}
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &br) != nil || len(br.Results) != len(solo) {
+				t.Fatalf("status %d: %s", resp.StatusCode, raw)
+			}
+			for i, res := range br.Results {
+				if !bytes.Equal(res.Summary, solo[i]) {
+					t.Errorf("member %d %s: summary %s, solo %s", i, groupedMembers[i], res.Summary, solo[i])
+				}
+			}
+			st := svc.Stats()
+			if st.Requests != uint64(len(groupedMembers)) || st.Errors != 0 || st.Tasks != 37+200+3+37+12+200+200 {
+				t.Errorf("stats counted %d requests, %d errors, %d tasks; want %d, 0, 689", st.Requests, st.Errors, st.Tasks, len(groupedMembers))
+			}
+			if got := svc.sharded.Obs.ShardJobs.Value(); got != tc.shardJobs {
+				t.Errorf("%d solves took a slot, want %d", got, tc.shardJobs)
+			}
+			if st.Batch.Batches != tc.flushes || st.Batch.BatchedRequests != tc.flushTotal || st.Batch.WindowTimeouts != 0 {
+				t.Errorf("batch stats %+v, want %d cap flushes serving %d requests", st.Batch, tc.flushes, tc.flushTotal)
+			}
+		})
+	}
+}
+
+// TestGroupedBatchCancelLeavesBatch pins a canceled batch call on the
+// grouped route: while its batch is pending, its group's weight leaves
+// the batch, slade_batch_pending_requests returns to 0, and a later call
+// that fills the cap flushes only its own live requests.
+func TestGroupedBatchCancelLeavesBatch(t *testing.T) {
+	svc := New(Config{Workers: 2, BatchWindow: time.Hour, BatchMaxRequests: 4, Slog: slog.New(slog.DiscardHandler)})
+	t.Cleanup(func() { svc.Close() })
+	h := NewHandler(svc)
+	batch := func(ns ...int) string {
+		members := make([]string, len(ns))
+		for i, n := range ns {
+			members[i] = fmt.Sprintf(`{"n":%d,"threshold":0.95}`, n)
+		}
+		return fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON, strings.Join(members, ","))
+	}
+	pending := svc.metrics.batchPending
+
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(canceled, httptest.NewRequest("POST", "/v1/decompose/batch", strings.NewReader(batch(10, 20))).WithContext(ctx))
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for pending.Value() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending requests %d, want the call's 2", pending.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-served
+	if canceled.Code != statusCanceled {
+		t.Fatalf("canceled call answered %d: %s", canceled.Code, canceled.Body)
+	}
+	if got := pending.Value(); got != 0 {
+		t.Fatalf("pending requests %d after the cancel, want 0", got)
+	}
+
+	live := httptest.NewRecorder()
+	h.ServeHTTP(live, httptest.NewRequest("POST", "/v1/decompose/batch", strings.NewReader(batch(5, 10, 20, 40))))
+	if live.Code != http.StatusOK {
+		t.Fatalf("live call answered %d: %s", live.Code, live.Body)
+	}
+	st := svc.Stats().Batch
+	if st.Batches != 1 || st.BatchedRequests != 4 || st.WindowTimeouts != 0 {
+		t.Errorf("batch stats %+v, want one cap flush of the 4 live requests", st)
+	}
+	if got := pending.Value(); got != 0 {
+		t.Errorf("pending requests %d after the flush, want 0", got)
 	}
 }

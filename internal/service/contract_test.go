@@ -283,6 +283,10 @@ func lateContractSteps() []contractStep {
 			body: fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"greedy"}`, table1JSON, maxGreedyTasks+1)},
 		{name: "decompose_baseline_over_limit", method: "POST", path: "/v1/decompose",
 			body: fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"baseline"}`, table1JSON, maxBaselineTasks+1)},
+		// A job past the same bound is refused at submission, as the
+		// decompose of it is, with the same text.
+		{name: "job_submit_greedy_over_limit", method: "POST", path: "/v1/jobs",
+			body: fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.9,"solver":"greedy"}`, table1JSON, maxGreedyTasks+1)},
 		// No solver goes by "cluster" any more: naming it is the unknown-
 		// solver reply, byte for byte what a single node always answered.
 		{name: "decompose_solver_cluster", method: "POST", path: "/v1/decompose",

@@ -242,18 +242,27 @@ func (m *JobManager) submit(req JobRequest) (JobStatus, error) {
 	if solver == "" {
 		solver = DefaultSolverName
 	}
-	if _, err := m.svc.solver(solver); err != nil {
+	sv, err := m.svc.solver(solver)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	in := req.Instance
+	if req.Run != nil {
+		if err := req.Run.validate(); err != nil {
+			return JobStatus{}, err
+		}
+		in = req.Run.Instance
+	}
+	// A job past its solver's own bound is rejected as a decompose of it
+	// is, rather than accepted only to fail.
+	if err := checkTaskLimit(sv, solver, in.N()); err != nil {
 		return JobStatus{}, err
 	}
 	var runner executor.BinRunner
 	if req.Run != nil {
 		kind = KindRun
-		if err := req.Run.validate(); err != nil {
-			return JobStatus{}, err
-		}
 		// Build the platform now so an unknown model or a bad pool config
 		// rejects the submission instead of failing the job later.
-		var err error
 		if runner, err = m.platform(req.Run.Platform); err != nil {
 			return JobStatus{}, err
 		}

@@ -155,6 +155,15 @@ func solverTaskLimit(sv core.Solver) int {
 	return 0
 }
 
+// checkTaskLimit refuses n tasks past the bound of sv, registered as
+// name: the same 400 on a decompose, a batch member and a job.
+func checkTaskLimit(sv core.Solver, name string, n int) error {
+	if limit := solverTaskLimit(sv); limit > 0 && n > limit {
+		return fmt.Errorf("%w: solver %q may take at most %d", errTooManyTasks, name, limit)
+	}
+	return nil
+}
+
 // Service is the long-running decomposition service: a queue cache, a
 // gated cached solver, a registry of named solvers, an async job manager,
 // and an optional durable store. All methods are safe for concurrent use.
@@ -387,12 +396,11 @@ func (s *Service) solverNamesLocked() []string {
 func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Instance) (plan *core.Plan, err error) {
 	start := time.Now()
 	defer func() {
-		s.metrics.solveLatency.ObserveSince(start)
-		if err != nil {
-			s.metrics.solveErrors.Inc()
-		} else {
-			s.metrics.solveTasks.Add(uint64(in.N()))
+		tasks := 0
+		if err == nil {
+			tasks = in.N()
 		}
+		s.solved(start, tasks, err)
 	}()
 	if in == nil {
 		return nil, fmt.Errorf("service: nil instance")
@@ -401,25 +409,49 @@ func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Insta
 	if err != nil {
 		return nil, err
 	}
-	if limit := solverTaskLimit(sv); limit > 0 && in.N() > limit {
-		return nil, fmt.Errorf("%w: solver %q may take at most %d", errTooManyTasks, name, limit)
+	if err := checkTaskLimit(sv, name, in.N()); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Only the built-in sharded solver: a re-registered "sharded" must
-	// keep routing to the replacement. Its route goes through the batcher
-	// when the request is eligible (batching on, homogeneous, non-empty).
-	if ss, ok := sv.(*ShardedSolver); ok && ss == s.sharded {
+	// Its route goes through the batcher when the request is eligible
+	// (batching on, homogeneous, non-empty).
+	if s.builtIn(sv) {
 		if s.batcher != nil && in.N() > 0 && in.Homogeneous() {
-			return s.batcher.join(ctx, in)
+			q, err := s.batcher.join(ctx, in.Bins(), in.Threshold(0), 1)
+			if err != nil {
+				return nil, err
+			}
+			return opq.SolveRunsRange(q, 0, in.N())
 		}
-		return ss.SolveContext(ctx, in)
+		return s.sharded.SolveContext(ctx, in)
 	}
 	if cs, ok := sv.(ctxSolver); ok {
 		return cs.SolveContext(ctx, in)
 	}
 	return sv.Solve(in)
+}
+
+// solved records one decompose request on the decompose path's
+// instruments: its latency since start, and its error or the tasks it
+// decomposed.
+func (s *Service) solved(start time.Time, tasks int, err error) {
+	s.metrics.solveLatency.ObserveSince(start)
+	if err != nil {
+		s.metrics.solveErrors.Inc()
+		return
+	}
+	s.metrics.solveTasks.Add(uint64(tasks))
+}
+
+// builtIn reports whether sv is the service's own sharded solver, whose
+// route the batcher and the batch route's grouping serve. A solver
+// re-registered under the default name is not: it keeps the requests
+// that name it.
+func (s *Service) builtIn(sv core.Solver) bool {
+	ss, ok := sv.(*ShardedSolver)
+	return ok && ss == s.sharded
 }
 
 // DecomposeSummarized is DecomposeWith returning the plan's summary as

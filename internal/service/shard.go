@@ -96,18 +96,30 @@ func (s *ShardedSolver) SolveContext(ctx context.Context, in *core.Instance) (*c
 	if in.N() == 0 {
 		return &core.Plan{}, nil
 	}
+	var plan *core.Plan
+	err := s.run(ctx, func() (err error) {
+		plan, err = s.solve(in)
+		return err
+	})
+	return plan, err
+}
+
+// run holds one solve slot while f solves, observing it as one solve: the
+// shape of every SolveContext, and of each unbatched homogeneous member a
+// batch call solves on its own stack. A context canceled before a slot
+// frees up returns ctx.Err() without running f.
+func (s *ShardedSolver) run(ctx context.Context, f func() error) error {
 	if err := s.acquire(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	defer s.release()
-
 	start := time.Now()
-	plan, err := s.solve(in)
+	err := f()
 	if o := s.Obs; o != nil {
 		o.SolveDuration.ObserveSince(start)
 		o.ShardJobs.Inc()
 	}
-	return plan, err
+	return err
 }
 
 // solve runs the request's one solve; the caller holds a slot.

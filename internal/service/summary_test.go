@@ -303,40 +303,70 @@ func TestDecomposeHandlerAllocBudget(t *testing.T) {
 
 // batchHandlerAllocBudget is the committed allocs/op budget of a warm
 // 64-member POST /v1/decompose/batch through NewHandler (Jelly-20,
-// t = 0.9, n from 1,000 to 64,000, no batching): 335 measured (338–342
-// under -race), 404 (408–411) while each member's threshold took an
+// t = 0.9, n from 1,000 to 64,000), without the batcher and with it.
+// Unbatched: 77 measured (80–83 under -race); 335 (338–342) while every
+// member solved on a goroutine of its own, over an Instance and into a
+// heap Plan; 404 (408–411) while each member's threshold took an
 // allocation of its own and the member slice grew by append, 420
 // (424–426) while a json.Decoder decoded the body and 485 (492) while
-// Plan.Cost allocated its part costs once per member. Each budget is its
-// measurement plus about 15 %, 51 allocations: under one per member, so
-// one scratch allocation more per member fails it.
-func batchHandlerAllocBudget() float64 {
-	if raceBuild {
-		return 394
+// Plan.Cost allocated its part costs once per member. Batched, at a cap
+// of 64 that the call's one threshold group fills, so its flush is a cap
+// flush and reads no clock: 82 (84–88). Each budget is its measurement
+// plus about 15 %: under one allocation per member, so one scratch
+// allocation more per member fails it.
+func batchHandlerAllocBudget(batched bool) float64 {
+	switch {
+	case batched && raceBuild:
+		return 101
+	case batched:
+		return 94
+	case raceBuild:
+		return 96
 	}
-	return 386
+	return 89
 }
 
-// batchHandlerBytesBudget is the committed B/op budget of the same call:
-// 26,360 B measured (up to 42,989 B under -race); 29,464 B (up to
-// 43,982 B) while the member slice grew by append; 42,520 B (up to
-// 53,571 B) while a json.Decoder decoded the body and each member's Plan
-// carried a materialization cache, 152 B in all instead of 64 B. Each
-// build's budget is its measurement plus about 15 %.
-func batchHandlerBytesBudget() float64 {
-	if raceBuild {
-		return 49500
+// batchHandlerBytesBudget is the committed B/op budget of the same calls.
+// Unbatched: 9,960 B measured (up to 23,731 B under -race); 26,360 B (up
+// to 42,989 B) while each member solved on a goroutine of its own; 29,464
+// B (up to 43,982 B) while the member slice grew by append; 42,520 B (up
+// to 53,571 B) while a json.Decoder decoded the body and each member's
+// Plan carried a materialization cache, 152 B in all instead of 64 B.
+// Batched: 10,368 B (up to 23,877 B). Each build's budget is its
+// measurement plus about 15 %.
+func batchHandlerBytesBudget(batched bool) float64 {
+	switch {
+	case batched && raceBuild:
+		return 27500
+	case batched:
+		return 11930
+	case raceBuild:
+		return 27300
 	}
-	return 30300
+	return 11460
 }
 
 // TestDecomposeBatchHandlerAllocBudget is the clock-free gate on the warm
 // batch route, the shape of the ledger's burst-batch op: the body is
 // decoded, 64 members are solved over the cached queue and summarized,
-// and the reply is encoded and logged, all counted.
+// and the reply is encoded and logged, all counted — without the batcher,
+// and with it at a cap of 64, which the call's one group fills.
 func TestDecomposeBatchHandlerAllocBudget(t *testing.T) {
-	svc := New(Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	defer svc.Close()
+	for _, batched := range []bool{false, true} {
+		cfg := Config{CacheSize: 8, Workers: 2, Slog: slog.New(slog.NewTextHandler(io.Discard, nil))}
+		if batched {
+			cfg.BatchWindow, cfg.BatchMaxRequests = time.Hour, 64
+		}
+		svc := New(cfg)
+		t.Cleanup(func() { svc.Close() })
+		measureBatchHandler(t, svc, batched)
+	}
+}
+
+// measureBatchHandler runs TestDecomposeBatchHandlerAllocBudget's call on
+// svc and holds it to its budgets.
+func measureBatchHandler(t *testing.T, svc *Service, batched bool) {
+	t.Helper()
 	h := NewHandler(svc)
 	bins, err := json.Marshal(binset.MustJelly(20).Bins())
 	if err != nil {
@@ -366,12 +396,16 @@ func TestDecomposeBatchHandlerAllocBudget(t *testing.T) {
 		}
 		next++
 	})
-	t.Logf("warm POST /v1/decompose/batch, 64 members: %.0f allocs/op, %.0f B/op", allocs, perOp)
-	if budget := batchHandlerAllocBudget(); allocs > budget {
-		t.Errorf("warm POST /v1/decompose/batch: %.0f allocs/op, over the committed budget of %.0f", allocs, budget)
+	route := "warm POST /v1/decompose/batch"
+	if batched {
+		route += " (batched)"
 	}
-	if budget := batchHandlerBytesBudget(); perOp > budget {
-		t.Errorf("warm POST /v1/decompose/batch: %.0f B/op, over the committed budget of %.0f", perOp, budget)
+	t.Logf("%s, 64 members: %.0f allocs/op, %.0f B/op", route, allocs, perOp)
+	if budget := batchHandlerAllocBudget(batched); allocs > budget {
+		t.Errorf("%s: %.0f allocs/op, over the committed budget of %.0f", route, allocs, budget)
+	}
+	if budget := batchHandlerBytesBudget(batched); perOp > budget {
+		t.Errorf("%s: %.0f B/op, over the committed budget of %.0f", route, perOp, budget)
 	}
 }
 

@@ -301,12 +301,13 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = DefaultSolverName
 	}
-	// Homogeneous members on the built-in route are grouped: they keep no
-	// Instance, and are served by this goroutine (serveGrouped). Every
-	// other member — a heterogeneous one, or any member of a call naming
-	// another solver — is built and fans out as a lone request would.
+	// With the batcher on, homogeneous members on the built-in route are
+	// grouped: they keep no Instance, and are served by this goroutine
+	// (serveGrouped). Every other member — a heterogeneous one, any member
+	// of a call naming another solver, every member with the batcher off —
+	// is built and fans out as a lone request would.
 	sv, err := s.solver(name)
-	grouped := err == nil && s.builtIn(sv)
+	grouped := err == nil && s.builtIn(sv) && s.batcher != nil
 	// Validate every member before solving any: a batch either runs
 	// whole or rejects whole, so a typo in member 7 cannot waste the
 	// first six solves.
@@ -398,15 +399,13 @@ type batchGroup struct {
 }
 
 // serveGrouped solves every member that has no Instance — the call's
-// homogeneous members on the built-in route — and writes each one's
-// summary. With the batcher on, each threshold's members enter their
-// batch once, all groups before any waits, so they share one window as
+// homogeneous members on the built-in route, with the batcher on — and
+// writes each one's summary. Each threshold's members enter their batch
+// once, all groups before any waits, so they share one window as
 // concurrent requests would; every member is then solved over the queue
-// its flush hands out. With it off, each member takes a solve slot and
-// looks its queue up, as a lone request does. Either way a member's plan
-// lives on this stack only while it is summarized, and each member counts
-// as one decompose request, as it would on its own. An empty member is
-// answered without either.
+// its flush hands out, its plan living on this stack only while it is
+// summarized. Each member counts as one decompose request, as it would on
+// its own. An empty member is answered without a queue.
 func (c *batchCall) serveGrouped(bins core.BinSet, shapes []instanceShape, ins []*core.Instance) {
 	s, b := c.s, c.s.batcher
 	mine := func(i int) bool { return ins == nil || ins[i] == nil }
@@ -424,33 +423,17 @@ func (c *batchCall) serveGrouped(bins core.BinSet, shapes []instanceShape, ins [
 		}
 		c.fail(i, err)
 	}
+	// A call whose client has gone enters no batch: every member fails
+	// as DecomposeWith fails a lone request past its context.
+	err := c.ctx.Err()
 	for i := range shapes {
-		if mine(i) && shapes[i].N == 0 {
-			// No queue to wait for, but a canceled call fails it still,
-			// as DecomposeWith fails a lone empty request.
-			answer(i, time.Now(), core.Plan{}, c.ctx.Err())
+		if mine(i) && (shapes[i].N == 0 || err != nil) {
+			answer(i, time.Now(), core.Plan{}, err)
 		}
 	}
-	var runs [32]core.BlockRun // one member's runs at a time; a longer plan spills to the heap
-	if b == nil {
-		for i := range shapes {
-			if !mine(i) || shapes[i].N == 0 {
-				continue
-			}
-			start := time.Now()
-			var plan core.Plan
-			err := s.sharded.run(c.ctx, func() error {
-				q, err := s.cache.Get(bins, *shapes[i].Threshold)
-				if err == nil {
-					plan, err = opq.SolveInto(q, shapes[i].N, runs[:0])
-				}
-				return err
-			})
-			answer(i, start, plan, err)
-		}
+	if err != nil {
 		return
 	}
-
 	start := time.Now()
 	var buf [4]batchGroup // a call names a few thresholds; more spill to the heap
 	groups := buf[:0]
@@ -480,7 +463,11 @@ func (c *batchCall) serveGrouped(bins core.BinSet, shapes []instanceShape, ins [
 			var plan core.Plan
 			err := werr
 			if err == nil {
-				plan, err = opq.SolveInto(q, shapes[i].N, runs[:0])
+				// The runs go to the heap: a stack buffer for them saves
+				// about two allocations per member, but moves burst-batch's
+				// traced service.api+core row, which still subtracts a
+				// per-member fan-out, toward its bound (ROADMAP item 21).
+				plan, err = opq.SolveInto(q, shapes[i].N, nil)
 			}
 			answer(i, start, plan, err)
 		}

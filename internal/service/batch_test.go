@@ -406,9 +406,9 @@ var groupedMembers = []string{
 // of groupedMembers gets, byte for byte, the summary a solo POST
 // /v1/decompose of it gets — with the batcher on (each threshold's group
 // is one cap flush: the cap is the group's size, the window an hour) and
-// with it off — and counts as one decompose request either way. Off,
-// each non-empty member takes a solve slot as a lone request does; on,
-// only the heterogeneous member does.
+// with it off, where every member fans out — and counts as one decompose
+// request either way. Off, each non-empty member takes a solve slot as a
+// lone request does; on, only the heterogeneous member does.
 func TestGroupedBatchMatchesSolo(t *testing.T) {
 	ref, refTS := newTestServer(t)
 	t.Cleanup(func() { ref.Close() })
@@ -470,9 +470,10 @@ func TestGroupedBatchMatchesSolo(t *testing.T) {
 }
 
 // TestGroupedBatchCancelLeavesBatch pins a canceled batch call on the
-// grouped route: while its batch is pending, its group's weight leaves
-// the batch, slade_batch_pending_requests returns to 0, and a later call
-// that fills the cap flushes only its own live requests.
+// grouped route: one canceled before it is served enters no batch; one
+// canceled while its batch is pending takes its group's weight back out,
+// slade_batch_pending_requests returns to 0, and a later call that fills
+// the cap flushes only its own live requests.
 func TestGroupedBatchCancelLeavesBatch(t *testing.T) {
 	svc := New(Config{Workers: 2, BatchWindow: time.Hour, BatchMaxRequests: 4, Slog: slog.New(slog.DiscardHandler)})
 	t.Cleanup(func() { svc.Close() })
@@ -485,6 +486,19 @@ func TestGroupedBatchCancelLeavesBatch(t *testing.T) {
 		return fmt.Sprintf(`{"bins":%s,"instances":[%s]}`, table1JSON, strings.Join(members, ","))
 	}
 	pending := svc.metrics.batchPending
+
+	// A call whose client has already gone enters nothing, so its four
+	// members cannot fill the cap and flush.
+	gone, cancelGone := context.WithCancel(context.Background())
+	cancelGone()
+	early := httptest.NewRecorder()
+	h.ServeHTTP(early, httptest.NewRequest("POST", "/v1/decompose/batch", strings.NewReader(batch(5, 10, 20, 40))).WithContext(gone))
+	if early.Code != statusCanceled {
+		t.Fatalf("already-canceled call answered %d: %s", early.Code, early.Body)
+	}
+	if st := svc.Stats().Batch; st.Batches != 0 || pending.Value() != 0 {
+		t.Fatalf("already-canceled call: batch stats %+v, %d pending; want no flush and none pending", st, pending.Value())
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	canceled := httptest.NewRecorder()

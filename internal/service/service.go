@@ -75,8 +75,8 @@ type Config struct {
 	// default-solver requests (synchronous decomposes and the planning
 	// phase of solve/run jobs) for the same menu and threshold accumulate
 	// for up to this long — DefaultBatchWindow (~2ms) in cmd/sladed —
-	// and are then solved in one flush over one cache lookup, each
-	// caller receiving exactly the plan its unbatched solve would.
+	// and then share one flush, one cache lookup whose queue each caller
+	// solves over, receiving exactly the plan its unbatched solve would.
 	// Zero keeps batching off (the library default), preserving
 	// per-request latency for embedders that never see bursts.
 	BatchWindow time.Duration

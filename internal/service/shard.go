@@ -96,30 +96,18 @@ func (s *ShardedSolver) SolveContext(ctx context.Context, in *core.Instance) (*c
 	if in.N() == 0 {
 		return &core.Plan{}, nil
 	}
-	var plan *core.Plan
-	err := s.run(ctx, func() (err error) {
-		plan, err = s.solve(in)
-		return err
-	})
-	return plan, err
-}
-
-// run holds one solve slot while f solves, observing it as one solve: the
-// shape of every SolveContext, and of each unbatched homogeneous member a
-// batch call solves on its own stack. A context canceled before a slot
-// frees up returns ctx.Err() without running f.
-func (s *ShardedSolver) run(ctx context.Context, f func() error) error {
 	if err := s.acquire(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	defer s.release()
+
 	start := time.Now()
-	err := f()
+	plan, err := s.solve(in)
 	if o := s.Obs; o != nil {
 		o.SolveDuration.ObserveSince(start)
 		o.ShardJobs.Inc()
 	}
-	return err
+	return plan, err
 }
 
 // solve runs the request's one solve; the caller holds a slot.

@@ -118,8 +118,8 @@ const MaxTasks = 1 << 24
 // decoded, validated and answered with a summary of its own, and a
 // zero-task member takes no room under MaxTasks, so without this bound a
 // full body would be millions of members, each with its reply slot, and
-// as many goroutines when they fan out (heterogeneous members, or a call
-// naming another solver). 1,024 is 16 × the ledger's 64-member batches
+// as many goroutines when they fan out (heterogeneous members, a call
+// naming another solver, or any call with the batcher off). 1,024 is 16 × the ledger's 64-member batches
 // and 4 × DefaultBatchMaxRequests. The body's decode enforces it, before
 // a member is allocated (memberCounter).
 const MaxBatchInstances = 1024
